@@ -1,23 +1,22 @@
 """Command-line front end: validate / run / bench / proptest.
 
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
-failed property), 2 usage or configuration error. Benchmark methods may run
-concurrently; REL_SPLIT_THREADS caps the worker count (default 1).
+failed property), 2 usage or configuration error, reported as one ``error:``
+line on stderr. Benchmark methods run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import config as configmod, problems, propsuites, relocator
 from .driver import RunConfig, Trace, run
 from .errors import ParameterError, StructuralError
-from .schedule import ACCEL, HARMONIC, NORM_RATIO, ScheduleSpec, schedule_from_config
+from .schedule import (ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec,
+                       schedule_from_config)
 from .scheme import condition_report
 
 
@@ -34,12 +33,17 @@ def _usage_error(msg):
     return 2
 
 
+# Errors that mean the input is unusable: the library's own, plus the
+# builtin ones that malformed values outside config.build_* raise.
+CONFIG_ERRORS = (ParameterError, StructuralError, KeyError, TypeError, ValueError)
+
+
 def cmd_validate(args):
     doc = _load_json(args.config)
     try:
         s = configmod.build_scheme(doc)
         report = condition_report(s, tol=float(doc.get("tol", 1e-10)))
-    except (ParameterError, StructuralError) as exc:
+    except CONFIG_ERRORS as exc:
         return _usage_error(str(exc))
     ok_all = True
     for label, ok, detail in report:
@@ -52,9 +56,9 @@ def cmd_run(args):
     doc = _load_json(args.config)
     try:
         cfg, z0 = configmod.build_run(doc)
+        trace = run(cfg, z0)
     except (ParameterError, StructuralError) as exc:
         return _usage_error(str(exc))
-    trace = run(cfg, z0)
     out = args.out or (Path(args.config).stem + ".csv")
     trace.to_csv(out)
     summary = trace.summary()
@@ -115,39 +119,34 @@ def cmd_bench(args):
                 raise ParameterError("benchmark needs at least one method")
         else:
             grid = default_methods(split.beta, schemes[0][1].n)
+        relaxation = RelaxationPlan(**doc.get("relaxation", {}))
         jobs = []
         for prefix, s in schemes:
             kind = _pick_kind(doc.get("relocator", relocator.GENERAL), s)
             for name, sched in grid:
-                jobs.append((f"{prefix}-{name}" if prefix else name, s, kind, sched))
-    except (KeyError, ParameterError, StructuralError) as exc:
+                cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=sched,
+                                relaxation=relaxation, max_iters=budget,
+                                fix_res_tol=float(doc.get("fix_res_tol", 1e-10)),
+                                record_every=int(doc.get("record_every", 10)),
+                                objective=objective_fn)
+                jobs.append((f"{prefix}-{name}" if prefix else name, cfg))
+    except CONFIG_ERRORS as exc:
         return _usage_error(str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = problems.reference_solution(prob, budget)
     if ref.flagged:
         print("warning: reference run did not fully converge; metrics are approximate")
 
-    def one(job):
-        name, s, kind, sched = job
-        cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=sched,
-                        relaxation=configmod.RelaxationPlan(**doc.get("relaxation", {})),
-                        max_iters=budget, fix_res_tol=float(doc.get("fix_res_tol", 1e-10)),
-                        record_every=int(doc.get("record_every", 10)),
-                        objective=objective_fn, reference=(ref.x, ref.phi))
+    results = []
+    for name, cfg in jobs:
+        cfg.reference = (ref.x, ref.phi)
         try:
             trace = run(cfg, z0)
         except ParameterError as exc:
             # e.g. a constant stepsize outside (0, 2/mu): record, let others proceed
             trace = Trace(aborted=str(exc))
         trace.to_csv(out_dir / f"{name}.csv")
-        return name, trace
-
-    workers = max(1, int(os.environ.get("REL_SPLIT_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
+        results.append((name, trace))
 
     with open(out_dir / "summary.csv", "w") as fh:
         fh.write("method,converged,aborted,iterations,final_fix_res,"

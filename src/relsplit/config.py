@@ -24,15 +24,37 @@ matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import graph as graphmod, problems, relocator
-from .driver import RunConfig, run
+from .driver import RunConfig
 from .errors import ParameterError, StructuralError
 from .schedule import RelaxationPlan, schedule_from_config
 from .scheme import kappa_form_scheme, scheme_from_dict
 
 
+def _config_errors(build):
+    """Report a malformed or missing config value as a ParameterError/StructuralError.
+
+    The CLI maps those two to exit code 2 with one ``error:`` line; any other
+    exception raised while reading a config would end in a traceback.
+    """
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except (ParameterError, StructuralError):
+            raise
+        except KeyError as exc:
+            raise StructuralError(f"config is missing key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ParameterError(f"malformed config value: {exc}") from exc
+    return wrapper
+
+
+@_config_errors
 def build_scheme(doc):
     """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form)."""
     if "graph" in doc:
@@ -43,6 +65,7 @@ def build_scheme(doc):
     raise StructuralError("config needs a 'graph' or 'scheme' section")
 
 
+@_config_errors
 def build_problem(doc):
     """(problem, split, objective_fn) from the 'problem' section.
 
@@ -80,6 +103,7 @@ def build_problem(doc):
     raise ParameterError(f"unknown problem kind {kind!r}")
 
 
+@_config_errors
 def build_z0(doc, s, split, seed_default=None):
     doc = doc or {"kind": "zero"}
     kind = doc.get("kind", "zero")
@@ -91,6 +115,7 @@ def build_z0(doc, s, split, seed_default=None):
     raise ParameterError(f"unknown z0 kind {kind!r}")
 
 
+@_config_errors
 def build_run(doc):
     """(RunConfig, z0) from a full config document."""
     s = build_scheme(doc)
@@ -118,7 +143,3 @@ def build_run(doc):
         raise ParameterError(f"unknown run keys: {sorted(run_doc)}")
     return cfg, z0
 
-
-def run_from_config(doc):
-    cfg, z0 = build_run(doc)
-    return run(cfg, z0)

@@ -23,10 +23,16 @@ sweep at w_k (2n per iteration).
 with x_0 = J_{gamma_0 A_1}(z_0). It produces iterates identical to ``run``
 on the two-node chain scheme with the davis-yin relocator.
 
+Both loops share one skeleton (``_iterate``); only their resolvent formulas
+differ. ``run`` builds its step plan once, before the first iteration: the
+operator bindings and shapes are checked and the sweep rows, M*, the
+relocator's coefficients and the consensus pairs are precomputed, so the
+loop itself only does arithmetic.
+
 Feasibility is enforced every iteration: the margin
-2 - gamma_k*mu - 2*lambda_k*theta_k must stay at or above the plan's floor
-and gamma_{k+1} must stay inside (0, 2/mu); violations abort the run and
-return the partial trace with an abort marker.
+2 - gamma_k*mu - 2*lambda_k*theta_k must stay at or above the plan's floor,
+fix_res must be finite, and gamma_{k+1} must stay inside (0, 2/mu);
+violations abort the run and return the partial trace with an abort marker.
 """
 
 from __future__ import annotations
@@ -37,10 +43,12 @@ import numpy as np
 
 from . import engine, relocator, scheme as schememod
 from .errors import ParameterError, StructuralError
-from .linalg import as_blocks
+from .linalg import as_blocks, norm
 from .schedule import Observables, RelaxationPlan, ScheduleSpec
 
 CSV_HEADER = "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
+_NAN = float("nan")
+_INF = float("inf")
 
 
 @dataclass
@@ -120,19 +128,25 @@ class Trace:
         }
 
 
+class RelativeErrors:
+    """rel_err_x = ||x - x*|| / max(||x*||, 1e-30), rel_err_f = |phi - phi*| / max(|phi*|, 1e-30)."""
+
+    def __init__(self, x_star, phi_star):
+        self.x_star = np.asarray(x_star, dtype=float)
+        self.x_den = max(norm(self.x_star), 1e-30)
+        self.phi_star = float(phi_star)
+        self.f_den = max(abs(self.phi_star), 1e-30)
+
+    def __call__(self, x, phi):
+        return norm(x - self.x_star) / self.x_den, abs(phi - self.phi_star) / self.f_den
+
+
 class _Recorder:
     def __init__(self, objective=None, reference=None, record_paths=False):
         self.objective = objective
         self.record_paths = record_paths
         self.trace = Trace()
-        if reference is not None:
-            x_star, phi_star = reference
-            self.x_star = np.asarray(x_star, dtype=float)
-            self.x_den = max(float(np.linalg.norm(self.x_star)), 1e-30)
-            self.phi_star = float(phi_star)
-            self.f_den = max(abs(self.phi_star), 1e-30)
-        else:
-            self.x_star = None
+        self.errors = RelativeErrors(*reference) if reference is not None else None
 
     def row(self, k, gamma, theta, lam, fix_res, consensus, xbar, evals, z=None):
         t = self.trace
@@ -142,14 +156,11 @@ class _Recorder:
         t.lam.append(lam)
         t.fix_res.append(fix_res)
         t.consensus.append(consensus)
-        phi = float(self.objective(xbar)) if self.objective is not None else float("nan")
+        phi = float(self.objective(xbar)) if self.objective is not None else _NAN
         t.objective.append(phi)
-        if self.x_star is not None:
-            t.rel_err_x.append(float(np.linalg.norm(xbar - self.x_star)) / self.x_den)
-            t.rel_err_f.append(abs(phi - self.phi_star) / self.f_den)
-        else:
-            t.rel_err_x.append(float("nan"))
-            t.rel_err_f.append(float("nan"))
+        rel_x, rel_f = self.errors(xbar, phi) if self.errors is not None else (_NAN, _NAN)
+        t.rel_err_x.append(rel_x)
+        t.rel_err_f.append(rel_f)
         t.sweeps.append(evals)
         if self.record_paths:
             t.x_path.append(np.array(xbar))
@@ -173,71 +184,143 @@ def default_z0(s, prob, seed=None, scale=1.0):
     return scale * rng.standard_normal((s.m, prob.dim))
 
 
-def run(cfg, z0=None):
-    """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
-    s, prob, kind = cfg.scheme, cfg.problem, cfg.relocator
-    mu_value = schememod.mu(s, prob.beta)
-    sup = schememod.stepsize_sup(mu_value)
-    sched = cfg.schedule.build(mu_value, prob.beta)
-    plan = cfg.relaxation
-    z = as_blocks(z0, s.m) if z0 is not None else default_z0(s, prob)
-    if z.shape != (s.m, prob.dim):
-        raise StructuralError(f"z0 must have shape ({s.m}, {prob.dim}), got {z.shape}")
-    cheap = kind in relocator.CHEAP_KINDS
-    rec = _Recorder(cfg.objective, cfg.reference, cfg.record_paths)
+def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, record_every):
+    """The loop skeleton both drivers share; ``step`` holds the resolvent formulas.
+
+    A step exposes ``z``, the shadow iterate ``x``, the cumulative counts
+    ``evals``/``f_evals`` and four methods: ``start(gamma)``;
+    ``residuals(gamma)``, which evaluates the resolvents at (gamma, z) and
+    returns (fix_res, consensus); ``advance(gamma, lam*theta)``, which forms
+    w and the next x_1 and returns (||x_1||, ||x_1 - w||); and
+    ``relocate(gamma_next/gamma)``, which sets z to the relocated w.
+    """
     trace = rec.trace
+    sup = schememod.stepsize_sup(mu_value)
     gamma = sched.gamma
     if not 0 < gamma < sup:
         raise ParameterError(f"initial gamma = {gamma} outside (0, {sup})")
-    evals = 0
-    f_evals = 0
-    x1 = None
-    sw = None
-    for k in range(cfg.max_iters):
-        lam, theta = plan.pair(gamma, mu_value)
-        margin = schememod.feasibility_margin(gamma, lam, theta, mu_value)
-        if lam <= 0 or margin < plan.margin_floor - 1e-12:
-            trace.aborted = _infeasible(k, gamma, lam, margin, plan.margin_floor)
+    step.start(gamma)
+    obs = Observables(L=beta if beta > 0 else None)
+    floor = relax.margin_floor
+    last = max_iters - 1
+    for k in range(max_iters):
+        lam, theta = relax.pair(gamma, mu_value)
+        margin = 2.0 - gamma * mu_value - 2.0 * lam * theta
+        if lam <= 0 or margin < floor - 1e-12:
+            trace.aborted = _infeasible(k, gamma, lam, margin, floor)
             break
-        sw = engine.sweep(s, prob, gamma, z, x1=x1)
-        evals += sw.resolvent_evals
-        f_evals += sw.forward_evals
-        fix_res, consensus = engine.residuals(s, sw)
-        done = fix_res <= cfg.fix_res_tol
-        if done or k % cfg.record_every == 0 or k == cfg.max_iters - 1:
-            rec.row(k, gamma, theta, lam, fix_res, consensus, sw.x[0], evals, z=z)
+        fix_res, consensus = step.residuals(gamma)
+        done = fix_res <= fix_res_tol
+        stop = done or not fix_res < _INF
+        if stop or k % record_every == 0 or k == last:
+            rec.row(k, gamma, theta, lam, fix_res, consensus, step.x, step.evals, z=step.z)
         trace.iterations = k + 1
-        if done:
-            trace.converged = True
+        if stop:
+            if done:
+                trace.converged = True
+            else:
+                trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
             break
-        w = z - (lam * theta) * (s.M.T @ sw.x)
-        if cheap:
-            x1w = engine.first_block(s, prob, gamma, w)
-            evals += 1
-            sww = None
-        else:
-            sww = engine.sweep(s, prob, gamma, w)
-            evals += sww.resolvent_evals
-            f_evals += sww.forward_evals
-            x1w = sww.x[0]
-        obs = Observables(
-            x_next_norm=float(np.linalg.norm(x1w)),
-            x_next_minus_w_norm=float(np.linalg.norm(x1w[None, :] - w)),
-            L=prob.beta if prob.beta > 0 else None,
-        )
+        obs.x_next_norm, obs.x_next_minus_w_norm = step.advance(gamma, lam * theta)
         gamma_next = sched.next_gamma(obs)
         if not 0 < gamma_next < sup:
             trace.aborted = f"gamma_{k + 1} = {gamma_next:.6g} outside (0, {sup:.6g})"
             break
-        z = relocator.relocate(kind, s, prob, gamma_next, gamma, w,
-                               sweep=sww, x1=x1w)
-        x1 = x1w if cheap else None
+        step.relocate(gamma_next / gamma)
         gamma = gamma_next
-    trace.z_final = z
-    trace.x_final = sw.x[0] if sw is not None else None
-    trace.resolvent_evals = evals
-    trace.forward_evals = f_evals
+    trace.z_final = step.z
+    trace.x_final = step.x
+    trace.resolvent_evals = step.evals
+    trace.forward_evals = step.f_evals
     return trace
+
+
+class _EngineStep:
+    """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
+
+    At w the cheap relocators need only x_1 (recycled as the next sweep's
+    x_1); the general relocator needs a full second sweep for its e map.
+    """
+
+    def __init__(self, sweeps, relocation, z):
+        self.sweeps, self.relocation, self.z = sweeps, relocation, z
+        self.x = self.x1 = None
+        self.evals = self.f_evals = 0
+
+    def start(self, gamma):
+        pass
+
+    def residuals(self, gamma):
+        xs, _ = self.sweeps.sweep(gamma, self.z, self.x1)
+        self.x = xs[0]
+        self.evals += self.sweeps.n if self.x1 is None else self.sweeps.n - 1
+        self.f_evals += self.sweeps.forward_evals
+        self.mstar_x, fix_res, consensus = self.sweeps.residuals(xs)
+        return fix_res, consensus
+
+    def advance(self, gamma, lam_theta):
+        w = self.w = self.z - lam_theta * self.mstar_x
+        if self.relocation.general:
+            self.at_w = self.sweeps.sweep(gamma, w)[0]
+            self.evals += self.sweeps.n
+            self.f_evals += self.sweeps.forward_evals
+            x1w = self.at_w[0]
+        else:
+            x1w = self.at_w = self.sweeps.first_block(gamma, w)
+            self.evals += 1
+        return norm(x1w), norm(x1w - w)
+
+    def relocate(self, ratio):
+        self.z = self.relocation.apply(ratio, self.w, self.at_w)
+        self.x1 = None if self.relocation.general else self.at_w
+
+
+def run(cfg, z0=None):
+    """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
+    s, prob, kind = cfg.scheme, cfg.problem, cfg.relocator
+    mu_value = schememod.mu(s, prob.beta)
+    sched = cfg.schedule.build(mu_value, prob.beta)
+    sweeps = engine.SweepPlan(s, prob)
+    z = as_blocks(z0, s.m) if z0 is not None else default_z0(s, prob)
+    if z.shape != (s.m, prob.dim):
+        raise StructuralError(f"z0 must have shape ({s.m}, {prob.dim}), got {z.shape}")
+    step = _EngineStep(sweeps, relocator.Relocation(kind, s), z)
+    rec = _Recorder(cfg.objective, cfg.reference, cfg.record_paths)
+    return _iterate(step, sched, cfg.relaxation, mu_value, prob.beta, rec, cfg.max_iters,
+                    cfg.fix_res_tol, cfg.record_every)
+
+
+class _DavisYinStep:
+    """Resolvent formulas of the three-operator scheme, written out directly."""
+
+    def __init__(self, a1, a2, b, z):
+        self.resolve1, self.resolve2, self.apply = a1.resolve, a2.resolve, b.apply
+        self.z = z
+        self.x = None
+        self.evals = 0
+        self.f_evals = 0
+
+    def start(self, gamma):
+        self.x = self.resolve1(gamma, self.z)
+        self.evals = 1
+
+    def residuals(self, gamma):
+        x = self.x
+        y = self.y = self.resolve2(gamma, 2.0 * x - self.z - gamma * self.apply(x))
+        self.evals += 1
+        self.f_evals += 1
+        fix_res = norm(x - y)
+        return fix_res, fix_res
+
+    def advance(self, gamma, lam_theta):
+        w = self.w = self.z + lam_theta * (self.y - self.x)
+        x_next = self.x_next = self.resolve1(gamma, w)
+        self.evals += 1
+        return norm(x_next), norm(x_next - w)
+
+    def relocate(self, ratio):
+        self.z = ratio * self.w + (1.0 - ratio) * self.x_next
+        self.x = self.x_next
 
 
 def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=1e-10,
@@ -255,52 +338,7 @@ def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     beta = float(b.beta if beta is None else beta)
-    mu_value = beta
-    sup = schememod.stepsize_sup(mu_value)
-    sched = schedule_spec.build(mu_value, beta)
+    sched = schedule_spec.build(beta, beta)
     rec = _Recorder(objective, reference, record_paths)
-    trace = rec.trace
-    gamma = sched.gamma
-    if not 0 < gamma < sup:
-        raise ParameterError(f"initial gamma = {gamma} outside (0, {sup})")
-    x = a1.resolve(gamma, z)
-    evals = 1
-    f_evals = 0
-    for k in range(max_iters):
-        lam, theta = plan.pair(gamma, mu_value)
-        margin = schememod.feasibility_margin(gamma, lam, theta, mu_value)
-        if lam <= 0 or margin < plan.margin_floor - 1e-12:
-            trace.aborted = _infeasible(k, gamma, lam, margin, plan.margin_floor)
-            break
-        y = a2.resolve(gamma, 2.0 * x - z - gamma * b.apply(x))
-        evals += 1
-        f_evals += 1
-        fix_res = float(np.linalg.norm(x - y))
-        done = fix_res <= fix_res_tol
-        if done or k % record_every == 0 or k == max_iters - 1:
-            rec.row(k, gamma, theta, lam, fix_res, fix_res, x, evals, z=z)
-        trace.iterations = k + 1
-        if done:
-            trace.converged = True
-            break
-        w = z + (lam * theta) * (y - x)
-        x_next = a1.resolve(gamma, w)
-        evals += 1
-        obs = Observables(
-            x_next_norm=float(np.linalg.norm(x_next)),
-            x_next_minus_w_norm=float(np.linalg.norm(x_next - w)),
-            L=beta if beta > 0 else None,
-        )
-        gamma_next = sched.next_gamma(obs)
-        if not 0 < gamma_next < sup:
-            trace.aborted = f"gamma_{k + 1} = {gamma_next:.6g} outside (0, {sup:.6g})"
-            break
-        ratio = gamma_next / gamma
-        z = ratio * w + (1.0 - ratio) * x_next
-        x = x_next
-        gamma = gamma_next
-    trace.z_final = z
-    trace.x_final = x
-    trace.resolvent_evals = evals
-    trace.forward_evals = f_evals
-    return trace
+    return _iterate(_DavisYinStep(a1, a2, b, z), sched, plan, beta, beta, rec, max_iters,
+                    fix_res_tol, record_every)

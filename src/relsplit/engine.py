@@ -13,16 +13,21 @@ diagonal), so every B_j input is available when first needed and each B_j is
 evaluated exactly once per sweep (cached across i). The iteration operator is
 T_{theta,gamma} z = z - theta * M* x(gamma, z), whose fixed points are the
 block vectors z with all x_i equal.
+
+``SweepPlan`` holds the one sweep implementation, with the per-scheme and
+per-problem work done at construction; the public ``sweep``,
+``first_block`` and ``residuals`` are validated wrappers over it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .linalg import as_blocks
+from .linalg import as_blocks, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,15 +58,95 @@ class SweepResult:
     forward_evals: int
 
 
-def _check_bindings(s, prob, z):
-    if len(prob.resolvents) != s.n:
-        raise StructuralError(f"scheme has n = {s.n} but {len(prob.resolvents)} resolvents given")
-    if len(prob.forwards) != s.p:
-        raise StructuralError(f"scheme has p = {s.p} but {len(prob.forwards)} forwards given")
-    z = as_blocks(z, s.m)
-    if z.shape[1] != prob.dim:
-        raise StructuralError(f"blocks have dim {z.shape[1]}, problem dim {prob.dim}")
-    return z
+def _check_gamma(gamma):
+    if not gamma > 0:
+        raise ParameterError(f"stepsize must be positive, got {gamma}")
+
+
+class ResidualPlan:
+    """M* and the block pairs of one scheme, for the two residuals of a sweep."""
+
+    def __init__(self, s):
+        self.MT = s.M.T
+        self.pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+
+    def residuals(self, x):
+        """(M* x, ||M* x||, max_{i<j} ||x_i - x_j||)."""
+        mstar_x = self.MT @ x
+        worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
+        for i, j in self.pairs:
+            v = x[i] - x[j]
+            sq = v.dot(v)
+            if sq > worst:
+                worst = sq
+        return mstar_x, norm(mstar_x), math.sqrt(worst)
+
+
+class SweepPlan(ResidualPlan):
+    """The sweep of one scheme bound to one problem, with its run-invariant work done.
+
+    Construction checks the operator bindings and precomputes, per block
+    i >= 2, the N terms with their coefficients N_ij/d_i, the forward terms
+    (with which B_j each block evaluates first), and the operators' bound
+    ``resolve``/``apply`` methods. The methods then only do arithmetic, in
+    the same float-operation order as the formulas above.
+    """
+
+    def __init__(self, s, prob):
+        if len(prob.resolvents) != s.n:
+            raise StructuralError(f"scheme has n = {s.n} but {len(prob.resolvents)} resolvents given")
+        if len(prob.forwards) != s.p:
+            raise StructuralError(f"scheme has p = {s.p} but {len(prob.forwards)} forwards given")
+        super().__init__(s)
+        self.n, self.m, self.p, self.dim = s.n, s.m, s.p, prob.dim
+        self.M, self.M0 = s.M, s.M[0]
+        self.d_col = s.d[:, None]
+        self.d1 = float(s.d[0])
+        self.resolve1 = prob.resolvents[0].resolve
+        n_rows, p_rows, r_rows = s.sweep_plan
+        evaluated = set()
+        self.rows = []
+        for i in range(1, s.n):
+            di = float(s.d[i])
+            n_terms = [(int(j), float(c) / di) for j, c in zip(*n_rows[i])]
+            p_terms = []
+            for j, c in zip(*p_rows[i]):
+                j = int(j)
+                cols, vals = r_rows[j]
+                if cols.size == 1 and vals[0] == 1.0:
+                    cols, vals = int(cols[0]), None   # (R x)_j = x_h: skip the 1-term product
+                p_terms.append((j, float(c), j not in evaluated, cols, vals,
+                                prob.forwards[j].apply))
+                evaluated.add(j)
+            self.rows.append((prob.resolvents[i].resolve, di, n_terms, p_terms))
+        self.forward_evals = len(evaluated)
+
+    def blocks(self, z):
+        """``z`` as an (m, dim) float block vector, or a StructuralError."""
+        z = as_blocks(z, self.m)
+        if z.shape[1] != self.dim:
+            raise StructuralError(f"blocks have dim {z.shape[1]}, problem dim {self.dim}")
+        return z
+
+    def sweep(self, gamma, z, x1=None):
+        """(x, forward values) at (gamma, z); ``x1`` is used as x_1 without evaluation."""
+        mzd = (self.M @ z) / self.d_col
+        x = np.empty((self.n, z.shape[1]))
+        x[0] = self.resolve1(gamma / self.d1, mzd[0]) if x1 is None else x1
+        forward_values = [None] * self.p
+        for i, (resolve, di, n_terms, p_terms) in enumerate(self.rows, start=1):
+            arg = mzd[i]
+            for j, c in n_terms:
+                arg = arg + c * x[j]
+            for j, c, first, cols, vals, apply in p_terms:
+                if first:
+                    forward_values[j] = apply(x[cols] if vals is None else vals @ x[cols])
+                arg = arg - (gamma * c / di) * forward_values[j]
+            x[i] = resolve(gamma / di, arg)
+        return x, forward_values
+
+    def first_block(self, gamma, z):
+        return self.resolve1(gamma / self.d1, (self.M0 @ z) / self.d1)
 
 
 def sweep(s, prob, gamma, z, x1=None):
@@ -72,44 +157,17 @@ def sweep(s, prob, gamma, z, x1=None):
     guarantee x_1 at the relocated point equals x_1 at the pre-relocation
     point).
     """
-    if not gamma > 0:
-        raise ParameterError(f"stepsize must be positive, got {gamma}")
-    z = _check_bindings(s, prob, z)
-    n_rows, p_rows, r_rows = s.sweep_plan
-    d = s.d
-    mz = s.M @ z
-    x = np.empty((s.n, z.shape[1]))
-    forward_values = [None] * s.p
-    r_evals = 0
-    f_evals = 0
-    if x1 is None:
-        x[0] = prob.resolvents[0].resolve(gamma / d[0], mz[0] / d[0])
-        r_evals += 1
-    else:
-        x[0] = x1
-    for i in range(1, s.n):
-        arg = mz[i] / d[i]
-        js, nij = n_rows[i]
-        for j, c in zip(js, nij):
-            arg = arg + (c / d[i]) * x[j]
-        ks, pij = p_rows[i]
-        for j, c in zip(ks, pij):
-            if forward_values[j] is None:
-                cols, vals = r_rows[j]
-                forward_values[j] = prob.forwards[j].apply(vals @ x[cols])
-                f_evals += 1
-            arg = arg - (gamma * c / d[i]) * forward_values[j]
-        x[i] = prob.resolvents[i].resolve(gamma / d[i], arg)
-        r_evals += 1
-    return SweepResult(x, forward_values, r_evals, f_evals)
+    _check_gamma(gamma)
+    plan = SweepPlan(s, prob)
+    x, forward_values = plan.sweep(gamma, plan.blocks(z), x1)
+    return SweepResult(x, forward_values, s.n - (x1 is not None), plan.forward_evals)
 
 
 def first_block(s, prob, gamma, z):
     """Only x_1 of the sweep (one resolvent evaluation)."""
-    if not gamma > 0:
-        raise ParameterError(f"stepsize must be positive, got {gamma}")
-    z = _check_bindings(s, prob, z)
-    return prob.resolvents[0].resolve(gamma / s.d[0], (s.M[0] @ z) / s.d[0])
+    _check_gamma(gamma)
+    plan = SweepPlan(s, prob)
+    return plan.first_block(gamma, plan.blocks(z))
 
 
 def apply_T(s, prob, theta, gamma, z):
@@ -121,9 +179,5 @@ def apply_T(s, prob, theta, gamma, z):
 
 def residuals(s, sw):
     """(fix_res, consensus): ||M* x|| and max_{i<j} ||x_i - x_j||."""
-    fix_res = float(np.linalg.norm(s.M.T @ sw.x))
-    consensus = 0.0
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            consensus = max(consensus, float(np.linalg.norm(sw.x[i] - sw.x[j])))
+    _, fix_res, consensus = ResidualPlan(s).residuals(sw.x)
     return fix_res, consensus

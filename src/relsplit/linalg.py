@@ -8,6 +8,8 @@ stacked blocks, which is what :func:`kron_apply` does.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StructuralError
@@ -26,6 +28,16 @@ def as_blocks(z, m=None):
     if m is not None and z.shape[0] != m:
         raise StructuralError(f"expected {m} blocks, got {z.shape[0]}")
     return z
+
+
+def norm(v):
+    """l2-norm of a real array over all coordinates, as a float.
+
+    Same float operations as ``np.linalg.norm(v)`` (sqrt of the flattened
+    dot product), so the result is bitwise equal, without its call overhead.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def kron_apply(mat, z):

@@ -18,7 +18,6 @@ Two synthetic families are provided at desk scale:
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +184,6 @@ class Reference:
 
 
 _reference_cache: dict = {}
-_reference_lock = threading.Lock()
 
 
 def _fingerprint(problem, budget, half_quadratic):
@@ -212,9 +210,8 @@ def reference_solution(problem, budget, half_quadratic=True):
     1e-10.
     """
     key = _fingerprint(problem, budget, half_quadratic)
-    with _reference_lock:
-        if key in _reference_cache:
-            return _reference_cache[key]
+    if key in _reference_cache:
+        return _reference_cache[key]
     max_iters = 20 * budget
     if isinstance(problem, LassoProblem):
         prob = split_lasso(problem, half_quadratic=half_quadratic)
@@ -237,8 +234,7 @@ def reference_solution(problem, budget, half_quadratic=True):
         raise RuntimeError(f"reference run failed: {trace.aborted}")
     ref = Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),
                     flagged=bool(trace.fix_res[-1] > 1e-10))
-    with _reference_lock:
-        _reference_cache[key] = ref
+    _reference_cache[key] = ref
     return ref
 
 
@@ -270,9 +266,8 @@ def metrics(trace, x_star, phi_star, objective_fn):
     """
     if not trace.x_path:
         raise StructuralError("trace has no recorded iterate path; rerun with record_paths")
-    x_star = np.asarray(x_star, dtype=float)
-    den_x = max(float(np.linalg.norm(x_star)), 1e-30)
-    den_f = max(abs(float(phi_star)), 1e-30)
-    trace.rel_err_x = [float(np.linalg.norm(x - x_star)) / den_x for x in trace.x_path]
-    trace.rel_err_f = [abs(float(objective_fn(x)) - phi_star) / den_f for x in trace.x_path]
+    errors = driver.RelativeErrors(x_star, phi_star)
+    pairs = [errors(x, float(objective_fn(x))) for x in trace.x_path]
+    trace.rel_err_x = [rel_x for rel_x, _ in pairs]
+    trace.rel_err_f = [rel_f for _, rel_f in pairs]
     return trace

@@ -26,6 +26,8 @@ match the implemented (R x)_j, so the constant stays an upper bound.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import engine, graph as graphmod, linalg
@@ -37,6 +39,47 @@ CHEAP_KINDS = (graphmod.INWARD_STAR, graphmod.OUTWARD_STAR, graphmod.SEQUENTIAL,
 KINDS = (GENERAL,) + CHEAP_KINDS
 
 
+class Relocation:
+    """Q_{delta <- gamma} of one kind on one scheme, with its run-invariant work done.
+
+    For ``general`` this holds D, the N terms of the e map, M^dagger and the
+    choice between the zero-sum closed form and the M M^dagger projection;
+    for the cheap kinds the coefficient column c of x_1.
+    """
+
+    def __init__(self, kind, s):
+        self.general = kind == GENERAL
+        if self.general:
+            self.d_col = s.d[:, None]
+            n_rows, _, _ = s.sweep_plan
+            self.n_terms = [(i, int(j), c) for i in range(1, s.n) for j, c in zip(*n_rows[i])]
+            self.zero_sum = s.ker_mstar_is_ones
+            self.M, self.pinv_M = s.M, s.pinv_M
+        elif kind in CHEAP_KINDS:
+            require_graph_scheme(kind, s)
+            self.c_col = cheap_coefficients(kind, s.graph)[:, None]
+        else:
+            raise ParameterError(f"unknown relocator kind {kind!r}")
+
+    def e_map(self, x):
+        y = self.d_col * x
+        for i, j, c in self.n_terms:
+            y[i] -= c * x[j]
+        if self.zero_sum:
+            return linalg.project_zero_sum(y)
+        return linalg.project_range(self.M, y, pinv_mat=self.pinv_M)
+
+    def apply(self, r, z, x):
+        """Q z for the stepsize ratio r = delta/gamma.
+
+        ``x`` is the full sweep output at (gamma, z) for ``general`` and
+        x_1 alone for the cheap kinds.
+        """
+        if self.general:
+            return r * z + (1.0 - r) * (self.pinv_M @ self.e_map(x))
+        return r * z + (1.0 - r) * (self.c_col * x)
+
+
 def e_map(s, x):
     """e(z) = P_range(M) of (d_i x_i - (N x)_{<= i-1}), from the sweep outputs x.
 
@@ -46,15 +89,7 @@ def e_map(s, x):
     x = np.asarray(x, dtype=float)
     if x.shape[0] != s.n:
         raise StructuralError(f"expected {s.n} resolvent outputs, got {x.shape[0]}")
-    y = s.d[:, None] * x
-    n_rows, _, _ = s.sweep_plan
-    for i in range(1, s.n):
-        js, nij = n_rows[i]
-        for j, c in zip(js, nij):
-            y[i] -= c * x[j]
-    if s.ker_mstar_is_ones:
-        return linalg.project_zero_sum(y)
-    return linalg.project_range(s.M, y, pinv_mat=s.pinv_M)
+    return Relocation(GENERAL, s).e_map(x)
 
 
 def _check_ratio(delta, gamma):
@@ -77,10 +112,18 @@ def require_graph_scheme(kind, s):
         )
 
 
-def cheap_coefficients(kind, g):
-    """Per-block multipliers of x_1 in the cheap relocators (length n - 1)."""
+@functools.lru_cache(maxsize=64)
+def _tree_weights(g):
+    """(kappa_i - 2 kin_i per node, kappa_1): the one degree count per graph."""
     kappa, kin, _ = graphmod.degrees(g)
     w = (kappa - 2 * kin).astype(float)
+    w.setflags(write=False)
+    return w, float(kappa[0])
+
+
+def cheap_coefficients(kind, g):
+    """Per-block multipliers of x_1 in the cheap relocators (length n - 1)."""
+    w, _ = _tree_weights(g)
     if kind in (graphmod.INWARD_STAR, DAVIS_YIN):
         return w[:-1]
     if kind == graphmod.OUTWARD_STAR:
@@ -99,18 +142,14 @@ def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     """
     r = _check_ratio(delta, gamma)
     z = linalg.as_blocks(z, s.m)
-    if kind == GENERAL:
-        if sweep is None:
-            sweep = engine.sweep(s, prob, gamma, z)
-        e = e_map(s, sweep.x)
-        return r * z + (1.0 - r) * (s.pinv_M @ e)
-    if kind in CHEAP_KINDS:
-        require_graph_scheme(kind, s)
-        if x1 is None:
-            x1 = sweep.x[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
-        c = cheap_coefficients(kind, s.graph)
-        return r * z + (1.0 - r) * np.outer(c, x1)
-    raise ParameterError(f"unknown relocator kind {kind!r}")
+    q = Relocation(kind, s)
+    if q.general:
+        x = (sweep if sweep is not None else engine.sweep(s, prob, gamma, z)).x
+    elif x1 is not None:
+        x = x1
+    else:
+        x = sweep.x[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
+    return q.apply(r, z, x)
 
 
 def lipschitz_constant(kind, s, delta, gamma, beta):
@@ -123,15 +162,14 @@ def lipschitz_constant(kind, s, delta, gamma, beta):
         return max(1.0, r + a * s.norm_pinv_M * _e_lipschitz(s, gamma, beta))
     if kind in CHEAP_KINDS:
         require_graph_scheme(kind, s)
-        kappa, kin, _ = graphmod.degrees(s.graph)
-        w = (kappa - 2 * kin).astype(float)
-        k1 = float(kappa[0])
+        c = cheap_coefficients(kind, s.graph)
+        _, k1 = _tree_weights(s.graph)
         if kind == graphmod.INWARD_STAR:
-            amp = np.sqrt(k1 ** 2 + np.sum(w[:-1] ** 2)) / k1
+            amp = np.sqrt(k1 ** 2 + np.sum(c ** 2)) / k1
         elif kind == graphmod.OUTWARD_STAR:
-            amp = np.sqrt(s.n - 1) * np.sqrt(np.sum(w[1:] ** 2)) / k1
+            amp = np.sqrt(s.n - 1) * np.sqrt(np.sum(c ** 2)) / k1
         else:  # sequential
-            amp = np.sqrt(np.sum(np.cumsum(w)[:-1] ** 2)) / k1
+            amp = np.sqrt(np.sum(c ** 2)) / k1
         return max(1.0, r + a * float(amp))
     raise ParameterError(f"unknown relocator kind {kind!r}")
 

@@ -83,7 +83,7 @@ def test_run_bad_config(tmp_path):
     assert main(["run", cfg]) == 2
 
 
-def test_bench(tmp_path, capsys, monkeypatch):
+def test_bench(tmp_path, capsys):
     spec = {
         "graph": {"kind": "sequential", "n": 2},
         "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0},
@@ -98,7 +98,6 @@ def test_bench(tmp_path, capsys, monkeypatch):
         ],
     }
     cfg = write_json(tmp_path / "spec.json", spec)
-    monkeypatch.setenv("REL_SPLIT_THREADS", "2")
     assert main(["bench", cfg]) == 0
     out_dir = tmp_path / "bench"
     assert (out_dir / "const.csv").exists()
@@ -185,3 +184,44 @@ def test_proptest(capsys):
 def test_proptest_pinv_and_scheme_suites(capsys):
     assert main(["proptest", "pinv-closed-forms"]) == 0
     assert main(["proptest", "scheme-validity"]) == 0
+
+
+def assert_usage_error(capsys, code):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_run_malformed_value_exits_2(tmp_path, capsys):
+    bad = {"kind": "lasso", "q": "abc", "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
+    assert_usage_error(capsys, main(["run", run_config(tmp_path, problem=bad)]))
+    cfg = run_config(tmp_path, run={"max_iters": "many"})
+    assert_usage_error(capsys, main(["run", cfg]))
+    cfg = run_config(tmp_path, relaxation={"theta": 1.0, "omega": 2.0})
+    assert_usage_error(capsys, main(["run", cfg]))
+    cfg = run_config(tmp_path, schedule={"variant": "constant", "gamma": 1e9})
+    assert_usage_error(capsys, main(["run", cfg]))
+
+
+def test_bench_malformed_value_exits_2(tmp_path, capsys):
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": "abc", "d": 10, "seed": 5},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s1.json", spec)]))
+    spec["problem"] = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
+    for key, value in (("budget", "lots"), ("fix_res_tol", "tight"), ("z0", 3),
+                       ("record_every", [1])):
+        cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
+        assert_usage_error(capsys, main(["bench", cfg]))
+    assert not (tmp_path / "b").exists()
+
+
+def test_validate_malformed_value_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "g.json", {"graph": {"kind": "sequential", "n": "two"}})
+    assert_usage_error(capsys, main(["validate", cfg]))
+    cfg = write_json(tmp_path / "g.json", {"graph": {"n": 3}})
+    assert_usage_error(capsys, main(["validate", cfg]))
+    cfg = write_json(tmp_path / "s.json", {"scheme": DY_SCHEME, "tol": "tight"})
+    assert_usage_error(capsys, main(["validate", cfg]))
+    cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, d="x")})
+    assert_usage_error(capsys, main(["validate", cfg]))

@@ -3,13 +3,13 @@ import pytest
 
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin
-from relsplit.engine import SplitProblem, apply_T
-from relsplit.errors import ParameterError
-from relsplit.operators import LeastSquaresGrad, L1Subdiff, ZeroForward, ZeroOp
+from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
+from relsplit.errors import ParameterError, StructuralError
+from relsplit.operators import LeastSquaresGrad, L1Subdiff, ResolventOp, ZeroForward, ZeroOp
 from relsplit.propsuites import (converge, graph_split, kappa_scheme,
                                  small_elastic_setup, small_lasso_setup)
-from relsplit.relocator import DAVIS_YIN, GENERAL
-from relsplit.schedule import RelaxationPlan, ScheduleSpec, positive_variation
+from relsplit.relocator import DAVIS_YIN, GENERAL, relocate
+from relsplit.schedule import Observables, RelaxationPlan, ScheduleSpec, positive_variation
 from relsplit.scheme import mu
 
 
@@ -224,3 +224,130 @@ def test_run_config_validation():
     from relsplit.errors import StructuralError
     with pytest.raises(StructuralError):
         RunConfig(scheme=raw, problem=split, relocator=DAVIS_YIN)
+
+
+class CountingOp(ResolventOp):
+    """Wraps a resolvent and counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def resolve(self, gamma, v):
+        self.calls += 1
+        return self.inner.resolve(gamma, v)
+
+
+class NanOp(ResolventOp):
+    """A broken resolvent: every output is NaN."""
+
+    def resolve(self, gamma, v):
+        return np.full(np.shape(v), np.nan)
+
+
+def test_binding_mismatch_raises_before_any_resolvent():
+    s, split, _ = small_lasso_setup(14)
+    counters = [CountingOp(op) for op in split.resolvents]
+    fwd = split.forwards[0]
+    spec = ScheduleSpec(variant="constant", gamma=0.5 / split.beta)
+    bad = [
+        (SplitProblem(counters + [CountingOp(ZeroOp())], [fwd], split.beta, split.dim), None),
+        (SplitProblem(counters, [fwd, fwd], split.beta, split.dim), None),
+        (SplitProblem(counters, [fwd], split.beta, split.dim), np.zeros((2, split.dim))),
+        (SplitProblem(counters, [fwd], split.beta, split.dim), np.zeros((1, split.dim + 1))),
+    ]
+    for kind in (DAVIS_YIN, GENERAL):
+        for prob, z0 in bad:
+            cfg = RunConfig(scheme=s, problem=prob, relocator=kind, schedule=spec,
+                            max_iters=5)
+            with pytest.raises(StructuralError):
+                run(cfg, z0)
+            assert all(op.calls == 0 for op in prob.resolvents)
+
+
+def test_eval_counts_when_converging_early():
+    # a run that converges at iteration K (K iterations in the trace) skips
+    # that iteration's relocation work
+    s, split, _ = small_lasso_setup(15)
+    gamma = 0.8 / split.beta
+    for kind, n, expected in ((DAVIS_YIN, 2, lambda it: 2 * it + 1 - 1),
+                              (GENERAL, 2, lambda it: 2 * 2 * it - 2)):
+        trace = converge(s, split, kind, gamma, fix_res_tol=1e-8)
+        assert trace.converged and trace.iterations > 1
+        assert trace.resolvent_evals == expected(trace.iterations)
+    se, spe, _ = small_elastic_setup(16)
+    gamma = 0.8 / mu(se, spe.beta)
+    for kind, expected in ((graphmod.SEQUENTIAL, lambda it: 3 * it + 1 - 1),
+                           (GENERAL, lambda it: 2 * 3 * it - 3)):
+        trace = converge(se, spe, kind, gamma, fix_res_tol=1e-8)
+        assert trace.converged and trace.iterations > 1
+        assert trace.resolvent_evals == expected(trace.iterations)
+    trace = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
+                          ScheduleSpec(variant="constant", gamma=0.8 / split.beta),
+                          RelaxationPlan(), np.zeros(split.dim), max_iters=100000,
+                          fix_res_tol=1e-8)
+    assert trace.converged and trace.iterations > 1
+    assert trace.resolvent_evals == 1 + 2 * trace.iterations - 1
+
+
+@pytest.mark.parametrize("kind", [DAVIS_YIN, GENERAL])
+def test_nonfinite_resolvent_aborts_run(kind):
+    s, split, _ = small_lasso_setup(17)
+    prob = SplitProblem([split.resolvents[0], NanOp()], split.forwards, split.beta, split.dim)
+    cfg = RunConfig(scheme=s, problem=prob, relocator=kind,
+                    schedule=ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
+                    max_iters=200, record_every=50)
+    trace = run(cfg, default_z0(s, prob, seed=1))
+    assert trace.aborted is not None and trace.aborted.startswith("non-finite")
+    assert trace.iterations == 1 and not trace.converged
+    assert trace.k == [0] and np.isnan(trace.fix_res[-1])
+
+
+def test_nonfinite_resolvent_aborts_run_davis_yin():
+    _, split, _ = small_lasso_setup(18)
+    for a1, a2 in ((NanOp(), split.resolvents[1]), (split.resolvents[0], NanOp())):
+        trace = run_davis_yin(a1, a2, split.forwards[0],
+                              ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
+                              RelaxationPlan(), np.ones(split.dim), max_iters=200,
+                              record_every=50)
+        assert trace.aborted is not None and trace.aborted.startswith("non-finite")
+        assert trace.iterations == 1 and not trace.converged
+        assert np.isnan(trace.fix_res[-1])
+
+
+@pytest.mark.parametrize("kind", [graphmod.SEQUENTIAL, GENERAL])
+def test_run_matches_public_step_functions(kind):
+    # the run's precomputed plan does the same float operations as the public
+    # sweep / first_block / relocate wrappers, so the iterates agree bit for bit
+    s, split, _ = small_elastic_setup(19)
+    spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
+    plan = RelaxationPlan()
+    iters = 30
+    z0 = default_z0(s, split, seed=4)
+    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec,
+                    relaxation=plan, max_iters=iters, fix_res_tol=1e-16,
+                    record_paths=True)
+    trace = run(cfg, z0)
+    mu_value = mu(s, split.beta)
+    sched = spec.build(mu_value, split.beta)
+    z, x1, gamma = z0, None, sched.gamma
+    for k in range(iters):
+        assert np.array_equal(trace.z_path[k], z)
+        sw = sweep(s, split, gamma, z, x1=x1)
+        fix_res, consensus = residuals(s, sw)
+        assert (trace.fix_res[k], trace.consensus[k]) == (fix_res, consensus)
+        lam, theta = plan.pair(gamma, mu_value)
+        w = z - (lam * theta) * (s.M.T @ sw.x)
+        if kind == GENERAL:
+            sww = sweep(s, split, gamma, w)
+            x1w = sww.x[0]
+        else:
+            sww, x1w = None, first_block(s, split, gamma, w)
+        obs = Observables(x_next_norm=float(np.linalg.norm(x1w)),
+                          x_next_minus_w_norm=float(np.linalg.norm(x1w[None, :] - w)),
+                          L=split.beta)
+        gamma_next = sched.next_gamma(obs)
+        z = relocate(kind, s, split, gamma_next, gamma, w, sweep=sww, x1=x1w)
+        x1 = x1w if kind != GENERAL else None
+        gamma = gamma_next
+    assert np.array_equal(trace.z_final, z)
