@@ -1,38 +1,61 @@
-"""Declarative run configuration: one JSON-compatible document describes a run.
+"""The one reader of relsplit's JSON documents: the run config and the bench spec.
 
-Document sections (all plain objects/arrays/numbers/strings):
+Every section is an object, and a key that no command reads is a
+ParameterError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
                 or {"n": 3, "arcs": [[1,2],[2,3]]}
-    scheme      explicit matrices {"d": [...], "M": [[...]], "N": ..., "P": ..., "R": ...}
-                (alternative to "graph"; cheap relocators need a graph)
-    problem     {"kind": "lasso", "q", "d", "seed", "lam", "u", "spectrum",
-                 "half_quadratic"} or
-                {"kind": "elastic-net", "q", "d", "seed", "n_corr", "noise_sd",
-                 "lam1", "lam2", "normalize"}
-    relocator   "general" | "inward-star" | "outward-star" | "sequential" | "davis-yin"
+    scheme      finite matrices {"d", "M", "N", "P", "R", "kappa_form"} in place
+                of "graph" (cheap relocators need a graph)
+    problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_KEYS of that
+                kind: generator arguments, or "A" and "b" inline for exact rerun
+    relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
     schedule    ScheduleSpec fields ({"variant": "constant", "gamma": ...} or
                 {"variant": "safeguard", "t_rule": ..., ...})
     relaxation  {"theta": 1.0, "lam": null, "margin_floor": 1e-3}
-    run         {"max_iters", "fix_res_tol", "record_every", "z0",
-                 "reference_budget"} with z0 either {"kind": "zero"} or
+    run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
+                 "reference_budget"}, z0 being {"kind": "zero"} (the default) or
                 {"kind": "normal", "seed": 0, "scale": 1.0}
+
+A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a list
+of graph sections: the grid runs once per graph, CSV names prefixed by its
+kind); "problem", "relocator", "relaxation" and "z0" as above; "budget"
+(10000 iterations per method, 20x that for the reference), "fix_res_tol"
+(1e-10), "record_every" (10), "out_dir" ("bench-out") and "methods"
+([{"name", "schedule"}, ...], else ``default_methods``). ``relsplit validate``
+reads the scheme sections of either document and "tol" (1e-10).
 
 Graph-built schemes are run in their kappa form so the configured gamma
 matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
+A reference solve minimises the same objective as the split (half_quadratic).
 """
 
 from __future__ import annotations
 
 import functools
+from pathlib import Path
 
 import numpy as np
 
-from . import graph as graphmod, problems, relocator
-from .driver import RunConfig
+from . import engine, graph as graphmod, problems, relocator
+from .driver import RunConfig, default_z0
 from .errors import ParameterError, StructuralError
-from .schedule import RelaxationPlan, schedule_from_config
+from .schedule import (ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec,
+                       schedule_from_config)
 from .scheme import kappa_form_scheme, scheme_from_dict
+
+SCHEME_KEYS = {"graph", "graphs", "scheme"}
+RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "relaxation", "run"}
+BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "relaxation", "z0", "budget",
+                            "fix_res_tol", "record_every", "out_dir", "methods"}
+# Problem keys besides "kind": (generated instance, matrices inline) per kind.
+PROBLEM_KEYS = {
+    "lasso": ({"q", "d", "seed", "spectrum", "lam", "u", "half_quadratic"},
+              {"A", "b", "lam", "u", "half_quadratic"}),
+    "elastic-net": ({"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2", "normalize"},
+                    {"A", "b", "lam1", "lam2"}),
+}
+Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed", "scale"}}
 
 
 def _config_errors(build):
@@ -54,92 +77,165 @@ def _config_errors(build):
     return wrapper
 
 
+def _section(name, doc, allowed):
+    """``doc`` if it is an object whose keys all lie in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{name} must be an object, got {type(doc).__name__}")
+    extra = set(doc).difference(allowed)
+    if extra:
+        raise ParameterError(f"unknown {name} keys: {sorted(extra)}")
+    return doc
+
+
 @_config_errors
 def build_scheme(doc):
     """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form)."""
     if "graph" in doc:
-        g = graphmod.graph_from_config(doc["graph"])
-        return kappa_form_scheme(graphmod.scheme_from_graph(g))
+        g = doc["graph"]
+        _section("graph", g, {"kind", "n"} if "kind" in g else {"n", "arcs"})
+        return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.graph_from_config(g)))
     if "scheme" in doc:
-        return scheme_from_dict(doc["scheme"])
+        s = scheme_from_dict(_section("scheme", doc["scheme"], {"d", "M", "N", "P", "R",
+                                                                "kappa_form"}))
+        if not all(np.isfinite(a).all() for a in (s.M, s.N, s.P, s.R)):
+            raise ParameterError("scheme entries must be finite")
+        return s
     raise StructuralError("config needs a 'graph' or 'scheme' section")
+
+
+def _schemes(doc):
+    """[(CSV name prefix, scheme)]: one per 'graphs' entry, else the one 'graph'/'scheme'."""
+    given = sorted(SCHEME_KEYS.intersection(doc))
+    if len(given) > 1:
+        raise ParameterError(f"config takes one of 'graph', 'graphs', 'scheme', not {given}")
+    if "graphs" in doc:
+        return [(g.get("kind", "graph"), build_scheme({"graph": g})) for g in doc["graphs"]]
+    return [("", build_scheme(doc))]
 
 
 @_config_errors
 def build_problem(doc):
-    """(problem, split, objective_fn) from the 'problem' section.
+    """(problem, split, objective_fn, half_quadratic) from the 'problem' section.
 
-    Instances may be generated ({"kind", "q", "d", "seed", ...}) or given with
-    matrices inline ({"kind", "A", "b", ...}) for exact rerun.
+    ``half_quadratic`` is the LASSO split's flavour, which its reference solve shares.
     """
-    doc = dict(doc)
-    kind = doc.pop("kind", None)
-    if kind == "lasso":
-        half = bool(doc.pop("half_quadratic", True))
-        if "A" in doc:
-            prob = problems.problem_from_dict(dict(doc, kind="lasso"))
-        else:
-            spectrum = tuple(doc.pop("spectrum", (0.5, 1.5)))
-            prob = problems.gen_lasso(
-                int(doc.pop("q")), int(doc.pop("d")), int(doc.pop("seed", 0)),
-                spectrum=spectrum, lam=float(doc.pop("lam", 1e-3)),
-                u=float(doc.pop("u", 50.0)))
-            if doc:
-                raise ParameterError(f"unknown lasso keys: {sorted(doc)}")
-        return prob, problems.split_lasso(prob, half_quadratic=half), \
-            lambda x: problems.objective(prob, x)
-    if kind == "elastic-net":
-        if "A" in doc:
-            prob = problems.problem_from_dict(dict(doc, kind="elastic-net"))
-        else:
-            prob = problems.gen_elastic_net(
-                int(doc.pop("q")), int(doc.pop("d")), int(doc.pop("seed", 0)),
-                n_corr=int(doc.pop("n_corr", 0)), noise_sd=float(doc.pop("noise_sd", 0.01)),
-                lam1=float(doc.pop("lam1", 1e-2)), lam2=float(doc.pop("lam2", 1e-2)),
-                normalize=bool(doc.pop("normalize", True)))
-            if doc:
-                raise ParameterError(f"unknown elastic-net keys: {sorted(doc)}")
-        return prob, problems.split_elastic(prob), lambda x: problems.objective(prob, x)
-    raise ParameterError(f"unknown problem kind {kind!r}")
+    kind = doc.get("kind")
+    if kind not in PROBLEM_KEYS:
+        raise ParameterError(f"unknown problem kind {kind!r}")
+    generated, inline = PROBLEM_KEYS[kind]
+    _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
+    half = bool(doc.get("half_quadratic", True))
+    if "A" in doc:
+        prob = problems.problem_from_dict(doc)
+    elif kind == "lasso":
+        prob = problems.gen_lasso(
+            int(doc["q"]), int(doc["d"]), int(doc.get("seed", 0)),
+            spectrum=tuple(doc.get("spectrum", (0.5, 1.5))), lam=float(doc.get("lam", 1e-3)),
+            u=float(doc.get("u", 50.0)))
+    else:
+        prob = problems.gen_elastic_net(
+            int(doc["q"]), int(doc["d"]), int(doc.get("seed", 0)),
+            n_corr=int(doc.get("n_corr", 0)), noise_sd=float(doc.get("noise_sd", 0.01)),
+            lam1=float(doc.get("lam1", 1e-2)), lam2=float(doc.get("lam2", 1e-2)),
+            normalize=bool(doc.get("normalize", True)))
+    split = (problems.split_lasso(prob, half_quadratic=half) if kind == "lasso"
+             else problems.split_elastic(prob))
+    return prob, split, lambda x: problems.objective(prob, x), half
 
 
 @_config_errors
-def build_z0(doc, s, split, seed_default=None):
-    doc = doc or {"kind": "zero"}
+def build_z0(doc, s, split):
+    """Initial block vector from a 'z0' section (``driver.default_z0``; seed 0 by default)."""
+    doc = {} if doc is None else doc
     kind = doc.get("kind", "zero")
+    if kind not in Z0_KEYS:
+        raise ParameterError(f"unknown z0 kind {kind!r}")
+    _section("z0", doc, Z0_KEYS[kind])
     if kind == "zero":
-        return np.zeros((s.m, split.dim))
-    if kind == "normal":
-        rng = np.random.default_rng(doc.get("seed", seed_default))
-        return float(doc.get("scale", 1.0)) * rng.standard_normal((s.m, split.dim))
-    raise ParameterError(f"unknown z0 kind {kind!r}")
+        return default_z0(s, split)
+    return default_z0(s, split, seed=int(doc.get("seed", 0)), scale=float(doc.get("scale", 1.0)))
+
+
+def _pick_kind(requested, s):
+    """Resolve 'auto' to the scheme's cheap relocator kind (general otherwise)."""
+    if requested != "auto":
+        return requested
+    if s.n == 2 and s.topologies:
+        return relocator.DAVIS_YIN
+    return s.topologies[0] if len(s.topologies) == 1 else relocator.GENERAL
+
+
+def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, record_every):
+    """The RunConfig of one run or bench job, the one place a document becomes one."""
+    engine.check_binding(s, split)
+    return RunConfig(scheme=s, problem=split,
+                     relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
+                     schedule=schedule, relaxation=RelaxationPlan(**doc.get("relaxation", {})),
+                     max_iters=int(max_iters), fix_res_tol=float(fix_res_tol),
+                     record_every=int(record_every), objective=objective_fn)
 
 
 @_config_errors
 def build_run(doc):
-    """(RunConfig, z0) from a full config document."""
-    s = build_scheme(doc)
-    prob, split, objective_fn = build_problem(doc.get("problem", {}))
-    run_doc = dict(doc.get("run", {}))
-    reference = None
-    budget = run_doc.pop("reference_budget", None)
+    """(RunConfig, z0) from a run config; a reference (run.reference_budget) is solved last."""
+    _section("run config", doc, RUN_KEYS)
+    [(_, s)] = _schemes(doc)
+    prob, split, objective_fn, half = build_problem(doc.get("problem", {}))
+    run_doc = _section("run", doc.get("run", {}),
+                       {"max_iters", "fix_res_tol", "record_every", "z0", "reference_budget"})
+    cfg = _run_config(doc, s, split, objective_fn, schedule_from_config(doc.get("schedule", {})),
+                      run_doc.get("max_iters", 1000), run_doc.get("fix_res_tol", 1e-10),
+                      run_doc.get("record_every", 1))
+    z0 = build_z0(run_doc.get("z0"), s, split)
+    budget = run_doc.get("reference_budget")
     if budget:
-        ref = problems.reference_solution(prob, int(budget))
-        reference = (ref.x, ref.phi)
-    z0 = build_z0(run_doc.pop("z0", None), s, split)
-    cfg = RunConfig(
-        scheme=s,
-        problem=split,
-        relocator=doc.get("relocator", relocator.GENERAL),
-        schedule=schedule_from_config(doc.get("schedule", {})),
-        relaxation=RelaxationPlan(**doc.get("relaxation", {})),
-        max_iters=int(run_doc.pop("max_iters", 1000)),
-        fix_res_tol=float(run_doc.pop("fix_res_tol", 1e-10)),
-        record_every=int(run_doc.pop("record_every", 1)),
-        objective=objective_fn,
-        reference=reference,
-    )
-    if run_doc:
-        raise ParameterError(f"unknown run keys: {sorted(run_doc)}")
+        ref = problems.reference_solution(prob, int(budget), half_quadratic=half)
+        cfg.reference = (ref.x, ref.phi)
     return cfg, z0
 
+
+def default_methods(beta, n_resolvents):
+    """The benchmark grid: three constant stepsizes plus the safeguard rules."""
+    methods = [
+        ("const-0.1L", ScheduleSpec(variant="constant", gamma=0.1 / beta)),
+        ("const-1L", ScheduleSpec(variant="constant", gamma=1.0 / beta)),
+        ("const-1.99L", ScheduleSpec(variant="constant", gamma=1.99 / beta)),
+        ("fpr-norm-ratio", ScheduleSpec(variant="safeguard", t_rule=NORM_RATIO)),
+        ("fpr-harmonic", ScheduleSpec(variant="safeguard", t_rule=HARMONIC)),
+    ]
+    if n_resolvents == 2:
+        # the accelerated target rule is specific to the three-operator case
+        methods.insert(4, ("fpr-accel", ScheduleSpec(variant="safeguard", t_rule=ACCEL)))
+    return methods
+
+
+@_config_errors
+def build_bench(doc):
+    """(jobs, problem, budget, half_quadratic, out_dir); a job is (CSV name, RunConfig, z0).
+
+    Every job is built and checked before the reference solve the jobs share.
+    """
+    _section("bench spec", doc, BENCH_KEYS)
+    prob, split, objective_fn, half = build_problem(doc["problem"])
+    budget = int(doc.get("budget", 10000))   # RunConfig checks it is >= 1
+    limits = (budget, doc.get("fix_res_tol", 1e-10), doc.get("record_every", 10))
+    methods = None
+    if "methods" in doc:
+        methods = [(_section(f"methods[{i}]", m, {"name", "schedule"})["name"],
+                    schedule_from_config(m["schedule"])) for i, m in enumerate(doc["methods"])]
+    jobs = []
+    for prefix, s in _schemes(doc):
+        z0 = build_z0(doc.get("z0"), s, split)
+        for name, sched in default_methods(split.beta, s.n) if methods is None else methods:
+            jobs.append((f"{prefix}-{name}" if prefix else name,
+                         _run_config(doc, s, split, objective_fn, sched, *limits), z0))
+    if not jobs:
+        raise ParameterError("benchmark needs at least one graph and one method")
+    return jobs, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
+
+
+@_config_errors
+def build_validate(doc):
+    """([(name prefix, scheme)], tol) from a run config or bench spec."""
+    _section("config", doc, RUN_KEYS | BENCH_KEYS | {"tol"})
+    return _schemes(doc), float(doc.get("tol", 1e-10))

@@ -58,6 +58,14 @@ class SweepResult:
     forward_evals: int
 
 
+def check_binding(s, prob):
+    """StructuralError unless ``prob`` has the scheme's n resolvents and p forwards."""
+    if len(prob.resolvents) != s.n:
+        raise StructuralError(f"scheme has n = {s.n} but {len(prob.resolvents)} resolvents given")
+    if len(prob.forwards) != s.p:
+        raise StructuralError(f"scheme has p = {s.p} but {len(prob.forwards)} forwards given")
+
+
 def _check_gamma(gamma):
     if not gamma > 0:
         raise ParameterError(f"stepsize must be positive, got {gamma}")
@@ -93,26 +101,23 @@ class SweepPlan(ResidualPlan):
     """
 
     def __init__(self, s, prob):
-        if len(prob.resolvents) != s.n:
-            raise StructuralError(f"scheme has n = {s.n} but {len(prob.resolvents)} resolvents given")
-        if len(prob.forwards) != s.p:
-            raise StructuralError(f"scheme has p = {s.p} but {len(prob.forwards)} forwards given")
+        check_binding(s, prob)
         super().__init__(s)
         self.n, self.m, self.p, self.dim = s.n, s.m, s.p, prob.dim
         self.M, self.M0 = s.M, s.M[0]
         self.d_col = s.d[:, None]
         self.d1 = float(s.d[0])
         self.resolve1 = prob.resolvents[0].resolve
-        n_rows, p_rows, r_rows = s.sweep_plan
         evaluated = set()
         self.rows = []
         for i in range(1, s.n):
             di = float(s.d[i])
-            n_terms = [(int(j), float(c) / di) for j, c in zip(*n_rows[i])]
+            n_terms = [(int(j), float(s.N[i, j]) / di) for j in np.flatnonzero(s.N[i, :i])]
             p_terms = []
-            for j, c in zip(*p_rows[i]):
-                j = int(j)
-                cols, vals = r_rows[j]
+            for j in np.flatnonzero(s.P[i, :i]):
+                j, c = int(j), s.P[i, j]
+                cols = np.flatnonzero(s.R[j, :j + 1])   # nonzeros of the lower-triangular row
+                vals = s.R[j, cols]
                 if cols.size == 1 and vals[0] == 1.0:
                     cols, vals = int(cols[0]), None   # (R x)_j = x_h: skip the 1-term product
                 p_terms.append((j, float(c), j not in evaluated, cols, vals,

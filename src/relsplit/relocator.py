@@ -51,8 +51,8 @@ class Relocation:
         self.general = kind == GENERAL
         if self.general:
             self.d_col = s.d[:, None]
-            n_rows, _, _ = s.sweep_plan
-            self.n_terms = [(i, int(j), c) for i in range(1, s.n) for j, c in zip(*n_rows[i])]
+            self.n_terms = [(i, int(j), s.N[i, j]) for i in range(1, s.n)
+                            for j in np.flatnonzero(s.N[i, :i])]
             self.zero_sum = s.ker_mstar_is_ones
             self.M, self.pinv_M = s.M, s.pinv_M
         elif kind in CHEAP_KINDS:

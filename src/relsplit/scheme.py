@@ -99,23 +99,6 @@ class CoefficientScheme:
         """Condition (a) at the default tolerance; selects the cheap range(M) projection."""
         return _condition_a(self, VALIDATION_TOL)[0]
 
-    @cached_property
-    def sweep_plan(self):
-        """Nonzero patterns of N, P, R rows, precomputed for the resolvent sweep."""
-        n, p = self.n, self.p
-        n_rows = []
-        p_rows = []
-        for i in range(n):
-            js = [j for j in range(i) if self.N[i, j] != 0.0]
-            n_rows.append((np.array(js, dtype=int), self.N[i, js].copy()))
-            ks = [j for j in range(min(i, p)) if self.P[i, j] != 0.0]
-            p_rows.append((np.array(ks, dtype=int), self.P[i, ks].copy()))
-        r_rows = []
-        for j in range(p):
-            cols = [t for t in range(min(j + 1, n)) if self.R[j, t] != 0.0]
-            r_rows.append((np.array(cols, dtype=int), self.R[j, cols].copy()))
-        return n_rows, p_rows, r_rows
-
 
 def _condition_a(s, tol):
     sv = np.linalg.svd(s.M, compute_uv=False)

@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from relsplit import config, problems
 from relsplit.cli import main
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 DY_SCHEME = {"d": [0.5, 0.5], "M": [[1.0], [-1.0]], "N": [[0.0, 0.0], [1.0, 0.0]],
              "P": [[0.0], [1.0]], "R": [[1.0, 0.0]]}
@@ -50,12 +57,19 @@ def test_validate_graph_config(tmp_path, capsys):
 
 
 def test_run_writes_csv_deterministically(tmp_path, capsys):
-    cfg = run_config(tmp_path)
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["run", cfg, "--out", str(out1)]) == 0
-    assert main(["run", cfg, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # an unseeded normal z0 draws with seed 0, and "auto" is davis-yin on the chain
+    unseeded = {"max_iters": 200, "fix_res_tol": 1e-9, "record_every": 10,
+                "z0": {"kind": "normal"}}
+    written = []
+    for overrides in ({}, {"run": unseeded}, {"relocator": "auto"}):
+        cfg = run_config(tmp_path, **overrides)
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        assert main(["run", cfg, "--out", str(out1)]) == 0
+        assert main(["run", cfg, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        written.append(out1.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
     lines = out1.read_text().splitlines()
     assert lines[0] == "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
     assert len(lines) > 2
@@ -155,6 +169,24 @@ def test_bench_across_topologies(tmp_path):
     assert all(r.split(",")[2] == "" for r in rows)  # none aborted
 
 
+def test_bench_reference_shares_the_split_flavour(tmp_path):
+    # the unhalved split converges to the unhalved objective's minimiser; so
+    # must the reference, or a converged method reports rel_err_f ~ 1e-2
+    spec = {
+        "graph": {"kind": "sequential", "n": 2},
+        "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0,
+                    "half_quadratic": False},
+        "relocator": "davis-yin",
+        "budget": 2000,
+        "out_dir": str(tmp_path / "bench"),
+        "methods": [{"name": "const", "schedule": {"variant": "constant"}}],
+    }
+    assert main(["bench", write_json(tmp_path / "spec.json", spec)]) == 0
+    [row] = (tmp_path / "bench" / "summary.csv").read_text().splitlines()[1:]
+    cells = row.split(",")
+    assert cells[1] == "True" and float(cells[6]) < 1e-6, row
+
+
 def test_bench_records_per_method_aborts(tmp_path):
     # inward-star n=3 has mu > beta: the 1/beta and 1.99/beta constants lie
     # outside (0, 2/mu) and must be recorded as aborted while others proceed
@@ -201,6 +233,8 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedule={"variant": "constant", "gamma": 1e9})
     assert_usage_error(capsys, main(["run", cfg]))
+    cfg = run_config(tmp_path, schedul={"variant": "constant"})
+    assert_usage_error(capsys, main(["run", cfg]))
 
 
 def test_bench_malformed_value_exits_2(tmp_path, capsys):
@@ -209,10 +243,22 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
             "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s1.json", spec)]))
     spec["problem"] = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
+    method = {"name": "const", "schedule": {"variant": "constant"}}
     for key, value in (("budget", "lots"), ("fix_res_tol", "tight"), ("z0", 3),
-                       ("record_every", [1])):
+                       ("record_every", [1]), ("budgte", 50),
+                       ("methods", [dict(method, budget=50)]),
+                       ("z0", {"kind": "normal", "seed": 1, "sd": 2.0})):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
         assert_usage_error(capsys, main(["bench", cfg]))
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_binding_mismatch_exits_2_before_the_reference(tmp_path, capsys):
+    # the elastic net binds three resolvents; the n = 4 graph needs four
+    spec = {"graphs": [{"kind": "sequential", "n": 3}, {"kind": "sequential", "n": 4}],
+            "problem": {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1},
+            "relocator": "auto", "budget": 100, "out_dir": str(tmp_path / "b")}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
     assert not (tmp_path / "b").exists()
 
 
@@ -225,3 +271,20 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, d="x")})
     assert_usage_error(capsys, main(["validate", cfg]))
+    cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, M=[[float("nan")], [-1.0]])})
+    assert_usage_error(capsys, main(["validate", cfg]))
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_configs_build_and_validate(path, monkeypatch, capsys):
+    # a reference solve is not part of reading a config; skip its 20x-budget run
+    monkeypatch.setattr(problems, "reference_solution",
+                        lambda prob, budget, half_quadratic=True:
+                        problems.Reference(np.zeros(prob.dim), 1.0, False))
+    doc = json.loads(path.read_text())
+    if path.name.startswith("bench_"):
+        assert config.build_bench(doc)[0]
+    elif "problem" in doc:
+        config.build_run(doc)
+    assert main(["validate", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
