@@ -19,6 +19,8 @@ from .driver import Trace, run
 from .errors import ParameterError, StructuralError
 from .scheme import condition_report
 
+REFERENCE_WARNING = "warning: reference run did not fully converge; metrics are approximate"
+
 
 def _load_json(path):
     try:
@@ -50,10 +52,12 @@ def cmd_validate(args):
 def cmd_run(args):
     doc = _load_json(args.config)
     try:
-        cfg, z0 = configmod.build_run(doc)
+        cfg, z0, flagged = configmod.build_run(doc)
         trace = run(cfg, z0)
     except (ParameterError, StructuralError) as exc:
         return _usage_error(str(exc))
+    if flagged:
+        print(REFERENCE_WARNING)
     out = args.out or (Path(args.config).stem + ".csv")
     trace.to_csv(out)
     summary = trace.summary()
@@ -76,7 +80,7 @@ def cmd_bench(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = problems.reference_solution(prob, budget, half_quadratic=half)
     if ref.flagged:
-        print("warning: reference run did not fully converge; metrics are approximate")
+        print(REFERENCE_WARNING)
 
     results = []
     for name, cfg, z0 in jobs:

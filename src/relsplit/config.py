@@ -19,7 +19,8 @@ ParameterError. A run config (``relsplit run``) has the sections
 
 A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a list
 of graph sections: the grid runs once per graph, CSV names prefixed by its
-kind); "problem", "relocator", "relaxation" and "z0" as above; "budget"
+kind, or "graph" for an arc list; two jobs with one CSV name are an error);
+"problem", "relocator", "relaxation" and "z0" as above; "budget"
 (10000 iterations per method, 20x that for the reference), "fix_res_tol"
 (1e-10), "record_every" (10), "out_dir" ("bench-out") and "methods"
 ([{"name", "schedule"}, ...], else ``default_methods``). ``relsplit validate``
@@ -177,7 +178,11 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
 
 @_config_errors
 def build_run(doc):
-    """(RunConfig, z0) from a run config; a reference (run.reference_budget) is solved last."""
+    """(RunConfig, z0, flagged) from a run config.
+
+    A reference (run.reference_budget) is solved last; ``flagged`` is True
+    when it did not fully converge (``problems.Reference.flagged``).
+    """
     _section("run config", doc, RUN_KEYS)
     [(_, s)] = _schemes(doc)
     prob, split, objective_fn, half = build_problem(doc.get("problem", {}))
@@ -188,10 +193,11 @@ def build_run(doc):
                       run_doc.get("record_every", 1))
     z0 = build_z0(run_doc.get("z0"), s, split)
     budget = run_doc.get("reference_budget")
-    if budget:
-        ref = problems.reference_solution(prob, int(budget), half_quadratic=half)
-        cfg.reference = (ref.x, ref.phi)
-    return cfg, z0
+    if not budget:
+        return cfg, z0, False
+    ref = problems.reference_solution(prob, int(budget), half_quadratic=half)
+    cfg.reference = (ref.x, ref.phi)
+    return cfg, z0, ref.flagged
 
 
 def default_methods(beta, n_resolvents):
@@ -231,6 +237,10 @@ def build_bench(doc):
                          _run_config(doc, s, split, objective_fn, sched, *limits), z0))
     if not jobs:
         raise ParameterError("benchmark needs at least one graph and one method")
+    names = [name for name, _, _ in jobs]
+    dup = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if dup is not None:
+        raise ParameterError(f"two benchmark jobs would write {dup}.csv")
     return jobs, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
 
 

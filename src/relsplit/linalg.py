@@ -65,29 +65,25 @@ def pseudoinverse(mat, rcond=RCOND):
     return np.linalg.pinv(mat, rcond=rcond)
 
 
+def small_gram(mat):
+    """The smaller Gram matrix of ``mat``: mat* mat, or mat mat* when it has fewer rows.
+
+    Both share their nonzero eigenvalues, the squared singular values of ``mat``.
+    """
+    return mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
+
+
 def spectral_norm(mat):
     """Largest singular value, via an eigendecomposition of the Gram matrix."""
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return 0.0
-    gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
-    ev = np.linalg.eigvalsh(gram)
+    ev = np.linalg.eigvalsh(small_gram(mat))
     return float(np.sqrt(max(ev[-1], 0.0)))
 
 
-def is_psd(mat, tol=0.0):
-    """True iff the symmetrized matrix has min eigenvalue >= -tol."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructuralError(f"PSD check needs a square matrix, got shape {mat.shape}")
-    if tol < 0:
-        raise StructuralError("tol must be nonnegative")
-    sym = 0.5 * (mat + mat.T)
-    return bool(np.linalg.eigvalsh(sym)[0] >= -tol)
-
-
 def min_eigenvalue(mat):
-    """Smallest eigenvalue of the symmetrized matrix (diagnostic for PSD checks)."""
+    """Smallest eigenvalue of the symmetrized matrix (condition (d) of a scheme)."""
     mat = np.asarray(mat, dtype=float)
     sym = 0.5 * (mat + mat.T)
     return float(np.linalg.eigvalsh(sym)[0])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
+from .linalg import small_gram
 
 
 def soft_threshold(v, t):
@@ -96,33 +97,14 @@ def check_resolvent_identity(op, gamma, delta, v, tol=1e-12):
     return bool(np.linalg.norm(lhs - jg) <= tol)
 
 
-def lambda_max(gram, tol=1e-10, maxit=None, seed=0):
-    """Largest eigenvalue of a PSD matrix by power iteration, dense fallback.
+def lambda_max(gram):
+    """Largest eigenvalue of a symmetric matrix: the dense solver's top value, not an estimate.
 
-    The iteration stops when the Rayleigh quotient moves by less than
-    ``tol`` (relative); if that does not happen within ``maxit`` iterations
-    (default 10*d) the dense symmetric eigensolver value is returned instead.
+    ``np.linalg.eigvalsh`` of the symmetrised matrix; 0 for an empty one.
     """
     gram = np.asarray(gram, dtype=float)
-    d = gram.shape[0]
-    if d == 0:
+    if gram.size == 0:
         return 0.0
-    if maxit is None:
-        maxit = 10 * d
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(maxit):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
     return float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
 
 
@@ -138,8 +120,10 @@ class CocoerciveOp:
 class LeastSquaresGrad(CocoerciveOp):
     """B(x) = scale * A^T (A x - b), the gradient of (scale/2)||Ax - b||^2.
 
-    beta = scale * lambda_max(A^T A); the default scale 1 is the gradient of
-    the half quadratic, scale 2 the gradient of the unhalved one.
+    beta = scale * lambda_max(A^T A), taken from the smaller Gram matrix of A
+    (A A^T when A has fewer rows than columns, which has the same top
+    eigenvalue). The default scale 1 is the gradient of the half quadratic,
+    scale 2 the gradient of the unhalved one.
     """
 
     def __init__(self, A, b, scale=1.0):
@@ -154,7 +138,7 @@ class LeastSquaresGrad(CocoerciveOp):
         self.scale = float(scale)
         self._gram = scale * (A.T @ A)
         self._atb = scale * (A.T @ b)
-        self.beta = lambda_max(self._gram)
+        self.beta = self.scale * lambda_max(small_gram(A))
         self.dim = A.shape[1]
 
     def apply(self, x):

@@ -17,7 +17,6 @@ Two synthetic families are provided at desk scale:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,20 +182,6 @@ class Reference:
     flagged: bool
 
 
-_reference_cache: dict = {}
-
-
-def _fingerprint(problem, budget, half_quadratic):
-    h = hashlib.sha256()
-    h.update(problem.A.tobytes())
-    h.update(problem.b.tobytes())
-    params = (type(problem).__name__, budget, bool(half_quadratic),
-              getattr(problem, "lam", None), getattr(problem, "u", None),
-              getattr(problem, "lam1", None), getattr(problem, "lam2", None))
-    h.update(repr(params).encode())
-    return h.hexdigest()
-
-
 def reference_solution(problem, budget, half_quadratic=True):
     """Reference (x*, phi*) from a long constant-stepsize self-run.
 
@@ -206,12 +191,8 @@ def reference_solution(problem, budget, half_quadratic=True):
     LASSO, ``half_quadratic`` picks which objective the reference minimizes:
     True (default) matches the paper-literal split used by the benchmark
     methods; False matches the unhalved reported objective. The result is
-    cached per problem instance, flagged when the run did not reach residual
-    1e-10.
+    flagged when the run did not reach residual 1e-10.
     """
-    key = _fingerprint(problem, budget, half_quadratic)
-    if key in _reference_cache:
-        return _reference_cache[key]
     max_iters = 20 * budget
     if isinstance(problem, LassoProblem):
         prob = split_lasso(problem, half_quadratic=half_quadratic)
@@ -232,10 +213,8 @@ def reference_solution(problem, budget, half_quadratic=True):
         raise StructuralError(f"unknown problem type {type(problem).__name__}")
     if trace.aborted or not trace.fix_res:
         raise RuntimeError(f"reference run failed: {trace.aborted}")
-    ref = Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),
-                    flagged=bool(trace.fix_res[-1] > 1e-10))
-    _reference_cache[key] = ref
-    return ref
+    return Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),
+                     flagged=bool(trace.fix_res[-1] > 1e-10))
 
 
 def problem_to_dict(problem):

@@ -19,6 +19,7 @@ eta = 2*theta / (2 - gamma*mu) on that range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,7 +106,8 @@ def _condition_a(s, tol):
     cutoff = max(tol, linalg.RCOND * (sv[0] if sv.size else 0.0))
     rank = int(np.sum(sv > cutoff))
     ones_resid = float(np.linalg.norm(s.M.T @ np.ones(s.n)))
-    ok = rank == s.n - 1 and ones_resid <= tol * max(1.0, s.norm_M)
+    # an overflowed ||M* 1|| would pass against an overflowed ||M||
+    ok = rank == s.n - 1 and math.isfinite(ones_resid) and ones_resid <= tol * max(1.0, s.norm_M)
     return ok, f"rank(M) = {rank} (need {s.n - 1}), ||M* 1|| = {ones_resid:.3e}"
 
 

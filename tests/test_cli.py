@@ -262,6 +262,29 @@ def test_bench_binding_mismatch_exits_2_before_the_reference(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b"),
+            "methods": [{"name": "m", "schedule": {"variant": "constant"}}] * 2}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s1.json", spec)]))
+    # every arc-list graph gets the CSV prefix "graph"
+    del spec["graph"]
+    spec.update(graphs=[{"n": 2, "arcs": [[1, 2]]}] * 2, methods=spec["methods"][:1])
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s2.json", spec)]))
+    assert not (tmp_path / "b").exists()
+
+
+def test_run_warns_on_unconverged_reference(tmp_path, capsys):
+    warning = "warning: reference run did not fully converge; metrics are approximate"
+    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 1})
+    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert warning in capsys.readouterr().out.splitlines()
+    cfg = run_config(tmp_path, run={"max_iters": 50})
+    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert warning not in capsys.readouterr().out
+
+
 def test_validate_malformed_value_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "g.json", {"graph": {"kind": "sequential", "n": "two"}})
     assert_usage_error(capsys, main(["validate", cfg]))

@@ -61,12 +61,13 @@ def test_pseudoinverse_rank_deficient():
     assert np.linalg.norm(mat @ pinv @ mat - mat) <= 1e-10
 
 
-def test_is_psd_examples():
-    assert linalg.is_psd(np.eye(2), tol=0.0)
-    # eigenvalues of [[1,2],[2,1]] are -1 and 3
-    assert not linalg.is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-12)
-    with pytest.raises(StructuralError):
-        linalg.is_psd(np.zeros((2, 3)), tol=0.0)
+def test_small_gram_takes_the_smaller_side():
+    rng = np.random.default_rng(3)
+    for shape in ((5, 3), (3, 5), (4, 4)):
+        mat = rng.standard_normal(shape)
+        gram = linalg.small_gram(mat)
+        assert gram.shape == (min(shape),) * 2
+        assert np.array_equal(gram, mat.T @ mat if shape[0] >= shape[1] else mat @ mat.T)
 
 
 def test_spectral_norm_matches_svd():

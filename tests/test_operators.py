@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad,
                                 NonnegNormalCone, ScaledIdentity, ZeroForward, ZeroOp,
                                 check_resolvent_identity, lambda_max, soft_threshold)
+from relsplit.problems import gen_lasso
 
 ALL_RESOLVENTS = [L1Subdiff(1.0), L1Subdiff(0.3), BoxNormalCone(2.0),
                   NonnegNormalCone(), ZeroOp()]
@@ -124,3 +127,26 @@ def test_least_squares_beta_is_lambda_max():
     op = LeastSquaresGrad(a, np.zeros(8))
     dense = np.linalg.eigvalsh(a.T @ a)[-1]
     assert abs(op.beta - dense) <= 1e-8 * dense
+
+
+def test_least_squares_beta_is_exact_on_a_lasso_grid_instance():
+    # a lasso-grid benchmark instance: q < d, so beta comes from the 50 x 50 Gram
+    prob = gen_lasso(50, 100, 12, spectrum=(0.4, 0.6))
+    dense = np.linalg.eigvalsh(prob.A.T @ prob.A)[-1]
+    assert abs(LeastSquaresGrad(prob.A, prob.b).beta - dense) <= 1e-13 * dense
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([1.0, 2.0]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_least_squares_beta_never_below_dense_oracle(q, d, scale, seed):
+    a = np.random.default_rng(seed).standard_normal((q, d))
+    dense = np.linalg.eigvalsh(scale * (a.T @ a))[-1]
+    assert LeastSquaresGrad(a, np.zeros(q), scale=scale).beta >= dense * (1 - 1e-13)
+
+
+def test_lambda_max_separates_a_near_double_top_eigenvalue():
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((5, 5)))
+    gram = (q * [1.0, 1.0 - 1e-9, 0.5, 0.2, 0.1]) @ q.T
+    gram = 0.5 * (gram + gram.T)
+    assert lambda_max(gram) == np.linalg.eigvalsh(gram)[-1]

@@ -153,13 +153,6 @@ def test_metrics_requires_recorded_paths():
         metrics(Trace(), np.zeros(2), 0.0, lambda x: 0.0)
 
 
-def test_reference_cache_returns_same_object():
-    prob = gen_lasso(5, 5, seed=12)
-    a = reference_solution(prob, budget=500)
-    b = reference_solution(prob, budget=500)
-    assert a is b
-
-
 def test_problem_serialization_roundtrip():
     from relsplit.problems import problem_from_dict, problem_to_dict
     lasso = gen_lasso(4, 6, seed=13)

@@ -35,13 +35,15 @@ def test_violation_n_sum():
     assert any(v.startswith("(e)") for v in bad)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_violation_reports_offending_quantity():
-    mats = chain_matrices()
-    mats["M"] = [[1.0], [1.0]]  # M* 1 != 0
-    report = dict((label, (ok, detail)) for label, ok, detail in
-                  condition_report(CoefficientScheme(**mats)))
-    ok, detail = report["a"]
-    assert not ok and "||M* 1||" in detail
+    # M* 1 != 0; with 1e300, ||M* 1|| and ||M|| both overflow to inf
+    for m in ([[1.0], [1.0]], [[1e300], [-1.0]]):
+        s = CoefficientScheme(**dict(chain_matrices(), M=m))
+        report = dict((label, (ok, detail)) for label, ok, detail in condition_report(s))
+        ok, detail = report["a"]
+        assert ok is False and "||M* 1||" in detail
+        assert s.ker_mstar_is_ones is False
 
 
 def test_dimension_inconsistency_is_structural():
