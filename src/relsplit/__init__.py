@@ -12,13 +12,12 @@ from .engine import SplitProblem, SweepResult, apply_T, first_block, residuals, 
 from .errors import ParameterError, StructuralError
 from .graph import (CANONICAL_KINDS, INWARD_STAR, OUTWARD_STAR, SEQUENTIAL, DiGraph,
                     canonical, degrees, incidence, incidence_pinv_closed_form,
-                    laplacian, predecessor_map, scheme_from_graph)
+                    scheme_from_graph)
 from .operators import (BoxNormalCone, CocoerciveOp, L1Subdiff, LeastSquaresGrad,
                         NonnegNormalCone, ResolventOp, ScaledIdentity, ZeroForward,
                         ZeroOp, check_resolvent_identity, lambda_max, soft_threshold)
 from .problems import (ElasticNetProblem, LassoProblem, gen_elastic_net, gen_lasso,
-                       metrics, objective, problem_from_dict, problem_to_dict,
-                       reference_solution, split_elastic, split_lasso)
+                       objective, reference_solution, split_elastic, split_lasso)
 from .relocator import (CHEAP_KINDS, DAVIS_YIN, GENERAL, check_recycling, e_map,
                         lipschitz_constant, lipschitz_series, relocate)
 from .schedule import (ConstantStepsize, Observables, RelaxationPlan,
@@ -40,10 +39,8 @@ __all__ = [
     "check_resolvent_identity", "condition_report", "degrees", "e_map", "eta",
     "feasibility_margin", "first_block", "gen_elastic_net", "gen_lasso",
     "incidence", "incidence_pinv_closed_form", "kappa_form_scheme",
-    "lambda_max", "laplacian", "lipschitz_constant", "lipschitz_series",
-    "metrics", "mu",
-    "objective", "positive_variation", "predecessor_map", "problem_from_dict",
-    "problem_to_dict", "reference_solution",
+    "lambda_max", "lipschitz_constant", "lipschitz_series", "mu",
+    "objective", "positive_variation", "reference_solution",
     "relocate", "residuals", "run", "run_davis_yin", "scheme_from_graph",
     "soft_threshold", "split_elastic", "split_lasso", "stepsize_sup", "sweep",
     "validate",

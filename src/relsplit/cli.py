@@ -75,12 +75,12 @@ def cmd_bench(args):
     doc = _load_json(args.spec)
     try:
         jobs, prob, budget, half, out_dir = configmod.build_bench(doc)
+        ref = problems.reference_solution(prob, budget, half_quadratic=half)
     except (ParameterError, StructuralError) as exc:
         return _usage_error(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ref = problems.reference_solution(prob, budget, half_quadratic=half)
     if ref.flagged:
         print(REFERENCE_WARNING)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     for name, cfg, z0 in jobs:

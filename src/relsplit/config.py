@@ -1,17 +1,20 @@
 """The one reader of relsplit's JSON documents: the run config and the bench spec.
 
-Every section is an object, and a key that no command reads is a
-ParameterError. A run config (``relsplit run``) has the sections
+Every section is read here and nowhere else. A section is an object; a key
+that no command reads is a ParameterError, a missing required key a
+StructuralError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
                 or {"n": 3, "arcs": [[1,2],[2,3]]}
-    scheme      finite matrices {"d", "M", "N", "P", "R", "kappa_form"} in place
-                of "graph" (cheap relocators need a graph)
+    scheme      finite matrices "d", "M", "N", "P", "R" (all required) and an
+                optional "kappa_form", in place of "graph" (cheap relocators need a graph)
     problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_KEYS of that
-                kind: generator arguments, or "A" and "b" inline for exact rerun
+                kind: generator arguments, or finite "A" and "b" inline with the
+                kind's weights ("lam" and "u", or "lam1" and "lam2") for exact rerun
     relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
-    schedule    ScheduleSpec fields ({"variant": "constant", "gamma": ...} or
-                {"variant": "safeguard", "t_rule": ..., ...})
+    schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
+                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma_min",
+                "gamma_max", "zeta_coeff", "zeta_power", "zeta_first_unit"}
     relaxation  {"theta": 1.0, "lam": null, "margin_floor": 1e-3}
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
@@ -41,9 +44,8 @@ import numpy as np
 from . import engine, graph as graphmod, problems, relocator
 from .driver import RunConfig, default_z0
 from .errors import ParameterError, StructuralError
-from .schedule import (ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec,
-                       schedule_from_config)
-from .scheme import kappa_form_scheme, scheme_from_dict
+from .schedule import ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec
+from .scheme import CoefficientScheme, kappa_form_scheme
 
 SCHEME_KEYS = {"graph", "graphs", "scheme"}
 RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "relaxation", "run"}
@@ -57,6 +59,7 @@ PROBLEM_KEYS = {
                     {"A", "b", "lam1", "lam2"}),
 }
 Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed", "scale"}}
+SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
 
 
 def _config_errors(build):
@@ -96,8 +99,9 @@ def build_scheme(doc):
         _section("graph", g, {"kind", "n"} if "kind" in g else {"n", "arcs"})
         return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.graph_from_config(g)))
     if "scheme" in doc:
-        s = scheme_from_dict(_section("scheme", doc["scheme"], {"d", "M", "N", "P", "R",
-                                                                "kappa_form"}))
+        sd = _section("scheme", doc["scheme"], {"d", "M", "N", "P", "R", "kappa_form"})
+        s = CoefficientScheme(sd["d"], sd["M"], sd["N"], sd["P"], sd["R"],
+                              kappa_form=bool(sd.get("kappa_form", False)))
         if not all(np.isfinite(a).all() for a in (s.M, s.N, s.P, s.R)):
             raise ParameterError("scheme entries must be finite")
         return s
@@ -126,8 +130,11 @@ def build_problem(doc):
     generated, inline = PROBLEM_KEYS[kind]
     _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
     half = bool(doc.get("half_quadratic", True))
-    if "A" in doc:
-        prob = problems.problem_from_dict(doc)
+    if "A" in doc and kind == "lasso":
+        prob = problems.LassoProblem(doc["A"], doc["b"], float(doc["lam"]), float(doc["u"]))
+    elif "A" in doc:
+        prob = problems.ElasticNetProblem(doc["A"], doc["b"], float(doc["lam1"]),
+                                          float(doc["lam2"]))
     elif kind == "lasso":
         prob = problems.gen_lasso(
             int(doc["q"]), int(doc["d"]), int(doc.get("seed", 0)),
@@ -155,6 +162,11 @@ def build_z0(doc, s, split):
     if kind == "zero":
         return default_z0(s, split)
     return default_z0(s, split, seed=int(doc.get("seed", 0)), scale=float(doc.get("scale", 1.0)))
+
+
+def _schedule(name, doc):
+    """ScheduleSpec from a schedule section."""
+    return ScheduleSpec(**_section(name, doc, SCHEDULE_KEYS))
 
 
 def _pick_kind(requested, s):
@@ -188,7 +200,7 @@ def build_run(doc):
     prob, split, objective_fn, half = build_problem(doc.get("problem", {}))
     run_doc = _section("run", doc.get("run", {}),
                        {"max_iters", "fix_res_tol", "record_every", "z0", "reference_budget"})
-    cfg = _run_config(doc, s, split, objective_fn, schedule_from_config(doc.get("schedule", {})),
+    cfg = _run_config(doc, s, split, objective_fn, _schedule("schedule", doc.get("schedule", {})),
                       run_doc.get("max_iters", 1000), run_doc.get("fix_res_tol", 1e-10),
                       run_doc.get("record_every", 1))
     z0 = build_z0(run_doc.get("z0"), s, split)
@@ -228,7 +240,8 @@ def build_bench(doc):
     methods = None
     if "methods" in doc:
         methods = [(_section(f"methods[{i}]", m, {"name", "schedule"})["name"],
-                    schedule_from_config(m["schedule"])) for i, m in enumerate(doc["methods"])]
+                    _schedule(f"methods[{i}] schedule", m["schedule"]))
+                   for i, m in enumerate(doc["methods"])]
     jobs = []
     for prefix, s in _schemes(doc):
         z0 = build_z0(doc.get("z0"), s, split)

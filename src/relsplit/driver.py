@@ -128,25 +128,22 @@ class Trace:
         }
 
 
-class RelativeErrors:
-    """rel_err_x = ||x - x*|| / max(||x*||, 1e-30), rel_err_f = |phi - phi*| / max(|phi*|, 1e-30)."""
-
-    def __init__(self, x_star, phi_star):
-        self.x_star = np.asarray(x_star, dtype=float)
-        self.x_den = max(norm(self.x_star), 1e-30)
-        self.phi_star = float(phi_star)
-        self.f_den = max(abs(self.phi_star), 1e-30)
-
-    def __call__(self, x, phi):
-        return norm(x - self.x_star) / self.x_den, abs(phi - self.phi_star) / self.f_den
-
-
 class _Recorder:
+    """Appends trace rows; with a reference (x*, phi*) it fills the relative errors
+
+    rel_err_x = ||x - x*|| / max(||x*||, 1e-30), rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
+    """
+
     def __init__(self, objective=None, reference=None, record_paths=False):
         self.objective = objective
         self.record_paths = record_paths
         self.trace = Trace()
-        self.errors = RelativeErrors(*reference) if reference is not None else None
+        self.reference = reference is not None
+        if self.reference:
+            self.x_star = np.asarray(reference[0], dtype=float)
+            self.x_den = max(norm(self.x_star), 1e-30)
+            self.phi_star = float(reference[1])
+            self.f_den = max(abs(self.phi_star), 1e-30)
 
     def row(self, k, gamma, theta, lam, fix_res, consensus, xbar, evals, z=None):
         t = self.trace
@@ -158,9 +155,12 @@ class _Recorder:
         t.consensus.append(consensus)
         phi = float(self.objective(xbar)) if self.objective is not None else _NAN
         t.objective.append(phi)
-        rel_x, rel_f = self.errors(xbar, phi) if self.errors is not None else (_NAN, _NAN)
-        t.rel_err_x.append(rel_x)
-        t.rel_err_f.append(rel_f)
+        if self.reference:
+            t.rel_err_x.append(norm(xbar - self.x_star) / self.x_den)
+            t.rel_err_f.append(abs(phi - self.phi_star) / self.f_den)
+        else:
+            t.rel_err_x.append(_NAN)
+            t.rel_err_f.append(_NAN)
         t.sweeps.append(evals)
         if self.record_paths:
             t.x_path.append(np.array(xbar))
@@ -301,11 +301,13 @@ class _DavisYinStep:
         self.f_evals = 0
 
     def start(self, gamma):
-        self.x = self.resolve1(gamma, self.z)
+        self.x_next = self.resolve1(gamma, self.z)
         self.evals = 1
 
     def residuals(self, gamma):
-        x = self.x
+        # x becomes x_k only here, so a run that stops after relocating still
+        # reports its last row's x as x_final, as the engine step does
+        x = self.x = self.x_next
         y = self.y = self.resolve2(gamma, 2.0 * x - self.z - gamma * self.apply(x))
         self.evals += 1
         self.f_evals += 1
@@ -320,16 +322,14 @@ class _DavisYinStep:
 
     def relocate(self, ratio):
         self.z = ratio * self.w + (1.0 - ratio) * self.x_next
-        self.x = self.x_next
 
 
 def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=1e-10,
-                  record_every=1, record_paths=False, objective=None, reference=None,
-                  beta=None):
+                  record_every=1, record_paths=False, objective=None, reference=None):
     """Relocated three-operator splitting for 0 in A1 x + A2 x + B x.
 
-    ``z0`` is a vector in R^d. The cocoercivity modulus defaults to B's own
-    beta. Returns a Trace whose consensus column is ||x_k - y_k|| (the
+    ``z0`` is a vector in R^d. The cocoercivity modulus is B's own beta.
+    Returns a Trace whose consensus column is ||x_k - y_k|| (the
     two-block consensus residual) and whose shadow iterate is x_k.
     """
     z = np.asarray(z0, dtype=float)
@@ -337,7 +337,7 @@ def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=
         raise StructuralError("run_davis_yin expects a flat vector z0")
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
-    beta = float(b.beta if beta is None else beta)
+    beta = float(b.beta)
     sched = schedule_spec.build(beta, beta)
     rec = _Recorder(objective, reference, record_paths)
     return _iterate(_DavisYinStep(a1, a2, b, z), sched, plan, beta, beta, rec, max_iters,

@@ -42,8 +42,8 @@ class SplitProblem:
     def __post_init__(self):
         object.__setattr__(self, "resolvents", tuple(self.resolvents))
         object.__setattr__(self, "forwards", tuple(self.forwards))
-        if self.beta < 0:
-            raise ParameterError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:   # NaN fails both comparisons
+            raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.dim < 1:
             raise ParameterError("dim must be positive")
 

@@ -103,11 +103,6 @@ def incidence(g):
     return inc
 
 
-def laplacian(g):
-    inc = incidence(g)
-    return inc @ inc.T
-
-
 def canonical(kind, n):
     """One of the three canonical spanning trees on n >= 2 nodes.
 
@@ -159,22 +154,6 @@ def matching_topologies(g):
         if set(canonical(kind, g.n).arcs) == set(g.arcs):
             found.append(kind)
     return tuple(found)
-
-
-def predecessor_map(g):
-    """h(i) = smallest in-neighbor of i, for i = 2..n.
-
-    Raises when a node has no in-neighbor (the inward star with n >= 3 has
-    such nodes; build its scheme through ``scheme_from_graph`` which falls
-    back to a valid predecessor).
-    """
-    h = {}
-    for i in range(2, g.n + 1):
-        nbrs = g.in_neighbors[i]
-        if not nbrs:
-            raise StructuralError(f"node {i} has no in-neighbor; no predecessor map exists")
-        h[i] = nbrs[0]
-    return h
 
 
 def default_predecessors(g):

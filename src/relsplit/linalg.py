@@ -3,7 +3,7 @@
 Block vectors live in X^m with X = R^d and are stored as ndarrays of shape
 (m, d); the norm is the l2-norm over all coordinates (``np.linalg.norm``).
 Lifted operators M (x) Id then act by plain matrix multiplication on the
-stacked blocks, which is what :func:`kron_apply` does.
+stacked blocks: block i of ``M @ z`` is sum_j M[i, j] * z[j].
 """
 
 from __future__ import annotations
@@ -40,29 +40,12 @@ def norm(v):
     return math.sqrt(v.dot(v))
 
 
-def kron_apply(mat, z):
-    """Apply the lifted matrix M (x) Id to a block vector.
-
-    ``mat`` has shape (n, m) and ``z`` shape (m, d); the result is the
-    (n, d) stack with block i equal to sum_j mat[i, j] * z[j].
-    """
-    mat = np.asarray(mat, dtype=float)
-    z = as_blocks(z)
-    if mat.ndim != 2:
-        raise StructuralError(f"matrix must be 2-d, got shape {mat.shape}")
-    if mat.shape[1] != z.shape[0]:
-        raise StructuralError(
-            f"matrix has {mat.shape[1]} columns but block vector has {z.shape[0]} blocks"
-        )
-    return mat @ z
-
-
-def pseudoinverse(mat, rcond=RCOND):
+def pseudoinverse(mat):
     """Moore-Penrose pseudoinverse of a small dense matrix (SVD based)."""
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         raise StructuralError("empty matrix has no pseudoinverse here")
-    return np.linalg.pinv(mat, rcond=rcond)
+    return np.linalg.pinv(mat, rcond=RCOND)
 
 
 def small_gram(mat):

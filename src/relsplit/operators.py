@@ -136,9 +136,11 @@ class LeastSquaresGrad(CocoerciveOp):
         self.A = A
         self.b = b
         self.scale = float(scale)
-        self._gram = scale * (A.T @ A)
-        self._atb = scale * (A.T @ b)
-        self.beta = self.scale * lambda_max(small_gram(A))
+        # an overflowing A^T A leaves beta non-finite, which SplitProblem rejects
+        with np.errstate(over="ignore"):
+            self._gram = scale * (A.T @ A)
+            self._atb = scale * (A.T @ b)
+            self.beta = self.scale * lambda_max(small_gram(A))
         self.dim = A.shape[1]
 
     def apply(self, x):

@@ -1,4 +1,4 @@
-"""Experiment problem generators, objectives, operator splits and error metrics.
+"""Experiment problem generators, objectives, operator splits and reference solutions.
 
 Two synthetic families are provided at desk scale:
 
@@ -31,6 +31,17 @@ from .schedule import RelaxationPlan, ScheduleSpec
 from .scheme import kappa_form_scheme
 
 
+def _coerce_data(problem):
+    """Store A and b as float arrays; shapes must agree and every entry be finite."""
+    for name in ("A", "b"):
+        object.__setattr__(problem, name, np.asarray(getattr(problem, name), dtype=float))
+    if problem.A.ndim != 2 or problem.b.shape != (problem.A.shape[0],):
+        raise StructuralError(f"incompatible shapes A {problem.A.shape}, b {problem.b.shape}")
+    for name in ("A", "b"):
+        if not np.isfinite(getattr(problem, name)).all():
+            raise ParameterError(f"problem data {name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class LassoProblem:
     A: np.ndarray
@@ -39,10 +50,7 @@ class LassoProblem:
     u: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
-            raise StructuralError(f"incompatible shapes A {self.A.shape}, b {self.b.shape}")
+        _coerce_data(self)
         if not (self.lam > 0 and self.u > 0):
             raise ParameterError("lam and u must be positive")
 
@@ -59,10 +67,7 @@ class ElasticNetProblem:
     lam2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
-            raise StructuralError(f"incompatible shapes A {self.A.shape}, b {self.b.shape}")
+        _coerce_data(self)
         if not (self.lam1 > 0 and self.lam2 > 0):
             raise ParameterError("lam1 and lam2 must be positive")
 
@@ -95,12 +100,12 @@ def gen_lasso(q, d, seed, spectrum=(0.5, 1.5), lam=1e-3, u=50.0):
 
 
 def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
-                    jitter=1e-3, normalize=True):
+                    normalize=True):
     """Random nonnegative elastic-net instance with correlated features.
 
     Entries of A are Exp(1); the last ``n_corr`` columns are overwritten by
-    linear combinations of two earlier columns plus small jitter (inducing
-    near-dependency); x* is entrywise Exp(1) and b = A x* + N(0, noise_sd^2).
+    linear combinations of two earlier columns plus 1e-3-scaled Gaussian
+    jitter (inducing near-dependency); x* is entrywise Exp(1) and b = A x* + N(0, noise_sd^2).
     With ``normalize`` the matrix is rescaled to unit spectral norm, keeping
     the forward modulus at max(1, lam2).
     """
@@ -116,7 +121,7 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
     for c in range(base, d):
         i, j = rng.integers(0, base, size=2)
         w1, w2 = rng.uniform(0.25, 1.0, size=2)
-        A[:, c] = w1 * A[:, i] + w2 * A[:, j] + jitter * rng.standard_normal(q)
+        A[:, c] = w1 * A[:, i] + w2 * A[:, j] + 1e-3 * rng.standard_normal(q)
     if normalize:
         A = A / spectral_norm(A)
     x_true = rng.exponential(1.0, size=d)
@@ -137,11 +142,6 @@ def objective(problem, x, half=False):
         return (0.5 * float(r @ r) + problem.lam1 * float(np.abs(x).sum())
                 + 0.5 * problem.lam2 * float(x @ x))
     raise StructuralError(f"unknown problem type {type(problem).__name__}")
-
-
-def box_violation(problem, x):
-    """Feasibility gap max_i max(|x_i| - u, 0), tracked separately from phi."""
-    return float(np.maximum(np.abs(np.asarray(x)) - problem.u, 0.0).max())
 
 
 def split_lasso(problem, half_quadratic=True):
@@ -216,37 +216,3 @@ def reference_solution(problem, budget, half_quadratic=True):
     return Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),
                      flagged=bool(trace.fix_res[-1] > 1e-10))
 
-
-def problem_to_dict(problem):
-    """Matrices-inline representation for exact rerun of an instance."""
-    if isinstance(problem, LassoProblem):
-        return {"kind": "lasso", "A": problem.A.tolist(), "b": problem.b.tolist(),
-                "lam": problem.lam, "u": problem.u}
-    if isinstance(problem, ElasticNetProblem):
-        return {"kind": "elastic-net", "A": problem.A.tolist(), "b": problem.b.tolist(),
-                "lam1": problem.lam1, "lam2": problem.lam2}
-    raise StructuralError(f"unknown problem type {type(problem).__name__}")
-
-
-def problem_from_dict(doc):
-    kind = doc.get("kind")
-    if kind == "lasso":
-        return LassoProblem(doc["A"], doc["b"], float(doc["lam"]), float(doc["u"]))
-    if kind == "elastic-net":
-        return ElasticNetProblem(doc["A"], doc["b"], float(doc["lam1"]), float(doc["lam2"]))
-    raise StructuralError(f"unknown problem kind {kind!r}")
-
-
-def metrics(trace, x_star, phi_star, objective_fn):
-    """Fill the relative-error columns of a trace recorded with paths.
-
-    rel_err_x = ||xbar_k - x*|| / max(||x*||, 1e-30) and
-    rel_err_f = |phi(xbar_k) - phi*| / max(|phi*|, 1e-30).
-    """
-    if not trace.x_path:
-        raise StructuralError("trace has no recorded iterate path; rerun with record_paths")
-    errors = driver.RelativeErrors(x_star, phi_star)
-    pairs = [errors(x, float(objective_fn(x))) for x in trace.x_path]
-    trace.rel_err_x = [rel_x for rel_x, _ in pairs]
-    trace.rel_err_f = [rel_f for _, rel_f in pairs]
-    return trace

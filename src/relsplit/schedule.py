@@ -31,6 +31,8 @@ NORM_RATIO = "norm-ratio"
 ACCEL = "accel"
 HARMONIC = "harmonic"
 T_RULES = (NORM_RATIO, ACCEL, HARMONIC)
+ACCEL_GAP = 0.01   # q of the accel rule
+SAFETY = 0.99      # default gamma_max as a fraction of 2/mu
 
 
 @dataclass
@@ -60,15 +62,14 @@ class SafeguardStepsize:
     """Safeguarded schedule; emissions stay in [gamma_min, gamma_max] exactly."""
 
     def __init__(self, gamma0, gamma_min, gamma_max, t_rule=NORM_RATIO,
-                 zeta_coeff=0.1, zeta_power=1.5, zeta_first_unit=False,
-                 accel_gap=0.01):
+                 zeta_coeff=0.1, zeta_power=1.5, zeta_first_unit=False):
         if not 0 < gamma_min <= gamma_max:
             raise ParameterError(f"need 0 < gamma_min <= gamma_max, got {gamma_min}, {gamma_max}")
         if not gamma_min <= gamma0 <= gamma_max:
             raise ParameterError(f"gamma0 = {gamma0} outside [{gamma_min}, {gamma_max}]")
         if t_rule not in T_RULES:
             raise ParameterError(f"unknown stepsize rule {t_rule!r}")
-        if not 0 < zeta_coeff <= 1 or zeta_power <= 1:
+        if not 0 < zeta_coeff <= 1 or not zeta_power > 1:   # a NaN power fails too
             raise ParameterError("zeta rule must have coeff in (0,1] and power > 1 (summable)")
         self.gamma = float(gamma0)
         self.gamma_min = float(gamma_min)
@@ -77,7 +78,6 @@ class SafeguardStepsize:
         self.zeta_coeff = float(zeta_coeff)
         self.zeta_power = float(zeta_power)
         self.zeta_first_unit = bool(zeta_first_unit)
-        self.accel_gap = float(accel_gap)
         self.k = 0
 
     def zeta(self, k):
@@ -96,7 +96,7 @@ class SafeguardStepsize:
             if L is None or not L > 0:
                 raise ParameterError("accel rule needs the Lipschitz modulus L > 0")
             g = self.gamma
-            q = self.accel_gap
+            q = ACCEL_GAP
             return (-2.0 * g * g * q / (2.0 * L)
                     + np.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
         if obs is None or obs.x_next_norm is None or obs.x_next_minus_w_norm is None:
@@ -167,8 +167,6 @@ class ScheduleSpec:
     zeta_coeff: float = 0.1
     zeta_power: float = 1.5
     zeta_first_unit: bool = False
-    accel_gap: float = 0.01
-    safety: float = 0.99
 
     def default_gamma(self, mu_value, beta):
         candidates = [g for g in (1.0 / beta if beta > 0 else None,
@@ -193,7 +191,7 @@ class ScheduleSpec:
             sup = stepsize_sup(mu_value)
             if not np.isfinite(sup):
                 raise ParameterError("safeguard needs gamma_max when mu = 0")
-            gamma_max = self.safety * sup
+            gamma_max = SAFETY * sup
         elif not gamma_max < stepsize_sup(mu_value):
             raise ParameterError(f"gamma_max = {gamma_max} must be < 2/mu strictly")
         gamma_min = self.gamma_min if self.gamma_min is not None else 0.1 * gamma_max
@@ -202,14 +200,6 @@ class ScheduleSpec:
         return SafeguardStepsize(
             gamma0, gamma_min, gamma_max, t_rule=self.t_rule,
             zeta_coeff=self.zeta_coeff, zeta_power=self.zeta_power,
-            zeta_first_unit=self.zeta_first_unit, accel_gap=self.accel_gap,
+            zeta_first_unit=self.zeta_first_unit,
         )
 
-
-def schedule_from_config(doc):
-    """ScheduleSpec from a config mapping (unknown keys rejected)."""
-    known = {f for f in ScheduleSpec.__dataclass_fields__}
-    extra = set(doc) - known
-    if extra:
-        raise ParameterError(f"unknown schedule keys: {sorted(extra)}")
-    return ScheduleSpec(**doc)

@@ -191,22 +191,3 @@ def kappa_form_scheme(s):
     return CoefficientScheme(2.0 * s.d, s.M, 2.0 * s.N, s.P, s.R,
                              graph=s.graph, topologies=s.topologies, kappa_form=True)
 
-
-def scheme_to_dict(s):
-    """JSON-compatible representation (nested lists of reals)."""
-    return {
-        "d": s.d.tolist(),
-        "M": s.M.tolist(),
-        "N": s.N.tolist(),
-        "P": s.P.tolist(),
-        "R": s.R.tolist(),
-        "kappa_form": bool(s.kappa_form),
-    }
-
-
-def scheme_from_dict(doc):
-    missing = {"d", "M", "N", "P", "R"} - set(doc)
-    if missing:
-        raise StructuralError(f"scheme document missing keys: {sorted(missing)}")
-    return CoefficientScheme(doc["d"], doc["M"], doc["N"], doc["P"], doc["R"],
-                             kappa_form=bool(doc.get("kappa_form", False)))

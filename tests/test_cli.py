@@ -233,6 +233,8 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedule={"variant": "constant", "gamma": 1e9})
     assert_usage_error(capsys, main(["run", cfg]))
+    cfg = run_config(tmp_path, schedule={"variant": "safeguard", "zeta_power": float("nan")})
+    assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedul={"variant": "constant"})
     assert_usage_error(capsys, main(["run", cfg]))
 
@@ -296,6 +298,40 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, M=[[float("nan")], [-1.0]])})
     assert_usage_error(capsys, main(["validate", cfg]))
+    no_r = {key: value for key, value in DY_SCHEME.items() if key != "R"}
+    cfg = write_json(tmp_path / "s.json", {"scheme": no_r})
+    assert main(["validate", cfg]) == 2
+    assert "missing key 'R'" in capsys.readouterr().err
+
+
+def test_schedule_section_rejects_unknown_keys(tmp_path, capsys):
+    doc = {"graph": {"kind": "sequential", "n": 2}, "problem": {"kind": "lasso", "q": 4, "d": 5},
+           "schedule": {"variant": "safeguard", "t_rule": "harmonic"}}
+    assert config.build_run(doc)[0].schedule.t_rule == "harmonic"
+    # accel_gap and safety are module constants, not schedule keys
+    for key, value in (("stepsize", 1.0), ("accel_gap", 0.01), ("safety", 0.99)):
+        cfg = run_config(tmp_path, schedule={"variant": "safeguard", key: value})
+        assert_usage_error(capsys, main(["run", cfg]))
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b"),
+            "methods": [{"name": "m", "schedule": {"variant": "constant", "safety": 0.9}}]}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
+    assert not (tmp_path / "b").exists()
+
+
+def test_nonfinite_problem_data_exits_2(tmp_path, capsys):
+    inline = {"kind": "lasso", "A": [[float("nan"), 1.0]], "b": [1.0], "lam": 0.1, "u": 5.0}
+    assert main(["run", run_config(tmp_path, problem=inline)]) == 2
+    err = capsys.readouterr().err
+    assert "problem data A must be finite" in err and "gamma" not in err
+    # finite entries whose Gram matrix overflows: beta is not finite
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "A": [[1e200, 1.0], [0.0, 1e200]], "b": [1.0, 1.0],
+                        "lam": 0.1, "u": 5.0},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")), ids=lambda p: p.name)

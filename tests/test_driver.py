@@ -115,6 +115,27 @@ def test_davis_yin_equivalence_with_safeguard():
         assert abs(ga - ge) <= 1e-14
 
 
+
+@pytest.mark.parametrize("iters", [5, 30])
+def test_x_final_is_the_last_rows_iterate(iters):
+    # a run that stops at max_iters has relocated once more after its last
+    # row; both loops still report that row's shadow iterate as x_final
+    s, split, _ = small_lasso_setup(7)
+    spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
+    z0 = np.random.default_rng(1).standard_normal(split.dim)
+    t_alg = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
+                          spec, RelaxationPlan(), z0, max_iters=iters, fix_res_tol=1e-16,
+                          record_paths=True)
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                    max_iters=iters, fix_res_tol=1e-16, record_paths=True)
+    t_eng = run(cfg, z0[None, :])
+    for trace in (t_alg, t_eng):
+        assert trace.iterations == iters and not trace.converged
+        assert np.array_equal(trace.x_final, trace.x_path[-1])
+    assert np.max(np.abs(t_alg.x_final - t_eng.x_final)) <= 1e-12
+    assert np.max(np.abs(t_alg.z_final - t_eng.z_final.ravel())) <= 1e-12
+
+
 def test_resolvent_eval_counts():
     # cheap kinds: n*(K+1) + 1 evaluations through iteration K; general: 2n*(K+1)
     n, iters = 4, 25

@@ -6,8 +6,7 @@ from relsplit.errors import ParameterError, StructuralError
 from relsplit.graph import (CANONICAL_KINDS, INWARD_STAR, OUTWARD_STAR, SEQUENTIAL,
                             DiGraph, canonical, default_predecessors, degrees,
                             graph_from_config, incidence, incidence_pinv_closed_form,
-                            laplacian, matching_topologies, predecessor_map,
-                            scheme_from_graph)
+                            matching_topologies, scheme_from_graph)
 from relsplit.scheme import kappa_form_scheme, validate
 
 
@@ -59,23 +58,6 @@ def test_incidence_examples():
         assert np.allclose(inc.sum(axis=0), 0.0, atol=0.0)
 
 
-def test_laplacian_identity():
-    for kind in CANONICAL_KINDS:
-        for n in (2, 4, 7):
-            g = canonical(kind, n)
-            k, _, _ = degrees(g)
-            lap = laplacian(g)
-            assert np.array_equal(np.diag(lap), k.astype(float))
-            adj = set()
-            for i, j in g.arcs:
-                adj.add((i - 1, j - 1))
-                adj.add((j - 1, i - 1))
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        assert lap[i, j] == (-1.0 if (i, j) in adj else 0.0)
-
-
 def test_canonical_examples():
     assert canonical(SEQUENTIAL, 2).arcs == ((1, 2),)
     assert canonical(INWARD_STAR, 4).arcs == ((1, 4), (2, 4), (3, 4))
@@ -98,18 +80,14 @@ def test_pinv_closed_forms_examples():
             assert np.max(np.abs(closed - numeric)) <= 1e-10
 
 
-def test_predecessor_map():
-    assert predecessor_map(canonical(SEQUENTIAL, 3)) == {2: 1, 3: 2}
-    assert predecessor_map(DiGraph(2, ((1, 2),))) == {2: 1}
-    assert predecessor_map(canonical(OUTWARD_STAR, 4)) == {2: 1, 3: 1, 4: 1}
-    with pytest.raises(StructuralError):
-        predecessor_map(canonical(INWARD_STAR, 3))  # node 2 has no in-neighbor
-
-
 def test_default_predecessors_inward_star():
     h = default_predecessors(canonical(INWARD_STAR, 3))
     assert h[3] == 1  # smallest in-neighbor of the hub
     assert h[2] == 1  # fallback for the in-neighbor-less node
+    # where every node i >= 2 has an in-neighbor, h(i) is the smallest one
+    assert default_predecessors(canonical(SEQUENTIAL, 3)) == {2: 1, 3: 2}
+    assert default_predecessors(DiGraph(2, ((1, 2),))) == {2: 1}
+    assert default_predecessors(canonical(OUTWARD_STAR, 4)) == {2: 1, 3: 1, 4: 1}
 
 
 def test_scheme_from_chain_is_davis_yin_scheme():

@@ -1,38 +1,6 @@
 import numpy as np
-import pytest
 
 from relsplit import linalg
-from relsplit.errors import StructuralError
-
-
-def test_kron_apply_identity():
-    z = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linalg.kron_apply(np.eye(2), z), z)
-
-
-def test_kron_apply_sign_copy():
-    out = linalg.kron_apply(np.array([[1.0], [-1.0]]), np.array([[2.0, 0.0]]))
-    assert np.array_equal(out, np.array([[2.0, 0.0], [-2.0, 0.0]]))
-
-
-def test_kron_apply_hand_product():
-    out = linalg.kron_apply(np.array([[1.0, -1.0]]), np.array([[2.0, 0.0], [1.0, 1.0]]))
-    assert np.allclose(out, np.array([[1.0, -1.0]]), atol=0.0)
-
-
-def test_kron_apply_dimension_mismatch():
-    with pytest.raises(StructuralError):
-        linalg.kron_apply(np.eye(2), np.zeros((3, 4)))
-
-
-def test_kron_apply_adjoint_composition():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        mat = rng.standard_normal((4, 3))
-        z = rng.standard_normal((3, 5))
-        lhs = linalg.kron_apply(mat.T, linalg.kron_apply(mat, z))
-        rhs = linalg.kron_apply(mat.T @ mat, z)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_pseudoinverse_identity():

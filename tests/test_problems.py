@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from relsplit import config
+from relsplit.driver import RunConfig, run
 from relsplit.errors import ParameterError
 from relsplit.linalg import spectral_norm
 from relsplit.operators import lambda_max, soft_threshold
-from relsplit.problems import (ElasticNetProblem, LassoProblem, box_violation,
-                               gen_elastic_net, gen_lasso, metrics, objective,
-                               reference_solution, split_elastic, split_lasso)
+from relsplit.problems import (ElasticNetProblem, LassoProblem, gen_elastic_net, gen_lasso,
+                               objective, reference_solution, split_elastic, split_lasso)
+from relsplit.propsuites import small_lasso_setup
+from relsplit.relocator import DAVIS_YIN
+from relsplit.schedule import ScheduleSpec
 
 
 def test_generator_determinism():
@@ -32,12 +36,6 @@ def test_objective_examples():
     assert objective(prob2, np.array([0.5])) == pytest.approx(0.75, abs=1e-15)
     en = ElasticNetProblem(np.array([[2.0]]), np.array([4.0]), lam1=0.1, lam2=0.1)
     assert objective(en, np.zeros(1)) == 8.0  # 0.5*||b||^2
-
-
-def test_box_violation():
-    prob = LassoProblem(np.eye(2), np.zeros(2), lam=1.0, u=1.0)
-    assert box_violation(prob, np.array([0.5, -0.5])) == 0.0
-    assert box_violation(prob, np.array([1.5, -0.5])) == 0.5
 
 
 def test_split_lasso_delegates():
@@ -131,7 +129,7 @@ def test_reference_solution_one_dimensional():
 def test_reference_is_feasible_and_locally_optimal():
     prob = gen_lasso(8, 12, seed=10, lam=0.05, u=0.4)
     ref = reference_solution(prob, budget=5000)
-    assert box_violation(prob, ref.x) == 0.0
+    assert np.abs(ref.x).max() <= prob.u
     rng = np.random.default_rng(11)
     phi_half = lambda x: objective(prob, x, half=True)
     base = phi_half(ref.x)
@@ -146,32 +144,50 @@ def test_reference_flagged_when_budget_too_small():
     assert ref.flagged
 
 
-def test_metrics_requires_recorded_paths():
-    from relsplit.driver import Trace
-    from relsplit.errors import StructuralError
-    with pytest.raises(StructuralError):
-        metrics(Trace(), np.zeros(2), 0.0, lambda x: 0.0)
-
-
 def test_problem_serialization_roundtrip():
-    from relsplit.problems import problem_from_dict, problem_to_dict
+    # a generated instance written inline builds the same problem through the config reader
     lasso = gen_lasso(4, 6, seed=13)
-    back = problem_from_dict(problem_to_dict(lasso))
+    doc = {"kind": "lasso", "A": lasso.A.tolist(), "b": lasso.b.tolist(),
+           "lam": lasso.lam, "u": lasso.u}
+    back = config.build_problem(doc)[0]
     assert np.array_equal(back.A, lasso.A) and np.array_equal(back.b, lasso.b)
     assert (back.lam, back.u) == (lasso.lam, lasso.u)
     en = gen_elastic_net(4, 6, seed=13)
-    back = problem_from_dict(problem_to_dict(en))
-    assert np.array_equal(back.A, en.A) and (back.lam1, back.lam2) == (en.lam1, en.lam2)
+    doc = {"kind": "elastic-net", "A": en.A.tolist(), "b": en.b.tolist(),
+           "lam1": en.lam1, "lam2": en.lam2}
+    back = config.build_problem(doc)[0]
+    assert np.array_equal(back.A, en.A) and np.array_equal(back.b, en.b)
+    assert (back.lam1, back.lam2) == (en.lam1, en.lam2)
 
 
 def test_metrics_fill_columns():
-    from relsplit.driver import Trace
-    trace = Trace()
-    trace.x_path = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-    phi = lambda x: float(x @ x)
-    metrics(trace, np.array([1.0, 0.0]), 1.0, phi)
-    assert trace.rel_err_x == [0.0, 1.0]
-    assert trace.rel_err_f == [0.0, 3.0]
-    # zero reference guarded by the denominator floor
-    metrics(trace, np.zeros(2), 0.0, phi)
-    assert np.isfinite(trace.rel_err_f).all()
+    # the trace's relative errors against a reference (x*, phi*), with the
+    # 1e-30 floor on both denominators when the reference is zero
+    s, split, prob = small_lasso_setup(4)
+    phi = lambda x: objective(prob, x)
+    x_star = np.linspace(-1.0, 1.0, prob.dim)
+    for reference in ((x_star, 2.5), (np.zeros(prob.dim), 0.0)):
+        cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                        schedule=ScheduleSpec(variant="safeguard"), max_iters=5,
+                        record_paths=True, objective=phi, reference=reference)
+        trace = run(cfg)
+        x_ref, phi_ref = reference
+        x_den, f_den = max(np.linalg.norm(x_ref), 1e-30), max(abs(phi_ref), 1e-30)
+        assert len(trace.x_path) == len(trace.rel_err_x) == 5
+        for x, rel_x, rel_f in zip(trace.x_path, trace.rel_err_x, trace.rel_err_f):
+            assert rel_x == pytest.approx(np.linalg.norm(x - x_ref) / x_den, rel=1e-14)
+            assert rel_f == pytest.approx(abs(phi(x) - phi_ref) / f_den, rel=1e-14)
+        assert np.isfinite(trace.rel_err_x).all() and np.isfinite(trace.rel_err_f).all()
+
+
+def test_nonfinite_problem_data_is_rejected():
+    for bad, name in ((np.array([[np.nan, 1.0]]), "A"), (np.array([[np.inf, 1.0]]), "A")):
+        with pytest.raises(ParameterError, match=f"problem data {name}"):
+            LassoProblem(bad, np.ones(1), lam=1.0, u=1.0)
+        with pytest.raises(ParameterError, match=f"problem data {name}"):
+            ElasticNetProblem(bad, np.ones(1), lam1=1.0, lam2=1.0)
+    with pytest.raises(ParameterError, match="problem data b"):
+        LassoProblem(np.eye(1), np.array([np.nan]), lam=1.0, u=1.0)
+    # finite data whose Gram matrix overflows: beta is not finite, so no split exists
+    with pytest.raises(ParameterError, match="beta"):
+        split_lasso(LassoProblem([[1e200, 1.0], [0.0, 1e200]], np.ones(2), lam=1.0, u=1.0))

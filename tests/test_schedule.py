@@ -4,7 +4,7 @@ import pytest
 from relsplit.errors import ParameterError
 from relsplit.schedule import (ACCEL, HARMONIC, NORM_RATIO, ConstantStepsize,
                                Observables, RelaxationPlan, SafeguardStepsize,
-                               ScheduleSpec, positive_variation, schedule_from_config)
+                               ScheduleSpec, positive_variation)
 from relsplit.scheme import feasibility_margin
 
 
@@ -130,10 +130,3 @@ def test_schedule_spec_defaults():
         ScheduleSpec(variant="safeguard").build(0.0, 0.0)  # unbounded without mu
     with pytest.raises(ParameterError):
         ScheduleSpec(variant="warmup").build(1.0, 1.0)
-
-
-def test_schedule_from_config_rejects_unknown_keys():
-    spec = schedule_from_config({"variant": "safeguard", "t_rule": "harmonic"})
-    assert spec.t_rule == "harmonic"
-    with pytest.raises(ParameterError):
-        schedule_from_config({"variant": "constant", "stepsize": 1.0})

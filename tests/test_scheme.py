@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from relsplit import graph as graphmod, linalg
+from relsplit import config, graph as graphmod, linalg
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.scheme import (CoefficientScheme, condition_report, eta,
-                             feasibility_margin, kappa_form_scheme, mu,
-                             scheme_from_dict, scheme_to_dict, validate)
+                             feasibility_margin, kappa_form_scheme, mu, validate)
 
 
 def chain_matrices():
@@ -123,9 +122,9 @@ def test_kappa_form_scheme_doubles_d_and_n():
 
 def test_serialization_roundtrip():
     s = graphmod.scheme_from_graph(graphmod.canonical(graphmod.OUTWARD_STAR, 4))
-    doc = scheme_to_dict(s)
-    back = scheme_from_dict(doc)
+    doc = {name: getattr(s, name).tolist() for name in ("d", "M", "N", "P", "R")}
+    back = config.build_scheme({"scheme": doc})
     for name in ("d", "M", "N", "P", "R"):
         assert np.array_equal(getattr(back, name), getattr(s, name))
-    with pytest.raises(StructuralError):
-        scheme_from_dict({"d": [1.0]})
+    assert not back.kappa_form
+    assert config.build_scheme({"scheme": dict(doc, kappa_form=True)}).kappa_form
