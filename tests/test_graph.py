@@ -80,14 +80,19 @@ def test_pinv_closed_forms_examples():
             assert np.max(np.abs(closed - numeric)) <= 1e-10
 
 
-def test_default_predecessors_inward_star():
-    h = default_predecessors(canonical(INWARD_STAR, 3))
-    assert h[3] == 1  # smallest in-neighbor of the hub
-    assert h[2] == 1  # fallback for the in-neighbor-less node
+def test_predecessor_map():
     # where every node i >= 2 has an in-neighbor, h(i) is the smallest one
     assert default_predecessors(canonical(SEQUENTIAL, 3)) == {2: 1, 3: 2}
     assert default_predecessors(DiGraph(2, ((1, 2),))) == {2: 1}
     assert default_predecessors(canonical(OUTWARD_STAR, 4)) == {2: 1, 3: 1, 4: 1}
+    # a node without in-neighbors falls back to node 1 instead of raising
+    assert default_predecessors(canonical(INWARD_STAR, 3)) == {2: 1, 3: 1}
+
+
+def test_default_predecessors_inward_star():
+    h = default_predecessors(canonical(INWARD_STAR, 3))
+    assert h[3] == 1  # smallest in-neighbor of the hub
+    assert h[2] == 1  # fallback for the in-neighbor-less node
 
 
 def test_scheme_from_chain_is_davis_yin_scheme():
