@@ -161,7 +161,10 @@ def build_z0(doc, s, split):
     _section("z0", doc, Z0_KEYS[kind])
     if kind == "zero":
         return default_z0(s, split)
-    return default_z0(s, split, seed=int(doc.get("seed", 0)), scale=float(doc.get("scale", 1.0)))
+    scale = float(doc.get("scale", 1.0))
+    if not np.isfinite(scale):
+        raise ParameterError(f"z0 scale must be finite, got {scale}")
+    return default_z0(s, split, seed=int(doc.get("seed", 0)), scale=scale)
 
 
 def _schedule(name, doc):

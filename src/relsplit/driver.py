@@ -26,8 +26,9 @@ on the two-node chain scheme with the davis-yin relocator.
 Both loops share one skeleton (``_iterate``); only their resolvent formulas
 differ. ``run`` builds its step plan once, before the first iteration: the
 operator bindings and shapes are checked and the sweep rows, M*, the
-relocator's coefficients and the consensus pairs are precomputed, so the
-loop itself only does arithmetic.
+relocator's matrix K (``relocator.relocation_map``, so that
+z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and the
+consensus pairs are precomputed, so the loop itself only does arithmetic.
 
 Feasibility is enforced every iteration: the margin
 2 - gamma_k*mu - 2*lambda_k*theta_k must stay at or above the plan's floor,
@@ -100,7 +101,6 @@ class Trace:
     x_final: np.ndarray | None = None
     iterations: int = 0
     resolvent_evals: int = 0
-    forward_evals: int = 0
     converged: bool = False
     aborted: str | None = None
 
@@ -187,8 +187,8 @@ def default_z0(s, prob, seed=None, scale=1.0):
 def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, record_every):
     """The loop skeleton both drivers share; ``step`` holds the resolvent formulas.
 
-    A step exposes ``z``, the shadow iterate ``x``, the cumulative counts
-    ``evals``/``f_evals`` and four methods: ``start(gamma)``;
+    A step exposes ``z``, the shadow iterate ``x``, the cumulative resolvent
+    count ``evals`` and four methods: ``start(gamma)``;
     ``residuals(gamma)``, which evaluates the resolvents at (gamma, z) and
     returns (fix_res, consensus); ``advance(gamma, lam*theta)``, which forms
     w and the next x_1 and returns (||x_1||, ||x_1 - w||); and
@@ -231,7 +231,6 @@ def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, re
     trace.z_final = step.z
     trace.x_final = step.x
     trace.resolvent_evals = step.evals
-    trace.forward_evals = step.f_evals
     return trace
 
 
@@ -239,13 +238,14 @@ class _EngineStep:
     """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
 
     At w the cheap relocators need only x_1 (recycled as the next sweep's
-    x_1); the general relocator needs a full second sweep for its e map.
+    x_1), which their one-column K multiplies block by block; the general
+    relocator needs a full second sweep, which its m x n K multiplies.
     """
 
-    def __init__(self, sweeps, relocation, z):
-        self.sweeps, self.relocation, self.z = sweeps, relocation, z
+    def __init__(self, sweeps, general, K, z):
+        self.sweeps, self.general, self.K, self.z = sweeps, general, K, z
         self.x = self.x1 = None
-        self.evals = self.f_evals = 0
+        self.evals = 0
 
     def start(self, gamma):
         pass
@@ -254,16 +254,14 @@ class _EngineStep:
         xs, _ = self.sweeps.sweep(gamma, self.z, self.x1)
         self.x = xs[0]
         self.evals += self.sweeps.n if self.x1 is None else self.sweeps.n - 1
-        self.f_evals += self.sweeps.forward_evals
         self.mstar_x, fix_res, consensus = self.sweeps.residuals(xs)
         return fix_res, consensus
 
     def advance(self, gamma, lam_theta):
         w = self.w = self.z - lam_theta * self.mstar_x
-        if self.relocation.general:
+        if self.general:
             self.at_w = self.sweeps.sweep(gamma, w)[0]
             self.evals += self.sweeps.n
-            self.f_evals += self.sweeps.forward_evals
             x1w = self.at_w[0]
         else:
             x1w = self.at_w = self.sweeps.first_block(gamma, w)
@@ -271,8 +269,9 @@ class _EngineStep:
         return norm(x1w), norm(x1w - w)
 
     def relocate(self, ratio):
-        self.z = self.relocation.apply(ratio, self.w, self.at_w)
-        self.x1 = None if self.relocation.general else self.at_w
+        kx = self.K @ self.at_w if self.general else self.K * self.at_w
+        self.z = ratio * self.w + (1.0 - ratio) * kx
+        self.x1 = None if self.general else self.at_w
 
 
 def run(cfg, z0=None):
@@ -284,7 +283,7 @@ def run(cfg, z0=None):
     z = as_blocks(z0, s.m) if z0 is not None else default_z0(s, prob)
     if z.shape != (s.m, prob.dim):
         raise StructuralError(f"z0 must have shape ({s.m}, {prob.dim}), got {z.shape}")
-    step = _EngineStep(sweeps, relocator.Relocation(kind, s), z)
+    step = _EngineStep(sweeps, kind == relocator.GENERAL, relocator.relocation_map(kind, s), z)
     rec = _Recorder(cfg.objective, cfg.reference, cfg.record_paths)
     return _iterate(step, sched, cfg.relaxation, mu_value, prob.beta, rec, cfg.max_iters,
                     cfg.fix_res_tol, cfg.record_every)
@@ -298,7 +297,6 @@ class _DavisYinStep:
         self.z = z
         self.x = None
         self.evals = 0
-        self.f_evals = 0
 
     def start(self, gamma):
         self.x_next = self.resolve1(gamma, self.z)
@@ -310,7 +308,6 @@ class _DavisYinStep:
         x = self.x = self.x_next
         y = self.y = self.resolve2(gamma, 2.0 * x - self.z - gamma * self.apply(x))
         self.evals += 1
-        self.f_evals += 1
         fix_res = norm(x - y)
         return fix_res, fix_res
 

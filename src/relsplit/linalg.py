@@ -71,20 +71,3 @@ def min_eigenvalue(mat):
     sym = 0.5 * (mat + mat.T)
     return float(np.linalg.eigvalsh(sym)[0])
 
-
-def project_zero_sum(y):
-    """Project a block vector onto {y : sum_i y_i = 0}.
-
-    This is the orthogonal projection onto range(M (x) Id) for any M with
-    ker(M*) = R*ones, in which case it equals y - mean(y).
-    """
-    y = as_blocks(y)
-    return y - y.mean(axis=0, keepdims=True)
-
-
-def project_range(mat, y, pinv_mat=None):
-    """Orthogonal projection of a block vector onto range(mat (x) Id) via M M^dagger."""
-    y = as_blocks(y)
-    if pinv_mat is None:
-        pinv_mat = pseudoinverse(mat)
-    return np.asarray(mat, dtype=float) @ (pinv_mat @ y)

@@ -2,21 +2,28 @@
 
 A relocator maps Fix T_gamma bijectively onto Fix T_delta, is continuous in
 delta, satisfies the semigroup law on fixed points and is globally Lipschitz.
-Two families are provided:
+Every kind is one fixed matrix K, built once per scheme by ``relocation_map``:
 
-* ``general``: Q z = (d/g) z + (1 - d/g) M^dagger e(z), where
-  e(z) = P_range(M) (d_i x_i - (N x)_{<= i-1}) is built from a full sweep at
-  z. Valid for every scheme, at the price of one extra sweep per iteration.
+    Q z = r z + (1 - r) K x(z),    r = delta/gamma, x(z) the resolvent outputs at (gamma, z).
+
+* ``general``: K = M^dagger (D - N_<), m x n, with N_< the strictly lower
+  triangle of N, applied to a full sweep at z. The relocator is
+  M^dagger e(z) with e(z) = P_range(M) (D - N_<) x(z); since
+  M^dagger P_range(M) = M^dagger M M^dagger = M^dagger, the projection drops
+  out, and ``e_map`` is M K x for any M. Valid for every scheme, at the
+  price of one extra sweep per iteration.
 
 * cheap graph kinds (``inward-star``, ``outward-star``, ``sequential``,
-  ``davis-yin``): Q z = (d/g) z + (1 - d/g) * c (x) x_1(z) with a fixed
-  per-block coefficient vector c determined by the degrees of the canonical
-  tree. These agree with the general relocator on fixed points, recycle the
-  single resolvent output x_1 (x_1 at gamma of z equals x_1 at delta of Qz,
-  for every z), and therefore add no resolvent evaluations per iteration.
+  ``davis-yin``): K = c[:, None], one column of per-block coefficients fixed
+  by the degrees of the canonical tree, applied to x_1(z) alone. These agree
+  with the general relocator on fixed points, recycle the single resolvent
+  output x_1 (x_1 at gamma of z equals x_1 at delta of Qz, for every z), and
+  therefore add no resolvent evaluations per iteration.
 
-Lipschitz constants follow the per-kind closed forms; for the general kind
-the recursion C_1 = sqrt(m)||M||,
+Lipschitz constants are r + |1 - r| times a bound on z -> K x(z). For the
+cheap kinds that bound has a closed form in the tree degrees; for the general
+kind it is ||M^dagger|| times a Lipschitz constant of the e map, from the
+recursion C_1 = sqrt(m)||M||,
 C_i = sqrt(m)||M|| + ||N|| sum_{j<i} C_j/d_j
       + gamma*beta*||P||*||R|| sum_j sum_{t<=j} C_t/d_t
 is evaluated with the scheme's matrices (spectral norms of the unlifted
@@ -25,8 +32,6 @@ match the implemented (R x)_j, so the constant stays an upper bound.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -39,57 +44,31 @@ CHEAP_KINDS = (graphmod.INWARD_STAR, graphmod.OUTWARD_STAR, graphmod.SEQUENTIAL,
 KINDS = (GENERAL,) + CHEAP_KINDS
 
 
-class Relocation:
-    """Q_{delta <- gamma} of one kind on one scheme, with its run-invariant work done.
+def relocation_map(kind, s):
+    """The matrix K of Q_{delta <- gamma} z = r z + (1 - r) K x on scheme ``s``.
 
-    For ``general`` this holds D, the N terms of the e map, M^dagger and the
-    choice between the zero-sum closed form and the M M^dagger projection;
-    for the cheap kinds the coefficient column c of x_1.
+    For ``general`` K = M^dagger (D - N_<) and x is the full sweep output at
+    (gamma, z), applied as ``K @ x``; for the cheap kinds K is the column
+    c[:, None] and x is x_1 alone, applied as the broadcast ``K * x1``.
     """
-
-    def __init__(self, kind, s):
-        self.general = kind == GENERAL
-        if self.general:
-            self.d_col = s.d[:, None]
-            self.n_terms = [(i, int(j), s.N[i, j]) for i in range(1, s.n)
-                            for j in np.flatnonzero(s.N[i, :i])]
-            self.zero_sum = s.ker_mstar_is_ones
-            self.M, self.pinv_M = s.M, s.pinv_M
-        elif kind in CHEAP_KINDS:
-            require_graph_scheme(kind, s)
-            self.c_col = cheap_coefficients(kind, s.graph)[:, None]
-        else:
-            raise ParameterError(f"unknown relocator kind {kind!r}")
-
-    def e_map(self, x):
-        y = self.d_col * x
-        for i, j, c in self.n_terms:
-            y[i] -= c * x[j]
-        if self.zero_sum:
-            return linalg.project_zero_sum(y)
-        return linalg.project_range(self.M, y, pinv_mat=self.pinv_M)
-
-    def apply(self, r, z, x):
-        """Q z for the stepsize ratio r = delta/gamma.
-
-        ``x`` is the full sweep output at (gamma, z) for ``general`` and
-        x_1 alone for the cheap kinds.
-        """
-        if self.general:
-            return r * z + (1.0 - r) * (self.pinv_M @ self.e_map(x))
-        return r * z + (1.0 - r) * (self.c_col * x)
+    if kind == GENERAL:
+        return s.pinv_M @ (np.diag(s.d) - np.tril(s.N, -1))
+    if kind in CHEAP_KINDS:
+        require_graph_scheme(kind, s)
+        return cheap_coefficients(kind, s.graph)[:, None]
+    raise ParameterError(f"unknown relocator kind {kind!r}")
 
 
 def e_map(s, x):
     """e(z) = P_range(M) of (d_i x_i - (N x)_{<= i-1}), from the sweep outputs x.
 
-    Uses the zero-sum closed form of the projection when ker(M*) = R*ones
-    holds for the scheme, and the M M^dagger projection otherwise.
+    Computed as M K x with K the general relocation map: M M^dagger is the
+    orthogonal projection onto range(M), whether or not ker(M*) = R*ones.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != s.n:
         raise StructuralError(f"expected {s.n} resolvent outputs, got {x.shape[0]}")
-    return Relocation(GENERAL, s).e_map(x)
+    return s.M @ (relocation_map(GENERAL, s) @ x)
 
 
 def _check_ratio(delta, gamma):
@@ -112,18 +91,10 @@ def require_graph_scheme(kind, s):
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _tree_weights(g):
-    """(kappa_i - 2 kin_i per node, kappa_1): the one degree count per graph."""
-    kappa, kin, _ = graphmod.degrees(g)
-    w = (kappa - 2 * kin).astype(float)
-    w.setflags(write=False)
-    return w, float(kappa[0])
-
-
 def cheap_coefficients(kind, g):
     """Per-block multipliers of x_1 in the cheap relocators (length n - 1)."""
-    w, _ = _tree_weights(g)
+    kappa, kin, _ = graphmod.degrees(g)
+    w = (kappa - 2 * kin).astype(float)
     if kind in (graphmod.INWARD_STAR, DAVIS_YIN):
         return w[:-1]
     if kind == graphmod.OUTWARD_STAR:
@@ -142,14 +113,13 @@ def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     """
     r = _check_ratio(delta, gamma)
     z = linalg.as_blocks(z, s.m)
-    q = Relocation(kind, s)
-    if q.general:
+    K = relocation_map(kind, s)
+    if kind == GENERAL:
         x = (sweep if sweep is not None else engine.sweep(s, prob, gamma, z)).x
-    elif x1 is not None:
-        x = x1
-    else:
-        x = sweep.x[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
-    return q.apply(r, z, x)
+        return r * z + (1.0 - r) * (K @ x)
+    if x1 is None:
+        x1 = sweep.x[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
+    return r * z + (1.0 - r) * (K * x1)
 
 
 def lipschitz_constant(kind, s, delta, gamma, beta):
@@ -163,7 +133,7 @@ def lipschitz_constant(kind, s, delta, gamma, beta):
     if kind in CHEAP_KINDS:
         require_graph_scheme(kind, s)
         c = cheap_coefficients(kind, s.graph)
-        _, k1 = _tree_weights(s.graph)
+        k1 = float(graphmod.degrees(s.graph)[0][0])
         if kind == graphmod.INWARD_STAR:
             amp = np.sqrt(k1 ** 2 + np.sum(c ** 2)) / k1
         elif kind == graphmod.OUTWARD_STAR:

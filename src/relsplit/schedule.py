@@ -136,12 +136,12 @@ class RelaxationPlan:
     margin_floor: float = 1e-3
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ParameterError("theta must be positive")
-        if self.lam is not None and not self.lam > 0:
-            raise ParameterError("lambda must be positive")
-        if not self.margin_floor > 0:
-            raise ParameterError("margin floor must be positive")
+        if not 0 < self.theta < np.inf:
+            raise ParameterError("theta must be positive and finite")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ParameterError("lambda must be positive and finite")
+        if not 0 < self.margin_floor < np.inf:
+            raise ParameterError("margin floor must be positive and finite")
 
     def pair(self, gamma, mu_value):
         """(lambda_k, theta_k) for the current stepsize."""

@@ -95,27 +95,17 @@ class CoefficientScheme:
     def norm_pinv_M(self):
         return linalg.spectral_norm(self.pinv_M)
 
-    @cached_property
-    def ker_mstar_is_ones(self):
-        """Condition (a) at the default tolerance; selects the cheap range(M) projection."""
-        return _condition_a(self, VALIDATION_TOL)[0]
 
-
-def _condition_a(s, tol):
+def condition_report(s, tol=VALIDATION_TOL):
+    """Evaluate the six structural conditions; returns [(label, ok, detail)]."""
+    report = []
     sv = np.linalg.svd(s.M, compute_uv=False)
     cutoff = max(tol, linalg.RCOND * (sv[0] if sv.size else 0.0))
     rank = int(np.sum(sv > cutoff))
     ones_resid = float(np.linalg.norm(s.M.T @ np.ones(s.n)))
     # an overflowed ||M* 1|| would pass against an overflowed ||M||
-    ok = rank == s.n - 1 and math.isfinite(ones_resid) and ones_resid <= tol * max(1.0, s.norm_M)
-    return ok, f"rank(M) = {rank} (need {s.n - 1}), ||M* 1|| = {ones_resid:.3e}"
-
-
-def condition_report(s, tol=VALIDATION_TOL):
-    """Evaluate the six structural conditions; returns [(label, ok, detail)]."""
-    report = []
-    ok_a, detail_a = _condition_a(s, tol)
-    report.append(("a", ok_a, detail_a))
+    ok_a = rank == s.n - 1 and math.isfinite(ones_resid) and ones_resid <= tol * max(1.0, s.norm_M)
+    report.append(("a", ok_a, f"rank(M) = {rank} (need {s.n - 1}), ||M* 1|| = {ones_resid:.3e}"))
 
     resid_b = float(np.max(np.abs(s.P.T @ np.ones(s.n) - 1.0))) if s.p else 0.0
     report.append(("b", resid_b <= tol, f"max |P* 1 - 1| = {resid_b:.3e}"))

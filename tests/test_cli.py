@@ -237,6 +237,11 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedul={"variant": "constant"})
     assert_usage_error(capsys, main(["run", cfg]))
+    for key in ("theta", "margin_floor", "lam"):
+        cfg = run_config(tmp_path, relaxation={key: float("inf")})
+        assert_usage_error(capsys, main(["run", cfg]))
+    cfg = run_config(tmp_path, run={"z0": {"kind": "normal", "scale": float("nan")}})
+    assert_usage_error(capsys, main(["run", cfg]))
 
 
 def test_bench_malformed_value_exits_2(tmp_path, capsys):
@@ -249,7 +254,8 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
     for key, value in (("budget", "lots"), ("fix_res_tol", "tight"), ("z0", 3),
                        ("record_every", [1]), ("budgte", 50),
                        ("methods", [dict(method, budget=50)]),
-                       ("z0", {"kind": "normal", "seed": 1, "sd": 2.0})):
+                       ("z0", {"kind": "normal", "seed": 1, "sd": 2.0}),
+                       ("z0", {"kind": "normal", "scale": float("nan")})):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
         assert_usage_error(capsys, main(["bench", cfg]))
     assert not (tmp_path / "b").exists()

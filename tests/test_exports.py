@@ -1,12 +1,14 @@
 import inspect
 
 import relsplit
-from relsplit import driver, graph, linalg, problems, schedule, scheme
+from relsplit import driver, graph, linalg, problems, relocator, schedule, scheme
 
 REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "problem_to_dict"),
            (problems, "problem_from_dict"), (graph, "laplacian"), (graph, "predecessor_map"),
            (linalg, "kron_apply"), (scheme, "scheme_to_dict"), (scheme, "scheme_from_dict"),
-           (schedule, "schedule_from_config"), (driver, "RelativeErrors")]
+           (schedule, "schedule_from_config"), (driver, "RelativeErrors"),
+           (relocator, "Relocation"), (linalg, "project_zero_sum"), (linalg, "project_range"),
+           (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals")]
 
 
 def test_exported_names_exist():

@@ -44,32 +44,3 @@ def test_spectral_norm_matches_svd():
         mat = rng.standard_normal((5, 3))
         assert abs(linalg.spectral_norm(mat) - np.linalg.svd(mat, compute_uv=False)[0]) <= 1e-12
 
-
-def test_project_zero_sum_examples():
-    y = np.array([[1.0, -2.0], [-1.0, 2.0]])
-    assert np.array_equal(linalg.project_zero_sum(y), y)  # already zero-sum
-    const = np.full((4, 3), 2.5)
-    assert np.allclose(linalg.project_zero_sum(const), 0.0, atol=0.0)
-    out = linalg.project_zero_sum(np.array([[3.0], [1.0]]))
-    assert np.allclose(out, np.array([[1.0], [-1.0]]), atol=0.0)
-
-
-def test_project_zero_sum_idempotent_and_nonexpansive():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        y = rng.standard_normal((4, 3))
-        w = rng.standard_normal((4, 3))
-        py = linalg.project_zero_sum(y)
-        assert np.max(np.abs(linalg.project_zero_sum(py) - py)) <= 1e-14
-        lhs = np.linalg.norm(py - linalg.project_zero_sum(w))
-        assert lhs <= np.linalg.norm(y - w) + 1e-12
-
-
-def test_projection_agrees_with_pinv_route():
-    # incidence matrices have ker(M*) = R*ones, where the closed form applies
-    from relsplit import graph as graphmod
-    rng = np.random.default_rng(4)
-    for kind in graphmod.CANONICAL_KINDS:
-        mat = graphmod.incidence(graphmod.canonical(kind, 5))
-        y = rng.standard_normal((5, 3))
-        assert np.max(np.abs(linalg.project_zero_sum(y) - linalg.project_range(mat, y))) <= 1e-10

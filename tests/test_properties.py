@@ -4,9 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsplit.linalg import project_zero_sum
+from relsplit.graph import CANONICAL_KINDS, canonical, scheme_from_graph
 from relsplit.operators import BoxNormalCone, L1Subdiff, NonnegNormalCone, ZeroOp
+from relsplit.relocator import e_map
 from relsplit.schedule import Observables, SafeguardStepsize
+from relsplit.scheme import kappa_form_scheme
 
 ops = st.sampled_from([L1Subdiff(0.5), L1Subdiff(2.0), BoxNormalCone(1.5),
                        NonnegNormalCone(), ZeroOp()])
@@ -36,14 +38,16 @@ def test_resolvents_firmly_nonexpansive(op, gamma, v, w):
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=8),
-       st.integers(min_value=1, max_value=4))
+       st.integers(min_value=1, max_value=4), st.sampled_from(CANONICAL_KINDS), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_zero_sum_projection_output_sums_to_zero(rows, d):
-    y = np.array(rows)[:, None] * np.ones(d)
-    out = project_zero_sum(y)
-    scale = max(1.0, float(np.max(np.abs(y))))
+def test_e_map_output_sums_to_zero(rows, d, kind, kappa):
+    s = scheme_from_graph(canonical(kind, len(rows)))
+    s = kappa_form_scheme(s) if kappa else s
+    x = np.array(rows)[:, None] * np.ones(d)
+    out = e_map(s, x)
+    scale = max(1.0, float(np.max(np.abs((np.diag(s.d) - np.tril(s.N, -1)) @ x))))
     assert np.max(np.abs(out.sum(axis=0))) <= 1e-9 * scale
-    assert np.max(np.abs(np.ones((1, len(rows))) @ out)) <= 1e-9 * scale
+    assert np.max(np.abs(s.M @ np.linalg.pinv(s.M) @ out - out)) <= 1e-9 * scale
 
 
 @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-9, max_value=1e6),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relsplit import graph as graphmod, relocator
-from relsplit.engine import SplitProblem, first_block
+from relsplit.engine import SplitProblem, first_block, sweep
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.operators import L1Subdiff, ZeroForward, ZeroOp
 from relsplit.propsuites import (kappa_scheme, relocator_axiom_checks,
@@ -10,7 +10,7 @@ from relsplit.propsuites import (kappa_scheme, relocator_axiom_checks,
                                  suite_lipschitz, suite_recycling)
 from relsplit.relocator import (DAVIS_YIN, GENERAL, check_recycling, e_map,
                                 lipschitz_constant, relocate)
-from relsplit.scheme import mu
+from relsplit.scheme import kappa_form_scheme, mu
 
 
 def test_e_map_zero_input():
@@ -35,6 +35,68 @@ def test_e_map_consensus_matches_closed_form():
             coeff = s.d - s.N.sum(axis=1)
             e = e_map(s, np.tile(xbar, (4, 1)))
             assert np.max(np.abs(e - np.outer(coeff, xbar))) <= 1e-12
+
+
+def _e_lower(s):
+    """D - N_<, the lower-triangular map whose range(M) projection is the e map."""
+    return np.diag(s.d) - np.tril(s.N, -1)
+
+
+def _reference_schemes():
+    for kind in graphmod.CANONICAL_KINDS:
+        for n in range(2, 7):
+            raw = graphmod.scheme_from_graph(graphmod.canonical(kind, n))
+            yield raw
+            yield kappa_form_scheme(raw)
+
+
+def test_e_map_projects_onto_range_m():
+    # on graph schemes ker(M*) = R*ones, so range(M) is the zero-sum subspace:
+    # e_map of the x with (D - N_<) x = y is y - mean(y)
+    rng = np.random.default_rng(4)
+    for s in _reference_schemes():
+        lower = _e_lower(s)
+        proj = s.M @ np.linalg.pinv(s.M)
+        y, w = rng.standard_normal((2, s.n, 3))
+        e = e_map(s, np.linalg.solve(lower, y))
+        assert np.max(np.abs(e - (y - y.mean(axis=0)))) <= 1e-12
+        assert np.max(np.abs(e.sum(axis=0))) <= 1e-12
+        assert np.max(np.abs(proj @ e - e)) <= 1e-12
+        # idempotent and nonexpansive
+        assert np.max(np.abs(e_map(s, np.linalg.solve(lower, e)) - e)) <= 1e-12
+        ew = e_map(s, np.linalg.solve(lower, w))
+        assert np.linalg.norm(e - ew) <= np.linalg.norm(y - w) + 1e-12
+
+
+def test_e_map_projection_examples():
+    # a zero-sum y is kept, a constant one is removed
+    for s in _reference_schemes():
+        lower = _e_lower(s)
+        y0 = np.array([[1.0, -2.0], [-1.0, 2.0]] + [[0.0, 0.0]] * (s.n - 2))
+        assert np.max(np.abs(e_map(s, np.linalg.solve(lower, y0)) - y0)) <= 1e-12
+        const = np.full((s.n, 3), 2.5)
+        assert np.max(np.abs(e_map(s, np.linalg.solve(lower, const)))) <= 1e-12
+    s = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 2))
+    out = e_map(s, np.linalg.solve(_e_lower(s), np.array([[3.0], [1.0]])))
+    assert np.max(np.abs(out - np.array([[1.0], [-1.0]]))) <= 1e-15
+
+
+def test_general_relocate_matches_pinv_reference():
+    # Q z = r z + (1 - r) M^dagger P_range(M) (D - N_<) x, with numpy's pinv
+    from relsplit.scheme import CoefficientScheme
+    no_a = CoefficientScheme([1.0, 1.0], [[1.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                             np.zeros((2, 0)), np.zeros((0, 2)))
+    rng = np.random.default_rng(8)
+    gamma, delta = 0.4, 0.9
+    r = delta / gamma
+    for s in [*_reference_schemes(), no_a]:
+        prob = SplitProblem([L1Subdiff(0.3)] * s.n, [ZeroForward()] * s.p, beta=0.0, dim=3)
+        z = rng.standard_normal((s.m, 3))
+        x = sweep(s, prob, gamma, z).x
+        pinv = np.linalg.pinv(s.M)
+        expect = r * z + (1.0 - r) * (pinv @ (s.M @ pinv @ (_e_lower(s) @ x)))
+        out = relocate(GENERAL, s, prob, delta, gamma, z)
+        assert np.max(np.abs(out - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_relocate_identity_when_stepsize_unchanged():
@@ -114,11 +176,11 @@ def test_general_relocator_axioms_on_explicit_scheme():
 
 
 def test_e_map_fallback_projection_without_condition_a():
-    # ker(M*) != R*ones here, so e_map must project through M M^dagger
-    from relsplit.scheme import CoefficientScheme
+    # ker(M*) != R*ones here, so range(M) is not the zero-sum subspace
+    from relsplit.scheme import CoefficientScheme, condition_report
     s = CoefficientScheme([1.0, 1.0], [[1.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]],
                           np.zeros((2, 0)), np.zeros((0, 2)))
-    assert not s.ker_mstar_is_ones
+    assert not dict((label, ok) for label, ok, _ in condition_report(s))["a"]
     x = np.array([[3.0, 1.0], [1.0, -1.0]])
     e = e_map(s, x)
     # range(M (x) Id) = {(y, y)}: the projection averages the two blocks

@@ -42,7 +42,6 @@ def test_violation_reports_offending_quantity():
         report = dict((label, (ok, detail)) for label, ok, detail in condition_report(s))
         ok, detail = report["a"]
         assert ok is False and "||M* 1||" in detail
-        assert s.ker_mstar_is_ones is False
 
 
 def test_dimension_inconsistency_is_structural():
