@@ -44,3 +44,46 @@ def test_spectral_norm_matches_svd():
         mat = rng.standard_normal((5, 3))
         assert abs(linalg.spectral_norm(mat) - np.linalg.svd(mat, compute_uv=False)[0]) <= 1e-12
 
+
+
+def _zero_sum_routes(kind, n):
+    """Three routes to the zero-sum projection on a canonical graph scheme.
+
+    ker(M*) = R*ones on incidence matrices, so range(M) is the zero-sum subspace
+    and the closed form y - mean(y), the pinv route M M^+ y and the e map fed
+    the x with (D - N_<) x = y must all agree.
+    """
+    from relsplit import graph as graphmod
+    from relsplit.relocator import e_map
+    s = graphmod.scheme_from_graph(graphmod.canonical(kind, n))
+    proj = s.M @ linalg.pseudoinverse(s.M)
+    lower = np.diag(s.d) - np.tril(s.N, -1)
+    return (lambda y: y - y.mean(axis=0),
+            lambda y: proj @ y,
+            lambda y: e_map(s, np.linalg.solve(lower, y)))
+
+
+def test_project_zero_sum_idempotent_and_nonexpansive():
+    from relsplit import graph as graphmod
+    rng = np.random.default_rng(3)
+    routes = [r for kind in graphmod.CANONICAL_KINDS for r in _zero_sum_routes(kind, 4)]
+    for _ in range(50):
+        y = rng.standard_normal((4, 3))
+        w = rng.standard_normal((4, 3))
+        for project in routes:
+            py = project(y)
+            assert np.max(np.abs(py.sum(axis=0))) <= 1e-12
+            assert np.max(np.abs(project(py) - py)) <= 1e-12
+            lhs = np.linalg.norm(py - project(w))
+            assert lhs <= np.linalg.norm(y - w) + 1e-12
+
+
+def test_projection_agrees_with_pinv_route():
+    # incidence matrices have ker(M*) = R*ones, where the closed form applies
+    from relsplit import graph as graphmod
+    rng = np.random.default_rng(4)
+    for kind in graphmod.CANONICAL_KINDS:
+        closed, pinv_route, e_route = _zero_sum_routes(kind, 5)
+        y = rng.standard_normal((5, 3))
+        assert np.max(np.abs(closed(y) - pinv_route(y))) <= 1e-10
+        assert np.max(np.abs(closed(y) - e_route(y))) <= 1e-10
