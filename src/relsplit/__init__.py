@@ -8,7 +8,7 @@ three-operator Davis-Yin algorithm).
 """
 
 from .driver import RunConfig, Trace, run, run_davis_yin
-from .engine import SplitProblem, SweepResult, apply_T, first_block, residuals, sweep
+from .engine import SplitProblem, apply_T, first_block, residuals, sweep
 from .errors import ParameterError, StructuralError
 from .graph import (CANONICAL_KINDS, INWARD_STAR, OUTWARD_STAR, SEQUENTIAL, DiGraph,
                     canonical, degrees, incidence, incidence_pinv_closed_form,
@@ -34,7 +34,7 @@ __all__ = [
     "LeastSquaresGrad", "NonnegNormalCone", "OUTWARD_STAR", "Observables",
     "ParameterError", "RelaxationPlan", "ResolventOp", "RunConfig",
     "SEQUENTIAL", "SafeguardStepsize", "ScaledIdentity", "ScheduleSpec",
-    "SplitProblem", "StructuralError", "SweepResult", "Trace", "ZeroForward",
+    "SplitProblem", "StructuralError", "Trace", "ZeroForward",
     "ZeroOp", "apply_T", "canonical", "check_recycling",
     "check_resolvent_identity", "condition_report", "degrees", "e_map", "eta",
     "feasibility_margin", "first_block", "gen_elastic_net", "gen_lasso",

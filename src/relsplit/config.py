@@ -29,6 +29,8 @@ kind, or "graph" for an arc list; two jobs with one CSV name are an error);
 ([{"name", "schedule"}, ...], else ``default_methods``). ``relsplit validate``
 reads the scheme sections of either document and "tol" (1e-10).
 
+The counts (max_iters, record_every, budget, a nonzero reference_budget) must
+be whole numbers >= 1, fix_res_tol finite and positive (``driver.check_limits``).
 Graph-built schemes are run in their kappa form so the configured gamma
 matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
 A reference solve minimises the same objective as the split (half_quadratic).
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, graph as graphmod, problems, relocator
-from .driver import RunConfig, default_z0
+from .driver import RunConfig, as_count, default_z0
 from .errors import ParameterError, StructuralError
 from .schedule import ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec
 from .scheme import CoefficientScheme, kappa_form_scheme
@@ -187,8 +189,8 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
     return RunConfig(scheme=s, problem=split,
                      relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
                      schedule=schedule, relaxation=RelaxationPlan(**doc.get("relaxation", {})),
-                     max_iters=int(max_iters), fix_res_tol=float(fix_res_tol),
-                     record_every=int(record_every), objective=objective_fn)
+                     max_iters=max_iters, fix_res_tol=float(fix_res_tol),
+                     record_every=record_every, objective=objective_fn)
 
 
 @_config_errors
@@ -210,7 +212,8 @@ def build_run(doc):
     budget = run_doc.get("reference_budget")
     if not budget:
         return cfg, z0, False
-    ref = problems.reference_solution(prob, int(budget), half_quadratic=half)
+    ref = problems.reference_solution(prob, as_count("reference_budget", budget),
+                                      half_quadratic=half)
     cfg.reference = (ref.x, ref.phi)
     return cfg, z0, ref.flagged
 
@@ -238,7 +241,7 @@ def build_bench(doc):
     """
     _section("bench spec", doc, BENCH_KEYS)
     prob, split, objective_fn, half = build_problem(doc["problem"])
-    budget = int(doc.get("budget", 10000))   # RunConfig checks it is >= 1
+    budget = as_count("budget", doc.get("budget", 10000))
     limits = (budget, doc.get("fix_res_tol", 1e-10), doc.get("record_every", 10))
     methods = None
     if "methods" in doc:

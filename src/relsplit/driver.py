@@ -38,6 +38,7 @@ violations abort the run and return the partial trace with an abort marker.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,22 @@ _NAN = float("nan")
 _INF = float("inf")
 
 
+def as_count(name, value):
+    """``value`` as an int when it is a whole number >= 1 (1e3 is 1000), else a ParameterError."""
+    whole = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not (whole and value >= 1):
+        raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
+def check_limits(max_iters, fix_res_tol, record_every):
+    """(max_iters, record_every) as ints; a ParameterError unless fix_res_tol is finite and > 0."""
+    if not 0 < fix_res_tol < _INF:   # NaN fails both comparisons
+        raise ParameterError(f"fix_res_tol must be finite and positive, got {fix_res_tol!r}")
+    return as_count("max_iters", max_iters), as_count("record_every", record_every)
+
+
 @dataclass
 class RunConfig:
     """Bound inputs of one run: scheme, problem, relocator kind, schedules, limits."""
@@ -64,17 +81,12 @@ class RunConfig:
     max_iters: int = 1000
     fix_res_tol: float = 1e-10
     record_every: int = 1
-    record_paths: bool = False
     objective: object | None = None          # callable x -> float, for the trace
     reference: tuple | None = None           # (x_star, phi_star) for relative errors
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if not self.fix_res_tol > 0:
-            raise ParameterError("fix_res_tol must be positive")
-        if self.record_every < 1:
-            raise ParameterError("record_every must be >= 1")
+        self.max_iters, self.record_every = check_limits(self.max_iters, self.fix_res_tol,
+                                                         self.record_every)
         if self.relocator not in relocator.KINDS:
             raise ParameterError(f"unknown relocator kind {self.relocator!r}")
         if self.relocator in relocator.CHEAP_KINDS:
@@ -95,8 +107,6 @@ class Trace:
     rel_err_x: list = field(default_factory=list)
     rel_err_f: list = field(default_factory=list)
     sweeps: list = field(default_factory=list)
-    x_path: list = field(default_factory=list)
-    z_path: list = field(default_factory=list)
     z_final: np.ndarray | None = None
     x_final: np.ndarray | None = None
     iterations: int = 0
@@ -134,9 +144,8 @@ class _Recorder:
     rel_err_x = ||x - x*|| / max(||x*||, 1e-30), rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
     """
 
-    def __init__(self, objective=None, reference=None, record_paths=False):
+    def __init__(self, objective=None, reference=None):
         self.objective = objective
-        self.record_paths = record_paths
         self.trace = Trace()
         self.reference = reference is not None
         if self.reference:
@@ -145,7 +154,7 @@ class _Recorder:
             self.phi_star = float(reference[1])
             self.f_den = max(abs(self.phi_star), 1e-30)
 
-    def row(self, k, gamma, theta, lam, fix_res, consensus, xbar, evals, z=None):
+    def row(self, k, gamma, theta, lam, fix_res, consensus, xbar, evals):
         t = self.trace
         t.k.append(k)
         t.gamma.append(gamma)
@@ -162,10 +171,6 @@ class _Recorder:
             t.rel_err_x.append(_NAN)
             t.rel_err_f.append(_NAN)
         t.sweeps.append(evals)
-        if self.record_paths:
-            t.x_path.append(np.array(xbar))
-            if z is not None:
-                t.z_path.append(np.array(z))
 
 
 def _infeasible(k, gamma, lam, margin, floor):
@@ -205,7 +210,7 @@ def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, re
     last = max_iters - 1
     for k in range(max_iters):
         lam, theta = relax.pair(gamma, mu_value)
-        margin = 2.0 - gamma * mu_value - 2.0 * lam * theta
+        margin = schememod.feasibility_margin(gamma, lam, theta, mu_value)
         if lam <= 0 or margin < floor - 1e-12:
             trace.aborted = _infeasible(k, gamma, lam, margin, floor)
             break
@@ -213,7 +218,7 @@ def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, re
         done = fix_res <= fix_res_tol
         stop = done or not fix_res < _INF
         if stop or k % record_every == 0 or k == last:
-            rec.row(k, gamma, theta, lam, fix_res, consensus, step.x, step.evals, z=step.z)
+            rec.row(k, gamma, theta, lam, fix_res, consensus, step.x, step.evals)
         trace.iterations = k + 1
         if stop:
             if done:
@@ -251,7 +256,7 @@ class _EngineStep:
         pass
 
     def residuals(self, gamma):
-        xs, _ = self.sweeps.sweep(gamma, self.z, self.x1)
+        xs = self.sweeps.sweep(gamma, self.z, self.x1)
         self.x = xs[0]
         self.evals += self.sweeps.n if self.x1 is None else self.sweeps.n - 1
         self.mstar_x, fix_res, consensus = self.sweeps.residuals(xs)
@@ -260,7 +265,7 @@ class _EngineStep:
     def advance(self, gamma, lam_theta):
         w = self.w = self.z - lam_theta * self.mstar_x
         if self.general:
-            self.at_w = self.sweeps.sweep(gamma, w)[0]
+            self.at_w = self.sweeps.sweep(gamma, w)
             self.evals += self.sweeps.n
             x1w = self.at_w[0]
         else:
@@ -284,7 +289,7 @@ def run(cfg, z0=None):
     if z.shape != (s.m, prob.dim):
         raise StructuralError(f"z0 must have shape ({s.m}, {prob.dim}), got {z.shape}")
     step = _EngineStep(sweeps, kind == relocator.GENERAL, relocator.relocation_map(kind, s), z)
-    rec = _Recorder(cfg.objective, cfg.reference, cfg.record_paths)
+    rec = _Recorder(cfg.objective, cfg.reference)
     return _iterate(step, sched, cfg.relaxation, mu_value, prob.beta, rec, cfg.max_iters,
                     cfg.fix_res_tol, cfg.record_every)
 
@@ -322,7 +327,7 @@ class _DavisYinStep:
 
 
 def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=1e-10,
-                  record_every=1, record_paths=False, objective=None, reference=None):
+                  record_every=1, objective=None, reference=None):
     """Relocated three-operator splitting for 0 in A1 x + A2 x + B x.
 
     ``z0`` is a vector in R^d. The cocoercivity modulus is B's own beta.
@@ -332,10 +337,9 @@ def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=
     z = np.asarray(z0, dtype=float)
     if z.ndim != 1:
         raise StructuralError("run_davis_yin expects a flat vector z0")
-    if max_iters < 1:
-        raise ParameterError("max_iters must be >= 1")
+    max_iters, record_every = check_limits(max_iters, fix_res_tol, record_every)
     beta = float(b.beta)
     sched = schedule_spec.build(beta, beta)
-    rec = _Recorder(objective, reference, record_paths)
+    rec = _Recorder(objective, reference)
     return _iterate(_DavisYinStep(a1, a2, b, z), sched, plan, beta, beta, rec, max_iters,
                     fix_res_tol, record_every)

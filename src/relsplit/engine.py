@@ -16,7 +16,9 @@ block vectors z with all x_i equal.
 
 ``SweepPlan`` holds the one sweep implementation, with the per-scheme and
 per-problem work done at construction; the public ``sweep``,
-``first_block`` and ``residuals`` are validated wrappers over it.
+``first_block`` and ``residuals`` are validated wrappers over it. A sweep's
+result is the plain (n, d) array of resolvent outputs x; ``residuals`` and
+``relocator.relocate`` take that array.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ class SplitProblem:
             raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.dim < 1:
             raise ParameterError("dim must be positive")
-
-
-@dataclass
-class SweepResult:
-    """Resolvent outputs (n, d) plus the cached forward evaluations B_j((Rx)_j)."""
-
-    x: np.ndarray
-    forward_values: list
-    resolvent_evals: int
-    forward_evals: int
 
 
 def check_binding(s, prob):
@@ -124,7 +116,6 @@ class SweepPlan(ResidualPlan):
                                 prob.forwards[j].apply))
                 evaluated.add(j)
             self.rows.append((prob.resolvents[i].resolve, di, n_terms, p_terms))
-        self.forward_evals = len(evaluated)
 
     def blocks(self, z):
         """``z`` as an (m, dim) float block vector, or a StructuralError."""
@@ -134,7 +125,7 @@ class SweepPlan(ResidualPlan):
         return z
 
     def sweep(self, gamma, z, x1=None):
-        """(x, forward values) at (gamma, z); ``x1`` is used as x_1 without evaluation."""
+        """The (n, d) outputs x at (gamma, z); ``x1`` is used as x_1 without evaluation."""
         mzd = (self.M @ z) / self.d_col
         x = np.empty((self.n, z.shape[1]))
         x[0] = self.resolve1(gamma / self.d1, mzd[0]) if x1 is None else x1
@@ -148,24 +139,24 @@ class SweepPlan(ResidualPlan):
                     forward_values[j] = apply(x[cols] if vals is None else vals @ x[cols])
                 arg = arg - (gamma * c / di) * forward_values[j]
             x[i] = resolve(gamma / di, arg)
-        return x, forward_values
+        return x
 
     def first_block(self, gamma, z):
         return self.resolve1(gamma / self.d1, (self.M0 @ z) / self.d1)
 
 
 def sweep(s, prob, gamma, z, x1=None):
-    """Run the resolvent sweep at stepsize gamma from block vector z.
+    """The (n, d) array x of resolvent outputs of the sweep at stepsize gamma from z.
 
     When ``x1`` is supplied it is used as the first resolvent output without
     re-evaluation (the recycling hook for the cheap relocators, which
     guarantee x_1 at the relocated point equals x_1 at the pre-relocation
-    point).
+    point); the sweep then costs n - 1 resolvent evaluations instead of n.
+    Each forward operator the scheme uses is applied once.
     """
     _check_gamma(gamma)
     plan = SweepPlan(s, prob)
-    x, forward_values = plan.sweep(gamma, plan.blocks(z), x1)
-    return SweepResult(x, forward_values, s.n - (x1 is not None), plan.forward_evals)
+    return plan.sweep(gamma, plan.blocks(z), x1)
 
 
 def first_block(s, prob, gamma, z):
@@ -176,13 +167,13 @@ def first_block(s, prob, gamma, z):
 
 
 def apply_T(s, prob, theta, gamma, z):
-    """One application of T_{theta,gamma}: returns (z - theta * M* x, sweep)."""
-    sw = sweep(s, prob, gamma, z)
+    """One application of T_{theta,gamma}: returns (z - theta * M* x, x)."""
+    x = sweep(s, prob, gamma, z)
     z = as_blocks(z, s.m)
-    return z - theta * (s.M.T @ sw.x), sw
+    return z - theta * (s.M.T @ x), x
 
 
-def residuals(s, sw):
-    """(fix_res, consensus): ||M* x|| and max_{i<j} ||x_i - x_j||."""
-    _, fix_res, consensus = ResidualPlan(s).residuals(sw.x)
+def residuals(s, x):
+    """(fix_res, consensus) of the sweep outputs x: ||M* x|| and max_{i<j} ||x_i - x_j||."""
+    _, fix_res, consensus = ResidualPlan(s).residuals(x)
     return fix_res, consensus

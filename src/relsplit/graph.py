@@ -169,25 +169,19 @@ def default_predecessors(g):
     return h
 
 
-def scheme_from_graph(g, h=None):
+def scheme_from_graph(g):
     """Coefficient scheme of the graph-devised forward-backward method.
 
     D = (1/2) diag(degrees), M = incidence, N_ij = 1 iff j -> i,
-    P^T = [0 | I_{n-1}], R with R[i-1, h(i+1)-1] = 1; n resolvents,
-    p = m = n - 1. Only spanning trees are supported.
+    P^T = [0 | I_{n-1}], R with R[i-1, h(i+1)-1] = 1 for the predecessors h
+    of ``default_predecessors``; n resolvents, p = m = n - 1. Only spanning
+    trees are supported.
     """
     if g.n < 2:
         raise ParameterError("schemes need n >= 2 nodes")
     if not g.is_tree:
         raise ParameterError(f"only spanning trees are supported ({g.n_arcs} arcs, n = {g.n})")
-    if h is None:
-        h = default_predecessors(g)
-    else:
-        for i in range(2, g.n + 1):
-            if i not in h:
-                raise StructuralError(f"predecessor map missing node {i}")
-            if not 1 <= h[i] < i:
-                raise StructuralError(f"predecessor h({i}) = {h[i]} must lie in 1..{i - 1}")
+    h = default_predecessors(g)
     n = g.n
     kappa, _, _ = degrees(g)
     d = 0.5 * kappa.astype(float)

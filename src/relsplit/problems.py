@@ -129,15 +129,12 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
     return ElasticNetProblem(A, b, lam1, lam2)
 
 
-def objective(problem, x, half=False):
-    """The reported objective phi(x); ``half`` selects the (1/2)||Ax-b||^2 LASSO variant."""
+def objective(problem, x):
+    """The reported objective phi(x); the LASSO's is ||Ax - b||^2 + lam ||x||_1 (unhalved)."""
     x = np.asarray(x, dtype=float)
     r = problem.A @ x - problem.b
     if isinstance(problem, LassoProblem):
-        quad = float(r @ r)
-        if half:
-            quad *= 0.5
-        return quad + problem.lam * float(np.abs(x).sum())
+        return float(r @ r) + problem.lam * float(np.abs(x).sum())
     if isinstance(problem, ElasticNetProblem):
         return (0.5 * float(r @ r) + problem.lam1 * float(np.abs(x).sum())
                 + 0.5 * problem.lam2 * float(x @ x))

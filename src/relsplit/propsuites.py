@@ -196,12 +196,12 @@ def relocator_axiom_checks(s, split, cheap_kind, gamma, fix_tol=1e-10,
     mu_value = scheme_mu(s, split.beta)
     trace = converge(s, split, cheap_kind, gamma, fix_res_tol=fix_tol)
     z_star = trace.z_final
-    sw_star = engine.sweep(s, split, gamma, z_star)
+    x_sweep = engine.sweep(s, split, gamma, z_star)
     deltas = [d for d in (0.5 * gamma, 2.0 * gamma)
               if mu_value == 0.0 or d < 2.0 / mu_value]
     for kind in (cheap_kind, GENERAL):
         for delta in deltas:
-            zd = relocator.relocate(kind, s, split, delta, gamma, z_star, sweep=sw_star)
+            zd = relocator.relocate(kind, s, split, delta, gamma, z_star, sweep=x_sweep)
             fr, _ = engine.residuals(s, engine.sweep(s, split, delta, zd))
             if fr > reloc_tol:
                 failures.append(f"{kind}: fix_res at delta={delta:.4g} is {fr:.3e}")
@@ -211,15 +211,15 @@ def relocator_axiom_checks(s, split, cheap_kind, gamma, fix_tol=1e-10,
                                 f"{np.linalg.norm(back - z_star):.3e} at delta={delta:.4g}")
         if deltas:
             delta, eps = deltas[0], 1.5 * gamma
-            step1 = relocator.relocate(kind, s, split, delta, gamma, z_star, sweep=sw_star)
+            step1 = relocator.relocate(kind, s, split, delta, gamma, z_star, sweep=x_sweep)
             two_leg = relocator.relocate(kind, s, split, eps, delta, step1)
-            direct = relocator.relocate(kind, s, split, eps, gamma, z_star, sweep=sw_star)
+            direct = relocator.relocate(kind, s, split, eps, gamma, z_star, sweep=x_sweep)
             gap = float(np.linalg.norm(two_leg - direct))
             if gap > reloc_tol:
                 failures.append(f"{kind}: semigroup identity off by {gap:.3e}")
     for delta in deltas:
-        qc = relocator.relocate(cheap_kind, s, split, delta, gamma, z_star, sweep=sw_star)
-        qg = relocator.relocate(GENERAL, s, split, delta, gamma, z_star, sweep=sw_star)
+        qc = relocator.relocate(cheap_kind, s, split, delta, gamma, z_star, sweep=x_sweep)
+        qg = relocator.relocate(GENERAL, s, split, delta, gamma, z_star, sweep=x_sweep)
         gap = float(np.linalg.norm(qc - qg))
         if gap > agree_tol:
             failures.append(f"cheap vs general at delta={delta:.4g}: gap {gap:.3e}")

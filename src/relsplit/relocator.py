@@ -107,18 +107,18 @@ def cheap_coefficients(kind, g):
 def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     """Apply Q_{delta <- gamma} to z.
 
-    For the cheap kinds only ``x1`` (the first resolvent output at
-    (gamma, z)) is needed; for ``general`` a full sweep at (gamma, z) is
-    required (computed here when not supplied).
+    ``sweep`` is the (n, d) array ``engine.sweep`` returns at (gamma, z).
+    For the cheap kinds only ``x1`` (its first row) is needed; for
+    ``general`` the full array is (each computed here when not supplied).
     """
     r = _check_ratio(delta, gamma)
     z = linalg.as_blocks(z, s.m)
     K = relocation_map(kind, s)
     if kind == GENERAL:
-        x = (sweep if sweep is not None else engine.sweep(s, prob, gamma, z)).x
+        x = sweep if sweep is not None else engine.sweep(s, prob, gamma, z)
         return r * z + (1.0 - r) * (K @ x)
     if x1 is None:
-        x1 = sweep.x[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
+        x1 = sweep[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
     return r * z + (1.0 - r) * (K * x1)
 
 

@@ -51,10 +51,8 @@ class ConstantStepsize:
         if not gamma > 0:
             raise ParameterError("constant stepsize must be positive")
         self.gamma = float(gamma)
-        self.k = 0
 
     def next_gamma(self, obs=None):
-        self.k += 1
         return self.gamma
 
 

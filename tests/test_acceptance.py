@@ -154,7 +154,7 @@ def test_criterion_7_empirical_lipschitz():
     report(7, "empirical Lipschitz bounds, 1000 pairs per kind")
 
 
-def test_criterion_8_algorithm_one_equivalence(desk_lasso):
+def test_criterion_8_algorithm_one_equivalence(desk_lasso, iterates):
     prob, split, _ = desk_lasso
     rng = np.random.default_rng(8)
     z0 = rng.standard_normal(prob.dim)
@@ -162,15 +162,19 @@ def test_criterion_8_algorithm_one_equivalence(desk_lasso):
     worst = 0.0
     for spec in (ScheduleSpec(variant="constant", gamma=1.0 / split.beta),
                  ScheduleSpec(variant="safeguard", t_rule="norm-ratio")):
-        t_alg = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
-                              spec, RelaxationPlan(), z0, max_iters=100,
-                              fix_res_tol=1e-16, record_paths=True)
-        cfg = RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN,
-                        schedule=spec, relaxation=RelaxationPlan(), max_iters=100,
-                        fix_res_tol=1e-16, record_paths=True)
-        t_eng = run(cfg, z0[None, :])
-        assert len(t_alg.x_path) == len(t_eng.x_path) == 100
-        for xa, xe, za, ze in zip(t_alg.x_path, t_eng.x_path, t_alg.z_path, t_eng.z_path):
+        _, xs_alg, zs_alg = iterates(
+            lambda k, phi: run_davis_yin(split.resolvents[0], split.resolvents[1],
+                                         split.forwards[0], spec, RelaxationPlan(), z0,
+                                         max_iters=k, fix_res_tol=1e-16, objective=phi),
+            z0, 100)
+        _, xs_eng, zs_eng = iterates(
+            lambda k, phi: run(RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN,
+                                         schedule=spec, relaxation=RelaxationPlan(),
+                                         max_iters=k, fix_res_tol=1e-16, objective=phi),
+                               z0[None, :]),
+            z0[None, :], 100)
+        assert len(xs_alg) == len(xs_eng) == 100
+        for xa, xe, za, ze in zip(xs_alg, xs_eng, zs_alg, zs_eng):
             worst = max(worst, float(np.max(np.abs(xa - xe))),
                         float(np.max(np.abs(za - ze.ravel()))))
         assert worst <= 1e-12

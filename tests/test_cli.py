@@ -242,6 +242,10 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
         assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, run={"z0": {"kind": "normal", "scale": float("nan")}})
     assert_usage_error(capsys, main(["run", cfg]))
+    # limits: a finite tolerance and whole counts, never truncated
+    for run_doc in ({"max_iters": 20, "fix_res_tol": float("inf")}, {"max_iters": 2.5},
+                    {"record_every": 1.5}, {"max_iters": 20, "reference_budget": 2.5}):
+        assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
 
 
 def test_bench_malformed_value_exits_2(tmp_path, capsys):
@@ -255,7 +259,8 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
                        ("record_every", [1]), ("budgte", 50),
                        ("methods", [dict(method, budget=50)]),
                        ("z0", {"kind": "normal", "seed": 1, "sd": 2.0}),
-                       ("z0", {"kind": "normal", "scale": float("nan")})):
+                       ("z0", {"kind": "normal", "scale": float("nan")}),
+                       ("budget", 2.5), ("record_every", 1.5)):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
         assert_usage_error(capsys, main(["bench", cfg]))
     assert not (tmp_path / "b").exists()

@@ -73,43 +73,55 @@ def test_fixed_point_stability():
     assert trace.fix_res[-1] <= 10.0 * base.fix_res[-1]
 
 
-def test_constant_schedule_is_krasnoselskii_mann():
+def test_constant_schedule_is_krasnoselskii_mann(iterates):
     # with gamma fixed the relocation is the identity and the run equals the
     # plain relaxed fixed-point iteration on T
     s, split, _ = small_lasso_setup(5)
     gamma = 0.9 / split.beta
     plan = RelaxationPlan(lam=0.45, theta=1.0)
-    cfg = RunConfig(scheme=s, problem=split, relocator=GENERAL,
-                    schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                    relaxation=plan, max_iters=60, fix_res_tol=1e-14,
-                    record_paths=True, record_every=1)
     rng = np.random.default_rng(0)
     z0 = rng.standard_normal((1, split.dim))
-    trace = run(cfg, z0)
+    trace, _, zs = iterates(
+        lambda k, phi: run(RunConfig(scheme=s, problem=split, relocator=GENERAL,
+                                     schedule=ScheduleSpec(variant="constant", gamma=gamma),
+                                     relaxation=plan, max_iters=k, fix_res_tol=1e-14,
+                                     record_every=1, objective=phi), z0),
+        z0, 60)
     z = z0.copy()
     for k in range(60):
-        assert np.max(np.abs(trace.z_path[k] - z)) <= 1e-12
+        assert np.max(np.abs(zs[k] - z)) <= 1e-12
         tz, _ = apply_T(s, split, 1.0, gamma, z)
         z = (1.0 - 0.45) * z + 0.45 * tz
     assert not trace.converged
 
 
-def test_davis_yin_equivalence_with_safeguard():
+def davis_yin_at(split, spec, plan, z0, **kwargs):
+    """``run_at`` of the standalone loop, for the ``iterates`` helper."""
+    return lambda k, phi: run_davis_yin(split.resolvents[0], split.resolvents[1],
+                                        split.forwards[0], spec, plan, z0, max_iters=k,
+                                        objective=phi, **kwargs)
+
+
+def engine_at(z0, **kwargs):
+    """``run_at`` of the engine loop, for the ``iterates`` helper."""
+    return lambda k, phi: run(RunConfig(max_iters=k, objective=phi, **kwargs), z0)
+
+
+def test_davis_yin_equivalence_with_safeguard(iterates):
     s, split, _ = small_lasso_setup(7)
     spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
     plan = RelaxationPlan()
     rng = np.random.default_rng(1)
     z0 = rng.standard_normal(split.dim)
-    t_alg = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
-                          spec, plan, z0, max_iters=100, fix_res_tol=1e-16,
-                          record_paths=True)
-    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                    relaxation=plan, max_iters=100, fix_res_tol=1e-16,
-                    record_paths=True)
-    t_eng = run(cfg, z0[None, :])
-    assert len(t_alg.x_path) == len(t_eng.x_path) == 100
-    for xa, xe, za, ze, ga, ge in zip(t_alg.x_path, t_eng.x_path, t_alg.z_path,
-                                      t_eng.z_path, t_alg.gamma, t_eng.gamma):
+    t_alg, xs_alg, zs_alg = iterates(davis_yin_at(split, spec, plan, z0, fix_res_tol=1e-16),
+                                     z0, 100)
+    t_eng, xs_eng, zs_eng = iterates(
+        engine_at(z0[None, :], scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                  relaxation=plan, fix_res_tol=1e-16),
+        z0[None, :], 100)
+    assert len(xs_alg) == len(xs_eng) == 100
+    for xa, xe, za, ze, ga, ge in zip(xs_alg, xs_eng, zs_alg, zs_eng,
+                                      t_alg.gamma, t_eng.gamma):
         assert np.max(np.abs(xa - xe)) <= 1e-12
         assert np.max(np.abs(za - ze.ravel())) <= 1e-12
         assert abs(ga - ge) <= 1e-14
@@ -117,21 +129,21 @@ def test_davis_yin_equivalence_with_safeguard():
 
 
 @pytest.mark.parametrize("iters", [5, 30])
-def test_x_final_is_the_last_rows_iterate(iters):
+def test_x_final_is_the_last_rows_iterate(iters, iterates):
     # a run that stops at max_iters has relocated once more after its last
     # row; both loops still report that row's shadow iterate as x_final
     s, split, _ = small_lasso_setup(7)
     spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
     z0 = np.random.default_rng(1).standard_normal(split.dim)
-    t_alg = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
-                          spec, RelaxationPlan(), z0, max_iters=iters, fix_res_tol=1e-16,
-                          record_paths=True)
-    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                    max_iters=iters, fix_res_tol=1e-16, record_paths=True)
-    t_eng = run(cfg, z0[None, :])
-    for trace in (t_alg, t_eng):
+    t_alg, xs_alg, _ = iterates(
+        davis_yin_at(split, spec, RelaxationPlan(), z0, fix_res_tol=1e-16), z0, iters)
+    t_eng, xs_eng, _ = iterates(
+        engine_at(z0[None, :], scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                  fix_res_tol=1e-16),
+        z0[None, :], iters)
+    for trace, xs in ((t_alg, xs_alg), (t_eng, xs_eng)):
         assert trace.iterations == iters and not trace.converged
-        assert np.array_equal(trace.x_final, trace.x_path[-1])
+        assert np.array_equal(trace.x_final, xs[-1])
     assert np.max(np.abs(t_alg.x_final - t_eng.x_final)) <= 1e-12
     assert np.max(np.abs(t_alg.z_final - t_eng.z_final.ravel())) <= 1e-12
 
@@ -247,6 +259,32 @@ def test_run_config_validation():
         RunConfig(scheme=raw, problem=split, relocator=DAVIS_YIN)
 
 
+BAD_LIMITS = [dict(max_iters=0), dict(max_iters=2.5), dict(max_iters="5"), dict(max_iters=True),
+              dict(record_every=0), dict(record_every=1.5), dict(fix_res_tol=0.0),
+              dict(fix_res_tol=-1.0), dict(fix_res_tol=float("nan")),
+              dict(fix_res_tol=float("inf"))]
+
+
+def test_limits_are_checked_in_both_loops():
+    s, split, _ = small_lasso_setup(12)
+    spec = ScheduleSpec(variant="constant", gamma=0.5 / split.beta)
+    z0 = np.zeros(split.dim)
+    for bad in BAD_LIMITS:
+        limits = dict(dict(max_iters=3, fix_res_tol=1e-10, record_every=1), **bad)
+        with pytest.raises(ParameterError):
+            RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec, **limits)
+        with pytest.raises(ParameterError):
+            run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0], spec,
+                          RelaxationPlan(), z0, **limits)
+    # whole numbers written as floats (a JSON 1e3) are counts
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                    max_iters=3.0, record_every=np.int64(2))
+    assert (cfg.max_iters, cfg.record_every) == (3, 2) and type(cfg.max_iters) is int
+    trace = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0], spec,
+                          RelaxationPlan(), z0, max_iters=3.0, fix_res_tol=1e-16)
+    assert trace.iterations == 3 and trace.k == [0, 1, 2]
+
+
 class CountingOp(ResolventOp):
     """Wraps a resolvent and counts its evaluations."""
 
@@ -337,7 +375,7 @@ def test_nonfinite_resolvent_aborts_run_davis_yin():
 
 
 @pytest.mark.parametrize("kind", [graphmod.SEQUENTIAL, GENERAL])
-def test_run_matches_public_step_functions(kind):
+def test_run_matches_public_step_functions(kind, iterates):
     # the run's precomputed plan does the same float operations as the public
     # sweep / first_block / relocate wrappers, so the iterates agree bit for bit
     s, split, _ = small_elastic_setup(19)
@@ -345,23 +383,22 @@ def test_run_matches_public_step_functions(kind):
     plan = RelaxationPlan()
     iters = 30
     z0 = default_z0(s, split, seed=4)
-    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec,
-                    relaxation=plan, max_iters=iters, fix_res_tol=1e-16,
-                    record_paths=True)
-    trace = run(cfg, z0)
+    trace, _, zs = iterates(engine_at(z0, scheme=s, problem=split, relocator=kind,
+                                      schedule=spec, relaxation=plan, fix_res_tol=1e-16),
+                            z0, iters)
     mu_value = mu(s, split.beta)
     sched = spec.build(mu_value, split.beta)
     z, x1, gamma = z0, None, sched.gamma
     for k in range(iters):
-        assert np.array_equal(trace.z_path[k], z)
-        sw = sweep(s, split, gamma, z, x1=x1)
-        fix_res, consensus = residuals(s, sw)
+        assert np.array_equal(zs[k], z)
+        x = sweep(s, split, gamma, z, x1=x1)
+        fix_res, consensus = residuals(s, x)
         assert (trace.fix_res[k], trace.consensus[k]) == (fix_res, consensus)
         lam, theta = plan.pair(gamma, mu_value)
-        w = z - (lam * theta) * (s.M.T @ sw.x)
+        w = z - (lam * theta) * (s.M.T @ x)
         if kind == GENERAL:
             sww = sweep(s, split, gamma, w)
-            x1w = sww.x[0]
+            x1w = sww[0]
         else:
             sww, x1w = None, first_block(s, split, gamma, w)
         obs = Observables(x_next_norm=float(np.linalg.norm(x1w)),

@@ -14,10 +14,35 @@ def zero_problem(n, p, dim=2):
     return SplitProblem([ZeroOp()] * n, [ZeroForward()] * p, beta=0.0, dim=dim)
 
 
+class Counting:
+    """Wraps a resolvent or forward operator and counts its resolve/apply calls."""
+
+    def __init__(self, inner):
+        self.inner, self.beta, self.calls = inner, getattr(inner, "beta", 0.0), 0
+
+    def resolve(self, gamma, v):
+        self.calls += 1
+        return self.inner.resolve(gamma, v)
+
+    def apply(self, x):
+        self.calls += 1
+        return self.inner.apply(x)
+
+
+def counted(prob):
+    """``prob`` with every operator wrapped in ``Counting``."""
+    return SplitProblem([Counting(op) for op in prob.resolvents],
+                        [Counting(op) for op in prob.forwards], prob.beta, prob.dim)
+
+
+def calls(ops):
+    return sum(op.calls for op in ops)
+
+
 def test_sweep_all_zero_operators_at_zero():
     s = kappa_scheme(graphmod.SEQUENTIAL, 3)
     out = sweep(s, zero_problem(3, 2), 1.0, np.zeros((2, 2)))
-    assert np.array_equal(out.x, np.zeros((3, 2)))
+    assert np.array_equal(out, np.zeros((3, 2)))
 
 
 def test_identity_resolvents_fix_everything():
@@ -45,7 +70,7 @@ def test_raw_chain_sweep_values():
     s = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 2))
     v = np.array([[3.0]])
     out = sweep(s, zero_problem(2, 1, dim=1), 1.0, v)
-    assert np.allclose(out.x, [[6.0], [6.0]], atol=1e-15)
+    assert np.allclose(out, [[6.0], [6.0]], atol=1e-15)
 
 
 def test_kappa_chain_matches_davis_yin_formulas():
@@ -60,8 +85,8 @@ def test_kappa_chain_matches_davis_yin_formulas():
     out = sweep(s, prob, g, z)
     x1 = a1.resolve(g, z[0])
     y = a2.resolve(g, 2.0 * x1 - z[0] - g * fwd.apply(x1))
-    assert np.max(np.abs(out.x[0] - x1)) <= 1e-14
-    assert np.max(np.abs(out.x[1] - y)) <= 1e-14
+    assert np.max(np.abs(out[0] - x1)) <= 1e-14
+    assert np.max(np.abs(out[1] - y)) <= 1e-14
 
 
 def test_graph_resolvent_formulas_sequential_three():
@@ -85,7 +110,7 @@ def test_graph_resolvent_formulas_sequential_three():
     x3 = res[2].resolve(g / kappa[2],
                         (2.0 / kappa[2]) * x2 - (g / kappa[2]) * b2.apply(x2)
                         + (-z[1]) / kappa[2])
-    assert np.max(np.abs(out.x - np.stack([x1, x2, x3]))) <= 1e-13
+    assert np.max(np.abs(out - np.stack([x1, x2, x3]))) <= 1e-13
 
     z_next, _ = apply_T(s, prob, theta, g, z)
     expect = np.stack([z[0] - theta * (x1 - x2), z[1] - theta * (x2 - x3)])
@@ -110,7 +135,7 @@ def test_graph_resolvent_formulas_inward_star_three():
     x2 = res[1].resolve(g / 1.0, -g * b1.apply(x1) + z[1])
     x3 = res[2].resolve(g / 2.0, (2.0 / 2.0) * (x1 + x2) - (g / 2.0) * b2.apply(x1)
                         + (-z[0] - z[1]) / 2.0)
-    assert np.max(np.abs(out.x - np.stack([x1, x2, x3]))) <= 1e-13
+    assert np.max(np.abs(out - np.stack([x1, x2, x3]))) <= 1e-13
 
 
 def test_graph_resolvent_formulas_outward_star_three():
@@ -129,7 +154,7 @@ def test_graph_resolvent_formulas_outward_star_three():
     x1 = res[0].resolve(g / 2.0, (z[0] + z[1]) / 2.0)
     x2 = res[1].resolve(g / 1.0, 2.0 * x1 - g * b1.apply(x1) - z[0])
     x3 = res[2].resolve(g / 1.0, 2.0 * x1 - g * b2.apply(x1) - z[1])
-    assert np.max(np.abs(out.x - np.stack([x1, x2, x3]))) <= 1e-13
+    assert np.max(np.abs(out - np.stack([x1, x2, x3]))) <= 1e-13
 
 
 def test_single_forward_term_and_cache_economy():
@@ -138,10 +163,14 @@ def test_single_forward_term_and_cache_economy():
     for kind in graphmod.CANONICAL_KINDS:
         for n in (3, 5):
             s = kappa_scheme(kind, n)
-            prob = graph_split(n, seed=n)
+            prob = counted(graph_split(n, seed=n))
             out = sweep(s, prob, 0.4, np.zeros((n - 1, prob.dim)))
-            assert out.forward_evals == s.p
-            assert out.resolvent_evals == s.n
+            assert calls(prob.forwards) == s.p
+            assert all(op.calls == 1 for op in prob.forwards)
+            assert calls(prob.resolvents) == s.n
+            sweep(s, prob, 0.4, np.zeros((n - 1, prob.dim)), x1=out[0])   # recycled x_1
+            assert calls(prob.forwards) == 2 * s.p
+            assert calls(prob.resolvents) == 2 * s.n - 1
 
 
 def test_min_rule_with_fewer_forwards_than_blocks():
@@ -151,17 +180,18 @@ def test_min_rule_with_fewer_forwards_than_blocks():
     from relsplit.scheme import validate
     assert validate(s) == []
     fwd = ScaledIdentity(1.0)
-    prob = SplitProblem([ZeroOp()] * 3, [fwd], beta=1.0, dim=2)
+    counter = Counting(fwd)
+    prob = SplitProblem([ZeroOp()] * 3, [counter], beta=1.0, dim=2)
     rng = np.random.default_rng(2)
     z = rng.standard_normal((2, 2))
     out = sweep(s, prob, 0.9, z)
-    assert out.forward_evals == 1
+    assert counter.calls == 1
     mz = s.M @ z
     x1 = mz[0] / s.d[0]
     bx = fwd.apply(x1)
     x2 = mz[1] / s.d[1] + x1 / s.d[1] - (0.9 * 0.5 / s.d[1]) * bx
     x3 = mz[2] / s.d[2] + x2 / s.d[2] - (0.9 * 0.5 / s.d[2]) * bx
-    assert np.max(np.abs(out.x - np.stack([x1, x2, x3]))) <= 1e-13
+    assert np.max(np.abs(out - np.stack([x1, x2, x3]))) <= 1e-13
 
 
 def test_sweep_determinism():
@@ -171,17 +201,14 @@ def test_sweep_determinism():
     z = rng.standard_normal((3, prob.dim))
     a = sweep(s, prob, 0.3, z)
     b = sweep(s, prob, 0.3, z)
-    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a, b)
 
 
 def test_residuals_examples():
     s = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 2))
-    sw = sweep(s, zero_problem(2, 1, dim=1), 1.0, np.zeros((1, 1)))
-    sw.x = np.array([[1.0], [0.0]])
-    fr, cons = residuals(s, sw)
+    fr, cons = residuals(s, np.array([[1.0], [0.0]]))
     assert fr == 1.0 and cons == 1.0
-    sw.x = np.array([[2.0], [2.0]])
-    fr, cons = residuals(s, sw)
+    fr, cons = residuals(s, np.array([[2.0], [2.0]]))
     assert fr == 0.0 and cons == 0.0
 
 
@@ -201,7 +228,7 @@ def test_first_block_matches_sweep():
     prob = graph_split(4, seed=5)
     rng = np.random.default_rng(6)
     z = rng.standard_normal((3, prob.dim))
-    assert np.array_equal(first_block(s, prob, 0.7, z), sweep(s, prob, 0.7, z).x[0])
+    assert np.array_equal(first_block(s, prob, 0.7, z), sweep(s, prob, 0.7, z)[0])
 
 
 def test_lasso_consensus_at_converged_point():

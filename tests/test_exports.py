@@ -1,7 +1,7 @@
 import inspect
 
 import relsplit
-from relsplit import driver, graph, linalg, problems, relocator, schedule, scheme
+from relsplit import driver, engine, graph, linalg, problems, relocator, schedule, scheme
 
 REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "problem_to_dict"),
            (problems, "problem_from_dict"), (graph, "laplacian"), (graph, "predecessor_map"),
@@ -22,3 +22,15 @@ def test_removed_names_are_absent():
     assert not {"accel_gap", "safety"} & set(schedule.ScheduleSpec.__dataclass_fields__)
     assert "accel_gap" not in inspect.signature(schedule.SafeguardStepsize).parameters
     assert "beta" not in inspect.signature(driver.run_davis_yin).parameters
+
+
+def test_test_only_knobs_are_absent():
+    # fields through __dataclass_fields__: a default_factory field is no class attribute
+    assert not hasattr(engine, "SweepResult") and "SweepResult" not in relsplit.__all__
+    assert not hasattr(relsplit, "SweepResult")
+    assert not {"x_path", "z_path"} & set(driver.Trace.__dataclass_fields__)
+    assert "record_paths" not in driver.RunConfig.__dataclass_fields__
+    for fn, name in ((driver.run_davis_yin, "record_paths"), (graph.scheme_from_graph, "h"),
+                     (problems.objective, "half")):
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    assert not hasattr(schedule.ConstantStepsize(0.5), "k")

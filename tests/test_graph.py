@@ -125,14 +125,6 @@ def test_scheme_from_graph_rejects_non_tree():
         scheme_from_graph(g)
 
 
-def test_scheme_from_graph_custom_h_validation():
-    g = canonical(SEQUENTIAL, 3)
-    with pytest.raises(StructuralError):
-        scheme_from_graph(g, h={2: 1})  # missing node 3
-    with pytest.raises(StructuralError):
-        scheme_from_graph(g, h={2: 2, 3: 2})  # h(2) not < 2
-
-
 def test_matching_topologies():
     assert set(matching_topologies(DiGraph(2, ((1, 2),)))) == set(CANONICAL_KINDS)
     assert matching_topologies(canonical(SEQUENTIAL, 3)) == (SEQUENTIAL,)

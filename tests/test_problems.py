@@ -131,7 +131,12 @@ def test_reference_is_feasible_and_locally_optimal():
     ref = reference_solution(prob, budget=5000)
     assert np.abs(ref.x).max() <= prob.u
     rng = np.random.default_rng(11)
-    phi_half = lambda x: objective(prob, x, half=True)
+
+    def phi_half(x):
+        # the objective the half-quadratic split minimizes: (1/2)||Ax-b||^2 + lam ||x||_1
+        r = prob.A @ x - prob.b
+        return 0.5 * float(r @ r) + prob.lam * float(np.abs(x).sum())
+
     base = phi_half(ref.x)
     for _ in range(100):
         pert = np.clip(ref.x + 1e-3 * rng.standard_normal(12), -prob.u, prob.u)
@@ -160,21 +165,23 @@ def test_problem_serialization_roundtrip():
     assert (back.lam1, back.lam2) == (en.lam1, en.lam2)
 
 
-def test_metrics_fill_columns():
+def test_metrics_fill_columns(iterates):
     # the trace's relative errors against a reference (x*, phi*), with the
     # 1e-30 floor on both denominators when the reference is zero
     s, split, prob = small_lasso_setup(4)
     phi = lambda x: objective(prob, x)
     x_star = np.linspace(-1.0, 1.0, prob.dim)
+    z0 = np.zeros((s.m, prob.dim))
     for reference in ((x_star, 2.5), (np.zeros(prob.dim), 0.0)):
-        cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
-                        schedule=ScheduleSpec(variant="safeguard"), max_iters=5,
-                        record_paths=True, objective=phi, reference=reference)
-        trace = run(cfg)
+        trace, xs, _ = iterates(
+            lambda k, obj: run(RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                                         schedule=ScheduleSpec(variant="safeguard"),
+                                         max_iters=k, objective=obj, reference=reference)),
+            z0, 5, objective=phi)
         x_ref, phi_ref = reference
         x_den, f_den = max(np.linalg.norm(x_ref), 1e-30), max(abs(phi_ref), 1e-30)
-        assert len(trace.x_path) == len(trace.rel_err_x) == 5
-        for x, rel_x, rel_f in zip(trace.x_path, trace.rel_err_x, trace.rel_err_f):
+        assert len(xs) == len(trace.rel_err_x) == 5
+        for x, rel_x, rel_f in zip(xs, trace.rel_err_x, trace.rel_err_f):
             assert rel_x == pytest.approx(np.linalg.norm(x - x_ref) / x_den, rel=1e-14)
             assert rel_f == pytest.approx(abs(phi(x) - phi_ref) / f_den, rel=1e-14)
         assert np.isfinite(trace.rel_err_x).all() and np.isfinite(trace.rel_err_f).all()

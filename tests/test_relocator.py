@@ -92,7 +92,7 @@ def test_general_relocate_matches_pinv_reference():
     for s in [*_reference_schemes(), no_a]:
         prob = SplitProblem([L1Subdiff(0.3)] * s.n, [ZeroForward()] * s.p, beta=0.0, dim=3)
         z = rng.standard_normal((s.m, 3))
-        x = sweep(s, prob, gamma, z).x
+        x = sweep(s, prob, gamma, z)
         pinv = np.linalg.pinv(s.M)
         expect = r * z + (1.0 - r) * (pinv @ (s.M @ pinv @ (_e_lower(s) @ x)))
         out = relocate(GENERAL, s, prob, delta, gamma, z)
