@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import relsplit as rs
+from relsplit.config import default_methods
 from relsplit.driver import CSV_HEADER
 from relsplit.problems import gen_lasso, objective, reference_solution, split_lasso
 
@@ -30,25 +31,19 @@ ref = reference_solution(prob, budget=BUDGET)
 print(f"  phi* = {ref.phi:.9g}  nonzeros = {np.sum(np.abs(ref.x) > 1e-10)}/100"
       + ("  [flagged: approximate]" if ref.flagged else ""))
 
-methods = {
-    "const-0.1L": rs.ScheduleSpec(variant="constant", gamma=0.1 / split.beta),
-    "const-1L": rs.ScheduleSpec(variant="constant", gamma=1.0 / split.beta),
-    "const-1.99L": rs.ScheduleSpec(variant="constant", gamma=1.99 / split.beta),
-    "fpr-norm-ratio": rs.ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-    "fpr-accel": rs.ScheduleSpec(variant="safeguard", t_rule="accel"),
-    "fpr-harmonic": rs.ScheduleSpec(variant="safeguard", t_rule="harmonic"),
-}
+# the bench grid: three constant stepsizes and the three safeguard rules
+methods = default_methods(split.beta, 2)
+chain = rs.kappa_form_scheme(rs.scheme_from_graph(rs.canonical("sequential", 2)))
 
 OUT.mkdir(parents=True, exist_ok=True)
 phi = lambda x: objective(prob, x)
-z0 = np.zeros(prob.dim)
 print(f"\n{'method':16s} {'iters':>7s} {'gamma_K':>9s} {'fix_res':>10s} "
       f"{'rel_err_x':>10s} {'rel_err_f':>10s}")
-for name, spec in methods.items():
-    trace = rs.run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
-                             spec, rs.RelaxationPlan(), z0, max_iters=BUDGET,
-                             fix_res_tol=1e-11, record_every=10, objective=phi,
-                             reference=(ref.x, ref.phi))
+for name, spec in methods:
+    cfg = rs.RunConfig(scheme=chain, problem=split, relocator="davis-yin", schedule=spec,
+                       max_iters=BUDGET, fix_res_tol=1e-11, record_every=10, objective=phi,
+                       reference=(ref.x, ref.phi))
+    trace = rs.run_davis_yin(cfg)   # from z0 = 0
     trace.to_csv(OUT / f"{name}.csv")
     note = f"ABORTED: {trace.aborted}" if trace.aborted else ""
     print(f"{name:16s} {trace.iterations:7d} {trace.gamma[-1]:9.4f} "

@@ -20,8 +20,8 @@ from .problems import (ElasticNetProblem, LassoProblem, gen_elastic_net, gen_las
                        objective, reference_solution, split_elastic, split_lasso)
 from .relocator import (CHEAP_KINDS, DAVIS_YIN, GENERAL, check_recycling, e_map,
                         lipschitz_constant, lipschitz_series, relocate)
-from .schedule import (ConstantStepsize, Observables, RelaxationPlan,
-                       SafeguardStepsize, ScheduleSpec, positive_variation)
+from .schedule import (ConstantStepsize, RelaxationPlan, SafeguardStepsize, ScheduleSpec,
+                       positive_variation)
 from .scheme import (CoefficientScheme, condition_report, eta, feasibility_margin,
                      kappa_form_scheme, mu, stepsize_sup, validate)
 
@@ -31,7 +31,7 @@ __all__ = [
     "BoxNormalCone", "CANONICAL_KINDS", "CHEAP_KINDS", "CocoerciveOp",
     "CoefficientScheme", "ConstantStepsize", "DAVIS_YIN", "DiGraph",
     "ElasticNetProblem", "GENERAL", "INWARD_STAR", "L1Subdiff", "LassoProblem",
-    "LeastSquaresGrad", "NonnegNormalCone", "OUTWARD_STAR", "Observables",
+    "LeastSquaresGrad", "NonnegNormalCone", "OUTWARD_STAR",
     "ParameterError", "RelaxationPlan", "ResolventOp", "RunConfig",
     "SEQUENTIAL", "SafeguardStepsize", "ScaledIdentity", "ScheduleSpec",
     "SplitProblem", "StructuralError", "Trace", "ZeroForward",

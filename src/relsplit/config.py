@@ -6,8 +6,8 @@ StructuralError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
                 or {"n": 3, "arcs": [[1,2],[2,3]]}
-    scheme      finite matrices "d", "M", "N", "P", "R" (all required) and an
-                optional "kappa_form", in place of "graph" (cheap relocators need a graph)
+    scheme      finite matrices "d", "M", "N", "P", "R" (all required), in place of
+                "graph" (cheap relocators need a graph)
     problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_KEYS of that
                 kind: generator arguments, or finite "A" and "b" inline with the
                 kind's weights ("lam" and "u", or "lam1" and "lam2") for exact rerun
@@ -29,8 +29,10 @@ kind, or "graph" for an arc list; two jobs with one CSV name are an error);
 ([{"name", "schedule"}, ...], else ``default_methods``). ``relsplit validate``
 reads the scheme sections of either document and "tol" (1e-10).
 
-The counts (max_iters, record_every, budget, a nonzero reference_budget) must
-be whole numbers >= 1, fix_res_tol finite and positive (``driver.check_limits``).
+Counts and sizes (max_iters, record_every, budget, a nonzero reference_budget,
+q, d, graph n) are whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3
+is 1000; 2.5 and true are errors, never truncated), fix_res_tol is finite and
+positive, and half_quadratic, normalize and zeta_first_unit are JSON booleans.
 Graph-built schemes are run in their kappa form so the configured gamma
 matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
 A reference solve minimises the same objective as the split (half_quadratic).
@@ -44,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, graph as graphmod, problems, relocator
-from .driver import RunConfig, as_count, default_z0
-from .errors import ParameterError, StructuralError
+from .driver import RunConfig, default_z0
+from .errors import ParameterError, StructuralError, as_count, as_whole
 from .schedule import ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec
 from .scheme import CoefficientScheme, kappa_form_scheme
 
@@ -83,6 +85,14 @@ def _config_errors(build):
     return wrapper
 
 
+def _flag(doc, key, default):
+    """``doc[key]`` if it is a JSON true/false, ``default`` when the key is absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _section(name, doc, allowed):
     """``doc`` if it is an object whose keys all lie in ``allowed``."""
     if not isinstance(doc, dict):
@@ -101,9 +111,8 @@ def build_scheme(doc):
         _section("graph", g, {"kind", "n"} if "kind" in g else {"n", "arcs"})
         return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.graph_from_config(g)))
     if "scheme" in doc:
-        sd = _section("scheme", doc["scheme"], {"d", "M", "N", "P", "R", "kappa_form"})
-        s = CoefficientScheme(sd["d"], sd["M"], sd["N"], sd["P"], sd["R"],
-                              kappa_form=bool(sd.get("kappa_form", False)))
+        sd = _section("scheme", doc["scheme"], {"d", "M", "N", "P", "R"})
+        s = CoefficientScheme(sd["d"], sd["M"], sd["N"], sd["P"], sd["R"])
         if not all(np.isfinite(a).all() for a in (s.M, s.N, s.P, s.R)):
             raise ParameterError("scheme entries must be finite")
         return s
@@ -131,7 +140,7 @@ def build_problem(doc):
         raise ParameterError(f"unknown problem kind {kind!r}")
     generated, inline = PROBLEM_KEYS[kind]
     _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
-    half = bool(doc.get("half_quadratic", True))
+    half = _flag(doc, "half_quadratic", True)
     if "A" in doc and kind == "lasso":
         prob = problems.LassoProblem(doc["A"], doc["b"], float(doc["lam"]), float(doc["u"]))
     elif "A" in doc:
@@ -139,15 +148,15 @@ def build_problem(doc):
                                           float(doc["lam2"]))
     elif kind == "lasso":
         prob = problems.gen_lasso(
-            int(doc["q"]), int(doc["d"]), int(doc.get("seed", 0)),
+            as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
             spectrum=tuple(doc.get("spectrum", (0.5, 1.5))), lam=float(doc.get("lam", 1e-3)),
             u=float(doc.get("u", 50.0)))
     else:
         prob = problems.gen_elastic_net(
-            int(doc["q"]), int(doc["d"]), int(doc.get("seed", 0)),
-            n_corr=int(doc.get("n_corr", 0)), noise_sd=float(doc.get("noise_sd", 0.01)),
-            lam1=float(doc.get("lam1", 1e-2)), lam2=float(doc.get("lam2", 1e-2)),
-            normalize=bool(doc.get("normalize", True)))
+            as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
+            n_corr=as_whole("n_corr", doc.get("n_corr", 0)),
+            noise_sd=float(doc.get("noise_sd", 0.01)), lam1=float(doc.get("lam1", 1e-2)),
+            lam2=float(doc.get("lam2", 1e-2)), normalize=_flag(doc, "normalize", True))
     split = (problems.split_lasso(prob, half_quadratic=half) if kind == "lasso"
              else problems.split_elastic(prob))
     return prob, split, lambda x: problems.objective(prob, x), half
@@ -166,12 +175,13 @@ def build_z0(doc, s, split):
     scale = float(doc.get("scale", 1.0))
     if not np.isfinite(scale):
         raise ParameterError(f"z0 scale must be finite, got {scale}")
-    return default_z0(s, split, seed=int(doc.get("seed", 0)), scale=scale)
+    return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)), scale=scale)
 
 
 def _schedule(name, doc):
     """ScheduleSpec from a schedule section."""
-    return ScheduleSpec(**_section(name, doc, SCHEDULE_KEYS))
+    _flag(_section(name, doc, SCHEDULE_KEYS), "zeta_first_unit", False)
+    return ScheduleSpec(**doc)
 
 
 def _pick_kind(requested, s):

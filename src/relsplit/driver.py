@@ -13,21 +13,23 @@ evaluations per iteration (n*(K+1) + 1 in total through iteration K), the
 same as the non-relocated method. The general relocator needs a full second
 sweep at w_k (2n per iteration).
 
-``run_davis_yin`` is the three-operator scheme written out directly:
+``run_davis_yin`` is the three-operator scheme written out directly, for a
+RunConfig of the two-node chain under the davis-yin relocator:
 
     y_k     = J_{gamma_k A_2}(2 x_k - z_k - gamma_k B x_k)
     w_k     = z_k + lambda_k theta_k (y_k - x_k)
     x_{k+1} = J_{gamma_k A_1}(w_k)
     z_{k+1} = (gamma_{k+1}/gamma_k) w_k + (1 - gamma_{k+1}/gamma_k) x_{k+1}
 
-with x_0 = J_{gamma_0 A_1}(z_0). It produces iterates identical to ``run``
-on the two-node chain scheme with the davis-yin relocator.
+with x_0 = J_{gamma_0 A_1}(z_0). Given the same RunConfig, it produces the
+iterates of ``run`` at a lower cost per iteration.
 
-Both loops share one skeleton (``_iterate``); only their resolvent formulas
-differ. ``run`` builds its step plan once, before the first iteration: the
-operator bindings and shapes are checked and the sweep rows, M*, the
-relocator's matrix K (``relocator.relocation_map``, so that
-z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and the
+Both loops take one RunConfig and share one skeleton (``_iterate``), which
+builds the stepsize schedule and the trace recorder from the config once per
+run; only their resolvent formulas differ. ``run`` builds its step plan once,
+before the first iteration: the operator bindings and shapes are checked and
+the sweep rows, M*, the relocator's matrix K (``relocator.relocation_map``, so
+that z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and the
 consensus pairs are precomputed, so the loop itself only does arithmetic.
 
 Feasibility is enforced every iteration: the margin
@@ -38,40 +40,23 @@ violations abort the run and return the partial trace with an abort marker.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine, relocator, scheme as schememod
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, StructuralError, as_count
 from .linalg import as_blocks, norm
-from .schedule import Observables, RelaxationPlan, ScheduleSpec
+from .schedule import RelaxationPlan, ScheduleSpec
 
 CSV_HEADER = "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
 _NAN = float("nan")
 _INF = float("inf")
 
 
-def as_count(name, value):
-    """``value`` as an int when it is a whole number >= 1 (1e3 is 1000), else a ParameterError."""
-    whole = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer())
-    if not (whole and value >= 1):
-        raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
-
-
-def check_limits(max_iters, fix_res_tol, record_every):
-    """(max_iters, record_every) as ints; a ParameterError unless fix_res_tol is finite and > 0."""
-    if not 0 < fix_res_tol < _INF:   # NaN fails both comparisons
-        raise ParameterError(f"fix_res_tol must be finite and positive, got {fix_res_tol!r}")
-    return as_count("max_iters", max_iters), as_count("record_every", record_every)
-
-
 @dataclass
 class RunConfig:
-    """Bound inputs of one run: scheme, problem, relocator kind, schedules, limits."""
+    """Bound inputs of one run of either loop: scheme, problem, relocator, schedules, limits."""
 
     scheme: object
     problem: object
@@ -85,8 +70,10 @@ class RunConfig:
     reference: tuple | None = None           # (x_star, phi_star) for relative errors
 
     def __post_init__(self):
-        self.max_iters, self.record_every = check_limits(self.max_iters, self.fix_res_tol,
-                                                         self.record_every)
+        if not 0 < self.fix_res_tol < _INF:   # NaN fails both comparisons
+            raise ParameterError(f"fix_res_tol must be finite and > 0, got {self.fix_res_tol!r}")
+        self.max_iters = as_count("max_iters", self.max_iters)
+        self.record_every = as_count("record_every", self.record_every)
         if self.relocator not in relocator.KINDS:
             raise ParameterError(f"unknown relocator kind {self.relocator!r}")
         if self.relocator in relocator.CHEAP_KINDS:
@@ -189,24 +176,25 @@ def default_z0(s, prob, seed=None, scale=1.0):
     return scale * rng.standard_normal((s.m, prob.dim))
 
 
-def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, record_every):
+def _iterate(step, cfg, mu_value):
     """The loop skeleton both drivers share; ``step`` holds the resolvent formulas.
 
-    A step exposes ``z``, the shadow iterate ``x``, the cumulative resolvent
-    count ``evals`` and four methods: ``start(gamma)``;
-    ``residuals(gamma)``, which evaluates the resolvents at (gamma, z) and
-    returns (fix_res, consensus); ``advance(gamma, lam*theta)``, which forms
-    w and the next x_1 and returns (||x_1||, ||x_1 - w||); and
+    Schedule (``ScheduleSpec.build`` checks 0 < gamma_0 < 2/mu), relaxation,
+    limits and recorder come from ``cfg``. A step exposes ``z``, the shadow
+    iterate ``x``, the cumulative resolvent count ``evals`` and four methods:
+    ``start(gamma)``; ``residuals(gamma)``, which evaluates the resolvents at
+    (gamma, z) and returns (fix_res, consensus); ``advance(gamma, lam*theta)``,
+    which forms w and the next x_1 and returns (||x_1||, ||x_1 - w||); and
     ``relocate(gamma_next/gamma)``, which sets z to the relocated w.
     """
-    trace = rec.trace
+    sched = cfg.schedule.build(mu_value, cfg.problem.beta)
+    rec = _Recorder(cfg.objective, cfg.reference)
+    trace, relax = rec.trace, cfg.relaxation
+    floor = relax.margin_floor
+    max_iters, fix_res_tol, record_every = cfg.max_iters, cfg.fix_res_tol, cfg.record_every
     sup = schememod.stepsize_sup(mu_value)
     gamma = sched.gamma
-    if not 0 < gamma < sup:
-        raise ParameterError(f"initial gamma = {gamma} outside (0, {sup})")
     step.start(gamma)
-    obs = Observables(L=beta if beta > 0 else None)
-    floor = relax.margin_floor
     last = max_iters - 1
     for k in range(max_iters):
         lam, theta = relax.pair(gamma, mu_value)
@@ -226,8 +214,7 @@ def _iterate(step, sched, relax, mu_value, beta, rec, max_iters, fix_res_tol, re
             else:
                 trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
             break
-        obs.x_next_norm, obs.x_next_minus_w_norm = step.advance(gamma, lam * theta)
-        gamma_next = sched.next_gamma(obs)
+        gamma_next = sched.next_gamma(*step.advance(gamma, lam * theta))
         if not 0 < gamma_next < sup:
             trace.aborted = f"gamma_{k + 1} = {gamma_next:.6g} outside (0, {sup:.6g})"
             break
@@ -282,26 +269,20 @@ class _EngineStep:
 def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
     s, prob, kind = cfg.scheme, cfg.problem, cfg.relocator
-    mu_value = schememod.mu(s, prob.beta)
-    sched = cfg.schedule.build(mu_value, prob.beta)
     sweeps = engine.SweepPlan(s, prob)
-    z = as_blocks(z0, s.m) if z0 is not None else default_z0(s, prob)
-    if z.shape != (s.m, prob.dim):
-        raise StructuralError(f"z0 must have shape ({s.m}, {prob.dim}), got {z.shape}")
+    z = sweeps.blocks(z0) if z0 is not None else default_z0(s, prob)
     step = _EngineStep(sweeps, kind == relocator.GENERAL, relocator.relocation_map(kind, s), z)
-    rec = _Recorder(cfg.objective, cfg.reference)
-    return _iterate(step, sched, cfg.relaxation, mu_value, prob.beta, rec, cfg.max_iters,
-                    cfg.fix_res_tol, cfg.record_every)
+    return _iterate(step, cfg, schememod.mu(s, prob.beta))
 
 
 class _DavisYinStep:
     """Resolvent formulas of the three-operator scheme, written out directly."""
 
-    def __init__(self, a1, a2, b, z):
+    def __init__(self, prob, z):
+        (a1, a2), (b,) = prob.resolvents, prob.forwards
         self.resolve1, self.resolve2, self.apply = a1.resolve, a2.resolve, b.apply
         self.z = z
         self.x = None
-        self.evals = 0
 
     def start(self, gamma):
         self.x_next = self.resolve1(gamma, self.z)
@@ -326,20 +307,21 @@ class _DavisYinStep:
         self.z = ratio * self.w + (1.0 - ratio) * self.x_next
 
 
-def run_davis_yin(a1, a2, b, schedule_spec, plan, z0, *, max_iters, fix_res_tol=1e-10,
-                  record_every=1, objective=None, reference=None):
-    """Relocated three-operator splitting for 0 in A1 x + A2 x + B x.
+def run_davis_yin(cfg, z0=None):
+    """Relocated three-operator splitting for 0 in A1 x + A2 x + B x; returns the Trace.
 
-    ``z0`` is a vector in R^d. The cocoercivity modulus is B's own beta.
-    Returns a Trace whose consensus column is ||x_k - y_k|| (the
-    two-block consensus residual) and whose shadow iterate is x_k.
+    ``cfg``'s relocator is davis-yin (so its scheme is the kappa-form two-node
+    chain) and its problem binds A1, A2 and B. ``z0`` is a d-vector or one
+    (1, d) block, zeros by default; ``z_final`` is a d-vector. mu is B's beta,
+    not ``scheme.mu(s, beta)``, which differs in the last bits on the chain.
+    The consensus column is ||x_k - y_k|| and the shadow iterate is x_k.
     """
-    z = np.asarray(z0, dtype=float)
-    if z.ndim != 1:
-        raise StructuralError("run_davis_yin expects a flat vector z0")
-    max_iters, record_every = check_limits(max_iters, fix_res_tol, record_every)
-    beta = float(b.beta)
-    sched = schedule_spec.build(beta, beta)
-    rec = _Recorder(objective, reference)
-    return _iterate(_DavisYinStep(a1, a2, b, z), sched, plan, beta, beta, rec, max_iters,
-                    fix_res_tol, record_every)
+    if cfg.relocator != relocator.DAVIS_YIN:
+        raise StructuralError(f"run_davis_yin needs the davis-yin relocator, "
+                              f"got {cfg.relocator!r}")
+    prob = cfg.problem
+    engine.check_binding(cfg.scheme, prob)
+    z = np.zeros(prob.dim) if z0 is None else as_blocks(z0, 1)[0]
+    if z.shape != (prob.dim,):
+        raise StructuralError(f"z0 must have dim {prob.dim}, got {z.shape[0]}")
+    return _iterate(_DavisYinStep(prob, z), cfg, prob.beta)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, StructuralError, as_count
 from .scheme import CoefficientScheme
 
 INWARD_STAR = "inward-star"
@@ -200,7 +200,7 @@ def scheme_from_graph(g):
 def graph_from_config(doc):
     """Build a DiGraph from {"kind": ..., "n": ...} or {"n": ..., "arcs": [[i, j], ...]}."""
     if "kind" in doc:
-        return canonical(doc["kind"], int(doc["n"]))
+        return canonical(doc["kind"], as_count("graph n", doc["n"]))
     if "arcs" in doc:
-        return DiGraph(int(doc["n"]), tuple(tuple(a) for a in doc["arcs"]))
+        return DiGraph(as_count("graph n", doc["n"]), tuple(tuple(a) for a in doc["arcs"]))
     raise StructuralError("graph config needs either 'kind' or 'arcs'")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import driver, graph as graphmod
+from . import driver, graph as graphmod, relocator
 from .engine import SplitProblem
 from .errors import ParameterError, StructuralError
 from .linalg import spectral_norm
@@ -183,31 +183,29 @@ def reference_solution(problem, budget, half_quadratic=True):
     """Reference (x*, phi*) from a long constant-stepsize self-run.
 
     Runs the gamma = 1/beta configuration for 20x the benchmark budget
-    (stopping early below residual 1e-12) and reports the final shadow
-    iterate with phi evaluated by the problem's reported objective. For the
-    LASSO, ``half_quadratic`` picks which objective the reference minimizes:
-    True (default) matches the paper-literal split used by the benchmark
-    methods; False matches the unhalved reported objective. The result is
-    flagged when the run did not reach residual 1e-10.
+    (stopping early below residual 1e-12) on the kappa-form sequential tree:
+    ``run_davis_yin`` for the LASSO, ``run`` for the elastic net (n = 3). It
+    reports the final shadow iterate with phi evaluated by the problem's
+    reported objective. For the LASSO, ``half_quadratic`` picks which
+    objective the reference minimizes: True (default) matches the
+    paper-literal split used by the benchmark methods; False matches the
+    unhalved reported objective. The result is flagged when the run did not
+    reach residual 1e-10.
     """
-    max_iters = 20 * budget
     if isinstance(problem, LassoProblem):
-        prob = split_lasso(problem, half_quadratic=half_quadratic)
-        trace = driver.run_davis_yin(
-            prob.resolvents[0], prob.resolvents[1], prob.forwards[0],
-            ScheduleSpec(variant="constant", gamma=1.0 / prob.beta),
-            RelaxationPlan(), np.zeros(problem.dim),
-            max_iters=max_iters, fix_res_tol=1e-12, record_every=max(1, budget))
+        prob, kind, loop = (split_lasso(problem, half_quadratic=half_quadratic),
+                            relocator.DAVIS_YIN, driver.run_davis_yin)
     elif isinstance(problem, ElasticNetProblem):
-        prob = split_elastic(problem)
-        s = kappa_form_scheme(graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 3)))
-        cfg = driver.RunConfig(scheme=s, problem=prob, relocator=graphmod.SEQUENTIAL,
-                               schedule=ScheduleSpec(variant="constant", gamma=1.0 / prob.beta),
-                               relaxation=RelaxationPlan(), max_iters=max_iters,
-                               fix_res_tol=1e-12, record_every=max(1, budget))
-        trace = driver.run(cfg)
+        prob, kind, loop = split_elastic(problem), graphmod.SEQUENTIAL, driver.run
     else:
         raise StructuralError(f"unknown problem type {type(problem).__name__}")
+    tree = graphmod.canonical(graphmod.SEQUENTIAL, len(prob.resolvents))
+    cfg = driver.RunConfig(scheme=kappa_form_scheme(graphmod.scheme_from_graph(tree)),
+                           problem=prob, relocator=kind,
+                           schedule=ScheduleSpec(variant="constant", gamma=1.0 / prob.beta),
+                           relaxation=RelaxationPlan(), max_iters=20 * budget,
+                           fix_res_tol=1e-12, record_every=max(1, budget))
+    trace = loop(cfg)
     if trace.aborted or not trace.fix_res:
         raise RuntimeError(f"reference run failed: {trace.aborted}")
     return Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),

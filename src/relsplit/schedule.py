@@ -35,15 +35,6 @@ ACCEL_GAP = 0.01   # q of the accel rule
 SAFETY = 0.99      # default gamma_max as a fraction of 2/mu
 
 
-@dataclass
-class Observables:
-    """Per-iteration quantities a stepsize rule may consume."""
-
-    x_next_norm: float | None = None
-    x_next_minus_w_norm: float | None = None
-    L: float | None = None
-
-
 class ConstantStepsize:
     """gamma_k = gamma for all k."""
 
@@ -52,21 +43,26 @@ class ConstantStepsize:
             raise ParameterError("constant stepsize must be positive")
         self.gamma = float(gamma)
 
-    def next_gamma(self, obs=None):
+    def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
         return self.gamma
 
 
 class SafeguardStepsize:
-    """Safeguarded schedule; emissions stay in [gamma_min, gamma_max] exactly."""
+    """Safeguarded schedule; emissions stay in [gamma_min, gamma_max] exactly.
+
+    ``L`` is the Lipschitz modulus the accel rule needs (> 0); other rules ignore it.
+    """
 
     def __init__(self, gamma0, gamma_min, gamma_max, t_rule=NORM_RATIO,
-                 zeta_coeff=0.1, zeta_power=1.5, zeta_first_unit=False):
+                 zeta_coeff=0.1, zeta_power=1.5, zeta_first_unit=False, L=None):
         if not 0 < gamma_min <= gamma_max:
             raise ParameterError(f"need 0 < gamma_min <= gamma_max, got {gamma_min}, {gamma_max}")
         if not gamma_min <= gamma0 <= gamma_max:
             raise ParameterError(f"gamma0 = {gamma0} outside [{gamma_min}, {gamma_max}]")
         if t_rule not in T_RULES:
             raise ParameterError(f"unknown stepsize rule {t_rule!r}")
+        if t_rule == ACCEL and (L is None or not L > 0):
+            raise ParameterError(f"accel rule needs the Lipschitz modulus L > 0, got {L!r}")
         if not 0 < zeta_coeff <= 1 or not zeta_power > 1:   # a NaN power fails too
             raise ParameterError("zeta rule must have coeff in (0,1] and power > 1 (summable)")
         self.gamma = float(gamma0)
@@ -76,6 +72,7 @@ class SafeguardStepsize:
         self.zeta_coeff = float(zeta_coeff)
         self.zeta_power = float(zeta_power)
         self.zeta_first_unit = bool(zeta_first_unit)
+        self.L = L
         self.k = 0
 
     def zeta(self, k):
@@ -86,27 +83,24 @@ class SafeguardStepsize:
     def zeta_sum(self, n_terms):
         return float(sum(self.zeta(k) for k in range(n_terms)))
 
-    def _target(self, obs):
+    def _target(self, x_next_norm, x_next_minus_w_norm):
         if self.t_rule == HARMONIC:
             return 1.0 / (self.k + 1)
         if self.t_rule == ACCEL:
-            L = obs.L if obs is not None else None
-            if L is None or not L > 0:
-                raise ParameterError("accel rule needs the Lipschitz modulus L > 0")
-            g = self.gamma
+            g, L = self.gamma, self.L
             q = ACCEL_GAP
             return (-2.0 * g * g * q / (2.0 * L)
                     + np.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
-        if obs is None or obs.x_next_norm is None or obs.x_next_minus_w_norm is None:
-            raise ParameterError("norm-ratio rule needs ||x_{k+1}|| and ||x_{k+1} - w_k||")
-        if obs.x_next_minus_w_norm == 0.0:
+        if x_next_minus_w_norm == 0.0:
             # x_{k+1} = w_k: the ratio diverges as the iterate converges; the
             # clamped limit is the upper safeguard.
             return self.gamma_max
-        return obs.x_next_norm / obs.x_next_minus_w_norm
+        return x_next_norm / x_next_minus_w_norm
 
-    def next_gamma(self, obs=None):
-        tau = min(max(self._target(obs), self.gamma_min), self.gamma_max)
+    def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
+        """gamma_{k+1} from ||x_{k+1}|| and ||x_{k+1} - w_k|| (read by the norm-ratio rule)."""
+        tau = min(max(self._target(x_next_norm, x_next_minus_w_norm), self.gamma_min),
+                  self.gamma_max)
         zeta = self.zeta(self.k)
         self.gamma = (1.0 - zeta) * self.gamma + zeta * tau
         self.k += 1
@@ -175,6 +169,7 @@ class ScheduleSpec:
         return min(candidates)
 
     def build(self, mu_value, beta):
+        """The schedule of one run; beta is also the accel rule's L."""
         if self.variant == "constant":
             gamma = self.gamma if self.gamma is not None else self.default_gamma(mu_value, beta)
             if not 0 < gamma < stepsize_sup(mu_value):
@@ -198,6 +193,6 @@ class ScheduleSpec:
         return SafeguardStepsize(
             gamma0, gamma_min, gamma_max, t_rule=self.t_rule,
             zeta_coeff=self.zeta_coeff, zeta_power=self.zeta_power,
-            zeta_first_unit=self.zeta_first_unit,
+            zeta_first_unit=self.zeta_first_unit, L=beta,
         )
 

@@ -50,13 +50,14 @@ def desk_lasso_runs(desk_lasso):
     specs = {"const-1L": ScheduleSpec(variant="constant", gamma=1.0 / split.beta)}
     specs.update({f"fpr-{rule}": ScheduleSpec(variant="safeguard", t_rule=rule)
                   for rule in SAFEGUARD_RULES})
+    s = kappa_scheme(graphmod.SEQUENTIAL, 2)
     t0 = time.monotonic()
     traces = {}
     for name, spec in specs.items():
-        traces[name] = run_davis_yin(
-            split.resolvents[0], split.resolvents[1], split.forwards[0],
-            spec, RelaxationPlan(), z0, max_iters=LASSO_BUDGET, fix_res_tol=1e-11,
-            record_every=1, objective=phi, reference=(ref.x, ref.phi))
+        cfg = RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN, schedule=spec,
+                        relaxation=RelaxationPlan(), max_iters=LASSO_BUDGET, fix_res_tol=1e-11,
+                        record_every=1, objective=phi, reference=(ref.x, ref.phi))
+        traces[name] = run_davis_yin(cfg, z0)
     return traces, time.monotonic() - t0
 
 
@@ -162,17 +163,11 @@ def test_criterion_8_algorithm_one_equivalence(desk_lasso, iterates):
     worst = 0.0
     for spec in (ScheduleSpec(variant="constant", gamma=1.0 / split.beta),
                  ScheduleSpec(variant="safeguard", t_rule="norm-ratio")):
-        _, xs_alg, zs_alg = iterates(
-            lambda k, phi: run_davis_yin(split.resolvents[0], split.resolvents[1],
-                                         split.forwards[0], spec, RelaxationPlan(), z0,
-                                         max_iters=k, fix_res_tol=1e-16, objective=phi),
-            z0, 100)
-        _, xs_eng, zs_eng = iterates(
-            lambda k, phi: run(RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN,
-                                         schedule=spec, relaxation=RelaxationPlan(),
-                                         max_iters=k, fix_res_tol=1e-16, objective=phi),
-                               z0[None, :]),
-            z0[None, :], 100)
+        # one config drives both loops
+        cfg = RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN, schedule=spec,
+                        relaxation=RelaxationPlan(), fix_res_tol=1e-16)
+        _, xs_alg, zs_alg = iterates(run_davis_yin, cfg, z0, 100)
+        _, xs_eng, zs_eng = iterates(run, cfg, z0[None, :], 100)
         assert len(xs_alg) == len(xs_eng) == 100
         for xa, xe, za, ze in zip(xs_alg, xs_eng, zs_alg, zs_eng):
             worst = max(worst, float(np.max(np.abs(xa - xe))),

@@ -244,8 +244,34 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", cfg]))
     # limits: a finite tolerance and whole counts, never truncated
     for run_doc in ({"max_iters": 20, "fix_res_tol": float("inf")}, {"max_iters": 2.5},
-                    {"record_every": 1.5}, {"max_iters": 20, "reference_budget": 2.5}):
+                    {"record_every": 1.5}, {"max_iters": 20, "reference_budget": 2.5},
+                    {"max_iters": 20, "z0": {"kind": "normal", "seed": 1.5}},
+                    {"max_iters": 20, "z0": {"kind": "normal", "seed": -1}}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
+    # sizes and seeds are whole numbers, flags JSON booleans: nothing is truncated or cast
+    lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    for problem in (dict(lasso, q=20.7), dict(lasso, d=30.5), dict(lasso, seed=2.9),
+                    dict(lasso, q=True), dict(lasso, seed=False), dict(lasso, q=0),
+                    dict(lasso, half_quadratic="false"), dict(lasso, half_quadratic=0),
+                    dict(elastic, n_corr=1.5), dict(elastic, n_corr=True),
+                    dict(elastic, normalize="no")):
+        cfg = run_config(tmp_path, graph={"kind": "sequential", "n": 3} if "n_corr" in problem
+                         else {"kind": "sequential", "n": 2}, problem=problem,
+                         relocator="auto")
+        assert_usage_error(capsys, main(["run", cfg]))
+    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "sequential", "n": True},
+                  {"n": 2.0000001, "arcs": [[1, 2]]}):
+        assert_usage_error(capsys, main(["run", run_config(tmp_path, graph=graph)]))
+    cfg = run_config(tmp_path, schedule={"variant": "safeguard", "zeta_first_unit": "no"})
+    assert_usage_error(capsys, main(["run", cfg]))
+    # whole numbers written as floats are read as the same sizes and seeds
+    written = []
+    for problem in (lasso, dict(lasso, q=10.0, seed=3.0)):
+        out = tmp_path / f"w{len(written)}.csv"
+        assert main(["run", run_config(tmp_path, problem=problem), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_bench_malformed_value_exits_2(tmp_path, capsys):
@@ -260,6 +286,13 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
                        ("methods", [dict(method, budget=50)]),
                        ("z0", {"kind": "normal", "seed": 1, "sd": 2.0}),
                        ("z0", {"kind": "normal", "scale": float("nan")}),
+                       ("z0", {"kind": "normal", "seed": 1.5}),
+                       ("problem", dict(spec["problem"], d=10.5)),
+                       ("problem", dict(spec["problem"], seed=True)),
+                       ("problem", dict(spec["problem"], half_quadratic="false")),
+                       ("methods", [{"name": "m", "schedule": {"variant": "safeguard",
+                                                               "zeta_first_unit": 1}}]),
+                       ("graph", {"kind": "sequential", "n": 2.5}),
                        ("budget", 2.5), ("record_every", 1.5)):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
         assert_usage_error(capsys, main(["bench", cfg]))
@@ -304,6 +337,13 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "g.json", {"graph": {"n": 3}})
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "s.json", {"scheme": DY_SCHEME, "tol": "tight"})
+    assert_usage_error(capsys, main(["validate", cfg]))
+    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "inward-star", "n": True},
+                  {"n": 3.5, "arcs": [[1, 2], [2, 3]]}):
+        cfg = write_json(tmp_path / "g.json", {"graph": graph})
+        assert_usage_error(capsys, main(["validate", cfg]))
+    # kappa_form is no scheme key: an explicit scheme has no graph for the cheap relocators
+    cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, kappa_form=True)})
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "s.json", {"scheme": dict(DY_SCHEME, d="x")})
     assert_usage_error(capsys, main(["validate", cfg]))

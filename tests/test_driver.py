@@ -9,52 +9,47 @@ from relsplit.operators import LeastSquaresGrad, L1Subdiff, ResolventOp, ZeroFor
 from relsplit.propsuites import (converge, graph_split, kappa_scheme,
                                  small_elastic_setup, small_lasso_setup)
 from relsplit.relocator import DAVIS_YIN, GENERAL, relocate
-from relsplit.schedule import Observables, RelaxationPlan, ScheduleSpec, positive_variation
+from relsplit.schedule import RelaxationPlan, ScheduleSpec, positive_variation
 from relsplit.scheme import mu
 
 
 def one_d_problem():
     # min |x| + 0.5*(x - 2)^2 has the unique solution x = 1
-    a1 = L1Subdiff(1.0)
-    a2 = ZeroOp()
     fwd = LeastSquaresGrad(np.eye(1), np.array([2.0]))
-    return a1, a2, fwd
+    return SplitProblem([L1Subdiff(1.0), ZeroOp()], [fwd], beta=fwd.beta, dim=1)
+
+
+def chain_config(prob, gamma, **kwargs):
+    """Constant-stepsize RunConfig of the two-node chain under the davis-yin relocator."""
+    return RunConfig(scheme=kappa_scheme(graphmod.SEQUENTIAL, 2), problem=prob,
+                     relocator=DAVIS_YIN, schedule=ScheduleSpec(variant="constant", gamma=gamma),
+                     **kwargs)
 
 
 def test_one_dimensional_analytic_solution():
-    a1, a2, fwd = one_d_problem()
-    trace = run_davis_yin(a1, a2, fwd, ScheduleSpec(variant="constant", gamma=1.0),
-                          RelaxationPlan(), np.zeros(1), max_iters=20000,
-                          fix_res_tol=1e-12)
-    assert trace.converged
-    assert abs(trace.x_final[0] - 1.0) <= 1e-6
-
-    prob = SplitProblem([a1, a2], [fwd], beta=fwd.beta, dim=1)
-    s = kappa_scheme(graphmod.SEQUENTIAL, 2)
-    cfg = RunConfig(scheme=s, problem=prob, relocator=DAVIS_YIN,
-                    schedule=ScheduleSpec(variant="constant", gamma=1.0),
-                    relaxation=RelaxationPlan(), max_iters=20000, fix_res_tol=1e-12)
-    trace2 = run(cfg, np.zeros((1, 1)))
-    assert trace2.converged and abs(trace2.x_final[0] - 1.0) <= 1e-6
+    cfg = chain_config(one_d_problem(), 1.0, max_iters=20000, fix_res_tol=1e-12)
+    for loop in (run_davis_yin, run):
+        trace = loop(cfg, np.zeros((1, 1)))
+        assert trace.converged and abs(trace.x_final[0] - 1.0) <= 1e-6, loop.__name__
 
 
 def test_zero_operators_are_stationary():
-    a1, a2 = ZeroOp(), ZeroOp()
+    prob = SplitProblem([ZeroOp(), ZeroOp()], [ZeroForward()], beta=0.0, dim=3)
     z0 = np.array([1.0, -2.0, 3.0])
-    trace = run_davis_yin(a1, a2, ZeroForward(), ScheduleSpec(variant="constant", gamma=0.7),
-                          RelaxationPlan(), z0, max_iters=50, fix_res_tol=1e-14)
+    trace = run_davis_yin(chain_config(prob, 0.7, max_iters=50, fix_res_tol=1e-14), z0)
     assert trace.converged and trace.iterations == 1
     assert np.array_equal(trace.z_final, z0) and np.array_equal(trace.x_final, z0)
 
 
 def test_constant_gamma_recovers_classical_davis_yin():
     # with gamma_{k+1} = gamma_k the relocation coefficient vanishes: z_{k+1} = w_k
-    a1, a2, fwd = one_d_problem()
+    prob = one_d_problem()
+    (a1, a2), (fwd,) = prob.resolvents, prob.forwards
     lam, theta, gamma = 0.4, 1.0, 0.8
     z0 = np.array([3.0])
-    trace = run_davis_yin(a1, a2, fwd, ScheduleSpec(variant="constant", gamma=gamma),
-                          RelaxationPlan(lam=lam, theta=theta), z0, max_iters=1,
-                          fix_res_tol=1e-16)
+    cfg = chain_config(prob, gamma, relaxation=RelaxationPlan(lam=lam, theta=theta),
+                       max_iters=1, fix_res_tol=1e-16)
+    trace = run_davis_yin(cfg, z0)
     x = a1.resolve(gamma, z0)
     y = a2.resolve(gamma, 2.0 * x - z0 - gamma * fwd.apply(x))
     w = z0 + lam * theta * (y - x)
@@ -81,12 +76,10 @@ def test_constant_schedule_is_krasnoselskii_mann(iterates):
     plan = RelaxationPlan(lam=0.45, theta=1.0)
     rng = np.random.default_rng(0)
     z0 = rng.standard_normal((1, split.dim))
-    trace, _, zs = iterates(
-        lambda k, phi: run(RunConfig(scheme=s, problem=split, relocator=GENERAL,
-                                     schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                                     relaxation=plan, max_iters=k, fix_res_tol=1e-14,
-                                     record_every=1, objective=phi), z0),
-        z0, 60)
+    cfg = RunConfig(scheme=s, problem=split, relocator=GENERAL,
+                    schedule=ScheduleSpec(variant="constant", gamma=gamma), relaxation=plan,
+                    fix_res_tol=1e-14)
+    trace, _, zs = iterates(run, cfg, z0, 60)
     z = z0.copy()
     for k in range(60):
         assert np.max(np.abs(zs[k] - z)) <= 1e-12
@@ -95,30 +88,15 @@ def test_constant_schedule_is_krasnoselskii_mann(iterates):
     assert not trace.converged
 
 
-def davis_yin_at(split, spec, plan, z0, **kwargs):
-    """``run_at`` of the standalone loop, for the ``iterates`` helper."""
-    return lambda k, phi: run_davis_yin(split.resolvents[0], split.resolvents[1],
-                                        split.forwards[0], spec, plan, z0, max_iters=k,
-                                        objective=phi, **kwargs)
-
-
-def engine_at(z0, **kwargs):
-    """``run_at`` of the engine loop, for the ``iterates`` helper."""
-    return lambda k, phi: run(RunConfig(max_iters=k, objective=phi, **kwargs), z0)
-
-
 def test_davis_yin_equivalence_with_safeguard(iterates):
     s, split, _ = small_lasso_setup(7)
-    spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
-    plan = RelaxationPlan()
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                    schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
+                    relaxation=RelaxationPlan(), fix_res_tol=1e-16)
     rng = np.random.default_rng(1)
     z0 = rng.standard_normal(split.dim)
-    t_alg, xs_alg, zs_alg = iterates(davis_yin_at(split, spec, plan, z0, fix_res_tol=1e-16),
-                                     z0, 100)
-    t_eng, xs_eng, zs_eng = iterates(
-        engine_at(z0[None, :], scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                  relaxation=plan, fix_res_tol=1e-16),
-        z0[None, :], 100)
+    t_alg, xs_alg, zs_alg = iterates(run_davis_yin, cfg, z0, 100)
+    t_eng, xs_eng, zs_eng = iterates(run, cfg, z0[None, :], 100)
     assert len(xs_alg) == len(xs_eng) == 100
     for xa, xe, za, ze, ga, ge in zip(xs_alg, xs_eng, zs_alg, zs_eng,
                                       t_alg.gamma, t_eng.gamma):
@@ -133,14 +111,12 @@ def test_x_final_is_the_last_rows_iterate(iters, iterates):
     # a run that stops at max_iters has relocated once more after its last
     # row; both loops still report that row's shadow iterate as x_final
     s, split, _ = small_lasso_setup(7)
-    spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                    schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
+                    fix_res_tol=1e-16)
     z0 = np.random.default_rng(1).standard_normal(split.dim)
-    t_alg, xs_alg, _ = iterates(
-        davis_yin_at(split, spec, RelaxationPlan(), z0, fix_res_tol=1e-16), z0, iters)
-    t_eng, xs_eng, _ = iterates(
-        engine_at(z0[None, :], scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                  fix_res_tol=1e-16),
-        z0[None, :], iters)
+    t_alg, xs_alg, _ = iterates(run_davis_yin, cfg, z0, iters)
+    t_eng, xs_eng, _ = iterates(run, cfg, z0[None, :], iters)
     for trace, xs in ((t_alg, xs_alg), (t_eng, xs_eng)):
         assert trace.iterations == iters and not trace.converged
         assert np.array_equal(trace.x_final, xs[-1])
@@ -266,23 +242,20 @@ BAD_LIMITS = [dict(max_iters=0), dict(max_iters=2.5), dict(max_iters="5"), dict(
 
 
 def test_limits_are_checked_in_both_loops():
+    # both loops read their limits from the RunConfig, which checks them
     s, split, _ = small_lasso_setup(12)
     spec = ScheduleSpec(variant="constant", gamma=0.5 / split.beta)
-    z0 = np.zeros(split.dim)
     for bad in BAD_LIMITS:
         limits = dict(dict(max_iters=3, fix_res_tol=1e-10, record_every=1), **bad)
         with pytest.raises(ParameterError):
             RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec, **limits)
-        with pytest.raises(ParameterError):
-            run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0], spec,
-                          RelaxationPlan(), z0, **limits)
     # whole numbers written as floats (a JSON 1e3) are counts
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                    max_iters=3.0, record_every=np.int64(2))
+                    max_iters=3.0, fix_res_tol=1e-16, record_every=np.int64(2))
     assert (cfg.max_iters, cfg.record_every) == (3, 2) and type(cfg.max_iters) is int
-    trace = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0], spec,
-                          RelaxationPlan(), z0, max_iters=3.0, fix_res_tol=1e-16)
-    assert trace.iterations == 3 and trace.k == [0, 1, 2]
+    for loop in (run_davis_yin, run):
+        trace = loop(cfg)
+        assert trace.iterations == 3 and trace.k == [0, 2], loop.__name__
 
 
 class CountingOp(ResolventOp):
@@ -341,12 +314,30 @@ def test_eval_counts_when_converging_early():
         trace = converge(se, spe, kind, gamma, fix_res_tol=1e-8)
         assert trace.converged and trace.iterations > 1
         assert trace.resolvent_evals == expected(trace.iterations)
-    trace = run_davis_yin(split.resolvents[0], split.resolvents[1], split.forwards[0],
-                          ScheduleSpec(variant="constant", gamma=0.8 / split.beta),
-                          RelaxationPlan(), np.zeros(split.dim), max_iters=100000,
-                          fix_res_tol=1e-8)
+    trace = run_davis_yin(RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                                    schedule=ScheduleSpec(variant="constant",
+                                                          gamma=0.8 / split.beta),
+                                    max_iters=100000, fix_res_tol=1e-8))
     assert trace.converged and trace.iterations > 1
     assert trace.resolvent_evals == 1 + 2 * trace.iterations - 1
+
+
+def test_run_davis_yin_rejects_other_configs():
+    # only a davis-yin config whose problem binds two resolvents and one forward
+    s, split, _ = small_lasso_setup(20)
+    counters = [CountingOp(op) for op in split.resolvents]
+    spec = ScheduleSpec(variant="constant", gamma=0.5 / split.beta)
+    good = SplitProblem(counters, split.forwards, split.beta, split.dim)
+    three = SplitProblem(counters + [CountingOp(ZeroOp())], split.forwards, split.beta, split.dim)
+    for cfg, z0 in ((RunConfig(scheme=s, problem=good, relocator=GENERAL, schedule=spec), None),
+                    (RunConfig(scheme=s, problem=three, relocator=DAVIS_YIN, schedule=spec), None),
+                    (RunConfig(scheme=s, problem=good, relocator=DAVIS_YIN, schedule=spec),
+                     np.zeros((2, split.dim))),
+                    (RunConfig(scheme=s, problem=good, relocator=DAVIS_YIN, schedule=spec),
+                     np.zeros(split.dim + 1))):
+        with pytest.raises(StructuralError):
+            run_davis_yin(cfg, z0)
+    assert all(op.calls == 0 for op in three.resolvents)
 
 
 @pytest.mark.parametrize("kind", [DAVIS_YIN, GENERAL])
@@ -363,12 +354,13 @@ def test_nonfinite_resolvent_aborts_run(kind):
 
 
 def test_nonfinite_resolvent_aborts_run_davis_yin():
-    _, split, _ = small_lasso_setup(18)
+    s, split, _ = small_lasso_setup(18)
     for a1, a2 in ((NanOp(), split.resolvents[1]), (split.resolvents[0], NanOp())):
-        trace = run_davis_yin(a1, a2, split.forwards[0],
-                              ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
-                              RelaxationPlan(), np.ones(split.dim), max_iters=200,
-                              record_every=50)
+        prob = SplitProblem([a1, a2], split.forwards, split.beta, split.dim)
+        cfg = RunConfig(scheme=s, problem=prob, relocator=DAVIS_YIN,
+                        schedule=ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
+                        max_iters=200, record_every=50)
+        trace = run_davis_yin(cfg, np.ones(split.dim))
         assert trace.aborted is not None and trace.aborted.startswith("non-finite")
         assert trace.iterations == 1 and not trace.converged
         assert np.isnan(trace.fix_res[-1])
@@ -383,9 +375,9 @@ def test_run_matches_public_step_functions(kind, iterates):
     plan = RelaxationPlan()
     iters = 30
     z0 = default_z0(s, split, seed=4)
-    trace, _, zs = iterates(engine_at(z0, scheme=s, problem=split, relocator=kind,
-                                      schedule=spec, relaxation=plan, fix_res_tol=1e-16),
-                            z0, iters)
+    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, relaxation=plan,
+                    fix_res_tol=1e-16)
+    trace, _, zs = iterates(run, cfg, z0, iters)
     mu_value = mu(s, split.beta)
     sched = spec.build(mu_value, split.beta)
     z, x1, gamma = z0, None, sched.gamma
@@ -401,10 +393,8 @@ def test_run_matches_public_step_functions(kind, iterates):
             x1w = sww[0]
         else:
             sww, x1w = None, first_block(s, split, gamma, w)
-        obs = Observables(x_next_norm=float(np.linalg.norm(x1w)),
-                          x_next_minus_w_norm=float(np.linalg.norm(x1w[None, :] - w)),
-                          L=split.beta)
-        gamma_next = sched.next_gamma(obs)
+        gamma_next = sched.next_gamma(float(np.linalg.norm(x1w)),
+                                      float(np.linalg.norm(x1w[None, :] - w)))
         z = relocate(kind, s, split, gamma_next, gamma, w, sweep=sww, x1=x1w)
         x1 = x1w if kind != GENERAL else None
         gamma = gamma_next

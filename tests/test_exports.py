@@ -8,7 +8,8 @@ REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "probl
            (linalg, "kron_apply"), (scheme, "scheme_to_dict"), (scheme, "scheme_from_dict"),
            (schedule, "schedule_from_config"), (driver, "RelativeErrors"),
            (relocator, "Relocation"), (linalg, "project_zero_sum"), (linalg, "project_range"),
-           (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals")]
+           (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals"),
+           (schedule, "Observables"), (driver, "check_limits")]
 
 
 def test_exported_names_exist():
@@ -22,6 +23,8 @@ def test_removed_names_are_absent():
     assert not {"accel_gap", "safety"} & set(schedule.ScheduleSpec.__dataclass_fields__)
     assert "accel_gap" not in inspect.signature(schedule.SafeguardStepsize).parameters
     assert "beta" not in inspect.signature(driver.run_davis_yin).parameters
+    # both loops take one RunConfig (and an optional z0)
+    assert list(inspect.signature(driver.run_davis_yin).parameters) == ["cfg", "z0"]
 
 
 def test_test_only_knobs_are_absent():

@@ -173,11 +173,10 @@ def test_metrics_fill_columns(iterates):
     x_star = np.linspace(-1.0, 1.0, prob.dim)
     z0 = np.zeros((s.m, prob.dim))
     for reference in ((x_star, 2.5), (np.zeros(prob.dim), 0.0)):
-        trace, xs, _ = iterates(
-            lambda k, obj: run(RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
-                                         schedule=ScheduleSpec(variant="safeguard"),
-                                         max_iters=k, objective=obj, reference=reference)),
-            z0, 5, objective=phi)
+        cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
+                        schedule=ScheduleSpec(variant="safeguard"), objective=phi,
+                        reference=reference)
+        trace, xs, _ = iterates(run, cfg, z0, 5)
         x_ref, phi_ref = reference
         x_den, f_den = max(np.linalg.norm(x_ref), 1e-30), max(abs(phi_ref), 1e-30)
         assert len(xs) == len(trace.rel_err_x) == 5

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from relsplit.graph import CANONICAL_KINDS, canonical, scheme_from_graph
 from relsplit.operators import BoxNormalCone, L1Subdiff, NonnegNormalCone, ZeroOp
 from relsplit.relocator import e_map
-from relsplit.schedule import Observables, SafeguardStepsize
+from relsplit.schedule import SafeguardStepsize
 from relsplit.scheme import kappa_form_scheme
 
 ops = st.sampled_from([L1Subdiff(0.5), L1Subdiff(2.0), BoxNormalCone(1.5),
@@ -56,5 +56,5 @@ def test_e_map_output_sums_to_zero(rows, d, kind, kappa):
 def test_safeguard_emissions_stay_in_bounds(num, den, steps):
     sched = SafeguardStepsize(0.5, 0.2, 1.3, t_rule="norm-ratio")
     sched.k = steps
-    g = sched.next_gamma(Observables(x_next_norm=num, x_next_minus_w_norm=den))
+    g = sched.next_gamma(num, den)
     assert 0.2 <= g <= 1.3

@@ -3,8 +3,8 @@ import pytest
 
 from relsplit.errors import ParameterError
 from relsplit.schedule import (ACCEL, HARMONIC, NORM_RATIO, ConstantStepsize,
-                               Observables, RelaxationPlan, SafeguardStepsize,
-                               ScheduleSpec, positive_variation)
+                               RelaxationPlan, SafeguardStepsize, ScheduleSpec,
+                               positive_variation)
 from relsplit.scheme import feasibility_margin
 
 
@@ -18,7 +18,7 @@ def test_constant_schedule():
 def test_safeguard_first_unit_emits_target_exactly():
     # zeta_0 = 1 makes gamma_1 = tau_0
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO, zeta_first_unit=True)
-    g1 = sched.next_gamma(Observables(x_next_norm=3.0, x_next_minus_w_norm=4.0))
+    g1 = sched.next_gamma(3.0, 4.0)
     assert g1 == 0.75
 
 
@@ -27,34 +27,35 @@ def test_harmonic_rule():
     assert sched.next_gamma() == 1.0  # t_0 = 1/(0+1), inside the bounds
     sched2 = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC)
     sched2.k = 9
-    assert sched2._target(None) == pytest.approx(0.1, abs=0.0)  # t_9 = 1/10
+    assert sched2._target(None, None) == pytest.approx(0.1, abs=0.0)  # t_9 = 1/10
 
 
 def test_accel_rule_value():
     # gamma = 1, L = 1: t = (-0.01 + sqrt(4.0001)) / 2
-    sched = SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, zeta_first_unit=True)
-    got = sched.next_gamma(Observables(L=1.0))
+    sched = SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, zeta_first_unit=True, L=1.0)
+    got = sched.next_gamma()
     expect = (-0.01 + np.sqrt(4.0001)) / 2.0
     assert got == expect
     assert abs(got - 0.995) <= 1e-3
-    with pytest.raises(ParameterError):
-        SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL).next_gamma(Observables())
+    # L is fixed at construction: a missing or nonpositive one raises there
+    for L in (None, 0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, L=L)
+    # ScheduleSpec.build hands the rule beta
+    assert ScheduleSpec(variant="safeguard", t_rule=ACCEL).build(2.0, 1.5).L == 1.5
 
 
 def test_norm_ratio_degenerate_denominator_uses_gamma_max():
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO, zeta_first_unit=True)
-    g1 = sched.next_gamma(Observables(x_next_norm=5.0, x_next_minus_w_norm=0.0))
+    g1 = sched.next_gamma(5.0, 0.0)
     assert g1 == 2.0
-    with pytest.raises(ParameterError):
-        SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO).next_gamma(Observables())
 
 
 def test_emissions_stay_in_bounds_exactly():
     rng = np.random.default_rng(0)
     sched = SafeguardStepsize(0.5, 0.2, 1.4, t_rule=NORM_RATIO)
     for _ in range(2000):
-        g = sched.next_gamma(Observables(x_next_norm=float(rng.uniform(0, 100)),
-                                         x_next_minus_w_norm=float(rng.uniform(0, 1))))
+        g = sched.next_gamma(float(rng.uniform(0, 100)), float(rng.uniform(0, 1)))
         assert 0.2 <= g <= 1.4
 
 
@@ -71,9 +72,8 @@ def test_positive_variation_bounded_by_zeta_sum():
                               zeta_coeff=0.1, zeta_power=1.5)
     gammas = [sched.gamma]
     for _ in range(10000):
-        gammas.append(sched.next_gamma(Observables(
-            x_next_norm=float(rng.uniform(0, 10)),
-            x_next_minus_w_norm=float(rng.uniform(1e-3, 10)))))
+        gammas.append(sched.next_gamma(float(rng.uniform(0, 10)),
+                                       float(rng.uniform(1e-3, 10))))
     bound = (1.0 - 0.1) * sched.zeta_sum(10000)
     assert positive_variation(gammas) <= bound + 1e-12
 
@@ -84,9 +84,8 @@ def test_gamma_tail_convergence():
     sched = SafeguardStepsize(0.5, 0.1, 1.0, t_rule=NORM_RATIO)
     gammas = [sched.gamma]
     for _ in range(20000):
-        gammas.append(sched.next_gamma(Observables(
-            x_next_norm=float(rng.uniform(0, 10)),
-            x_next_minus_w_norm=float(rng.uniform(1e-3, 10)))))
+        gammas.append(sched.next_gamma(float(rng.uniform(0, 10)),
+                                       float(rng.uniform(1e-3, 10))))
     k = 5000
     tail = sum(sched.zeta(j) for j in range(k, 20000))
     assert abs(gammas[-1] - gammas[k]) <= 0.9 * tail + 1e-12

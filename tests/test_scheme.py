@@ -126,4 +126,3 @@ def test_serialization_roundtrip():
     for name in ("d", "M", "N", "P", "R"):
         assert np.array_equal(getattr(back, name), getattr(s, name))
     assert not back.kappa_form
-    assert config.build_scheme({"scheme": dict(doc, kappa_form=True)}).kappa_form
