@@ -26,7 +26,8 @@ prob = gen_lasso(q=50, d=100, seed=2, spectrum=(0.4, 0.6), lam=1e-3, u=50.0)
 split = split_lasso(prob)
 print(f"instance: q=50 d=100  lam={prob.lam}  u={prob.u}  beta=L={split.beta:.4f}")
 
-print("computing the long-run reference solution (constant gamma = 1/L) ...")
+print("computing the reference solution (exact homotopy minimiser, certified by the "
+      "constant gamma = 1/L loop) ...")
 ref = reference_solution(prob, budget=BUDGET)
 print(f"  phi* = {ref.phi:.9g}  nonzeros = {np.sum(np.abs(ref.x) > 1e-10)}/100"
       + ("  [flagged: approximate]" if ref.flagged else ""))

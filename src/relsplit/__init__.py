@@ -9,7 +9,7 @@ three-operator Davis-Yin algorithm).
 
 from .driver import RunConfig, Trace, run, run_davis_yin
 from .engine import SplitProblem, apply_T, first_block, residuals, sweep
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, ReferenceRunError, StructuralError
 from .graph import (CANONICAL_KINDS, INWARD_STAR, OUTWARD_STAR, SEQUENTIAL, DiGraph,
                     canonical, degrees, incidence, incidence_pinv_closed_form,
                     scheme_from_graph)
@@ -32,7 +32,7 @@ __all__ = [
     "CoefficientScheme", "ConstantStepsize", "DAVIS_YIN", "DiGraph",
     "ElasticNetProblem", "GENERAL", "INWARD_STAR", "L1Subdiff", "LassoProblem",
     "LeastSquaresGrad", "NonnegNormalCone", "OUTWARD_STAR",
-    "ParameterError", "RelaxationPlan", "ResolventOp", "RunConfig",
+    "ParameterError", "ReferenceRunError", "RelaxationPlan", "ResolventOp", "RunConfig",
     "SEQUENTIAL", "SafeguardStepsize", "ScaledIdentity", "ScheduleSpec",
     "SplitProblem", "StructuralError", "Trace", "ZeroForward",
     "ZeroOp", "apply_T", "canonical", "check_recycling",

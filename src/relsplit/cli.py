@@ -3,8 +3,9 @@
 ``config`` reads the run config and the bench spec; this module loads the
 JSON, calls the library, writes the output files and sets the exit code.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
-failed property), 2 usage or configuration error, reported as one ``error:``
-line on stderr. Benchmark methods run one after another.
+failed property; an aborted reference run is one ``error:`` line on stderr),
+2 usage or configuration error, reported as one ``error:`` line on stderr.
+Benchmark methods run one after another.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import config as configmod, problems, propsuites
 from .driver import Trace, run
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, ReferenceRunError, StructuralError
 from .scheme import condition_report
 
 REFERENCE_WARNING = "warning: reference run did not fully converge; metrics are approximate"
@@ -27,12 +28,12 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read config {path}: {exc}"))
+        raise SystemExit(_error(f"cannot read config {path}: {exc}"))
 
 
-def _usage_error(msg):
+def _error(msg, code=2):
     print(f"error: {msg}", file=sys.stderr)
-    return 2
+    return code
 
 
 def cmd_validate(args):
@@ -40,7 +41,7 @@ def cmd_validate(args):
     try:
         schemes, tol = configmod.build_validate(doc)
     except (ParameterError, StructuralError) as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc))
     ok_all = True
     for prefix, s in schemes:
         for label, ok, detail in condition_report(s, tol=tol):
@@ -55,7 +56,9 @@ def cmd_run(args):
         cfg, z0, flagged = configmod.build_run(doc)
         trace = run(cfg, z0)
     except (ParameterError, StructuralError) as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc))
+    except ReferenceRunError as exc:
+        return _error(str(exc), code=1)
     if flagged:
         print(REFERENCE_WARNING)
     out = args.out or (Path(args.config).stem + ".csv")
@@ -77,7 +80,9 @@ def cmd_bench(args):
         jobs, prob, budget, half, out_dir = configmod.build_bench(doc)
         ref = problems.reference_solution(prob, budget, half_quadratic=half)
     except (ParameterError, StructuralError) as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc))
+    except ReferenceRunError as exc:
+        return _error(str(exc), code=1)
     if ref.flagged:
         print(REFERENCE_WARNING)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,7 +115,7 @@ def cmd_bench(args):
 
 def cmd_proptest(args):
     if args.suite not in propsuites.SUITES:
-        return _usage_error(f"unknown suite {args.suite!r}; choose from {propsuites.SUITES}")
+        return _error(f"unknown suite {args.suite!r}; choose from {propsuites.SUITES}")
     failures = propsuites.run_suite(args.suite, trials=args.trials, seed=args.seed)
     if failures:
         print(f"{args.suite}: FAIL")

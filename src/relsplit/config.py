@@ -24,15 +24,19 @@ A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a list
 of graph sections: the grid runs once per graph, CSV names prefixed by its
 kind, or "graph" for an arc list; two jobs with one CSV name are an error);
 "problem", "relocator", "relaxation" and "z0" as above; "budget"
-(10000 iterations per method, 20x that for the reference), "fix_res_tol"
-(1e-10), "record_every" (10), "out_dir" ("bench-out") and "methods"
-([{"name", "schedule"}, ...], else ``default_methods``). ``relsplit validate``
-reads the scheme sections of either document and "tol" (1e-10).
+(10000 iterations per method; 20x that caps the reference run where it
+cannot start at the exact minimiser), "fix_res_tol" (1e-10), "record_every"
+(10), "out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...],
+else ``default_methods``). ``relsplit validate`` reads the scheme sections
+of either document and "tol" (1e-10).
 
 Counts and sizes (max_iters, record_every, budget, a nonzero reference_budget,
-q, d, graph n) are whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3
-is 1000; 2.5 and true are errors, never truncated), fix_res_tol is finite and
-positive, and half_quadratic, normalize and zeta_first_unit are JSON booleans.
+q, d, graph n, arc endpoints) are whole numbers >= 1, seeds and n_corr whole
+numbers >= 0 (1e3 is 1000; 2.5 and true are errors, never truncated),
+fix_res_tol is finite and positive, the real values (lam, u, lam1, lam2,
+noise_sd, the spectrum entries, z0 scale, fix_res_tol, tol) are JSON numbers
+(true and "0.01" are errors), and half_quadratic, normalize and
+zeta_first_unit are JSON booleans.
 Graph-built schemes are run in their kappa form so the configured gamma
 matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
 A reference solve minimises the same objective as the split (half_quadratic).
@@ -47,7 +51,7 @@ import numpy as np
 
 from . import engine, graph as graphmod, problems, relocator
 from .driver import RunConfig, default_z0
-from .errors import ParameterError, StructuralError, as_count, as_whole
+from .errors import ParameterError, StructuralError, as_count, as_real, as_whole
 from .schedule import ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec
 from .scheme import CoefficientScheme, kappa_form_scheme
 
@@ -142,21 +146,23 @@ def build_problem(doc):
     _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
     half = _flag(doc, "half_quadratic", True)
     if "A" in doc and kind == "lasso":
-        prob = problems.LassoProblem(doc["A"], doc["b"], float(doc["lam"]), float(doc["u"]))
+        prob = problems.LassoProblem(doc["A"], doc["b"], as_real("lam", doc["lam"]),
+                                     as_real("u", doc["u"]))
     elif "A" in doc:
-        prob = problems.ElasticNetProblem(doc["A"], doc["b"], float(doc["lam1"]),
-                                          float(doc["lam2"]))
+        prob = problems.ElasticNetProblem(doc["A"], doc["b"], as_real("lam1", doc["lam1"]),
+                                          as_real("lam2", doc["lam2"]))
     elif kind == "lasso":
         prob = problems.gen_lasso(
             as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
-            spectrum=tuple(doc.get("spectrum", (0.5, 1.5))), lam=float(doc.get("lam", 1e-3)),
-            u=float(doc.get("u", 50.0)))
+            spectrum=tuple(as_real("spectrum entry", v) for v in doc.get("spectrum", (0.5, 1.5))),
+            lam=as_real("lam", doc.get("lam", 1e-3)), u=as_real("u", doc.get("u", 50.0)))
     else:
         prob = problems.gen_elastic_net(
             as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
             n_corr=as_whole("n_corr", doc.get("n_corr", 0)),
-            noise_sd=float(doc.get("noise_sd", 0.01)), lam1=float(doc.get("lam1", 1e-2)),
-            lam2=float(doc.get("lam2", 1e-2)), normalize=_flag(doc, "normalize", True))
+            noise_sd=as_real("noise_sd", doc.get("noise_sd", 0.01)),
+            lam1=as_real("lam1", doc.get("lam1", 1e-2)),
+            lam2=as_real("lam2", doc.get("lam2", 1e-2)), normalize=_flag(doc, "normalize", True))
     split = (problems.split_lasso(prob, half_quadratic=half) if kind == "lasso"
              else problems.split_elastic(prob))
     return prob, split, lambda x: problems.objective(prob, x), half
@@ -172,7 +178,7 @@ def build_z0(doc, s, split):
     _section("z0", doc, Z0_KEYS[kind])
     if kind == "zero":
         return default_z0(s, split)
-    scale = float(doc.get("scale", 1.0))
+    scale = as_real("z0 scale", doc.get("scale", 1.0))
     if not np.isfinite(scale):
         raise ParameterError(f"z0 scale must be finite, got {scale}")
     return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)), scale=scale)
@@ -199,7 +205,7 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
     return RunConfig(scheme=s, problem=split,
                      relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
                      schedule=schedule, relaxation=RelaxationPlan(**doc.get("relaxation", {})),
-                     max_iters=max_iters, fix_res_tol=float(fix_res_tol),
+                     max_iters=max_iters, fix_res_tol=as_real("fix_res_tol", fix_res_tol),
                      record_every=record_every, objective=objective_fn)
 
 
@@ -277,4 +283,4 @@ def build_bench(doc):
 def build_validate(doc):
     """([(name prefix, scheme)], tol) from a run config or bench spec."""
     _section("config", doc, RUN_KEYS | BENCH_KEYS | {"tol"})
-    return _schemes(doc), float(doc.get("tol", 1e-10))
+    return _schemes(doc), as_real("tol", doc.get("tol", 1e-10))

@@ -11,6 +11,10 @@ class ParameterError(ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
+class ReferenceRunError(RuntimeError):
+    """The reference run aborted, so there is no reference to measure errors against."""
+
+
 def as_count(name, value):
     """``value`` as an int when it is a whole number >= 1 (1e3 is 1000), else a ParameterError."""
     return _whole(name, value, 1)
@@ -19,6 +23,16 @@ def as_count(name, value):
 def as_whole(name, value):
     """``value`` as an int when it is a whole number >= 0 (a seed), else a ParameterError."""
     return _whole(name, value, 0)
+
+
+def as_real(name, value):
+    """``value`` as a float when it is a JSON number (an int or float), else a ParameterError.
+
+    A bool and a numeric string are no numbers: ``true`` is not 1.0, ``"0.01"`` not 0.01.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _whole(name, value, least):   # 2.5, inf and a bool are no whole numbers

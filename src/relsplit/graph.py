@@ -33,7 +33,8 @@ class DiGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("graph needs at least one node")
-        arcs = tuple((int(i), int(j)) for i, j in self.arcs)
+        arcs = tuple((as_count("arc endpoint", i), as_count("arc endpoint", j))
+                     for i, j in self.arcs)
         object.__setattr__(self, "arcs", arcs)
         seen = set()
         for i, j in arcs:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsplit import config, problems
+from relsplit import config, driver, problems
 from relsplit.cli import main
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -323,12 +323,81 @@ def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
 
 def test_run_warns_on_unconverged_reference(tmp_path, capsys):
     warning = "warning: reference run did not fully converge; metrics are approximate"
-    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 1})
+    # the box binds at u = 0.5: the reference run starts at zero and stops after 20 iterations
+    bound = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 0.5}
+    cfg = run_config(tmp_path, problem=bound, run={"max_iters": 50, "reference_budget": 1})
     assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert warning in capsys.readouterr().out.splitlines()
+    # at u = 5 it starts at the exact minimiser and certifies at any budget
+    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 1})
+    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    assert warning not in capsys.readouterr().out
     cfg = run_config(tmp_path, run={"max_iters": 50})
     assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert warning not in capsys.readouterr().out
+
+
+def test_failed_reference_run_exits_1(tmp_path, capsys, monkeypatch):
+    aborted = driver.Trace(aborted="non-finite fix_res = nan at k=0")
+    monkeypatch.setattr(driver, "run_davis_yin", lambda cfg, z0=None: aborted)
+    failed = ["error: reference run failed: non-finite fix_res = nan at k=0"]
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
+    assert main(["bench", write_json(tmp_path / "s.json", spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == failed and captured.out == ""
+    assert not (tmp_path / "b").exists()
+    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 10})
+    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == failed
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_real_values_must_be_json_numbers(tmp_path, capsys):
+    # a JSON boolean or numeric string is no real value: nothing is cast with float()
+    lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    inline = {"kind": "elastic-net", "A": [[1.0, 0.5], [0.0, 1.0]], "b": [1.0, 1.0],
+              "lam1": 0.1, "lam2": 0.1}
+    problems_ = [dict(lasso, lam="0.01"), dict(lasso, lam=True), dict(lasso, u="5"),
+                 dict(lasso, spectrum=[True, 2]), dict(lasso, spectrum=["0.5", 1.5]),
+                 dict(elastic, lam1="0.01"), dict(elastic, lam2=False),
+                 dict(elastic, noise_sd="0"), dict(inline, lam1=True), dict(inline, lam2="1")]
+    for problem in problems_:
+        n = 3 if problem["kind"] == "elastic-net" else 2
+        cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
+                         relocator="auto")
+        assert_usage_error(capsys, main(["run", cfg]))
+    for run_doc in ({"max_iters": 20, "fix_res_tol": True},
+                    {"max_iters": 20, "fix_res_tol": "1e-3"},
+                    {"max_iters": 20, "z0": {"kind": "normal", "scale": "2"}},
+                    {"max_iters": 20, "z0": {"kind": "normal", "scale": True}}):
+        assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
+    for key, value in (("fix_res_tol", True), ("z0", {"kind": "normal", "scale": "1"})):
+        assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json",
+                                                             dict(spec, **{key: value}))]))
+    assert not (tmp_path / "b").exists()
+    for tol in (True, "1e-10"):
+        cfg = write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": tol})
+        assert_usage_error(capsys, main(["validate", cfg]))
+    # arc endpoints are whole numbers: [1, 2.7] is no arc (1, 2)
+    for arcs in ([[1, 2.7]], [[1, True]], [["1", 2]]):
+        graph = {"n": 2, "arcs": arcs}
+        assert_usage_error(capsys, main(["run", run_config(tmp_path, graph=graph)]))
+        assert_usage_error(capsys, main(["validate", write_json(tmp_path / "g.json",
+                                                                {"graph": graph})]))
+    # integers are numbers: "lam": 1 runs as 1.0
+    written = []
+    for lam in (1, 1.0):
+        out = tmp_path / f"lam{len(written)}.csv"
+        cfg = run_config(tmp_path, problem=dict(lasso, lam=lam), run={"max_iters": 20})
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_validate_malformed_value_exits_2(tmp_path, capsys):

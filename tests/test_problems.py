@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relsplit import config
+from relsplit import config, driver, problems
 from relsplit.driver import RunConfig, run
 from relsplit.errors import ParameterError
 from relsplit.linalg import spectral_norm
@@ -144,9 +144,109 @@ def test_reference_is_feasible_and_locally_optimal():
 
 
 def test_reference_flagged_when_budget_too_small():
+    # with the box inactive the run starts at the exact minimiser: certified at any budget
     prob = gen_lasso(12, 16, seed=14, lam=1e-3, u=50.0)
-    ref = reference_solution(prob, budget=1)  # 20 iterations only
-    assert ref.flagged
+    assert not reference_solution(prob, budget=1).flagged
+    # the box binds at u = 0.5, so the run starts at zero: 20 iterations only
+    bound = gen_lasso(12, 16, seed=14, lam=1e-3, u=0.5)
+    assert reference_solution(bound, budget=1).flagged
+
+
+@pytest.fixture
+def reference_loops(monkeypatch):
+    """(z0, Trace) of every loop run while the test runs, in call order."""
+    calls = []
+    for name in ("run", "run_davis_yin"):
+        def loop(cfg, z0=None, inner=getattr(driver, name)):
+            trace = inner(cfg, z0)
+            calls.append((z0, trace))
+            return trace
+        monkeypatch.setattr(driver, name, loop)
+    return calls
+
+
+def lasso_kkt(prob, x, half_quadratic=True):
+    """||x - prox(x - t grad f(x))|| / max(1, ||x||) at t = 1/beta, for the split's objective."""
+    split = split_lasso(prob, half_quadratic=half_quadratic)
+    t = 1.0 / split.beta
+    step = x - t * split.forwards[0].apply(x)
+    prox = np.clip(soft_threshold(step, t * prob.lam), -prob.u, prob.u)
+    return np.linalg.norm(x - prox) / max(1.0, np.linalg.norm(x))
+
+
+def elastic_kkt(prob, x):
+    """The same residual for the elastic net: prox of lam1 ||.||_1 over x >= 0."""
+    split = split_elastic(prob)
+    t = 1.0 / split.beta
+    step = x - t * sum(op.apply(x) for op in split.forwards)
+    return np.linalg.norm(x - np.maximum(step - t * prob.lam1, 0.0)) / max(1.0, np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("half_quadratic", [True, False])
+def test_exact_lasso_reference_certifies_in_one_iteration(reference_loops, half_quadratic):
+    # the lasso-grid size (supports of 49 and q = 50), a smaller one and one with q > d
+    cases = [gen_lasso(50, 100, seed, spectrum=(0.4, 0.6), lam=1e-3) for seed in (2, 3, 12, 30)]
+    cases += [gen_lasso(8, 12, seed, lam=0.05) for seed in range(4)]
+    cases += [gen_lasso(20, 10, seed, lam=0.1) for seed in range(4)]
+    for prob in cases:
+        ref = reference_solution(prob, budget=1000, half_quadratic=half_quadratic)
+        z0, trace = reference_loops[-1]
+        assert z0 is not None and trace.converged, trace.fix_res
+        assert (trace.iterations, trace.resolvent_evals) == (1, 2)
+        assert not ref.flagged
+        assert lasso_kkt(prob, ref.x, half_quadratic) <= 1e-12
+        assert ref.phi == objective(prob, ref.x)
+
+
+def test_exact_elastic_reference_certifies_in_one_iteration(reference_loops):
+    cases = [gen_elastic_net(60, 80, seed, n_corr=4) for seed in (11, 12, 13, 40)]
+    cases += [gen_elastic_net(10, 8, seed, n_corr=1, lam1=0.1) for seed in range(4)]
+    for prob in cases:
+        ref = reference_solution(prob, budget=1000)
+        z0, trace = reference_loops[-1]
+        assert z0 is not None and trace.converged, trace.fix_res
+        assert (trace.iterations, trace.resolvent_evals) == (1, 3)
+        assert not ref.flagged and elastic_kkt(prob, ref.x) <= 1e-12
+
+
+def test_exact_lasso_reference_is_no_worse_than_the_zero_start_run(monkeypatch):
+    def half_objective(prob, x):
+        r = prob.A @ x - prob.b
+        return 0.5 * float(r @ r) + prob.lam * float(np.abs(x).sum())
+
+    grid = [gen_lasso(50, 100, 2 + seed, spectrum=(0.4, 0.6), lam=1e-3) for seed in (0, 1, 5)]
+    exact = [reference_solution(prob, budget=50) for prob in grid]
+    monkeypatch.setattr(problems, "_exact_start", lambda *args: None)
+    for prob, ref in zip(grid, exact):
+        old = reference_solution(prob, budget=50)
+        assert old.flagged and not ref.flagged
+        assert half_objective(prob, ref.x) <= half_objective(prob, old.x)
+
+
+def test_box_binding_reference_is_the_zero_start_run(monkeypatch, reference_loops):
+    prob = gen_lasso(8, 12, seed=10, lam=0.05, u=0.4)
+    ref = reference_solution(prob, budget=5000)
+    assert reference_loops[-1][0] is None
+    monkeypatch.setattr(problems, "_exact_start", lambda *args: None)
+    old = reference_solution(prob, budget=5000)
+    assert np.array_equal(ref.x, old.x) and (ref.phi, ref.flagged) == (old.phi, old.flagged)
+
+
+def test_duplicated_columns_fall_back_without_an_exception(reference_loops):
+    # equal columns tie along the whole path; where a tie breaks the homotopy
+    # (a join in the active span, an end entry against its sign) the run
+    # starts at zero, else the exact start still certifies
+    starts = []
+    for seed in range(10):
+        base = gen_lasso(8, 12, seed=seed, lam=0.05)
+        A = base.A.copy()
+        A[:, 0] = A[:, 1]
+        ref = reference_solution(LassoProblem(A, base.b, 0.05, 50.0), budget=100)
+        z0, trace = reference_loops[-1]
+        starts.append(z0 is not None)
+        if z0 is not None:
+            assert (trace.iterations, ref.flagged) == (1, False)
+    assert not all(starts) and any(starts)
 
 
 def test_problem_serialization_roundtrip():
