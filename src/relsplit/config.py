@@ -34,11 +34,14 @@ Counts and sizes (max_iters, record_every, budget, a nonzero reference_budget,
 q, d, graph n, arc endpoints) are whole numbers >= 1, seeds and n_corr whole
 numbers >= 0 (1e3 is 1000; 2.5 and true are errors, never truncated),
 fix_res_tol is finite and positive, the real values (lam, u, lam1, lam2,
-noise_sd, the spectrum entries, z0 scale, fix_res_tol, tol) are JSON numbers
-(true and "0.01" are errors), and half_quadratic, normalize and
-zeta_first_unit are JSON booleans.
+noise_sd, the spectrum entries, the inline A and b entries, the schedule
+and relaxation values, z0 scale, fix_res_tol, tol) are JSON numbers (true
+and "0.01" are errors; gamma, gamma_min, gamma_max and the relaxation lam
+may be null), and half_quadratic, normalize and zeta_first_unit are JSON
+booleans.
 Graph-built schemes are run in their kappa form so the configured gamma
-matches the graph-form stepsize conventions (gamma < 2/beta for the chain).
+matches the graph-form stepsize conventions (gamma < 2/beta for the chain);
+an explicit scheme must pass the six conditions (``RunConfig``).
 A reference solve minimises the same objective as the split (half_quadratic).
 """
 
@@ -68,6 +71,8 @@ PROBLEM_KEYS = {
 }
 Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed", "scale"}}
 SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
+SCHEDULE_REALS = ("gamma", "gamma_min", "gamma_max", "zeta_coeff", "zeta_power")
+RELAXATION_KEYS = set(RelaxationPlan.__dataclass_fields__)
 
 
 def _config_errors(build):
@@ -146,10 +151,11 @@ def build_problem(doc):
     _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
     half = _flag(doc, "half_quadratic", True)
     if "A" in doc and kind == "lasso":
-        prob = problems.LassoProblem(doc["A"], doc["b"], as_real("lam", doc["lam"]),
-                                     as_real("u", doc["u"]))
+        prob = problems.LassoProblem(_numbers("A", doc["A"]), _numbers("b", doc["b"]),
+                                     as_real("lam", doc["lam"]), as_real("u", doc["u"]))
     elif "A" in doc:
-        prob = problems.ElasticNetProblem(doc["A"], doc["b"], as_real("lam1", doc["lam1"]),
+        prob = problems.ElasticNetProblem(_numbers("A", doc["A"]), _numbers("b", doc["b"]),
+                                          as_real("lam1", doc["lam1"]),
                                           as_real("lam2", doc["lam2"]))
     elif kind == "lasso":
         prob = problems.gen_lasso(
@@ -184,10 +190,30 @@ def build_z0(doc, s, split):
     return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)), scale=scale)
 
 
+def _reals(name, doc, keys, nullable=()):
+    """``doc`` with the values of ``keys`` read by ``as_real``; null stays where allowed."""
+    return {key: value if key not in keys or value is None and key in nullable
+            else as_real(f"{name} {key}", value) for key, value in doc.items()}
+
+
+def _numbers(name, value):
+    """Nested JSON arrays of numbers (inline A and b) with every entry read by ``as_real``."""
+    if isinstance(value, list):
+        return [_numbers(name, v) for v in value]
+    return as_real(f"{name} entry", value)
+
+
 def _schedule(name, doc):
     """ScheduleSpec from a schedule section."""
     _flag(_section(name, doc, SCHEDULE_KEYS), "zeta_first_unit", False)
-    return ScheduleSpec(**doc)
+    return ScheduleSpec(**_reals(name, doc, SCHEDULE_REALS,
+                                 nullable=("gamma", "gamma_min", "gamma_max")))
+
+
+def _relaxation(doc):
+    """RelaxationPlan from a relaxation section (a null lam is co-adjusted)."""
+    _section("relaxation", doc, RELAXATION_KEYS)
+    return RelaxationPlan(**_reals("relaxation", doc, RELAXATION_KEYS, nullable=("lam",)))
 
 
 def _pick_kind(requested, s):
@@ -204,7 +230,7 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
     engine.check_binding(s, split)
     return RunConfig(scheme=s, problem=split,
                      relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
-                     schedule=schedule, relaxation=RelaxationPlan(**doc.get("relaxation", {})),
+                     schedule=schedule, relaxation=_relaxation(doc.get("relaxation", {})),
                      max_iters=max_iters, fix_res_tol=as_real("fix_res_tol", fix_res_tol),
                      record_every=record_every, objective=objective_fn)
 

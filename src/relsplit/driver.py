@@ -56,7 +56,12 @@ _INF = float("inf")
 
 @dataclass
 class RunConfig:
-    """Bound inputs of one run of either loop: scheme, problem, relocator, schedules, limits."""
+    """Bound inputs of one run of either loop: scheme, problem, relocator, schedules, limits.
+
+    An explicit scheme (one not built from a graph, which satisfies the six
+    conditions by construction) must pass ``scheme.validate``; a violation is
+    a StructuralError that names the failed conditions.
+    """
 
     scheme: object
     problem: object
@@ -78,6 +83,9 @@ class RunConfig:
             raise ParameterError(f"unknown relocator kind {self.relocator!r}")
         if self.relocator in relocator.CHEAP_KINDS:
             relocator.require_graph_scheme(self.relocator, self.scheme)
+        failed = [] if self.scheme.graph is not None else schememod.validate(self.scheme)
+        if failed:
+            raise StructuralError(f"scheme fails condition(s) {'; '.join(failed)}")
 
 
 @dataclass

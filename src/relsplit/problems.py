@@ -14,11 +14,12 @@ Two synthetic families are provided at desk scale:
   split as A1 = N_{x>=0}, A2 = A3 = (lam1/2) * d||.||_1,
   B1 = A^T(A. - b), B2 = lam2*I, beta = max(lambda_max(A^T A), lam2).
 
-Reference solutions are exact: the LASSO's from a LARS-lasso homotopy (when
-the box does not bind), the elastic net's from a Lawson-Hanson active-set
-method on its QP over x >= 0. Each minimiser is lifted to the fixed point of
+Reference solutions are exact: both families' minimisers come from one
+LARS-lasso homotopy with bound events, over the box for the LASSO and over
+x >= 0 for the elastic net. Each minimiser is lifted to the fixed point of
 the gamma = 1/beta reference loop, whose own fixed-point residual then
-certifies it in one iteration; where the exact step does not apply, that
+certifies it in one iteration; where the homotopy degenerates (a column
+joining in the span of the active ones, as with duplicated columns), that
 loop runs from zero instead.
 """
 
@@ -33,7 +34,7 @@ from .engine import SplitProblem
 from .errors import ParameterError, ReferenceRunError, StructuralError
 from .linalg import spectral_norm
 from .operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad,
-                        NonnegNormalCone, ScaledIdentity)
+                        NonnegNormalCone, ScaledIdentity, soft_threshold)
 from .schedule import RelaxationPlan, ScheduleSpec
 from .scheme import kappa_form_scheme
 
@@ -186,134 +187,78 @@ class Reference:
     flagged: bool
 
 
-def _lasso_path(G, c, lam, max_events):
-    """Minimiser of (1/2) x^T G x - c^T x + lam ||x||_1 by the LARS-lasso homotopy.
+def _bounded_path(G, c, lam, lo, hi):
+    """Minimiser of (1/2) x^T G x - c^T x + lam ||x||_1 over lo <= x <= hi, lo <= 0 <= hi.
 
-    Follows the piecewise-linear solution path from t = ||c||_inf (where x = 0)
-    down to t = lam. On a segment the active set S and its signs s are fixed,
-    x_S moves along G_SS^{-1} s and the correlations c - G x of the active
-    entries stay at t s; a segment ends where an inactive correlation reaches
-    +-t (join) or an active entry reaches 0 (drop). The end point is one solve
-    on the support at lam. None when ``max_events`` segments do not reach lam
-    or an end entry has the wrong sign; a LinAlgError when a joining column
-    lies in the span of the active ones.
+    A LARS-lasso homotopy with bound events. It follows the piecewise-linear
+    path of minimisers from t = the largest correlation c_j that can move x_j
+    off 0 (up only if hi > 0, down only if lo < 0), where x = 0, down to
+    t = lam. On a segment the free set S with its signs s and the clamped set
+    C (entries fixed at a nonzero bound, their terms G_:C x_C folded into c)
+    are fixed; x_S moves along G_SS^{-1} s and the correlations c - G x of S
+    stay at t s. A segment ends where the correlation of a zero entry reaches
+    +-t (join) or that of a clamped entry comes back to +-t (free), or where
+    an entry of S reaches 0 (drop) or its bound (clamp). The end point is
+    one solve on S at lam. None when 10 d segments do not reach lam or the
+    end point fails the optimality conditions (a tie or rounding misled the
+    path); a LinAlgError when a column joins in the span of S.
     """
     x = np.zeros(c.size)
-    corr = c.copy()
-    t = float(np.abs(corr).max())
+    corr = cc = c
+    reach = np.maximum(np.where(hi > 0, corr, -np.inf), np.where(lo < 0, -corr, -np.inf))
+    t = float(reach.max())
     if lam >= t:
         return x
-    active = [int(np.argmax(np.abs(corr)))]
-    signs = [float(np.sign(corr[active[0]]))]
-    dropped = -1
-    for _ in range(max_events):
-        S = np.array(active)
+    active, clamped, left = [int(np.argmax(reach))], [], None
+    signs = [1.0 if corr[active[0]] > 0 else -1.0]
+    for _ in range(10 * c.size):
+        S = np.array(active, dtype=int)
         G_SS = G[np.ix_(S, S)]
         w = np.linalg.solve(G_SS, signs)
         a = G[:, S] @ w
         with np.errstate(divide="ignore", invalid="ignore"):
             up, down = (corr - t * a) / (1.0 - a), (t * a - corr) / (1.0 + a)
             drop = t + x[S] / w
-        for ends in (up, down, drop):
-            ends[~(ends < t)] = -np.inf   # NaN and the far side of t are no events
-        join = np.maximum(up, down)
-        join[S] = -np.inf
-        if dropped >= 0:
-            join[dropped] = -np.inf   # it left at this t with |corr| = t; no rejoin at once
-        j, i = int(np.argmax(join)), int(np.argmax(drop))
-        t_next = max(lam, join[j], drop[i])
+            clamp = t - (np.where(np.array(signs) > 0, hi, lo) - x[S]) / w
+        for ends, allowed in ((up, hi > 0), (down, lo < 0), (drop, True), (clamp, True)):
+            ends[~(ends < t) | (not allowed)] = -np.inf   # NaN, the far side of t: no event
+        if left:
+            # the entry that left S at this t, with corr = t s: its root on the side of
+            # s is t itself, no return; a dropped entry may still rejoin with sign -s
+            (up if left[1] > 0 else down)[left[0]] = -np.inf
+        enter = np.where(x > 0, up, np.where(x < 0, down, np.maximum(up, down)))
+        enter[S] = -np.inf
+        events = np.concatenate([enter, drop, clamp])   # argmax: ties go to the first
+        e = int(np.argmax(events))
+        t_next = max(lam, events[e])
         x[S] += (t - t_next) * w
-        corr = c - G[:, S] @ x[S]
-        t, dropped = t_next, -1
+        corr = cc - G[:, S] @ x[S]
+        t, left = t_next, None
         if t_next == lam:
             break
-        if t_next == join[j]:
-            # distance^2 of column j from the active columns' span: G_SS stays invertible
-            if not G[j, j] - G[S, j] @ np.linalg.solve(G_SS, G[S, j]) > 1e-12 * G[j, j]:
-                raise np.linalg.LinAlgError(f"column {j} joins in the span of the active set")
-            active.append(j)
-            signs.append(1.0 if corr[j] > 0 else -1.0)
+        if e < c.size:
+            # distance^2 of column e from the active columns' span: G_SS stays invertible
+            if not G[e, e] - G[S, e] @ np.linalg.solve(G_SS, G[S, e]) > 1e-12 * G[e, e]:
+                raise np.linalg.LinAlgError(f"column {e} joins in the span of the active set")
+            active.append(e)
+            signs.append(1.0 if corr[e] > 0 else -1.0)
+            if x[e] != 0:
+                clamped.remove(e)   # a free event
         else:
-            dropped = active.pop(i)
-            signs.pop(i)
-            x[dropped] = 0.0
+            i = (e - c.size) % S.size   # a drop, or a clamp at the bound on the side of s_i
+            left = active.pop(i), signs.pop(i)
+            x[left[0]] = 0.0 if e < c.size + S.size else hi if left[1] > 0 else lo
+            if x[left[0]] != 0:
+                clamped.append(left[0])
+        cc = c - G[:, clamped] @ x[clamped] if clamped else c
     else:
         return None
-    S, signs = np.array(active), np.array(signs)
-    x[:] = 0.0
-    x[S] = np.linalg.solve(G[np.ix_(S, S)], c[S] - lam * signs)
-    if (x[S] * signs < 0).any():
-        return None   # an entry against its sign: the path missed a drop (ties, rounding)
+    S = np.array(active, dtype=int)
+    x[S] = np.linalg.solve(G[np.ix_(S, S)], cc[S] - lam * np.array(signs))
+    kkt = x - np.clip(soft_threshold(x + cc - G[:, S] @ x[S], lam), lo, hi)
+    if not np.abs(kkt).max() <= 1e-12 * max(1.0, float(np.abs(x).max())):
+        return None
     return x
-
-
-def _nonneg_qp(Q, c, max_solves):
-    """Minimiser of (1/2) x^T Q x - c^T x over x >= 0, Q positive definite (Lawson-Hanson).
-
-    The free set grows by the bound entry of largest gradient c - Q x; each
-    solve on the free set either lands inside the orthant or the step to it
-    stops at the first entry that reaches 0, which leaves the free set.
-    None when ``max_solves`` solves do not end it.
-    """
-    x = np.zeros(c.size)
-    free = np.zeros(c.size, dtype=bool)
-    tol = 1e-13 * max(float(np.abs(c).max()), 1.0)
-    solves = 0
-    while True:
-        grad = c - Q @ x
-        grad[free] = -np.inf
-        j = int(np.argmax(grad))
-        if grad[j] <= tol:
-            return x
-        free[j] = True
-        while True:
-            if solves == max_solves:
-                return None
-            solves += 1
-            F = np.flatnonzero(free)
-            sol = np.linalg.solve(Q[np.ix_(F, F)], c[F])
-            if (sol > 0).all():
-                x[F] = sol
-                break
-            xf = x[F]
-            ratio = np.full(F.size, np.inf)
-            neg = sol <= 0
-            ratio[neg] = xf[neg] / (xf[neg] - sol[neg])
-            k = int(np.argmin(ratio))
-            x[F] = xf + ratio[k] * (sol - xf)
-            x[F[k]] = 0.0   # the blocking entry, exactly on the bound
-            free &= x > 0
-            x[~free] = 0.0
-
-
-def _exact_lasso(problem, half_quadratic):
-    """(x*, (a_2,)) from the homotopy when the box does not bind, else None.
-
-    The split minimises (scale/2)||Ax - b||^2 + lam ||x||_1, so the homotopy
-    runs to lam / scale; a_2 = 0 lies in N_box(x*).
-    """
-    A = problem.A
-    lam = problem.lam if half_quadratic else 0.5 * problem.lam
-    x = _lasso_path(A.T @ A, A.T @ problem.b, lam, 10 * problem.dim)
-    if x is None or not np.abs(x).max() <= problem.u:   # NaN fails the comparison
-        return None
-    return x, (np.zeros_like(x),)
-
-
-def _exact_elastic(problem):
-    """(x*, (a_2, a_3)) from the active-set method on the QP over x >= 0, or None.
-
-    On x >= 0 the objective is (1/2) x^T Q x - c^T x plus a constant, with
-    Q = A^T A + lam2 I and c = A^T b - lam1 1; (lam1/2) 1 lies in
-    (lam1/2) d||x*||_1 for every x* >= 0.
-    """
-    A, d = problem.A, problem.dim
-    x = _nonneg_qp(A.T @ A + problem.lam2 * np.eye(d),
-                   A.T @ problem.b - problem.lam1 * np.ones(d), 3 * d)
-    if x is None:
-        return None
-    half = np.full(d, 0.5 * problem.lam1)
-    return x, (half, half)
 
 
 def _lift(s, split, gamma, x, later):
@@ -334,14 +279,33 @@ def _lift(s, split, gamma, x, later):
 
 
 def _exact_start(problem, s, split, gamma, half_quadratic):
-    """The reference loop's z0: the lifted exact minimiser, or None where that step fails."""
+    """The reference loop's z0: the lifted exact minimiser, or None where that step fails.
+
+    Both families are one bounded path on G = A^T A (+ lam2 I) and c = A^T b.
+    The LASSO split minimises (scale/2)||Ax - b||^2 + lam ||x||_1 over the
+    box, so its path runs to lam / scale; a_2 in N_box(x*) is 0 off the bound
+    and soft_threshold(-B x*, lam) on it. On x >= 0, (lam1/2) 1 lies in
+    (lam1/2) d||x*||_1 for the elastic net's a_2 and a_3.
+    """
+    A, lasso = problem.A, isinstance(problem, LassoProblem)
     try:
-        start = (_exact_lasso(problem, half_quadratic) if isinstance(problem, LassoProblem)
-                 else _exact_elastic(problem))
-        z0 = None if start is None else _lift(s, split, gamma, *start)
+        if lasso:
+            lam = problem.lam if half_quadratic else 0.5 * problem.lam
+            x = _bounded_path(A.T @ A, A.T @ problem.b, lam, -problem.u, problem.u)
+        else:
+            x = _bounded_path(A.T @ A + problem.lam2 * np.eye(problem.dim), A.T @ problem.b,
+                              problem.lam1, 0.0, np.inf)
+        if x is None:
+            return None
+        if lasso:
+            bound = soft_threshold(-split.forwards[0].apply(x), problem.lam)
+            later = (np.where(np.abs(x) == problem.u, bound, 0.0),)
+        else:
+            later = (np.full(problem.dim, 0.5 * problem.lam1),) * 2
+        z0 = _lift(s, split, gamma, x, later)
     except np.linalg.LinAlgError:
         return None
-    return z0 if z0 is not None and np.isfinite(z0).all() else None
+    return z0 if np.isfinite(z0).all() else None
 
 
 def reference_solution(problem, budget, half_quadratic=True):
@@ -349,14 +313,15 @@ def reference_solution(problem, budget, half_quadratic=True):
 
     The loop is the gamma = 1/beta configuration on the kappa-form sequential
     tree: ``run_davis_yin`` for the LASSO, ``run`` for the elastic net
-    (n = 3). It starts at the fixed point lifted from the exact minimiser: the
-    LASSO's from a LARS-lasso homotopy when the box does not bind, the elastic
-    net's from a Lawson-Hanson active-set method. There its first fixed-point
-    residual is at rounding level, so it stops after one iteration below 1e-12.
-    When the exact step fails (singular system, non-finite result, binding
-    box, step cap) the loop starts at zero instead and runs up to 20x the
-    benchmark budget. The reference is the loop's final shadow iterate with
-    phi evaluated by the problem's reported objective. For the LASSO,
+    (n = 3). It starts at the fixed point lifted from the exact minimiser,
+    which one homotopy with bound events gives for both families, binding box
+    included. There its first fixed-point residual is at rounding level, so
+    it stops after one iteration below 1e-12. When the homotopy degenerates
+    (a column joins in the span of the active ones, an event cap, an end
+    point that fails the optimality conditions) or the lift is not finite,
+    the loop starts at zero instead and runs up to 20x the benchmark budget.
+    The reference is the loop's final shadow iterate with phi evaluated by
+    the problem's reported objective. For the LASSO,
     ``half_quadratic`` picks which objective the reference minimizes: True
     (default) matches the paper-literal split used by the benchmark methods;
     False matches the unhalved reported objective. The result is flagged

@@ -97,6 +97,34 @@ def test_run_bad_config(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+KAPPA_CHAIN = {"d": [1.0, 1.0], "M": [[1.0], [-1.0]], "N": [[0.0, 0.0], [2.0, 0.0]],
+               "P": [[0.0], [1.0]], "R": [[1.0, 0.0]]}
+# N_21 = 1.5 fails (e); M = [[1], [-0.5]] fails (a) and (d). Unchecked, each run
+# converges to a point that is no solution and exits 0.
+BROKEN_CHAINS = [(dict(KAPPA_CHAIN, N=[[0.0, 0.0], [1.5, 0.0]]), ["(e)"]),
+                 (dict(KAPPA_CHAIN, M=[[1.0], [-0.5]]), ["(a)", "(d)"])]
+
+
+@pytest.mark.parametrize("scheme, failed", BROKEN_CHAINS)
+def test_invalid_explicit_scheme_exits_2_before_any_solve(tmp_path, capsys, scheme, failed):
+    problem = {"kind": "lasso", "q": 20, "d": 30, "seed": 2}
+    doc = {"scheme": scheme, "problem": problem, "relocator": "general",
+           "schedule": {"variant": "constant"}, "run": {"max_iters": 200}}
+    out = tmp_path / "r.csv"
+    assert_usage_error(capsys, main(["run", write_json(tmp_path / "r.json", doc), "--out",
+                                     str(out)]))
+    assert not out.exists()
+    spec = {"scheme": scheme, "problem": problem, "relocator": "general", "budget": 50,
+            "out_dir": str(tmp_path / "b")}
+    code = main(["bench", write_json(tmp_path / "s.json", spec)])
+    err = capsys.readouterr().err
+    assert code == 2 and all(label in err for label in failed), err
+    assert not (tmp_path / "b").exists()
+    # the valid chain runs
+    doc["scheme"] = KAPPA_CHAIN
+    assert main(["run", write_json(tmp_path / "r.json", doc), "--out", str(out)]) == 0
+
+
 def test_bench(tmp_path, capsys):
     spec = {
         "graph": {"kind": "sequential", "n": 2},
@@ -323,15 +351,21 @@ def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
 
 def test_run_warns_on_unconverged_reference(tmp_path, capsys):
     warning = "warning: reference run did not fully converge; metrics are approximate"
-    # the box binds at u = 0.5: the reference run starts at zero and stops after 20 iterations
-    bound = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 0.5}
-    cfg = run_config(tmp_path, problem=bound, run={"max_iters": 50, "reference_budget": 1})
+    # a duplicated column breaks the homotopy: the reference run starts at zero
+    # and stops after 20 iterations
+    prob = problems.gen_lasso(10, 15, 6, lam=0.01, u=5.0)
+    A = prob.A.copy()
+    A[:, 0] = A[:, 1]
+    inline = {"kind": "lasso", "A": A.tolist(), "b": prob.b.tolist(), "lam": 0.01, "u": 5.0}
+    cfg = run_config(tmp_path, problem=inline, run={"max_iters": 50, "reference_budget": 1})
     assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert warning in capsys.readouterr().out.splitlines()
-    # at u = 5 it starts at the exact minimiser and certifies at any budget
-    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 1})
-    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-    assert warning not in capsys.readouterr().out
+    # else it starts at the exact minimiser and certifies at any budget, binding box or not
+    for u in (5.0, 0.5):
+        bound = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": u}
+        cfg = run_config(tmp_path, problem=bound, run={"max_iters": 50, "reference_budget": 1})
+        assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert warning not in capsys.readouterr().out
     cfg = run_config(tmp_path, run={"max_iters": 50})
     assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert warning not in capsys.readouterr().out
@@ -384,6 +418,32 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     for tol in (True, "1e-10"):
         cfg = write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": tol})
         assert_usage_error(capsys, main(["validate", cfg]))
+    # schedule and relaxation values, and inline A and b entries: the message names the key
+    inline_lasso = {"kind": "lasso", "A": [["1", True], [0, 1]], "b": ["1", 2], "lam": 0.1,
+                    "u": 5.0}
+    elastic_graph = {"graph": {"kind": "sequential", "n": 3}, "relocator": "auto"}
+    for overrides, key in (
+            ({"schedule": {"variant": "constant", "gamma": "0.5"}}, "gamma"),
+            ({"schedule": {"variant": "safeguard", "zeta_coeff": True}}, "zeta_coeff"),
+            ({"schedule": {"variant": "safeguard", "gamma_max": "1"}}, "gamma_max"),
+            ({"relaxation": {"theta": "1"}}, "theta"),
+            ({"relaxation": {"lam": True}}, "lam"),
+            ({"relaxation": {"margin_floor": None}}, "margin_floor"),
+            ({"problem": inline_lasso}, "A entry"),
+            ({"problem": dict(inline_lasso, A=[[1, 0], [0, 1]])}, "b entry"),
+            ({"problem": dict(inline, b=[1.0, False]), **elastic_graph}, "b entry")):
+        code = main(["run", run_config(tmp_path, run={"max_iters": 20}, **overrides),
+                     "--out", str(tmp_path / "bad.csv")])
+        assert f" {key} must be a number" in capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "bad.csv").exists()
+    spec["methods"] = [{"name": "m", "schedule": {"variant": "constant", "gamma": "0.5"}}]
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
+    assert not (tmp_path / "b").exists()
+    # null stays where the field allows it
+    for section, value in (("schedule", {"variant": "safeguard", "gamma": None, "gamma_max": None}),
+                           ("relaxation", {"lam": None})):
+        assert main(["run", run_config(tmp_path, **{section: value}, run={"max_iters": 20}),
+                     "--out", str(tmp_path / "ok.csv")]) == 0
     # arc endpoints are whole numbers: [1, 2.7] is no arc (1, 2)
     for arcs in ([[1, 2.7]], [[1, True]], [["1", 2]]):
         graph = {"n": 2, "arcs": arcs}

@@ -10,7 +10,7 @@ from relsplit.propsuites import (converge, graph_split, kappa_scheme,
                                  small_elastic_setup, small_lasso_setup)
 from relsplit.relocator import DAVIS_YIN, GENERAL, relocate
 from relsplit.schedule import RelaxationPlan, ScheduleSpec, positive_variation
-from relsplit.scheme import mu
+from relsplit.scheme import CoefficientScheme, mu
 
 
 def one_d_problem():
@@ -233,6 +233,14 @@ def test_run_config_validation():
     from relsplit.errors import StructuralError
     with pytest.raises(StructuralError):
         RunConfig(scheme=raw, problem=split, relocator=DAVIS_YIN)
+    # an explicit scheme must pass the six conditions; the error names the failed ones
+    chain = dict(d=[1.0, 1.0], M=[[1.0], [-1.0]], N=[[0.0, 0.0], [2.0, 0.0]], P=[[0.0], [1.0]],
+                 R=[[1.0, 0.0]])
+    RunConfig(scheme=CoefficientScheme(**chain), problem=split)
+    for broken, failed in ((dict(chain, N=[[0.0, 0.0], [1.5, 0.0]]), r"\(e\)"),
+                           (dict(chain, M=[[1.0], [-0.5]]), r"\(a\).*\(d\)")):
+        with pytest.raises(StructuralError, match=failed):
+            RunConfig(scheme=CoefficientScheme(**broken), problem=split)
 
 
 BAD_LIMITS = [dict(max_iters=0), dict(max_iters=2.5), dict(max_iters="5"), dict(max_iters=True),

@@ -144,12 +144,14 @@ def test_reference_is_feasible_and_locally_optimal():
 
 
 def test_reference_flagged_when_budget_too_small():
-    # with the box inactive the run starts at the exact minimiser: certified at any budget
-    prob = gen_lasso(12, 16, seed=14, lam=1e-3, u=50.0)
-    assert not reference_solution(prob, budget=1).flagged
-    # the box binds at u = 0.5, so the run starts at zero: 20 iterations only
-    bound = gen_lasso(12, 16, seed=14, lam=1e-3, u=0.5)
-    assert reference_solution(bound, budget=1).flagged
+    # the run starts at the exact minimiser, binding box or not: certified at any budget
+    for u in (50.0, 0.5):
+        assert not reference_solution(gen_lasso(12, 16, seed=4, lam=1e-3, u=u), budget=1).flagged
+    # a duplicated column breaks the homotopy, so the run starts at zero: 20 iterations only
+    prob = gen_lasso(12, 16, seed=4, lam=1e-3, u=50.0)
+    A = prob.A.copy()
+    A[:, 0] = A[:, 1]
+    assert reference_solution(LassoProblem(A, prob.b, prob.lam, prob.u), budget=1).flagged
 
 
 @pytest.fixture
@@ -188,6 +190,11 @@ def test_exact_lasso_reference_certifies_in_one_iteration(reference_loops, half_
     cases = [gen_lasso(50, 100, seed, spectrum=(0.4, 0.6), lam=1e-3) for seed in (2, 3, 12, 30)]
     cases += [gen_lasso(8, 12, seed, lam=0.05) for seed in range(4)]
     cases += [gen_lasso(20, 10, seed, lam=0.1) for seed in range(4)]
+    # binding boxes: clamp and free events (at u = 2 and seed 3 a dropped entry
+    # rejoins with the other sign in the segment right after its drop)
+    cases += [gen_lasso(8, 12, seed, lam=0.05, u=0.4) for seed in (7, 10)]
+    cases += [gen_lasso(50, 100, seed, spectrum=(0.4, 0.6), lam=1e-3, u=u)
+              for seed, u in ((3, 2.0), (4, 0.5))]
     for prob in cases:
         ref = reference_solution(prob, budget=1000, half_quadratic=half_quadratic)
         z0, trace = reference_loops[-1]
@@ -223,13 +230,17 @@ def test_exact_lasso_reference_is_no_worse_than_the_zero_start_run(monkeypatch):
         assert half_objective(prob, ref.x) <= half_objective(prob, old.x)
 
 
-def test_box_binding_reference_is_the_zero_start_run(monkeypatch, reference_loops):
-    prob = gen_lasso(8, 12, seed=10, lam=0.05, u=0.4)
-    ref = reference_solution(prob, budget=5000)
-    assert reference_loops[-1][0] is None
+def test_box_binding_exact_reference_matches_the_zero_start_run(monkeypatch, reference_loops):
+    # the box binds at both solutions; the second path needs a rejoin with the other sign
+    cases = [gen_lasso(8, 12, seed=10, lam=0.05, u=0.4), gen_lasso(12, 16, seed=9, lam=1e-3, u=2.0)]
+    exact = [reference_solution(prob, budget=5000) for prob in cases]
+    assert all(z0 is not None for z0, _ in reference_loops)
+    assert all(np.abs(ref.x).max() >= prob.u - 1e-12 for prob, ref in zip(cases, exact))
     monkeypatch.setattr(problems, "_exact_start", lambda *args: None)
-    old = reference_solution(prob, budget=5000)
-    assert np.array_equal(ref.x, old.x) and (ref.phi, ref.flagged) == (old.phi, old.flagged)
+    for prob, ref in zip(cases, exact):
+        old = reference_solution(prob, budget=5000)
+        assert reference_loops[-1][0] is None and not old.flagged
+        assert np.abs(ref.x - old.x).max() <= 1e-8 and abs(ref.phi - old.phi) <= 1e-8
 
 
 def test_duplicated_columns_fall_back_without_an_exception(reference_loops):
