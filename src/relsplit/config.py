@@ -171,7 +171,9 @@ def build_problem(doc):
             lam2=as_real("lam2", doc.get("lam2", 1e-2)), normalize=_flag(doc, "normalize", True))
     split = (problems.split_lasso(prob, half_quadratic=half) if kind == "lasso"
              else problems.split_elastic(prob))
-    return prob, split, lambda x: problems.objective(prob, x), half
+    # on the sequential tree the first forward runs at the recorded x_1: reuse its residual
+    residual = split.forwards[0].residual
+    return prob, split, lambda x: problems.objective(prob, x, residual(x)), half
 
 
 @_config_errors

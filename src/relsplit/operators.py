@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .linalg import small_gram
 
 
 def soft_threshold(v, t):
@@ -65,7 +64,8 @@ class BoxNormalCone(ResolventOp):
 
     def resolve(self, gamma, v):
         _check_gamma(gamma)
-        return np.clip(np.asarray(v, dtype=float), -self.bound, self.bound)
+        # np.clip's result, bitwise (NaN, signed zeros), at half its call overhead
+        return np.minimum(np.maximum(np.asarray(v, dtype=float), -self.bound), self.bound)
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,16 @@ class CocoerciveOp:
 class LeastSquaresGrad(CocoerciveOp):
     """B(x) = scale * A^T (A x - b), the gradient of (scale/2)||Ax - b||^2.
 
+    The form is chosen from the shape (q, d) of A by flop count. When
+    2q < d, ``apply`` computes the factored ``scale * A^T (A x - b)`` and
+    no d x d array is built. Otherwise it computes ``G x - scale * A^T b``
+    with the precomputed Gram matrix G = scale * A^T A.
+
     beta = scale * lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
-    eigenvalue). The default scale 1 is the gradient of the half quadratic,
-    scale 2 the gradient of the unhalved one.
+    eigenvalue; the Gram form's own A^T A otherwise). The default scale 1
+    is the gradient of the half quadratic, scale 2 the gradient of the
+    unhalved one.
     """
 
     def __init__(self, A, b, scale=1.0):
@@ -136,18 +142,41 @@ class LeastSquaresGrad(CocoerciveOp):
         self.A = A
         self.b = b
         self.scale = float(scale)
+        q, self.dim = A.shape
+        self._gram = None
+        self._memo = None   # (bytes of the factored apply's last x, its A x - b)
         # an overflowing A^T A leaves beta non-finite, which SplitProblem rejects
         with np.errstate(over="ignore"):
-            self._gram = scale * (A.T @ A)
-            self._atb = scale * (A.T @ b)
-            self.beta = self.scale * lambda_max(small_gram(A))
-        self.dim = A.shape[1]
+            if 2 * q < self.dim:
+                self.beta = self.scale * lambda_max(A @ A.T)
+            else:
+                gram = A.T @ A
+                self._gram = self.scale * gram
+                self._atb = self.scale * (A.T @ b)
+                self.beta = self.scale * lambda_max(gram if q >= self.dim else A @ A.T)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise StructuralError(f"expected vector of dim {self.dim}, got shape {x.shape}")
-        return self._gram @ x - self._atb
+        if self._gram is not None:
+            return self._gram @ x - self._atb
+        r = self.A @ x - self.b
+        r.flags.writeable = False
+        self._memo = (x.tobytes(), r)
+        return self.scale * (self.A.T @ r)
+
+    def residual(self, x):
+        """A x - b at x.
+
+        When x is bitwise the factored ``apply``'s last input, this is that
+        apply's residual (shared, so read-only); otherwise it is computed.
+        """
+        x = np.asarray(x, dtype=float)
+        memo = self._memo
+        if memo is not None and x.shape == (self.dim,) and memo[0] == x.tobytes():
+            return memo[1]
+        return self.A @ x - self.b
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,13 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
     return ElasticNetProblem(A, b, lam1, lam2)
 
 
-def objective(problem, x):
-    """The reported objective phi(x); the LASSO's is ||Ax - b||^2 + lam ||x||_1 (unhalved)."""
+def objective(problem, x, residual=None):
+    """The reported objective phi(x); the LASSO's is ||Ax - b||^2 + lam ||x||_1 (unhalved).
+
+    ``residual`` is A x - b when the caller already has it.
+    """
     x = np.asarray(x, dtype=float)
-    r = problem.A @ x - problem.b
+    r = problem.A @ x - problem.b if residual is None else residual
     if isinstance(problem, LassoProblem):
         return float(r @ r) + problem.lam * float(np.abs(x).sum())
     if isinstance(problem, ElasticNetProblem):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relsplit import config, problems
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin
 from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
@@ -407,3 +408,28 @@ def test_run_matches_public_step_functions(kind, iterates):
         x1 = x1w if kind != GENERAL else None
         gamma = gamma_next
     assert np.array_equal(trace.z_final, z)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
+def test_wide_objective_reuses_the_forward_residual_exactly(max_iters, monkeypatch):
+    # q = 20, d = 60: the factored form, whose residual at x_1 the recorded objective reuses
+    hits = []
+    residual = LeastSquaresGrad.residual
+
+    def counted(self, x):
+        r = residual(self, x)
+        hits.append(self._memo is not None and r is self._memo[1])
+        return r
+
+    monkeypatch.setattr(LeastSquaresGrad, "residual", counted)
+    doc = {"graph": {"kind": "sequential", "n": 3},
+           "problem": {"kind": "elastic-net", "q": 20, "d": 60, "seed": 11, "n_corr": 4},
+           "relocator": "general",
+           "run": {"max_iters": max_iters, "fix_res_tol": 1e-12, "record_every": 1}}
+    cfg, z0, _ = config.build_run(doc)
+    prob = config.build_problem(doc["problem"])[0]
+    trace = run(cfg, z0)
+    assert cfg.problem.forwards[0]._gram is None
+    assert len(trace.objective) == trace.iterations == max_iters
+    assert trace.objective[-1] == problems.objective(prob, trace.x_final)
+    assert hits == [True] * max_iters

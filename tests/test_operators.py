@@ -41,6 +41,15 @@ def test_box_clamp():
                           op.resolve(100.0, np.array([60.0, -10.0])))
 
 
+def test_box_clamp_is_np_clip_bitwise():
+    u = 2.5
+    v = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, u, -u, 3.0, -3.0, 1.0])
+    got = BoxNormalCone(u).resolve(1.0, v)
+    want = np.clip(v, -u, u)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # NaN and sign bit too
+    assert np.signbit(got[2]) and not np.signbit(got[1])
+
+
 def test_zero_op_identity():
     assert np.array_equal(ZeroOp().resolve(3.0, np.array([5.0])), [5.0])
 
@@ -150,3 +159,61 @@ def test_lambda_max_separates_a_near_double_top_eigenvalue():
     gram = (q * [1.0, 1.0 - 1e-9, 0.5, 0.2, 0.1]) @ q.T
     gram = 0.5 * (gram + gram.T)
     assert lambda_max(gram) == np.linalg.eigvalsh(gram)[-1]
+
+
+def _ls_data(q, d, seed=20):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((q, d)), rng.standard_normal(q), rng.standard_normal(d)
+
+
+@pytest.mark.parametrize("shape", [(10, 40), (20, 40), (40, 10)])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_least_squares_forms_match_the_gradient(shape, scale):
+    a, b, x = _ls_data(*shape)
+    op = LeastSquaresGrad(a, b, scale=scale)
+    want = scale * a.T @ (a @ x - b)
+    assert np.linalg.norm(op.apply(x) - want) <= 1e-13 * np.linalg.norm(want)
+    dense = scale * np.linalg.eigvalsh(a.T @ a)[-1]
+    assert abs(op.beta - dense) <= 1e-13 * dense
+
+
+def test_least_squares_form_follows_the_shape():
+    # factored exactly when 2q < d; the boundary 2q == d keeps the Gram form
+    assert LeastSquaresGrad(*_ls_data(10, 40)[:2])._gram is None
+    for q, d in ((20, 40), (40, 10), (7, 7)):
+        assert LeastSquaresGrad(*_ls_data(q, d)[:2])._gram.shape == (d, d)
+
+
+def test_factored_form_holds_no_d_by_d_array():
+    op = LeastSquaresGrad(*_ls_data(10, 40)[:2])
+    op.apply(np.ones(40))
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    arrays += [v for v in op._memo if isinstance(v, np.ndarray)]
+    assert arrays and all(v.shape != (40, 40) for v in arrays)
+
+
+def test_gram_form_beta_is_bitwise_the_small_gram_value():
+    # one A^T A serves both the Gram and beta when q >= d; A A^T when d/2 <= q < d
+    for q, d in ((40, 10), (30, 40)):
+        a, b, _ = _ls_data(q, d)
+        small = a.T @ a if q >= d else a @ a.T
+        for scale in (1.0, 2.0):
+            assert LeastSquaresGrad(a, b, scale=scale).beta == scale * lambda_max(small)
+
+
+def test_residual_is_recomputed_for_another_input():
+    a, b, x1 = _ls_data(10, 40)
+    x2 = x1 + 1.0
+    op = LeastSquaresGrad(a, b)
+    op.apply(x1)
+    assert op.residual(x1) is op._memo[1]
+    assert np.array_equal(op.residual(x1), a @ x1 - b)
+    assert np.array_equal(op.residual(x2), a @ x2 - b)
+
+
+def test_residual_is_not_stale_after_the_input_is_mutated():
+    a, b, x1 = _ls_data(10, 40)
+    op = LeastSquaresGrad(a, b)
+    op.apply(x1)
+    x1[3] += 1.0
+    assert np.array_equal(op.residual(x1), a @ x1 - b)
