@@ -238,12 +238,14 @@ class _EngineStep:
     """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
 
     At w the cheap relocators need only x_1 (recycled as the next sweep's
-    x_1), which their one-column K multiplies block by block; the general
-    relocator needs a full second sweep, which its m x n K multiplies.
+    x_1), which their one-column K multiplies block by block (a column of
+    ones, ``K = None`` here, just broadcasts it); the general relocator
+    needs a full second sweep, which its m x n K multiplies.
     """
 
     def __init__(self, sweeps, general, K, z):
-        self.sweeps, self.general, self.K, self.z = sweeps, general, K, z
+        self.sweeps, self.general, self.z = sweeps, general, z
+        self.K = None if not general and np.all(K == 1.0) else K
         self.x = self.x1 = None
         self.evals = 0
 
@@ -269,7 +271,9 @@ class _EngineStep:
         return norm(x1w), norm(x1w - w)
 
     def relocate(self, ratio):
-        kx = self.K @ self.at_w if self.general else self.K * self.at_w
+        kx = self.at_w
+        if self.K is not None:
+            kx = self.K @ kx if self.general else self.K * kx
         self.z = ratio * self.w + (1.0 - ratio) * kx
         self.x1 = None if self.general else self.at_w
 
@@ -278,7 +282,8 @@ def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
     s, prob, kind = cfg.scheme, cfg.problem, cfg.relocator
     sweeps = engine.SweepPlan(s, prob)
-    z = sweeps.blocks(z0) if z0 is not None else default_z0(s, prob)
+    # a copy: the sweep may hand the caller's blocks, as views, to a resolvent
+    z = sweeps.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
     step = _EngineStep(sweeps, kind == relocator.GENERAL, relocator.relocation_map(kind, s), z)
     return _iterate(step, cfg, schememod.mu(s, prob.beta))
 

@@ -30,6 +30,15 @@ def as_blocks(z, m=None):
     return z
 
 
+def check_shape(name, a, shape):
+    """``a`` as a float array of ``shape`` (None: any length on that axis), or a StructuralError."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != len(shape) or any(k not in (None, got) for k, got in zip(shape, a.shape)):
+        want = str(tuple("d" if k is None else k for k in shape)).replace("'", "")
+        raise StructuralError(f"{name} must have shape {want}, got {a.shape}")
+    return a
+
+
 def norm(v):
     """l2-norm of a real array over all coordinates, as a float.
 

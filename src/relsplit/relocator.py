@@ -108,11 +108,15 @@ def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     """Apply Q_{delta <- gamma} to z.
 
     ``sweep`` is the (n, d) array ``engine.sweep`` returns at (gamma, z).
-    For the cheap kinds only ``x1`` (its first row) is needed; for
-    ``general`` the full array is (each computed here when not supplied).
+    For the cheap kinds only ``x1`` (its first row, a d-vector) is needed;
+    for ``general`` the full array is (each computed here when not supplied).
     """
     r = _check_ratio(delta, gamma)
     z = linalg.as_blocks(z, s.m)
+    if sweep is not None:
+        sweep = linalg.check_shape("sweep", sweep, (s.n, z.shape[1]))
+    if x1 is not None:
+        x1 = linalg.check_shape("x1", x1, (z.shape[1],))
     K = relocation_map(kind, s)
     if kind == GENERAL:
         x = sweep if sweep is not None else engine.sweep(s, prob, gamma, z)

@@ -1,13 +1,20 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from relsplit import graph as graphmod
-from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
+from relsplit import config, graph as graphmod, relocator
+from relsplit.driver import RunConfig, _EngineStep, run
+from relsplit.engine import (SplitProblem, SweepPlan, apply_T, first_block, residuals,
+                             sweep)
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.operators import (L1Subdiff, LeastSquaresGrad, ScaledIdentity,
                                 ZeroForward, ZeroOp)
 from relsplit.propsuites import graph_split, kappa_scheme, small_lasso_setup, converge
-from relsplit.scheme import CoefficientScheme, eta, mu
+from relsplit.schedule import ScheduleSpec
+from relsplit.scheme import CoefficientScheme, eta, mu, validate
 
 
 def zero_problem(n, p, dim=2):
@@ -255,3 +262,154 @@ def test_conical_averagedness_sample():
             lhs = np.linalg.norm(tz - tw) ** 2 + ((1.0 - eta_value) / eta_value) * \
                 np.linalg.norm((z - tz) - (w - tw)) ** 2
             assert lhs <= np.linalg.norm(z - w) ** 2 + 1e-8
+
+
+# -- the folded step plan against a plain matrix oracle ------------------------
+
+def oracle_sweep(s, prob, gamma, z, x1=None):
+    """The sweep of the module docstring with whole matrices: M z / d, then the N/P/R terms."""
+    mzd = (s.M @ z) / s.d[:, None]
+    x = np.zeros((s.n, z.shape[1]))
+    x[0] = prob.resolvents[0].resolve(gamma / s.d[0], mzd[0]) if x1 is None else x1
+    forward = {}
+    for i in range(1, s.n):
+        arg = mzd[i]
+        for j in range(i):
+            if s.N[i, j] != 0.0:
+                arg = arg + (s.N[i, j] / s.d[i]) * x[j]
+        for j in range(i):
+            if s.P[i, j] != 0.0:
+                if j not in forward:
+                    forward[j] = prob.forwards[j].apply(s.R[j, :j + 1] @ x[:j + 1])
+                arg = arg - (gamma * s.P[i, j] / s.d[i]) * forward[j]
+        x[i] = prob.resolvents[i].resolve(gamma / s.d[i], arg)
+    return x
+
+
+def oracle_residuals(s, x):
+    pairs = [np.linalg.norm(x[i] - x[j]) for i in range(s.n) for j in range(i + 1, s.n)]
+    return np.linalg.norm(s.M.T @ x), max(pairs, default=0.0)
+
+
+def oracle_relocate(s, prob, K, general, ratio, gamma, w):
+    """r w + (1 - r) K x(w): K @ the sweep at w (general) or K times x_1 at w (cheap)."""
+    kx = K @ oracle_sweep(s, prob, gamma, w) if general else K * oracle_sweep(s, prob, gamma, w)[0]
+    return ratio * w + (1.0 - ratio) * kx
+
+
+def explicit_scheme():
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / "explicit_scheme.json"
+    return config.build_scheme(json.loads(path.read_text()))
+
+
+def mixed_scheme():
+    """A valid n = 3 scheme with non-unit entries: M rows of one and two terms, an R row of two."""
+    base = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    M = 0.5 * base.M @ np.array([[1.0, 0.5], [0.0, 1.0]])
+    s = CoefficientScheme(base.d, M, base.N, base.P, [[1.0, 0.0, 0.0], [0.25, 0.75, 0.0]])
+    assert validate(s) == []
+    return s
+
+
+def split_for(s, seed, dim=5):
+    """``graph_split`` with A_1 = 0, whose resolvent returns its argument, a view of z at times."""
+    prob = graph_split(s.n, seed, dim=dim)
+    return SplitProblem([ZeroOp(), *prob.resolvents[1:]], prob.forwards, prob.beta, dim)
+
+
+BITWISE = [kappa_scheme(kind, n) for kind in graphmod.CANONICAL_KINDS for n in (2, 3)]
+CLOSE = [kappa_scheme(kind, n) for kind in (graphmod.INWARD_STAR, graphmod.OUTWARD_STAR)
+         for n in (4, 5, 6)]
+
+
+def check_plan_against_oracle(s, same):
+    for seed in range(3):
+        prob = split_for(s, seed)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((s.m, prob.dim))
+        gamma = 0.3 + 0.2 * seed
+        expect = oracle_sweep(s, prob, gamma, z)
+        plan = SweepPlan(s, prob)
+        same(np.array(plan.sweep(gamma, z)), expect)
+        same(sweep(s, prob, gamma, z), expect)
+        x1 = rng.standard_normal(prob.dim)
+        same(np.array(plan.sweep(gamma, z, x1)), oracle_sweep(s, prob, gamma, z, x1))
+        same(plan.first_block(gamma, z), expect[0])
+        same(first_block(s, prob, gamma, z), expect[0])
+        assert not np.shares_memory(first_block(s, prob, gamma, z), z)
+        same(np.array(residuals(s, expect)), np.array(oracle_residuals(s, expect)))
+        kinds = [relocator.GENERAL]
+        if s.graph is not None:
+            kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+        for kind in kinds:
+            general = kind == relocator.GENERAL
+            K = relocator.relocation_map(kind, s)
+            step = _EngineStep(SweepPlan(s, prob), general, K, z)
+            step.residuals(gamma)
+            step.advance(gamma, 0.7)
+            step.relocate(1.25)
+            w = z - 0.7 * (s.M.T @ expect)
+            same(step.z, oracle_relocate(s, prob, K, general, 1.25, gamma, w))
+
+
+@pytest.mark.parametrize("s", BITWISE + [explicit_scheme()],
+                         ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
+                         + ["explicit"])
+def test_folded_plan_is_bitwise_the_matrix_oracle(s):
+    # every row of these schemes has at most two nonzeros of +-1 (or one of any value)
+    check_plan_against_oracle(s, lambda a, b: np.testing.assert_array_equal(a, b))
+
+
+@pytest.mark.parametrize("s", CLOSE + [mixed_scheme()],
+                         ids=[f"{k}-{n}" for k in ("inward-star", "outward-star")
+                              for n in (4, 5, 6)] + ["mixed"])
+def test_folded_plan_matches_the_matrix_oracle(s):
+    # a star hub sums n - 1 blocks, possibly in another order than the product M z
+    check_plan_against_oracle(s, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
+                                                                           atol=1e-14))
+
+
+def test_run_leaves_z0_alone_when_x1_is_a_view():
+    # ZeroOp returns its argument, and the chain's first row is z_1 itself, so
+    # without a copy x_1 would be a view of the caller's z0
+    s = kappa_scheme(graphmod.SEQUENTIAL, 2)
+    prob = split_for(s, 0)
+    z0 = np.random.default_rng(1).standard_normal((1, prob.dim))
+    keep = z0.copy()
+    for kind in (relocator.DAVIS_YIN, relocator.GENERAL):
+        for iters in (1, 40):
+            cfg = RunConfig(s, prob, relocator=kind, max_iters=iters, fix_res_tol=1e-300,
+                            schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"))
+            trace = run(cfg, z0)
+            assert np.array_equal(z0, keep)
+            assert not np.shares_memory(trace.x_final, z0)
+            assert not np.shares_memory(trace.z_final, z0)
+            # the oracle loop on the stepsizes and relaxations of one more iteration,
+            # since the last iteration relocates to gamma_{iters}
+            longer = run(replace(cfg, max_iters=iters + 1), z0)
+            assert longer.iterations == iters + 1
+            K = relocator.relocation_map(kind, s)
+            general = kind == relocator.GENERAL
+            z, x1 = keep.copy(), None
+            for k in range(iters):
+                g = longer.gamma[k]
+                x = oracle_sweep(s, prob, g, z, x1)
+                assert (trace.fix_res[k], trace.consensus[k]) == oracle_residuals(s, x)
+                w = z - (longer.lam[k] * longer.theta[k]) * (s.M.T @ x)
+                z = oracle_relocate(s, prob, K, general, longer.gamma[k + 1] / g, g, w)
+                x1 = None if general else oracle_sweep(s, prob, g, w)[0]
+            assert np.array_equal(trace.z_final, z)
+            assert np.array_equal(trace.x_final, x[0])
+
+
+def test_public_wrappers_check_shapes():
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    prob = graph_split(3, seed=2)
+    z = np.zeros((2, prob.dim))
+    for bad in (0.0, np.zeros(prob.dim + 1), np.zeros((1, prob.dim))):
+        with pytest.raises(StructuralError, match=r"x1 must have shape \(6,\)"):
+            sweep(s, prob, 0.5, z, x1=bad)
+    x = sweep(s, prob, 0.5, z)
+    for bad in (x[:2], np.vstack([x, x[:1]]), x[0], 1.0):
+        with pytest.raises(StructuralError, match=r"x must have shape \(3, d\)"):
+            residuals(s, bad)

@@ -246,3 +246,18 @@ def test_general_relocator_needs_no_graph():
     assert out.shape == (1, 2)
     with pytest.raises(StructuralError):
         relocate(DAVIS_YIN, s, prob, 0.2, 0.4, z)
+
+
+def test_relocate_checks_shapes():
+    s, split, _ = small_elastic_setup(3)
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((s.m, split.dim))
+    x = sweep(s, split, 0.4, z)
+    for bad in (x[:2], np.vstack([x, x[:1]]), x[0]):
+        with pytest.raises(StructuralError, match=rf"sweep must have shape \(3, {split.dim}\)"):
+            relocate(GENERAL, s, split, 0.5, 0.4, z, sweep=bad)
+    for bad in (0.0, x[0][:-1], x[:1]):
+        with pytest.raises(StructuralError, match=rf"x1 must have shape \({split.dim},\)"):
+            relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, x1=bad)
+    expect = relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, x1=x[0])
+    assert np.array_equal(relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, sweep=x), expect)
