@@ -238,14 +238,14 @@ class _EngineStep:
     """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
 
     At w the cheap relocators need only x_1 (recycled as the next sweep's
-    x_1), which their one-column K multiplies block by block (a column of
-    ones, ``K = None`` here, just broadcasts it); the general relocator
-    needs a full second sweep, which its m x n K multiplies.
+    x_1), which their K, a column of ones on every supported tree, just
+    broadcasts; the general relocator needs a full second sweep, which its
+    m x n K multiplies.
     """
 
     def __init__(self, sweeps, general, K, z):
         self.sweeps, self.general, self.z = sweeps, general, z
-        self.K = None if not general and np.all(K == 1.0) else K
+        self.K = K if general else None
         self.x = self.x1 = None
         self.evals = 0
 
@@ -271,9 +271,7 @@ class _EngineStep:
         return norm(x1w), norm(x1w - w)
 
     def relocate(self, ratio):
-        kx = self.at_w
-        if self.K is not None:
-            kx = self.K @ kx if self.general else self.K * kx
+        kx = self.K @ self.at_w if self.general else self.at_w
         self.z = ratio * self.w + (1.0 - ratio) * kx
         self.x1 = None if self.general else self.at_w
 

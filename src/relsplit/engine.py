@@ -136,14 +136,8 @@ class ResidualPlan:
         total = flat.dot(flat)
         worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
         for i, j, e in self.pairs:
-            if e is None:
-                v = x[i] - x[j]
-                sq = v.dot(v)
-            elif self.m == 1:
-                sq = total   # the one edge difference is all of M* x
-            else:
-                v = mstar_x[e]
-                sq = v.dot(v)
+            v = x[i] - x[j] if e is None else mstar_x[e]
+            sq = v.dot(v)
             if sq > worst:
                 worst = sq
         return mstar_x, math.sqrt(total), math.sqrt(worst)

@@ -92,16 +92,23 @@ def require_graph_scheme(kind, s):
 
 
 def cheap_coefficients(kind, g):
-    """Per-block multipliers of x_1 in the cheap relocators (length n - 1)."""
+    """Per-block multipliers of x_1 in the cheap relocators (length n - 1).
+
+    They are ones on every canonical tree, which ``driver._EngineStep``
+    relies on when it broadcasts x_1 in place of the product K x_1.
+    """
     kappa, kin, _ = graphmod.degrees(g)
     w = (kappa - 2 * kin).astype(float)
     if kind in (graphmod.INWARD_STAR, DAVIS_YIN):
-        return w[:-1]
-    if kind == graphmod.OUTWARD_STAR:
-        return -w[1:]
-    if kind == graphmod.SEQUENTIAL:
-        return np.cumsum(w)[:-1]
-    raise ParameterError(f"unknown cheap relocator kind {kind!r}")
+        c = w[:-1]
+    elif kind == graphmod.OUTWARD_STAR:
+        c = -w[1:]
+    elif kind == graphmod.SEQUENTIAL:
+        c = np.cumsum(w)[:-1]
+    else:
+        raise ParameterError(f"unknown cheap relocator kind {kind!r}")
+    assert np.all(c == 1.0), f"{kind} coefficients {c} are not ones"
+    return c
 
 
 def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
