@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import config as configmod, problems, propsuites
 from .driver import Trace, run
-from .errors import ParameterError, ReferenceRunError, StructuralError
+from .errors import ParameterError, ReferenceRunError, StructuralError, as_count, as_whole
 from .scheme import condition_report
 
 REFERENCE_WARNING = "warning: reference run did not fully converge; metrics are approximate"
@@ -34,6 +34,10 @@ def _load_json(path):
 def _error(msg, code=2):
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _write_error(exc):
+    return _error(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 def cmd_validate(args):
@@ -62,7 +66,10 @@ def cmd_run(args):
     if flagged:
         print(REFERENCE_WARNING)
     out = args.out or (Path(args.config).stem + ".csv")
-    trace.to_csv(out)
+    try:
+        trace.to_csv(out)
+    except OSError as exc:
+        return _write_error(exc)
     summary = trace.summary()
     print(f"wrote {out}")
     print(f"iterations={summary['iterations']} fix_res={summary['fix_res']:.6e} "
@@ -85,7 +92,10 @@ def cmd_bench(args):
         return _error(str(exc), code=1)
     if ref.flagged:
         print(REFERENCE_WARNING)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _write_error(exc)
 
     results = []
     for name, cfg, z0 in jobs:
@@ -116,13 +126,17 @@ def cmd_bench(args):
 def cmd_proptest(args):
     if args.suite not in propsuites.SUITES:
         return _error(f"unknown suite {args.suite!r}; choose from {propsuites.SUITES}")
-    failures = propsuites.run_suite(args.suite, trials=args.trials, seed=args.seed)
+    try:
+        trials, seed = as_count("--trials", args.trials), as_whole("--seed", args.seed)
+    except ParameterError as exc:
+        return _error(str(exc))
+    failures = propsuites.run_suite(args.suite, trials=trials, seed=seed)
     if failures:
         print(f"{args.suite}: FAIL")
         for msg in failures:
             print("  counterexample:", msg)
         return 1
-    print(f"{args.suite}: PASS ({args.trials} trials, seed {args.seed})")
+    print(f"{args.suite}: PASS ({trials} trials, seed {seed})")
     return 0
 
 

@@ -22,7 +22,8 @@ StructuralError. A run config (``relsplit run``) has the sections
 
 A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a list
 of graph sections: the grid runs once per graph, CSV names prefixed by its
-kind, or "graph" for an arc list; two jobs with one CSV name are an error);
+kind, or "graph" for an arc list; two jobs with one CSV name, or a CSV name
+that is not a file name in out_dir or is summary.csv, are an error);
 "problem", "relocator", "relaxation" and "z0" as above; "budget"
 (10000 iterations per method; 20x that caps the reference run where it
 cannot start at the exact minimiser), "fix_res_tol" (1e-10), "record_every"
@@ -301,9 +302,12 @@ def build_bench(doc):
     if not jobs:
         raise ParameterError("benchmark needs at least one graph and one method")
     names = [name for name, _, _ in jobs]
-    dup = next((name for i, name in enumerate(names) if name in names[:i]), None)
-    if dup is not None:
-        raise ParameterError(f"two benchmark jobs would write {dup}.csv")
+    for i, name in enumerate(names):
+        csv = f"{name}.csv"
+        if Path(csv).name != csv or csv == "summary.csv":
+            raise ParameterError(f"benchmark job {name!r} cannot write {csv} in out_dir")
+        if name in names[:i]:
+            raise ParameterError(f"two benchmark jobs would write {csv}")
     return jobs, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
 
 

@@ -32,6 +32,12 @@ the sweep rows, M*, the relocator's matrix K (``relocator.relocation_map``, so
 that z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and the
 consensus pairs are precomputed, so the loop itself only does arithmetic.
 
+An iteration computes only what the run reads, so a constant-stepsize run
+costs what the non-relocated method costs: fix_res every iteration, the
+consensus only on a recorded row, ||x_{k+1}|| and ||x_{k+1} - w_k|| only for
+a schedule that reads them (the norm-ratio rule), and at r = 1 relocation is
+the identity, z_{k+1} = w_k.
+
 Feasibility is enforced every iteration: the margin
 2 - gamma_k*mu - 2*lambda_k*theta_k must stay at or above the plan's floor,
 fix_res must be finite, and gamma_{k+1} must stay inside (0, 2/mu);
@@ -189,13 +195,16 @@ def _iterate(step, cfg, mu_value):
 
     Schedule (``ScheduleSpec.build`` checks 0 < gamma_0 < 2/mu), relaxation,
     limits and recorder come from ``cfg``. A step exposes ``z``, the shadow
-    iterate ``x``, the cumulative resolvent count ``evals`` and four methods:
+    iterate ``x``, the cumulative resolvent count ``evals`` and six methods:
     ``start(gamma)``; ``residuals(gamma)``, which evaluates the resolvents at
-    (gamma, z) and returns (fix_res, consensus); ``advance(gamma, lam*theta)``,
-    which forms w and the next x_1 and returns (||x_1||, ||x_1 - w||); and
-    ``relocate(gamma_next/gamma)``, which sets z to the relocated w.
+    (gamma, z) and returns fix_res; ``consensus()``, called only for a
+    recorded row; ``advance(gamma, lam*theta)``, which forms w and x_1(w);
+    ``norms()``, which returns (||x_1(w)||, ||x_1(w) - w||) and is called only
+    when the schedule ``reads_norms``; and ``relocate(gamma_next/gamma)``,
+    which sets z to the relocated w (to w itself at ratio 1).
     """
     sched = cfg.schedule.build(mu_value, cfg.problem.beta)
+    reads_norms = sched.reads_norms
     rec = _Recorder(cfg.objective, cfg.reference)
     trace, relax = rec.trace, cfg.relaxation
     floor = relax.margin_floor
@@ -210,11 +219,11 @@ def _iterate(step, cfg, mu_value):
         if lam <= 0 or margin < floor - 1e-12:
             trace.aborted = _infeasible(k, gamma, lam, margin, floor)
             break
-        fix_res, consensus = step.residuals(gamma)
+        fix_res = step.residuals(gamma)
         done = fix_res <= fix_res_tol
         stop = done or not fix_res < _INF
         if stop or k % record_every == 0 or k == last:
-            rec.row(k, gamma, theta, lam, fix_res, consensus, step.x, step.evals)
+            rec.row(k, gamma, theta, lam, fix_res, step.consensus(), step.x, step.evals)
         trace.iterations = k + 1
         if stop:
             if done:
@@ -222,7 +231,8 @@ def _iterate(step, cfg, mu_value):
             else:
                 trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
             break
-        gamma_next = sched.next_gamma(*step.advance(gamma, lam * theta))
+        step.advance(gamma, lam * theta)
+        gamma_next = sched.next_gamma(*step.norms()) if reads_norms else sched.next_gamma()
         if not 0 < gamma_next < sup:
             trace.aborted = f"gamma_{k + 1} = {gamma_next:.6g} outside (0, {sup:.6g})"
             break
@@ -253,26 +263,34 @@ class _EngineStep:
         pass
 
     def residuals(self, gamma):
-        xs = self.sweeps.sweep(gamma, self.z, self.x1)
+        xs = self.xs = self.sweeps.sweep(gamma, self.z, self.x1)
         self.x = xs[0]
         self.evals += self.sweeps.n if self.x1 is None else self.sweeps.n - 1
-        self.mstar_x, fix_res, consensus = self.sweeps.residuals(xs)
-        return fix_res, consensus
+        self.mstar_x, fix_res = self.sweeps.fix_res(xs)
+        return fix_res
+
+    def consensus(self):
+        return self.sweeps.consensus(self.xs, self.mstar_x)
 
     def advance(self, gamma, lam_theta):
         w = self.w = self.z - lam_theta * self.mstar_x
         if self.general:
             self.at_w = self.sweeps.sweep(gamma, w)
             self.evals += self.sweeps.n
-            x1w = self.at_w[0]
         else:
-            x1w = self.at_w = self.sweeps.first_block(gamma, w)
+            self.at_w = self.sweeps.first_block(gamma, w)
             self.evals += 1
-        return norm(x1w), norm(x1w - w)
+
+    def norms(self):
+        x1w = self.at_w[0] if self.general else self.at_w
+        return norm(x1w), norm(x1w - self.w)
 
     def relocate(self, ratio):
-        kx = self.K @ self.at_w if self.general else self.at_w
-        self.z = ratio * self.w + (1.0 - ratio) * kx
+        if ratio == 1.0:
+            self.z = self.w
+        else:
+            kx = self.K @ self.at_w if self.general else self.at_w
+            self.z = ratio * self.w + (1.0 - ratio) * kx
         self.x1 = None if self.general else self.at_w
 
 
@@ -305,17 +323,22 @@ class _DavisYinStep:
         x = self.x = self.x_next
         y = self.y = self.resolve2(gamma, 2.0 * x - self.z - gamma * self.apply(x))
         self.evals += 1
-        fix_res = norm(x - y)
-        return fix_res, fix_res
+        self.fix_res = norm(x - y)
+        return self.fix_res
+
+    def consensus(self):
+        return self.fix_res
 
     def advance(self, gamma, lam_theta):
-        w = self.w = self.z + lam_theta * (self.y - self.x)
-        x_next = self.x_next = self.resolve1(gamma, w)
+        self.w = self.z + lam_theta * (self.y - self.x)
+        self.x_next = self.resolve1(gamma, self.w)
         self.evals += 1
-        return norm(x_next), norm(x_next - w)
+
+    def norms(self):
+        return norm(self.x_next), norm(self.x_next - self.w)
 
     def relocate(self, ratio):
-        self.z = ratio * self.w + (1.0 - ratio) * self.x_next
+        self.z = self.w if ratio == 1.0 else ratio * self.w + (1.0 - ratio) * self.x_next
 
 
 def run_davis_yin(cfg, z0=None):

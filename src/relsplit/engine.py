@@ -111,9 +111,11 @@ def _edges(M):
 class ResidualPlan:
     """M* and the block pairs of one scheme, for the two residuals of a sweep.
 
-    When M is an incidence matrix (one +1 and one -1 per column), M* x is
-    the edge differences x_a - x_b, and a consensus pair that is an edge
-    reuses its difference.
+    fix_res = ||M* x|| is read on every iteration and consensus only on the
+    rows a run records, so the two are separate methods. When M is an
+    incidence matrix (one +1 and one -1 per column), M* x is the edge
+    differences x_a - x_b, and a consensus pair that is an edge reuses its
+    difference.
     """
 
     def __init__(self, s):
@@ -124,8 +126,8 @@ class ResidualPlan:
         self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
                       for i in range(s.n) for j in range(i + 1, s.n)]
 
-    def residuals(self, x):
-        """(M* x, ||M* x||, max_{i<j} ||x_i - x_j||) of the n outputs x (an array or a list)."""
+    def fix_res(self, x):
+        """(M* x, ||M* x||) of the n outputs x (an array or a list)."""
         if self.edges is None:
             mstar_x = self.MT @ x
         else:
@@ -133,14 +135,17 @@ class ResidualPlan:
             for e, (a, b) in enumerate(self.edges):
                 np.subtract(x[a], x[b], out=mstar_x[e])
         flat = mstar_x.ravel()
-        total = flat.dot(flat)
+        return mstar_x, math.sqrt(flat.dot(flat))
+
+    def consensus(self, x, mstar_x):
+        """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``fix_res``."""
         worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
         for i, j, e in self.pairs:
             v = x[i] - x[j] if e is None else mstar_x[e]
             sq = v.dot(v)
             if sq > worst:
                 worst = sq
-        return mstar_x, math.sqrt(total), math.sqrt(worst)
+        return math.sqrt(worst)
 
 
 class SweepPlan(ResidualPlan):
@@ -263,5 +268,7 @@ def apply_T(s, prob, theta, gamma, z):
 
 def residuals(s, x):
     """(fix_res, consensus) of the (n, d) sweep outputs x: ||M* x|| and max_{i<j} ||x_i - x_j||."""
-    _, fix_res, consensus = ResidualPlan(s).residuals(check_shape("x", x, (s.n, None)))
-    return fix_res, consensus
+    x = check_shape("x", x, (s.n, None))
+    plan = ResidualPlan(s)
+    mstar_x, fix_res = plan.fix_res(x)
+    return fix_res, plan.consensus(x, mstar_x)

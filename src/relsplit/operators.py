@@ -21,8 +21,12 @@ from .errors import ParameterError, StructuralError
 
 
 def soft_threshold(v, t):
-    """Componentwise soft-threshold; the tie |v_i| == t maps to exactly 0."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Componentwise soft-threshold sign(v) max(|v| - t, 0); the tie |v_i| == t maps to 0.
+
+    Formed as v - clamp(v, -t, t): the formula's values, NaN included, in
+    three ufunc calls instead of five; only the sign of a zero may differ.
+    """
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def _check_gamma(gamma):

@@ -14,6 +14,11 @@ are provided:
     accel        t_k = (-2 g_k^2 q/(2L) + sqrt(g_k^4 q^2/L^2 + 4 g_k^2)) / 2,  q = 0.01
     harmonic     t_k = 1 / (k + 1)
 
+Only the norm-ratio rule reads the two norms; a schedule's ``reads_norms``
+says so (derived from its rule, never set), and the driver forms
+||x_{k+1}|| and ||x_{k+1} - w_k|| only for a schedule that reads them. The
+other rules and the constant stepsize are called as ``next_gamma()``.
+
 The default zeta_k = 0.1 / (k+1)^1.5 follows the experiments; the variant
 with zeta_0 = 1 (so gamma_1 = tau_0 exactly) is selectable via first_unit.
 """
@@ -42,6 +47,10 @@ class ConstantStepsize:
         if not gamma > 0:
             raise ParameterError("constant stepsize must be positive")
         self.gamma = float(gamma)
+
+    @property
+    def reads_norms(self):
+        return False
 
     def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
         return self.gamma
@@ -74,6 +83,11 @@ class SafeguardStepsize:
         self.zeta_first_unit = bool(zeta_first_unit)
         self.L = L
         self.k = 0
+
+    @property
+    def reads_norms(self):
+        """True only for the norm-ratio rule, the one rule that reads ``next_gamma``'s norms."""
+        return self.t_rule == NORM_RATIO
 
     def zeta(self, k):
         if k == 0 and self.zeta_first_unit:

@@ -246,6 +246,29 @@ def test_proptest_pinv_and_scheme_suites(capsys):
     assert main(["proptest", "scheme-validity"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-5"], ["--seed", "-1"]])
+def test_proptest_refuses_counts_that_test_nothing(capsys, argv):
+    # zero trials used to PASS and a negative seed to end in numpy's traceback
+    assert_usage_error(capsys, main(["proptest", "recycling", *argv]))
+    assert capsys.readouterr().out == ""
+
+
+def test_run_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert_usage_error(capsys, main(["run", run_config(tmp_path), "--out", str(out)]))
+    assert not out.parent.exists()
+
+
+def test_bench_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0},
+            "relocator": "davis-yin", "budget": 50, "out_dir": str(taken)}
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "spec.json", spec)]))
+    assert taken.read_text() == "keep"
+
+
 def assert_usage_error(capsys, code):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
@@ -342,6 +365,10 @@ def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
             "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b"),
             "methods": [{"name": "m", "schedule": {"variant": "constant"}}] * 2}
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s1.json", spec)]))
+    # a CSV outside out_dir, and one that summary.csv would overwrite
+    for name in ("sub/m", "summary"):
+        one = dict(spec, methods=[{"name": name, "schedule": {"variant": "constant"}}])
+        assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s3.json", one)]))
     # every arc-list graph gets the CSV prefix "graph"
     del spec["graph"]
     spec.update(graphs=[{"n": 2, "arcs": [[1, 2]]}] * 2, methods=spec["methods"][:1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relsplit import config, problems
+from relsplit import config, driver, problems
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin
 from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
@@ -433,3 +433,35 @@ def test_wide_objective_reuses_the_forward_residual_exactly(max_iters, monkeypat
     assert len(trace.objective) == trace.iterations == max_iters
     assert trace.objective[-1] == problems.objective(prob, trace.x_final)
     assert hits == [True] * max_iters
+
+
+@pytest.mark.parametrize("spec", [ScheduleSpec(variant="constant")]
+                         + [ScheduleSpec(variant="safeguard", t_rule=rule)
+                            for rule in ("harmonic", "accel", "norm-ratio")],
+                         ids=["constant", "harmonic", "accel", "norm-ratio"])
+@pytest.mark.parametrize("kind,loop", [(GENERAL, run), (DAVIS_YIN, run),
+                                       (DAVIS_YIN, run_davis_yin)],
+                         ids=["general", "cheap", "standalone"])
+def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
+    # ||x_1(w)|| and ||x_1(w) - w|| only for the norm-ratio rule, the consensus
+    # only on a recorded row
+    formed = {"norm": 0, "consensus": 0}
+
+    def counting(key, fn):
+        def spy(*args):
+            formed[key] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
+    for step in (driver._EngineStep, driver._DavisYinStep):
+        monkeypatch.setattr(step, "consensus", counting("consensus", step.consensus))
+    s, split, _ = small_lasso_setup(21)
+    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, max_iters=40,
+                    record_every=7, fix_res_tol=1e-300)
+    trace = loop(cfg, default_z0(s, split, seed=2))
+    assert trace.iterations == 40 and trace.aborted is None
+    assert formed["consensus"] == len(trace.k) == 7   # k = 0, 7, ..., 35 and the last, 39
+    norms = 2 * 40 if spec.variant == "safeguard" and spec.t_rule == "norm-ratio" else 0
+    fix_res = 40 if loop is run_davis_yin else 0   # the standalone loop's ||x_k - y_k||
+    assert formed["norm"] == norms + fix_res

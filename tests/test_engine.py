@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -376,30 +377,34 @@ def test_run_leaves_z0_alone_when_x1_is_a_view():
     prob = split_for(s, 0)
     z0 = np.random.default_rng(1).standard_normal((1, prob.dim))
     keep = z0.copy()
-    for kind in (relocator.DAVIS_YIN, relocator.GENERAL):
-        for iters in (1, 40):
-            cfg = RunConfig(s, prob, relocator=kind, max_iters=iters, fix_res_tol=1e-300,
-                            schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"))
-            trace = run(cfg, z0)
-            assert np.array_equal(z0, keep)
-            assert not np.shares_memory(trace.x_final, z0)
-            assert not np.shares_memory(trace.z_final, z0)
-            # the oracle loop on the stepsizes and relaxations of one more iteration,
-            # since the last iteration relocates to gamma_{iters}
-            longer = run(replace(cfg, max_iters=iters + 1), z0)
-            assert longer.iterations == iters + 1
-            K = relocator.relocation_map(kind, s)
-            general = kind == relocator.GENERAL
-            z, x1 = keep.copy(), None
-            for k in range(iters):
-                g = longer.gamma[k]
-                x = oracle_sweep(s, prob, g, z, x1)
-                assert (trace.fix_res[k], trace.consensus[k]) == oracle_residuals(s, x)
-                w = z - (longer.lam[k] * longer.theta[k]) * (s.M.T @ x)
-                z = oracle_relocate(s, prob, K, general, longer.gamma[k + 1] / g, g, w)
-                x1 = None if general else oracle_sweep(s, prob, g, w)[0]
-            assert np.array_equal(trace.z_final, z)
-            assert np.array_equal(trace.x_final, x[0])
+    # a constant schedule relocates at r = 1, where the run sets z = w and the
+    # oracle forms r w + (1 - r) K x
+    schedules = (ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
+                 ScheduleSpec(variant="constant"))
+    for kind, spec, iters in itertools.product((relocator.DAVIS_YIN, relocator.GENERAL),
+                                               schedules, (1, 40)):
+        cfg = RunConfig(s, prob, relocator=kind, max_iters=iters, fix_res_tol=1e-300,
+                        schedule=spec)
+        trace = run(cfg, z0)
+        assert np.array_equal(z0, keep)
+        assert not np.shares_memory(trace.x_final, z0)
+        assert not np.shares_memory(trace.z_final, z0)
+        # the oracle loop on the stepsizes and relaxations of one more iteration,
+        # since the last iteration relocates to gamma_{iters}
+        longer = run(replace(cfg, max_iters=iters + 1), z0)
+        assert longer.iterations == iters + 1
+        K = relocator.relocation_map(kind, s)
+        general = kind == relocator.GENERAL
+        z, x1 = keep.copy(), None
+        for k in range(iters):
+            g = longer.gamma[k]
+            x = oracle_sweep(s, prob, g, z, x1)
+            assert (trace.fix_res[k], trace.consensus[k]) == oracle_residuals(s, x)
+            w = z - (longer.lam[k] * longer.theta[k]) * (s.M.T @ x)
+            z = oracle_relocate(s, prob, K, general, longer.gamma[k + 1] / g, g, w)
+            x1 = None if general else oracle_sweep(s, prob, g, w)[0]
+        assert np.array_equal(trace.z_final, z)
+        assert np.array_equal(trace.x_final, x[0])
 
 
 def test_public_wrappers_check_shapes():

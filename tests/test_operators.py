@@ -33,6 +33,23 @@ def test_soft_threshold_tie_is_zero():
     assert soft_threshold(np.array([0.5, -0.5]), 0.5).tolist() == [0.0, 0.0]
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+               np.inf, -np.inf, np.nan]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+       st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, np.inf]),
+                 st.floats(min_value=0.0, allow_infinity=True)))
+@settings(max_examples=400, deadline=None)
+def test_soft_threshold_is_the_sign_formula(values, t):
+    # ties |v| == t, signed zeros, subnormals, infinities and NaN, t from 0 to inf
+    v = np.array(values + [t, -t] + EDGE_VALUES)
+    with np.errstate(invalid="ignore"):   # inf - inf at t = inf, in both forms
+        expect = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        got = soft_threshold(v, t)
+    assert np.array_equal(got, expect, equal_nan=True)
+
+
 def test_box_clamp():
     op = BoxNormalCone(50.0)
     assert np.array_equal(op.resolve(3.7, np.array([60.0, -10.0])), [50.0, -10.0])

@@ -15,6 +15,17 @@ def test_constant_schedule():
         ConstantStepsize(0.0)
 
 
+def test_only_the_norm_ratio_rule_reads_the_norms():
+    rules = (NORM_RATIO, ACCEL, HARMONIC)
+    built = [ScheduleSpec(variant="safeguard", t_rule=rule).build(1.0, 1.0) for rule in rules]
+    assert [sched.reads_norms for sched in built] == [True, False, False]
+    constant = ScheduleSpec().build(1.0, 1.0)
+    assert constant.reads_norms is False
+    for sched in built + [constant]:
+        with pytest.raises(AttributeError):   # derived from the rule, never set
+            sched.reads_norms = True
+
+
 def test_safeguard_first_unit_emits_target_exactly():
     # zeta_0 = 1 makes gamma_1 = tau_0
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO, zeta_first_unit=True)
