@@ -5,22 +5,30 @@ JSON, calls the library, writes the output files and sets the exit code.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
 failed property; an aborted reference run is one ``error:`` line on stderr),
 2 usage or configuration error, reported as one ``error:`` line on stderr.
-Benchmark methods run one after another.
+A bench spec's methods on one graph share its scheme, problem and z0; a
+group of at least ``driver.MIN_LANES`` of them under a cheap relocator runs
+as lanes of one stack (``driver.run_grid``), whose traces are those of
+``run``; other methods run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import config as configmod, problems, propsuites
-from .driver import Trace, run
+from .driver import MIN_LANES, Trace, run, run_grid
 from .errors import ParameterError, ReferenceRunError, StructuralError, as_count, as_whole
+from .relocator import CHEAP_KINDS
 from .scheme import condition_report
 
 REFERENCE_WARNING = "warning: reference run did not fully converge; metrics are approximate"
+SUMMARY_HEADER = ("method", "converged", "aborted", "iterations", "final_fix_res",
+                  "final_rel_err_x", "final_rel_err_f", "iters_to_1e-6", "sweeps")
 
 
 def _load_json(path):
@@ -98,29 +106,57 @@ def cmd_bench(args):
         return _write_error(exc)
 
     results = []
-    for name, cfg, z0 in jobs:
-        cfg.reference = (ref.x, ref.phi)
-        try:
-            trace = run(cfg, z0)
-        except ParameterError as exc:
-            # e.g. a constant stepsize outside (0, 2/mu): record, let others proceed
-            trace = Trace(aborted=str(exc))
-        trace.to_csv(out_dir / f"{name}.csv")
-        results.append((name, trace))
+    for names, cfgs, z0 in _lane_groups(jobs):
+        for cfg in cfgs:
+            cfg.reference = (ref.x, ref.phi)
+        if len(cfgs) >= MIN_LANES and cfgs[0].relocator in CHEAP_KINDS:
+            traces = run_grid(cfgs, z0)
+        else:
+            traces = [_run_or_abort(cfg, z0) for cfg in cfgs]
+        for name, trace in zip(names, traces):
+            trace.to_csv(out_dir / f"{name}.csv")
+            results.append((name, trace))
 
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write("method,converged,aborted,iterations,final_fix_res,"
-                 "final_rel_err_x,final_rel_err_f,iters_to_1e-6,sweeps\n")
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        # the writer quotes an abort text, which may hold ", "
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER)
         for name, trace in results:
             su = trace.summary()
             hit = next((str(k) for k, err in zip(trace.k, trace.rel_err_f) if err <= 1e-6), "")
-            fh.write("%s,%s,%s,%d,%.17g,%.17g,%.17g,%s,%d\n" % (
-                name, su["converged"], su["aborted"] or "", su["iterations"],
-                su["fix_res"], su["rel_err_x"], su["rel_err_f"], hit, su["sweeps"]))
+            writer.writerow([name, su["converged"], su["aborted"] or "", su["iterations"],
+                             *("%.17g" % su[key] for key in ("fix_res", "rel_err_x", "rel_err_f")),
+                             hit, su["sweeps"]])
             print(f"{name}: iters={su['iterations']} rel_err_f={su['rel_err_f']:.3e} "
                   f"{'ABORTED ' + su['aborted'] if su['aborted'] else ''}")
     print(f"wrote {out_dir}/summary.csv")
     return 0
+
+
+def _lane_groups(jobs):
+    """[(names, configs, z0)]: the bench jobs in order, consecutive jobs of one graph together.
+
+    A bench spec builds one scheme, relocator and z0 per graph and one job per
+    method on it, so the jobs of a group differ only in their schedules.
+    """
+    groups = []
+    for _, group in itertools.groupby(
+            jobs, key=lambda job: (id(job[1].scheme), job[1].relocator, id(job[2]))):
+        names, cfgs, z0s = zip(*group)
+        groups.append((names, cfgs, z0s[0]))
+    return groups
+
+
+def _run_or_abort(cfg, z0):
+    """``run``'s trace, or the method's abort when ``run`` raises a ParameterError.
+
+    E.g. a constant stepsize outside (0, 2/mu): it is recorded, and the
+    other methods proceed.
+    """
+    try:
+        return run(cfg, z0)
+    except ParameterError as exc:
+        return Trace(aborted=str(exc))
 
 
 def cmd_proptest(args):

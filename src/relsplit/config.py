@@ -145,6 +145,9 @@ def build_problem(doc):
 
     ``half_quadratic`` is the LASSO split's flavour, which its reference solve shares.
     """
+    if isinstance(doc, dict) and "kind" not in doc:
+        raise StructuralError(f"problem section is missing key 'kind' "
+                              f"({' or '.join(map(repr, PROBLEM_KEYS))})")
     kind = doc.get("kind")
     if kind not in PROBLEM_KEYS:
         raise ParameterError(f"unknown problem kind {kind!r}")
@@ -247,7 +250,7 @@ def build_run(doc):
     """
     _section("run config", doc, RUN_KEYS)
     [(_, s)] = _schemes(doc)
-    prob, split, objective_fn, half = build_problem(doc.get("problem", {}))
+    prob, split, objective_fn, half = build_problem(doc["problem"])
     run_doc = _section("run", doc.get("run", {}),
                        {"max_iters", "fix_res_tol", "record_every", "z0", "reference_budget"})
     cfg = _run_config(doc, s, split, objective_fn, _schedule("schedule", doc.get("schedule", {})),

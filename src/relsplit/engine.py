@@ -14,14 +14,14 @@ evaluated exactly once per sweep (cached across i). The iteration operator is
 T_{theta,gamma} z = z - theta * M* x(gamma, z), whose fixed points are the
 block vectors z with all x_i equal.
 
-``SweepPlan`` holds the one sweep implementation, with the per-scheme and
-per-problem work done at construction, where the scheme's constants are
-folded once:
+``SweepPlan`` holds the one sweep implementation. At construction it emits
+the scheme's sweep as straight-line Python source (``SweepPlan.source``),
+with the scheme's constants folded into the text once:
 
 * each (M z)_i with +-1 entries is a signed sum of blocks (on a graph
   scheme, one block per arc at node i: a copy, a negation or a difference
-  at a node of degree 1 or 2), formed only for the rows a sweep evaluates;
-  a row with other coefficients keeps the product M z;
+  at a node of degree 1 or 2); a row with other coefficients keeps the
+  product M z;
 * division by d_i = 1 and multiplication by a unit N_ij/d_i or P_ij are
   skipped;
 * when M is an incidence matrix (one +1 and one -1 per column, as on every
@@ -32,14 +32,23 @@ The float operations stay those of the formulas above, so a folded row of
 at most two terms is bitwise that of the matrix product (+-1 products are
 exact, a + (-b) == a - b, and rounding is symmetric in sign); a star's hub
 row sums its n - 1 > 2 blocks in column order, which the product may sum
-in another. The plan returns the n outputs as a list of d-vectors; the public
-``sweep``, ``first_block`` and ``residuals`` are validated wrappers over it
-that return and take the plain (n, d) array of resolvent outputs x, as
+in another.
+
+One emitter writes two layouts of the same text: the block layout, an
+(m, d) block vector with a scalar gamma, which ``driver.run`` iterates; and
+the lane layout, an (L, m, d) stack of L runs with per-lane stepsizes, which
+``driver.run_grid`` iterates. Each distinct source is compiled once per
+process; the operators' ``resolve`` and ``apply`` methods are bound each time
+a plan is built, so a wrapper installed on them beforehand sees every call.
+The plan returns the n outputs as a list of blocks; the public ``sweep``,
+``first_block`` and ``residuals`` are validated wrappers over it that return
+and take the plain (n, d) array of resolvent outputs x, as
 ``relocator.relocate`` does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,20 +89,10 @@ def _check_gamma(gamma):
         raise ParameterError(f"stepsize must be positive, got {gamma}")
 
 
-def _signed_sum(row):
-    """Row i of M as (neg, j0, rest), with (M z)_i = +-(z_{j0} +- z_j for (j, plus) in rest).
-
-    Only a row of +-1 entries folds; the first entry's sign is ``neg``. Any
-    other row gives None and is read from the product M z, whose sum of
-    general products may round otherwise than a term-by-term one.
-    """
-    cols = np.flatnonzero(row)
-    vals = row[cols]
-    if cols.size == 0 or np.any(np.abs(vals) != 1.0):
-        return None
-    first = vals[0] > 0
-    return not first, int(cols[0]), tuple((int(j), bool((v > 0) == first))
-                                          for j, v in zip(cols[1:], vals[1:]))
+def _lit(v):
+    """A float as source text that reads back bitwise."""
+    v = float(v)
+    return repr(v) if math.isfinite(v) else f"float('{v!r}')"
 
 
 def _edges(M):
@@ -108,34 +107,193 @@ def _edges(M):
     return edges
 
 
+def _folds(row):
+    """True when a row of M has only +-1 entries, so its product is a signed sum of blocks.
+
+    Any other row is read from the product M z, whose sum of general products
+    may round otherwise than a term-by-term one.
+    """
+    vals = row[row != 0]
+    return vals.size > 0 and bool(np.all(np.abs(vals) == 1.0))
+
+
+class _Emitter:
+    """Source text of one scheme's step functions in the block or the lane layout.
+
+    Blocks are read as ``z[..., j, :]``, so one arithmetic text serves an
+    (m, d) block vector with a scalar gamma and an (L, m, d) stack with an
+    (L, 1) gamma column. Only the call sites differ. In the lane layout a
+    resolvent is called once per lane with that lane's Python float stepsize,
+    so every evaluation is still one ``resolve`` call; a product with M, M*
+    or a row of R is taken lane by lane; ||M* x|| is one ``np.vecdot`` over
+    the lanes' flattened blocks, whose float64 loop is the dot product that
+    the block layout's ``flat.dot(flat)`` calls.
+    """
+
+    def __init__(self, s, lanes):
+        self.s, self.lanes = s, lanes
+        self.edges = _edges(s.M)
+        self.r_rows = {}   # forward j -> the columns of row j of R, when (R x)_j is not a block
+
+    def _per_lane(self, mat, blocks):
+        """Source of the product of ``mat`` with the blocks ``blocks``, a source of (..., k, d)."""
+        if self.lanes:
+            return f"np.array([{mat} @ v for v in {blocks}])"
+        return f"{mat} @ {blocks}"
+
+    def _blocks(self, names):
+        if self.lanes:
+            return f"np.stack([{', '.join(names)}], axis=-2)"
+        return f"np.array([{', '.join(names)}])"
+
+    def _forward_arg(self, j):
+        cols = np.flatnonzero(self.s.R[j, :j + 1])   # nonzeros of the lower-triangular row
+        if cols.size == 1 and self.s.R[j, cols[0]] == 1.0:
+            return f"x{cols[0]}"   # (R x)_j = x_h: skip the 1-term product
+        self.r_rows[j] = [int(h) for h in cols]
+        return self._per_lane(f"R{j}", self._blocks([f"x{h}" for h in cols]))
+
+    def _row(self, i, applied):
+        """Statements that set x{i}; ``applied`` holds the forwards the sweep has applied.
+
+        The argument is the signed sum of blocks (or the product row), divided
+        by d_i, plus the N terms, minus the forward terms. While ``neg``, the
+        text is the negated argument: -a + t is t - a and -a - t is -(a + t).
+        """
+        s, lanes = self.s, self.lanes
+        lines = []
+        if _folds(s.M[i]):
+            cols = np.flatnonzero(s.M[i])
+            plus = s.M[i, cols] > 0
+            neg = not plus[0]
+            arg = f"z[..., {cols[0]}, :]"
+            for j, p in zip(cols[1:], plus[1:]):
+                arg = f"{arg} {'+' if p == plus[0] else '-'} z[..., {j}, :]"
+        else:
+            arg, neg = f"mz[..., {i}, :]", False
+        di = float(s.d[i])
+        p_terms = [(int(j), float(s.P[i, j])) for j in np.flatnonzero(s.P[i, :i])]
+        step, lane_steps = "gamma", "gs"
+        if di != 1.0:
+            arg = f"({arg}) / {_lit(di)}"
+            step = f"s{i}"
+            if not lanes or any(c == 1.0 for _, c in p_terms):
+                lines.append(f"s{i} = gamma / {_lit(di)}")
+            if lanes:
+                lane_steps = f"ss{i}"
+                lines.append(f"ss{i} = [g / {_lit(di)} for g in gs]")
+        for j in np.flatnonzero(s.N[i, :i]):
+            c = float(s.N[i, j]) / di
+            t = f"x{j}" if c == 1.0 else f"{_lit(c)} * x{j}"
+            if neg:
+                arg, neg = f"{t} - ({arg})", False
+            else:
+                arg = f"{arg} + {t}"
+        for j, c in p_terms:
+            if j not in applied:
+                lines.append(f"f{j} = apply_{j}({self._forward_arg(j)})")
+                applied.add(j)
+            coef = step if c == 1.0 else f"(gamma * {_lit(c)} / {_lit(di)})"
+            arg = f"{arg} {'+' if neg else '-'} {coef} * f{j}"
+        if neg:
+            arg = f"-({arg})"
+        if lanes:
+            call = f"np.array([resolve_{i}(s, a) for s, a in zip({lane_steps}, {arg})])"
+        else:
+            call = f"resolve_{i}({step}, {arg})"
+        return lines + [f"x{i} = {call}"]
+
+    def _sweep(self, rows, recycled=False):
+        """Statements that set x{i} for ``rows``; with ``recycled`` a given x0 is kept."""
+        s = self.s
+        lines = []
+        if not all(_folds(s.M[i]) for i in rows):
+            lines.append(f"mz = {self._per_lane('M', 'z')}")
+        if self.lanes and any(s.P[i, :i].any() for i in rows):
+            lines.append("gamma = np.array(gs)[:, None]")   # the forward terms' (L, 1) column
+        applied = set()
+        first = self._row(rows[0], applied)
+        lines += ["if x0 is None:"] + ["    " + line for line in first] if recycled else first
+        for i in rows[1:]:
+            lines += self._row(i, applied)
+        return lines
+
+    def _fix_res(self):
+        """Statements that set buf = M* x and r = ||M* x|| from x0..x{n-1}."""
+        s = self.s
+        if self.edges is None:
+            lines = [f"buf = {self._per_lane('MT', self._blocks([f'x{i}' for i in range(s.n)]))}"]
+        else:
+            lines = [f"buf = np.empty(x0.shape[:-1] + ({s.m}, x0.shape[-1]))"]
+            lines += [f"np.subtract(x{a}, x{b}, out=buf[..., {e}, :])"
+                      for e, (a, b) in enumerate(self.edges)]
+        if self.lanes:
+            return lines + ["flat = buf.reshape(len(buf), -1)",
+                            "r = np.sqrt(np.vecdot(flat, flat)).tolist()"]
+        return lines + ["flat = buf.ravel()", "r = sqrt(flat.dot(flat))"]
+
+    def source(self, with_sweep=True):
+        """Module text whose ``bind(resolve, apply, M, MT, R)`` returns the step functions.
+
+        With ``with_sweep`` they are ``sweep``, ``first_block``, ``fix_res``
+        and ``residuals`` (the sweep and its fix_res in one call); without,
+        ``fix_res`` alone, which reads no operator.
+        """
+        n, p = self.s.n, self.s.p
+        g = "gs" if self.lanes else "gamma"
+        xs = ", ".join(f"x{i}" for i in range(n))
+        all_rows = list(range(n))
+        fix_res = ("fix_res(x)", [f"{xs}, = x"] + self._fix_res() + ["return buf, r"])
+        fns = [fix_res]
+        if with_sweep:
+            fns = [(f"sweep({g}, z, x0=None)", self._sweep(all_rows, True) + [f"return [{xs}]"]),
+                   (f"first_block({g}, z)", self._sweep([0]) + ["return x0"]),
+                   fix_res,
+                   (f"residuals({g}, z, x0=None)",
+                    self._sweep(all_rows, True) + self._fix_res() + [f"return [{xs}], buf, r"])]
+        lines = [f"# {'lane' if self.lanes else 'block'} layout, n = {n}, p = {p}, m = {self.s.m}",
+                 "def bind(resolve, apply, M, MT, R):"]
+        lines += [f"    resolve_{i} = resolve[{i}]" for i in range(n)] if with_sweep else []
+        lines += [f"    apply_{j} = apply[{j}]" for j in range(p)] if with_sweep else []
+        lines += [f"    R{j} = R[{j}, {cols}]" for j, cols in sorted(self.r_rows.items())]
+        for sig, body in fns:
+            lines += ["", f"    def {sig}:"] + ["        " + line for line in body]
+        names = ", ".join(sig.split("(")[0] for sig, _ in fns)
+        return "\n".join(lines + ["", f"    return {names},", ""])
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source):
+    """The ``bind`` function of a step-plan source, compiled once per distinct text."""
+    namespace = {"np": np, "sqrt": math.sqrt}
+    exec(compile(source, "<relsplit step plan>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class ResidualPlan:
     """M* and the block pairs of one scheme, for the two residuals of a sweep.
 
     fix_res = ||M* x|| is read on every iteration and consensus only on the
-    rows a run records, so the two are separate methods. When M is an
-    incidence matrix (one +1 and one -1 per column), M* x is the edge
-    differences x_a - x_b, and a consensus pair that is an edge reuses its
-    difference.
+    rows a run records, so the two are separate methods. ``fix_res`` is
+    generated (``source``) in the layout ``lanes`` picks; ``consensus`` takes
+    one run's blocks and reuses, for a pair that is an edge of an incidence
+    matrix M, that edge's difference in M* x. Given ``operators`` (the
+    resolve and the apply methods), the source holds the sweep too
+    (``SweepPlan``).
     """
 
-    def __init__(self, s):
-        self.MT = s.M.T
+    def __init__(self, s, lanes=False, operators=None):
         self.m = s.m
-        self.edges = _edges(s.M)
-        edge_of = {frozenset(ab): e for e, ab in enumerate(self.edges or ())}
+        emitter = _Emitter(s, lanes)
+        edge_of = {frozenset(ab): e for e, ab in enumerate(emitter.edges or ())}
         self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
                       for i in range(s.n) for j in range(i + 1, s.n)]
-
-    def fix_res(self, x):
-        """(M* x, ||M* x||) of the n outputs x (an array or a list)."""
-        if self.edges is None:
-            mstar_x = self.MT @ x
+        self.source = emitter.source(with_sweep=operators is not None)
+        fns = _compiled(self.source)(*(operators or ((), ())), s.M, s.M.T, s.R)
+        if operators is None:
+            (self.fix_res,) = fns
         else:
-            mstar_x = np.empty((self.m, len(x[0])))
-            for e, (a, b) in enumerate(self.edges):
-                np.subtract(x[a], x[b], out=mstar_x[e])
-        flat = mstar_x.ravel()
-        return mstar_x, math.sqrt(flat.dot(flat))
+            self.sweep, self.first_block, self.fix_res, self.residuals = fns
 
     def consensus(self, x, mstar_x):
         """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``fix_res``."""
@@ -149,39 +307,28 @@ class ResidualPlan:
 
 
 class SweepPlan(ResidualPlan):
-    """The sweep of one scheme bound to one problem, with its constants folded once.
+    """The sweep of one scheme bound to one problem, as generated straight-line code.
 
-    Construction checks the operator bindings and builds one row per block:
-    its resolvent, d_i, (M z)_i as a signed sum of blocks (``_signed_sum``),
-    the N terms with their coefficients N_ij/d_i, and the forward terms
-    (with which B_j each block evaluates first). Unit coefficients and
-    d_i = 1 cost no arithmetic. The methods then only do arithmetic, in the
-    same float-operation order as the formulas above, and return the outputs
-    as a list of n d-vectors.
+    Construction checks the operator bindings, emits the source in the
+    block layout (``lanes=False``) or the lane layout (``lanes=True``) and
+    binds the operators' methods. It then exposes, as plain functions:
+
+    * ``sweep(gamma, z, x1=None)``: the n outputs; a given ``x1`` is used as
+      x_1 without evaluation;
+    * ``first_block(gamma, z)``: x_1 alone;
+    * ``fix_res(x)``: (M* x, ||M* x||);
+    * ``residuals(gamma, z, x1=None)``: (outputs, M* x, ||M* x||) in one call.
+
+    In the lane layout gamma is the list of the lanes' Python float
+    stepsizes, z an (L, m, d) stack, each output an (L, d) array, and
+    ||M* x|| a list of L floats. ``consensus`` takes one lane's blocks.
     """
 
-    def __init__(self, s, prob):
+    def __init__(self, s, prob, lanes=False):
         check_binding(s, prob)
-        super().__init__(s)
-        self.n, self.p, self.dim, self.M = s.n, s.p, prob.dim, s.M
-        evaluated = set()
-        rows = []
-        for i in range(s.n):
-            di = float(s.d[i])
-            n_terms = [(int(j), float(s.N[i, j]) / di) for j in np.flatnonzero(s.N[i, :i])]
-            p_terms = []
-            for j in np.flatnonzero(s.P[i, :i]):
-                j, c = int(j), s.P[i, j]
-                cols = np.flatnonzero(s.R[j, :j + 1])   # nonzeros of the lower-triangular row
-                vals = s.R[j, cols]
-                if cols.size == 1 and vals[0] == 1.0:
-                    cols, vals = int(cols[0]), None   # (R x)_j = x_h: skip the 1-term product
-                p_terms.append((j, float(c), j not in evaluated, cols, vals,
-                                prob.forwards[j].apply))
-                evaluated.add(j)
-            rows.append((i, prob.resolvents[i].resolve, di, _signed_sum(s.M[i]),
-                         n_terms, p_terms))
-        self.rows, self.head, self.tail = rows, rows[:1], rows[1:]
+        self.n, self.dim = s.n, prob.dim
+        super().__init__(s, lanes, (tuple(op.resolve for op in prob.resolvents),
+                                    tuple(op.apply for op in prob.forwards)))
 
     def blocks(self, z):
         """``z`` as an (m, dim) float block vector, or a StructuralError."""
@@ -189,49 +336,6 @@ class SweepPlan(ResidualPlan):
         if z.shape[1] != self.dim:
             raise StructuralError(f"blocks have dim {z.shape[1]}, problem dim {self.dim}")
         return z
-
-    def _run_rows(self, gamma, z, x, rows):
-        """Append to the outputs ``x`` of the blocks before ``rows`` those of ``rows``."""
-        mz = None
-        forward_values = [None] * self.p
-        for i, resolve, di, base, n_terms, p_terms in rows:
-            if base is None:
-                if mz is None:
-                    mz = self.M @ z
-                arg, neg = mz[i], False
-            else:
-                neg, j0, rest = base
-                arg = z[j0]
-                for j, plus in rest:
-                    arg = arg + z[j] if plus else arg - z[j]
-            step = gamma
-            if di != 1.0:
-                arg = arg / di
-                step = gamma / di
-            # while neg, the argument is -arg: -arg + t is t - arg, -arg - t is -(arg + t)
-            for j, c in n_terms:
-                t = x[j] if c == 1.0 else c * x[j]
-                if neg:
-                    arg, neg = t - arg, False
-                else:
-                    arg = arg + t
-            for j, c, first, cols, vals, apply in p_terms:
-                if first:
-                    forward_values[j] = apply(
-                        x[cols] if vals is None else vals @ np.array([x[h] for h in cols]))
-                t = (step if c == 1.0 else gamma * c / di) * forward_values[j]
-                arg = arg + t if neg else arg - t
-            x.append(resolve(step, -arg if neg else arg))
-        return x
-
-    def sweep(self, gamma, z, x1=None):
-        """The n outputs x at (gamma, z); ``x1`` is used as x_1 without evaluation."""
-        if x1 is None:
-            return self._run_rows(gamma, z, [], self.rows)
-        return self._run_rows(gamma, z, [x1], self.tail)
-
-    def first_block(self, gamma, z):
-        return self._run_rows(gamma, z, [], self.head)[0]
 
 
 def sweep(s, prob, gamma, z, x1=None):

@@ -160,11 +160,23 @@ class LeastSquaresGrad(CocoerciveOp):
                 self.beta = self.scale * lambda_max(gram if q >= self.dim else A @ A.T)
 
     def apply(self, x):
+        """B x of a d-vector, or of each row of an (L, d) stack of lanes.
+
+        On a stack each row's value is bitwise that of the row alone: the
+        Gram form takes one batched product (a batch of matrix-vector
+        products, never ``X @ G.T``, which sums in another order), the
+        factored form goes row by row. Only a d-vector's residual is kept for
+        ``residual``.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise StructuralError(f"expected vector of dim {self.dim}, got shape {x.shape}")
         if self._gram is not None:
-            return self._gram @ x - self._atb
+            if x.ndim == 1:
+                return self._gram @ x - self._atb
+            return np.matmul(self._gram, x[..., None])[..., 0] - self._atb
+        if x.ndim == 2:
+            return np.array([self.scale * (self.A.T @ (self.A @ row - self.b)) for row in x])
         r = self.A @ x - self.b
         r.flags.writeable = False
         self._memo = (x.tobytes(), r)
@@ -198,6 +210,7 @@ class ScaledIdentity(CocoerciveOp):
         return self.c
 
     def apply(self, x):
+        """c x, of a d-vector or of a stack of them."""
         return self.c * np.asarray(x, dtype=float)
 
 

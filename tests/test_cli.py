@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -227,12 +228,15 @@ def test_bench_records_per_method_aborts(tmp_path):
     }
     cfg = write_json(tmp_path / "spec3.json", spec)
     assert main(["bench", cfg]) == 0
-    rows = (tmp_path / "bench3" / "summary.csv").read_text().splitlines()[1:]
-    by_name = {r.split(",")[0]: r for r in rows}
+    with open(tmp_path / "bench3" / "summary.csv", newline="") as fh:
+        by_name = {row["method"]: row for row in csv.DictReader(fh)}
     assert len(by_name) == 5  # no accel rule for n > 2
-    assert by_name["const-1L"].split(",")[2] != ""
-    assert by_name["const-1.99L"].split(",")[2] != ""
-    assert by_name["fpr-norm-ratio"].split(",")[2] == ""
+    # the abort text holds ", ", which must not shift the columns after it
+    for name in ("const-1L", "const-1.99L"):
+        row = by_name[name]
+        assert row["aborted"].startswith("constant gamma = ") and ", " in row["aborted"]
+        assert row["iterations"] == "0" and row["sweeps"] == "0" and None not in row
+    assert by_name["fpr-norm-ratio"]["aborted"] == ""
 
 
 def test_proptest(capsys):
@@ -251,6 +255,19 @@ def test_proptest_refuses_counts_that_test_nothing(capsys, argv):
     # zero trials used to PASS and a negative seed to end in numpy's traceback
     assert_usage_error(capsys, main(["proptest", "recycling", *argv]))
     assert capsys.readouterr().out == ""
+
+
+def test_run_without_problem_section_exits_2(capsys):
+    # explicit_scheme.json is a validate config: it has a scheme and no problem
+    assert main(["run", str(DEMO_CONFIGS / "explicit_scheme.json")]) == 2
+    assert capsys.readouterr().err == "error: config is missing key 'problem'\n"
+
+
+def test_problem_section_without_kind_exits_2(tmp_path, capsys):
+    cfg = run_config(tmp_path, problem={"q": 10, "d": 15, "seed": 3})
+    assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: problem section is missing key 'kind'")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_unwritable_out_exits_2(tmp_path, capsys):

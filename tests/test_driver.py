@@ -1,9 +1,13 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from relsplit import config, driver, problems
+from relsplit import config, driver, operators, problems
 from relsplit import graph as graphmod
-from relsplit.driver import RunConfig, default_z0, run, run_davis_yin
+from relsplit.driver import RunConfig, default_z0, run, run_davis_yin, run_grid
 from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.operators import LeastSquaresGrad, L1Subdiff, ResolventOp, ZeroForward, ZeroOp
@@ -465,3 +469,154 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
     norms = 2 * 40 if spec.variant == "safeguard" and spec.t_rule == "norm-ratio" else 0
     fix_res = 40 if loop is run_davis_yin else 0   # the standalone loop's ||x_k - y_k||
     assert formed["norm"] == norms + fix_res
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def assert_same_trace(got, want):
+    """Every Trace field equal; lists and arrays by ``np.array_equal``, NaN equal to NaN."""
+    for f in dataclasses.fields(driver.Trace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, (list, np.ndarray)) or isinstance(b, (list, np.ndarray)):
+            assert a is not None and b is not None, f.name
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name
+
+
+def run_or_abort(cfg, z0):
+    """``run``'s trace, or the abort a refused schedule records (as ``relsplit bench`` does)."""
+    try:
+        return run(cfg, z0)
+    except ParameterError as exc:
+        return driver.Trace(aborted=str(exc))
+
+
+def bench_groups(doc):
+    """[(configs, z0)] per graph of a bench spec, each config with the spec's reference."""
+    jobs, prob, budget, half, _ = config.build_bench(doc)
+    ref = problems.reference_solution(prob, budget, half_quadratic=half)
+    groups = {}
+    for _, cfg, z0 in jobs:
+        cfg.reference = (ref.x, ref.phi)
+        groups.setdefault(id(cfg.scheme), ([], z0))[0].append(cfg)
+    return list(groups.values())
+
+
+def lasso_grid_spec():
+    # the lasso-grid benchmark workload at seed 0: six methods, no lane stops
+    return dict(json.loads((CONFIGS / "bench_lasso.json").read_text()), budget=1000)
+
+
+def elastic_grid_spec():
+    # five methods per tree to 1e-6 on a small instance: two of them refused at build on
+    # the inward star, lanes that converge at different k, the outward star's last two
+    # lanes handed off to the single loop, and lanes that leave at the budget
+    doc = json.loads((CONFIGS / "bench_elastic_topologies.json").read_text())
+    del doc["methods"]
+    doc["problem"].update(q=30, d=20)
+    return dict(doc, budget=3300, fix_res_tol=1e-6)
+
+
+def out_of_range_spec():
+    # a constant gamma outside (0, 2/mu) never joins the stack
+    methods = [{"name": "big", "schedule": {"variant": "constant", "gamma": 1e9}}]
+    methods += [{"name": n, "schedule": {"variant": "safeguard", "t_rule": n}}
+                for n in ("norm-ratio", "harmonic", "accel")]
+    return dict(lasso_grid_spec(), budget=300, methods=methods)
+
+
+@pytest.mark.parametrize("spec", [lasso_grid_spec, elastic_grid_spec, out_of_range_spec],
+                         ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range"])
+def test_run_grid_is_run_per_lane(spec, monkeypatch):
+    resumed = []   # the iteration at which a lane left the stack for the single loop
+    iterate = driver._iterate
+
+    def spy(step, control):
+        resumed.append(control.k)
+        return iterate(step, control)
+
+    monkeypatch.setattr(driver, "_iterate", spy)
+    converged_at = set()
+    for cfgs, z0 in bench_groups(spec()):
+        traces = run_grid(cfgs, z0)
+        assert len(traces) == len(cfgs)
+        for cfg, trace in zip(cfgs, traces):
+            assert_same_trace(trace, run_or_abort(cfg, z0))
+            if trace.converged:
+                converged_at.add(trace.iterations)
+    if spec is elastic_grid_spec:
+        assert len(converged_at) >= 4 and any(k > 0 for k in resumed)
+
+
+class NanBand(ResolventOp):
+    """A resolvent whose outputs are NaN for stepsizes strictly inside (lo, hi)."""
+
+    def __init__(self, inner, lo, hi):
+        self.inner, self.lo, self.hi = inner, lo, hi
+
+    def resolve(self, gamma, v):
+        out = self.inner.resolve(gamma, v)
+        return np.full(np.shape(v), np.nan) if self.lo < gamma < self.hi else out
+
+
+def test_run_grid_lanes_leave_at_every_stop():
+    # one lane per way a run stops; the first resolvent (called at w only, once x_1 is
+    # recycled) breaks inside (1.05/mu, 1.5/mu), which norm-ratio reaches at k = 1
+    s, split, _ = small_lasso_setup(23)
+    m = mu(s, split.beta)
+    prob = SplitProblem([NanBand(split.resolvents[0], 1.05 / m, 1.5 / m), split.resolvents[1]],
+                        split.forwards, split.beta, split.dim)
+
+    def cfg(spec, max_iters=60, **kwargs):
+        return RunConfig(scheme=s, problem=prob, relocator=DAVIS_YIN, schedule=spec,
+                         fix_res_tol=1e-300, max_iters=max_iters, record_every=7, **kwargs)
+
+    const = lambda g: ScheduleSpec(variant="constant", gamma=g / m)   # noqa: E731
+    cfgs = [cfg(const(0.5)), cfg(const(1.2)), cfg(ScheduleSpec(variant="safeguard")),
+            cfg(ScheduleSpec(variant="safeguard", gamma=0.9 / m, gamma_min=0.9 / m),
+                relaxation=RelaxationPlan(lam=0.5)),
+            cfg(const(0.8), relaxation=RelaxationPlan(lam=1.0)),
+            cfg(ScheduleSpec(variant="safeguard", t_rule="harmonic"), max_iters=40),
+            cfg(const(5.0)), cfg(const(0.3)), cfg(const(0.7), max_iters=25)]
+    z0 = default_z0(s, prob, seed=3)
+    traces = run_grid(cfgs, z0)
+    for c, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run_or_abort(c, z0))
+    assert [t.iterations for t in traces] == [60, 1, 2, 1, 0, 3, 0, 60, 25]
+    texts = [None, "non-finite fix_res = nan at k=0", "gamma_2 = nan outside",
+             "feasibility margin", "feasibility margin", "non-finite fix_res = nan at k=2",
+             "constant gamma", None, None]
+    for trace, text in zip(traces, texts):
+        assert trace.aborted is None if text is None else trace.aborted.startswith(text)
+
+
+def test_run_grid_refuses_runs_it_cannot_stack():
+    s, split, _ = small_lasso_setup(3)
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN)
+    for other in (RunConfig(scheme=s, problem=small_lasso_setup(3)[1], relocator=DAVIS_YIN),
+                  RunConfig(scheme=s, problem=split, relocator=GENERAL)):
+        with pytest.raises(StructuralError, match="run_grid needs"):
+            run_grid([cfg, cfg, other])
+    assert run_grid([]) == []
+
+
+def test_lane_resolve_calls_equal_resolvent_evals(monkeypatch):
+    # wrapped on the class after import, as a tracer does: every evaluation of every
+    # lane is one resolve call, and a plan binds the wrapper when it is built
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(self, gamma, v):
+            calls[0] += 1
+            return fn(self, gamma, v)
+        return wrapper
+
+    for cls in (operators.L1Subdiff, operators.BoxNormalCone, operators.NonnegNormalCone):
+        monkeypatch.setattr(cls, "resolve", counting(cls.resolve))
+    for spec in (lasso_grid_spec(), elastic_grid_spec()):
+        for cfgs, z0 in bench_groups(spec):
+            calls[0] = 0
+            traces = run_grid(cfgs, z0)
+            assert calls[0] == sum(t.resolvent_evals for t in traces) > 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -368,6 +369,61 @@ def test_folded_plan_matches_the_matrix_oracle(s):
     # a star hub sums n - 1 blocks, possibly in another order than the product M z
     check_plan_against_oracle(s, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
                                                                            atol=1e-14))
+
+
+def lane_problems(s):
+    """``split_for`` and a variant whose first forward takes the factored form (2q < d)."""
+    prob = split_for(s, 1, dim=9)
+    a = np.random.default_rng(3).standard_normal((3, 9))
+    wide = LeastSquaresGrad(a, np.ones(3))
+    return prob, SplitProblem(prob.resolvents, (wide,) + prob.forwards[1:], prob.beta, 9)
+
+
+@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme()],
+                         ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
+                         + [f"{k}-{n}" for k in ("inward-star", "outward-star")
+                            for n in (4, 5, 6)] + ["explicit", "mixed"])
+def test_lane_layout_is_the_block_layout_per_lane(s):
+    # one emitted text, two layouts: lane l of a stack is bitwise the block plan at
+    # (gamma_l, z_l), products with M, M* and R rows included (explicit, mixed)
+    rng = np.random.default_rng(7)
+    gammas = [0.3, 0.55, 0.7, 1.1]
+    for prob in lane_problems(s):
+        block, lanes = SweepPlan(s, prob), SweepPlan(s, prob, lanes=True)
+        z = rng.standard_normal((len(gammas), s.m, prob.dim))
+        for x1 in (None, rng.standard_normal((len(gammas), prob.dim))):
+            xs = lanes.sweep(gammas, z, x1)
+            mstar_x, fix_res = lanes.fix_res(xs)
+            xs_fused, mstar_fused, fix_res_fused = lanes.residuals(gammas, z, x1)
+            assert fix_res_fused == fix_res and np.array_equal(mstar_fused, mstar_x)
+            for lane, gamma in enumerate(gammas):
+                want = block.sweep(gamma, z[lane], None if x1 is None else x1[lane])
+                for got, got_fused, block_i in zip(xs, xs_fused, want):
+                    assert np.array_equal(got[lane], block_i)
+                    assert np.array_equal(got_fused[lane], block_i)
+                want_mstar, want_fix_res = block.fix_res(want)
+                assert np.array_equal(mstar_x[lane], want_mstar)
+                assert fix_res[lane] == want_fix_res
+        x0 = lanes.first_block(gammas, z)
+        for lane, gamma in enumerate(gammas):
+            assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
+
+
+def test_plan_source_is_the_code_that_runs():
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    prob = graph_split(3, seed=1)
+    for lanes in (False, True):
+        plan = SweepPlan(s, prob, lanes=lanes)
+        namespace = {"np": np, "sqrt": math.sqrt}
+        exec(compile(plan.source, "printed", "exec"), namespace)
+        fresh = namespace["bind"]([op.resolve for op in prob.resolvents],
+                                  [op.apply for op in prob.forwards], s.M, s.M.T, s.R)
+        ran = (plan.sweep, plan.first_block, plan.fix_res, plan.residuals)
+        assert [f.__name__ for f in fresh] == [f.__name__ for f in ran]
+        for f, g in zip(fresh, ran):
+            assert f.__code__.co_code == g.__code__.co_code
+    # the folded constants are in the text: d_2 = 2 on the kappa-form sequential tree
+    assert "s1 = gamma / 2.0" in SweepPlan(s, prob).source
 
 
 def test_run_leaves_z0_alone_when_x1_is_a_view():

@@ -121,8 +121,9 @@ def test_forward_examples():
 
 def test_forward_dimension_mismatch():
     op = LeastSquaresGrad(np.eye(2), np.zeros(2))
-    with pytest.raises(StructuralError):
-        op.apply(np.zeros(3))
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 4, 2)), np.float64(1.0)):
+        with pytest.raises(StructuralError):
+            op.apply(bad)
 
 
 def test_cocoercivity_and_lipschitz():
@@ -234,3 +235,29 @@ def test_residual_is_not_stale_after_the_input_is_mutated():
     op.apply(x1)
     x1[3] += 1.0
     assert np.array_equal(op.residual(x1), a @ x1 - b)
+
+
+@pytest.mark.parametrize("shape", [(40, 10), (20, 40), (10, 40), (7, 7)],
+                         ids=["gram-tall", "gram-wide", "factored", "gram-square"])
+@pytest.mark.parametrize("lanes", [1, 2, 6])
+def test_stacked_apply_is_the_apply_of_each_row(shape, lanes):
+    # a stack of lanes must give each lane the bits of its own apply, so a lane's
+    # trace equals its single run's
+    a, b, x = _ls_data(*shape)
+    stack = np.random.default_rng(lanes).standard_normal((lanes, shape[1]))
+    for op in (LeastSquaresGrad(a, b), LeastSquaresGrad(a, b, scale=2.0),
+               ScaledIdentity(0.3), ZeroForward()):
+        got = op.apply(stack)
+        assert got.shape == stack.shape
+        for row, want in zip(stack, got):
+            assert np.array_equal(want, op.apply(row.copy()))
+
+
+def test_stacked_apply_keeps_no_residual():
+    # the factored form's residual memo is of a d-vector only
+    a, b, x = _ls_data(10, 40)
+    op = LeastSquaresGrad(a, b)
+    op.apply(x)
+    memo = op._memo
+    op.apply(np.vstack([x + 1.0, x]))
+    assert op._memo is memo
