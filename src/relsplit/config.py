@@ -283,9 +283,11 @@ def default_methods(beta, n_resolvents):
 
 @_config_errors
 def build_bench(doc):
-    """(jobs, problem, budget, half_quadratic, out_dir); a job is (CSV name, RunConfig, z0).
+    """(groups, problem, budget, half_quadratic, out_dir); a group is (CSV names, RunConfigs, z0).
 
-    Every job is built and checked before the reference solve the jobs share.
+    One group per graph: its methods share one scheme, relocator kind and z0
+    and differ in their schedules. Every job is built and checked before the
+    reference solve the jobs share.
     """
     _section("bench spec", doc, BENCH_KEYS)
     prob, split, objective_fn, half = build_problem(doc["problem"])
@@ -296,22 +298,23 @@ def build_bench(doc):
         methods = [(_section(f"methods[{i}]", m, {"name", "schedule"})["name"],
                     _schedule(f"methods[{i}] schedule", m["schedule"]))
                    for i, m in enumerate(doc["methods"])]
-    jobs = []
+    groups, names = [], []
     for prefix, s in _schemes(doc):
         z0 = build_z0(doc.get("z0"), s, split)
-        for name, sched in default_methods(split.beta, s.n) if methods is None else methods:
-            jobs.append((f"{prefix}-{name}" if prefix else name,
-                         _run_config(doc, s, split, objective_fn, sched, *limits), z0))
-    if not jobs:
+        grid = default_methods(split.beta, s.n) if methods is None else methods
+        group = [f"{prefix}-{name}" if prefix else name for name, _ in grid]
+        groups.append((group, [_run_config(doc, s, split, objective_fn, sched, *limits)
+                               for _, sched in grid], z0))
+        names += group
+    if not names:
         raise ParameterError("benchmark needs at least one graph and one method")
-    names = [name for name, _, _ in jobs]
     for i, name in enumerate(names):
         csv = f"{name}.csv"
         if Path(csv).name != csv or csv == "summary.csv":
             raise ParameterError(f"benchmark job {name!r} cannot write {csv} in out_dir")
         if name in names[:i]:
             raise ParameterError(f"two benchmark jobs would write {csv}")
-    return jobs, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
+    return groups, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
 
 
 @_config_errors

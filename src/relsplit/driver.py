@@ -1,6 +1,6 @@
-"""Relocated fixed-point iteration loops.
+"""Relocated fixed-point iteration: one loop, two sets of step formulas.
 
-The general loop iterates, per stepsize sequence (gamma_k):
+The loop iterates, per stepsize sequence (gamma_k):
 
     x_k     = sweep(gamma_k, z_k)                       (resolvent outputs)
     w_k     = z_k - lambda_k * theta_k * M* x_k
@@ -24,25 +24,32 @@ RunConfig of the two-node chain under the davis-yin relocator:
 with x_0 = J_{gamma_0 A_1}(z_0). Given the same RunConfig, it produces the
 iterates of ``run`` at a lower cost per iteration.
 
-Both loops take one RunConfig and share one skeleton (``_iterate``); only
-their resolvent formulas differ. The per-run control (``_RunControl``) builds
-the stepsize schedule and the trace recorder from the config once per run and
-holds the margin check, the stop test, the recording rule and the stepsize
-range check. ``run`` builds its step plan once, before the first iteration:
-the operator bindings and shapes are checked, the sweep and fix_res are
-generated as straight-line code (``engine.SweepPlan``), and the relocator's
-matrix K (``relocator.relocation_map``, so that z_{k+1} = r w_k + (1 - r) K x
-with r = gamma_{k+1}/gamma_k) and the consensus pairs are precomputed, so the
-loop itself only does arithmetic.
+One loop, ``_iterate``, runs every iteration of the library. It pairs a
+step, which holds the resolvent formulas, with a control, which decides:
+``_RunControl`` builds one run's stepsize schedule and trace recorder from
+its RunConfig and holds the margin check, the stop test, the recording rule
+and the stepsize range check. ``run`` drives the engine's step
+(``_EngineStep``) and ``run_davis_yin`` the three-operator formulas
+(``_DavisYinStep``), each with one ``_RunControl``. ``run`` builds its step
+plan once, before the first iteration: the operator bindings and shapes are
+checked, the sweep and fix_res are generated as straight-line code
+(``engine.SweepPlan``), and the relocator's matrix K
+(``relocator.relocation_map``, so that z_{k+1} = r w_k + (1 - r) K x with
+r = gamma_{k+1}/gamma_k) and the consensus pairs are precomputed, so the loop
+itself only does arithmetic.
 
-``run_grid`` runs a bench grid's methods on one graph (one scheme, problem
-and z0, a cheap relocator, different schedules) as lanes of one (L, m, d)
-stack, through the lane layout of the same generated step. Each lane keeps
-its own ``_RunControl``, so its schedule, stop test, trace and evaluation
-count are those of its own ``run``, and its trace is bitwise that run's. Each
-resolvent is still called once per lane per evaluation; the other numpy calls
-of an iteration serve all lanes. A lane leaves the stack when its run stops;
-below ``MIN_LANES`` lanes, each continues in ``_iterate`` from its exact state.
+``run_grid`` runs a bench grid's methods on one graph (one scheme, problem,
+relocator kind and z0, different schedules). Under a cheap relocator, a
+group of ``MIN_LANES`` or more runs as lanes of one (L, m, d) stack through
+the lane layout of the same generated step: ``_Lanes`` is both the step and
+the control of one ``_iterate`` call, and applies each lane's own
+``_RunControl``. So each lane's schedule, stop test, trace and evaluation
+count are those of its own ``run``, and its trace is bitwise that run's.
+Each resolvent is still called once per lane per evaluation; the other numpy
+calls of an iteration serve all lanes. A lane leaves the stack when its run
+ends; when fewer than ``MIN_LANES`` lanes start an iteration, each continues
+in ``_iterate`` from its exact state. Any other group runs one ``run`` per
+method.
 
 An iteration computes only what the run reads, so a constant-stepsize run
 costs what the non-relocated method costs: fix_res every iteration, the
@@ -205,14 +212,12 @@ def default_z0(s, prob, seed=None, scale=1.0):
 class _RunControl:
     """Per-run control of one RunConfig: schedule, relaxation, stop tests and recorder.
 
-    Both loops drive a run through it: ``_iterate`` one run, ``run_grid``'s
-    stacked loop one per lane. Building it builds the schedule
-    (``ScheduleSpec.build`` checks 0 < gamma_0 < 2/mu, a ParameterError
-    otherwise). ``k`` and ``gamma`` are the index and stepsize of the run's
-    next iteration, so a run that leaves the stack resumes in ``_iterate``.
-    Each check that ends the run sets the trace's converged flag or abort
-    text. A loop records row k when the run stops there, when k is a multiple
-    of ``record_every`` and at k = ``last``.
+    Building it builds the schedule (``ScheduleSpec.build`` checks
+    0 < gamma_0 < 2/mu, a ParameterError otherwise). ``k`` and ``gamma`` are
+    the index and stepsize of the run's next iteration, so a run resumes in
+    ``_iterate`` where it stands. Each method that ends the run sets the
+    trace's converged flag or abort text. A step method that serves several
+    runs takes the run's ``lane`` index, which the methods pass on.
     """
 
     def __init__(self, cfg, mu_value):
@@ -226,85 +231,102 @@ class _RunControl:
         self.sup = schememod.stepsize_sup(mu_value)
         self.k, self.gamma = 0, self.sched.gamma
 
-    def relaxation(self, k, gamma):
-        """lambda_k * theta_k at gamma, or None when the margin check aborts the run."""
+    def start(self, k):
+        """True when iteration k runs: k < max_iters and the margin check passes.
+
+        Sets ``lam_theta`` = lambda_k * theta_k at ``gamma``.
+        """
+        self.k, gamma = k, self.gamma
+        if k == self.max_iters:
+            return False
         lam, theta = self.relax.pair(gamma, self.mu)
         margin = schememod.feasibility_margin(gamma, lam, theta, self.mu)
         if lam <= 0 or margin < self.floor - 1e-12:
             self.trace.aborted = _infeasible(k, gamma, lam, margin, self.floor)
-            return None
-        self.lam, self.theta = lam, theta
-        return lam * theta
+            return False
+        self.lam, self.theta, self.lam_theta = lam, theta, lam * theta
+        return True
 
-    def stops(self, k, fix_res):
-        """True when fix_res ends the run: at the tolerance, or non-finite (an abort)."""
-        self.trace.iterations = k + 1
-        if fix_res <= self.tol:
-            self.trace.converged = True
-            return True
-        if not fix_res < _INF:
-            self.trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
-            return True
-        return False
+    def check(self, k, fix_res, step, *lane):
+        """True when fix_res ends the run: at the tolerance, or non-finite (an abort).
 
-    def record(self, k, gamma, fix_res, consensus, x, evals):
-        self.rec.row(k, gamma, self.theta, self.lam, fix_res, consensus, x, evals)
-
-    def next_gamma(self, k, norms):
-        """gamma_{k+1}, or None when it leaves (0, 2/mu), which aborts the run.
-
-        ``norms`` is (||x_1(w)||, ||x_1(w) - w||), or () for a schedule that
-        does not read them.
+        Records row k, from ``step.row(*lane)``, when the run stops there, when
+        k is a multiple of ``record_every`` and at k = ``last``.
         """
-        gamma = self.sched.next_gamma(*norms)
+        trace = self.trace
+        trace.iterations = k + 1
+        stop = True
+        if fix_res <= self.tol:
+            trace.converged = True
+        elif not fix_res < _INF:
+            trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
+        else:
+            stop = False
+        if stop or k % self.record_every == 0 or k == self.last:
+            self.rec.row(k, self.gamma, self.theta, self.lam, fix_res, *step.row(*lane))
+        return stop
+
+    def next_gamma(self, k, step, *lane):
+        """gamma_{k+1}/gamma_k, or None when gamma_{k+1} leaves (0, 2/mu), which aborts the run.
+
+        A schedule that ``reads_norms`` gets ``step.norms(*lane)``:
+        (||x_1(w)||, ||x_1(w) - w||).
+        """
+        gamma = self.sched.next_gamma(*(step.norms(*lane) if self.reads_norms else ()))
         if not 0 < gamma < self.sup:
             self.trace.aborted = f"gamma_{k + 1} = {gamma:.6g} outside (0, {self.sup:.6g})"
             return None
-        return gamma
+        ratio, self.gamma = gamma / self.gamma, gamma
+        return ratio
 
-    def finish(self, z, x, evals):
-        """The trace, with the run's final state."""
+    def finish(self, step, *lane):
+        """The trace, with the run's final state ``step.state(*lane)``: (z, x, evals)."""
         trace = self.trace
-        trace.z_final, trace.x_final, trace.resolvent_evals = z, x, evals
+        trace.z_final, trace.x_final, trace.resolvent_evals = step.state(*lane)
         return trace
 
 
 def _iterate(step, control):
-    """Iterate one run from its control's ``k`` and ``gamma`` to the end; returns its Trace.
+    """Iterate from ``control.k`` until the control ends the run; returns ``control.finish(step)``.
 
-    ``step`` holds the resolvent formulas. It exposes ``z``, the shadow
-    iterate ``x``, the cumulative resolvent count ``evals`` and five methods:
-    ``residuals(gamma)``, which evaluates the resolvents at (gamma, z) and
-    returns fix_res; ``consensus()``, called only for a recorded row;
-    ``advance(gamma, lam*theta)``, which forms w and x_1(w); ``norms()``,
-    which returns (||x_1(w)||, ||x_1(w) - w||) and is called only when the
-    schedule ``reads_norms``; and ``relocate(gamma_next/gamma)``, which sets
-    z to the relocated w (to w itself at ratio 1).
+    The control (``_RunControl`` for one run) decides: ``start(k)`` ends the
+    run or sets ``lam_theta`` at its stepsize ``gamma``; ``check(k, fix_res,
+    step)`` is the stop test and records a row; ``next_gamma(k, step)``
+    returns gamma_{k+1}/gamma_k, or None to end the run. The step holds the
+    resolvent formulas: ``residuals(gamma)`` evaluates the resolvents at
+    (gamma, z) and returns fix_res; ``advance(gamma, lam_theta)`` forms w and
+    x_1(w); ``relocate(ratio)`` sets z to the relocated w (to w itself at
+    ratio 1). The control reads the step's ``row()`` (consensus, x, evals)
+    only on a recorded row, ``norms()`` only for a schedule that reads them,
+    and ``state()`` (z, x, evals) at the end. ``_Lanes`` is both the step and
+    the control of a stack of runs.
     """
-    relaxation, stops, record = control.relaxation, control.stops, control.record
-    next_gamma, reads_norms = control.next_gamma, control.reads_norms
-    record_every, last = control.record_every, control.last
-    gamma = control.gamma
-    for k in range(control.k, control.max_iters):
-        lam_theta = relaxation(k, gamma)
-        if lam_theta is None:
+    start, check, next_gamma = control.start, control.check, control.next_gamma
+    residuals, advance, relocate = step.residuals, step.advance, step.relocate
+    k = control.k
+    while start(k):
+        if check(k, residuals(control.gamma), step):
             break
-        fix_res = step.residuals(gamma)
-        stop = stops(k, fix_res)
-        if stop or k % record_every == 0 or k == last:
-            record(k, gamma, fix_res, step.consensus(), step.x, step.evals)
-        if stop:
+        advance(control.gamma, control.lam_theta)
+        ratio = next_gamma(k, step)
+        if ratio is None:
             break
-        step.advance(gamma, lam_theta)
-        gamma_next = next_gamma(k, step.norms() if reads_norms else ())
-        if gamma_next is None:
-            break
-        step.relocate(gamma_next / gamma)
-        gamma = gamma_next
-    return control.finish(step.z, step.x, step.evals)
+        relocate(ratio)
+        k += 1
+    return control.finish(step)
 
 
-class _EngineStep:
+class _Step:
+    """A single run's step: its recorded row and its final state."""
+
+    def row(self):
+        return self.consensus(), self.x, self.evals
+
+    def state(self):
+        return self.z, self.x, self.evals
+
+
+class _EngineStep(_Step):
     """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
 
     At w the cheap relocators need only x_1 (recycled as the next sweep's
@@ -369,151 +391,154 @@ MIN_LANES = 3   # below this, per-lane Python work costs more than the shared nu
 
 
 class _Lanes:
-    """The runs of ``run_grid`` still in the stack, in lane order, and their stacked state.
+    """Runs of one scheme and problem under a cheap relocator, as lanes of one stack.
 
-    ``z`` is the (L, m, d) stack, ``x1`` the recycled x_1 and ``xs`` the last
-    sweep's outputs (each (L, d), None before the first sweep); ``gamma``
-    holds the lanes' stepsizes as Python floats. Every lane has made the same
-    number of iterations, so one resolvent count serves them all.
+    It is both the step and the control of one ``_iterate`` call. As the
+    step it holds the (L, m, d) stack ``z`` and runs the lane layout of the
+    step plan in ``_EngineStep``'s float operations, so each lane's iterates
+    are bitwise those of its own ``run``; ``gamma`` lists the lanes'
+    stepsizes, and one resolvent count serves every lane, since all have made
+    the same iterations. As the control it applies each lane's own
+    ``_RunControl`` methods, with itself as the step and the lane's index. A
+    lane whose run ends is finished at the stack's state and dropped, before
+    any further resolvent call for it. When fewer than MIN_LANES lanes start
+    an iteration, ``finish`` hands each to ``_iterate`` from its exact state.
     """
 
-    def __init__(self, runs, z):
-        self.runs, self.gamma = runs, [control.gamma for control in runs]
-        self.z = np.repeat(z[None], len(runs), axis=0)
-        self.x1 = self.xs = None
+    k = 0
+
+    def __init__(self, s, prob, lanes, z0):
+        self.s, self.prob, self.lanes = s, prob, lanes
+        self.plan = engine.SweepPlan(s, prob, lanes=True)
+        z = default_z0(s, prob) if z0 is None else self.plan.blocks(z0)
+        self.z = np.repeat(z[None], len(lanes), axis=0)
+        self.gamma = [lane.gamma for lane in lanes]
+        self.x1 = self.xs = self.mstar_x = self.w = self.x1w = self.lam_theta = None
         self.evals = 0
 
-    def leave(self, flags):
-        """Finish the runs flagged, at the stack's state, and drop their lanes.
-
-        Returns the indices of the lanes kept, for the caller's own stacked values.
-        """
-        keep = []
-        for i, (control, flag) in enumerate(zip(self.runs, flags)):
-            if flag:
-                control.finish(np.array(self.z[i]),
-                               None if self.xs is None else np.array(self.xs[0][i]), self.evals)
-            else:
-                keep.append(i)
-        self.runs = [self.runs[i] for i in keep]
+    def _keep(self, going):
+        """Finish the lanes whose run ended (``going`` false) and drop them from the stack."""
+        if all(going):
+            return
+        for i, (lane, on) in enumerate(zip(self.lanes, going)):
+            if not on:
+                lane.finish(self, i)
+        keep = [i for i, on in enumerate(going) if on]
+        self.lanes = [self.lanes[i] for i in keep]
         self.gamma = [self.gamma[i] for i in keep]
-        self.z = self.z[keep]
-        if self.x1 is not None:
-            self.x1 = self.x1[keep]
+        for name in ("z", "x1", "mstar_x", "w", "x1w", "lam_theta"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
         if self.xs is not None:
             self.xs = [x[keep] for x in self.xs]
-        return keep
 
+    # -- the control ---------------------------------------------------------
 
-def _iterate_lanes(plan, lanes):
-    """Iterate the lanes in lockstep while at least MIN_LANES remain; returns the next k.
+    def start(self, k):
+        self._keep([lane.start(k) for lane in self.lanes])
+        if len(self.lanes) < MIN_LANES:
+            return False
+        self.gamma = [lane.gamma for lane in self.lanes]
+        self.lam_theta = np.array([lane.lam_theta for lane in self.lanes])[:, None, None]
+        return True
 
-    The per-lane steps are those of ``_iterate`` with ``_EngineStep`` under a
-    cheap relocator, in the same float operations, so each lane's iterates
-    are bitwise those of its own ``run``. A lane leaves the stack when its
-    run stops (at the margin check, the stop test, the stepsize range or
-    max_iters), before any further resolvent call for it.
-    """
-    n = plan.n
-    k = 0
-    while len(lanes.runs) >= MIN_LANES:
-        lam_theta = [control.relaxation(k, g) for control, g in zip(lanes.runs, lanes.gamma)]
-        if None in lam_theta:
-            lam_theta = [lam_theta[i] for i in lanes.leave([v is None for v in lam_theta])]
-            if not lam_theta:
-                break
-        x1 = lanes.x1
-        xs, mstar_x, fix_res = plan.residuals(lanes.gamma, lanes.z, x1)
-        lanes.xs = xs
-        lanes.evals += n if x1 is None else n - 1
-        stops = []
-        for i, (control, g, r) in enumerate(zip(lanes.runs, lanes.gamma, fix_res)):
-            stop = control.stops(k, r)
-            if stop or k % control.record_every == 0 or k == control.last:
-                control.record(k, g, r, plan.consensus([x[i] for x in xs], mstar_x[i]),
-                               xs[0][i], lanes.evals)
-            stops.append(stop)
-        if any(stops):
-            keep = lanes.leave(stops)
-            if not keep:
-                break
-            mstar_x, lam_theta = mstar_x[keep], [lam_theta[i] for i in keep]
-        w = lanes.z - np.array(lam_theta)[:, None, None] * mstar_x
-        x1w = plan.first_block(lanes.gamma, w)
-        lanes.evals += 1
-        gamma_next = [control.next_gamma(k, (norm(x1w[i]), norm(x1w[i] - w[i]))
-                                         if control.reads_norms else ())
-                      for i, control in enumerate(lanes.runs)]
-        if None in gamma_next:
-            keep = lanes.leave([g is None for g in gamma_next])
-            if not keep:
-                break
-            w, x1w, gamma_next = w[keep], x1w[keep], [gamma_next[i] for i in keep]
-        ratios = [g_next / g for g_next, g in zip(gamma_next, lanes.gamma)]
+    def check(self, k, fix_res, step):
+        self._keep([not lane.check(k, r, self, i)
+                    for i, (lane, r) in enumerate(zip(self.lanes, fix_res))])
+        return not self.lanes
+
+    def next_gamma(self, k, step):
+        ratios = [lane.next_gamma(k, self, i) for i, lane in enumerate(self.lanes)]
+        self._keep([r is not None for r in ratios])
+        return [r for r in ratios if r is not None] or None
+
+    def finish(self, step):
+        if self.lanes:
+            plan = engine.SweepPlan(self.s, self.prob)
+        for i, lane in enumerate(self.lanes):
+            z, x, evals = self.state(i)
+            x1 = None if self.x1 is None else np.array(self.x1[i])
+            _iterate(_EngineStep(plan, False, None, z, x1, x, evals), lane)
+
+    # -- the step ------------------------------------------------------------
+
+    def residuals(self, gamma):
+        x1 = self.x1
+        self.xs, self.mstar_x, fix_res = self.plan.residuals(gamma, self.z, x1)
+        self.evals += self.plan.n if x1 is None else self.plan.n - 1
+        return fix_res
+
+    def row(self, i):
+        xs = [x[i] for x in self.xs]
+        return self.plan.consensus(xs, self.mstar_x[i]), xs[0], self.evals
+
+    def advance(self, gamma, lam_theta):
+        self.w = self.z - lam_theta * self.mstar_x
+        self.x1w = self.plan.first_block(gamma, self.w)
+        self.evals += 1
+
+    def norms(self, i):
+        x1w = self.x1w[i]
+        return norm(x1w), norm(x1w - self.w[i])
+
+    def relocate(self, ratios):
+        w = self.w
         if all(r == 1.0 for r in ratios):
-            lanes.z = w
+            self.z = w
         else:
             col = np.array(ratios)[:, None, None]
-            lanes.z = col * w + (1.0 - col) * x1w[:, None, :]
+            self.z = col * w + (1.0 - col) * self.x1w[:, None, :]
             for i, r in enumerate(ratios):
                 if r == 1.0:   # as _EngineStep.relocate: z = w, not the formula's w + 0 * x_1
-                    lanes.z[i] = w[i]
-        lanes.x1, lanes.gamma = x1w, gamma_next
-        k += 1
-        ended = [k == control.max_iters for control in lanes.runs]
-        if any(ended):
-            lanes.leave(ended)
-    return k
+                    self.z[i] = w[i]
+        self.x1 = self.x1w
+
+    def state(self, i):
+        x = None if self.xs is None else np.array(self.xs[0][i])
+        return np.array(self.z[i]), x, self.evals
 
 
 def run_grid(cfgs, z0=None):
-    """One Trace per RunConfig, each equal to ``run(cfg, z0)``'s, from one stack of lanes.
+    """One Trace per RunConfig, each equal to ``run(cfg, z0)``'s.
 
-    The configs share one scheme, one problem and one cheap relocator kind,
-    as a bench grid's methods on one graph do, and differ in their
-    schedules (their relaxation, limits, objective and reference may differ
-    too). A schedule that ``ScheduleSpec.build`` refuses gets
-    ``Trace(aborted=<the error>)`` and joins no stack. The others iterate as
-    lanes of one (L, m, d) stack through the lane layout of the step plan:
+    The configs share one scheme, one problem and one relocator kind, as a
+    bench grid's methods on one graph do, and differ in their schedules
+    (their relaxation, limits, objective and reference may differ too). A
+    schedule that ``ScheduleSpec.build`` refuses gets
+    ``Trace(aborted=<the error>)``. Under a cheap relocator kind, a group of
+    MIN_LANES or more runs iterates as the lanes of one stack (``_Lanes``):
     each iteration's numpy calls serve every lane, while every resolvent is
-    still called once per lane per evaluation. Each lane keeps its own
-    schedule, stop test, trace and evaluation count, and leaves the stack when
-    its run stops. When fewer than MIN_LANES lanes remain, each continues in
-    ``_iterate`` from its exact state.
+    still called once per lane per evaluation. Any other group runs as one
+    ``run`` per config.
     """
     cfgs = list(cfgs)
     if not cfgs:
         return []
     s, prob, kind = cfgs[0].scheme, cfgs[0].problem, cfgs[0].relocator
-    if kind not in relocator.CHEAP_KINDS or any(
-            cfg.scheme is not s or cfg.problem is not prob or cfg.relocator != kind
-            for cfg in cfgs):
-        raise StructuralError("run_grid needs runs of one scheme and one problem "
-                              "under one cheap relocator kind")
-    plan = engine.SweepPlan(s, prob)
-    z = plan.blocks(z0) if z0 is not None else default_z0(s, prob)
-    mu_value = schememod.mu(s, prob.beta)
-    traces, runs = [], []
+    if any(cfg.scheme is not s or cfg.problem is not prob or cfg.relocator != kind
+           for cfg in cfgs):
+        raise StructuralError("run_grid needs runs of one scheme, one problem "
+                              "and one relocator kind")
+    stacked = kind in relocator.CHEAP_KINDS and len(cfgs) >= MIN_LANES
+    mu_value = schememod.mu(s, prob.beta) if stacked else None
+    traces, lanes = [], []
     for cfg in cfgs:
         try:
-            control = _RunControl(cfg, mu_value)
-        except ParameterError as exc:
+            if stacked:
+                lanes.append(_RunControl(cfg, mu_value))
+                traces.append(lanes[-1].trace)
+            else:
+                traces.append(run(cfg, z0))
+        except ParameterError as exc:   # the schedule, refused at build
             traces.append(Trace(aborted=str(exc)))
-            continue
-        traces.append(control.trace)
-        runs.append(control)
-    lanes, k = _Lanes(runs, z), 0
-    if len(runs) >= MIN_LANES:
-        k = _iterate_lanes(engine.SweepPlan(s, prob, lanes=True), lanes)
-    for i, control in enumerate(lanes.runs):
-        control.k, control.gamma = k, lanes.gamma[i]
-        x1 = None if lanes.x1 is None else np.array(lanes.x1[i])
-        x = None if lanes.xs is None else np.array(lanes.xs[0][i])
-        _iterate(_EngineStep(plan, False, None, np.array(lanes.z[i]), x1, x, lanes.evals), control)
+    if lanes:
+        stack = _Lanes(s, prob, lanes, z0)
+        _iterate(stack, stack)
     return traces
 
 
-class _DavisYinStep:
+class _DavisYinStep(_Step):
     """Resolvent formulas of the three-operator scheme, written out directly."""
 
     def __init__(self, prob, z, gamma):

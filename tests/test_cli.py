@@ -286,6 +286,19 @@ def test_bench_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize("taken", ["const-1L.csv", "summary.csv"])
+def test_bench_unwritable_output_exits_2(tmp_path, capsys, taken):
+    # a directory where bench writes a method's CSV or the summary: one error line
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    spec = dict(json.loads((DEMO_CONFIGS / "bench_lasso.json").read_text()),
+                budget=50, out_dir=str(out))
+    code = main(["bench", write_json(tmp_path / "spec.json", spec)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out / taken}: "), err
+
+
 def assert_usage_error(capsys, code):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2

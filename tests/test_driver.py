@@ -495,13 +495,12 @@ def run_or_abort(cfg, z0):
 
 def bench_groups(doc):
     """[(configs, z0)] per graph of a bench spec, each config with the spec's reference."""
-    jobs, prob, budget, half, _ = config.build_bench(doc)
+    groups, prob, budget, half, _ = config.build_bench(doc)
     ref = problems.reference_solution(prob, budget, half_quadratic=half)
-    groups = {}
-    for _, cfg, z0 in jobs:
-        cfg.reference = (ref.x, ref.phi)
-        groups.setdefault(id(cfg.scheme), ([], z0))[0].append(cfg)
-    return list(groups.values())
+    for _, cfgs, _ in groups:
+        for cfg in cfgs:
+            cfg.reference = (ref.x, ref.phi)
+    return [(cfgs, z0) for _, cfgs, z0 in groups]
 
 
 def lasso_grid_spec():
@@ -527,27 +526,56 @@ def out_of_range_spec():
     return dict(lasso_grid_spec(), budget=300, methods=methods)
 
 
-@pytest.mark.parametrize("spec", [lasso_grid_spec, elastic_grid_spec, out_of_range_spec],
-                         ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range"])
+def two_method_spec():
+    # the elastic-topologies workload's two methods per tree: too few lanes to stack
+    doc = json.loads((CONFIGS / "bench_elastic_topologies.json").read_text())
+    doc["problem"].update(q=30, d=20)
+    return dict(doc, budget=3300, fix_res_tol=1e-6)
+
+
+def general_spec():
+    # five methods per tree under the general relocator, which never stacks
+    return dict(elastic_grid_spec(), relocator="general", budget=600)
+
+
+STACKED = (lasso_grid_spec, elastic_grid_spec, out_of_range_spec)
+
+
+@pytest.mark.parametrize("spec", [*STACKED, two_method_spec, general_spec],
+                         ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range",
+                              "two-methods", "general"])
 def test_run_grid_is_run_per_lane(spec, monkeypatch):
-    resumed = []   # the iteration at which a lane left the stack for the single loop
-    iterate = driver._iterate
+    resumed = []   # the iteration at which each single run starts, or a lane resumes
+    calls = [0]    # run_grid's own calls of run
+    iterate, single = driver._iterate, driver.run
 
     def spy(step, control):
-        resumed.append(control.k)
+        if isinstance(control, driver._RunControl):
+            resumed.append(control.k)
         return iterate(step, control)
 
+    def run_spy(cfg, z0=None):
+        calls[0] += 1
+        return single(cfg, z0)
+
+    groups = bench_groups(spec())   # an elastic-net reference solve calls run
+    wants = [[run_or_abort(cfg, z0) for cfg in cfgs] for cfgs, z0 in groups]
     monkeypatch.setattr(driver, "_iterate", spy)
-    converged_at = set()
-    for cfgs, z0 in bench_groups(spec()):
+    monkeypatch.setattr(driver, "run", run_spy)
+    converged_at, total = set(), 0
+    for (cfgs, z0), want in zip(groups, wants):
         traces = run_grid(cfgs, z0)
         assert len(traces) == len(cfgs)
-        for cfg, trace in zip(cfgs, traces):
-            assert_same_trace(trace, run_or_abort(cfg, z0))
+        total += len(cfgs)
+        for trace, expected in zip(traces, want):
+            assert_same_trace(trace, expected)
             if trace.converged:
                 converged_at.add(trace.iterations)
+    assert calls[0] == (0 if spec in STACKED else total)
     if spec is elastic_grid_spec:
         assert len(converged_at) >= 4 and any(k > 0 for k in resumed)
+    elif spec not in STACKED:
+        assert resumed and not any(resumed)   # every run from k = 0, none from a stack
 
 
 class NanBand(ResolventOp):
@@ -593,12 +621,19 @@ def test_run_grid_lanes_leave_at_every_stop():
 
 
 def test_run_grid_refuses_runs_it_cannot_stack():
+    # only a group that mixes schemes, problems or relocator kinds; a general-relocator
+    # group, a group of fewer than MIN_LANES runs and a stack from the default z0 all run
     s, split, _ = small_lasso_setup(3)
-    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN)
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, max_iters=50)
     for other in (RunConfig(scheme=s, problem=small_lasso_setup(3)[1], relocator=DAVIS_YIN),
+                  RunConfig(scheme=small_lasso_setup(3)[0], problem=split, relocator=DAVIS_YIN),
                   RunConfig(scheme=s, problem=split, relocator=GENERAL)):
         with pytest.raises(StructuralError, match="run_grid needs"):
             run_grid([cfg, cfg, other])
+    general = dataclasses.replace(cfg, relocator=GENERAL)
+    for cfgs in ([general] * 3, [cfg], [cfg, cfg], [cfg] * 3):
+        for trace, c in zip(run_grid(cfgs), cfgs):
+            assert_same_trace(trace, run(c))
     assert run_grid([]) == []
 
 
