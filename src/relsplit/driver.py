@@ -39,17 +39,17 @@ r = gamma_{k+1}/gamma_k) and the consensus pairs are precomputed, so the loop
 itself only does arithmetic.
 
 ``run_grid`` runs a bench grid's methods on one graph (one scheme, problem,
-relocator kind and z0, different schedules). Under a cheap relocator, a
-group of ``MIN_LANES`` or more runs as lanes of one (L, m, d) stack through
-the lane layout of the same generated step: ``_Lanes`` is both the step and
-the control of one ``_iterate`` call, and applies each lane's own
+relocator kind and z0, different schedules). A group of ``MIN_LANES`` or
+more, under any relocator kind, runs as lanes of one (L, m, d) stack: the
+same ``_EngineStep`` runs on the lane layout of the same generated step
+plan, and ``_Lanes``, the stack's control, applies each lane's own
 ``_RunControl``. So each lane's schedule, stop test, trace and evaluation
 count are those of its own ``run``, and its trace is bitwise that run's.
 Each resolvent is still called once per lane per evaluation; the other numpy
 calls of an iteration serve all lanes. A lane leaves the stack when its run
 ends; when fewer than ``MIN_LANES`` lanes start an iteration, each continues
-in ``_iterate`` from its exact state. Any other group runs one ``run`` per
-method.
+in ``_iterate`` on a block-plan ``_EngineStep`` from its exact state. A
+smaller group runs one ``run`` per method.
 
 An iteration computes only what the run reads, so a constant-stepsize run
 costs what the non-relocated method costs: fix_res every iteration, the
@@ -298,8 +298,10 @@ def _iterate(step, control):
     x_1(w); ``relocate(ratio)`` sets z to the relocated w (to w itself at
     ratio 1). The control reads the step's ``row()`` (consensus, x, evals)
     only on a recorded row, ``norms()`` only for a schedule that reads them,
-    and ``state()`` (z, x, evals) at the end. ``_Lanes`` is both the step and
-    the control of a stack of runs.
+    and ``state()`` (z, x, evals) at the end. On a stack of runs the step is
+    an ``_EngineStep`` on a lane plan, whose gamma, lam_theta and ratio are
+    the lanes' columns, and the control is ``_Lanes``, which passes each
+    lane's index to those reads.
     """
     start, check, next_gamma = control.start, control.check, control.next_gamma
     residuals, advance, relocate = step.residuals, step.advance, step.relocate
@@ -316,105 +318,136 @@ def _iterate(step, control):
     return control.finish(step)
 
 
-class _Step:
-    """A single run's step: its recorded row and its final state."""
-
-    def row(self):
-        return self.consensus(), self.x, self.evals
-
-    def state(self):
-        return self.z, self.x, self.evals
+def _lanes_of(v, index):
+    """``v[index]`` of an (L, ...) stack array, or of each array of a list of them, or None."""
+    if v is None:
+        return None
+    return [a[index] for a in v] if isinstance(v, list) else v[index]
 
 
-class _EngineStep(_Step):
-    """Resolvent formulas of the coefficient-scheme engine (the step plan of ``run``).
+class _EngineStep:
+    """Resolvent formulas of the coefficient-scheme engine, for one run or a stack of runs.
 
-    At w the cheap relocators need only x_1 (recycled as the next sweep's
-    x_1), which their K, a column of ones on every supported tree, just
-    broadcasts; the general relocator needs a full second sweep, which its
-    m x n K multiplies. ``x1``, ``x`` and ``evals`` resume a run that left
-    ``run_grid``'s stack.
+    On a block plan the state is one run's (m, d) block vector z; on a lane
+    plan it is the (L, m, d) stack of a ``run_grid`` group, whose lanes make
+    the float operations of their own runs, so each lane's iterates are
+    bitwise its run's, and one resolvent count serves every lane. The
+    methods that read one run's values take ``*lane``: a lane index on a
+    stack, nothing for one run (``a[()]`` is all of ``a``). ``K`` is the
+    general relocator's m x n matrix, which multiplies a full second sweep at
+    w, or None for a cheap kind: there only x_1(w) is evaluated, recycled as
+    the next sweep's x_1, and the cheap K, a column of ones on every
+    supported tree, just broadcasts it. ``x1``, ``xs`` and ``evals`` resume a
+    lane handed off from a stack.
     """
 
-    def __init__(self, plan, general, K, z, x1=None, x=None, evals=0):
-        self.n, self.general, self.z = plan.n, general, z
-        self.K = K if general else None
-        self.x, self.x1, self.evals = x, x1, evals
+    def __init__(self, plan, K, z, x1=None, xs=None, evals=0):
+        self.n, self.K, self.z = plan.n, K, z
+        self.x1, self.xs, self.evals = x1, xs, evals
+        self.mstar_x = self.w = self.at_w = None
         self._residuals, self._sweep, self._first_block = (plan.residuals, plan.sweep,
                                                            plan.first_block)
         self._consensus = plan.consensus
 
     def residuals(self, gamma):
         x1 = self.x1
-        xs, self.mstar_x, fix_res = self._residuals(gamma, self.z, x1)
-        self.xs, self.x = xs, xs[0]
+        self.xs, self.mstar_x, fix_res = self._residuals(gamma, self.z, x1)
         self.evals += self.n if x1 is None else self.n - 1
         return fix_res
 
-    def consensus(self):
-        return self._consensus(self.xs, self.mstar_x)
+    def consensus(self, *lane):
+        return self._consensus([x[lane] for x in self.xs], self.mstar_x[lane])
+
+    def row(self, *lane):
+        return self.consensus(*lane), self.xs[0][lane], self.evals
 
     def advance(self, gamma, lam_theta):
         w = self.w = self.z - lam_theta * self.mstar_x
-        if self.general:
-            self.at_w = self._sweep(gamma, w)
-            self.evals += self.n
-        else:
+        if self.K is None:
             self.at_w = self._first_block(gamma, w)
             self.evals += 1
+        else:
+            self.at_w = self._sweep(gamma, w)
+            self.evals += self.n
 
-    def norms(self):
-        x1w = self.at_w[0] if self.general else self.at_w
-        return norm(x1w), norm(x1w - self.w)
+    def norms(self, *lane):
+        x1w = (self.at_w if self.K is None else self.at_w[0])[lane]
+        return norm(x1w), norm(x1w - self.w[lane])
 
     def relocate(self, ratio):
-        if ratio == 1.0:
-            self.z = self.w
+        """Set z to ratio * w + (1 - ratio) K x(w), or to w itself at ratio 1.
+
+        ``ratio`` is a float, or a stack's (L, 1, 1) column of ratios; a lane
+        at ratio 1 gets w's bits, not the formula's w + 0 * K x.
+        """
+        w, column = self.w, isinstance(ratio, np.ndarray)
+        if not column and ratio == 1.0:
+            self.z = w
         else:
-            kx = self.K @ self.at_w if self.general else self.at_w
-            self.z = ratio * self.w + (1.0 - ratio) * kx
-        self.x1 = None if self.general else self.at_w
+            at_w = self.at_w
+            # K times each run's (n, d) outputs: np.array(at_w) is (n, d), or (n, L, d) on a stack
+            kx = at_w[..., None, :] if self.K is None else self.K @ np.array(at_w).swapaxes(0, -2)
+            self.z = ratio * w + (1.0 - ratio) * kx
+            if column:
+                np.copyto(self.z, w, where=ratio == 1.0)
+        self.x1 = self.at_w if self.K is None else None
+
+    def keep(self, lanes):
+        """Keep the stack's lanes at the indices ``lanes`` and drop the state of the others."""
+        self.z, self.x1, self.xs, self.mstar_x, self.w, self.at_w = (
+            _lanes_of(v, lanes) for v in (self.z, self.x1, self.xs, self.mstar_x, self.w,
+                                          self.at_w))
+
+    def state(self, *lane):
+        x = None if self.xs is None else np.array(self.xs[0][lane])
+        return np.array(self.z[lane]), x, self.evals
+
+
+def _relocation_k(kind, s):
+    """The general relocator's K, or None for a cheap kind, whose K ``_EngineStep`` broadcasts."""
+    K = relocator.relocation_map(kind, s)   # for a cheap kind, checks that its column is ones
+    return K if kind == relocator.GENERAL else None
 
 
 def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
-    s, prob, kind = cfg.scheme, cfg.problem, cfg.relocator
+    s, prob = cfg.scheme, cfg.problem
     plan = engine.SweepPlan(s, prob)
     # a copy: the sweep may hand the caller's blocks, as views, to a resolvent
     z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
-    K = relocator.relocation_map(kind, s)
     control = _RunControl(cfg, schememod.mu(s, prob.beta))
-    return _iterate(_EngineStep(plan, kind == relocator.GENERAL, K, z), control)
+    return _iterate(_EngineStep(plan, _relocation_k(cfg.relocator, s), z), control)
 
 
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
 
 
 class _Lanes:
-    """Runs of one scheme and problem under a cheap relocator, as lanes of one stack.
+    """The control of a stack of runs, which one ``_iterate`` call drives on a lane-plan step.
 
-    It is both the step and the control of one ``_iterate`` call. As the
-    step it holds the (L, m, d) stack ``z`` and runs the lane layout of the
-    step plan in ``_EngineStep``'s float operations, so each lane's iterates
-    are bitwise those of its own ``run``; ``gamma`` lists the lanes'
-    stepsizes, and one resolvent count serves every lane, since all have made
-    the same iterations. As the control it applies each lane's own
-    ``_RunControl`` methods, with itself as the step and the lane's index. A
-    lane whose run ends is finished at the stack's state and dropped, before
-    any further resolvent call for it. When fewer than MIN_LANES lanes start
-    an iteration, ``finish`` hands each to ``_iterate`` from its exact state.
+    It applies each lane's own ``_RunControl`` methods, with the stack's
+    ``_EngineStep`` and the lane's index, so each lane's schedule, stop test,
+    trace and evaluation count are those of its own ``run``. ``gamma`` lists
+    the lanes' stepsizes and ``lam_theta`` is their (L, 1, 1) column of
+    lambda_k * theta_k. A lane whose run ends is finished at the step's state
+    and dropped (``_EngineStep.keep``), before any further resolvent call for
+    it. When fewer than MIN_LANES lanes start an iteration, ``finish`` hands
+    each to ``_iterate`` on a step of the block plan that ``block_plan()``
+    builds, from its exact state.
     """
 
     k = 0
 
-    def __init__(self, s, prob, lanes, z0):
-        self.s, self.prob, self.lanes = s, prob, lanes
-        self.plan = engine.SweepPlan(s, prob, lanes=True)
-        z = default_z0(s, prob) if z0 is None else self.plan.blocks(z0)
-        self.z = np.repeat(z[None], len(lanes), axis=0)
-        self.gamma = [lane.gamma for lane in lanes]
-        self.x1 = self.xs = self.mstar_x = self.w = self.x1w = self.lam_theta = None
-        self.evals = 0
+    def __init__(self, lanes, step, block_plan):
+        self.lanes, self.step, self.block_plan = lanes, step, block_plan
+
+    @property
+    def gamma(self):
+        return [lane.gamma for lane in self.lanes]
+
+    @property
+    def lam_theta(self):
+        return np.array([lane.lam_theta for lane in self.lanes])[:, None, None]
 
     def _keep(self, going):
         """Finish the lanes whose run ended (``going`` false) and drop them from the stack."""
@@ -422,81 +455,34 @@ class _Lanes:
             return
         for i, (lane, on) in enumerate(zip(self.lanes, going)):
             if not on:
-                lane.finish(self, i)
+                lane.finish(self.step, i)
         keep = [i for i, on in enumerate(going) if on]
         self.lanes = [self.lanes[i] for i in keep]
-        self.gamma = [self.gamma[i] for i in keep]
-        for name in ("z", "x1", "mstar_x", "w", "x1w", "lam_theta"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
-        if self.xs is not None:
-            self.xs = [x[keep] for x in self.xs]
-
-    # -- the control ---------------------------------------------------------
+        self.step.keep(keep)
 
     def start(self, k):
         self._keep([lane.start(k) for lane in self.lanes])
-        if len(self.lanes) < MIN_LANES:
-            return False
-        self.gamma = [lane.gamma for lane in self.lanes]
-        self.lam_theta = np.array([lane.lam_theta for lane in self.lanes])[:, None, None]
-        return True
+        return len(self.lanes) >= MIN_LANES
 
     def check(self, k, fix_res, step):
-        self._keep([not lane.check(k, r, self, i)
+        self._keep([not lane.check(k, r, step, i)
                     for i, (lane, r) in enumerate(zip(self.lanes, fix_res))])
         return not self.lanes
 
     def next_gamma(self, k, step):
-        ratios = [lane.next_gamma(k, self, i) for i, lane in enumerate(self.lanes)]
+        """The lanes' column of gamma_{k+1}/gamma_k, 1.0 when every ratio is 1, or None."""
+        ratios = [lane.next_gamma(k, step, i) for i, lane in enumerate(self.lanes)]
         self._keep([r is not None for r in ratios])
-        return [r for r in ratios if r is not None] or None
+        ratios = [r for r in ratios if r is not None]
+        if not ratios:
+            return None
+        return 1.0 if all(r == 1.0 for r in ratios) else np.array(ratios)[:, None, None]
 
     def finish(self, step):
-        if self.lanes:
-            plan = engine.SweepPlan(self.s, self.prob)
+        plan = self.block_plan() if self.lanes else None
         for i, lane in enumerate(self.lanes):
-            z, x, evals = self.state(i)
-            x1 = None if self.x1 is None else np.array(self.x1[i])
-            _iterate(_EngineStep(plan, False, None, z, x1, x, evals), lane)
-
-    # -- the step ------------------------------------------------------------
-
-    def residuals(self, gamma):
-        x1 = self.x1
-        self.xs, self.mstar_x, fix_res = self.plan.residuals(gamma, self.z, x1)
-        self.evals += self.plan.n if x1 is None else self.plan.n - 1
-        return fix_res
-
-    def row(self, i):
-        xs = [x[i] for x in self.xs]
-        return self.plan.consensus(xs, self.mstar_x[i]), xs[0], self.evals
-
-    def advance(self, gamma, lam_theta):
-        self.w = self.z - lam_theta * self.mstar_x
-        self.x1w = self.plan.first_block(gamma, self.w)
-        self.evals += 1
-
-    def norms(self, i):
-        x1w = self.x1w[i]
-        return norm(x1w), norm(x1w - self.w[i])
-
-    def relocate(self, ratios):
-        w = self.w
-        if all(r == 1.0 for r in ratios):
-            self.z = w
-        else:
-            col = np.array(ratios)[:, None, None]
-            self.z = col * w + (1.0 - col) * self.x1w[:, None, :]
-            for i, r in enumerate(ratios):
-                if r == 1.0:   # as _EngineStep.relocate: z = w, not the formula's w + 0 * x_1
-                    self.z[i] = w[i]
-        self.x1 = self.x1w
-
-    def state(self, i):
-        x = None if self.xs is None else np.array(self.xs[0][i])
-        return np.array(self.z[i]), x, self.evals
+            _iterate(_EngineStep(plan, step.K, step.z[i], _lanes_of(step.x1, i),
+                                 _lanes_of(step.xs, i), step.evals), lane)
 
 
 def run_grid(cfgs, z0=None):
@@ -506,11 +492,10 @@ def run_grid(cfgs, z0=None):
     bench grid's methods on one graph do, and differ in their schedules
     (their relaxation, limits, objective and reference may differ too). A
     schedule that ``ScheduleSpec.build`` refuses gets
-    ``Trace(aborted=<the error>)``. Under a cheap relocator kind, a group of
-    MIN_LANES or more runs iterates as the lanes of one stack (``_Lanes``):
-    each iteration's numpy calls serve every lane, while every resolvent is
-    still called once per lane per evaluation. Any other group runs as one
-    ``run`` per config.
+    ``Trace(aborted=<the error>)``. A group of MIN_LANES or more runs
+    iterates as the lanes of one stack (``_Lanes``): each iteration's numpy
+    calls serve every lane, while every resolvent is still called once per
+    lane per evaluation. A smaller group runs as one ``run`` per config.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -520,7 +505,7 @@ def run_grid(cfgs, z0=None):
            for cfg in cfgs):
         raise StructuralError("run_grid needs runs of one scheme, one problem "
                               "and one relocator kind")
-    stacked = kind in relocator.CHEAP_KINDS and len(cfgs) >= MIN_LANES
+    stacked = len(cfgs) >= MIN_LANES
     mu_value = schememod.mu(s, prob.beta) if stacked else None
     traces, lanes = [], []
     for cfg in cfgs:
@@ -533,12 +518,14 @@ def run_grid(cfgs, z0=None):
         except ParameterError as exc:   # the schedule, refused at build
             traces.append(Trace(aborted=str(exc)))
     if lanes:
-        stack = _Lanes(s, prob, lanes, z0)
-        _iterate(stack, stack)
+        plan = engine.SweepPlan(s, prob, lanes=True)
+        z = default_z0(s, prob) if z0 is None else plan.blocks(z0)
+        step = _EngineStep(plan, _relocation_k(kind, s), np.repeat(z[None], len(lanes), axis=0))
+        _iterate(step, _Lanes(lanes, step, lambda: engine.SweepPlan(s, prob)))
     return traces
 
 
-class _DavisYinStep(_Step):
+class _DavisYinStep:
     """Resolvent formulas of the three-operator scheme, written out directly."""
 
     def __init__(self, prob, z, gamma):
@@ -560,6 +547,12 @@ class _DavisYinStep(_Step):
 
     def consensus(self):
         return self.fix_res
+
+    def row(self):
+        return self.consensus(), self.x, self.evals
+
+    def state(self):
+        return self.z, self.x, self.evals
 
     def advance(self, gamma, lam_theta):
         self.w = self.z + lam_theta * (self.y - self.x)

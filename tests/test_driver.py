@@ -439,16 +439,22 @@ def test_wide_objective_reuses_the_forward_residual_exactly(max_iters, monkeypat
     assert hits == [True] * max_iters
 
 
+def stack_of_three(cfg, z0):
+    """The traces of ``run_grid`` on three copies of ``cfg``, which it runs as one stack."""
+    return run_grid([cfg] * 3, z0)
+
+
 @pytest.mark.parametrize("spec", [ScheduleSpec(variant="constant")]
                          + [ScheduleSpec(variant="safeguard", t_rule=rule)
                             for rule in ("harmonic", "accel", "norm-ratio")],
                          ids=["constant", "harmonic", "accel", "norm-ratio"])
 @pytest.mark.parametrize("kind,loop", [(GENERAL, run), (DAVIS_YIN, run),
-                                       (DAVIS_YIN, run_davis_yin)],
-                         ids=["general", "cheap", "standalone"])
+                                       (DAVIS_YIN, run_davis_yin), (GENERAL, stack_of_three),
+                                       (DAVIS_YIN, stack_of_three)],
+                         ids=["general", "cheap", "standalone", "general-stack", "cheap-stack"])
 def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
     # ||x_1(w)|| and ||x_1(w) - w|| only for the norm-ratio rule, the consensus
-    # only on a recorded row
+    # only on a recorded row, in a single run and in each lane of a stack
     formed = {"norm": 0, "consensus": 0}
 
     def counting(key, fn):
@@ -463,12 +469,15 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
     s, split, _ = small_lasso_setup(21)
     cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, max_iters=40,
                     record_every=7, fix_res_tol=1e-300)
-    trace = loop(cfg, default_z0(s, split, seed=2))
-    assert trace.iterations == 40 and trace.aborted is None
-    assert formed["consensus"] == len(trace.k) == 7   # k = 0, 7, ..., 35 and the last, 39
+    traces = loop(cfg, default_z0(s, split, seed=2))
+    traces = traces if loop is stack_of_three else [traces]
+    for trace in traces:
+        assert trace.iterations == 40 and trace.aborted is None
+        assert len(trace.k) == 7   # k = 0, 7, ..., 35 and the last, 39
+    assert formed["consensus"] == 7 * len(traces)
     norms = 2 * 40 if spec.variant == "safeguard" and spec.t_rule == "norm-ratio" else 0
     fix_res = 40 if loop is run_davis_yin else 0   # the standalone loop's ||x_k - y_k||
-    assert formed["norm"] == norms + fix_res
+    assert formed["norm"] == (norms + fix_res) * len(traces)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -534,16 +543,23 @@ def two_method_spec():
 
 
 def general_spec():
-    # five methods per tree under the general relocator, which never stacks
+    # five methods per tree under the general relocator, stacked as the cheap kinds are
     return dict(elastic_grid_spec(), relocator="general", budget=600)
 
 
-STACKED = (lasso_grid_spec, elastic_grid_spec, out_of_range_spec)
+def general_to_tolerance_spec():
+    # the general relocator to 1e-6: lanes that converge at different k, and lanes
+    # handed off to the single loop
+    return dict(elastic_grid_spec(), relocator="general")
 
 
-@pytest.mark.parametrize("spec", [*STACKED, two_method_spec, general_spec],
-                         ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range",
-                              "two-methods", "general"])
+STACKED = (lasso_grid_spec, elastic_grid_spec, out_of_range_spec, general_spec,
+           general_to_tolerance_spec)
+
+
+@pytest.mark.parametrize("spec", [*STACKED, two_method_spec],
+                         ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range", "general",
+                              "general-to-1e-6", "two-methods"])
 def test_run_grid_is_run_per_lane(spec, monkeypatch):
     resumed = []   # the iteration at which each single run starts, or a lane resumes
     calls = [0]    # run_grid's own calls of run
@@ -572,7 +588,7 @@ def test_run_grid_is_run_per_lane(spec, monkeypatch):
             if trace.converged:
                 converged_at.add(trace.iterations)
     assert calls[0] == (0 if spec in STACKED else total)
-    if spec is elastic_grid_spec:
+    if spec in (elastic_grid_spec, general_to_tolerance_spec):
         assert len(converged_at) >= 4 and any(k > 0 for k in resumed)
     elif spec not in STACKED:
         assert resumed and not any(resumed)   # every run from k = 0, none from a stack
@@ -621,8 +637,9 @@ def test_run_grid_lanes_leave_at_every_stop():
 
 
 def test_run_grid_refuses_runs_it_cannot_stack():
-    # only a group that mixes schemes, problems or relocator kinds; a general-relocator
-    # group, a group of fewer than MIN_LANES runs and a stack from the default z0 all run
+    # only a group that mixes schemes, problems or relocator kinds; a stack under the
+    # general relocator, a group of fewer than MIN_LANES runs and a stack from the
+    # default z0 all run
     s, split, _ = small_lasso_setup(3)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, max_iters=50)
     for other in (RunConfig(scheme=s, problem=small_lasso_setup(3)[1], relocator=DAVIS_YIN),

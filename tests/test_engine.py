@@ -346,7 +346,7 @@ def check_plan_against_oracle(s, same):
         for kind in kinds:
             general = kind == relocator.GENERAL
             K = relocator.relocation_map(kind, s)
-            step = _EngineStep(SweepPlan(s, prob), general, K, z)
+            step = _EngineStep(SweepPlan(s, prob), K if general else None, z)
             step.residuals(gamma)
             step.advance(gamma, 0.7)
             step.relocate(1.25)
@@ -407,6 +407,42 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
         x0 = lanes.first_block(gammas, z)
         for lane, gamma in enumerate(gammas):
             assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
+
+
+@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme()],
+                         ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
+                         + [f"{k}-{n}" for k in ("inward-star", "outward-star")
+                            for n in (4, 5, 6)] + ["explicit", "mixed"])
+def test_lane_step_is_the_block_step_per_lane(s):
+    # one _EngineStep on a 4-lane stack relocates each lane bitwise as the block step
+    # relocates its run; a lane at ratio 1 holds w's bits, where the formula
+    # 1 * w + 0 * K x would turn a -0.0 entry of w into 0.0 wherever K x > 0
+    gammas, lam_theta, ratios = [0.3, 0.55, 0.7, 1.1], [0.7, 0.5, 0.9, 0.6], [1.0, 1.25, 1.0, 0.8]
+    prob = split_for(s, 2)
+    z = np.random.default_rng(5).standard_normal((len(gammas), s.m, prob.dim))
+    kinds = [relocator.GENERAL]
+    if s.graph is not None:
+        kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+    for kind in kinds:
+        K = relocator.relocation_map(kind, s) if kind == relocator.GENERAL else None
+        stack = _EngineStep(SweepPlan(s, prob, lanes=True), K, z)
+        stack.residuals(gammas)
+        stack.advance(gammas, np.array(lam_theta)[:, None, None])
+        stack.w = stack.w.copy()   # x_1(w) may be a view of w (A_1 = 0)
+        stack.w[..., 0, 0] = -0.0
+        stack.relocate(np.array(ratios)[:, None, None])
+        for lane, (gamma, lt, ratio) in enumerate(zip(gammas, lam_theta, ratios)):
+            block = _EngineStep(SweepPlan(s, prob), K, z[lane])
+            block.residuals(gamma)
+            block.advance(gamma, lt)
+            block.w = block.w.copy()
+            block.w[0, 0] = -0.0
+            block.relocate(ratio)
+            assert stack.z[lane].tobytes() == block.z.tobytes()
+            if ratio == 1.0:
+                assert stack.z[lane].tobytes() == stack.w[lane].tobytes()
+            if K is None:   # the recycled x_1
+                assert stack.x1[lane].tobytes() == block.x1.tobytes()
 
 
 def test_plan_source_is_the_code_that_runs():
