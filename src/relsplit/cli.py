@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
 failed property; an aborted reference run is one ``error:`` line on stderr),
 2 usage or configuration error, reported as one ``error:`` line on stderr.
 A bench spec's methods on one graph share its scheme, problem and z0, and
-``driver.run_grid`` runs each such group: three or more, under any
-relocator, as lanes of one stack, a smaller group one ``run`` per method;
-either way each method's trace is that of its own ``run``.
+``driver.run_grid`` runs each such group from one step plan: three or more,
+under any relocator, as lanes of one stack, a smaller group one method
+after another; either way each method's trace is that of its own ``run``.
 """
 
 from __future__ import annotations

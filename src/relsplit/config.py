@@ -28,18 +28,18 @@ that is not a file name in out_dir or is summary.csv, are an error);
 (10000 iterations per method; 20x that caps the reference run where it
 cannot start at the exact minimiser), "fix_res_tol" (1e-10), "record_every"
 (10), "out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...],
-else ``default_methods``). ``relsplit validate`` reads the scheme sections
-of either document and "tol" (1e-10).
+each name a non-empty string, else ``default_methods``). ``relsplit
+validate`` reads the scheme sections of either document and "tol" (1e-10).
 
-Counts and sizes (max_iters, record_every, budget, a nonzero reference_budget,
-q, d, graph n, arc endpoints) are whole numbers >= 1, seeds and n_corr whole
-numbers >= 0 (1e3 is 1000; 2.5 and true are errors, never truncated),
-fix_res_tol is finite and positive, the real values (lam, u, lam1, lam2,
-noise_sd, the spectrum entries, the inline A and b entries, the schedule
-and relaxation values, z0 scale, fix_res_tol, tol) are JSON numbers (true
-and "0.01" are errors; gamma, gamma_min, gamma_max and the relaxation lam
-may be null), and half_quadratic, normalize and zeta_first_unit are JSON
-booleans.
+Counts and sizes (max_iters, record_every, budget, a reference_budget other
+than null or 0, which solve no reference, q, d, graph n, arc endpoints) are
+whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3 is 1000; 2.5
+and true are errors, never truncated), fix_res_tol is finite and positive,
+the real values (lam, u, lam1, lam2, noise_sd, the spectrum entries, the
+inline A and b entries, the schedule and relaxation values, z0 scale,
+fix_res_tol, tol) are JSON numbers (true and "0.01" are errors; gamma,
+gamma_min, gamma_max and the relaxation lam may be null), and
+half_quadratic, normalize and zeta_first_unit are JSON booleans.
 Graph-built schemes are run in their kappa form so the configured gamma
 matches the graph-form stepsize conventions (gamma < 2/beta for the chain);
 an explicit scheme must pass the six conditions (``RunConfig``).
@@ -258,7 +258,7 @@ def build_run(doc):
                       run_doc.get("record_every", 1))
     z0 = build_z0(run_doc.get("z0"), s, split)
     budget = run_doc.get("reference_budget")
-    if not budget:
+    if budget is None or budget == 0 and not isinstance(budget, bool):   # no reference
         return cfg, z0, False
     ref = problems.reference_solution(prob, as_count("reference_budget", budget),
                                       half_quadratic=half)
@@ -281,6 +281,13 @@ def default_methods(beta, n_resolvents):
     return methods
 
 
+def _method_name(i, name):
+    """Bench method i's name, which names its CSV: a non-empty string, else a ParameterError."""
+    if not isinstance(name, str) or not name:
+        raise ParameterError(f"methods[{i}] name must be a non-empty string, got {name!r}")
+    return name
+
+
 @_config_errors
 def build_bench(doc):
     """(groups, problem, budget, half_quadratic, out_dir); a group is (CSV names, RunConfigs, z0).
@@ -295,7 +302,7 @@ def build_bench(doc):
     limits = (budget, doc.get("fix_res_tol", 1e-10), doc.get("record_every", 10))
     methods = None
     if "methods" in doc:
-        methods = [(_section(f"methods[{i}]", m, {"name", "schedule"})["name"],
+        methods = [(_method_name(i, _section(f"methods[{i}]", m, {"name", "schedule"})["name"]),
                     _schedule(f"methods[{i}] schedule", m["schedule"]))
                    for i, m in enumerate(doc["methods"])]
     groups, names = [], []

@@ -26,30 +26,32 @@ iterates of ``run`` at a lower cost per iteration.
 
 One loop, ``_iterate``, runs every iteration of the library. It pairs a
 step, which holds the resolvent formulas, with a control, which decides:
-``_RunControl`` builds one run's stepsize schedule and trace recorder from
-its RunConfig and holds the margin check, the stop test, the recording rule
-and the stepsize range check. ``run`` drives the engine's step
+``_RunControl`` builds one run's stepsize schedule and trace from its
+RunConfig and holds the margin check, the stop test, the recording rule and
+the stepsize range check. ``run`` drives the engine's step
 (``_EngineStep``) and ``run_davis_yin`` the three-operator formulas
-(``_DavisYinStep``), each with one ``_RunControl``. ``run`` builds its step
-plan once, before the first iteration: the operator bindings and shapes are
-checked, the sweep and fix_res are generated as straight-line code
-(``engine.SweepPlan``), and the relocator's matrix K
-(``relocator.relocation_map``, so that z_{k+1} = r w_k + (1 - r) K x with
-r = gamma_{k+1}/gamma_k) and the consensus pairs are precomputed, so the loop
-itself only does arithmetic.
+(``_DavisYinStep``), each with one ``_RunControl``. What the engine's runs
+of one scheme, problem, relocator kind and z0 share is built once, before
+the first iteration (``_shared``): the step plan (``engine.SweepPlan``,
+which checks the operator bindings and shapes and generates the sweep and
+its residuals as straight-line code, with the consensus pairs), a copy of
+the start point, the relocator's matrix K (``relocator.relocation_map``, so
+that z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and mu. So
+the loop itself only does arithmetic.
 
 ``run_grid`` runs a bench grid's methods on one graph (one scheme, problem,
-relocator kind and z0, different schedules). A group of ``MIN_LANES`` or
-more, under any relocator kind, runs as lanes of one (L, m, d) stack: the
-same ``_EngineStep`` runs on the lane layout of the same generated step
-plan, and ``_Lanes``, the stack's control, applies each lane's own
-``_RunControl``. So each lane's schedule, stop test, trace and evaluation
-count are those of its own ``run``, and its trace is bitwise that run's.
-Each resolvent is still called once per lane per evaluation; the other numpy
-calls of an iteration serve all lanes. A lane leaves the stack when its run
-ends; when fewer than ``MIN_LANES`` lanes start an iteration, each continues
-in ``_iterate`` on a block-plan ``_EngineStep`` from its exact state. A
-smaller group runs one ``run`` per method.
+relocator kind and z0, different schedules) from one such build. A group of
+``MIN_LANES`` or more, under any relocator kind, runs as lanes of one
+(L, m, d) stack: the same ``_EngineStep`` runs on the lane layout of the
+same generated step plan, and ``_Lanes``, the stack's control, applies each
+lane's own ``_RunControl``. So each lane's schedule, stop test, trace and
+evaluation count are those of its own ``run``, and its trace is bitwise
+that run's. Each resolvent is still called once per lane per evaluation;
+the other numpy calls of an iteration serve all lanes. A lane leaves the
+stack when its run ends; when fewer than ``MIN_LANES`` lanes start an
+iteration, each continues in ``_iterate`` on a block-plan ``_EngineStep``
+from its exact state. A smaller group runs its methods one after another
+on the block plan.
 
 An iteration computes only what the run reads, so a constant-stepsize run
 costs what the non-relocated method costs: fix_res every iteration, the
@@ -158,41 +160,6 @@ class Trace:
         }
 
 
-class _Recorder:
-    """Appends trace rows; with a reference (x*, phi*) it fills the relative errors
-
-    rel_err_x = ||x - x*|| / max(||x*||, 1e-30), rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
-    """
-
-    def __init__(self, objective=None, reference=None):
-        self.objective = objective
-        self.trace = Trace()
-        self.reference = reference is not None
-        if self.reference:
-            self.x_star = np.asarray(reference[0], dtype=float)
-            self.x_den = max(norm(self.x_star), 1e-30)
-            self.phi_star = float(reference[1])
-            self.f_den = max(abs(self.phi_star), 1e-30)
-
-    def row(self, k, gamma, theta, lam, fix_res, consensus, xbar, evals):
-        t = self.trace
-        t.k.append(k)
-        t.gamma.append(gamma)
-        t.theta.append(theta)
-        t.lam.append(lam)
-        t.fix_res.append(fix_res)
-        t.consensus.append(consensus)
-        phi = float(self.objective(xbar)) if self.objective is not None else _NAN
-        t.objective.append(phi)
-        if self.reference:
-            t.rel_err_x.append(norm(xbar - self.x_star) / self.x_den)
-            t.rel_err_f.append(abs(phi - self.phi_star) / self.f_den)
-        else:
-            t.rel_err_x.append(_NAN)
-            t.rel_err_f.append(_NAN)
-        t.sweeps.append(evals)
-
-
 def _infeasible(k, gamma, lam, margin, floor):
     if lam <= 0:
         return (f"no positive relaxation keeps the margin at k={k} "
@@ -210,7 +177,7 @@ def default_z0(s, prob, seed=None, scale=1.0):
 
 
 class _RunControl:
-    """Per-run control of one RunConfig: schedule, relaxation, stop tests and recorder.
+    """Per-run control of one RunConfig: schedule, relaxation, stop tests and trace rows.
 
     Building it builds the schedule (``ScheduleSpec.build`` checks
     0 < gamma_0 < 2/mu, a ParameterError otherwise). ``k`` and ``gamma`` are
@@ -223,8 +190,13 @@ class _RunControl:
     def __init__(self, cfg, mu_value):
         self.sched = cfg.schedule.build(mu_value, cfg.problem.beta)
         self.reads_norms = self.sched.reads_norms
-        self.rec = _Recorder(cfg.objective, cfg.reference)
-        self.trace = self.rec.trace
+        self.trace, self.objective = Trace(), cfg.objective
+        self.reference = cfg.reference is not None
+        if self.reference:
+            self.x_star = np.asarray(cfg.reference[0], dtype=float)
+            self.x_den = max(norm(self.x_star), 1e-30)
+            self.phi_star = float(cfg.reference[1])
+            self.f_den = max(abs(self.phi_star), 1e-30)
         self.relax, self.mu, self.floor = cfg.relaxation, mu_value, cfg.relaxation.margin_floor
         self.max_iters, self.last = cfg.max_iters, cfg.max_iters - 1
         self.tol, self.record_every = cfg.fix_res_tol, cfg.record_every
@@ -251,7 +223,10 @@ class _RunControl:
         """True when fix_res ends the run: at the tolerance, or non-finite (an abort).
 
         Records row k, from ``step.row(*lane)``, when the run stops there, when
-        k is a multiple of ``record_every`` and at k = ``last``.
+        k is a multiple of ``record_every`` and at k = ``last``. With a reference
+        (x*, phi*), the row's relative errors are
+        rel_err_x = ||x - x*|| / max(||x*||, 1e-30) and
+        rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
         """
         trace = self.trace
         trace.iterations = k + 1
@@ -263,7 +238,22 @@ class _RunControl:
         else:
             stop = False
         if stop or k % self.record_every == 0 or k == self.last:
-            self.rec.row(k, self.gamma, self.theta, self.lam, fix_res, *step.row(*lane))
+            consensus, xbar, evals = step.row(*lane)
+            trace.k.append(k)
+            trace.gamma.append(self.gamma)
+            trace.theta.append(self.theta)
+            trace.lam.append(self.lam)
+            trace.fix_res.append(fix_res)
+            trace.consensus.append(consensus)
+            phi = float(self.objective(xbar)) if self.objective is not None else _NAN
+            trace.objective.append(phi)
+            if self.reference:
+                trace.rel_err_x.append(norm(xbar - self.x_star) / self.x_den)
+                trace.rel_err_f.append(abs(phi - self.phi_star) / self.f_den)
+            else:
+                trace.rel_err_x.append(_NAN)
+                trace.rel_err_f.append(_NAN)
+            trace.sweeps.append(evals)
         return stop
 
     def next_gamma(self, k, step, *lane):
@@ -345,9 +335,9 @@ class _EngineStep:
         self.n, self.K, self.z = plan.n, K, z
         self.x1, self.xs, self.evals = x1, xs, evals
         self.mstar_x = self.w = self.at_w = None
-        self._residuals, self._sweep, self._first_block = (plan.residuals, plan.sweep,
-                                                           plan.first_block)
-        self._consensus = plan.consensus
+        self._residuals, self._consensus = plan.residuals, plan.consensus
+        # what advance evaluates at w, and its resolvent count
+        self._at_w, self._at_w_evals = (plan.first_block, 1) if K is None else (plan.sweep, plan.n)
 
     def residuals(self, gamma):
         x1 = self.x1
@@ -363,12 +353,8 @@ class _EngineStep:
 
     def advance(self, gamma, lam_theta):
         w = self.w = self.z - lam_theta * self.mstar_x
-        if self.K is None:
-            self.at_w = self._first_block(gamma, w)
-            self.evals += 1
-        else:
-            self.at_w = self._sweep(gamma, w)
-            self.evals += self.n
+        self.at_w = self._at_w(gamma, w)
+        self.evals += self._at_w_evals
 
     def norms(self, *lane):
         x1w = (self.at_w if self.K is None else self.at_w[0])[lane]
@@ -403,20 +389,25 @@ class _EngineStep:
         return np.array(self.z[lane]), x, self.evals
 
 
-def _relocation_k(kind, s):
-    """The general relocator's K, or None for a cheap kind, whose K ``_EngineStep`` broadcasts."""
-    K = relocator.relocation_map(kind, s)   # for a cheap kind, checks that its column is ones
-    return K if kind == relocator.GENERAL else None
+def _shared(cfg, z0):
+    """What every run of cfg's scheme, problem, relocator kind and z0 shares: (plan, z, K, mu).
+
+    ``plan`` is the block ``engine.SweepPlan``, ``z`` a copy of the start
+    point (the sweep may hand its blocks, as views, to a resolvent), ``K`` the
+    general relocator's matrix or None for a cheap kind, which
+    ``_EngineStep`` broadcasts, and ``mu`` the scheme's ``scheme.mu``.
+    """
+    s, prob = cfg.scheme, cfg.problem
+    plan = engine.SweepPlan(s, prob)
+    z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
+    K = relocator.relocation_map(cfg.relocator, s)   # checks a cheap kind's column of ones
+    return plan, z, K if cfg.relocator == relocator.GENERAL else None, schememod.mu(s, prob.beta)
 
 
 def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
-    s, prob = cfg.scheme, cfg.problem
-    plan = engine.SweepPlan(s, prob)
-    # a copy: the sweep may hand the caller's blocks, as views, to a resolvent
-    z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
-    control = _RunControl(cfg, schememod.mu(s, prob.beta))
-    return _iterate(_EngineStep(plan, _relocation_k(cfg.relocator, s), z), control)
+    plan, z, K, mu_value = _shared(cfg, z0)
+    return _iterate(_EngineStep(plan, K, z), _RunControl(cfg, mu_value))
 
 
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
@@ -432,8 +423,8 @@ class _Lanes:
     lambda_k * theta_k. A lane whose run ends is finished at the step's state
     and dropped (``_EngineStep.keep``), before any further resolvent call for
     it. When fewer than MIN_LANES lanes start an iteration, ``finish`` hands
-    each to ``_iterate`` on a step of the block plan that ``block_plan()``
-    builds, from its exact state.
+    each to ``_iterate`` on a step of the group's block plan, from its exact
+    state.
     """
 
     k = 0
@@ -479,9 +470,8 @@ class _Lanes:
         return 1.0 if all(r == 1.0 for r in ratios) else np.array(ratios)[:, None, None]
 
     def finish(self, step):
-        plan = self.block_plan() if self.lanes else None
         for i, lane in enumerate(self.lanes):
-            _iterate(_EngineStep(plan, step.K, step.z[i], _lanes_of(step.x1, i),
+            _iterate(_EngineStep(self.block_plan, step.K, step.z[i], _lanes_of(step.x1, i),
                                  _lanes_of(step.xs, i), step.evals), lane)
 
 
@@ -490,12 +480,13 @@ def run_grid(cfgs, z0=None):
 
     The configs share one scheme, one problem and one relocator kind, as a
     bench grid's methods on one graph do, and differ in their schedules
-    (their relaxation, limits, objective and reference may differ too). A
-    schedule that ``ScheduleSpec.build`` refuses gets
-    ``Trace(aborted=<the error>)``. A group of MIN_LANES or more runs
-    iterates as the lanes of one stack (``_Lanes``): each iteration's numpy
-    calls serve every lane, while every resolvent is still called once per
-    lane per evaluation. A smaller group runs as one ``run`` per config.
+    (their relaxation, limits, objective and reference may differ too). The
+    block plan, start point, K and mu are built once for the group
+    (``_shared``). A schedule that ``ScheduleSpec.build`` refuses gets
+    ``Trace(aborted=<the error>)``. MIN_LANES or more runs iterate as the
+    lanes of one stack (``_Lanes``): each iteration's numpy calls serve
+    every lane, while every resolvent is still called once per lane per
+    evaluation. Fewer runs iterate one after another on the block plan.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -505,23 +496,21 @@ def run_grid(cfgs, z0=None):
            for cfg in cfgs):
         raise StructuralError("run_grid needs runs of one scheme, one problem "
                               "and one relocator kind")
-    stacked = len(cfgs) >= MIN_LANES
-    mu_value = schememod.mu(s, prob.beta) if stacked else None
+    plan, z, K, mu_value = _shared(cfgs[0], z0)
     traces, lanes = [], []
     for cfg in cfgs:
         try:
-            if stacked:
-                lanes.append(_RunControl(cfg, mu_value))
-                traces.append(lanes[-1].trace)
-            else:
-                traces.append(run(cfg, z0))
+            lanes.append(_RunControl(cfg, mu_value))
+            traces.append(lanes[-1].trace)
         except ParameterError as exc:   # the schedule, refused at build
             traces.append(Trace(aborted=str(exc)))
-    if lanes:
-        plan = engine.SweepPlan(s, prob, lanes=True)
-        z = default_z0(s, prob) if z0 is None else plan.blocks(z0)
-        step = _EngineStep(plan, _relocation_k(kind, s), np.repeat(z[None], len(lanes), axis=0))
-        _iterate(step, _Lanes(lanes, step, lambda: engine.SweepPlan(s, prob)))
+    if len(lanes) < MIN_LANES:
+        for control in lanes:
+            _iterate(_EngineStep(plan, K, z.copy()), control)
+    else:
+        step = _EngineStep(engine.SweepPlan(s, prob, lanes=True), K,
+                           np.repeat(z[None], len(lanes), axis=0))
+        _iterate(step, _Lanes(lanes, step, plan))
     return traces
 
 

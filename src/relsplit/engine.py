@@ -35,15 +35,17 @@ row sums its n - 1 > 2 blocks in column order, which the product may sum
 in another.
 
 One emitter writes two layouts of the same text: the block layout, an
-(m, d) block vector with a scalar gamma, which ``driver.run`` iterates; and
+(m, d) block vector with a scalar gamma, which a single run iterates; and
 the lane layout, an (L, m, d) stack of L runs with per-lane stepsizes, which
-``driver.run_grid`` iterates. Each distinct source is compiled once per
-process; the operators' ``resolve`` and ``apply`` methods are bound each time
-a plan is built, so a wrapper installed on them beforehand sees every call.
-The plan returns the n outputs as a list of blocks; the public ``sweep``,
-``first_block`` and ``residuals`` are validated wrappers over it that return
-and take the plain (n, d) array of resolvent outputs x, as
-``relocator.relocate`` does.
+``driver.run_grid`` iterates. Each layout's text holds ``sweep``,
+``first_block`` and the fused ``residuals`` (the sweep with M* x and
+||M* x||). Each distinct source is compiled once per process; the
+operators' ``resolve`` and ``apply`` methods are bound each time a plan is
+built, so a wrapper installed on them beforehand sees every call. The plan
+returns the n outputs as a list of blocks; the public ``sweep`` and
+``first_block`` are validated wrappers over it that return the plain (n, d)
+array of resolvent outputs x, which ``relocator.relocate`` and the public
+``residuals`` take.
 """
 
 from __future__ import annotations
@@ -232,29 +234,24 @@ class _Emitter:
                             "r = np.sqrt(np.vecdot(flat, flat)).tolist()"]
         return lines + ["flat = buf.ravel()", "r = sqrt(flat.dot(flat))"]
 
-    def source(self, with_sweep=True):
+    def source(self):
         """Module text whose ``bind(resolve, apply, M, MT, R)`` returns the step functions.
 
-        With ``with_sweep`` they are ``sweep``, ``first_block``, ``fix_res``
-        and ``residuals`` (the sweep and its fix_res in one call); without,
-        ``fix_res`` alone, which reads no operator.
+        They are ``sweep``, ``first_block`` and ``residuals``, the sweep and
+        its M* x and ||M* x|| in one call.
         """
         n, p = self.s.n, self.s.p
         g = "gs" if self.lanes else "gamma"
         xs = ", ".join(f"x{i}" for i in range(n))
         all_rows = list(range(n))
-        fix_res = ("fix_res(x)", [f"{xs}, = x"] + self._fix_res() + ["return buf, r"])
-        fns = [fix_res]
-        if with_sweep:
-            fns = [(f"sweep({g}, z, x0=None)", self._sweep(all_rows, True) + [f"return [{xs}]"]),
-                   (f"first_block({g}, z)", self._sweep([0]) + ["return x0"]),
-                   fix_res,
-                   (f"residuals({g}, z, x0=None)",
-                    self._sweep(all_rows, True) + self._fix_res() + [f"return [{xs}], buf, r"])]
+        fns = [(f"sweep({g}, z, x0=None)", self._sweep(all_rows, True) + [f"return [{xs}]"]),
+               (f"first_block({g}, z)", self._sweep([0]) + ["return x0"]),
+               (f"residuals({g}, z, x0=None)",
+                self._sweep(all_rows, True) + self._fix_res() + [f"return [{xs}], buf, r"])]
         lines = [f"# {'lane' if self.lanes else 'block'} layout, n = {n}, p = {p}, m = {self.s.m}",
                  "def bind(resolve, apply, M, MT, R):"]
-        lines += [f"    resolve_{i} = resolve[{i}]" for i in range(n)] if with_sweep else []
-        lines += [f"    apply_{j} = apply[{j}]" for j in range(p)] if with_sweep else []
+        lines += [f"    resolve_{i} = resolve[{i}]" for i in range(n)]
+        lines += [f"    apply_{j} = apply[{j}]" for j in range(p)]
         lines += [f"    R{j} = R[{j}, {cols}]" for j, cols in sorted(self.r_rows.items())]
         for sig, body in fns:
             lines += ["", f"    def {sig}:"] + ["        " + line for line in body]
@@ -270,53 +267,16 @@ def _compiled(source):
     return namespace["bind"]
 
 
-class ResidualPlan:
-    """M* and the block pairs of one scheme, for the two residuals of a sweep.
-
-    fix_res = ||M* x|| is read on every iteration and consensus only on the
-    rows a run records, so the two are separate methods. ``fix_res`` is
-    generated (``source``) in the layout ``lanes`` picks; ``consensus`` takes
-    one run's blocks and reuses, for a pair that is an edge of an incidence
-    matrix M, that edge's difference in M* x. Given ``operators`` (the
-    resolve and the apply methods), the source holds the sweep too
-    (``SweepPlan``).
-    """
-
-    def __init__(self, s, lanes=False, operators=None):
-        self.m = s.m
-        emitter = _Emitter(s, lanes)
-        edge_of = {frozenset(ab): e for e, ab in enumerate(emitter.edges or ())}
-        self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
-                      for i in range(s.n) for j in range(i + 1, s.n)]
-        self.source = emitter.source(with_sweep=operators is not None)
-        fns = _compiled(self.source)(*(operators or ((), ())), s.M, s.M.T, s.R)
-        if operators is None:
-            (self.fix_res,) = fns
-        else:
-            self.sweep, self.first_block, self.fix_res, self.residuals = fns
-
-    def consensus(self, x, mstar_x):
-        """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``fix_res``."""
-        worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
-        for i, j, e in self.pairs:
-            v = x[i] - x[j] if e is None else mstar_x[e]
-            sq = v.dot(v)
-            if sq > worst:
-                worst = sq
-        return math.sqrt(worst)
-
-
-class SweepPlan(ResidualPlan):
+class SweepPlan:
     """The sweep of one scheme bound to one problem, as generated straight-line code.
 
-    Construction checks the operator bindings, emits the source in the
-    block layout (``lanes=False``) or the lane layout (``lanes=True``) and
-    binds the operators' methods. It then exposes, as plain functions:
+    Construction checks the operator bindings, emits the source (``source``)
+    in the block layout (``lanes=False``) or the lane layout (``lanes=True``)
+    and binds the operators' methods. It then exposes, as plain functions:
 
     * ``sweep(gamma, z, x1=None)``: the n outputs; a given ``x1`` is used as
       x_1 without evaluation;
     * ``first_block(gamma, z)``: x_1 alone;
-    * ``fix_res(x)``: (M* x, ||M* x||);
     * ``residuals(gamma, z, x1=None)``: (outputs, M* x, ||M* x||) in one call.
 
     In the lane layout gamma is the list of the lanes' Python float
@@ -326,9 +286,29 @@ class SweepPlan(ResidualPlan):
 
     def __init__(self, s, prob, lanes=False):
         check_binding(s, prob)
-        self.n, self.dim = s.n, prob.dim
-        super().__init__(s, lanes, (tuple(op.resolve for op in prob.resolvents),
-                                    tuple(op.apply for op in prob.forwards)))
+        self.n, self.m, self.dim = s.n, s.m, prob.dim
+        emitter = _Emitter(s, lanes)
+        edge_of = {frozenset(ab): e for e, ab in enumerate(emitter.edges or ())}
+        self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
+                      for i in range(s.n) for j in range(i + 1, s.n)]
+        self.source = emitter.source()
+        self.sweep, self.first_block, self.residuals = _compiled(self.source)(
+            tuple(op.resolve for op in prob.resolvents), tuple(op.apply for op in prob.forwards),
+            s.M, s.M.T, s.R)
+
+    def consensus(self, x, mstar_x):
+        """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``residuals``.
+
+        A pair that is an edge of an incidence matrix M reuses that edge's
+        difference in M* x.
+        """
+        worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
+        for i, j, e in self.pairs:
+            v = x[i] - x[j] if e is None else mstar_x[e]
+            sq = v.dot(v)
+            if sq > worst:
+                worst = sq
+        return math.sqrt(worst)
 
     def blocks(self, z):
         """``z`` as an (m, dim) float block vector, or a StructuralError."""
@@ -371,8 +351,10 @@ def apply_T(s, prob, theta, gamma, z):
 
 
 def residuals(s, x):
-    """(fix_res, consensus) of the (n, d) sweep outputs x: ||M* x|| and max_{i<j} ||x_i - x_j||."""
+    """(fix_res, consensus) of the (n, d) sweep outputs x: ||M* x|| and max_{i<j} ||x_i - x_j||.
+
+    With n >= 2, a NaN anywhere in x makes both NaN.
+    """
     x = check_shape("x", x, (s.n, None))
-    plan = ResidualPlan(s)
-    mstar_x, fix_res = plan.fix_res(x)
-    return fix_res, plan.consensus(x, mstar_x)
+    pairs = [np.linalg.norm(x[i] - x[j]) for i in range(s.n) for j in range(i + 1, s.n)]
+    return float(np.linalg.norm(s.M.T @ x)), float(np.max(pairs, initial=0.0))

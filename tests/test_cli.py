@@ -326,6 +326,9 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     # limits: a finite tolerance and whole counts, never truncated
     for run_doc in ({"max_iters": 20, "fix_res_tol": float("inf")}, {"max_iters": 2.5},
                     {"record_every": 1.5}, {"max_iters": 20, "reference_budget": 2.5},
+                    {"max_iters": 5, "reference_budget": False},
+                    {"max_iters": 5, "reference_budget": ""},
+                    {"max_iters": 5, "reference_budget": []},
                     {"max_iters": 20, "z0": {"kind": "normal", "seed": 1.5}},
                     {"max_iters": 20, "z0": {"kind": "normal", "seed": -1}}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
@@ -395,8 +398,9 @@ def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
             "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b"),
             "methods": [{"name": "m", "schedule": {"variant": "constant"}}] * 2}
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s1.json", spec)]))
-    # a CSV outside out_dir, and one that summary.csv would overwrite
-    for name in ("sub/m", "summary"):
+    # a CSV outside out_dir, one that summary.csv would overwrite, and names that are not
+    # non-empty strings
+    for name in ("sub/m", "summary", None, ["x"], 7, ""):
         one = dict(spec, methods=[{"name": name, "schedule": {"variant": "constant"}}])
         assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s3.json", one)]))
     # every arc-list graph gets the CSV prefix "graph"

@@ -562,7 +562,7 @@ STACKED = (lasso_grid_spec, elastic_grid_spec, out_of_range_spec, general_spec,
                               "general-to-1e-6", "two-methods"])
 def test_run_grid_is_run_per_lane(spec, monkeypatch):
     resumed = []   # the iteration at which each single run starts, or a lane resumes
-    calls = [0]    # run_grid's own calls of run
+    calls = [0]    # run_grid's own calls of run: none, a group is built once
     iterate, single = driver._iterate, driver.run
 
     def spy(step, control):
@@ -578,20 +578,53 @@ def test_run_grid_is_run_per_lane(spec, monkeypatch):
     wants = [[run_or_abort(cfg, z0) for cfg in cfgs] for cfgs, z0 in groups]
     monkeypatch.setattr(driver, "_iterate", spy)
     monkeypatch.setattr(driver, "run", run_spy)
-    converged_at, total = set(), 0
+    converged_at = set()
     for (cfgs, z0), want in zip(groups, wants):
         traces = run_grid(cfgs, z0)
         assert len(traces) == len(cfgs)
-        total += len(cfgs)
         for trace, expected in zip(traces, want):
             assert_same_trace(trace, expected)
             if trace.converged:
                 converged_at.add(trace.iterations)
-    assert calls[0] == (0 if spec in STACKED else total)
+    assert calls[0] == 0
     if spec in (elastic_grid_spec, general_to_tolerance_spec):
         assert len(converged_at) >= 4 and any(k > 0 for k in resumed)
     elif spec not in STACKED:
         assert resumed and not any(resumed)   # every run from k = 0, none from a stack
+
+
+@pytest.mark.parametrize("spec", [two_method_spec, elastic_grid_spec],
+                         ids=["two-methods", "handed-off"])
+def test_run_grid_builds_each_group_once(spec, monkeypatch):
+    # the methods of one graph share one block plan and one mu; a stack builds one lane
+    # plan too, and the lanes it hands off to the single loop reuse the block plan
+    built, mus, resumed = [], [0], []
+    plan_cls, mu_fn, iterate = driver.engine.SweepPlan, driver.schememod.mu, driver._iterate
+
+    def plan_spy(s, prob, lanes=False):
+        built.append(lanes)
+        return plan_cls(s, prob, lanes)
+
+    def mu_spy(s, beta):
+        mus[0] += 1
+        return mu_fn(s, beta)
+
+    def iterate_spy(step, control):
+        if isinstance(control, driver._RunControl):
+            resumed.append(control.k)
+        return iterate(step, control)
+
+    groups = bench_groups(spec())   # the reference solve builds plans of its own
+    monkeypatch.setattr(driver.engine, "SweepPlan", plan_spy)
+    monkeypatch.setattr(driver.schememod, "mu", mu_spy)
+    monkeypatch.setattr(driver, "_iterate", iterate_spy)
+    for cfgs, z0 in groups:
+        built.clear()
+        mus[0] = 0
+        run_grid(cfgs, z0)
+        stacked = len(cfgs) >= driver.MIN_LANES
+        assert sorted(built) == [False] + [True] * stacked and mus[0] == 1
+    assert any(resumed) == (spec is elastic_grid_spec)   # lanes resumed from a stack
 
 
 class NanBand(ResolventOp):

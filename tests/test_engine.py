@@ -340,6 +340,10 @@ def check_plan_against_oracle(s, same):
         same(first_block(s, prob, gamma, z), expect[0])
         assert not np.shares_memory(first_block(s, prob, gamma, z), z)
         same(np.array(residuals(s, expect)), np.array(oracle_residuals(s, expect)))
+        xs, mstar_x, fix_res = plan.residuals(gamma, z)
+        same(np.array(xs), expect)
+        same(np.array([fix_res, plan.consensus(xs, mstar_x)]),
+             np.array(oracle_residuals(s, expect)))
         kinds = [relocator.GENERAL]
         if s.graph is not None:
             kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
@@ -393,15 +397,15 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
         z = rng.standard_normal((len(gammas), s.m, prob.dim))
         for x1 in (None, rng.standard_normal((len(gammas), prob.dim))):
             xs = lanes.sweep(gammas, z, x1)
-            mstar_x, fix_res = lanes.fix_res(xs)
-            xs_fused, mstar_fused, fix_res_fused = lanes.residuals(gammas, z, x1)
-            assert fix_res_fused == fix_res and np.array_equal(mstar_fused, mstar_x)
+            xs_fused, mstar_x, fix_res = lanes.residuals(gammas, z, x1)
             for lane, gamma in enumerate(gammas):
-                want = block.sweep(gamma, z[lane], None if x1 is None else x1[lane])
-                for got, got_fused, block_i in zip(xs, xs_fused, want):
+                x1_lane = None if x1 is None else x1[lane]
+                want = block.sweep(gamma, z[lane], x1_lane)
+                want_fused, want_mstar, want_fix_res = block.residuals(gamma, z[lane], x1_lane)
+                for got, got_fused, block_i, block_fused in zip(xs, xs_fused, want, want_fused):
                     assert np.array_equal(got[lane], block_i)
                     assert np.array_equal(got_fused[lane], block_i)
-                want_mstar, want_fix_res = block.fix_res(want)
+                    assert np.array_equal(block_fused, block_i)
                 assert np.array_equal(mstar_x[lane], want_mstar)
                 assert fix_res[lane] == want_fix_res
         x0 = lanes.first_block(gammas, z)
@@ -454,7 +458,7 @@ def test_plan_source_is_the_code_that_runs():
         exec(compile(plan.source, "printed", "exec"), namespace)
         fresh = namespace["bind"]([op.resolve for op in prob.resolvents],
                                   [op.apply for op in prob.forwards], s.M, s.M.T, s.R)
-        ran = (plan.sweep, plan.first_block, plan.fix_res, plan.residuals)
+        ran = (plan.sweep, plan.first_block, plan.residuals)
         assert [f.__name__ for f in fresh] == [f.__name__ for f in ran]
         for f, g in zip(fresh, ran):
             assert f.__code__.co_code == g.__code__.co_code
