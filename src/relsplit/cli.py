@@ -49,12 +49,12 @@ def _write_error(exc):
 def cmd_validate(args):
     doc = _load_json(args.config)
     try:
-        schemes, tol = configmod.build_validate(doc)
+        schemes = configmod.build_validate(doc)
     except (ParameterError, StructuralError) as exc:
         return _error(str(exc))
     ok_all = True
     for prefix, s in schemes:
-        for label, ok, detail in condition_report(s, tol=tol):
+        for label, ok, detail in condition_report(s):
             print(f"{prefix + ' ' if prefix else ''}({label}) {'PASS' if ok else 'FAIL'}  {detail}")
             ok_all = ok_all and ok
     return 0 if ok_all else 1
@@ -90,8 +90,8 @@ def cmd_run(args):
 def cmd_bench(args):
     doc = _load_json(args.spec)
     try:
-        groups, prob, budget, half, out_dir = configmod.build_bench(doc)
-        ref = problems.reference_solution(prob, budget, half_quadratic=half)
+        groups, prob, budget, out_dir = configmod.build_bench(doc)
+        ref = problems.reference_solution(prob, budget)
     except (ParameterError, StructuralError) as exc:
         return _error(str(exc))
     except ReferenceRunError as exc:

@@ -13,37 +13,39 @@ StructuralError. A run config (``relsplit run``) has the sections
                 kind's weights ("lam" and "u", or "lam1" and "lam2") for exact rerun
     relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
     schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
-                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma_min",
-                "gamma_max", "zeta_coeff", "zeta_power", "zeta_first_unit"}
+                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma",
+                "gamma_min", "gamma_max"}
     relaxation  {"theta": 1.0, "lam": null, "margin_floor": 1e-3}
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
-                {"kind": "normal", "seed": 0, "scale": 1.0}
+                {"kind": "normal", "seed": 0}
 
-A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a list
-of graph sections: the grid runs once per graph, CSV names prefixed by its
-kind, or "graph" for an arc list; two jobs with one CSV name, or a CSV name
-that is not a file name in out_dir or is summary.csv, are an error);
+A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a
+non-empty list of graph sections: the grid runs once per graph, CSV names
+prefixed by its kind, or "graph" for an arc list; two jobs with one CSV
+name, or a CSV name that is not a file name in out_dir or is summary.csv,
+are an error);
 "problem", "relocator", "relaxation" and "z0" as above; "budget"
 (10000 iterations per method; 20x that caps the reference run where it
 cannot start at the exact minimiser), "fix_res_tol" (1e-10), "record_every"
 (10), "out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...],
 each name a non-empty string, else ``default_methods``). ``relsplit
-validate`` reads the scheme sections of either document and "tol" (1e-10).
+validate`` reads the scheme sections of either document and checks them
+to ``scheme.VALIDATION_TOL``.
 
 Counts and sizes (max_iters, record_every, budget, a reference_budget other
 than null or 0, which solve no reference, q, d, graph n, arc endpoints) are
 whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3 is 1000; 2.5
 and true are errors, never truncated), fix_res_tol is finite and positive,
 the real values (lam, u, lam1, lam2, noise_sd, the spectrum entries, the
-inline A and b entries, the schedule and relaxation values, z0 scale,
-fix_res_tol, tol) are JSON numbers (true and "0.01" are errors; gamma,
-gamma_min, gamma_max and the relaxation lam may be null), and
-half_quadratic, normalize and zeta_first_unit are JSON booleans.
-Graph-built schemes are run in their kappa form so the configured gamma
-matches the graph-form stepsize conventions (gamma < 2/beta for the chain);
-an explicit scheme must pass the six conditions (``RunConfig``).
-A reference solve minimises the same objective as the split (half_quadratic).
+inline A and b entries, the schedule and relaxation values, fix_res_tol)
+are JSON numbers (true and "0.01" are errors; gamma, gamma_min, gamma_max
+and the relaxation lam may be null); lam, lam1, lam2 and the two spectrum
+entries are also finite and positive. Graph-built schemes are run in their
+kappa form so the configured gamma matches the graph-form stepsize
+conventions (gamma < 2/beta for the chain); an explicit scheme must pass
+the six conditions (``RunConfig``). The LASSO is split as B = A^T(A. - b)
+and its reference solve minimises the same half-quadratic objective.
 """
 
 from __future__ import annotations
@@ -65,14 +67,13 @@ BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "relaxation", "z0", "budget"
                             "fix_res_tol", "record_every", "out_dir", "methods"}
 # Problem keys besides "kind": (generated instance, matrices inline) per kind.
 PROBLEM_KEYS = {
-    "lasso": ({"q", "d", "seed", "spectrum", "lam", "u", "half_quadratic"},
-              {"A", "b", "lam", "u", "half_quadratic"}),
-    "elastic-net": ({"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2", "normalize"},
+    "lasso": ({"q", "d", "seed", "spectrum", "lam", "u"}, {"A", "b", "lam", "u"}),
+    "elastic-net": ({"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2"},
                     {"A", "b", "lam1", "lam2"}),
 }
-Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed", "scale"}}
+Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed"}}
 SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
-SCHEDULE_REALS = ("gamma", "gamma_min", "gamma_max", "zeta_coeff", "zeta_power")
+SCHEDULE_REALS = ("gamma", "gamma_min", "gamma_max")   # each may be null
 RELAXATION_KEYS = set(RelaxationPlan.__dataclass_fields__)
 
 
@@ -93,14 +94,6 @@ def _config_errors(build):
         except (ValueError, TypeError, AttributeError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from exc
     return wrapper
-
-
-def _flag(doc, key, default):
-    """``doc[key]`` if it is a JSON true/false, ``default`` when the key is absent."""
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ParameterError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _section(name, doc, allowed):
@@ -135,16 +128,15 @@ def _schemes(doc):
     if len(given) > 1:
         raise ParameterError(f"config takes one of 'graph', 'graphs', 'scheme', not {given}")
     if "graphs" in doc:
+        if not doc["graphs"]:
+            raise ParameterError("'graphs' needs at least one graph")
         return [(g.get("kind", "graph"), build_scheme({"graph": g})) for g in doc["graphs"]]
     return [("", build_scheme(doc))]
 
 
 @_config_errors
 def build_problem(doc):
-    """(problem, split, objective_fn, half_quadratic) from the 'problem' section.
-
-    ``half_quadratic`` is the LASSO split's flavour, which its reference solve shares.
-    """
+    """(problem, split, objective_fn) from the 'problem' section."""
     if isinstance(doc, dict) and "kind" not in doc:
         raise StructuralError(f"problem section is missing key 'kind' "
                               f"({' or '.join(map(repr, PROBLEM_KEYS))})")
@@ -153,7 +145,6 @@ def build_problem(doc):
         raise ParameterError(f"unknown problem kind {kind!r}")
     generated, inline = PROBLEM_KEYS[kind]
     _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
-    half = _flag(doc, "half_quadratic", True)
     if "A" in doc and kind == "lasso":
         prob = problems.LassoProblem(_numbers("A", doc["A"]), _numbers("b", doc["b"]),
                                      as_real("lam", doc["lam"]), as_real("u", doc["u"]))
@@ -172,12 +163,11 @@ def build_problem(doc):
             n_corr=as_whole("n_corr", doc.get("n_corr", 0)),
             noise_sd=as_real("noise_sd", doc.get("noise_sd", 0.01)),
             lam1=as_real("lam1", doc.get("lam1", 1e-2)),
-            lam2=as_real("lam2", doc.get("lam2", 1e-2)), normalize=_flag(doc, "normalize", True))
-    split = (problems.split_lasso(prob, half_quadratic=half) if kind == "lasso"
-             else problems.split_elastic(prob))
+            lam2=as_real("lam2", doc.get("lam2", 1e-2)))
+    split = problems.split_lasso(prob) if kind == "lasso" else problems.split_elastic(prob)
     # on the sequential tree the first forward runs at the recorded x_1: reuse its residual
     residual = split.forwards[0].residual
-    return prob, split, lambda x: problems.objective(prob, x, residual(x)), half
+    return prob, split, lambda x: problems.objective(prob, x, residual(x))
 
 
 @_config_errors
@@ -190,10 +180,7 @@ def build_z0(doc, s, split):
     _section("z0", doc, Z0_KEYS[kind])
     if kind == "zero":
         return default_z0(s, split)
-    scale = as_real("z0 scale", doc.get("scale", 1.0))
-    if not np.isfinite(scale):
-        raise ParameterError(f"z0 scale must be finite, got {scale}")
-    return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)), scale=scale)
+    return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)))
 
 
 def _reals(name, doc, keys, nullable=()):
@@ -211,9 +198,8 @@ def _numbers(name, value):
 
 def _schedule(name, doc):
     """ScheduleSpec from a schedule section."""
-    _flag(_section(name, doc, SCHEDULE_KEYS), "zeta_first_unit", False)
-    return ScheduleSpec(**_reals(name, doc, SCHEDULE_REALS,
-                                 nullable=("gamma", "gamma_min", "gamma_max")))
+    _section(name, doc, SCHEDULE_KEYS)
+    return ScheduleSpec(**_reals(name, doc, SCHEDULE_REALS, nullable=SCHEDULE_REALS))
 
 
 def _relaxation(doc):
@@ -250,7 +236,7 @@ def build_run(doc):
     """
     _section("run config", doc, RUN_KEYS)
     [(_, s)] = _schemes(doc)
-    prob, split, objective_fn, half = build_problem(doc["problem"])
+    prob, split, objective_fn = build_problem(doc["problem"])
     run_doc = _section("run", doc.get("run", {}),
                        {"max_iters", "fix_res_tol", "record_every", "z0", "reference_budget"})
     cfg = _run_config(doc, s, split, objective_fn, _schedule("schedule", doc.get("schedule", {})),
@@ -260,8 +246,7 @@ def build_run(doc):
     budget = run_doc.get("reference_budget")
     if budget is None or budget == 0 and not isinstance(budget, bool):   # no reference
         return cfg, z0, False
-    ref = problems.reference_solution(prob, as_count("reference_budget", budget),
-                                      half_quadratic=half)
+    ref = problems.reference_solution(prob, as_count("reference_budget", budget))
     cfg.reference = (ref.x, ref.phi)
     return cfg, z0, ref.flagged
 
@@ -290,14 +275,14 @@ def _method_name(i, name):
 
 @_config_errors
 def build_bench(doc):
-    """(groups, problem, budget, half_quadratic, out_dir); a group is (CSV names, RunConfigs, z0).
+    """(groups, problem, budget, out_dir); a group is (CSV names, RunConfigs, z0).
 
     One group per graph: its methods share one scheme, relocator kind and z0
     and differ in their schedules. Every job is built and checked before the
     reference solve the jobs share.
     """
     _section("bench spec", doc, BENCH_KEYS)
-    prob, split, objective_fn, half = build_problem(doc["problem"])
+    prob, split, objective_fn = build_problem(doc["problem"])
     budget = as_count("budget", doc.get("budget", 10000))
     limits = (budget, doc.get("fix_res_tol", 1e-10), doc.get("record_every", 10))
     methods = None
@@ -314,18 +299,18 @@ def build_bench(doc):
                                for _, sched in grid], z0))
         names += group
     if not names:
-        raise ParameterError("benchmark needs at least one graph and one method")
+        raise ParameterError("benchmark needs at least one method")
     for i, name in enumerate(names):
         csv = f"{name}.csv"
         if Path(csv).name != csv or csv == "summary.csv":
             raise ParameterError(f"benchmark job {name!r} cannot write {csv} in out_dir")
         if name in names[:i]:
             raise ParameterError(f"two benchmark jobs would write {csv}")
-    return groups, prob, budget, half, Path(doc.get("out_dir", "bench-out"))
+    return groups, prob, budget, Path(doc.get("out_dir", "bench-out"))
 
 
 @_config_errors
 def build_validate(doc):
-    """([(name prefix, scheme)], tol) from a run config or bench spec."""
-    _section("config", doc, RUN_KEYS | BENCH_KEYS | {"tol"})
-    return _schemes(doc), as_real("tol", doc.get("tol", 1e-10))
+    """[(name prefix, scheme)] from a run config or bench spec."""
+    _section("config", doc, RUN_KEYS | BENCH_KEYS)
+    return _schemes(doc)

@@ -168,12 +168,11 @@ def _infeasible(k, gamma, lam, margin, floor):
             f"at k={k} (gamma={gamma:.6g}, lambda={lam:.4g})")
 
 
-def default_z0(s, prob, seed=None, scale=1.0):
+def default_z0(s, prob, seed=None):
     """Zero initial point, or a seeded standard-normal one when seed is given."""
     if seed is None:
         return np.zeros((s.m, prob.dim))
-    rng = np.random.default_rng(seed)
-    return scale * rng.standard_normal((s.m, prob.dim))
+    return np.random.default_rng(seed).standard_normal((s.m, prob.dim))
 
 
 class _RunControl:

@@ -122,42 +122,36 @@ class CocoerciveOp:
 
 
 class LeastSquaresGrad(CocoerciveOp):
-    """B(x) = scale * A^T (A x - b), the gradient of (scale/2)||Ax - b||^2.
+    """B(x) = A^T (A x - b), the gradient of (1/2)||Ax - b||^2.
 
     The form is chosen from the shape (q, d) of A by flop count. When
-    2q < d, ``apply`` computes the factored ``scale * A^T (A x - b)`` and
-    no d x d array is built. Otherwise it computes ``G x - scale * A^T b``
-    with the precomputed Gram matrix G = scale * A^T A.
+    2q < d, ``apply`` computes the factored ``A^T (A x - b)`` and no d x d
+    array is built. Otherwise it computes ``G x - A^T b`` with the
+    precomputed Gram matrix G = A^T A.
 
-    beta = scale * lambda_max(A^T A), taken from the smaller Gram matrix of A
+    beta = lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
-    eigenvalue; the Gram form's own A^T A otherwise). The default scale 1
-    is the gradient of the half quadratic, scale 2 the gradient of the
-    unhalved one.
+    eigenvalue; the Gram form's own A^T A otherwise).
     """
 
-    def __init__(self, A, b, scale=1.0):
+    def __init__(self, A, b):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise StructuralError(f"incompatible shapes A {A.shape}, b {b.shape}")
-        if not scale > 0:
-            raise ParameterError("scale must be positive")
         self.A = A
         self.b = b
-        self.scale = float(scale)
         q, self.dim = A.shape
         self._gram = None
         self._memo = None   # (bytes of the factored apply's last x, its A x - b)
         # an overflowing A^T A leaves beta non-finite, which SplitProblem rejects
         with np.errstate(over="ignore"):
             if 2 * q < self.dim:
-                self.beta = self.scale * lambda_max(A @ A.T)
+                self.beta = lambda_max(A @ A.T)
             else:
-                gram = A.T @ A
-                self._gram = self.scale * gram
-                self._atb = self.scale * (A.T @ b)
-                self.beta = self.scale * lambda_max(gram if q >= self.dim else A @ A.T)
+                self._gram = A.T @ A
+                self._atb = A.T @ b
+                self.beta = lambda_max(self._gram if q >= self.dim else A @ A.T)
 
     def apply(self, x):
         """B x of a d-vector, or of each row of an (L, d) stack of lanes.
@@ -176,11 +170,11 @@ class LeastSquaresGrad(CocoerciveOp):
                 return self._gram @ x - self._atb
             return np.matmul(self._gram, x[..., None])[..., 0] - self._atb
         if x.ndim == 2:
-            return np.array([self.scale * (self.A.T @ (self.A @ row - self.b)) for row in x])
+            return np.array([self.A.T @ (self.A @ row - self.b) for row in x])
         r = self.A @ x - self.b
         r.flags.writeable = False
         self._memo = (x.tobytes(), r)
-        return self.scale * (self.A.T @ r)
+        return self.A.T @ r
 
     def residual(self, x):
         """A x - b at x.

@@ -5,9 +5,9 @@ Two synthetic families are provided at desk scale:
 * Constrained LASSO:  min ||Ax - b||^2 + lam*||x||_1  s.t.  x in [-u, u]^d,
   split as A1 = lam * d||.||_1, A2 = N_box, B = A^T(A. - b) with
   beta = lambda_max(A^T A). Note B is the gradient of the HALF quadratic,
-  so the split's limit minimizes (1/2)||Ax - b||^2 + lam*||x||_1 over the box
-  while the reported objective keeps the unhalved quadratic; see
-  ``reference_solution`` for the two reference flavors.
+  so the split's limit (and the reference) minimizes
+  (1/2)||Ax - b||^2 + lam*||x||_1 over the box while the reported objective
+  keeps the unhalved quadratic.
 
 * Nonnegative elastic net:
   min (1/2)||Ax - b||^2 + lam1*||x||_1 + (lam2/2)*||x||^2  s.t.  x >= 0,
@@ -39,8 +39,11 @@ from .schedule import RelaxationPlan, ScheduleSpec
 from .scheme import kappa_form_scheme
 
 
-def _coerce_data(problem):
-    """Store A and b as float arrays; shapes must agree and every entry be finite."""
+def _coerce_data(problem, *weights):
+    """Store A and b as float arrays; shapes must agree and every entry be finite.
+
+    Each named weight must be positive and finite.
+    """
     for name in ("A", "b"):
         object.__setattr__(problem, name, np.asarray(getattr(problem, name), dtype=float))
     if problem.A.ndim != 2 or problem.b.shape != (problem.A.shape[0],):
@@ -48,6 +51,10 @@ def _coerce_data(problem):
     for name in ("A", "b"):
         if not np.isfinite(getattr(problem, name)).all():
             raise ParameterError(f"problem data {name} must be finite")
+    for name in weights:
+        value = getattr(problem, name)
+        if not 0 < value < np.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +65,9 @@ class LassoProblem:
     u: float
 
     def __post_init__(self):
-        _coerce_data(self)
-        if not (self.lam > 0 and self.u > 0):
-            raise ParameterError("lam and u must be positive")
+        _coerce_data(self, "lam")
+        if not self.u > 0:   # u = inf is no box
+            raise ParameterError(f"u must be positive, got {self.u}")
 
     @property
     def dim(self):
@@ -75,9 +82,7 @@ class ElasticNetProblem:
     lam2: float
 
     def __post_init__(self):
-        _coerce_data(self)
-        if not (self.lam1 > 0 and self.lam2 > 0):
-            raise ParameterError("lam1 and lam2 must be positive")
+        _coerce_data(self, "lam1", "lam2")
 
     @property
     def dim(self):
@@ -94,9 +99,10 @@ def gen_lasso(q, d, seed, spectrum=(0.5, 1.5), lam=1e-3, u=50.0):
     """
     if q < 1 or d < 1:
         raise ParameterError("q and d must be >= 1")
+    if len(spectrum) != 2 or not 0 < spectrum[0] <= spectrum[1] < np.inf:
+        raise ParameterError(f"invalid spectrum {spectrum!r}: need two finite numbers "
+                             f"0 < smin <= smax")
     smin, smax = spectrum
-    if not 0 < smin <= smax:
-        raise ParameterError(f"invalid spectrum {spectrum!r}: need 0 < smin <= smax")
     rng = np.random.default_rng(seed)
     k = min(q, d)
     uu, _ = np.linalg.qr(rng.standard_normal((q, k)))
@@ -107,15 +113,14 @@ def gen_lasso(q, d, seed, spectrum=(0.5, 1.5), lam=1e-3, u=50.0):
     return LassoProblem(A, b, lam, u)
 
 
-def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
-                    normalize=True):
+def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2):
     """Random nonnegative elastic-net instance with correlated features.
 
     Entries of A are Exp(1); the last ``n_corr`` columns are overwritten by
     linear combinations of two earlier columns plus 1e-3-scaled Gaussian
     jitter (inducing near-dependency); x* is entrywise Exp(1) and b = A x* + N(0, noise_sd^2).
-    With ``normalize`` the matrix is rescaled to unit spectral norm, keeping
-    the forward modulus at max(1, lam2).
+    The matrix is rescaled to unit spectral norm, keeping the forward modulus
+    at max(1, lam2).
     """
     if q < 1 or d < 1:
         raise ParameterError("q and d must be >= 1")
@@ -130,8 +135,7 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2,
         i, j = rng.integers(0, base, size=2)
         w1, w2 = rng.uniform(0.25, 1.0, size=2)
         A[:, c] = w1 * A[:, i] + w2 * A[:, j] + 1e-3 * rng.standard_normal(q)
-    if normalize:
-        A = A / spectral_norm(A)
+    A = A / spectral_norm(A)
     x_true = rng.exponential(1.0, size=d)
     b = A @ x_true + noise_sd * rng.standard_normal(q)
     return ElasticNetProblem(A, b, lam1, lam2)
@@ -152,16 +156,13 @@ def objective(problem, x, residual=None):
     raise StructuralError(f"unknown problem type {type(problem).__name__}")
 
 
-def split_lasso(problem, half_quadratic=True):
+def split_lasso(problem):
     """Davis-Yin operator triple for the constrained LASSO.
 
-    ``half_quadratic=True`` is the paper-literal split B = A^T(A. - b) with
-    beta = lambda_max(A^T A); its limit minimizes the half-quadratic
-    objective. ``False`` doubles the forward operator (and beta), making the
-    limit minimize the unhalved reported objective instead.
+    The paper-literal split B = A^T(A. - b) with beta = lambda_max(A^T A);
+    its limit minimizes the half-quadratic objective.
     """
-    scale = 1.0 if half_quadratic else 2.0
-    fwd = LeastSquaresGrad(problem.A, problem.b, scale=scale)
+    fwd = LeastSquaresGrad(problem.A, problem.b)
     return SplitProblem(
         resolvents=(L1Subdiff(problem.lam), BoxNormalCone(problem.u)),
         forwards=(fwd,),
@@ -281,20 +282,19 @@ def _lift(s, split, gamma, x, later):
     return np.linalg.lstsq(s.M, w, rcond=None)[0]
 
 
-def _exact_start(problem, s, split, gamma, half_quadratic):
+def _exact_start(problem, s, split, gamma):
     """The reference loop's z0: the lifted exact minimiser, or None where that step fails.
 
     Both families are one bounded path on G = A^T A (+ lam2 I) and c = A^T b.
-    The LASSO split minimises (scale/2)||Ax - b||^2 + lam ||x||_1 over the
-    box, so its path runs to lam / scale; a_2 in N_box(x*) is 0 off the bound
-    and soft_threshold(-B x*, lam) on it. On x >= 0, (lam1/2) 1 lies in
-    (lam1/2) d||x*||_1 for the elastic net's a_2 and a_3.
+    The LASSO split minimises (1/2)||Ax - b||^2 + lam ||x||_1 over the box;
+    a_2 in N_box(x*) is 0 off the bound and soft_threshold(-B x*, lam) on it.
+    On x >= 0, (lam1/2) 1 lies in (lam1/2) d||x*||_1 for the elastic net's
+    a_2 and a_3.
     """
     A, lasso = problem.A, isinstance(problem, LassoProblem)
     try:
         if lasso:
-            lam = problem.lam if half_quadratic else 0.5 * problem.lam
-            x = _bounded_path(A.T @ A, A.T @ problem.b, lam, -problem.u, problem.u)
+            x = _bounded_path(A.T @ A, A.T @ problem.b, problem.lam, -problem.u, problem.u)
         else:
             x = _bounded_path(A.T @ A + problem.lam2 * np.eye(problem.dim), A.T @ problem.b,
                               problem.lam1, 0.0, np.inf)
@@ -311,7 +311,7 @@ def _exact_start(problem, s, split, gamma, half_quadratic):
     return z0 if np.isfinite(z0).all() else None
 
 
-def reference_solution(problem, budget, half_quadratic=True):
+def reference_solution(problem, budget):
     """Reference (x*, phi*) certified by the gamma = 1/beta self-run's own residual.
 
     The loop is the gamma = 1/beta configuration on the kappa-form sequential
@@ -324,16 +324,13 @@ def reference_solution(problem, budget, half_quadratic=True):
     point that fails the optimality conditions) or the lift is not finite,
     the loop starts at zero instead and runs up to 20x the benchmark budget.
     The reference is the loop's final shadow iterate with phi evaluated by
-    the problem's reported objective. For the LASSO,
-    ``half_quadratic`` picks which objective the reference minimizes: True
-    (default) matches the paper-literal split used by the benchmark methods;
-    False matches the unhalved reported objective. The result is flagged
-    when the run did not reach residual 1e-10; an aborted run raises
-    ``ReferenceRunError``.
+    the problem's reported objective; for the LASSO it minimizes the
+    half-quadratic objective of the split the benchmark methods run. The
+    result is flagged when the run did not reach residual 1e-10; an aborted
+    run raises ``ReferenceRunError``.
     """
     if isinstance(problem, LassoProblem):
-        prob, kind, loop = (split_lasso(problem, half_quadratic=half_quadratic),
-                            relocator.DAVIS_YIN, driver.run_davis_yin)
+        prob, kind, loop = split_lasso(problem), relocator.DAVIS_YIN, driver.run_davis_yin
     elif isinstance(problem, ElasticNetProblem):
         prob, kind, loop = split_elastic(problem), graphmod.SEQUENTIAL, driver.run
     else:
@@ -345,7 +342,7 @@ def reference_solution(problem, budget, half_quadratic=True):
                            schedule=ScheduleSpec(variant="constant", gamma=gamma),
                            relaxation=RelaxationPlan(), max_iters=20 * budget,
                            fix_res_tol=1e-12, record_every=max(1, budget))
-    trace = loop(cfg, _exact_start(problem, s, prob, gamma, half_quadratic))
+    trace = loop(cfg, _exact_start(problem, s, prob, gamma))
     if trace.aborted or not trace.fix_res:
         raise ReferenceRunError(f"reference run failed: {trace.aborted}")
     return Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),

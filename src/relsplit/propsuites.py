@@ -102,13 +102,13 @@ def suite_resolvent_identity(trials=1000, seed=0, tol=1e-12):
     return failures
 
 
-def suite_scheme_validity(trials=0, seed=0, tol=1e-10):
+def suite_scheme_validity(trials=0, seed=0):
     failures = []
     for kind in graphmod.CANONICAL_KINDS:
         for n in range(2, 9):
             s = graphmod.scheme_from_graph(graphmod.canonical(kind, n))
             for tag, sch in (("base", s), ("kappa", kappa_form_scheme(s))):
-                bad = validate(sch, tol=tol)
+                bad = validate(sch)
                 if bad:
                     failures.append(f"{kind} n={n} [{tag}]: {bad}")
     chain = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 2))

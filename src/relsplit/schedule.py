@@ -5,10 +5,10 @@ The safeguarded variable-stepsize rule is
     gamma_{k+1} = (1 - zeta_k) gamma_k + zeta_k * tau_k,
     tau_k = clamp(t_k, gamma_min, gamma_max),
 
-with a summable sequence zeta_k in (0, 1], which keeps every gamma_k inside
-[gamma_min, gamma_max] and makes sum_k (gamma_{k+1} - gamma_k)_+ finite
-(bounded by (gamma_max - gamma_min) * sum_k zeta_k). Three target rules t_k
-are provided:
+with the summable sequence zeta_k = ZETA_COEFF / (k+1)^ZETA_POWER = 0.1 / (k+1)^1.5
+of the experiments, which keeps every gamma_k inside [gamma_min, gamma_max]
+and makes sum_k (gamma_{k+1} - gamma_k)_+ finite (bounded by
+(gamma_max - gamma_min) * sum_k zeta_k). Three target rules t_k are provided:
 
     norm-ratio   t_k = ||x_{k+1}|| / ||x_{k+1} - w_k||
     accel        t_k = (-2 g_k^2 q/(2L) + sqrt(g_k^4 q^2/L^2 + 4 g_k^2)) / 2,  q = 0.01
@@ -18,9 +18,6 @@ Only the norm-ratio rule reads the two norms; a schedule's ``reads_norms``
 says so (derived from its rule, never set), and the driver forms
 ||x_{k+1}|| and ||x_{k+1} - w_k|| only for a schedule that reads them. The
 other rules and the constant stepsize are called as ``next_gamma()``.
-
-The default zeta_k = 0.1 / (k+1)^1.5 follows the experiments; the variant
-with zeta_0 = 1 (so gamma_1 = tau_0 exactly) is selectable via first_unit.
 """
 
 from __future__ import annotations
@@ -37,6 +34,8 @@ ACCEL = "accel"
 HARMONIC = "harmonic"
 T_RULES = (NORM_RATIO, ACCEL, HARMONIC)
 ACCEL_GAP = 0.01   # q of the accel rule
+ZETA_COEFF = 0.1   # zeta_k = ZETA_COEFF / (k+1)^ZETA_POWER
+ZETA_POWER = 1.5
 SAFETY = 0.99      # default gamma_max as a fraction of 2/mu
 
 
@@ -62,8 +61,7 @@ class SafeguardStepsize:
     ``L`` is the Lipschitz modulus the accel rule needs (> 0); other rules ignore it.
     """
 
-    def __init__(self, gamma0, gamma_min, gamma_max, t_rule=NORM_RATIO,
-                 zeta_coeff=0.1, zeta_power=1.5, zeta_first_unit=False, L=None):
+    def __init__(self, gamma0, gamma_min, gamma_max, t_rule=NORM_RATIO, L=None):
         if not 0 < gamma_min <= gamma_max:
             raise ParameterError(f"need 0 < gamma_min <= gamma_max, got {gamma_min}, {gamma_max}")
         if not gamma_min <= gamma0 <= gamma_max:
@@ -72,15 +70,10 @@ class SafeguardStepsize:
             raise ParameterError(f"unknown stepsize rule {t_rule!r}")
         if t_rule == ACCEL and (L is None or not L > 0):
             raise ParameterError(f"accel rule needs the Lipschitz modulus L > 0, got {L!r}")
-        if not 0 < zeta_coeff <= 1 or not zeta_power > 1:   # a NaN power fails too
-            raise ParameterError("zeta rule must have coeff in (0,1] and power > 1 (summable)")
         self.gamma = float(gamma0)
         self.gamma_min = float(gamma_min)
         self.gamma_max = float(gamma_max)
         self.t_rule = t_rule
-        self.zeta_coeff = float(zeta_coeff)
-        self.zeta_power = float(zeta_power)
-        self.zeta_first_unit = bool(zeta_first_unit)
         self.L = L
         self.k = 0
 
@@ -90,9 +83,7 @@ class SafeguardStepsize:
         return self.t_rule == NORM_RATIO
 
     def zeta(self, k):
-        if k == 0 and self.zeta_first_unit:
-            return 1.0
-        return self.zeta_coeff / (k + 1) ** self.zeta_power
+        return ZETA_COEFF / (k + 1) ** ZETA_POWER
 
     def zeta_sum(self, n_terms):
         return float(sum(self.zeta(k) for k in range(n_terms)))
@@ -170,9 +161,6 @@ class ScheduleSpec:
     gamma_min: float | None = None
     gamma_max: float | None = None
     t_rule: str = NORM_RATIO
-    zeta_coeff: float = 0.1
-    zeta_power: float = 1.5
-    zeta_first_unit: bool = False
 
     def default_gamma(self, mu_value, beta):
         candidates = [g for g in (1.0 / beta if beta > 0 else None,
@@ -204,9 +192,5 @@ class ScheduleSpec:
         gamma_min = self.gamma_min if self.gamma_min is not None else 0.1 * gamma_max
         gamma0 = self.gamma if self.gamma is not None else self.default_gamma(mu_value, beta)
         gamma0 = min(max(gamma0, gamma_min), gamma_max)
-        return SafeguardStepsize(
-            gamma0, gamma_min, gamma_max, t_rule=self.t_rule,
-            zeta_coeff=self.zeta_coeff, zeta_power=self.zeta_power,
-            zeta_first_unit=self.zeta_first_unit, L=beta,
-        )
+        return SafeguardStepsize(gamma0, gamma_min, gamma_max, t_rule=self.t_rule, L=beta)
 

@@ -96,8 +96,9 @@ class CoefficientScheme:
         return linalg.spectral_norm(self.pinv_M)
 
 
-def condition_report(s, tol=VALIDATION_TOL):
-    """Evaluate the six structural conditions; returns [(label, ok, detail)]."""
+def condition_report(s):
+    """Evaluate the six structural conditions (to VALIDATION_TOL); [(label, ok, detail)]."""
+    tol = VALIDATION_TOL
     report = []
     sv = np.linalg.svd(s.M, compute_uv=False)
     cutoff = max(tol, linalg.RCOND * (sv[0] if sv.size else 0.0))
@@ -130,9 +131,9 @@ def condition_report(s, tol=VALIDATION_TOL):
     return report
 
 
-def validate(s, tol=VALIDATION_TOL):
+def validate(s):
     """List of violated conditions (empty means the scheme is valid)."""
-    return [f"({label}) {detail}" for label, ok, detail in condition_report(s, tol) if not ok]
+    return [f"({label}) {detail}" for label, ok, detail in condition_report(s) if not ok]
 
 
 def mu(s, beta):

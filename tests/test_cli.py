@@ -198,24 +198,6 @@ def test_bench_across_topologies(tmp_path):
     assert all(r.split(",")[2] == "" for r in rows)  # none aborted
 
 
-def test_bench_reference_shares_the_split_flavour(tmp_path):
-    # the unhalved split converges to the unhalved objective's minimiser; so
-    # must the reference, or a converged method reports rel_err_f ~ 1e-2
-    spec = {
-        "graph": {"kind": "sequential", "n": 2},
-        "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0,
-                    "half_quadratic": False},
-        "relocator": "davis-yin",
-        "budget": 2000,
-        "out_dir": str(tmp_path / "bench"),
-        "methods": [{"name": "const", "schedule": {"variant": "constant"}}],
-    }
-    assert main(["bench", write_json(tmp_path / "spec.json", spec)]) == 0
-    [row] = (tmp_path / "bench" / "summary.csv").read_text().splitlines()[1:]
-    cells = row.split(",")
-    assert cells[1] == "True" and float(cells[6]) < 1e-6, row
-
-
 def test_bench_records_per_method_aborts(tmp_path):
     # inward-star n=3 has mu > beta: the 1/beta and 1.99/beta constants lie
     # outside (0, 2/mu) and must be recorded as aborted while others proceed
@@ -314,15 +296,26 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedule={"variant": "constant", "gamma": 1e9})
     assert_usage_error(capsys, main(["run", cfg]))
-    cfg = run_config(tmp_path, schedule={"variant": "safeguard", "zeta_power": float("nan")})
-    assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedul={"variant": "constant"})
     assert_usage_error(capsys, main(["run", cfg]))
     for key in ("theta", "margin_floor", "lam"):
         cfg = run_config(tmp_path, relaxation={key: float("inf")})
         assert_usage_error(capsys, main(["run", cfg]))
-    cfg = run_config(tmp_path, run={"z0": {"kind": "normal", "scale": float("nan")}})
-    assert_usage_error(capsys, main(["run", cfg]))
+    # non-finite problem weights and spectrum entries, with and without a reference solve
+    lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    inline = {"kind": "lasso", "A": [[1.0, 0.5], [0.0, 1.0]], "b": [1.0, 1.0], "lam": 0.1,
+              "u": 5.0}
+    for problem, run_doc in ((dict(lasso, spectrum=[0.5, float("inf")]), {}),
+                             (dict(lasso, lam=float("inf")), {}),
+                             (dict(lasso, lam=float("inf")), {"reference_budget": 50}),
+                             (dict(inline, lam=float("inf")), {}),
+                             (dict(elastic, lam1=float("inf")), {})):
+        n = 3 if problem["kind"] == "elastic-net" else 2
+        cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
+                         relocator="auto", run=dict(run_doc, max_iters=20))
+        assert_usage_error(capsys, main(["run", cfg, "--out", str(tmp_path / "bad.csv")]))
+        assert not (tmp_path / "bad.csv").exists()
     # limits: a finite tolerance and whole counts, never truncated
     for run_doc in ({"max_iters": 20, "fix_res_tol": float("inf")}, {"max_iters": 2.5},
                     {"record_every": 1.5}, {"max_iters": 20, "reference_budget": 2.5},
@@ -332,14 +325,10 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
                     {"max_iters": 20, "z0": {"kind": "normal", "seed": 1.5}},
                     {"max_iters": 20, "z0": {"kind": "normal", "seed": -1}}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
-    # sizes and seeds are whole numbers, flags JSON booleans: nothing is truncated or cast
-    lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
-    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    # sizes and seeds are whole numbers: nothing is truncated or cast
     for problem in (dict(lasso, q=20.7), dict(lasso, d=30.5), dict(lasso, seed=2.9),
                     dict(lasso, q=True), dict(lasso, seed=False), dict(lasso, q=0),
-                    dict(lasso, half_quadratic="false"), dict(lasso, half_quadratic=0),
-                    dict(elastic, n_corr=1.5), dict(elastic, n_corr=True),
-                    dict(elastic, normalize="no")):
+                    dict(elastic, n_corr=1.5), dict(elastic, n_corr=True)):
         cfg = run_config(tmp_path, graph={"kind": "sequential", "n": 3} if "n_corr" in problem
                          else {"kind": "sequential", "n": 2}, problem=problem,
                          relocator="auto")
@@ -347,8 +336,6 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "sequential", "n": True},
                   {"n": 2.0000001, "arcs": [[1, 2]]}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, graph=graph)]))
-    cfg = run_config(tmp_path, schedule={"variant": "safeguard", "zeta_first_unit": "no"})
-    assert_usage_error(capsys, main(["run", cfg]))
     # whole numbers written as floats are read as the same sizes and seeds
     written = []
     for problem in (lasso, dict(lasso, q=10.0, seed=3.0)):
@@ -369,13 +356,9 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
                        ("record_every", [1]), ("budgte", 50),
                        ("methods", [dict(method, budget=50)]),
                        ("z0", {"kind": "normal", "seed": 1, "sd": 2.0}),
-                       ("z0", {"kind": "normal", "scale": float("nan")}),
                        ("z0", {"kind": "normal", "seed": 1.5}),
                        ("problem", dict(spec["problem"], d=10.5)),
                        ("problem", dict(spec["problem"], seed=True)),
-                       ("problem", dict(spec["problem"], half_quadratic="false")),
-                       ("methods", [{"name": "m", "schedule": {"variant": "safeguard",
-                                                               "zeta_first_unit": 1}}]),
                        ("graph", {"kind": "sequential", "n": 2.5}),
                        ("budget", 2.5), ("record_every", 1.5)):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
@@ -465,27 +448,20 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
                          relocator="auto")
         assert_usage_error(capsys, main(["run", cfg]))
     for run_doc in ({"max_iters": 20, "fix_res_tol": True},
-                    {"max_iters": 20, "fix_res_tol": "1e-3"},
-                    {"max_iters": 20, "z0": {"kind": "normal", "scale": "2"}},
-                    {"max_iters": 20, "z0": {"kind": "normal", "scale": True}}):
+                    {"max_iters": 20, "fix_res_tol": "1e-3"}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, run=run_doc)]))
     spec = {"graph": {"kind": "sequential", "n": 2},
             "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
             "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
-    for key, value in (("fix_res_tol", True), ("z0", {"kind": "normal", "scale": "1"})):
-        assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json",
-                                                             dict(spec, **{key: value}))]))
+    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json",
+                                                         dict(spec, fix_res_tol=True))]))
     assert not (tmp_path / "b").exists()
-    for tol in (True, "1e-10"):
-        cfg = write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": tol})
-        assert_usage_error(capsys, main(["validate", cfg]))
     # schedule and relaxation values, and inline A and b entries: the message names the key
     inline_lasso = {"kind": "lasso", "A": [["1", True], [0, 1]], "b": ["1", 2], "lam": 0.1,
                     "u": 5.0}
     elastic_graph = {"graph": {"kind": "sequential", "n": 3}, "relocator": "auto"}
     for overrides, key in (
             ({"schedule": {"variant": "constant", "gamma": "0.5"}}, "gamma"),
-            ({"schedule": {"variant": "safeguard", "zeta_coeff": True}}, "zeta_coeff"),
             ({"schedule": {"variant": "safeguard", "gamma_max": "1"}}, "gamma_max"),
             ({"relaxation": {"theta": "1"}}, "theta"),
             ({"relaxation": {"lam": True}}, "lam"),
@@ -497,6 +473,24 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
                      "--out", str(tmp_path / "bad.csv")])
         assert f" {key} must be a number" in capsys.readouterr().err
         assert code == 2 and not (tmp_path / "bad.csv").exists()
+    # a number that is not finite, or a spectrum of other than two numbers: the message
+    # names the value
+    for problem, key in ((dict(lasso, lam=float("inf")), "lam must be positive and finite"),
+                         (dict(lasso, spectrum=[0.5, float("inf")]), "spectrum"),
+                         (dict(lasso, spectrum=[0.5, 1.0, 1.5]), "spectrum"),
+                         (dict(elastic, lam1=float("inf")), "lam1 must be positive and finite"),
+                         (dict(inline, lam2=float("inf")), "lam2 must be positive and finite")):
+        n = 3 if problem["kind"] == "elastic-net" else 2
+        cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
+                         relocator="auto", run={"max_iters": 20})
+        code = main(["run", cfg, "--out", str(tmp_path / "bad.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and key in err[0], err
+        assert not (tmp_path / "bad.csv").exists()
+    # u = inf is no box: it runs to a finite objective
+    cfg = run_config(tmp_path, problem=dict(lasso, u=float("inf")), run={"max_iters": 20})
+    assert main(["run", cfg, "--out", str(tmp_path / "nobox.csv")]) == 0
+    assert np.isfinite(float(capsys.readouterr().out.split("objective=")[1].split()[0]))
     spec["methods"] = [{"name": "m", "schedule": {"variant": "constant", "gamma": "0.5"}}]
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
     assert not (tmp_path / "b").exists()
@@ -526,8 +520,6 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "g.json", {"graph": {"n": 3}})
     assert_usage_error(capsys, main(["validate", cfg]))
-    cfg = write_json(tmp_path / "s.json", {"scheme": DY_SCHEME, "tol": "tight"})
-    assert_usage_error(capsys, main(["validate", cfg]))
     for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "inward-star", "n": True},
                   {"n": 3.5, "arcs": [[1, 2], [2, 3]]}):
         cfg = write_json(tmp_path / "g.json", {"graph": graph})
@@ -543,6 +535,51 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"scheme": no_r})
     assert main(["validate", cfg]) == 2
     assert "missing key 'R'" in capsys.readouterr().err
+
+
+def test_retired_keys_exit_2(tmp_path, capsys):
+    # the zeta sequence, the LASSO split, the elastic-net scaling, the z0 spread and the
+    # validation tolerance are constants: a document that sets one names it and exits 2
+    lasso = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    safeguard = {"variant": "safeguard", "t_rule": "norm-ratio"}
+    for key, section, value in (("zeta_coeff", "schedule", dict(safeguard, zeta_coeff=0.1)),
+                                ("zeta_power", "schedule", dict(safeguard, zeta_power=1.5)),
+                                ("zeta_first_unit", "schedule",
+                                 dict(safeguard, zeta_first_unit=False)),
+                                ("half_quadratic", "problem", dict(lasso, half_quadratic=True)),
+                                ("normalize", "problem", dict(elastic, normalize=True)),
+                                ("scale", "z0", {"kind": "normal", "seed": 0, "scale": 1.0})):
+        problem = value if section == "problem" else lasso
+        schedule = value if section == "schedule" else safeguard
+        z0 = value if section == "z0" else {"kind": "zero"}
+        base = {"graph": {"kind": "sequential", "n": 3 if problem is elastic else 2},
+                "problem": problem, "relocator": "auto"}
+        run_doc = dict(base, schedule=schedule, run={"max_iters": 20, "z0": z0})
+        spec = dict(base, z0=z0, budget=50, out_dir=str(tmp_path / "b"),
+                    methods=[{"name": "m", "schedule": schedule}])
+        for argv in (["run", write_json(tmp_path / "r.json", run_doc),
+                      "--out", str(tmp_path / "r.csv")],
+                     ["bench", write_json(tmp_path / "s.json", spec)]):
+            code = main(argv)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2 and len(err) == 1 and repr(key) in err[0], (key, err)
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "b").exists()
+    code = main(["validate", write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": 1e-10})])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and "'tol'" in err[0], err
+
+
+def test_empty_graphs_list_exits_2(tmp_path, capsys):
+    spec = {"graphs": [], "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+            "budget": 50, "out_dir": str(tmp_path / "b")}
+    for command in ("validate", "bench", "run"):
+        code = main([command, write_json(tmp_path / "s.json", spec)])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and "graphs" in err[0], err
+        assert captured.out == ""
+    assert not (tmp_path / "b").exists()
 
 
 def test_schedule_section_rejects_unknown_keys(tmp_path, capsys):
@@ -579,8 +616,7 @@ def test_nonfinite_problem_data_exits_2(tmp_path, capsys):
 def test_bundled_configs_build_and_validate(path, monkeypatch, capsys):
     # a reference solve is not part of reading a config; skip its 20x-budget run
     monkeypatch.setattr(problems, "reference_solution",
-                        lambda prob, budget, half_quadratic=True:
-                        problems.Reference(np.zeros(prob.dim), 1.0, False))
+                        lambda prob, budget: problems.Reference(np.zeros(prob.dim), 1.0, False))
     doc = json.loads(path.read_text())
     if path.name.startswith("bench_"):
         assert config.build_bench(doc)[0]

@@ -504,8 +504,8 @@ def run_or_abort(cfg, z0):
 
 def bench_groups(doc):
     """[(configs, z0)] per graph of a bench spec, each config with the spec's reference."""
-    groups, prob, budget, half, _ = config.build_bench(doc)
-    ref = problems.reference_solution(prob, budget, half_quadratic=half)
+    groups, prob, budget, _ = config.build_bench(doc)
+    ref = problems.reference_solution(prob, budget)
     for _, cfgs, _ in groups:
         for cfg in cfgs:
             cfg.reference = (ref.x, ref.phi)

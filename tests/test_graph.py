@@ -114,8 +114,8 @@ def test_scheme_from_graph_valid_for_all_canonical_trees():
     for kind in CANONICAL_KINDS:
         for n in range(2, 9):
             s = scheme_from_graph(canonical(kind, n))
-            assert validate(s, tol=1e-10) == [], (kind, n)
-            assert validate(kappa_form_scheme(s), tol=1e-10) == [], (kind, n)
+            assert validate(s) == [], (kind, n)
+            assert validate(kappa_form_scheme(s)) == [], (kind, n)
             assert s.p == n - 1 and s.m == n - 1
 
 

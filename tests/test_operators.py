@@ -163,13 +163,12 @@ def test_least_squares_beta_is_exact_on_a_lasso_grid_instance():
     assert abs(LeastSquaresGrad(prob.A, prob.b).beta - dense) <= 1e-13 * dense
 
 
-@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([1.0, 2.0]),
-       st.integers(0, 2**32 - 1))
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_least_squares_beta_never_below_dense_oracle(q, d, scale, seed):
+def test_least_squares_beta_never_below_dense_oracle(q, d, seed):
     a = np.random.default_rng(seed).standard_normal((q, d))
-    dense = np.linalg.eigvalsh(scale * (a.T @ a))[-1]
-    assert LeastSquaresGrad(a, np.zeros(q), scale=scale).beta >= dense * (1 - 1e-13)
+    dense = np.linalg.eigvalsh(a.T @ a)[-1]
+    assert LeastSquaresGrad(a, np.zeros(q)).beta >= dense * (1 - 1e-13)
 
 
 def test_lambda_max_separates_a_near_double_top_eigenvalue():
@@ -187,8 +186,10 @@ def _ls_data(q, d, seed=20):
 @pytest.mark.parametrize("shape", [(10, 40), (20, 40), (40, 10)])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_least_squares_forms_match_the_gradient(shape, scale):
+    # scale A and b by sqrt(s): the gradient s A^T (A x - b) of (s/2)||Ax - b||^2;
+    # s = 2 is the unhalved quadratic's
     a, b, x = _ls_data(*shape)
-    op = LeastSquaresGrad(a, b, scale=scale)
+    op = LeastSquaresGrad(np.sqrt(scale) * a, np.sqrt(scale) * b)
     want = scale * a.T @ (a @ x - b)
     assert np.linalg.norm(op.apply(x) - want) <= 1e-13 * np.linalg.norm(want)
     dense = scale * np.linalg.eigvalsh(a.T @ a)[-1]
@@ -215,8 +216,7 @@ def test_gram_form_beta_is_bitwise_the_small_gram_value():
     for q, d in ((40, 10), (30, 40)):
         a, b, _ = _ls_data(q, d)
         small = a.T @ a if q >= d else a @ a.T
-        for scale in (1.0, 2.0):
-            assert LeastSquaresGrad(a, b, scale=scale).beta == scale * lambda_max(small)
+        assert LeastSquaresGrad(a, b).beta == lambda_max(small)
 
 
 def test_residual_is_recomputed_for_another_input():
@@ -245,8 +245,7 @@ def test_stacked_apply_is_the_apply_of_each_row(shape, lanes):
     # trace equals its single run's
     a, b, x = _ls_data(*shape)
     stack = np.random.default_rng(lanes).standard_normal((lanes, shape[1]))
-    for op in (LeastSquaresGrad(a, b), LeastSquaresGrad(a, b, scale=2.0),
-               ScaledIdentity(0.3), ZeroForward()):
+    for op in (LeastSquaresGrad(a, b), ScaledIdentity(0.3), ZeroForward()):
         got = op.apply(stack)
         assert got.shape == stack.shape
         for row, want in zip(stack, got):

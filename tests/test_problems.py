@@ -25,8 +25,23 @@ def test_generator_determinism():
 def test_lasso_unit_spectrum():
     prob = gen_lasso(10, 6, seed=1, spectrum=(1.0, 1.0))
     assert abs(lambda_max(prob.A.T @ prob.A) - 1.0) <= 1e-8
-    with pytest.raises(ParameterError):
-        gen_lasso(10, 6, seed=1, spectrum=(2.0, 1.0))
+    # two finite numbers 0 < smin <= smax
+    for spectrum in ((2.0, 1.0), (0.5, np.inf), (np.nan, 1.0), (0.5, 1.0, 1.5), (1.0,)):
+        with pytest.raises(ParameterError, match="spectrum"):
+            gen_lasso(10, 6, seed=1, spectrum=spectrum)
+
+
+def test_weights_must_be_positive_and_finite():
+    A, b = np.eye(2), np.ones(2)
+    for lam in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="lam must be positive and finite"):
+            LassoProblem(A, b, lam=lam, u=5.0)
+        for key in ("lam1", "lam2"):
+            with pytest.raises(ParameterError, match=f"{key} must be positive and finite"):
+                ElasticNetProblem(A, b, **dict({"lam1": 0.1, "lam2": 0.1}, **{key: lam}))
+    with pytest.raises(ParameterError, match="u must be positive"):
+        LassoProblem(A, b, lam=0.1, u=0.0)
+    assert LassoProblem(A, b, lam=0.1, u=np.inf).u == np.inf   # no box
 
 
 def test_objective_examples():
@@ -48,10 +63,6 @@ def test_split_lasso_delegates():
     assert np.allclose(split.forwards[0].apply(np.zeros(9)), -prob.A.T @ prob.b, atol=1e-12)
     dense = np.linalg.eigvalsh(prob.A.T @ prob.A)[-1]
     assert abs(split.beta - dense) <= 1e-8 * dense
-    doubled = split_lasso(prob, half_quadratic=False)
-    assert abs(doubled.beta - 2.0 * dense) <= 2e-8 * dense
-    assert np.allclose(doubled.forwards[0].apply(np.zeros(9)), -2.0 * prob.A.T @ prob.b,
-                       atol=1e-12)
 
 
 def test_split_elastic_delegates():
@@ -83,10 +94,9 @@ def test_elastic_net_noiseless_consistency():
 
 
 def test_normalization_flag():
+    # the generator always rescales A to unit spectral norm
     prob = gen_elastic_net(15, 10, seed=7)
     assert abs(spectral_norm(prob.A) - 1.0) <= 1e-12
-    raw = gen_elastic_net(15, 10, seed=7, normalize=False)
-    assert spectral_norm(raw.A) > 1.0
 
 
 def test_objective_convex_along_segments():
@@ -110,20 +120,13 @@ def grid_min(fn, lo=-2.0, hi=2.0, steps=400001):
 def test_reference_solution_one_dimensional():
     prob = LassoProblem(np.array([[1.0]]), np.array([1.0]), lam=0.5, u=50.0)
 
-    # full-quadratic reference: minimize (x-1)^2 + 0.5|x|  ->  x* = 0.75
-    x_grid, _ = grid_min(lambda t: (t - 1.0) ** 2 + 0.5 * np.abs(t))
-    assert abs(x_grid - 0.75) <= 1e-4
-    ref_full = reference_solution(prob, budget=2000, half_quadratic=False)
-    assert abs(ref_full.x[0] - 0.75) <= 1e-6
-    assert abs(ref_full.phi - 0.4375) <= 1e-6
-    assert not ref_full.flagged
-
     # split-consistent reference: minimize 0.5*(x-1)^2 + 0.5|x|  ->  x* = 0.5
     x_grid_half, _ = grid_min(lambda t: 0.5 * (t - 1.0) ** 2 + 0.5 * np.abs(t))
     assert abs(x_grid_half - 0.5) <= 1e-4
-    ref_half = reference_solution(prob, budget=2000, half_quadratic=True)
+    ref_half = reference_solution(prob, budget=2000)
     assert abs(ref_half.x[0] - 0.5) <= 1e-6
     assert abs(ref_half.phi - objective(prob, np.array([0.5]))) <= 1e-9
+    assert not ref_half.flagged
 
 
 def test_reference_is_feasible_and_locally_optimal():
@@ -167,9 +170,9 @@ def reference_loops(monkeypatch):
     return calls
 
 
-def lasso_kkt(prob, x, half_quadratic=True):
+def lasso_kkt(prob, x):
     """||x - prox(x - t grad f(x))|| / max(1, ||x||) at t = 1/beta, for the split's objective."""
-    split = split_lasso(prob, half_quadratic=half_quadratic)
+    split = split_lasso(prob)
     t = 1.0 / split.beta
     step = x - t * split.forwards[0].apply(x)
     prox = np.clip(soft_threshold(step, t * prob.lam), -prob.u, prob.u)
@@ -184,8 +187,7 @@ def elastic_kkt(prob, x):
     return np.linalg.norm(x - np.maximum(step - t * prob.lam1, 0.0)) / max(1.0, np.linalg.norm(x))
 
 
-@pytest.mark.parametrize("half_quadratic", [True, False])
-def test_exact_lasso_reference_certifies_in_one_iteration(reference_loops, half_quadratic):
+def test_exact_lasso_reference_certifies_in_one_iteration(reference_loops):
     # the lasso-grid size (supports of 49 and q = 50), a smaller one and one with q > d
     cases = [gen_lasso(50, 100, seed, spectrum=(0.4, 0.6), lam=1e-3) for seed in (2, 3, 12, 30)]
     cases += [gen_lasso(8, 12, seed, lam=0.05) for seed in range(4)]
@@ -196,12 +198,12 @@ def test_exact_lasso_reference_certifies_in_one_iteration(reference_loops, half_
     cases += [gen_lasso(50, 100, seed, spectrum=(0.4, 0.6), lam=1e-3, u=u)
               for seed, u in ((3, 2.0), (4, 0.5))]
     for prob in cases:
-        ref = reference_solution(prob, budget=1000, half_quadratic=half_quadratic)
+        ref = reference_solution(prob, budget=1000)
         z0, trace = reference_loops[-1]
         assert z0 is not None and trace.converged, trace.fix_res
         assert (trace.iterations, trace.resolvent_evals) == (1, 2)
         assert not ref.flagged
-        assert lasso_kkt(prob, ref.x, half_quadratic) <= 1e-12
+        assert lasso_kkt(prob, ref.x) <= 1e-12
         assert ref.phi == objective(prob, ref.x)
 
 

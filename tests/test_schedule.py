@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relsplit.errors import ParameterError
-from relsplit.schedule import (ACCEL, HARMONIC, NORM_RATIO, ConstantStepsize,
+from relsplit.schedule import (ACCEL, HARMONIC, NORM_RATIO, ZETA_COEFF, ConstantStepsize,
                                RelaxationPlan, SafeguardStepsize, ScheduleSpec,
                                positive_variation)
 from relsplit.scheme import feasibility_margin
@@ -27,15 +27,16 @@ def test_only_the_norm_ratio_rule_reads_the_norms():
 
 
 def test_safeguard_first_unit_emits_target_exactly():
-    # zeta_0 = 1 makes gamma_1 = tau_0
-    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO, zeta_first_unit=True)
-    g1 = sched.next_gamma(3.0, 4.0)
-    assert g1 == 0.75
+    # t_0 = ||x_1|| / ||x_1 - w_0||, inside the bounds; gamma_1 moves zeta_0 = 0.1 of the way
+    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO)
+    assert sched._target(3.0, 4.0) == 0.75
+    assert sched.next_gamma(3.0, 4.0) == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * 0.75
 
 
 def test_harmonic_rule():
-    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC, zeta_first_unit=True)
-    assert sched.next_gamma() == 1.0  # t_0 = 1/(0+1), inside the bounds
+    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC)
+    assert sched._target(None, None) == 1.0  # t_0 = 1/(0+1), inside the bounds
+    assert sched.next_gamma() == 1.0   # gamma_0 = t_0: the blend stays there
     sched2 = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC)
     sched2.k = 9
     assert sched2._target(None, None) == pytest.approx(0.1, abs=0.0)  # t_9 = 1/10
@@ -43,11 +44,12 @@ def test_harmonic_rule():
 
 def test_accel_rule_value():
     # gamma = 1, L = 1: t = (-0.01 + sqrt(4.0001)) / 2
-    sched = SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, zeta_first_unit=True, L=1.0)
-    got = sched.next_gamma()
+    sched = SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, L=1.0)
+    got = sched._target(None, None)
     expect = (-0.01 + np.sqrt(4.0001)) / 2.0
     assert got == expect
     assert abs(got - 0.995) <= 1e-3
+    assert sched.next_gamma() == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * expect
     # L is fixed at construction: a missing or nonpositive one raises there
     for L in (None, 0.0, float("nan")):
         with pytest.raises(ParameterError):
@@ -57,9 +59,9 @@ def test_accel_rule_value():
 
 
 def test_norm_ratio_degenerate_denominator_uses_gamma_max():
-    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO, zeta_first_unit=True)
-    g1 = sched.next_gamma(5.0, 0.0)
-    assert g1 == 2.0
+    sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO)
+    assert sched._target(5.0, 0.0) == 2.0
+    assert sched.next_gamma(5.0, 0.0) == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * 2.0
 
 
 def test_emissions_stay_in_bounds_exactly():
@@ -79,8 +81,7 @@ def test_positive_variation_examples():
 
 def test_positive_variation_bounded_by_zeta_sum():
     rng = np.random.default_rng(1)
-    sched = SafeguardStepsize(0.5, 0.1, 1.0, t_rule=NORM_RATIO,
-                              zeta_coeff=0.1, zeta_power=1.5)
+    sched = SafeguardStepsize(0.5, 0.1, 1.0, t_rule=NORM_RATIO)
     gammas = [sched.gamma]
     for _ in range(10000):
         gammas.append(sched.next_gamma(float(rng.uniform(0, 10)),
@@ -103,10 +104,7 @@ def test_gamma_tail_convergence():
 
 
 def test_zeta_validation():
-    with pytest.raises(ParameterError):
-        SafeguardStepsize(0.5, 0.1, 1.0, zeta_power=1.0)  # not summable
-    with pytest.raises(ParameterError):
-        SafeguardStepsize(0.5, 0.1, 1.0, zeta_coeff=0.0)
+    # zeta_k = 0.1 / (k+1)^1.5 is a constant sequence; the stepsize bounds are checked
     with pytest.raises(ParameterError):
         SafeguardStepsize(2.0, 0.1, 1.0)  # gamma0 outside bounds
     with pytest.raises(ParameterError):
