@@ -36,8 +36,8 @@ for kind in rs.CANONICAL_KINDS:
             ("const-1mu", rs.ScheduleSpec(variant="constant", gamma=1.0 / mu_value)),
             ("fpr-norm-ratio", rs.ScheduleSpec(variant="safeguard", t_rule="norm-ratio"))):
         cfg = rs.RunConfig(scheme=scheme, problem=split, relocator=kind, schedule=spec,
-                           relaxation=rs.RelaxationPlan(), max_iters=BUDGET,
-                           fix_res_tol=1e-8, record_every=50, objective=phi)
+                           max_iters=BUDGET, fix_res_tol=1e-8, record_every=50,
+                           objective=phi)
         trace = rs.run(cfg, np.zeros((scheme.m, prob.dim)))
         trace.to_csv(OUT / f"{kind}-{name}.csv")
         print(f"{kind:13s} {name:15s} {mu_value:7.3f} {trace.iterations:7d} "

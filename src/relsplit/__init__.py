@@ -20,10 +20,9 @@ from .problems import (ElasticNetProblem, LassoProblem, gen_elastic_net, gen_las
                        objective, reference_solution, split_elastic, split_lasso)
 from .relocator import (CHEAP_KINDS, DAVIS_YIN, GENERAL, check_recycling, e_map,
                         lipschitz_constant, lipschitz_series, relocate)
-from .schedule import (ConstantStepsize, RelaxationPlan, SafeguardStepsize, ScheduleSpec,
-                       positive_variation)
-from .scheme import (CoefficientScheme, condition_report, eta, feasibility_margin,
-                     kappa_form_scheme, mu, stepsize_sup, validate)
+from .schedule import ConstantStepsize, SafeguardStepsize, ScheduleSpec, positive_variation
+from .scheme import (CoefficientScheme, condition_report, eta, kappa_form_scheme, mu,
+                     stepsize_sup, validate)
 
 __version__ = "0.1.0"
 
@@ -32,12 +31,12 @@ __all__ = [
     "CoefficientScheme", "ConstantStepsize", "DAVIS_YIN", "DiGraph",
     "ElasticNetProblem", "GENERAL", "INWARD_STAR", "L1Subdiff", "LassoProblem",
     "LeastSquaresGrad", "NonnegNormalCone", "OUTWARD_STAR",
-    "ParameterError", "ReferenceRunError", "RelaxationPlan", "ResolventOp", "RunConfig",
+    "ParameterError", "ReferenceRunError", "ResolventOp", "RunConfig",
     "SEQUENTIAL", "SafeguardStepsize", "ScaledIdentity", "ScheduleSpec",
     "SplitProblem", "StructuralError", "Trace", "ZeroForward",
     "ZeroOp", "apply_T", "canonical", "check_recycling",
     "check_resolvent_identity", "condition_report", "degrees", "e_map", "eta",
-    "feasibility_margin", "first_block", "gen_elastic_net", "gen_lasso",
+    "first_block", "gen_elastic_net", "gen_lasso",
     "incidence", "incidence_pinv_closed_form", "kappa_form_scheme",
     "lambda_max", "lipschitz_constant", "lipschitz_series", "mu",
     "objective", "positive_variation", "reference_solution",

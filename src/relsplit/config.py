@@ -15,7 +15,6 @@ StructuralError. A run config (``relsplit run``) has the sections
     schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
                 "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma",
                 "gamma_min", "gamma_max"}
-    relaxation  {"theta": 1.0, "lam": null, "margin_floor": 1e-3}
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
                 {"kind": "normal", "seed": 0}
@@ -24,28 +23,29 @@ A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a
 non-empty list of graph sections: the grid runs once per graph, CSV names
 prefixed by its kind, or "graph" for an arc list; two jobs with one CSV
 name, or a CSV name that is not a file name in out_dir or is summary.csv,
-are an error);
-"problem", "relocator", "relaxation" and "z0" as above; "budget"
-(10000 iterations per method; 20x that caps the reference run where it
-cannot start at the exact minimiser), "fix_res_tol" (1e-10), "record_every"
-(10), "out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...],
-each name a non-empty string, else ``default_methods``). ``relsplit
-validate`` reads the scheme sections of either document and checks them
-to ``scheme.VALIDATION_TOL``.
+are an error); "problem", "relocator" and "z0" as above; "budget" (10000
+iterations per method; 20x that caps the reference run where it cannot
+start at the exact minimiser), "fix_res_tol" (1e-10), "record_every" (10),
+"out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...], each
+name a non-empty string, else ``default_methods``). ``relsplit validate``
+reads the scheme sections of either document and checks them to
+``scheme.VALIDATION_TOL``; ``run`` and ``bench`` first check a graph's n
+against the problem's resolvent count, before the graph is built.
 
 Counts and sizes (max_iters, record_every, budget, a reference_budget other
 than null or 0, which solve no reference, q, d, graph n, arc endpoints) are
 whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3 is 1000; 2.5
 and true are errors, never truncated), fix_res_tol is finite and positive,
 the real values (lam, u, lam1, lam2, noise_sd, the spectrum entries, the
-inline A and b entries, the schedule and relaxation values, fix_res_tol)
-are JSON numbers (true and "0.01" are errors; gamma, gamma_min, gamma_max
-and the relaxation lam may be null); lam, lam1, lam2 and the two spectrum
-entries are also finite and positive. Graph-built schemes are run in their
-kappa form so the configured gamma matches the graph-form stepsize
-conventions (gamma < 2/beta for the chain); an explicit scheme must pass
-the six conditions (``RunConfig``). The LASSO is split as B = A^T(A. - b)
-and its reference solve minimises the same half-quadratic objective.
+inline A and b entries, the schedule values, fix_res_tol) are JSON numbers
+(true and "0.01" are errors; gamma, gamma_min and gamma_max may be null);
+lam, lam1, lam2 and the two spectrum entries are also finite and positive.
+Graph-built schemes are run in their kappa form so the configured gamma
+matches the graph-form stepsize conventions (gamma < 2/beta for the chain);
+an explicit scheme must pass the six conditions (``RunConfig``). The LASSO
+is split as B = A^T(A. - b) and its reference solve minimises the same
+half-quadratic objective. The relaxation is not configured: ``driver`` runs
+theta = 1 with lambda_k co-adjusted to the margin floor ``MARGIN_FLOOR``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ import numpy as np
 from . import engine, graph as graphmod, problems, relocator
 from .driver import RunConfig, default_z0
 from .errors import ParameterError, StructuralError, as_count, as_real, as_whole
-from .schedule import ACCEL, HARMONIC, NORM_RATIO, RelaxationPlan, ScheduleSpec
+from .schedule import ACCEL, HARMONIC, NORM_RATIO, ScheduleSpec
 from .scheme import CoefficientScheme, kappa_form_scheme
 
 SCHEME_KEYS = {"graph", "graphs", "scheme"}
-RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "relaxation", "run"}
-BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "relaxation", "z0", "budget",
-                            "fix_res_tol", "record_every", "out_dir", "methods"}
+RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "run"}
+BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "z0", "budget", "fix_res_tol",
+                            "record_every", "out_dir", "methods"}
 # Problem keys besides "kind": (generated instance, matrices inline) per kind.
 PROBLEM_KEYS = {
     "lasso": ({"q", "d", "seed", "spectrum", "lam", "u"}, {"A", "b", "lam", "u"}),
@@ -74,7 +74,6 @@ PROBLEM_KEYS = {
 Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed"}}
 SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
 SCHEDULE_REALS = ("gamma", "gamma_min", "gamma_max")   # each may be null
-RELAXATION_KEYS = set(RelaxationPlan.__dataclass_fields__)
 
 
 def _config_errors(build):
@@ -107,11 +106,19 @@ def _section(name, doc, allowed):
 
 
 @_config_errors
-def build_scheme(doc):
-    """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form)."""
+def build_scheme(doc, resolvents=None):
+    """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form).
+
+    Given the problem's count of ``resolvents``, a graph's n must equal it; this is
+    checked before the graph and its n x n matrices are built.
+    """
     if "graph" in doc:
         g = doc["graph"]
         _section("graph", g, {"kind", "n"} if "kind" in g else {"n", "arcs"})
+        if resolvents is not None:
+            n = as_count("graph n", g["n"])
+            if n != resolvents:
+                raise StructuralError(f"scheme has n = {n} but {resolvents} resolvents given")
         return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.graph_from_config(g)))
     if "scheme" in doc:
         sd = _section("scheme", doc["scheme"], {"d", "M", "N", "P", "R"})
@@ -122,7 +129,7 @@ def build_scheme(doc):
     raise StructuralError("config needs a 'graph' or 'scheme' section")
 
 
-def _schemes(doc):
+def _schemes(doc, resolvents=None):
     """[(CSV name prefix, scheme)]: one per 'graphs' entry, else the one 'graph'/'scheme'."""
     given = sorted(SCHEME_KEYS.intersection(doc))
     if len(given) > 1:
@@ -130,8 +137,9 @@ def _schemes(doc):
     if "graphs" in doc:
         if not doc["graphs"]:
             raise ParameterError("'graphs' needs at least one graph")
-        return [(g.get("kind", "graph"), build_scheme({"graph": g})) for g in doc["graphs"]]
-    return [("", build_scheme(doc))]
+        return [(g.get("kind", "graph"), build_scheme({"graph": g}, resolvents))
+                for g in doc["graphs"]]
+    return [("", build_scheme(doc, resolvents))]
 
 
 @_config_errors
@@ -183,12 +191,6 @@ def build_z0(doc, s, split):
     return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)))
 
 
-def _reals(name, doc, keys, nullable=()):
-    """``doc`` with the values of ``keys`` read by ``as_real``; null stays where allowed."""
-    return {key: value if key not in keys or value is None and key in nullable
-            else as_real(f"{name} {key}", value) for key, value in doc.items()}
-
-
 def _numbers(name, value):
     """Nested JSON arrays of numbers (inline A and b) with every entry read by ``as_real``."""
     if isinstance(value, list):
@@ -197,15 +199,10 @@ def _numbers(name, value):
 
 
 def _schedule(name, doc):
-    """ScheduleSpec from a schedule section."""
+    """ScheduleSpec from a schedule section; its real values are JSON numbers or null."""
     _section(name, doc, SCHEDULE_KEYS)
-    return ScheduleSpec(**_reals(name, doc, SCHEDULE_REALS, nullable=SCHEDULE_REALS))
-
-
-def _relaxation(doc):
-    """RelaxationPlan from a relaxation section (a null lam is co-adjusted)."""
-    _section("relaxation", doc, RELAXATION_KEYS)
-    return RelaxationPlan(**_reals("relaxation", doc, RELAXATION_KEYS, nullable=("lam",)))
+    return ScheduleSpec(**{key: value if key not in SCHEDULE_REALS or value is None
+                           else as_real(f"{name} {key}", value) for key, value in doc.items()})
 
 
 def _pick_kind(requested, s):
@@ -222,8 +219,8 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
     engine.check_binding(s, split)
     return RunConfig(scheme=s, problem=split,
                      relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
-                     schedule=schedule, relaxation=_relaxation(doc.get("relaxation", {})),
-                     max_iters=max_iters, fix_res_tol=as_real("fix_res_tol", fix_res_tol),
+                     schedule=schedule, max_iters=max_iters,
+                     fix_res_tol=as_real("fix_res_tol", fix_res_tol),
                      record_every=record_every, objective=objective_fn)
 
 
@@ -235,8 +232,8 @@ def build_run(doc):
     when it did not fully converge (``problems.Reference.flagged``).
     """
     _section("run config", doc, RUN_KEYS)
-    [(_, s)] = _schemes(doc)
     prob, split, objective_fn = build_problem(doc["problem"])
+    [(_, s)] = _schemes(doc, len(split.resolvents))
     run_doc = _section("run", doc.get("run", {}),
                        {"max_iters", "fix_res_tol", "record_every", "z0", "reference_budget"})
     cfg = _run_config(doc, s, split, objective_fn, _schedule("schedule", doc.get("schedule", {})),
@@ -291,7 +288,7 @@ def build_bench(doc):
                     _schedule(f"methods[{i}] schedule", m["schedule"]))
                    for i, m in enumerate(doc["methods"])]
     groups, names = [], []
-    for prefix, s in _schemes(doc):
+    for prefix, s in _schemes(doc, len(split.resolvents)):
         z0 = build_z0(doc.get("z0"), s, split)
         grid = default_methods(split.beta, s.n) if methods is None else methods
         group = [f"{prefix}-{name}" if prefix else name for name, _ in grid]

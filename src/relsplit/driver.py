@@ -3,7 +3,7 @@
 The loop iterates, per stepsize sequence (gamma_k):
 
     x_k     = sweep(gamma_k, z_k)                       (resolvent outputs)
-    w_k     = z_k - lambda_k * theta_k * M* x_k
+    w_k     = z_k - lambda_k * M* x_k
     z_{k+1} = Q_{gamma_{k+1} <- gamma_k}(w_k)
 
 For the cheap relocator kinds, relocation needs only x_1 at (gamma_k, w_k),
@@ -17,7 +17,7 @@ sweep at w_k (2n per iteration).
 RunConfig of the two-node chain under the davis-yin relocator:
 
     y_k     = J_{gamma_k A_2}(2 x_k - z_k - gamma_k B x_k)
-    w_k     = z_k + lambda_k theta_k (y_k - x_k)
+    w_k     = z_k + lambda_k (y_k - x_k)
     x_{k+1} = J_{gamma_k A_1}(w_k)
     z_{k+1} = (gamma_{k+1}/gamma_k) w_k + (1 - gamma_{k+1}/gamma_k) x_{k+1}
 
@@ -59,10 +59,14 @@ consensus only on a recorded row, ||x_{k+1}|| and ||x_{k+1} - w_k|| only for
 a schedule that reads them (the norm-ratio rule), and at r = 1 relocation is
 the identity, z_{k+1} = w_k.
 
-Feasibility is enforced every iteration: the margin
-2 - gamma_k*mu - 2*lambda_k*theta_k must stay at or above the plan's floor,
-fix_res must be finite, and gamma_{k+1} must stay inside (0, 2/mu);
-violations abort the run and return the partial trace with an abort marker.
+Relaxation is one rule. theta_k = 1 (the trace's theta column), and lambda_k
+is co-adjusted to the feasibility margin 2 - gamma_k*mu - 2*lambda_k*theta_k
+>= MARGIN_FLOOR: lambda_k = (2 - gamma_k*mu - MARGIN_FLOOR) / 2. A co-adjusted
+lambda_k makes lambda_k*theta_k the same for every theta > 0, so theta would
+change an iterate only by rounding. Feasibility is enforced every iteration:
+lambda_k must be positive (gamma_k*mu < 2 - MARGIN_FLOOR), fix_res must be
+finite, and gamma_{k+1} must stay inside (0, 2/mu); violations abort the run
+and return the partial trace with an abort marker.
 """
 
 from __future__ import annotations
@@ -74,11 +78,12 @@ import numpy as np
 from . import engine, relocator, scheme as schememod
 from .errors import ParameterError, StructuralError, as_count
 from .linalg import as_blocks, norm
-from .schedule import RelaxationPlan, ScheduleSpec
+from .schedule import ScheduleSpec
 
 CSV_HEADER = "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
 _NAN = float("nan")
 _INF = float("inf")
+MARGIN_FLOOR = 1e-3   # epsilon of the margin 2 - gamma_k*mu - 2*lambda_k*theta_k >= epsilon
 
 
 @dataclass
@@ -94,7 +99,6 @@ class RunConfig:
     problem: object
     relocator: str = relocator.GENERAL
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    relaxation: RelaxationPlan = field(default_factory=RelaxationPlan)
     max_iters: int = 1000
     fix_res_tol: float = 1e-10
     record_every: int = 1
@@ -160,14 +164,6 @@ class Trace:
         }
 
 
-def _infeasible(k, gamma, lam, margin, floor):
-    if lam <= 0:
-        return (f"no positive relaxation keeps the margin at k={k} "
-                f"(gamma={gamma:.6g}, gamma*mu too close to 2)")
-    return (f"feasibility margin {margin:.3e} below floor {floor:.1e} "
-            f"at k={k} (gamma={gamma:.6g}, lambda={lam:.4g})")
-
-
 def default_z0(s, prob, seed=None):
     """Zero initial point, or a seeded standard-normal one when seed is given."""
     if seed is None:
@@ -196,26 +192,26 @@ class _RunControl:
             self.x_den = max(norm(self.x_star), 1e-30)
             self.phi_star = float(cfg.reference[1])
             self.f_den = max(abs(self.phi_star), 1e-30)
-        self.relax, self.mu, self.floor = cfg.relaxation, mu_value, cfg.relaxation.margin_floor
+        self.mu = mu_value
         self.max_iters, self.last = cfg.max_iters, cfg.max_iters - 1
         self.tol, self.record_every = cfg.fix_res_tol, cfg.record_every
         self.sup = schememod.stepsize_sup(mu_value)
         self.k, self.gamma = 0, self.sched.gamma
 
     def start(self, k):
-        """True when iteration k runs: k < max_iters and the margin check passes.
+        """True when iteration k runs: k < max_iters and lambda_k > 0.
 
-        Sets ``lam_theta`` = lambda_k * theta_k at ``gamma``.
+        Sets ``lam`` = lambda_k = (2 - gamma*mu - MARGIN_FLOOR) / 2 at ``gamma``.
         """
         self.k, gamma = k, self.gamma
         if k == self.max_iters:
             return False
-        lam, theta = self.relax.pair(gamma, self.mu)
-        margin = schememod.feasibility_margin(gamma, lam, theta, self.mu)
-        if lam <= 0 or margin < self.floor - 1e-12:
-            self.trace.aborted = _infeasible(k, gamma, lam, margin, self.floor)
+        lam = (2.0 - gamma * self.mu - MARGIN_FLOOR) / 2.0
+        if lam <= 0:
+            self.trace.aborted = (f"no positive relaxation keeps the margin at k={k} "
+                                  f"(gamma={gamma:.6g}, gamma*mu too close to 2)")
             return False
-        self.lam, self.theta, self.lam_theta = lam, theta, lam * theta
+        self.lam = lam
         return True
 
     def check(self, k, fix_res, step, *lane):
@@ -240,7 +236,7 @@ class _RunControl:
             consensus, xbar, evals = step.row(*lane)
             trace.k.append(k)
             trace.gamma.append(self.gamma)
-            trace.theta.append(self.theta)
+            trace.theta.append(1.0)
             trace.lam.append(self.lam)
             trace.fix_res.append(fix_res)
             trace.consensus.append(consensus)
@@ -279,16 +275,16 @@ def _iterate(step, control):
     """Iterate from ``control.k`` until the control ends the run; returns ``control.finish(step)``.
 
     The control (``_RunControl`` for one run) decides: ``start(k)`` ends the
-    run or sets ``lam_theta`` at its stepsize ``gamma``; ``check(k, fix_res,
-    step)`` is the stop test and records a row; ``next_gamma(k, step)``
+    run or sets ``lam``, lambda_k at its stepsize ``gamma``; ``check(k,
+    fix_res, step)`` is the stop test and records a row; ``next_gamma(k, step)``
     returns gamma_{k+1}/gamma_k, or None to end the run. The step holds the
     resolvent formulas: ``residuals(gamma)`` evaluates the resolvents at
-    (gamma, z) and returns fix_res; ``advance(gamma, lam_theta)`` forms w and
+    (gamma, z) and returns fix_res; ``advance(gamma, lam)`` forms w and
     x_1(w); ``relocate(ratio)`` sets z to the relocated w (to w itself at
     ratio 1). The control reads the step's ``row()`` (consensus, x, evals)
     only on a recorded row, ``norms()`` only for a schedule that reads them,
     and ``state()`` (z, x, evals) at the end. On a stack of runs the step is
-    an ``_EngineStep`` on a lane plan, whose gamma, lam_theta and ratio are
+    an ``_EngineStep`` on a lane plan, whose gamma, lam and ratio are
     the lanes' columns, and the control is ``_Lanes``, which passes each
     lane's index to those reads.
     """
@@ -298,7 +294,7 @@ def _iterate(step, control):
     while start(k):
         if check(k, residuals(control.gamma), step):
             break
-        advance(control.gamma, control.lam_theta)
+        advance(control.gamma, control.lam)
         ratio = next_gamma(k, step)
         if ratio is None:
             break
@@ -350,8 +346,8 @@ class _EngineStep:
     def row(self, *lane):
         return self.consensus(*lane), self.xs[0][lane], self.evals
 
-    def advance(self, gamma, lam_theta):
-        w = self.w = self.z - lam_theta * self.mstar_x
+    def advance(self, gamma, lam):
+        w = self.w = self.z - lam * self.mstar_x
         self.at_w = self._at_w(gamma, w)
         self.evals += self._at_w_evals
 
@@ -418,12 +414,11 @@ class _Lanes:
     It applies each lane's own ``_RunControl`` methods, with the stack's
     ``_EngineStep`` and the lane's index, so each lane's schedule, stop test,
     trace and evaluation count are those of its own ``run``. ``gamma`` lists
-    the lanes' stepsizes and ``lam_theta`` is their (L, 1, 1) column of
-    lambda_k * theta_k. A lane whose run ends is finished at the step's state
-    and dropped (``_EngineStep.keep``), before any further resolvent call for
-    it. When fewer than MIN_LANES lanes start an iteration, ``finish`` hands
-    each to ``_iterate`` on a step of the group's block plan, from its exact
-    state.
+    the lanes' stepsizes and ``lam`` is their (L, 1, 1) column of lambda_k.
+    A lane whose run ends is finished at the step's state and dropped
+    (``_EngineStep.keep``), before any further resolvent call for it. When
+    fewer than MIN_LANES lanes start an iteration, ``finish`` hands each to
+    ``_iterate`` on a step of the group's block plan, from its exact state.
     """
 
     k = 0
@@ -436,8 +431,8 @@ class _Lanes:
         return [lane.gamma for lane in self.lanes]
 
     @property
-    def lam_theta(self):
-        return np.array([lane.lam_theta for lane in self.lanes])[:, None, None]
+    def lam(self):
+        return np.array([lane.lam for lane in self.lanes])[:, None, None]
 
     def _keep(self, going):
         """Finish the lanes whose run ended (``going`` false) and drop them from the stack."""
@@ -479,7 +474,7 @@ def run_grid(cfgs, z0=None):
 
     The configs share one scheme, one problem and one relocator kind, as a
     bench grid's methods on one graph do, and differ in their schedules
-    (their relaxation, limits, objective and reference may differ too). The
+    (their limits, objective and reference may differ too). The
     block plan, start point, K and mu are built once for the group
     (``_shared``). A schedule that ``ScheduleSpec.build`` refuses gets
     ``Trace(aborted=<the error>)``. MIN_LANES or more runs iterate as the
@@ -542,8 +537,8 @@ class _DavisYinStep:
     def state(self):
         return self.z, self.x, self.evals
 
-    def advance(self, gamma, lam_theta):
-        self.w = self.z + lam_theta * (self.y - self.x)
+    def advance(self, gamma, lam):
+        self.w = self.z + lam * (self.y - self.x)
         self.x_next = self.resolve1(gamma, self.w)
         self.evals += 1
 

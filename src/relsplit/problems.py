@@ -35,7 +35,7 @@ from .errors import ParameterError, ReferenceRunError, StructuralError
 from .linalg import spectral_norm
 from .operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad,
                         NonnegNormalCone, ScaledIdentity, soft_threshold)
-from .schedule import RelaxationPlan, ScheduleSpec
+from .schedule import ScheduleSpec
 from .scheme import kappa_form_scheme
 
 
@@ -340,8 +340,8 @@ def reference_solution(problem, budget):
     gamma = 1.0 / prob.beta
     cfg = driver.RunConfig(scheme=s, problem=prob, relocator=kind,
                            schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                           relaxation=RelaxationPlan(), max_iters=20 * budget,
-                           fix_res_tol=1e-12, record_every=max(1, budget))
+                           max_iters=20 * budget, fix_res_tol=1e-12,
+                           record_every=max(1, budget))
     trace = loop(cfg, _exact_start(problem, s, prob, gamma))
     if trace.aborted or not trace.fix_res:
         raise ReferenceRunError(f"reference run failed: {trace.aborted}")

@@ -14,7 +14,7 @@ from .engine import SplitProblem
 from .errors import ParameterError
 from .operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad, NonnegNormalCone,
                         ScaledIdentity, ZeroForward, ZeroOp, check_resolvent_identity)
-from .schedule import RelaxationPlan, ScheduleSpec
+from .schedule import ScheduleSpec
 from .scheme import kappa_form_scheme, mu as scheme_mu, validate
 from .relocator import DAVIS_YIN, GENERAL
 
@@ -77,8 +77,7 @@ def converge(s, split, kind, gamma, fix_res_tol=1e-10, max_iters=200000):
     """Run the constant-stepsize iteration to a tight fixed-point residual."""
     cfg = RunConfig(scheme=s, problem=split, relocator=kind,
                     schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                    relaxation=RelaxationPlan(), max_iters=max_iters,
-                    fix_res_tol=fix_res_tol, record_every=10000)
+                    max_iters=max_iters, fix_res_tol=fix_res_tol, record_every=10000)
     trace = run(cfg)
     if not trace.converged:
         raise RuntimeError(

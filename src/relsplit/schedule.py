@@ -1,4 +1,4 @@
-"""Stepsize, relaxation and theta sequences.
+"""Stepsize sequences: the constant stepsize and the safeguarded rule.
 
 The safeguarded variable-stepsize rule is
 
@@ -18,6 +18,9 @@ Only the norm-ratio rule reads the two norms; a schedule's ``reads_norms``
 says so (derived from its rule, never set), and the driver forms
 ||x_{k+1}|| and ||x_{k+1} - w_k|| only for a schedule that reads them. The
 other rules and the constant stepsize are called as ``next_gamma()``.
+
+The relaxation has no schedule: ``driver`` runs theta_k = 1 and co-adjusts
+lambda_k to the feasibility margin at each gamma_k.
 """
 
 from __future__ import annotations
@@ -118,34 +121,6 @@ def positive_variation(gammas):
     if g.size < 2:
         raise ParameterError("positive variation needs at least two stepsizes")
     return float(np.maximum(np.diff(g), 0.0).sum())
-
-
-@dataclass
-class RelaxationPlan:
-    """theta_k and lambda_k rules plus the feasibility margin floor epsilon.
-
-    With lam=None, lambda_k is co-adjusted to the largest value keeping the
-    margin at the floor: lambda_k = (2 - gamma_k*mu - eps) / (2*theta).
-    """
-
-    theta: float = 1.0
-    lam: float | None = None
-    margin_floor: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.theta < np.inf:
-            raise ParameterError("theta must be positive and finite")
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ParameterError("lambda must be positive and finite")
-        if not 0 < self.margin_floor < np.inf:
-            raise ParameterError("margin floor must be positive and finite")
-
-    def pair(self, gamma, mu_value):
-        """(lambda_k, theta_k) for the current stepsize."""
-        if self.lam is not None:
-            return self.lam, self.theta
-        lam = (2.0 - gamma * mu_value - self.margin_floor) / (2.0 * self.theta)
-        return lam, self.theta
 
 
 @dataclass

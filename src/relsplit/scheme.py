@@ -164,11 +164,6 @@ def eta(theta, gamma, mu_value):
     return 2.0 * theta / (2.0 - gamma * mu_value)
 
 
-def feasibility_margin(gamma, lam, theta, mu_value):
-    """2 - gamma*mu - 2*lambda*theta; the driver requires this >= epsilon each iteration."""
-    return 2.0 - gamma * mu_value - 2.0 * lam * theta
-
-
 def kappa_form_scheme(s):
     """The doubled scheme (D -> 2D, N -> 2N) realizing the graph change of variables.
 

@@ -19,7 +19,7 @@ from relsplit.propsuites import (graph_split, kappa_scheme, relocator_axiom_chec
                                  small_elastic_setup, small_lasso_setup,
                                  suite_pinv_closed_forms, suite_recycling,
                                  suite_resolvent_identity, suite_scheme_validity)
-from relsplit.schedule import RelaxationPlan, ScheduleSpec, positive_variation
+from relsplit.schedule import ScheduleSpec, positive_variation
 from relsplit.scheme import eta, mu
 
 DESK_LASSO = dict(q=50, d=100, seed=2, spectrum=(0.4, 0.6), lam=1e-3, u=50.0)
@@ -55,7 +55,7 @@ def desk_lasso_runs(desk_lasso):
     traces = {}
     for name, spec in specs.items():
         cfg = RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN, schedule=spec,
-                        relaxation=RelaxationPlan(), max_iters=LASSO_BUDGET, fix_res_tol=1e-11,
+                        max_iters=LASSO_BUDGET, fix_res_tol=1e-11,
                         record_every=1, objective=phi, reference=(ref.x, ref.phi))
         traces[name] = run_davis_yin(cfg, z0)
     return traces, time.monotonic() - t0
@@ -121,7 +121,7 @@ def test_criterion_6_recycling_and_eval_counts():
     for kind in (graphmod.SEQUENTIAL, relocator.GENERAL):
         cfg = RunConfig(scheme=s, problem=split, relocator=kind,
                         schedule=ScheduleSpec(variant="safeguard", t_rule="harmonic"),
-                        relaxation=RelaxationPlan(), max_iters=iters, fix_res_tol=1e-16)
+                        max_iters=iters, fix_res_tol=1e-16)
         counts[kind] = run(cfg, z0).resolvent_evals
     assert counts[graphmod.SEQUENTIAL] == n * iters + 1
     assert counts[relocator.GENERAL] == 2 * n * iters
@@ -165,7 +165,7 @@ def test_criterion_8_algorithm_one_equivalence(desk_lasso, iterates):
                  ScheduleSpec(variant="safeguard", t_rule="norm-ratio")):
         # one config drives both loops
         cfg = RunConfig(scheme=s, problem=split, relocator=relocator.DAVIS_YIN, schedule=spec,
-                        relaxation=RelaxationPlan(), fix_res_tol=1e-16)
+                        fix_res_tol=1e-16)
         _, xs_alg, zs_alg = iterates(run_davis_yin, cfg, z0, 100)
         _, xs_eng, zs_eng = iterates(run, cfg, z0[None, :], 100)
         assert len(xs_alg) == len(xs_eng) == 100
@@ -194,7 +194,7 @@ def test_criterion_9_desk_scale_convergence(desk_lasso_runs):
         s = kappa_scheme(kind, 3)
         cfg = RunConfig(scheme=s, problem=split, relocator=kind,
                         schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                        relaxation=RelaxationPlan(), max_iters=100_000, fix_res_tol=1e-8)
+                        max_iters=100_000, fix_res_tol=1e-8)
         trace = run(cfg, np.zeros((2, prob.dim)))
         assert trace.converged, kind
         assert trace.fix_res[-1] <= 1e-8

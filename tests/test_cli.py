@@ -1,11 +1,18 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsplit import config, driver, problems
+from relsplit import graph as graphmod
 from relsplit.cli import main
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -87,7 +94,11 @@ def test_run_stops_on_tolerance(tmp_path):
 
 
 def test_run_abort_exit_code(tmp_path):
-    cfg = run_config(tmp_path, relaxation={"lam": 1.5, "theta": 1.0})
+    # gamma*mu = 1.9995 leaves no positive lambda above the margin floor 1e-3
+    problem = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
+    beta = config.build_problem(problem)[1].beta
+    cfg = run_config(tmp_path, problem=problem,
+                     schedule={"variant": "constant", "gamma": 1.9995 / beta})
     out = tmp_path / "d.csv"
     assert main(["run", cfg, "--out", str(out)]) == 1
     assert out.exists()
@@ -292,15 +303,10 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["run", run_config(tmp_path, problem=bad)]))
     cfg = run_config(tmp_path, run={"max_iters": "many"})
     assert_usage_error(capsys, main(["run", cfg]))
-    cfg = run_config(tmp_path, relaxation={"theta": 1.0, "omega": 2.0})
-    assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedule={"variant": "constant", "gamma": 1e9})
     assert_usage_error(capsys, main(["run", cfg]))
     cfg = run_config(tmp_path, schedul={"variant": "constant"})
     assert_usage_error(capsys, main(["run", cfg]))
-    for key in ("theta", "margin_floor", "lam"):
-        cfg = run_config(tmp_path, relaxation={key: float("inf")})
-        assert_usage_error(capsys, main(["run", cfg]))
     # non-finite problem weights and spectrum entries, with and without a reference solve
     lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
@@ -456,16 +462,13 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json",
                                                          dict(spec, fix_res_tol=True))]))
     assert not (tmp_path / "b").exists()
-    # schedule and relaxation values, and inline A and b entries: the message names the key
+    # schedule values, and inline A and b entries: the message names the key
     inline_lasso = {"kind": "lasso", "A": [["1", True], [0, 1]], "b": ["1", 2], "lam": 0.1,
                     "u": 5.0}
     elastic_graph = {"graph": {"kind": "sequential", "n": 3}, "relocator": "auto"}
     for overrides, key in (
             ({"schedule": {"variant": "constant", "gamma": "0.5"}}, "gamma"),
             ({"schedule": {"variant": "safeguard", "gamma_max": "1"}}, "gamma_max"),
-            ({"relaxation": {"theta": "1"}}, "theta"),
-            ({"relaxation": {"lam": True}}, "lam"),
-            ({"relaxation": {"margin_floor": None}}, "margin_floor"),
             ({"problem": inline_lasso}, "A entry"),
             ({"problem": dict(inline_lasso, A=[[1, 0], [0, 1]])}, "b entry"),
             ({"problem": dict(inline, b=[1.0, False]), **elastic_graph}, "b entry")):
@@ -495,10 +498,9 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
     assert not (tmp_path / "b").exists()
     # null stays where the field allows it
-    for section, value in (("schedule", {"variant": "safeguard", "gamma": None, "gamma_max": None}),
-                           ("relaxation", {"lam": None})):
-        assert main(["run", run_config(tmp_path, **{section: value}, run={"max_iters": 20}),
-                     "--out", str(tmp_path / "ok.csv")]) == 0
+    schedule = {"variant": "safeguard", "gamma": None, "gamma_max": None}
+    assert main(["run", run_config(tmp_path, schedule=schedule, run={"max_iters": 20}),
+                 "--out", str(tmp_path / "ok.csv")]) == 0
     # arc endpoints are whole numbers: [1, 2.7] is no arc (1, 2)
     for arcs in ([[1, 2.7]], [[1, True]], [["1", 2]]):
         graph = {"n": 2, "arcs": arcs}
@@ -538,8 +540,9 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
 
 
 def test_retired_keys_exit_2(tmp_path, capsys):
-    # the zeta sequence, the LASSO split, the elastic-net scaling, the z0 spread and the
-    # validation tolerance are constants: a document that sets one names it and exits 2
+    # the zeta sequence, the LASSO split, the elastic-net scaling, the z0 spread, the
+    # relaxation (theta, lambda and the margin floor) and the validation tolerance are
+    # constants: a document that sets one names it and exits 2
     lasso = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
     safeguard = {"variant": "safeguard", "t_rule": "norm-ratio"}
@@ -549,12 +552,16 @@ def test_retired_keys_exit_2(tmp_path, capsys):
                                  dict(safeguard, zeta_first_unit=False)),
                                 ("half_quadratic", "problem", dict(lasso, half_quadratic=True)),
                                 ("normalize", "problem", dict(elastic, normalize=True)),
-                                ("scale", "z0", {"kind": "normal", "seed": 0, "scale": 1.0})):
+                                ("scale", "z0", {"kind": "normal", "seed": 0, "scale": 1.0}),
+                                ("relaxation", "relaxation",
+                                 {"theta": 1.0, "lam": None, "margin_floor": 1e-3})):
         problem = value if section == "problem" else lasso
         schedule = value if section == "schedule" else safeguard
         z0 = value if section == "z0" else {"kind": "zero"}
         base = {"graph": {"kind": "sequential", "n": 3 if problem is elastic else 2},
                 "problem": problem, "relocator": "auto"}
+        if section == "relaxation":
+            base[section] = value
         run_doc = dict(base, schedule=schedule, run={"max_iters": 20, "z0": z0})
         spec = dict(base, z0=z0, budget=50, out_dir=str(tmp_path / "b"),
                     methods=[{"name": "m", "schedule": schedule}])
@@ -568,6 +575,39 @@ def test_retired_keys_exit_2(tmp_path, capsys):
     code = main(["validate", write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": 1e-10})])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2 and len(err) == 1 and "'tol'" in err[0], err
+
+
+def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    # a LASSO binds 2 resolvents; a graph of n = 100000 would build 75 GiB of n x n
+    # matrices before the binding check, so run and bench compare n first
+    real_canonical, real_scheme = graphmod.canonical, graphmod.scheme_from_graph
+
+    def canonical(kind, n):
+        assert n <= 50, f"built a canonical graph of n = {n}"
+        return real_canonical(kind, n)
+
+    def scheme_from_graph(g):
+        assert g.n <= 50, f"built a scheme of n = {g.n}"
+        return real_scheme(g)
+
+    monkeypatch.setattr(graphmod, "canonical", canonical)
+    monkeypatch.setattr(graphmod, "scheme_from_graph", scheme_from_graph)
+    n = 100_000
+    chain = {"n": n, "arcs": [[i, i + 1] for i in range(1, n)]}
+    for graph in ({"kind": "sequential", "n": n}, {"kind": "inward-star", "n": 1e5}, chain):
+        out = tmp_path / "r.csv"
+        assert main(["run", run_config(tmp_path, graph=graph), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: scheme has n = {n} but 2 resolvents given\n"
+        assert not out.exists()
+    spec = {"graphs": [{"kind": "sequential", "n": 2}, {"kind": "outward-star", "n": n}],
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5}, "relocator": "auto",
+            "budget": 50, "out_dir": str(tmp_path / "b")}
+    assert main(["bench", write_json(tmp_path / "s.json", spec)]) == 2
+    assert capsys.readouterr().err == f"error: scheme has n = {n} but 2 resolvents given\n"
+    assert not (tmp_path / "b").exists()
+    # a small graph that does not match gets the same message
+    assert main(["run", run_config(tmp_path, graph={"kind": "sequential", "n": 5})]) == 2
+    assert capsys.readouterr().err == "error: scheme has n = 5 but 2 resolvents given\n"
 
 
 def test_empty_graphs_list_exits_2(tmp_path, capsys):
@@ -624,3 +664,62 @@ def test_bundled_configs_build_and_validate(path, monkeypatch, capsys):
         config.build_run(doc)
     assert main(["validate", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+# A small run config and the places a fuzzed document changes: every key it has, plus
+# unknown and retired keys. Counts and sizes only ever get values that are not numbers,
+# not whole, <= 0 or <= 50, so that no example allocates much or runs long.
+FUZZ_RUN = {
+    "graph": {"kind": "sequential", "n": 2},
+    "problem": {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0,
+                "spectrum": [0.5, 1.5]},
+    "relocator": "auto",
+    "schedule": {"variant": "safeguard", "t_rule": "norm-ratio", "gamma": None,
+                 "gamma_min": None, "gamma_max": None},
+    "run": {"max_iters": 30, "fix_res_tol": 1e-9, "record_every": 10,
+            "z0": {"kind": "normal", "seed": 0}, "reference_budget": 5},
+}
+FUZZ_SLOTS = [(section, key) for section, body in FUZZ_RUN.items()
+              for key in (body if isinstance(body, dict) else [None])]
+FUZZ_SLOTS += [("run", "z0", "kind"), ("run", "z0", "seed"), ("graph", "arcs"),
+               ("problem", "A"), ("problem", "n_corr"), (None, "bogus"), (None, "relaxation"),
+               (None, "tol"), ("schedule", "zeta_coeff"), ("problem", "half_quadratic"),
+               ("run", "z0", "scale"), ("graph", "bogus"), ("schedule", "bogus")]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "1", "auto", "lasso", "elastic-net",
+                     "constant", "safeguard", "harmonic", "accel", "general", "sequential",
+                     "inward-star", [], [1, 2], [[1, 2]], [0.5, float("nan")], {},
+                     float("nan"), float("inf"), float("-inf"), 0, 0.0, -0.0, -1, 2.5, 1e-300]),
+    st.integers(min_value=-50, max_value=50),
+    st.floats(min_value=-50.0, max_value=50.0))
+
+
+def _fuzzed(mutations):
+    doc = copy.deepcopy(FUZZ_RUN)
+    for slot, value in mutations:
+        *path, key = slot
+        target = doc
+        for name in path:
+            target = target.get(name) if isinstance(target, dict) and name else target
+        if key is None:   # the relocator, a bare value
+            doc[path[0]] = value
+        elif isinstance(target, dict):
+            target[key] = value
+    return doc
+
+
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_SLOTS), FUZZ_VALUES), min_size=1, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_mutated_run_config_exits_0_1_or_2(mutations):
+    # wrong JSON types, NaN, +-inf, 0, negatives, unknown and retired keys: the command
+    # returns 0, 1 or 2 and never raises, and exit 2 is one error line and no CSV
+    doc = _fuzzed(mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "out.csv", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", write_json(Path(tmp) / "cfg.json", doc), "--out", str(out)])
+        assert code in (0, 1, 2), (doc, code)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
+            assert not out.exists(), doc

@@ -14,7 +14,7 @@ from relsplit.operators import LeastSquaresGrad, L1Subdiff, ResolventOp, ZeroFor
 from relsplit.propsuites import (converge, graph_split, kappa_scheme,
                                  small_elastic_setup, small_lasso_setup)
 from relsplit.relocator import DAVIS_YIN, GENERAL, relocate
-from relsplit.schedule import RelaxationPlan, ScheduleSpec, positive_variation
+from relsplit.schedule import ScheduleSpec, positive_variation
 from relsplit.scheme import CoefficientScheme, mu
 
 
@@ -50,14 +50,15 @@ def test_constant_gamma_recovers_classical_davis_yin():
     # with gamma_{k+1} = gamma_k the relocation coefficient vanishes: z_{k+1} = w_k
     prob = one_d_problem()
     (a1, a2), (fwd,) = prob.resolvents, prob.forwards
-    lam, theta, gamma = 0.4, 1.0, 0.8
+    gamma = 0.8
+    lam = (2.0 - gamma * prob.beta - driver.MARGIN_FLOOR) / 2.0   # co-adjusted, theta = 1
     z0 = np.array([3.0])
-    cfg = chain_config(prob, gamma, relaxation=RelaxationPlan(lam=lam, theta=theta),
-                       max_iters=1, fix_res_tol=1e-16)
+    cfg = chain_config(prob, gamma, max_iters=1, fix_res_tol=1e-16)
     trace = run_davis_yin(cfg, z0)
+    assert (trace.lam, trace.theta) == ([lam], [1.0])
     x = a1.resolve(gamma, z0)
     y = a2.resolve(gamma, 2.0 * x - z0 - gamma * fwd.apply(x))
-    w = z0 + lam * theta * (y - x)
+    w = z0 + lam * (y - x)
     assert np.array_equal(trace.z_final, w)
 
 
@@ -67,7 +68,7 @@ def test_fixed_point_stability():
     base = converge(s, split, DAVIS_YIN, gamma, fix_res_tol=1e-10)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
                     schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                    relaxation=RelaxationPlan(), max_iters=100, fix_res_tol=1e-9)
+                    max_iters=100, fix_res_tol=1e-9)
     trace = run(cfg, base.z_final)
     assert trace.converged and trace.iterations == 1
     assert trace.fix_res[-1] <= 10.0 * base.fix_res[-1]
@@ -75,21 +76,21 @@ def test_fixed_point_stability():
 
 def test_constant_schedule_is_krasnoselskii_mann(iterates):
     # with gamma fixed the relocation is the identity and the run equals the
-    # plain relaxed fixed-point iteration on T
+    # plain relaxed fixed-point iteration on T, at the co-adjusted lambda
     s, split, _ = small_lasso_setup(5)
     gamma = 0.9 / split.beta
-    plan = RelaxationPlan(lam=0.45, theta=1.0)
+    lam = (2.0 - gamma * mu(s, split.beta) - driver.MARGIN_FLOOR) / 2.0
     rng = np.random.default_rng(0)
     z0 = rng.standard_normal((1, split.dim))
     cfg = RunConfig(scheme=s, problem=split, relocator=GENERAL,
-                    schedule=ScheduleSpec(variant="constant", gamma=gamma), relaxation=plan,
-                    fix_res_tol=1e-14)
+                    schedule=ScheduleSpec(variant="constant", gamma=gamma), fix_res_tol=1e-14)
     trace, _, zs = iterates(run, cfg, z0, 60)
+    assert set(trace.lam) == {lam} and set(trace.theta) == {1.0}
     z = z0.copy()
     for k in range(60):
         assert np.max(np.abs(zs[k] - z)) <= 1e-12
         tz, _ = apply_T(s, split, 1.0, gamma, z)
-        z = (1.0 - 0.45) * z + 0.45 * tz
+        z = (1.0 - lam) * z + lam * tz
     assert not trace.converged
 
 
@@ -97,7 +98,7 @@ def test_davis_yin_equivalence_with_safeguard(iterates):
     s, split, _ = small_lasso_setup(7)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
                     schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                    relaxation=RelaxationPlan(), fix_res_tol=1e-16)
+                    fix_res_tol=1e-16)
     rng = np.random.default_rng(1)
     z0 = rng.standard_normal(split.dim)
     t_alg, xs_alg, zs_alg = iterates(run_davis_yin, cfg, z0, 100)
@@ -138,7 +139,7 @@ def test_resolvent_eval_counts():
     for kind, expected in ((graphmod.INWARD_STAR, n * iters + 1), (GENERAL, 2 * n * iters)):
         cfg = RunConfig(scheme=s, problem=split, relocator=kind,
                         schedule=ScheduleSpec(variant="safeguard", t_rule="harmonic"),
-                        relaxation=RelaxationPlan(), max_iters=iters, fix_res_tol=1e-16)
+                        max_iters=iters, fix_res_tol=1e-16)
         trace = run(cfg, z0)
         assert not trace.converged and trace.aborted is None
         assert trace.resolvent_evals == expected
@@ -148,7 +149,7 @@ def test_trace_reproducibility_and_csv(tmp_path):
     s, split, _ = small_elastic_setup(4)
     cfg_kwargs = dict(scheme=s, problem=split, relocator=graphmod.SEQUENTIAL,
                       schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                      relaxation=RelaxationPlan(), max_iters=300, fix_res_tol=1e-12,
+                      max_iters=300, fix_res_tol=1e-12,
                       record_every=7)
     z0 = default_z0(s, split, seed=11)
     out = []
@@ -169,7 +170,7 @@ def test_consensus_tracks_tolerance_at_convergence():
     s, split, _ = small_elastic_setup(8, kind=graphmod.OUTWARD_STAR)
     cfg = RunConfig(scheme=s, problem=split, relocator=graphmod.OUTWARD_STAR,
                     schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                    relaxation=RelaxationPlan(), max_iters=100000, fix_res_tol=1e-9)
+                    max_iters=100000, fix_res_tol=1e-9)
     trace = run(cfg, default_z0(s, split))
     assert trace.converged
     assert trace.consensus[-1] <= 10.0 * cfg.fix_res_tol
@@ -179,7 +180,7 @@ def test_safeguard_run_positive_variation_bound():
     s, split, _ = small_lasso_setup(9)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
                     schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                    relaxation=RelaxationPlan(), max_iters=4000, fix_res_tol=1e-15,
+                    max_iters=4000, fix_res_tol=1e-15,
                     record_every=1)
     trace = run(cfg, default_z0(s, split, seed=5))
     sched = cfg.schedule.build(mu(s, split.beta), split.beta)
@@ -195,7 +196,7 @@ def test_safeguard_run_lipschitz_series_is_small():
     s, split, _ = small_lasso_setup(13)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
                     schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
-                    relaxation=RelaxationPlan(), max_iters=3000, fix_res_tol=1e-15,
+                    max_iters=3000, fix_res_tol=1e-15,
                     record_every=1)
     trace = run(cfg, default_z0(s, split, seed=7))
     total = lipschitz_series(DAVIS_YIN, s, trace.gamma, split.beta)
@@ -207,15 +208,21 @@ def test_safeguard_run_lipschitz_series_is_small():
 
 
 def test_margin_violation_aborts_with_partial_trace():
+    # gamma*mu in [2 - MARGIN_FLOOR, 2) leaves no positive lambda: a constant stepsize
+    # there aborts at k = 0, and a safeguard one whose gamma_max lies there once its
+    # stepsize enters that band (from gamma_0*mu = 1.99895, at k = 1)
     s, split, _ = small_lasso_setup(10)
     mu_value = mu(s, split.beta)
-    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
-                    schedule=ScheduleSpec(variant="constant", gamma=1.0 / mu_value),
-                    relaxation=RelaxationPlan(lam=1.2, theta=1.0),  # margin = -1.4
-                    max_iters=100, fix_res_tol=1e-12)
-    trace = run(cfg, default_z0(s, split))
-    assert trace.aborted is not None and "margin" in trace.aborted
-    assert trace.iterations == 0 and not trace.converged
+    g0 = 1.99895 / mu_value
+    for spec, k in ((ScheduleSpec(variant="constant", gamma=1.9995 / mu_value), 0),
+                    (ScheduleSpec(variant="safeguard", gamma=g0, gamma_min=g0,
+                                  gamma_max=1.9999 / mu_value), 1)):
+        cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                        max_iters=100, fix_res_tol=1e-12)
+        trace = run(cfg, default_z0(s, split, seed=3))
+        assert trace.aborted.startswith(f"no positive relaxation keeps the margin at k={k} ")
+        assert trace.aborted.endswith("gamma*mu too close to 2)")
+        assert trace.iterations == k == len(trace.k) and not trace.converged
 
 
 def test_initial_gamma_out_of_range_raises():
@@ -223,7 +230,7 @@ def test_initial_gamma_out_of_range_raises():
     mu_value = mu(s, split.beta)
     cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN,
                     schedule=ScheduleSpec(variant="constant", gamma=2.5 / mu_value),
-                    relaxation=RelaxationPlan(), max_iters=10, fix_res_tol=1e-12)
+                    max_iters=10, fix_res_tol=1e-12)
     with pytest.raises(ParameterError):
         run(cfg, default_z0(s, split))
 
@@ -385,11 +392,9 @@ def test_run_matches_public_step_functions(kind, iterates):
     # sweep / first_block / relocate wrappers, so the iterates agree bit for bit
     s, split, _ = small_elastic_setup(19)
     spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
-    plan = RelaxationPlan()
     iters = 30
     z0 = default_z0(s, split, seed=4)
-    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, relaxation=plan,
-                    fix_res_tol=1e-16)
+    cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, fix_res_tol=1e-16)
     trace, _, zs = iterates(run, cfg, z0, iters)
     mu_value = mu(s, split.beta)
     sched = spec.build(mu_value, split.beta)
@@ -399,8 +404,8 @@ def test_run_matches_public_step_functions(kind, iterates):
         x = sweep(s, split, gamma, z, x1=x1)
         fix_res, consensus = residuals(s, x)
         assert (trace.fix_res[k], trace.consensus[k]) == (fix_res, consensus)
-        lam, theta = plan.pair(gamma, mu_value)
-        w = z - (lam * theta) * (s.M.T @ x)
+        lam = (2.0 - gamma * mu_value - driver.MARGIN_FLOOR) / 2.0
+        w = z - lam * (s.M.T @ x)
         if kind == GENERAL:
             sww = sweep(s, split, gamma, w)
             x1w = sww[0]
@@ -646,15 +651,15 @@ def test_run_grid_lanes_leave_at_every_stop():
     prob = SplitProblem([NanBand(split.resolvents[0], 1.05 / m, 1.5 / m), split.resolvents[1]],
                         split.forwards, split.beta, split.dim)
 
-    def cfg(spec, max_iters=60, **kwargs):
+    def cfg(spec, max_iters=60):
         return RunConfig(scheme=s, problem=prob, relocator=DAVIS_YIN, schedule=spec,
-                         fix_res_tol=1e-300, max_iters=max_iters, record_every=7, **kwargs)
+                         fix_res_tol=1e-300, max_iters=max_iters, record_every=7)
 
     const = lambda g: ScheduleSpec(variant="constant", gamma=g / m)   # noqa: E731
     cfgs = [cfg(const(0.5)), cfg(const(1.2)), cfg(ScheduleSpec(variant="safeguard")),
-            cfg(ScheduleSpec(variant="safeguard", gamma=0.9 / m, gamma_min=0.9 / m),
-                relaxation=RelaxationPlan(lam=0.5)),
-            cfg(const(0.8), relaxation=RelaxationPlan(lam=1.0)),
+            cfg(ScheduleSpec(variant="safeguard", gamma=1.99895 / m, gamma_min=1.99895 / m,
+                             gamma_max=1.9999 / m)),
+            cfg(const(1.9995)),
             cfg(ScheduleSpec(variant="safeguard", t_rule="harmonic"), max_iters=40),
             cfg(const(5.0)), cfg(const(0.3)), cfg(const(0.7), max_iters=25)]
     z0 = default_z0(s, prob, seed=3)
@@ -663,7 +668,8 @@ def test_run_grid_lanes_leave_at_every_stop():
         assert_same_trace(trace, run_or_abort(c, z0))
     assert [t.iterations for t in traces] == [60, 1, 2, 1, 0, 3, 0, 60, 25]
     texts = [None, "non-finite fix_res = nan at k=0", "gamma_2 = nan outside",
-             "feasibility margin", "feasibility margin", "non-finite fix_res = nan at k=2",
+             "no positive relaxation keeps the margin at k=1",
+             "no positive relaxation keeps the margin at k=0", "non-finite fix_res = nan at k=2",
              "constant gamma", None, None]
     for trace, text in zip(traces, texts):
         assert trace.aborted is None if text is None else trace.aborted.startswith(text)

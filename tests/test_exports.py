@@ -9,7 +9,8 @@ REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "probl
            (schedule, "schedule_from_config"), (driver, "RelativeErrors"),
            (relocator, "Relocation"), (linalg, "project_zero_sum"), (linalg, "project_range"),
            (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals"),
-           (schedule, "Observables"), (driver, "check_limits")]
+           (schedule, "Observables"), (driver, "check_limits"), (schedule, "RelaxationPlan"),
+           (scheme, "feasibility_margin")]
 
 
 def test_exported_names_exist():
@@ -33,6 +34,8 @@ def test_test_only_knobs_are_absent():
     assert not hasattr(relsplit, "SweepResult")
     assert not {"x_path", "z_path"} & set(driver.Trace.__dataclass_fields__)
     assert "record_paths" not in driver.RunConfig.__dataclass_fields__
+    # theta = 1 and lambda co-adjusted to the margin: a run sets no relaxation
+    assert "relaxation" not in driver.RunConfig.__dataclass_fields__
     for fn, name in ((driver.run_davis_yin, "record_paths"), (graph.scheme_from_graph, "h"),
                      (problems.objective, "half")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

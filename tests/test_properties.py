@@ -12,7 +12,7 @@ from relsplit.graph import CANONICAL_KINDS, canonical, scheme_from_graph
 from relsplit.operators import BoxNormalCone, L1Subdiff, NonnegNormalCone, ZeroOp
 from relsplit.propsuites import small_elastic_setup, small_lasso_setup
 from relsplit.relocator import DAVIS_YIN, GENERAL, e_map
-from relsplit.schedule import T_RULES, RelaxationPlan, SafeguardStepsize, ScheduleSpec
+from relsplit.schedule import T_RULES, SafeguardStepsize, ScheduleSpec
 from relsplit.scheme import kappa_form_scheme, mu
 
 ops = st.sampled_from([L1Subdiff(0.5), L1Subdiff(2.0), BoxNormalCone(1.5),
@@ -73,21 +73,19 @@ fractions = st.floats(min_value=0.05, max_value=2.1)   # of 1/mu; above 2 a cons
 schedules = st.tuples(st.sampled_from(["constant", "safeguard"]), st.one_of(st.none(), fractions),
                       st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.9)),
                       st.sampled_from(T_RULES))
-# (schedule, lambda, theta, max_iters, log10 of fix_res_tol, record_every)
-methods = st.tuples(schedules, st.one_of(st.none(), st.floats(min_value=0.2, max_value=1.2)),
-                    st.floats(min_value=0.5, max_value=1.5), st.integers(min_value=1, max_value=60),
+# (schedule, max_iters, log10 of fix_res_tol, record_every)
+methods = st.tuples(schedules, st.integers(min_value=1, max_value=60),
                     st.floats(min_value=-2.5, max_value=0.5), st.integers(min_value=1, max_value=9))
 
 
 def grid_config(s, split, kind, method):
-    (variant, frac, low, rule), lam, theta, max_iters, log_tol, record_every = method
+    (variant, frac, low, rule), max_iters, log_tol, record_every = method
     inv_mu = 1.0 / mu(s, split.beta)
     gamma = None if frac is None else frac * inv_mu
     gamma_min = None if low is None else low * inv_mu
     spec = ScheduleSpec(variant=variant, gamma=gamma, gamma_min=gamma_min, t_rule=rule)
     return RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec,
-                     relaxation=RelaxationPlan(theta=theta, lam=lam), max_iters=max_iters,
-                     fix_res_tol=10.0 ** log_tol, record_every=record_every)
+                     max_iters=max_iters, fix_res_tol=10.0 ** log_tol, record_every=record_every)
 
 
 @given(st.integers(min_value=0, max_value=len(GRID_SETUPS) - 1), st.booleans(),

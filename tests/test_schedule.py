@@ -3,9 +3,7 @@ import pytest
 
 from relsplit.errors import ParameterError
 from relsplit.schedule import (ACCEL, HARMONIC, NORM_RATIO, ZETA_COEFF, ConstantStepsize,
-                               RelaxationPlan, SafeguardStepsize, ScheduleSpec,
-                               positive_variation)
-from relsplit.scheme import feasibility_margin
+                               SafeguardStepsize, ScheduleSpec, positive_variation)
 
 
 def test_constant_schedule():
@@ -109,17 +107,6 @@ def test_zeta_validation():
         SafeguardStepsize(2.0, 0.1, 1.0)  # gamma0 outside bounds
     with pytest.raises(ParameterError):
         SafeguardStepsize(0.5, 1.0, 0.1)
-
-
-def test_relaxation_plan_co_adjusts_lambda():
-    plan = RelaxationPlan()
-    lam, theta = plan.pair(1.0, 1.0)
-    assert theta == 1.0
-    assert feasibility_margin(1.0, lam, theta, 1.0) == pytest.approx(plan.margin_floor, abs=1e-15)
-    fixed = RelaxationPlan(theta=0.5, lam=0.9)
-    assert fixed.pair(1.0, 1.0) == (0.9, 0.5)
-    with pytest.raises(ParameterError):
-        RelaxationPlan(theta=0.0)
 
 
 def test_schedule_spec_defaults():

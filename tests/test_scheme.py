@@ -3,8 +3,8 @@ import pytest
 
 from relsplit import config, graph as graphmod, linalg
 from relsplit.errors import ParameterError, StructuralError
-from relsplit.scheme import (CoefficientScheme, condition_report, eta,
-                             feasibility_margin, kappa_form_scheme, mu, validate)
+from relsplit.scheme import (CoefficientScheme, condition_report, eta, kappa_form_scheme, mu,
+                             validate)
 
 
 def chain_matrices():
@@ -102,12 +102,6 @@ def test_eta_monotone_in_theta_and_gamma():
         gammas = np.linspace(0.1, 1.9, 7) / mu_value
         vals = [eta(1.0, g, mu_value) for g in gammas]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_feasibility_margin_examples():
-    assert feasibility_margin(1.0, 1.0, 1.0, 0.0) == 0.0
-    assert abs(feasibility_margin(1.0, 0.9, 0.5, 1.0) - 0.1) <= 1e-15
-    assert abs(feasibility_margin(1.99, 1.0, 1.0, 1.0) - (-1.99)) <= 1e-15
 
 
 def test_kappa_form_scheme_doubles_d_and_n():
