@@ -5,47 +5,45 @@ that no command reads is a ParameterError, a missing required key a
 StructuralError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
-                or {"n": 3, "arcs": [[1,2],[2,3]]}
     scheme      finite matrices "d", "M", "N", "P", "R" (all required), in place of
                 "graph" (cheap relocators need a graph)
     problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_KEYS of that
-                kind: generator arguments, or finite "A" and "b" inline with the
-                kind's weights ("lam" and "u", or "lam1" and "lam2") for exact rerun
+                kind, the arguments of its generator
     relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
     schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
-                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma",
-                "gamma_min", "gamma_max"}
+                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma"}
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
                 {"kind": "normal", "seed": 0}
 
 A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a
 non-empty list of graph sections: the grid runs once per graph, CSV names
-prefixed by its kind, or "graph" for an arc list; two jobs with one CSV
-name, or a CSV name that is not a file name in out_dir or is summary.csv,
-are an error); "problem", "relocator" and "z0" as above; "budget" (10000
-iterations per method; 20x that caps the reference run where it cannot
-start at the exact minimiser), "fix_res_tol" (1e-10), "record_every" (10),
-"out_dir" ("bench-out") and "methods" ([{"name", "schedule"}, ...], each
-name a non-empty string, else ``default_methods``). ``relsplit validate``
-reads the scheme sections of either document and checks them to
-``scheme.VALIDATION_TOL``; ``run`` and ``bench`` first check a graph's n
-against the problem's resolvent count, before the graph is built.
+prefixed by its kind; two jobs with one CSV name, or a CSV name that is not
+a file name in out_dir or is summary.csv, are an error); "problem",
+"relocator" and "z0" as above; "budget" (10000 iterations per method; 20x
+that caps the reference run where it cannot start at the exact minimiser),
+"fix_res_tol" (1e-10), "record_every" (10), "out_dir" ("bench-out") and
+"methods" ([{"name", "schedule"}, ...], each name a non-empty string, else
+``default_methods``). ``relsplit validate`` reads the scheme sections of
+either document and checks them to ``scheme.VALIDATION_TOL``. Before a graph
+is built, ``run`` and ``bench`` check its n against the problem's resolvent
+count, and ``validate``, which has no problem, against ``MAX_GRAPH_N``.
 
 Counts and sizes (max_iters, record_every, budget, a reference_budget other
-than null or 0, which solve no reference, q, d, graph n, arc endpoints) are
-whole numbers >= 1, seeds and n_corr whole numbers >= 0 (1e3 is 1000; 2.5
-and true are errors, never truncated), fix_res_tol is finite and positive,
-the real values (lam, u, lam1, lam2, noise_sd, the spectrum entries, the
-inline A and b entries, the schedule values, fix_res_tol) are JSON numbers
-(true and "0.01" are errors; gamma, gamma_min and gamma_max may be null);
-lam, lam1, lam2 and the two spectrum entries are also finite and positive.
-Graph-built schemes are run in their kappa form so the configured gamma
-matches the graph-form stepsize conventions (gamma < 2/beta for the chain);
-an explicit scheme must pass the six conditions (``RunConfig``). The LASSO
-is split as B = A^T(A. - b) and its reference solve minimises the same
+than null or 0, which solve no reference, q, d, graph n) are whole numbers
+>= 1, seeds and n_corr whole numbers >= 0 (1e3 is 1000; 2.5 and true are
+errors, never truncated), fix_res_tol is finite and positive, the real
+values (lam, u, lam1, lam2, noise_sd, the spectrum entries, gamma,
+fix_res_tol) are JSON numbers (true and "0.01" are errors; gamma may be
+null); lam, lam1, lam2 and the two spectrum entries are also finite and
+positive. Graph-built schemes are run in their kappa form so the configured
+gamma matches the graph-form stepsize conventions (gamma < 2/beta for the
+chain); an explicit scheme must pass the six conditions (``RunConfig``). The
+LASSO is split as B = A^T(A. - b) and its reference solve minimises the same
 half-quadratic objective. The relaxation is not configured: ``driver`` runs
 theta = 1 with lambda_k co-adjusted to the margin floor ``MARGIN_FLOOR``.
+Nor are the safeguard's bounds: ``ScheduleSpec`` runs gamma_max = 2/mu times
+``SAFETY`` (0.99) and gamma_min = 0.1 * gamma_max.
 """
 
 from __future__ import annotations
@@ -65,15 +63,12 @@ SCHEME_KEYS = {"graph", "graphs", "scheme"}
 RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "run"}
 BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "z0", "budget", "fix_res_tol",
                             "record_every", "out_dir", "methods"}
-# Problem keys besides "kind": (generated instance, matrices inline) per kind.
-PROBLEM_KEYS = {
-    "lasso": ({"q", "d", "seed", "spectrum", "lam", "u"}, {"A", "b", "lam", "u"}),
-    "elastic-net": ({"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2"},
-                    {"A", "b", "lam1", "lam2"}),
-}
+# Problem keys besides "kind": the generator's arguments per kind.
+PROBLEM_KEYS = {"lasso": {"q", "d", "seed", "spectrum", "lam", "u"},
+                "elastic-net": {"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2"}}
 Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed"}}
 SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
-SCHEDULE_REALS = ("gamma", "gamma_min", "gamma_max")   # each may be null
+MAX_GRAPH_N = 1000   # largest graph n that validate, with no problem to bound it, builds
 
 
 def _config_errors(build):
@@ -109,16 +104,17 @@ def _section(name, doc, allowed):
 def build_scheme(doc, resolvents=None):
     """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form).
 
-    Given the problem's count of ``resolvents``, a graph's n must equal it; this is
-    checked before the graph and its n x n matrices are built.
+    A graph's n must equal the problem's count of ``resolvents`` or, without one,
+    be at most MAX_GRAPH_N; this is checked before the graph and its n x n
+    matrices are built.
     """
     if "graph" in doc:
-        g = doc["graph"]
-        _section("graph", g, {"kind", "n"} if "kind" in g else {"n", "arcs"})
-        if resolvents is not None:
-            n = as_count("graph n", g["n"])
-            if n != resolvents:
-                raise StructuralError(f"scheme has n = {n} but {resolvents} resolvents given")
+        g = _section("graph", doc["graph"], {"kind", "n"})
+        n = as_count("graph n", g["n"])
+        if resolvents is None and n > MAX_GRAPH_N:
+            raise ParameterError(f"graph n = {n} is above the bound MAX_GRAPH_N = {MAX_GRAPH_N}")
+        if resolvents is not None and n != resolvents:
+            raise StructuralError(f"scheme has n = {n} but {resolvents} resolvents given")
         return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.graph_from_config(g)))
     if "scheme" in doc:
         sd = _section("scheme", doc["scheme"], {"d", "M", "N", "P", "R"})
@@ -137,7 +133,7 @@ def _schemes(doc, resolvents=None):
     if "graphs" in doc:
         if not doc["graphs"]:
             raise ParameterError("'graphs' needs at least one graph")
-        return [(g.get("kind", "graph"), build_scheme({"graph": g}, resolvents))
+        return [(g.get("kind"), build_scheme({"graph": g}, resolvents))
                 for g in doc["graphs"]]
     return [("", build_scheme(doc, resolvents))]
 
@@ -151,16 +147,8 @@ def build_problem(doc):
     kind = doc.get("kind")
     if kind not in PROBLEM_KEYS:
         raise ParameterError(f"unknown problem kind {kind!r}")
-    generated, inline = PROBLEM_KEYS[kind]
-    _section("problem", doc, (inline if "A" in doc else generated) | {"kind"})
-    if "A" in doc and kind == "lasso":
-        prob = problems.LassoProblem(_numbers("A", doc["A"]), _numbers("b", doc["b"]),
-                                     as_real("lam", doc["lam"]), as_real("u", doc["u"]))
-    elif "A" in doc:
-        prob = problems.ElasticNetProblem(_numbers("A", doc["A"]), _numbers("b", doc["b"]),
-                                          as_real("lam1", doc["lam1"]),
-                                          as_real("lam2", doc["lam2"]))
-    elif kind == "lasso":
+    _section("problem", doc, PROBLEM_KEYS[kind] | {"kind"})
+    if kind == "lasso":
         prob = problems.gen_lasso(
             as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
             spectrum=tuple(as_real("spectrum entry", v) for v in doc.get("spectrum", (0.5, 1.5))),
@@ -191,18 +179,12 @@ def build_z0(doc, s, split):
     return default_z0(s, split, seed=as_whole("z0 seed", doc.get("seed", 0)))
 
 
-def _numbers(name, value):
-    """Nested JSON arrays of numbers (inline A and b) with every entry read by ``as_real``."""
-    if isinstance(value, list):
-        return [_numbers(name, v) for v in value]
-    return as_real(f"{name} entry", value)
-
-
 def _schedule(name, doc):
-    """ScheduleSpec from a schedule section; its real values are JSON numbers or null."""
+    """ScheduleSpec from a schedule section; its gamma is a JSON number or null."""
     _section(name, doc, SCHEDULE_KEYS)
-    return ScheduleSpec(**{key: value if key not in SCHEDULE_REALS or value is None
-                           else as_real(f"{name} {key}", value) for key, value in doc.items()})
+    gamma = doc.get("gamma")
+    return ScheduleSpec(**dict(doc, gamma=gamma if gamma is None
+                               else as_real(f"{name} gamma", gamma)))
 
 
 def _pick_kind(requested, s):

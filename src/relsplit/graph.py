@@ -199,9 +199,7 @@ def scheme_from_graph(g):
 
 
 def graph_from_config(doc):
-    """Build a DiGraph from {"kind": ..., "n": ...} or {"n": ..., "arcs": [[i, j], ...]}."""
-    if "kind" in doc:
-        return canonical(doc["kind"], as_count("graph n", doc["n"]))
-    if "arcs" in doc:
-        return DiGraph(as_count("graph n", doc["n"]), tuple(tuple(a) for a in doc["arcs"]))
-    raise StructuralError("graph config needs either 'kind' or 'arcs'")
+    """Build the canonical DiGraph of a {"kind": ..., "n": ...} graph section."""
+    if "kind" not in doc:
+        raise StructuralError("graph config needs a 'kind'")
+    return canonical(doc["kind"], as_count("graph n", doc["n"]))

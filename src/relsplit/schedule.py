@@ -39,7 +39,7 @@ T_RULES = (NORM_RATIO, ACCEL, HARMONIC)
 ACCEL_GAP = 0.01   # q of the accel rule
 ZETA_COEFF = 0.1   # zeta_k = ZETA_COEFF / (k+1)^ZETA_POWER
 ZETA_POWER = 1.5
-SAFETY = 0.99      # default gamma_max as a fraction of 2/mu
+SAFETY = 0.99      # a ScheduleSpec safeguard's gamma_max as a fraction of 2/mu
 
 
 class ConstantStepsize:
@@ -127,14 +127,13 @@ def positive_variation(gammas):
 class ScheduleSpec:
     """Declarative schedule description; ``build`` resolves defaults from (mu, beta).
 
-    Defaults: gamma_max = 0.99 * (2/mu), gamma_min = 0.1 * gamma_max, and
-    gamma0 = min(1/beta, 1/mu) clamped into [gamma_min, gamma_max].
+    The safeguard's bounds are constants: gamma_max = SAFETY * (2/mu) and
+    gamma_min = 0.1 * gamma_max. gamma (gamma0 of a safeguard) defaults to
+    min(1/beta, 1/mu); a safeguard clamps it into [gamma_min, gamma_max].
     """
 
     variant: str = "constant"
     gamma: float | None = None
-    gamma_min: float | None = None
-    gamma_max: float | None = None
     t_rule: str = NORM_RATIO
 
     def default_gamma(self, mu_value, beta):
@@ -156,16 +155,10 @@ class ScheduleSpec:
             return ConstantStepsize(gamma)
         if self.variant != "safeguard":
             raise ParameterError(f"unknown schedule variant {self.variant!r}")
-        gamma_max = self.gamma_max
-        if gamma_max is None:
-            sup = stepsize_sup(mu_value)
-            if not np.isfinite(sup):
-                raise ParameterError("safeguard needs gamma_max when mu = 0")
-            gamma_max = SAFETY * sup
-        elif not gamma_max < stepsize_sup(mu_value):
-            raise ParameterError(f"gamma_max = {gamma_max} must be < 2/mu strictly")
-        gamma_min = self.gamma_min if self.gamma_min is not None else 0.1 * gamma_max
+        if not mu_value > 0:
+            raise ParameterError("the safeguard needs mu > 0")
+        gamma_max = SAFETY * stepsize_sup(mu_value)
+        gamma_min = 0.1 * gamma_max
         gamma0 = self.gamma if self.gamma is not None else self.default_gamma(mu_value, beta)
         gamma0 = min(max(gamma0, gamma_min), gamma_max)
         return SafeguardStepsize(gamma0, gamma_min, gamma_max, t_rule=self.t_rule, L=beta)
-

@@ -310,12 +310,9 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
     # non-finite problem weights and spectrum entries, with and without a reference solve
     lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
-    inline = {"kind": "lasso", "A": [[1.0, 0.5], [0.0, 1.0]], "b": [1.0, 1.0], "lam": 0.1,
-              "u": 5.0}
     for problem, run_doc in ((dict(lasso, spectrum=[0.5, float("inf")]), {}),
                              (dict(lasso, lam=float("inf")), {}),
                              (dict(lasso, lam=float("inf")), {"reference_budget": 50}),
-                             (dict(inline, lam=float("inf")), {}),
                              (dict(elastic, lam1=float("inf")), {})):
         n = 3 if problem["kind"] == "elastic-net" else 2
         cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
@@ -339,8 +336,7 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
                          else {"kind": "sequential", "n": 2}, problem=problem,
                          relocator="auto")
         assert_usage_error(capsys, main(["run", cfg]))
-    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "sequential", "n": True},
-                  {"n": 2.0000001, "arcs": [[1, 2]]}):
+    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "sequential", "n": True}):
         assert_usage_error(capsys, main(["run", run_config(tmp_path, graph=graph)]))
     # whole numbers written as floats are read as the same sizes and seeds
     written = []
@@ -392,23 +388,21 @@ def test_bench_duplicate_csv_names_exit_2(tmp_path, capsys):
     for name in ("sub/m", "summary", None, ["x"], 7, ""):
         one = dict(spec, methods=[{"name": name, "schedule": {"variant": "constant"}}])
         assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s3.json", one)]))
-    # every arc-list graph gets the CSV prefix "graph"
+    # two graphs of one kind get one CSV prefix
     del spec["graph"]
-    spec.update(graphs=[{"n": 2, "arcs": [[1, 2]]}] * 2, methods=spec["methods"][:1])
+    spec.update(graphs=[{"kind": "sequential", "n": 2}] * 2, methods=spec["methods"][:1])
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s2.json", spec)]))
     assert not (tmp_path / "b").exists()
 
 
-def test_run_warns_on_unconverged_reference(tmp_path, capsys):
+def test_run_warns_on_unconverged_reference(tmp_path, capsys, monkeypatch):
     warning = "warning: reference run did not fully converge; metrics are approximate"
-    # a duplicated column breaks the homotopy: the reference run starts at zero
-    # and stops after 20 iterations
-    prob = problems.gen_lasso(10, 15, 6, lam=0.01, u=5.0)
-    A = prob.A.copy()
-    A[:, 0] = A[:, 1]
-    inline = {"kind": "lasso", "A": A.tolist(), "b": prob.b.tolist(), "lam": 0.01, "u": 5.0}
-    cfg = run_config(tmp_path, problem=inline, run={"max_iters": 50, "reference_budget": 1})
-    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    # without the exact start (as where a tie breaks the homotopy) the reference run
+    # starts at zero and stops after 20 iterations
+    cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 1})
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_exact_start", lambda *args: None)
+        assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 0
     assert warning in capsys.readouterr().out.splitlines()
     # else it starts at the exact minimiser and certifies at any budget, binding box or not
     for u in (5.0, 0.5):
@@ -442,12 +436,10 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     # a JSON boolean or numeric string is no real value: nothing is cast with float()
     lasso = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
-    inline = {"kind": "elastic-net", "A": [[1.0, 0.5], [0.0, 1.0]], "b": [1.0, 1.0],
-              "lam1": 0.1, "lam2": 0.1}
     problems_ = [dict(lasso, lam="0.01"), dict(lasso, lam=True), dict(lasso, u="5"),
                  dict(lasso, spectrum=[True, 2]), dict(lasso, spectrum=["0.5", 1.5]),
                  dict(elastic, lam1="0.01"), dict(elastic, lam2=False),
-                 dict(elastic, noise_sd="0"), dict(inline, lam1=True), dict(inline, lam2="1")]
+                 dict(elastic, noise_sd="0")]
     for problem in problems_:
         n = 3 if problem["kind"] == "elastic-net" else 2
         cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
@@ -462,19 +454,12 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json",
                                                          dict(spec, fix_res_tol=True))]))
     assert not (tmp_path / "b").exists()
-    # schedule values, and inline A and b entries: the message names the key
-    inline_lasso = {"kind": "lasso", "A": [["1", True], [0, 1]], "b": ["1", 2], "lam": 0.1,
-                    "u": 5.0}
-    elastic_graph = {"graph": {"kind": "sequential", "n": 3}, "relocator": "auto"}
-    for overrides, key in (
-            ({"schedule": {"variant": "constant", "gamma": "0.5"}}, "gamma"),
-            ({"schedule": {"variant": "safeguard", "gamma_max": "1"}}, "gamma_max"),
-            ({"problem": inline_lasso}, "A entry"),
-            ({"problem": dict(inline_lasso, A=[[1, 0], [0, 1]])}, "b entry"),
-            ({"problem": dict(inline, b=[1.0, False]), **elastic_graph}, "b entry")):
-        code = main(["run", run_config(tmp_path, run={"max_iters": 20}, **overrides),
+    # a schedule's gamma: the message names the key
+    for gamma in ("0.5", True):
+        schedule = {"variant": "constant", "gamma": gamma}
+        code = main(["run", run_config(tmp_path, schedule=schedule, run={"max_iters": 20}),
                      "--out", str(tmp_path / "bad.csv")])
-        assert f" {key} must be a number" in capsys.readouterr().err
+        assert " gamma must be a number" in capsys.readouterr().err
         assert code == 2 and not (tmp_path / "bad.csv").exists()
     # a number that is not finite, or a spectrum of other than two numbers: the message
     # names the value
@@ -482,7 +467,7 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
                          (dict(lasso, spectrum=[0.5, float("inf")]), "spectrum"),
                          (dict(lasso, spectrum=[0.5, 1.0, 1.5]), "spectrum"),
                          (dict(elastic, lam1=float("inf")), "lam1 must be positive and finite"),
-                         (dict(inline, lam2=float("inf")), "lam2 must be positive and finite")):
+                         (dict(elastic, lam2=float("inf")), "lam2 must be positive and finite")):
         n = 3 if problem["kind"] == "elastic-net" else 2
         cfg = run_config(tmp_path, graph={"kind": "sequential", "n": n}, problem=problem,
                          relocator="auto", run={"max_iters": 20})
@@ -498,15 +483,9 @@ def test_real_values_must_be_json_numbers(tmp_path, capsys):
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
     assert not (tmp_path / "b").exists()
     # null stays where the field allows it
-    schedule = {"variant": "safeguard", "gamma": None, "gamma_max": None}
+    schedule = {"variant": "safeguard", "gamma": None}
     assert main(["run", run_config(tmp_path, schedule=schedule, run={"max_iters": 20}),
                  "--out", str(tmp_path / "ok.csv")]) == 0
-    # arc endpoints are whole numbers: [1, 2.7] is no arc (1, 2)
-    for arcs in ([[1, 2.7]], [[1, True]], [["1", 2]]):
-        graph = {"n": 2, "arcs": arcs}
-        assert_usage_error(capsys, main(["run", run_config(tmp_path, graph=graph)]))
-        assert_usage_error(capsys, main(["validate", write_json(tmp_path / "g.json",
-                                                                {"graph": graph})]))
     # integers are numbers: "lam": 1 runs as 1.0
     written = []
     for lam in (1, 1.0):
@@ -522,8 +501,7 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
     assert_usage_error(capsys, main(["validate", cfg]))
     cfg = write_json(tmp_path / "g.json", {"graph": {"n": 3}})
     assert_usage_error(capsys, main(["validate", cfg]))
-    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "inward-star", "n": True},
-                  {"n": 3.5, "arcs": [[1, 2], [2, 3]]}):
+    for graph in ({"kind": "sequential", "n": 2.5}, {"kind": "inward-star", "n": True}):
         cfg = write_json(tmp_path / "g.json", {"graph": graph})
         assert_usage_error(capsys, main(["validate", cfg]))
     # kappa_form is no scheme key: an explicit scheme has no graph for the cheap relocators
@@ -540,11 +518,14 @@ def test_validate_malformed_value_exits_2(tmp_path, capsys):
 
 
 def test_retired_keys_exit_2(tmp_path, capsys):
-    # the zeta sequence, the LASSO split, the elastic-net scaling, the z0 spread, the
-    # relaxation (theta, lambda and the margin floor) and the validation tolerance are
-    # constants: a document that sets one names it and exits 2
+    # the zeta sequence, the safeguard's bounds, the LASSO split, the elastic-net scaling,
+    # the z0 spread, the relaxation (theta, lambda and the margin floor) and the validation
+    # tolerance are constants, and problems and graphs are generated: a document that
+    # sets one of these keys names it and exits 2
     lasso = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "n_corr": 1}
+    inline = {"kind": "lasso", "A": [[1.0, 0.5], [0.0, 1.0]], "b": [1.0, 1.0], "lam": 0.1,
+              "u": 5.0}
     safeguard = {"variant": "safeguard", "t_rule": "norm-ratio"}
     for key, section, value in (("zeta_coeff", "schedule", dict(safeguard, zeta_coeff=0.1)),
                                 ("zeta_power", "schedule", dict(safeguard, zeta_power=1.5)),
@@ -554,11 +535,16 @@ def test_retired_keys_exit_2(tmp_path, capsys):
                                 ("normalize", "problem", dict(elastic, normalize=True)),
                                 ("scale", "z0", {"kind": "normal", "seed": 0, "scale": 1.0}),
                                 ("relaxation", "relaxation",
-                                 {"theta": 1.0, "lam": None, "margin_floor": 1e-3})):
+                                 {"theta": 1.0, "lam": None, "margin_floor": 1e-3}),
+                                ("gamma_min", "schedule", dict(safeguard, gamma_min=None)),
+                                ("gamma_max", "schedule", dict(safeguard, gamma_max=None)),
+                                ("A", "problem", inline),
+                                ("arcs", "graph", {"n": 2, "arcs": [[1, 2]]})):
         problem = value if section == "problem" else lasso
         schedule = value if section == "schedule" else safeguard
         z0 = value if section == "z0" else {"kind": "zero"}
-        base = {"graph": {"kind": "sequential", "n": 3 if problem is elastic else 2},
+        graph = {"kind": "sequential", "n": 3 if problem is elastic else 2}
+        base = {"graph": value if section == "graph" else graph,
                 "problem": problem, "relocator": "auto"}
         if section == "relaxation":
             base[section] = value
@@ -579,7 +565,8 @@ def test_retired_keys_exit_2(tmp_path, capsys):
 
 def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
     # a LASSO binds 2 resolvents; a graph of n = 100000 would build 75 GiB of n x n
-    # matrices before the binding check, so run and bench compare n first
+    # matrices before the binding check, so run and bench compare n first, and validate,
+    # which has no problem, refuses an n above MAX_GRAPH_N
     real_canonical, real_scheme = graphmod.canonical, graphmod.scheme_from_graph
 
     def canonical(kind, n):
@@ -593,8 +580,7 @@ def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypa
     monkeypatch.setattr(graphmod, "canonical", canonical)
     monkeypatch.setattr(graphmod, "scheme_from_graph", scheme_from_graph)
     n = 100_000
-    chain = {"n": n, "arcs": [[i, i + 1] for i in range(1, n)]}
-    for graph in ({"kind": "sequential", "n": n}, {"kind": "inward-star", "n": 1e5}, chain):
+    for graph in ({"kind": "sequential", "n": n}, {"kind": "inward-star", "n": 1e5}):
         out = tmp_path / "r.csv"
         assert main(["run", run_config(tmp_path, graph=graph), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: scheme has n = {n} but 2 resolvents given\n"
@@ -608,6 +594,17 @@ def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypa
     # a small graph that does not match gets the same message
     assert main(["run", run_config(tmp_path, graph={"kind": "sequential", "n": 5})]) == 2
     assert capsys.readouterr().err == "error: scheme has n = 5 but 2 resolvents given\n"
+    refused = f"error: graph n = {n} is above the bound MAX_GRAPH_N = 1000\n"
+    for doc in ({"graph": {"kind": "sequential", "n": n}}, spec):
+        assert main(["validate", write_json(tmp_path / "v.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == refused and captured.out == ""
+    # n = MAX_GRAPH_N validates, one more is refused
+    monkeypatch.setattr(config, "MAX_GRAPH_N", 40)
+    for size, code in ((40, 0), (41, 2)):
+        assert main(["validate", write_json(tmp_path / "v.json",
+                                            {"graph": {"kind": "sequential", "n": size}})]) == code
+    assert capsys.readouterr().err == "error: graph n = 41 is above the bound MAX_GRAPH_N = 40\n"
 
 
 def test_empty_graphs_list_exits_2(tmp_path, capsys):
@@ -639,14 +636,16 @@ def test_schedule_section_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_nonfinite_problem_data_exits_2(tmp_path, capsys):
-    inline = {"kind": "lasso", "A": [[float("nan"), 1.0]], "b": [1.0], "lam": 0.1, "u": 5.0}
-    assert main(["run", run_config(tmp_path, problem=inline)]) == 2
+    # an infinite noise spread gives a non-finite b
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2, "noise_sd": float("inf")}
+    cfg = run_config(tmp_path, graph={"kind": "sequential", "n": 3}, problem=elastic,
+                     relocator="auto")
+    assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert "problem data A must be finite" in err and "gamma" not in err
+    assert "problem data b must be finite" in err and "gamma" not in err
     # finite entries whose Gram matrix overflows: beta is not finite
     spec = {"graph": {"kind": "sequential", "n": 2},
-            "problem": {"kind": "lasso", "A": [[1e200, 1.0], [0.0, 1e200]], "b": [1.0, 1.0],
-                        "lam": 0.1, "u": 5.0},
+            "problem": {"kind": "lasso", "q": 2, "d": 2, "seed": 2, "spectrum": [1e200, 1e200]},
             "relocator": "davis-yin", "budget": 50, "out_dir": str(tmp_path / "b")}
     assert_usage_error(capsys, main(["bench", write_json(tmp_path / "s.json", spec)]))
     assert not (tmp_path / "b").exists()
@@ -666,25 +665,47 @@ def test_bundled_configs_build_and_validate(path, monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-# A small run config and the places a fuzzed document changes: every key it has, plus
-# unknown and retired keys. Counts and sizes only ever get values that are not numbers,
-# not whole, <= 0 or <= 50, so that no example allocates much or runs long.
+# A small run config and bench spec, and the places a fuzzed document changes: every
+# key they have, plus unknown and retired keys. A slot is the path of keys and list
+# indices to one value; a path through a value that an earlier mutation replaced is
+# skipped. Counts and sizes only ever get values that are not numbers, not whole, <= 0
+# or <= 50, so that no example allocates much or runs long.
 FUZZ_RUN = {
     "graph": {"kind": "sequential", "n": 2},
     "problem": {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0,
                 "spectrum": [0.5, 1.5]},
     "relocator": "auto",
-    "schedule": {"variant": "safeguard", "t_rule": "norm-ratio", "gamma": None,
-                 "gamma_min": None, "gamma_max": None},
+    "schedule": {"variant": "safeguard", "t_rule": "norm-ratio", "gamma": None},
     "run": {"max_iters": 30, "fix_res_tol": 1e-9, "record_every": 10,
             "z0": {"kind": "normal", "seed": 0}, "reference_budget": 5},
 }
-FUZZ_SLOTS = [(section, key) for section, body in FUZZ_RUN.items()
+FUZZ_SLOTS = [(section, key) if key else (section,) for section, body in FUZZ_RUN.items()
               for key in (body if isinstance(body, dict) else [None])]
 FUZZ_SLOTS += [("run", "z0", "kind"), ("run", "z0", "seed"), ("graph", "arcs"),
-               ("problem", "A"), ("problem", "n_corr"), (None, "bogus"), (None, "relaxation"),
-               (None, "tol"), ("schedule", "zeta_coeff"), ("problem", "half_quadratic"),
+               ("problem", "A"), ("problem", "n_corr"), ("bogus",), ("relaxation",),
+               ("tol",), ("schedule", "zeta_coeff"), ("problem", "half_quadratic"),
                ("run", "z0", "scale"), ("graph", "bogus"), ("schedule", "bogus")]
+FUZZ_BENCH = {
+    "graphs": [{"kind": "sequential", "n": 2}],
+    "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0},
+    "relocator": "auto",
+    "z0": {"kind": "normal", "seed": 0},
+    "budget": 30,
+    "fix_res_tol": 1e-9,
+    "record_every": 10,
+    "methods": [{"name": "const", "schedule": {"variant": "constant", "gamma": None}},
+                {"name": "fpr", "schedule": {"variant": "safeguard", "t_rule": "norm-ratio"}}],
+}
+FUZZ_BENCH_SLOTS = [(key,) for key in FUZZ_BENCH]
+FUZZ_BENCH_SLOTS += [("graphs", 0, "kind"), ("graphs", 0, "n"), ("graphs", 0, "arcs"),
+                     ("problem", "q"), ("problem", "d"), ("problem", "kind"), ("problem", "A"),
+                     ("z0", "seed"), ("z0", "scale"), ("methods", 0, "name"),
+                     ("methods", 0, "schedule"), ("methods", 0, "budget"),
+                     ("methods", 0, "schedule", "variant"), ("methods", 0, "schedule", "gamma"),
+                     ("methods", 1, "schedule", "t_rule"), ("methods", 1, "schedule", "gamma"),
+                     ("methods", 1, "schedule", "gamma_min"),
+                     ("methods", 1, "schedule", "gamma_max"), ("bogus",), ("tol",),
+                     ("relaxation",), ("graph",)]
 FUZZ_VALUES = st.one_of(
     st.sampled_from([None, True, False, "", "x", "1", "auto", "lasso", "elastic-net",
                      "constant", "safeguard", "harmonic", "accel", "general", "sequential",
@@ -694,18 +715,31 @@ FUZZ_VALUES = st.one_of(
     st.floats(min_value=-50.0, max_value=50.0))
 
 
-def _fuzzed(mutations):
-    doc = copy.deepcopy(FUZZ_RUN)
-    for slot, value in mutations:
-        *path, key = slot
+def _fuzzed(base, mutations):
+    doc = copy.deepcopy(base)
+    for (*path, key), value in mutations:
         target = doc
         for name in path:
-            target = target.get(name) if isinstance(target, dict) and name else target
-        if key is None:   # the relocator, a bare value
-            doc[path[0]] = value
-        elif isinstance(target, dict):
-            target[key] = value
+            try:
+                target = target[name]
+            except (KeyError, IndexError, TypeError):
+                break
+        else:
+            if isinstance(target, dict):
+                target[key] = value
     return doc
+
+
+def assert_exit_0_1_or_2(argv, doc, written):
+    """``main(argv)`` returns 0, 1 or 2; exit 2 is one error line and ``written`` absent."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (doc, code)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
+        assert not written.exists(), doc
 
 
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_SLOTS), FUZZ_VALUES), min_size=1, max_size=2))
@@ -713,13 +747,21 @@ def _fuzzed(mutations):
 def test_mutated_run_config_exits_0_1_or_2(mutations):
     # wrong JSON types, NaN, +-inf, 0, negatives, unknown and retired keys: the command
     # returns 0, 1 or 2 and never raises, and exit 2 is one error line and no CSV
-    doc = _fuzzed(mutations)
+    doc = _fuzzed(FUZZ_RUN, mutations)
     with tempfile.TemporaryDirectory() as tmp:
-        out, err = Path(tmp) / "out.csv", io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", write_json(Path(tmp) / "cfg.json", doc), "--out", str(out)])
-        assert code in (0, 1, 2), (doc, code)
-        if code == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
-            assert not out.exists(), doc
+        out = Path(tmp) / "out.csv"
+        assert_exit_0_1_or_2(["run", write_json(Path(tmp) / "cfg.json", doc), "--out", str(out)],
+                             doc, out)
+
+
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_BENCH_SLOTS), FUZZ_VALUES),
+                min_size=1, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_mutated_bench_spec_exits_0_1_or_2(mutations):
+    # the graphs list, the methods and their schedules, the limits and retired keys: the
+    # command returns 0, 1 or 2 and never raises, and exit 2 is one error line and no
+    # out_dir
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "bench"
+        doc = _fuzzed(dict(FUZZ_BENCH, out_dir=str(out_dir)), mutations)
+        assert_exit_0_1_or_2(["bench", write_json(Path(tmp) / "spec.json", doc)], doc, out_dir)

@@ -209,20 +209,15 @@ def test_safeguard_run_lipschitz_series_is_small():
 
 def test_margin_violation_aborts_with_partial_trace():
     # gamma*mu in [2 - MARGIN_FLOOR, 2) leaves no positive lambda: a constant stepsize
-    # there aborts at k = 0, and a safeguard one whose gamma_max lies there once its
-    # stepsize enters that band (from gamma_0*mu = 1.99895, at k = 1)
+    # there aborts at k = 0 (a safeguard stays at gamma*mu <= 2 * SAFETY, below the band)
     s, split, _ = small_lasso_setup(10)
-    mu_value = mu(s, split.beta)
-    g0 = 1.99895 / mu_value
-    for spec, k in ((ScheduleSpec(variant="constant", gamma=1.9995 / mu_value), 0),
-                    (ScheduleSpec(variant="safeguard", gamma=g0, gamma_min=g0,
-                                  gamma_max=1.9999 / mu_value), 1)):
-        cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                        max_iters=100, fix_res_tol=1e-12)
-        trace = run(cfg, default_z0(s, split, seed=3))
-        assert trace.aborted.startswith(f"no positive relaxation keeps the margin at k={k} ")
-        assert trace.aborted.endswith("gamma*mu too close to 2)")
-        assert trace.iterations == k == len(trace.k) and not trace.converged
+    spec = ScheduleSpec(variant="constant", gamma=1.9995 / mu(s, split.beta))
+    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                    max_iters=100, fix_res_tol=1e-12)
+    trace = run(cfg, default_z0(s, split, seed=3))
+    assert trace.aborted.startswith("no positive relaxation keeps the margin at k=0 ")
+    assert trace.aborted.endswith("gamma*mu too close to 2)")
+    assert trace.iterations == 0 == len(trace.k) and not trace.converged
 
 
 def test_initial_gamma_out_of_range_raises():
@@ -657,8 +652,6 @@ def test_run_grid_lanes_leave_at_every_stop():
 
     const = lambda g: ScheduleSpec(variant="constant", gamma=g / m)   # noqa: E731
     cfgs = [cfg(const(0.5)), cfg(const(1.2)), cfg(ScheduleSpec(variant="safeguard")),
-            cfg(ScheduleSpec(variant="safeguard", gamma=1.99895 / m, gamma_min=1.99895 / m,
-                             gamma_max=1.9999 / m)),
             cfg(const(1.9995)),
             cfg(ScheduleSpec(variant="safeguard", t_rule="harmonic"), max_iters=40),
             cfg(const(5.0)), cfg(const(0.3)), cfg(const(0.7), max_iters=25)]
@@ -666,9 +659,8 @@ def test_run_grid_lanes_leave_at_every_stop():
     traces = run_grid(cfgs, z0)
     for c, trace in zip(cfgs, traces):
         assert_same_trace(trace, run_or_abort(c, z0))
-    assert [t.iterations for t in traces] == [60, 1, 2, 1, 0, 3, 0, 60, 25]
+    assert [t.iterations for t in traces] == [60, 1, 2, 0, 3, 0, 60, 25]
     texts = [None, "non-finite fix_res = nan at k=0", "gamma_2 = nan outside",
-             "no positive relaxation keeps the margin at k=1",
              "no positive relaxation keeps the margin at k=0", "non-finite fix_res = nan at k=2",
              "constant gamma", None, None]
     for trace, text in zip(traces, texts):

@@ -21,7 +21,8 @@ def test_removed_names_are_absent():
     for module, name in REMOVED:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name not in relsplit.__all__ and not hasattr(relsplit, name)
-    assert not {"accel_gap", "safety"} & set(schedule.ScheduleSpec.__dataclass_fields__)
+    # the safeguard's bounds are SAFETY * 2/mu and a tenth of that, not fields
+    assert list(schedule.ScheduleSpec.__dataclass_fields__) == ["variant", "gamma", "t_rule"]
     assert "accel_gap" not in inspect.signature(schedule.SafeguardStepsize).parameters
     assert "beta" not in inspect.signature(driver.run_davis_yin).parameters
     # both loops take one RunConfig (and an optional z0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relsplit import config, driver, problems
+from relsplit import driver, problems
 from relsplit.driver import RunConfig, run
 from relsplit.errors import ParameterError
 from relsplit.linalg import spectral_norm
@@ -260,22 +260,6 @@ def test_duplicated_columns_fall_back_without_an_exception(reference_loops):
         if z0 is not None:
             assert (trace.iterations, ref.flagged) == (1, False)
     assert not all(starts) and any(starts)
-
-
-def test_problem_serialization_roundtrip():
-    # a generated instance written inline builds the same problem through the config reader
-    lasso = gen_lasso(4, 6, seed=13)
-    doc = {"kind": "lasso", "A": lasso.A.tolist(), "b": lasso.b.tolist(),
-           "lam": lasso.lam, "u": lasso.u}
-    back = config.build_problem(doc)[0]
-    assert np.array_equal(back.A, lasso.A) and np.array_equal(back.b, lasso.b)
-    assert (back.lam, back.u) == (lasso.lam, lasso.u)
-    en = gen_elastic_net(4, 6, seed=13)
-    doc = {"kind": "elastic-net", "A": en.A.tolist(), "b": en.b.tolist(),
-           "lam1": en.lam1, "lam2": en.lam2}
-    back = config.build_problem(doc)[0]
-    assert np.array_equal(back.A, en.A) and np.array_equal(back.b, en.b)
-    assert (back.lam1, back.lam2) == (en.lam1, en.lam2)
 
 
 def test_metrics_fill_columns(iterates):

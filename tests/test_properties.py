@@ -69,9 +69,8 @@ def test_safeguard_emissions_stay_in_bounds(num, den, steps):
 GRID_SETUPS = [small_lasso_setup(3)[:2] + (DAVIS_YIN,)]
 GRID_SETUPS += [small_elastic_setup(5, kind)[:2] + (kind,) for kind in CANONICAL_KINDS]
 fractions = st.floats(min_value=0.05, max_value=2.1)   # of 1/mu; above 2 a constant is refused
-# (variant, gamma and gamma_min as fractions of 1/mu, t_rule); a constant reads only gamma
+# (variant, gamma as a fraction of 1/mu, t_rule); a constant reads only gamma
 schedules = st.tuples(st.sampled_from(["constant", "safeguard"]), st.one_of(st.none(), fractions),
-                      st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.9)),
                       st.sampled_from(T_RULES))
 # (schedule, max_iters, log10 of fix_res_tol, record_every)
 methods = st.tuples(schedules, st.integers(min_value=1, max_value=60),
@@ -79,11 +78,9 @@ methods = st.tuples(schedules, st.integers(min_value=1, max_value=60),
 
 
 def grid_config(s, split, kind, method):
-    (variant, frac, low, rule), max_iters, log_tol, record_every = method
-    inv_mu = 1.0 / mu(s, split.beta)
-    gamma = None if frac is None else frac * inv_mu
-    gamma_min = None if low is None else low * inv_mu
-    spec = ScheduleSpec(variant=variant, gamma=gamma, gamma_min=gamma_min, t_rule=rule)
+    (variant, frac, rule), max_iters, log_tol, record_every = method
+    gamma = None if frac is None else frac / mu(s, split.beta)
+    spec = ScheduleSpec(variant=variant, gamma=gamma, t_rule=rule)
     return RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec,
                      max_iters=max_iters, fix_res_tol=10.0 ** log_tol, record_every=record_every)
 
