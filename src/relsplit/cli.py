@@ -9,6 +9,9 @@ A bench spec's methods on one graph share its scheme, problem and z0, and
 ``driver.run_grid`` runs each such group from one step plan: three or more,
 under any relocator, as lanes of one stack, a smaller group one method
 after another; either way each method's trace is that of its own ``run``.
+A stack pays each iteration's numpy calls once for all its lanes and
+per-lane Python only where they differ: a constant-stepsize method makes
+no schedule call after its first iteration.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ that caps the reference run where it cannot start at the exact minimiser),
 "fix_res_tol" (1e-10), "record_every" (10), "out_dir" ("bench-out") and
 "methods" ([{"name", "schedule"}, ...], each name a non-empty string, else
 ``default_methods``). ``relsplit validate`` reads the scheme sections of
-either document and checks them to ``scheme.VALIDATION_TOL``. Before a graph
-is built, ``run`` and ``bench`` check its n against the problem's resolvent
-count, and ``validate``, which has no problem, against ``MAX_GRAPH_N``.
+either document and checks them to ``scheme.VALIDATION_TOL``, and, when the
+document has a problem, that each scheme binds its operators, as ``run`` and
+``bench`` do. Before a graph is built, ``run`` and ``bench`` check its n
+against the problem's resolvent count, and ``validate`` against
+``MAX_GRAPH_N``.
 
 Counts and sizes (max_iters, record_every, budget, a reference_budget other
 than null or 0, which solve no reference, q, d, graph n) are whole numbers
@@ -290,6 +292,15 @@ def build_bench(doc):
 
 @_config_errors
 def build_validate(doc):
-    """[(name prefix, scheme)] from a run config or bench spec."""
+    """[(name prefix, scheme)] from a run config or bench spec.
+
+    With a 'problem' section, each scheme must bind the problem's operators
+    (``engine.check_binding``), as ``run`` and ``bench`` require.
+    """
     _section("config", doc, RUN_KEYS | BENCH_KEYS)
-    return _schemes(doc)
+    schemes = _schemes(doc)
+    if "problem" in doc:
+        split = build_problem(doc["problem"])[1]
+        for _, s in schemes:
+            engine.check_binding(s, split)
+    return schemes

@@ -47,7 +47,11 @@ same generated step plan, and ``_Lanes``, the stack's control, applies each
 lane's own ``_RunControl``. So each lane's schedule, stop test, trace and
 evaluation count are those of its own ``run``, and its trace is bitwise
 that run's. Each resolvent is still called once per lane per evaluation;
-the other numpy calls of an iteration serve all lanes. A lane leaves the
+the other numpy calls of an iteration serve all lanes. The stack pays
+per-lane Python only where lanes differ: after k = 0 only a lane whose
+stepsize moves calls its control's ``start`` and ``next_gamma``, one pass
+over the stack's fix_res finds the lanes that stop, and a lane's ``check``
+runs only when it stops or may record a row. A lane leaves the
 stack when its run ends; when fewer than ``MIN_LANES`` lanes start an
 iteration, each continues in ``_iterate`` on a block-plan ``_EngineStep``
 from its exact state. A smaller group runs its methods one after another
@@ -78,7 +82,7 @@ import numpy as np
 from . import engine, relocator, scheme as schememod
 from .errors import ParameterError, StructuralError, as_count
 from .linalg import as_blocks, norm
-from .schedule import ScheduleSpec
+from .schedule import ConstantStepsize, ScheduleSpec
 
 CSV_HEADER = "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
 _NAN = float("nan")
@@ -197,6 +201,8 @@ class _RunControl:
         self.tol, self.record_every = cfg.fix_res_tol, cfg.record_every
         self.sup = schememod.stepsize_sup(mu_value)
         self.k, self.gamma = 0, self.sched.gamma
+        # a constant stepsize never changes gamma, lambda_k or the ratio 1 after k = 0
+        self.moves = not isinstance(self.sched, ConstantStepsize)
 
     def start(self, k):
         """True when iteration k runs: k < max_iters and lambda_k > 0.
@@ -250,6 +256,12 @@ class _RunControl:
                 trace.rel_err_f.append(_NAN)
             trace.sweeps.append(evals)
         return stop
+
+    def next_row(self, k):
+        """The first k' > k at which ``check`` records a row when the run does not stop there."""
+        every = self.record_every
+        after = k - k % every + every
+        return self.last if k < self.last < after else after
 
     def next_gamma(self, k, step, *lane):
         """gamma_{k+1}/gamma_k, or None when gamma_{k+1} leaves (0, 2/mu), which aborts the run.
@@ -411,60 +423,105 @@ MIN_LANES = 3   # below this, per-lane Python work costs more than the shared nu
 class _Lanes:
     """The control of a stack of runs, which one ``_iterate`` call drives on a lane-plan step.
 
-    It applies each lane's own ``_RunControl`` methods, with the stack's
+    Each lane is one run's ``_RunControl``, called with the stack's
     ``_EngineStep`` and the lane's index, so each lane's schedule, stop test,
-    trace and evaluation count are those of its own ``run``. ``gamma`` lists
-    the lanes' stepsizes and ``lam`` is their (L, 1, 1) column of lambda_k.
+    trace and evaluation count are those of its own ``run``. Per-lane Python
+    runs only where lanes differ:
+
+    * ``gamma`` (the lanes' stepsizes), ``lam`` (their (L, 1, 1) column of
+      lambda_k) and ``ratio`` (their column of gamma_{k+1}/gamma_k) are kept
+      as state. Each iteration, only a lane whose stepsize moves
+      (``_RunControl.moves``) calls its ``start`` and ``next_gamma`` and
+      updates its entries in place. Every lane starts at k = 0 and at
+      ``end``, the stack's first max_iters.
+    * ``check`` finds the lanes that stop in one pass over the stack's
+      fix_res and calls only their ``check``, or every lane's at ``row``,
+      the first k at which some lane may record a row
+      (``_RunControl.next_row``).
+    * ``iterations``, the count of iterations every lane has finished, is
+      kept once for the stack and written into a lane's trace when it
+      leaves or is handed off.
+
     A lane whose run ends is finished at the step's state and dropped
     (``_EngineStep.keep``), before any further resolvent call for it. When
     fewer than MIN_LANES lanes start an iteration, ``finish`` hands each to
     ``_iterate`` on a step of the group's block plan, from its exact state.
     """
 
-    k = 0
+    k = iterations = row = end = 0   # every lane starts at k = 0 = end
 
     def __init__(self, lanes, step, block_plan):
         self.lanes, self.step, self.block_plan = lanes, step, block_plan
+        self.gamma = [lane.gamma for lane in lanes]
+        self.lam = np.zeros((len(lanes), 1, 1))   # set by every lane's start(0)
+        self.ratio = np.ones_like(self.lam)
 
-    @property
-    def gamma(self):
-        return [lane.gamma for lane in self.lanes]
-
-    @property
-    def lam(self):
-        return np.array([lane.lam for lane in self.lanes])[:, None, None]
-
-    def _keep(self, going):
-        """Finish the lanes whose run ended (``going`` false) and drop them from the stack."""
-        if all(going):
-            return
-        for i, (lane, on) in enumerate(zip(self.lanes, going)):
-            if not on:
-                lane.finish(self.step, i)
-        keep = [i for i, on in enumerate(going) if on]
-        self.lanes = [self.lanes[i] for i in keep]
-        self.step.keep(keep)
+    def _drop(self, ended):
+        """Finish the lanes at the indices ``ended``, drop them from the stack and re-index it."""
+        lanes = self.lanes
+        for i in ended:
+            lanes[i].trace.iterations = self.iterations
+            lanes[i].finish(self.step, i)
+        if ended:
+            keep = [i for i in range(len(lanes)) if i not in ended]
+            self.lanes = lanes = [lanes[i] for i in keep]
+            self.step.keep(keep)
+            self.gamma = [self.gamma[i] for i in keep]
+            self.lam, self.ratio = self.lam[keep], self.ratio[keep]
+        self.moving = [i for i, lane in enumerate(lanes) if lane.moves]
+        self.tol = [lane.tol for lane in lanes]
+        self.end = min((lane.max_iters for lane in lanes), default=0)
 
     def start(self, k):
-        self._keep([lane.start(k) for lane in self.lanes])
+        lanes, lam, every = self.lanes, self.lam, k == self.end
+        ended = []
+        for i in range(len(lanes)) if every else self.moving:
+            if lanes[i].start(k):
+                lam[i] = lanes[i].lam
+            else:
+                ended.append(i)
+        if ended or every:
+            self._drop(ended)
         return len(self.lanes) >= MIN_LANES
 
     def check(self, k, fix_res, step):
-        self._keep([not lane.check(k, r, step, i)
-                    for i, (lane, r) in enumerate(zip(self.lanes, fix_res))])
+        self.iterations = k + 1
+        lanes = self.lanes
+        if k == self.row:
+            checked = range(len(lanes))
+            self.row = min(lane.next_row(k) for lane in lanes)
+        else:   # the lanes whose run stops at k, as their check decides
+            checked = [i for i, (r, tol) in enumerate(zip(fix_res, self.tol))
+                       if not tol < r < _INF]
+            if not checked:
+                return False
+        ended = [i for i in checked if lanes[i].check(k, fix_res[i], step, i)]
+        if ended:
+            self._drop(ended)
         return not self.lanes
 
     def next_gamma(self, k, step):
         """The lanes' column of gamma_{k+1}/gamma_k, 1.0 when every ratio is 1, or None."""
-        ratios = [lane.next_gamma(k, step, i) for i, lane in enumerate(self.lanes)]
-        self._keep([r is not None for r in ratios])
-        ratios = [r for r in ratios if r is not None]
-        if not ratios:
-            return None
-        return 1.0 if all(r == 1.0 for r in ratios) else np.array(ratios)[:, None, None]
+        lanes, gamma, ratio = self.lanes, self.gamma, self.ratio
+        moved, ended = False, []
+        for i in self.moving:
+            lane = lanes[i]
+            r = lane.next_gamma(k, step, i)
+            if r is None:
+                ended.append(i)
+            else:
+                gamma[i] = lane.gamma
+                ratio[i] = r
+                moved = moved or r != 1.0
+        if ended:
+            self._drop(ended)
+            if not self.lanes:
+                return None
+        return self.ratio if moved else 1.0
 
     def finish(self, step):
         for i, lane in enumerate(self.lanes):
+            lane.k = lane.trace.iterations = self.iterations
             _iterate(_EngineStep(self.block_plan, step.K, step.z[i], _lanes_of(step.x1, i),
                                  _lanes_of(step.xs, i), step.evals), lane)
 
@@ -480,7 +537,8 @@ def run_grid(cfgs, z0=None):
     ``Trace(aborted=<the error>)``. MIN_LANES or more runs iterate as the
     lanes of one stack (``_Lanes``): each iteration's numpy calls serve
     every lane, while every resolvent is still called once per lane per
-    evaluation. Fewer runs iterate one after another on the block plan.
+    evaluation, and per-lane Python runs only where lanes differ. Fewer
+    runs iterate one after another on the block plan.
     """
     cfgs = list(cfgs)
     if not cfgs:

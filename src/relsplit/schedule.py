@@ -25,6 +25,7 @@ lambda_k to the feasibility margin at each gamma_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ class SafeguardStepsize:
             g, L = self.gamma, self.L
             q = ACCEL_GAP
             return (-2.0 * g * g * q / (2.0 * L)
-                    + np.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
+                    + math.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
         if x_next_minus_w_norm == 0.0:
             # x_{k+1} = w_k: the ratio diverges as the iterate converges; the
             # clamped limit is the upper safeguard.

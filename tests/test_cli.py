@@ -607,6 +607,28 @@ def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == "error: graph n = 41 is above the bound MAX_GRAPH_N = 40\n"
 
 
+def test_validate_refuses_a_scheme_that_does_not_match_its_problem(tmp_path, capsys):
+    # the error run and bench give: a LASSO binds 2 resolvents and an elastic net 3
+    lasso = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
+    elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2}
+    bench = {"graphs": [{"kind": "sequential", "n": 3}, {"kind": "inward-star", "n": 4}],
+             "problem": elastic, "budget": 50, "out_dir": str(tmp_path / "b")}
+    for doc, message in (({"graph": {"kind": "sequential", "n": 5}, "problem": lasso},
+                          "scheme has n = 5 but 2 resolvents given"),
+                         (bench, "scheme has n = 4 but 3 resolvents given"),
+                         ({"scheme": DY_SCHEME, "problem": elastic},
+                          "scheme has n = 2 but 3 resolvents given")):
+        assert main(["validate", write_json(tmp_path / "v.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "b").exists()
+    # the same documents with a matching problem or graph validate
+    for doc in ({"graph": {"kind": "sequential", "n": 2}, "problem": lasso},
+                dict(bench, graphs=bench["graphs"][:1]), {"scheme": DY_SCHEME, "problem": lasso}):
+        assert main(["validate", write_json(tmp_path / "v.json", doc)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 6
+
+
 def test_empty_graphs_list_exits_2(tmp_path, capsys):
     spec = {"graphs": [], "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
             "budget": 50, "out_dir": str(tmp_path / "b")}

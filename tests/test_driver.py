@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsplit import config, driver, operators, problems
+from relsplit import config, driver, operators, problems, schedule
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin, run_grid
 from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
@@ -703,3 +703,39 @@ def test_lane_resolve_calls_equal_resolvent_evals(monkeypatch):
             calls[0] = 0
             traces = run_grid(cfgs, z0)
             assert calls[0] == sum(t.resolvent_evals for t in traces) > 0
+
+
+def test_stack_calls_lane_controls_only_where_lanes_differ(monkeypatch):
+    # a constant lane starts at k = 0 and at its max_iters and never asks its schedule
+    # for a stepsize; a safeguard lane makes one schedule call per iteration
+    calls = {"constant": 0, "safeguard": 0, "start": 0}
+
+    def counting(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    for key, cls, name in (("constant", schedule.ConstantStepsize, "next_gamma"),
+                           ("safeguard", schedule.SafeguardStepsize, "next_gamma"),
+                           ("start", driver._RunControl, "start")):
+        monkeypatch.setattr(cls, name, counting(key, getattr(cls, name)))
+    s, split, _ = small_lasso_setup(21)
+    m = mu(s, split.beta)
+
+    def cfg(spec):
+        return RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                         max_iters=50, record_every=10, fix_res_tol=1e-300)
+
+    constants = [cfg(ScheduleSpec(variant="constant", gamma=(0.3 + 0.2 * i) / m))
+                 for i in range(driver.MIN_LANES)]
+    z0 = default_z0(s, split, seed=2)
+    for cfgs in (constants, constants + [cfg(ScheduleSpec(variant="safeguard"))]):
+        for key in calls:
+            calls[key] = 0
+        traces = run_grid(cfgs, z0)
+        assert [t.iterations for t in traces] == [50] * len(cfgs)
+        assert all(t.aborted is None and len(t.k) == 6 for t in traces)
+        safeguards = len(cfgs) - len(constants)
+        assert calls["constant"] == 0 and calls["safeguard"] == 50 * safeguards
+        assert calls["start"] == 2 * len(constants) + 51 * safeguards

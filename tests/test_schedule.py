@@ -56,6 +56,14 @@ def test_accel_rule_value():
     assert ScheduleSpec(variant="safeguard", t_rule=ACCEL).build(2.0, 1.5).L == 1.5
 
 
+@pytest.mark.parametrize("rule", [NORM_RATIO, ACCEL, HARMONIC])
+def test_every_rule_emits_a_python_float(rule):
+    # a numpy scalar gamma would ride through a whole run, trace rows included
+    sched = SafeguardStepsize(0.5, 0.1, 1.0, t_rule=rule, L=2.0)
+    for _ in range(3):
+        assert type(sched.next_gamma(3.0, 4.0)) is float
+
+
 def test_norm_ratio_degenerate_denominator_uses_gamma_max():
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO)
     assert sched._target(5.0, 0.0) == 2.0
