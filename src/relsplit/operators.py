@@ -121,6 +121,12 @@ class CocoerciveOp:
         raise NotImplementedError
 
 
+# Bytes of A per row block of the factored least-squares gradient. A block is
+# read from memory once per evaluation and then reused from cache, so it should
+# fit in L2 beside the vectors (1 MiB: half of a 2 MiB L2).
+BLOCK_BYTES = 1 << 20
+
+
 class LeastSquaresGrad(CocoerciveOp):
     """B(x) = A^T (A x - b), the gradient of (1/2)||Ax - b||^2.
 
@@ -128,6 +134,17 @@ class LeastSquaresGrad(CocoerciveOp):
     2q < d, ``apply`` computes the factored ``A^T (A x - b)`` and no d x d
     array is built. Otherwise it computes ``G x - A^T b`` with the
     precomputed Gram matrix G = A^T A.
+
+    The factored form runs over row blocks A_i of A, each ``h`` rows holding
+    at most ``BLOCK_BYTES`` of A, ``h`` a multiple of 8, with the remainder
+    rows folded into the last block. For each block it writes
+    r_i = A_i x - b_i and forms A_i^T r_i while A_i is still cached, so A is
+    read from memory once per evaluation instead of twice. The partial
+    products are summed in block order. Successive calls visit the blocks in
+    alternating direction, so a call starts on the block the previous one
+    read last; the summation order is fixed, so the bits do not depend on
+    call history. An A of fewer than 2h rows is one block, evaluated as
+    ``A.T @ (A @ x - b)``.
 
     beta = lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
@@ -143,15 +160,38 @@ class LeastSquaresGrad(CocoerciveOp):
         self.b = b
         q, self.dim = A.shape
         self._gram = None
-        self._memo = None   # (bytes of the factored apply's last x, its A x - b)
+        self._blocks = None  # the factored form's (A_i, b_i, rows of A_i)
+        self._memo = None    # (bytes of the factored apply's last x, its A x - b)
         # an overflowing A^T A leaves beta non-finite, which SplitProblem rejects
         with np.errstate(over="ignore"):
             if 2 * q < self.dim:
                 self.beta = lambda_max(A @ A.T)
+                # rows per block: as many as BLOCK_BYTES holds, down to a multiple of 8
+                h = max(8, BLOCK_BYTES // (8 * self.dim) // 8 * 8)
+                cuts = [i * h for i in range(max(q // h, 1))] + [q]
+                self._blocks = [(A[lo:hi], b[lo:hi], slice(lo, hi))
+                                for lo, hi in zip(cuts, cuts[1:])]
+                self._backward = False
             else:
                 self._gram = A.T @ A
                 self._atb = A.T @ b
                 self.beta = lambda_max(self._gram if q >= self.dim else A @ A.T)
+
+    def _factored(self, x, r):
+        """Write A x - b into r block by block and return A^T r."""
+        blocks = self._blocks
+        order = range(len(blocks))
+        if self._backward:
+            order = reversed(order)
+        self._backward = not self._backward
+        parts = [None] * len(blocks)
+        for i in order:
+            a, b, rows = blocks[i]
+            ri = r[rows]
+            np.matmul(a, x, out=ri)
+            np.subtract(ri, b, out=ri)
+            parts[i] = a.T @ ri
+        return sum(parts[1:], parts[0])  # in block order, whatever the visiting order
 
     def apply(self, x):
         """B x of a d-vector, or of each row of an (L, d) stack of lanes.
@@ -169,24 +209,35 @@ class LeastSquaresGrad(CocoerciveOp):
             if x.ndim == 1:
                 return self._gram @ x - self._atb
             return np.matmul(self._gram, x[..., None])[..., 0] - self._atb
+        r = np.empty(self.b.shape)
         if x.ndim == 2:
-            return np.array([self.A.T @ (self.A @ row - self.b) for row in x])
-        r = self.A @ x - self.b
+            out = np.empty(x.shape)
+            for row, x_row in zip(out, x):
+                row[...] = self._factored(x_row, r)
+            return out
+        out = self._factored(x, r)
         r.flags.writeable = False
         self._memo = (x.tobytes(), r)
-        return self.A.T @ r
+        return out
 
     def residual(self, x):
-        """A x - b at x.
+        """A x - b at a d-vector x.
 
         When x is bitwise the factored ``apply``'s last input, this is that
-        apply's residual (shared, so read-only); otherwise it is computed.
+        apply's residual (shared, so read-only); otherwise it is computed,
+        in the factored form by the same blocked evaluation.
         """
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise StructuralError(f"expected vector of dim {self.dim}, got shape {x.shape}")
         memo = self._memo
-        if memo is not None and x.shape == (self.dim,) and memo[0] == x.tobytes():
+        if memo is not None and memo[0] == x.tobytes():
             return memo[1]
-        return self.A @ x - self.b
+        if self._blocks is None:
+            return self.A @ x - self.b
+        r = np.empty(self.b.shape)
+        self._factored(x, r)
+        return r
 
 
 @dataclass(frozen=True)

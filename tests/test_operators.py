@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsplit.errors import ParameterError, StructuralError
-from relsplit.operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad,
+from relsplit.operators import (BLOCK_BYTES, BoxNormalCone, L1Subdiff, LeastSquaresGrad,
                                 NonnegNormalCone, ScaledIdentity, ZeroForward, ZeroOp,
                                 check_resolvent_identity, lambda_max, soft_threshold)
 from relsplit.problems import gen_lasso
@@ -183,7 +185,15 @@ def _ls_data(q, d, seed=20):
     return rng.standard_normal((q, d)), rng.standard_normal(q), rng.standard_normal(d)
 
 
-@pytest.mark.parametrize("shape", [(10, 40), (20, 40), (40, 10)])
+# A d = 1000 factored operator, the size of the elastic-general-large workload,
+# takes row blocks of H rows: q = 2H - 1 is the largest single block (the
+# remainder is folded into the last block), 2H the smallest pair, 257 an odd
+# pair and 3H + 5 three blocks.
+H = BLOCK_BYTES // (8 * 1000) // 8 * 8
+BLOCKED = [(2 * H - 1, 1000), (2 * H, 1000), (257, 1000), (3 * H + 5, 1000)]
+
+
+@pytest.mark.parametrize("shape", [(10, 40), (20, 40), (40, 10), (257, 1000), (3 * H + 5, 1000)])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_least_squares_forms_match_the_gradient(shape, scale):
     # scale A and b by sqrt(s): the gradient s A^T (A x - b) of (s/2)||Ax - b||^2;
@@ -220,13 +230,18 @@ def test_gram_form_beta_is_bitwise_the_small_gram_value():
 
 
 def test_residual_is_recomputed_for_another_input():
-    a, b, x1 = _ls_data(10, 40)
-    x2 = x1 + 1.0
-    op = LeastSquaresGrad(a, b)
-    op.apply(x1)
-    assert op.residual(x1) is op._memo[1]
-    assert np.array_equal(op.residual(x1), a @ x1 - b)
-    assert np.array_equal(op.residual(x2), a @ x2 - b)
+    # row blocks start on a multiple of 8 and no block is a short tail, so each
+    # block's rows are the bits one A @ x gives them (OpenBLAS 0.3.31, these shapes)
+    for shape in [(10, 40)] + BLOCKED:
+        a, b, x1 = _ls_data(*shape)
+        x2 = x1 + 1.0
+        op = LeastSquaresGrad(a, b)
+        op.apply(x1)
+        assert op.residual(x1) is op._memo[1]
+        assert np.array_equal(op.residual(x1), a @ x1 - b)
+        assert np.array_equal(op.residual(x2), a @ x2 - b)
+        op._memo = None
+        assert np.array_equal(op.residual(x1), a @ x1 - b)
 
 
 def test_residual_is_not_stale_after_the_input_is_mutated():
@@ -237,12 +252,13 @@ def test_residual_is_not_stale_after_the_input_is_mutated():
     assert np.array_equal(op.residual(x1), a @ x1 - b)
 
 
-@pytest.mark.parametrize("shape", [(40, 10), (20, 40), (10, 40), (7, 7)],
-                         ids=["gram-tall", "gram-wide", "factored", "gram-square"])
-@pytest.mark.parametrize("lanes", [1, 2, 6])
+@pytest.mark.parametrize("shape", [(40, 10), (20, 40), (10, 40), (257, 1000), (7, 7)],
+                         ids=["gram-tall", "gram-wide", "factored", "factored-blocks",
+                              "gram-square"])
+@pytest.mark.parametrize("lanes", [0, 1, 2, 6])
 def test_stacked_apply_is_the_apply_of_each_row(shape, lanes):
     # a stack of lanes must give each lane the bits of its own apply, so a lane's
-    # trace equals its single run's
+    # trace equals its single run's; an empty stack keeps its (0, d) shape
     a, b, x = _ls_data(*shape)
     stack = np.random.default_rng(lanes).standard_normal((lanes, shape[1]))
     for op in (LeastSquaresGrad(a, b), ScaledIdentity(0.3), ZeroForward()):
@@ -260,3 +276,45 @@ def test_stacked_apply_keeps_no_residual():
     memo = op._memo
     op.apply(np.vstack([x + 1.0, x]))
     assert op._memo is memo
+
+
+def test_residual_takes_only_a_d_vector():
+    a, b, x = _ls_data(10, 40)
+    for op in (LeastSquaresGrad(a, b), LeastSquaresGrad(a.T, x)):
+        dim = op.dim
+        for bad in (np.ones(dim - 1), np.ones((2, dim)), np.float64(1.0)):
+            message = f"expected vector of dim {dim}, got shape {bad.shape}"
+            with pytest.raises(StructuralError, match=re.escape(message)):
+                op.residual(bad)
+
+
+@pytest.mark.parametrize("shape", BLOCKED)
+def test_blocks_cover_the_rows_in_multiples_of_eight(shape):
+    op = LeastSquaresGrad(*_ls_data(*shape)[:2])
+    rows = [rows for _, _, rows in op._blocks]
+    assert len(rows) == max(shape[0] // H, 1)
+    assert rows[0].start == 0 and rows[-1].stop == shape[0]
+    assert all(r.stop == s.start for r, s in zip(rows, rows[1:]))
+    assert all(r.stop - r.start == H for r in rows[:-1])
+    assert H <= rows[-1].stop - rows[-1].start < 2 * H
+
+
+@pytest.mark.parametrize("shape", BLOCKED)
+def test_blocked_apply_does_not_depend_on_call_history(shape):
+    # successive calls visit the blocks in alternating direction; the partial
+    # products are summed in one order, so the bits never show it
+    a, b, x = _ls_data(*shape)
+    op = LeastSquaresGrad(a, b)
+    first = op.apply(x)
+    assert np.array_equal(op.apply(x), first)
+    op.apply(x + 1.0)
+    assert np.array_equal(op.apply(x), first)
+    assert np.array_equal(op.apply(np.vstack([x, x, x]))[1], first)
+
+
+@pytest.mark.parametrize("shape", [(2 * H - 1, 1000), (10, 40), (1, 3)])
+def test_single_block_gradient_keeps_the_unblocked_bits(shape):
+    a, b, x = _ls_data(*shape)
+    op = LeastSquaresGrad(a, b)
+    assert len(op._blocks) == 1
+    assert np.array_equal(op.apply(x), a.T @ (a @ x - b))
