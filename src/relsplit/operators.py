@@ -144,7 +144,7 @@ class LeastSquaresGrad(CocoerciveOp):
     alternating direction, so a call starts on the block the previous one
     read last; the summation order is fixed, so the bits do not depend on
     call history. An A of fewer than 2h rows is one block, evaluated as
-    ``A.T @ (A @ x - b)``.
+    ``A.T @ (A @ x - b)`` with the bits of that expression.
 
     beta = lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
@@ -177,13 +177,17 @@ class LeastSquaresGrad(CocoerciveOp):
                 self._atb = A.T @ b
                 self.beta = lambda_max(self._gram if q >= self.dim else A @ A.T)
 
-    def _factored(self, x, r):
-        """Write A x - b into r block by block and return A^T r."""
+    def _factored(self, x):
+        """A x - b and A^T (A x - b), the block products summed in block order."""
         blocks = self._blocks
+        if len(blocks) == 1:
+            r = self.A @ x - self.b
+            return r, self.A.T @ r
         order = range(len(blocks))
         if self._backward:
             order = reversed(order)
         self._backward = not self._backward
+        r = np.empty(self.b.shape)
         parts = [None] * len(blocks)
         for i in order:
             a, b, rows = blocks[i]
@@ -191,7 +195,7 @@ class LeastSquaresGrad(CocoerciveOp):
             np.matmul(a, x, out=ri)
             np.subtract(ri, b, out=ri)
             parts[i] = a.T @ ri
-        return sum(parts[1:], parts[0])  # in block order, whatever the visiting order
+        return r, sum(parts[1:], parts[0])  # in block order, whatever the visiting order
 
     def apply(self, x):
         """B x of a d-vector, or of each row of an (L, d) stack of lanes.
@@ -209,13 +213,12 @@ class LeastSquaresGrad(CocoerciveOp):
             if x.ndim == 1:
                 return self._gram @ x - self._atb
             return np.matmul(self._gram, x[..., None])[..., 0] - self._atb
-        r = np.empty(self.b.shape)
         if x.ndim == 2:
             out = np.empty(x.shape)
             for row, x_row in zip(out, x):
-                row[...] = self._factored(x_row, r)
+                row[...] = self._factored(x_row)[1]
             return out
-        out = self._factored(x, r)
+        r, out = self._factored(x)
         r.flags.writeable = False
         self._memo = (x.tobytes(), r)
         return out
@@ -224,8 +227,8 @@ class LeastSquaresGrad(CocoerciveOp):
         """A x - b at a d-vector x.
 
         When x is bitwise the factored ``apply``'s last input, this is that
-        apply's residual (shared, so read-only); otherwise it is computed,
-        in the factored form by the same blocked evaluation.
+        apply's residual (shared, so read-only); otherwise it is computed as
+        ``A @ x - b``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -233,11 +236,7 @@ class LeastSquaresGrad(CocoerciveOp):
         memo = self._memo
         if memo is not None and memo[0] == x.tobytes():
             return memo[1]
-        if self._blocks is None:
-            return self.A @ x - self.b
-        r = np.empty(self.b.shape)
-        self._factored(x, r)
-        return r
+        return self.A @ x - self.b
 
 
 @dataclass(frozen=True)

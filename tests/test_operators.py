@@ -230,18 +230,23 @@ def test_gram_form_beta_is_bitwise_the_small_gram_value():
 
 
 def test_residual_is_recomputed_for_another_input():
-    # row blocks start on a multiple of 8 and no block is a short tail, so each
-    # block's rows are the bits one A @ x gives them (OpenBLAS 0.3.31, these shapes)
+    # one block keeps the bits of A @ x - b; over several row blocks the BLAS may
+    # sum a row in another order than in one product, so only closeness is promised
     for shape in [(10, 40)] + BLOCKED:
         a, b, x1 = _ls_data(*shape)
         x2 = x1 + 1.0
         op = LeastSquaresGrad(a, b)
         op.apply(x1)
-        assert op.residual(x1) is op._memo[1]
-        assert np.array_equal(op.residual(x1), a @ x1 - b)
+        memo = op.residual(x1)
+        assert memo is op._memo[1]
         assert np.array_equal(op.residual(x2), a @ x2 - b)
         op._memo = None
         assert np.array_equal(op.residual(x1), a @ x1 - b)
+        want = a @ x1 - b
+        if len(op._blocks) == 1:
+            assert np.array_equal(memo, want)
+        else:
+            assert np.linalg.norm(memo - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_residual_is_not_stale_after_the_input_is_mutated():
