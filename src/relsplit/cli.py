@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +51,20 @@ def _write_error(exc):
     return _error(f"cannot write {exc.filename}: {exc.strerror}")
 
 
+def _unwritable(path):
+    """The OSError that creating the file ``path`` would raise, as its folder shows, or None."""
+    folder = Path(path).parent
+    if not folder.is_dir():
+        code = errno.ENOTDIR if folder.exists() else errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    elif Path(path).is_dir():
+        code = errno.EISDIR
+    else:
+        return None
+    return OSError(code, os.strerror(code), str(path))
+
+
 def cmd_validate(args):
     doc = _load_json(args.config)
     try:
@@ -65,6 +81,10 @@ def cmd_validate(args):
 
 def cmd_run(args):
     doc = _load_json(args.config)
+    out = args.out or (Path(args.config).stem + ".csv")
+    exc = _unwritable(out)   # refused before the solve, not after it
+    if exc is not None:
+        return _write_error(exc)
     try:
         cfg, z0, flagged = configmod.build_run(doc)
         trace = run(cfg, z0)
@@ -74,7 +94,6 @@ def cmd_run(args):
         return _error(str(exc), code=1)
     if flagged:
         print(REFERENCE_WARNING)
-    out = args.out or (Path(args.config).stem + ".csv")
     try:
         trace.to_csv(out)
     except OSError as exc:

@@ -17,6 +17,36 @@ from .errors import StructuralError
 # Singular values below RCOND * sigma_max are treated as zero throughout.
 RCOND = 1e-12
 
+# Byte boundary (one cache line) on which a matrix that a forward operator
+# reads every iteration starts. numpy's allocator only promises 16 bytes, and
+# the BLAS streams a matrix that starts inside a cache line more slowly: the
+# blocked least-squares gradient of a 300 x 1000 A took 94-98 us from 16 mod
+# 64 and 74-81 us from 0 mod 64 (OpenBLAS, one thread), with the same bits.
+ALIGN = 64
+
+
+def aligned_empty(shape, order="C"):
+    """An uninitialised float array of ``shape`` whose data start on an ALIGN-byte boundary."""
+    size = math.prod(shape)
+    buf = np.empty(size + ALIGN // 8)
+    start = -buf.ctypes.data % ALIGN // 8   # numpy's buffers start on a multiple of 8
+    return buf[start:start + size].reshape(shape, order=order)
+
+
+def aligned(a):
+    """``a`` as a float array whose data start on an ALIGN-byte boundary.
+
+    An array that already does is returned as it is; otherwise the copy keeps
+    an F-ordered array's order and is C-ordered else.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ctypes.data % ALIGN == 0:
+        return a
+    f_order = a.flags.f_contiguous and not a.flags.c_contiguous
+    out = aligned_empty(a.shape, "F" if f_order else "C")
+    out[...] = a
+    return out
+
 
 def as_blocks(z, m=None):
     """Coerce ``z`` to a float block vector of shape (m, d)."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
+from .linalg import aligned, aligned_empty
 
 
 def soft_threshold(v, t):
@@ -146,13 +147,19 @@ class LeastSquaresGrad(CocoerciveOp):
     call history. An A of fewer than 2h rows is one block, evaluated as
     ``A.T @ (A @ x - b)`` with the bits of that expression.
 
-    beta = lambda_max(A^T A), taken from the smaller Gram matrix of A
+    A and the Gram matrix start on a 64-byte boundary (``linalg.ALIGN``),
+    and so does every row block, since h is a multiple of 8. An A given on
+    that boundary is kept, not copied; one that starts elsewhere is copied
+    once, in its own C or F order. Where a matrix starts changes the BLAS's
+    speed, not its bits.
+
+    beta =lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
     eigenvalue; the Gram form's own A^T A otherwise).
     """
 
     def __init__(self, A, b):
-        A = np.asarray(A, dtype=float)
+        A = aligned(A)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise StructuralError(f"incompatible shapes A {A.shape}, b {b.shape}")
@@ -173,7 +180,7 @@ class LeastSquaresGrad(CocoerciveOp):
                                 for lo, hi in zip(cuts, cuts[1:])]
                 self._backward = False
             else:
-                self._gram = A.T @ A
+                self._gram = np.matmul(A.T, A, out=aligned_empty((self.dim, self.dim)))
                 self._atb = A.T @ b
                 self.beta = lambda_max(self._gram if q >= self.dim else A @ A.T)
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import driver, graph as graphmod, relocator
 from .engine import SplitProblem
 from .errors import ParameterError, ReferenceRunError, StructuralError
-from .linalg import spectral_norm
+from .linalg import aligned, aligned_empty, spectral_norm
 from .operators import (BoxNormalCone, L1Subdiff, LeastSquaresGrad,
                         NonnegNormalCone, ScaledIdentity, soft_threshold)
 from .schedule import ScheduleSpec
@@ -42,10 +42,12 @@ from .scheme import kappa_form_scheme
 def _coerce_data(problem, *weights):
     """Store A and b as float arrays; shapes must agree and every entry be finite.
 
-    Each named weight must be positive and finite.
+    A is stored on a 64-byte boundary (copied only when it starts elsewhere),
+    so the split's ``LeastSquaresGrad`` shares it. Each named weight must be
+    positive and finite.
     """
-    for name in ("A", "b"):
-        object.__setattr__(problem, name, np.asarray(getattr(problem, name), dtype=float))
+    object.__setattr__(problem, "A", aligned(problem.A))
+    object.__setattr__(problem, "b", np.asarray(problem.b, dtype=float))
     if problem.A.ndim != 2 or problem.b.shape != (problem.A.shape[0],):
         raise StructuralError(f"incompatible shapes A {problem.A.shape}, b {problem.b.shape}")
     for name in ("A", "b"):
@@ -108,7 +110,7 @@ def gen_lasso(q, d, seed, spectrum=(0.5, 1.5), lam=1e-3, u=50.0):
     uu, _ = np.linalg.qr(rng.standard_normal((q, k)))
     vv, _ = np.linalg.qr(rng.standard_normal((d, k)))
     svals = rng.uniform(smin, smax, size=k)
-    A = (uu * svals) @ vv.T
+    A = np.matmul(uu * svals, vv.T, out=aligned_empty((q, d)))
     b = rng.standard_normal(q)
     return LassoProblem(A, b, lam, u)
 
@@ -135,7 +137,7 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2):
         i, j = rng.integers(0, base, size=2)
         w1, w2 = rng.uniform(0.25, 1.0, size=2)
         A[:, c] = w1 * A[:, i] + w2 * A[:, j] + 1e-3 * rng.standard_normal(q)
-    A = A / spectral_norm(A)
+    A = np.divide(A, spectral_norm(A), out=aligned_empty(A.shape))
     x_true = rng.exponential(1.0, size=d)
     b = A @ x_true + noise_sd * rng.standard_normal(q)
     return ElasticNetProblem(A, b, lam1, lam2)

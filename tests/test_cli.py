@@ -263,10 +263,22 @@ def test_problem_section_without_kind_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_run_unwritable_out_exits_2(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.csv"
-    assert_usage_error(capsys, main(["run", run_config(tmp_path), "--out", str(out)]))
-    assert not out.parent.exists()
+def test_run_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the solve: the run is never called and no CSV is written
+    def no_run(*args):
+        raise AssertionError("run called for an unwritable --out")
+
+    monkeypatch.setattr("relsplit.cli.run", no_run)
+    taken, plain = tmp_path / "taken.csv", tmp_path / "plain"
+    taken.mkdir()
+    plain.write_text("keep")
+    for out, why in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                     (plain / "x.csv", "Not a directory"), (taken, "Is a directory")):
+        assert main(["run", run_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {out}: {why}"]
+    assert not (tmp_path / "missing").exists() and not any(taken.iterdir())
+    assert plain.read_text() == "keep"
 
 
 def test_bench_out_dir_that_is_a_file_exits_2(tmp_path, capsys):

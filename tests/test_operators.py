@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsplit.errors import ParameterError, StructuralError
+from relsplit.linalg import ALIGN, aligned_empty
 from relsplit.operators import (BLOCK_BYTES, BoxNormalCone, L1Subdiff, LeastSquaresGrad,
                                 NonnegNormalCone, ScaledIdentity, ZeroForward, ZeroOp,
                                 check_resolvent_identity, lambda_max, soft_threshold)
-from relsplit.problems import gen_lasso
+from relsplit.problems import gen_elastic_net, gen_lasso, split_elastic, split_lasso
 
 ALL_RESOLVENTS = [L1Subdiff(1.0), L1Subdiff(0.3), BoxNormalCone(2.0),
                   NonnegNormalCone(), ZeroOp()]
@@ -323,3 +324,36 @@ def test_single_block_gradient_keeps_the_unblocked_bits(shape):
     op = LeastSquaresGrad(a, b)
     assert len(op._blocks) == 1
     assert np.array_equal(op.apply(x), a.T @ (a @ x - b))
+
+
+@pytest.mark.parametrize("shape", [(40, 10), (7, 7), (10, 40)] + BLOCKED)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matrices_start_on_a_cache_line_at_every_offset(shape, order):
+    # views of one A at every 8-byte offset: A, its row blocks and the Gram matrix
+    # start on an ALIGN-byte boundary, A keeps its order, an aligned A is kept, and
+    # the values are bitwise those of the aligned build
+    a, b, x = _ls_data(*shape)
+    stack = np.random.default_rng(1).standard_normal((6, shape[1]))
+    size = a.size
+    base = aligned_empty((size + ALIGN // 8,))
+    first = None
+    for k in range(ALIGN // 8):
+        view = base[k:k + size].reshape(shape, order=order)
+        view[...] = a
+        op = LeastSquaresGrad(view, b)
+        assert (op.A is view) == (k == 0)
+        assert op.A.flags[f"{order}_CONTIGUOUS"] and np.array_equal(op.A, a)
+        matrices = [op.A] + ([op._gram] if op._blocks is None else [m for m, _, _ in op._blocks])
+        assert all(m.ctypes.data % ALIGN == 0 for m in matrices)
+        got = [op.apply(x), op.apply(stack), op.residual(x), op.beta]
+        if first is None:
+            first = got
+        for want, value in zip(first, got):
+            assert np.array_equal(want, value)
+
+
+def test_generated_problems_hold_one_aligned_a():
+    for problem, split in ((gen_elastic_net(30, 200, 11), split_elastic),
+                           (gen_lasso(50, 100, 2), split_lasso)):
+        assert problem.A.ctypes.data % ALIGN == 0
+        assert np.shares_memory(split(problem).forwards[0].A, problem.A)
