@@ -113,17 +113,23 @@ def cmd_bench(args):
     doc = _load_json(args.spec)
     try:
         groups, prob, budget, out_dir = configmod.build_bench(doc)
-        ref = problems.reference_solution(prob, budget)
     except (ParameterError, StructuralError) as exc:
         return _error(str(exc))
-    except ReferenceRunError as exc:
-        return _error(str(exc), code=1)
-    if ref.flagged:
-        print(REFERENCE_WARNING)
-    try:
+    made = not out_dir.exists()
+    outputs = [name for names, _, _ in groups for name in names] + ["summary"]
+    try:   # every output is checked before the reference solve and the runs
         out_dir.mkdir(parents=True, exist_ok=True)
+        for exc in filter(None, (_unwritable(out_dir / f"{name}.csv") for name in outputs)):
+            raise exc
+        ref = problems.reference_solution(prob, budget)
     except OSError as exc:
         return _write_error(exc)
+    except (ParameterError, StructuralError, ReferenceRunError) as exc:
+        if made:   # a failed reference solve leaves no out_dir
+            out_dir.rmdir()
+        return _error(str(exc), code=1 if isinstance(exc, ReferenceRunError) else 2)
+    if ref.flagged:
+        print(REFERENCE_WARNING)
 
     results = []
     for names, cfgs, z0 in groups:

@@ -28,16 +28,22 @@ One loop, ``_iterate``, runs every iteration of the library. It pairs a
 step, which holds the resolvent formulas, with a control, which decides:
 ``_RunControl`` builds one run's stepsize schedule and trace from its
 RunConfig and holds the margin check, the stop test, the recording rule and
-the stepsize range check. ``run`` drives the engine's step
-(``_EngineStep``) and ``run_davis_yin`` the three-operator formulas
-(``_DavisYinStep``), each with one ``_RunControl``. What the engine's runs
-of one scheme, problem, relocator kind and z0 share is built once, before
-the first iteration (``_shared``): the step plan (``engine.SweepPlan``,
-which checks the operator bindings and shapes and generates the sweep and
-its residuals as straight-line code, with the consensus pairs), a copy of
-the start point, the relocator's matrix K (``relocator.relocation_map``, so
-that z_{k+1} = r w_k + (1 - r) K x with r = gamma_{k+1}/gamma_k) and mu. So
-the loop itself only does arithmetic.
+the stepsize range check. ``run`` drives the engine's step and
+``run_davis_yin`` the three-operator formulas (``_DavisYinStep``), each with
+one ``_RunControl``. The engine's step is generated whole: the step plan
+(``engine.SweepPlan``) emits, for the run's relocator kind, the sweep and
+its residuals, the advance to w with x_1(w) (or the sweep at w) and the
+norm pair, and the relocation z_{k+1} = r w_k + (1 - r) K x with
+r = gamma_{k+1}/gamma_k, as straight-line code; ``_EngineStep`` holds those
+functions and the state (``_State``) they read and set, which refers back
+to neither, so a finished step is freed at once. What the engine's runs of
+one scheme, problem, relocator kind and z0 share is built once, before the
+first iteration (``_shared``): the plan (which checks the operator bindings
+and shapes, with the consensus pairs), a copy of the start point, the
+relocator's matrix K (``relocator.relocation_map``) and mu. So the loop
+itself only does arithmetic, and a single run calls its control's ``check``
+only when the run stops or records a row, and its ``next_gamma`` (one
+schedule call) only when its stepsize moves.
 
 ``run_grid`` runs a bench grid's methods on one graph (one scheme, problem,
 relocator kind and z0, different schedules) from one such build. A group of
@@ -60,8 +66,8 @@ on the block plan.
 An iteration computes only what the run reads, so a constant-stepsize run
 costs what the non-relocated method costs: fix_res every iteration, the
 consensus only on a recorded row, ||x_{k+1}|| and ||x_{k+1} - w_k|| only for
-a schedule that reads them (the norm-ratio rule), and at r = 1 relocation is
-the identity, z_{k+1} = w_k.
+a schedule that reads them (the norm-ratio rule), no schedule call for a
+constant stepsize, and at r = 1 relocation is the identity, z_{k+1} = w_k.
 
 Relaxation is one rule. theta_k = 1 (the trace's theta column), and lambda_k
 is co-adjusted to the feasibility margin 2 - gamma_k*mu - 2*lambda_k*theta_k
@@ -85,6 +91,8 @@ from .linalg import as_blocks, norm
 from .schedule import ConstantStepsize, ScheduleSpec
 
 CSV_HEADER = "k,gamma,theta,lambda,fix_res,consensus,objective,rel_err_x,rel_err_f,sweeps"
+COLUMNS = ("k", "gamma", "theta", "lam", "fix_res", "consensus", "objective", "rel_err_x",
+           "rel_err_f", "sweeps")   # the Trace fields of the CSV_HEADER columns
 _NAN = float("nan")
 _INF = float("inf")
 MARGIN_FLOOR = 1e-3   # epsilon of the margin 2 - gamma_k*mu - 2*lambda_k*theta_k >= epsilon
@@ -148,24 +156,13 @@ class Trace:
         """Write the trace with the fixed header; floats carry 17 significant digits."""
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in zip(self.k, self.gamma, self.theta, self.lam, self.fix_res,
-                           self.consensus, self.objective, self.rel_err_x,
-                           self.rel_err_f, self.sweeps):
-                k, *floats, sweeps = row
+            for k, *floats, sweeps in zip(*(getattr(self, c) for c in COLUMNS)):
                 fh.write("%d,%s,%d\n" % (k, ",".join("%.17g" % v for v in floats), sweeps))
 
     def summary(self):
-        return {
-            "iterations": self.iterations,
-            "fix_res": self.fix_res[-1] if self.fix_res else float("nan"),
-            "consensus": self.consensus[-1] if self.consensus else float("nan"),
-            "objective": self.objective[-1] if self.objective else float("nan"),
-            "rel_err_x": self.rel_err_x[-1] if self.rel_err_x else float("nan"),
-            "rel_err_f": self.rel_err_f[-1] if self.rel_err_f else float("nan"),
-            "sweeps": self.resolvent_evals,
-            "converged": self.converged,
-            "aborted": self.aborted,
-        }
+        last = {c: getattr(self, c)[-1] if getattr(self, c) else _NAN for c in COLUMNS[4:9]}
+        return dict(iterations=self.iterations, **last, sweeps=self.resolvent_evals,
+                    converged=self.converged, aborted=self.aborted)
 
 
 def default_z0(s, prob, seed=None):
@@ -181,15 +178,18 @@ class _RunControl:
     Building it builds the schedule (``ScheduleSpec.build`` checks
     0 < gamma_0 < 2/mu, a ParameterError otherwise). ``k`` and ``gamma`` are
     the index and stepsize of the run's next iteration, so a run resumes in
-    ``_iterate`` where it stands. Each method that ends the run sets the
-    trace's converged flag or abort text. A step method that serves several
-    runs takes the run's ``lane`` index, which the methods pass on.
+    ``_iterate`` where it stands; ``row`` is the next k at which ``check``
+    must run whatever fix_res is, the next recorded row. Each method that
+    ends the run sets the trace's converged flag or abort text. A step
+    method that serves several runs takes the run's ``lane`` index, which
+    the methods pass on.
     """
 
     def __init__(self, cfg, mu_value):
         self.sched = cfg.schedule.build(mu_value, cfg.problem.beta)
         self.reads_norms = self.sched.reads_norms
         self.trace, self.objective = Trace(), cfg.objective
+        self.appends = [getattr(self.trace, c).append for c in COLUMNS]   # of a trace row
         self.reference = cfg.reference is not None
         if self.reference:
             self.x_star = np.asarray(cfg.reference[0], dtype=float)
@@ -200,7 +200,7 @@ class _RunControl:
         self.max_iters, self.last = cfg.max_iters, cfg.max_iters - 1
         self.tol, self.record_every = cfg.fix_res_tol, cfg.record_every
         self.sup = schememod.stepsize_sup(mu_value)
-        self.k, self.gamma = 0, self.sched.gamma
+        self.k, self.row, self.gamma = 0, 0, self.sched.gamma
         # a constant stepsize never changes gamma, lambda_k or the ratio 1 after k = 0
         self.moves = not isinstance(self.sched, ConstantStepsize)
 
@@ -210,22 +210,22 @@ class _RunControl:
         Sets ``lam`` = lambda_k = (2 - gamma*mu - MARGIN_FLOOR) / 2 at ``gamma``.
         """
         self.k, gamma = k, self.gamma
-        if k == self.max_iters:
-            return False
         lam = (2.0 - gamma * self.mu - MARGIN_FLOOR) / 2.0
-        if lam <= 0:
+        if k < self.max_iters and not lam <= 0:
+            self.lam = lam
+            return True
+        if k < self.max_iters:
             self.trace.aborted = (f"no positive relaxation keeps the margin at k={k} "
                                   f"(gamma={gamma:.6g}, gamma*mu too close to 2)")
-            return False
-        self.lam = lam
-        return True
+        self.trace.iterations = k   # the loop checks only some iterations
+        return False
 
     def check(self, k, fix_res, step, *lane):
         """True when fix_res ends the run: at the tolerance, or non-finite (an abort).
 
         Records row k, from ``step.row(*lane)``, when the run stops there, when
-        k is a multiple of ``record_every`` and at k = ``last``. With a reference
-        (x*, phi*), the row's relative errors are
+        k is a multiple of ``record_every`` and at k = ``last``, and sets
+        ``row``. With a reference (x*, phi*), the row's relative errors are
         rel_err_x = ||x - x*|| / max(||x*||, 1e-30) and
         rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
         """
@@ -240,21 +240,13 @@ class _RunControl:
             stop = False
         if stop or k % self.record_every == 0 or k == self.last:
             consensus, xbar, evals = step.row(*lane)
-            trace.k.append(k)
-            trace.gamma.append(self.gamma)
-            trace.theta.append(1.0)
-            trace.lam.append(self.lam)
-            trace.fix_res.append(fix_res)
-            trace.consensus.append(consensus)
             phi = float(self.objective(xbar)) if self.objective is not None else _NAN
-            trace.objective.append(phi)
-            if self.reference:
-                trace.rel_err_x.append(norm(xbar - self.x_star) / self.x_den)
-                trace.rel_err_f.append(abs(phi - self.phi_star) / self.f_den)
-            else:
-                trace.rel_err_x.append(_NAN)
-                trace.rel_err_f.append(_NAN)
-            trace.sweeps.append(evals)
+            errs = ((norm(xbar - self.x_star) / self.x_den, abs(phi - self.phi_star) / self.f_den)
+                    if self.reference else (_NAN, _NAN))
+            for append, v in zip(self.appends, (k, self.gamma, 1.0, self.lam, fix_res,
+                                                consensus, phi, *errs, evals)):
+                append(v)
+        self.row = self.next_row(k)
         return stop
 
     def next_row(self, k):
@@ -263,24 +255,24 @@ class _RunControl:
         after = k - k % every + every
         return self.last if k < self.last < after else after
 
-    def next_gamma(self, k, step, *lane):
+    def next_gamma(self, k, norms):
         """gamma_{k+1}/gamma_k, or None when gamma_{k+1} leaves (0, 2/mu), which aborts the run.
 
-        A schedule that ``reads_norms`` gets ``step.norms(*lane)``:
-        (||x_1(w)||, ||x_1(w) - w||).
+        ``norms`` is what the step's ``advance`` returned: the pair
+        (||x_1(w)||, ||x_1(w) - w||) for a schedule that ``reads_norms``, () else.
         """
-        gamma = self.sched.next_gamma(*(step.norms(*lane) if self.reads_norms else ()))
+        gamma = self.sched.next_gamma(*norms)
         if not 0 < gamma < self.sup:
             self.trace.aborted = f"gamma_{k + 1} = {gamma:.6g} outside (0, {self.sup:.6g})"
+            self.trace.iterations = k + 1
             return None
         ratio, self.gamma = gamma / self.gamma, gamma
         return ratio
 
     def finish(self, step, *lane):
         """The trace, with the run's final state ``step.state(*lane)``: (z, x, evals)."""
-        trace = self.trace
-        trace.z_final, trace.x_final, trace.resolvent_evals = step.state(*lane)
-        return trace
+        self.trace.z_final, self.trace.x_final, self.trace.resolvent_evals = step.state(*lane)
+        return self.trace
 
 
 def _iterate(step, control):
@@ -288,26 +280,33 @@ def _iterate(step, control):
 
     The control (``_RunControl`` for one run) decides: ``start(k)`` ends the
     run or sets ``lam``, lambda_k at its stepsize ``gamma``; ``check(k,
-    fix_res, step)`` is the stop test and records a row; ``next_gamma(k, step)``
-    returns gamma_{k+1}/gamma_k, or None to end the run. The step holds the
-    resolvent formulas: ``residuals(gamma)`` evaluates the resolvents at
-    (gamma, z) and returns fix_res; ``advance(gamma, lam)`` forms w and
-    x_1(w); ``relocate(ratio)`` sets z to the relocated w (to w itself at
-    ratio 1). The control reads the step's ``row()`` (consensus, x, evals)
-    only on a recorded row, ``norms()`` only for a schedule that reads them,
-    and ``state()`` (z, x, evals) at the end. On a stack of runs the step is
-    an ``_EngineStep`` on a lane plan, whose gamma, lam and ratio are
-    the lanes' columns, and the control is ``_Lanes``, which passes each
-    lane's index to those reads.
+    fix_res, step)`` is the stop test and records a row, and runs only at
+    ``row`` or when fix_res leaves (``tol``, inf); ``next_gamma(k, norms)``
+    returns gamma_{k+1}/gamma_k, or None to end the run, and runs only for a
+    control that ``moves`` (a constant stepsize keeps the ratio 1). The step
+    holds the resolvent formulas and their state: ``residuals(gamma)``
+    evaluates the resolvents at (gamma, z) and returns fix_res;
+    ``advance(gamma, lam, reads)`` forms w and x_1(w), and returns the norm
+    pair when the control ``reads_norms``; ``relocate(ratio)`` sets z to
+    the relocated w (to w itself at ratio 1). The control reads the step's
+    ``row()`` (consensus, x, evals) only on a recorded row and ``state()``
+    (z, x, evals) at the end. On a stack of runs the step is an
+    ``_EngineStep`` on a lane plan, whose gamma, lam and ratio are the
+    lanes' columns, and the control is ``_Lanes``, whose ``row`` is always
+    the next k and which passes each lane's index to those reads.
     """
     start, check, next_gamma = control.start, control.check, control.next_gamma
     residuals, advance, relocate = step.residuals, step.advance, step.relocate
-    k = control.k
+    moves, tol = control.moves, control.tol
+    k = row = control.k
     while start(k):
-        if check(k, residuals(control.gamma), step):
-            break
-        advance(control.gamma, control.lam)
-        ratio = next_gamma(k, step)
+        fix_res = residuals(control.gamma)
+        if k == row or not tol < fix_res < _INF:
+            if check(k, fix_res, step):
+                break
+            row = control.row
+        norms = advance(control.gamma, control.lam, control.reads_norms)
+        ratio = next_gamma(k, norms) if moves else 1.0
         if ratio is None:
             break
         relocate(ratio)
@@ -322,78 +321,50 @@ def _lanes_of(v, index):
     return [a[index] for a in v] if isinstance(v, list) else v[index]
 
 
-class _EngineStep:
-    """Resolvent formulas of the coefficient-scheme engine, for one run or a stack of runs.
+class _State:
+    """What the generated step functions read and set (``engine.SweepPlan.step``)."""
 
-    On a block plan the state is one run's (m, d) block vector z; on a lane
-    plan it is the (L, m, d) stack of a ``run_grid`` group, whose lanes make
-    the float operations of their own runs, so each lane's iterates are
-    bitwise its run's, and one resolvent count serves every lane. The
-    methods that read one run's values take ``*lane``: a lane index on a
-    stack, nothing for one run (``a[()]`` is all of ``a``). ``K`` is the
-    general relocator's m x n matrix, which multiplies a full second sweep at
-    w, or None for a cheap kind: there only x_1(w) is evaluated, recycled as
-    the next sweep's x_1, and the cheap K, a column of ones on every
-    supported tree, just broadcasts it. ``x1``, ``xs`` and ``evals`` resume a
+    def __init__(self, z, aw, xs, evals):
+        self.z, self.aw, self.xs, self.evals, self.mstar_x, self.w = z, aw, xs, evals, None, None
+
+
+class _EngineStep:
+    """The coefficient-scheme engine's step: the plan's step functions and the state they set.
+
+    ``residuals``, ``advance`` and ``relocate`` are generated
+    (``engine.SweepPlan.step``); they read and set the state ``st``: ``z``,
+    ``aw`` (x_1(w), or the sweep at w under the general relocator), ``xs``
+    (the outputs at z), ``mstar_x``, ``w`` and ``evals``. ``st`` holds no
+    reference back, so a finished step is freed at once. On a block plan
+    ``z`` is one run's (m, d) block vector; on a lane plan it is the
+    (L, m, d) stack of a ``run_grid`` group, whose lanes make the float
+    operations of their own runs, so each lane's iterates are bitwise its
+    run's, and one resolvent count serves every lane. The methods that read
+    one run's values take ``*lane``: a lane index on a stack, nothing for one
+    run (``a[()]`` is all of ``a``). ``x1``, ``xs`` and ``evals`` resume a
     lane handed off from a stack.
     """
 
-    def __init__(self, plan, K, z, x1=None, xs=None, evals=0):
-        self.n, self.K, self.z = plan.n, K, z
-        self.x1, self.xs, self.evals = x1, xs, evals
-        self.mstar_x = self.w = self.at_w = None
-        self._residuals, self._consensus = plan.residuals, plan.consensus
-        # what advance evaluates at w, and its resolvent count
-        self._at_w, self._at_w_evals = (plan.first_block, 1) if K is None else (plan.sweep, plan.n)
-
-    def residuals(self, gamma):
-        x1 = self.x1
-        self.xs, self.mstar_x, fix_res = self._residuals(gamma, self.z, x1)
-        self.evals += self.n if x1 is None else self.n - 1
-        return fix_res
-
-    def consensus(self, *lane):
-        return self._consensus([x[lane] for x in self.xs], self.mstar_x[lane])
+    def __init__(self, plan, z, x1=None, xs=None, evals=0):
+        self.st = _State(z, x1, xs, evals)
+        self._consensus = plan.consensus
+        self.residuals, self.advance, self.relocate = plan.step(self.st)
 
     def row(self, *lane):
-        return self.consensus(*lane), self.xs[0][lane], self.evals
+        return self.consensus(*lane), self.st.xs[0][lane], self.st.evals
 
-    def advance(self, gamma, lam):
-        w = self.w = self.z - lam * self.mstar_x
-        self.at_w = self._at_w(gamma, w)
-        self.evals += self._at_w_evals
-
-    def norms(self, *lane):
-        x1w = (self.at_w if self.K is None else self.at_w[0])[lane]
-        return norm(x1w), norm(x1w - self.w[lane])
-
-    def relocate(self, ratio):
-        """Set z to ratio * w + (1 - ratio) K x(w), or to w itself at ratio 1.
-
-        ``ratio`` is a float, or a stack's (L, 1, 1) column of ratios; a lane
-        at ratio 1 gets w's bits, not the formula's w + 0 * K x.
-        """
-        w, column = self.w, isinstance(ratio, np.ndarray)
-        if not column and ratio == 1.0:
-            self.z = w
-        else:
-            at_w = self.at_w
-            # K times each run's (n, d) outputs: np.array(at_w) is (n, d), or (n, L, d) on a stack
-            kx = at_w[..., None, :] if self.K is None else self.K @ np.array(at_w).swapaxes(0, -2)
-            self.z = ratio * w + (1.0 - ratio) * kx
-            if column:
-                np.copyto(self.z, w, where=ratio == 1.0)
-        self.x1 = self.at_w if self.K is None else None
+    def consensus(self, *lane):
+        return self._consensus([x[lane] for x in self.st.xs], self.st.mstar_x[lane])
 
     def keep(self, lanes):
         """Keep the stack's lanes at the indices ``lanes`` and drop the state of the others."""
-        self.z, self.x1, self.xs, self.mstar_x, self.w, self.at_w = (
-            _lanes_of(v, lanes) for v in (self.z, self.x1, self.xs, self.mstar_x, self.w,
-                                          self.at_w))
+        st = self.st
+        st.z, st.aw, st.xs, st.mstar_x, st.w = (
+            _lanes_of(v, lanes) for v in (st.z, st.aw, st.xs, st.mstar_x, st.w))
 
     def state(self, *lane):
-        x = None if self.xs is None else np.array(self.xs[0][lane])
-        return np.array(self.z[lane]), x, self.evals
+        st = self.st
+        return np.array(st.z[lane]), None if st.xs is None else np.array(st.xs[0][lane]), st.evals
 
 
 def _shared(cfg, z0):
@@ -401,20 +372,21 @@ def _shared(cfg, z0):
 
     ``plan`` is the block ``engine.SweepPlan``, ``z`` a copy of the start
     point (the sweep may hand its blocks, as views, to a resolvent), ``K`` the
-    general relocator's matrix or None for a cheap kind, which
-    ``_EngineStep`` broadcasts, and ``mu`` the scheme's ``scheme.mu``.
+    general relocator's matrix or None for a cheap kind, whose relocation
+    broadcasts x_1(w), and ``mu`` the scheme's ``scheme.mu``.
     """
     s, prob = cfg.scheme, cfg.problem
-    plan = engine.SweepPlan(s, prob)
-    z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
     K = relocator.relocation_map(cfg.relocator, s)   # checks a cheap kind's column of ones
-    return plan, z, K if cfg.relocator == relocator.GENERAL else None, schememod.mu(s, prob.beta)
+    K = K if cfg.relocator == relocator.GENERAL else None
+    plan = engine.SweepPlan(s, prob, K)
+    z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
+    return plan, z, K, schememod.mu(s, prob.beta)
 
 
 def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
-    plan, z, K, mu_value = _shared(cfg, z0)
-    return _iterate(_EngineStep(plan, K, z), _RunControl(cfg, mu_value))
+    plan, z, _, mu_value = _shared(cfg, z0)
+    return _iterate(_EngineStep(plan, z), _RunControl(cfg, mu_value))
 
 
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
@@ -433,11 +405,13 @@ class _Lanes:
       as state. Each iteration, only a lane whose stepsize moves
       (``_RunControl.moves``) calls its ``start`` and ``next_gamma`` and
       updates its entries in place. Every lane starts at k = 0 and at
-      ``end``, the stack's first max_iters.
-    * ``check`` finds the lanes that stop in one pass over the stack's
-      fix_res and calls only their ``check``, or every lane's at ``row``,
-      the first k at which some lane may record a row
-      (``_RunControl.next_row``).
+      ``end``, the stack's first max_iters. The step forms the norm pairs
+      of the moving lanes that read them (``reads_norms``).
+    * ``check`` runs every iteration (``row`` is always the next k, so the
+      loop never compares the stack's fix_res list with ``tol``). It finds
+      the lanes that stop in one pass over the stack's fix_res and calls
+      only their ``check``, or every lane's at ``record``, the first k at
+      which some lane may record a row (``_RunControl.next_row``).
     * ``iterations``, the count of iterations every lane has finished, is
       kept once for the stack and written into a lane's trace when it
       leaves or is handed off.
@@ -448,7 +422,8 @@ class _Lanes:
     ``_iterate`` on a step of the group's block plan, from its exact state.
     """
 
-    k = iterations = row = end = 0   # every lane starts at k = 0 = end
+    k = iterations = row = record = end = 0   # every lane starts at k = 0 = end
+    moves, tol = True, None
 
     def __init__(self, lanes, step, block_plan):
         self.lanes, self.step, self.block_plan = lanes, step, block_plan
@@ -469,7 +444,7 @@ class _Lanes:
             self.gamma = [self.gamma[i] for i in keep]
             self.lam, self.ratio = self.lam[keep], self.ratio[keep]
         self.moving = [i for i, lane in enumerate(lanes) if lane.moves]
-        self.tol = [lane.tol for lane in lanes]
+        self.reads_norms = [i for i in self.moving if lanes[i].reads_norms]
         self.end = min((lane.max_iters for lane in lanes), default=0)
 
     def start(self, k):
@@ -485,14 +460,14 @@ class _Lanes:
         return len(self.lanes) >= MIN_LANES
 
     def check(self, k, fix_res, step):
-        self.iterations = k + 1
+        self.iterations = self.row = k + 1
         lanes = self.lanes
-        if k == self.row:
+        if k == self.record:
             checked = range(len(lanes))
-            self.row = min(lane.next_row(k) for lane in lanes)
+            self.record = min(lane.next_row(k) for lane in lanes)
         else:   # the lanes whose run stops at k, as their check decides
-            checked = [i for i, (r, tol) in enumerate(zip(fix_res, self.tol))
-                       if not tol < r < _INF]
+            checked = [i for i, (r, lane) in enumerate(zip(fix_res, lanes))
+                       if not lane.tol < r < _INF]
             if not checked:
                 return False
         ended = [i for i in checked if lanes[i].check(k, fix_res[i], step, i)]
@@ -500,30 +475,33 @@ class _Lanes:
             self._drop(ended)
         return not self.lanes
 
-    def next_gamma(self, k, step):
-        """The lanes' column of gamma_{k+1}/gamma_k, 1.0 when every ratio is 1, or None."""
+    def next_gamma(self, k, norms):
+        """The lanes' column of gamma_{k+1}/gamma_k, or None.
+
+        ``norms`` holds the norm pair of each lane in ``reads_norms``, by lane.
+        """
         lanes, gamma, ratio = self.lanes, self.gamma, self.ratio
-        moved, ended = False, []
+        ended = []
         for i in self.moving:
             lane = lanes[i]
-            r = lane.next_gamma(k, step, i)
+            r = lane.next_gamma(k, norms.get(i, ()))
             if r is None:
                 ended.append(i)
             else:
                 gamma[i] = lane.gamma
                 ratio[i] = r
-                moved = moved or r != 1.0
         if ended:
             self._drop(ended)
             if not self.lanes:
                 return None
-        return self.ratio if moved else 1.0
+        return self.ratio
 
     def finish(self, step):
+        st = step.st
         for i, lane in enumerate(self.lanes):
             lane.k = lane.trace.iterations = self.iterations
-            _iterate(_EngineStep(self.block_plan, step.K, step.z[i], _lanes_of(step.x1, i),
-                                 _lanes_of(step.xs, i), step.evals), lane)
+            _iterate(_EngineStep(self.block_plan, st.z[i], _lanes_of(st.aw, i),
+                                 _lanes_of(st.xs, i), st.evals), lane)
 
 
 def run_grid(cfgs, z0=None):
@@ -558,9 +536,9 @@ def run_grid(cfgs, z0=None):
             traces.append(Trace(aborted=str(exc)))
     if len(lanes) < MIN_LANES:
         for control in lanes:
-            _iterate(_EngineStep(plan, K, z.copy()), control)
+            _iterate(_EngineStep(plan, z.copy()), control)
     else:
-        step = _EngineStep(engine.SweepPlan(s, prob, lanes=True), K,
+        step = _EngineStep(engine.SweepPlan(s, prob, K, lanes=True),
                            np.repeat(z[None], len(lanes), axis=0))
         _iterate(step, _Lanes(lanes, step, plan))
     return traces
@@ -572,10 +550,8 @@ class _DavisYinStep:
     def __init__(self, prob, z, gamma):
         (a1, a2), (b,) = prob.resolvents, prob.forwards
         self.resolve1, self.resolve2, self.apply = a1.resolve, a2.resolve, b.apply
-        self.z = z
-        self.x = None
+        self.z, self.x, self.evals = z, None, 1
         self.x_next = self.resolve1(gamma, z)
-        self.evals = 1
 
     def residuals(self, gamma):
         # x becomes x_k only here, so a run that stops after relocating still
@@ -595,13 +571,11 @@ class _DavisYinStep:
     def state(self):
         return self.z, self.x, self.evals
 
-    def advance(self, gamma, lam):
-        self.w = self.z + lam * (self.y - self.x)
-        self.x_next = self.resolve1(gamma, self.w)
+    def advance(self, gamma, lam, reads):
+        w = self.w = self.z + lam * (self.y - self.x)
+        x = self.x_next = self.resolve1(gamma, w)
         self.evals += 1
-
-    def norms(self):
-        return norm(self.x_next), norm(self.x_next - self.w)
+        return (norm(x), norm(x - w)) if reads else ()
 
     def relocate(self, ratio):
         self.z = self.w if ratio == 1.0 else ratio * self.w + (1.0 - ratio) * self.x_next

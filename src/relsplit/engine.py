@@ -37,15 +37,22 @@ in another.
 One emitter writes two layouts of the same text: the block layout, an
 (m, d) block vector with a scalar gamma, which a single run iterates; and
 the lane layout, an (L, m, d) stack of L runs with per-lane stepsizes, which
-``driver.run_grid`` iterates. Each layout's text holds ``sweep``,
-``first_block`` and the fused ``residuals`` (the sweep with M* x and
-||M* x||). Each distinct source is compiled once per process; the
+``driver.run_grid`` iterates. The plan is the whole step of the relocated
+iteration for the plan's relocator kind. Each layout's text holds the
+stateless ``sweep``, ``first_block`` and ``relocation`` (the relocation
+formula Q(w) = r w + (1 - r) K x(w), z = w at r = 1, which the public
+``relocator.relocate`` also evaluates), and ``step``, which makes a run's
+step functions on a state object: ``residuals`` (the sweep at z, from the
+recycled x_1 under a cheap kind, with M* x and ||M* x||), ``advance`` (w,
+then x_1(w), or the sweep at w under the general relocator, and the norm
+pair (||x_1(w)||, ||x_1(w) - w||) only when asked for it) and ``relocate``.
+An iteration of a run calls these three (``advance`` calls ``first_block``
+or ``sweep`` at w). Each distinct source is compiled once per process; the
 operators' ``resolve`` and ``apply`` methods are bound each time a plan is
-built, so a wrapper installed on them beforehand sees every call. The plan
-returns the n outputs as a list of blocks; the public ``sweep`` and
-``first_block`` are validated wrappers over it that return the plain (n, d)
-array of resolvent outputs x, which ``relocator.relocate`` and the public
-``residuals`` take.
+built, so a wrapper installed on them beforehand sees every call. The
+public ``sweep`` and ``first_block`` are validated wrappers over the plan
+that return the plain (n, d) array of resolvent outputs x, which
+``relocator.relocate`` and the public ``residuals`` take.
 """
 
 from __future__ import annotations
@@ -122,20 +129,30 @@ def _folds(row):
 class _Emitter:
     """Source text of one scheme's step functions in the block or the lane layout.
 
-    Blocks are read as ``z[..., j, :]``, so one arithmetic text serves an
-    (m, d) block vector with a scalar gamma and an (L, m, d) stack with an
-    (L, 1) gamma column. Only the call sites differ. In the lane layout a
-    resolvent is called once per lane with that lane's Python float stepsize,
-    so every evaluation is still one ``resolve`` call; a product with M, M*
-    or a row of R is taken lane by lane; ||M* x|| is one ``np.vecdot`` over
-    the lanes' flattened blocks, whose float64 loop is the dot product that
-    the block layout's ``flat.dot(flat)`` calls.
+    The block layout reads block j of an (m, d) block vector as ``z[j]`` and
+    takes a scalar gamma; the lane layout reads it as ``z[:, j]`` of an
+    (L, m, d) stack and takes the list ``gs`` of the lanes' stepsizes, with
+    ``gamma`` their (L, 1) column where a forward term needs it. The
+    arithmetic is the same text. In the lane layout a resolvent is called
+    once per lane with that lane's Python float stepsize, so every
+    evaluation is still one ``resolve`` call; a product with M, M*, K or a
+    row of R is taken lane by lane; ||M* x|| is one ``np.vecdot`` over the
+    lanes' flattened blocks, whose float64 loop is the dot product that the
+    block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
+    as the block layout forms it. ``general`` selects the
+    relocation formula: the general relocator's K times the sweep at w, or,
+    for a cheap kind, x_1(w) broadcast over the blocks (K is a column of
+    ones on every supported tree).
     """
 
-    def __init__(self, s, lanes):
-        self.s, self.lanes = s, lanes
+    def __init__(self, s, dim, general, lanes):
+        self.s, self.dim, self.general, self.lanes = s, dim, general, lanes
         self.edges = _edges(s.M)
         self.r_rows = {}   # forward j -> the columns of row j of R, when (R x)_j is not a block
+        self.g, self.xs = "gs" if lanes else "gamma", ", ".join(f"x{i}" for i in range(s.n))
+
+    def _blk(self, v, j):
+        return f"{v}[:, {j}]" if self.lanes else f"{v}[{j}]"
 
     def _per_lane(self, mat, blocks):
         """Source of the product of ``mat`` with the blocks ``blocks``, a source of (..., k, d)."""
@@ -168,11 +185,11 @@ class _Emitter:
             cols = np.flatnonzero(s.M[i])
             plus = s.M[i, cols] > 0
             neg = not plus[0]
-            arg = f"z[..., {cols[0]}, :]"
+            arg = self._blk("z", cols[0])
             for j, p in zip(cols[1:], plus[1:]):
-                arg = f"{arg} {'+' if p == plus[0] else '-'} z[..., {j}, :]"
+                arg = f"{arg} {'+' if p == plus[0] else '-'} {self._blk('z', j)}"
         else:
-            arg, neg = f"mz[..., {i}, :]", False
+            arg, neg = self._blk("mz", i), False
         di = float(s.d[i])
         p_terms = [(int(j), float(s.P[i, j])) for j in np.flatnonzero(s.P[i, :i])]
         step, lane_steps = "gamma", "gs"
@@ -206,7 +223,7 @@ class _Emitter:
         return lines + [f"x{i} = {call}"]
 
     def _sweep(self, rows, recycled=False):
-        """Statements that set x{i} for ``rows``; with ``recycled`` a given x0 is kept."""
+        """Statements that set x{i} for ``rows``; with ``recycled``, x0 is ``aw`` unless None."""
         s = self.s
         lines = []
         if not all(_folds(s.M[i]) for i in rows):
@@ -215,48 +232,96 @@ class _Emitter:
             lines.append("gamma = np.array(gs)[:, None]")   # the forward terms' (L, 1) column
         applied = set()
         first = self._row(rows[0], applied)
-        lines += ["if x0 is None:"] + ["    " + line for line in first] if recycled else first
+        lines += ["if aw is None:", *_indent(first), "else:", "    x0 = aw"] if recycled else first
         for i in rows[1:]:
             lines += self._row(i, applied)
         return lines
 
-    def _fix_res(self):
-        """Statements that set buf = M* x and r = ||M* x|| from x0..x{n-1}."""
+    def _residuals(self):
+        """Statements of the step's ``residuals``: the sweep at z, M* x, and ||M* x|| returned.
+
+        A cheap kind's sweep takes x_1 from ``aw``, x_1(w) of the last
+        ``advance``, once there is one (the recycling identity).
+        """
         s = self.s
+        lines = ["z, aw = st.z, st.aw"] + self._sweep(range(s.n), not self.general)
+        lines.append(f"st.evals += {s.n}" if self.general
+                     else f"st.evals += {s.n} if aw is None else {s.n - 1}")
         if self.edges is None:
-            lines = [f"buf = {self._per_lane('MT', self._blocks([f'x{i}' for i in range(s.n)]))}"]
+            lines.append(f"mx = {self._per_lane('MT', self._blocks(self.xs.split(', ')))}")
         else:
-            lines = [f"buf = np.empty(x0.shape[:-1] + ({s.m}, x0.shape[-1]))"]
-            lines += [f"np.subtract(x{a}, x{b}, out=buf[..., {e}, :])"
+            shape = f"(len(z), {s.m}, {self.dim})" if self.lanes else f"({s.m}, {self.dim})"
+            lines.append(f"mx = np.empty({shape})")
+            lines += [f"np.subtract(x{a}, x{b}, out={self._blk('mx', e)})"
                       for e, (a, b) in enumerate(self.edges)]
+        lines.append(f"st.xs, st.mstar_x = [{self.xs}], mx")
         if self.lanes:
-            return lines + ["flat = buf.reshape(len(buf), -1)",
-                            "r = np.sqrt(np.vecdot(flat, flat)).tolist()"]
-        return lines + ["flat = buf.ravel()", "r = sqrt(flat.dot(flat))"]
+            return lines + ["flat = mx.reshape(len(mx), -1)",
+                            "return np.sqrt(np.vecdot(flat, flat)).tolist()"]
+        return lines + ["flat = mx.ravel()", "return sqrt(flat.dot(flat))"]
+
+    def _advance(self):
+        """Statements of the step's ``advance``: w, x_1(w) or the sweep at w, and the norm pair.
+
+        The pair (||x_1(w)||, ||x_1(w) - w||) is returned when ``reads``, () else;
+        in the lane layout ``reads`` lists the lanes whose pairs are returned,
+        as a dict by lane, with the block layout's float operations.
+        """
+        n, x1w = (self.s.n, "aw[0]") if self.general else (1, "aw")
+        lines = ["w = st.w = st.z - lam * st.mstar_x",
+                 f"aw = st.aw = {'sweep' if self.general else 'first_block'}({self.g}, w)",
+                 f"st.evals += {n}"]
+        if self.lanes:
+            return lines + ["pairs = {}", "for i in reads:",
+                            f"    u, v = {x1w}[i], ({x1w}[i] - w[i]).ravel()",
+                            "    pairs[i] = sqrt(u.dot(u)), sqrt(v.dot(v))", "return pairs"]
+        return lines + ["if reads:", f"    u, v = {x1w}.ravel(), ({x1w} - w).ravel()",
+                        "    return sqrt(u.dot(u)), sqrt(v.dot(v))", "return ()"]
+
+    def _relocation(self):
+        """Statements that set z = Q(w) = ratio w + (1 - ratio) K x(w), or z = w at ratio 1.
+
+        ``aw`` is x_1(w) for a cheap kind and the sweep at w for ``general``. In
+        the lane layout ``ratio`` is the (L, 1, 1) column of the lanes' ratios;
+        a lane at ratio 1 gets w's bits, not the formula's w + 0 * K x.
+        """
+        # K times each run's (n, d) outputs: np.array(aw) is (n, d), or (n, L, d) on a stack
+        kx = ("(K @ np.array(aw).swapaxes(0, -2))" if self.general
+              else "aw[:, None, :]" if self.lanes else "aw")
+        formula = f"ratio * w + (1.0 - ratio) * {kx}"
+        if not self.lanes:
+            return [f"z = w if ratio == 1.0 else {formula}"]
+        return [f"z = {formula}", "np.copyto(z, w, where=ratio == 1.0)"]
 
     def source(self):
-        """Module text whose ``bind(resolve, apply, M, MT, R)`` returns the step functions.
+        """Module text whose ``bind(resolve, apply, M, MT, R, K)`` returns the plan's functions.
 
-        They are ``sweep``, ``first_block`` and ``residuals``, the sweep and
-        its M* x and ||M* x|| in one call.
+        They are the stateless ``sweep``, ``first_block`` and ``relocation``,
+        and ``step``, which makes the step functions of one state.
         """
-        n, p = self.s.n, self.s.p
-        g = "gs" if self.lanes else "gamma"
-        xs = ", ".join(f"x{i}" for i in range(n))
-        all_rows = list(range(n))
-        fns = [(f"sweep({g}, z, x0=None)", self._sweep(all_rows, True) + [f"return [{xs}]"]),
+        s, g = self.s, self.g
+        step = [line for sig, body in ((f"residuals({g})", self._residuals()),
+                                       (f"advance({g}, lam, reads)", self._advance()),
+                                       ("relocate(ratio)", ["w, aw = st.w, st.aw"]
+                                        + self._relocation() + ["st.z = z"]))
+                for line in [f"def {sig}:", *_indent(body), ""]]
+        fns = [(f"sweep({g}, z, aw=None)", self._sweep(range(s.n), True) + [f"return [{self.xs}]"]),
                (f"first_block({g}, z)", self._sweep([0]) + ["return x0"]),
-               (f"residuals({g}, z, x0=None)",
-                self._sweep(all_rows, True) + self._fix_res() + [f"return [{xs}], buf, r"])]
-        lines = [f"# {'lane' if self.lanes else 'block'} layout, n = {n}, p = {p}, m = {self.s.m}",
-                 "def bind(resolve, apply, M, MT, R):"]
-        lines += [f"    resolve_{i} = resolve[{i}]" for i in range(n)]
-        lines += [f"    apply_{j} = apply[{j}]" for j in range(p)]
+               ("relocation(ratio, w, aw)", self._relocation() + ["return z"]),
+               ("step(st)", step + ["return residuals, advance, relocate"])]
+        kind = "general" if self.general else "cheap"
+        lines = [f"# {'lane' if self.lanes else 'block'} layout, {kind} relocator, n = {s.n}, "
+                 f"p = {s.p}, m = {s.m}", "def bind(resolve, apply, M, MT, R, K=None):"]
+        lines += [f"    resolve_{i} = resolve[{i}]" for i in range(s.n)]
+        lines += [f"    apply_{j} = apply[{j}]" for j in range(s.p)]
         lines += [f"    R{j} = R[{j}, {cols}]" for j, cols in sorted(self.r_rows.items())]
         for sig, body in fns:
-            lines += ["", f"    def {sig}:"] + ["        " + line for line in body]
-        names = ", ".join(sig.split("(")[0] for sig, _ in fns)
-        return "\n".join(lines + ["", f"    return {names},", ""])
+            lines += [""] + _indent([f"def {sig}:"] + _indent(body))
+        return "\n".join(lines + ["", "    return sweep, first_block, relocation, step", ""])
+
+
+def _indent(lines):
+    return ["    " + line if line else line for line in lines]
 
 
 @functools.lru_cache(maxsize=256)
@@ -268,33 +333,47 @@ def _compiled(source):
 
 
 class SweepPlan:
-    """The sweep of one scheme bound to one problem, as generated straight-line code.
+    """The step of one scheme, problem and relocator, as generated straight-line code.
 
     Construction checks the operator bindings, emits the source (``source``)
     in the block layout (``lanes=False``) or the lane layout (``lanes=True``)
-    and binds the operators' methods. It then exposes, as plain functions:
+    and binds the operators' methods. ``K`` is the general relocator's m x n
+    matrix, or None for a cheap kind. The plan exposes, as plain functions:
 
-    * ``sweep(gamma, z, x1=None)``: the n outputs; a given ``x1`` is used as
+    * ``sweep(gamma, z, aw=None)``: the n outputs; a given ``aw`` is used as
       x_1 without evaluation;
     * ``first_block(gamma, z)``: x_1 alone;
-    * ``residuals(gamma, z, x1=None)``: (outputs, M* x, ||M* x||) in one call.
+    * ``relocation(ratio, w, aw)``: Q(w) for the relocator, from ``aw``,
+      x_1(w) for a cheap kind or the n outputs at w for ``general``;
+    * ``step(st)``: the step functions of one run (or one stack) on the state
+      ``st``, an object with the attributes ``z``, ``aw``, ``xs``,
+      ``mstar_x``, ``w`` and ``evals``: ``residuals(gamma)`` evaluates the
+      sweep at z (from ``aw``, the recycled x_1(w), under a cheap kind once
+      ``advance`` has made one), sets the outputs ``xs`` and M* x and returns
+      ||M* x||; ``advance(gamma, lam, reads)`` sets w = z - lam M* x and
+      ``aw``, x_1(w) (the sweep at w under ``general``), and returns the norm
+      pair (||x_1(w)||, ||x_1(w) - w||) when ``reads``, () otherwise;
+      ``relocate(ratio)`` sets z to ``relocation(ratio, w, aw)``. Each adds
+      its resolvent evaluations to ``evals``.
 
     In the lane layout gamma is the list of the lanes' Python float
-    stepsizes, z an (L, m, d) stack, each output an (L, d) array, and
-    ||M* x|| a list of L floats. ``consensus`` takes one lane's blocks.
+    stepsizes, z an (L, m, d) stack, each output an (L, d) array, ||M* x||
+    a list of L floats and ``ratio`` an (L, 1, 1) column; ``reads`` lists the
+    lanes whose norm pairs ``advance`` returns, as a dict by lane.
+    ``consensus`` takes one lane's blocks.
     """
 
-    def __init__(self, s, prob, lanes=False):
+    def __init__(self, s, prob, K=None, lanes=False):
         check_binding(s, prob)
-        self.n, self.m, self.dim = s.n, s.m, prob.dim
-        emitter = _Emitter(s, lanes)
+        self.m, self.dim = s.m, prob.dim
+        emitter = _Emitter(s, prob.dim, K is not None, lanes)
         edge_of = {frozenset(ab): e for e, ab in enumerate(emitter.edges or ())}
         self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
                       for i in range(s.n) for j in range(i + 1, s.n)]
         self.source = emitter.source()
-        self.sweep, self.first_block, self.residuals = _compiled(self.source)(
+        self.sweep, self.first_block, self.relocation, self.step = _compiled(self.source)(
             tuple(op.resolve for op in prob.resolvents), tuple(op.apply for op in prob.forwards),
-            s.M, s.M.T, s.R)
+            s.M, s.M.T, s.R, K)
 
     def consensus(self, x, mstar_x):
         """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``residuals``.

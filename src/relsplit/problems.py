@@ -97,7 +97,9 @@ def gen_lasso(q, d, seed, spectrum=(0.5, 1.5), lam=1e-3, u=50.0):
     A is built from random orthogonal factors with singular values drawn
     uniformly in [spectrum[0], spectrum[1]] (so the Lipschitz constant of
     the forward operator neither explodes nor vanishes); b is standard
-    normal. Fixed seed gives bitwise-identical instances.
+    normal. A fixed seed gives bitwise-identical instances for a given BLAS
+    thread count: the QR factors and the product forming A run in the BLAS,
+    whose sums another thread count may split otherwise.
     """
     if q < 1 or d < 1:
         raise ParameterError("q and d must be >= 1")
@@ -122,7 +124,10 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2):
     linear combinations of two earlier columns plus 1e-3-scaled Gaussian
     jitter (inducing near-dependency); x* is entrywise Exp(1) and b = A x* + N(0, noise_sd^2).
     The matrix is rescaled to unit spectral norm, keeping the forward modulus
-    at max(1, lam2).
+    at max(1, lam2). A fixed seed gives bitwise-identical instances for a
+    given BLAS thread count only: the normalising ``spectral_norm`` runs a
+    threaded product and ``eigvalsh`` (``gen_elastic_net(300, 1000, 11,
+    n_corr=4)`` gives another A under one and under two OpenBLAS threads).
     """
     if q < 1 or d < 1:
         raise ParameterError("q and d must be >= 1")

@@ -94,8 +94,8 @@ def require_graph_scheme(kind, s):
 def cheap_coefficients(kind, g):
     """Per-block multipliers of x_1 in the cheap relocators (length n - 1).
 
-    They are ones on every canonical tree, which ``driver._EngineStep``
-    relies on when it broadcasts x_1 in place of the product K x_1.
+    They are ones on every canonical tree, which ``engine.SweepPlan``'s
+    relocation relies on when it broadcasts x_1 in place of the product K x_1.
     """
     kappa, kin, _ = graphmod.degrees(g)
     w = (kappa - 2 * kin).astype(float)
@@ -112,25 +112,27 @@ def cheap_coefficients(kind, g):
 
 
 def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
-    """Apply Q_{delta <- gamma} to z.
+    """Apply Q_{delta <- gamma} to z: z itself at delta = gamma, never a view of z.
 
     ``sweep`` is the (n, d) array ``engine.sweep`` returns at (gamma, z).
     For the cheap kinds only ``x1`` (its first row, a d-vector) is needed;
     for ``general`` the full array is (each computed here when not supplied).
+    The formula is the one a run's step relocates with
+    (``engine.SweepPlan.relocation``).
     """
     r = _check_ratio(delta, gamma)
-    z = linalg.as_blocks(z, s.m)
-    if sweep is not None:
-        sweep = linalg.check_shape("sweep", sweep, (s.n, z.shape[1]))
-    if x1 is not None:
-        x1 = linalg.check_shape("x1", x1, (z.shape[1],))
     K = relocation_map(kind, s)
+    plan = engine.SweepPlan(s, prob, K if kind == GENERAL else None)
+    z = plan.blocks(z)
+    if sweep is not None:
+        sweep = linalg.check_shape("sweep", sweep, (s.n, plan.dim))
+    if x1 is not None:
+        x1 = linalg.check_shape("x1", x1, (plan.dim,))
     if kind == GENERAL:
-        x = sweep if sweep is not None else engine.sweep(s, prob, gamma, z)
-        return r * z + (1.0 - r) * (K @ x)
-    if x1 is None:
-        x1 = sweep[0] if sweep is not None else engine.first_block(s, prob, gamma, z)
-    return r * z + (1.0 - r) * (K * x1)
+        x = sweep if sweep is not None else plan.sweep(gamma, z)
+    else:
+        x = x1 if x1 is not None else sweep[0] if sweep is not None else plan.first_block(gamma, z)
+    return np.array(plan.relocation(r, z, x))
 
 
 def lipschitz_constant(kind, s, delta, gamma, beta):

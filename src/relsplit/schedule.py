@@ -15,9 +15,10 @@ and makes sum_k (gamma_{k+1} - gamma_k)_+ finite (bounded by
     harmonic     t_k = 1 / (k + 1)
 
 Only the norm-ratio rule reads the two norms; a schedule's ``reads_norms``
-says so (derived from its rule, never set), and the driver forms
+says so (derived from its rule, never set), and a run's step forms
 ||x_{k+1}|| and ||x_{k+1} - w_k|| only for a schedule that reads them. The
-other rules and the constant stepsize are called as ``next_gamma()``.
+other rules are called as ``next_gamma()``; a run with a constant stepsize
+does not call its schedule.
 
 The relaxation has no schedule: ``driver`` runs theta_k = 1 and co-adjusts
 lambda_k to the feasibility margin at each gamma_k.
@@ -92,28 +93,30 @@ class SafeguardStepsize:
     def zeta_sum(self, n_terms):
         return float(sum(self.zeta(k) for k in range(n_terms)))
 
-    def _target(self, x_next_norm, x_next_minus_w_norm):
-        if self.t_rule == HARMONIC:
-            return 1.0 / (self.k + 1)
-        if self.t_rule == ACCEL:
-            g, L = self.gamma, self.L
-            q = ACCEL_GAP
-            return (-2.0 * g * g * q / (2.0 * L)
-                    + math.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
-        if x_next_minus_w_norm == 0.0:
+    def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
+        """gamma_{k+1} from ||x_{k+1}|| and ||x_{k+1} - w_k|| (read by the norm-ratio rule).
+
+        The target t_k, its clamp and zeta_k are formed here, in the one call
+        a run makes per iteration.
+        """
+        k, rule = self.k, self.t_rule
+        if rule == NORM_RATIO:
             # x_{k+1} = w_k: the ratio diverges as the iterate converges; the
             # clamped limit is the upper safeguard.
-            return self.gamma_max
-        return x_next_norm / x_next_minus_w_norm
-
-    def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
-        """gamma_{k+1} from ||x_{k+1}|| and ||x_{k+1} - w_k|| (read by the norm-ratio rule)."""
-        tau = min(max(self._target(x_next_norm, x_next_minus_w_norm), self.gamma_min),
-                  self.gamma_max)
-        zeta = self.zeta(self.k)
-        self.gamma = (1.0 - zeta) * self.gamma + zeta * tau
-        self.k += 1
-        return self.gamma
+            t = (self.gamma_max if x_next_minus_w_norm == 0.0
+                 else x_next_norm / x_next_minus_w_norm)
+        elif rule == HARMONIC:
+            t = 1.0 / (k + 1)
+        else:
+            g, L, q = self.gamma, self.L, ACCEL_GAP
+            t = (-2.0 * g * g * q / (2.0 * L)
+                 + math.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
+        # min(max(t, gamma_min), gamma_max), a NaN t included
+        tau = self.gamma_min if t < self.gamma_min else self.gamma_max if t > self.gamma_max else t
+        zeta = ZETA_COEFF / (k + 1) ** ZETA_POWER   # zeta(k)
+        self.gamma = gamma = (1.0 - zeta) * self.gamma + zeta * tau
+        self.k = k + 1
+        return gamma
 
 
 def positive_variation(gammas):

@@ -304,6 +304,30 @@ def test_bench_unwritable_output_exits_2(tmp_path, capsys, taken):
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out / taken}: "), err
 
 
+def test_bench_checks_every_output_before_any_work(tmp_path, capsys, monkeypatch):
+    # an out_dir under a regular file, a method CSV and the summary that are directories:
+    # exit 2 with one error line before the reference solve and the runs, and no CSV
+    def no_work(*args):
+        raise AssertionError("bench worked before checking its outputs")
+
+    monkeypatch.setattr("relsplit.cli.problems.reference_solution", no_work)
+    monkeypatch.setattr("relsplit.cli.run_grid", no_work)
+    plain = tmp_path / "plain"
+    plain.write_text("keep")
+    cases = [(plain / "out", plain / "out", "Not a directory")]
+    for taken in ("const-1L.csv", "summary.csv"):
+        (tmp_path / taken / taken).mkdir(parents=True)
+        cases.append((tmp_path / taken, tmp_path / taken / taken, "Is a directory"))
+    for out, named, why in cases:
+        spec = dict(json.loads((DEMO_CONFIGS / "bench_lasso.json").read_text()),
+                    budget=50, out_dir=str(out))
+        code = main(["bench", write_json(tmp_path / "spec.json", spec)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {named}: {why}"]
+    assert plain.read_text() == "keep"
+    assert [p for p in tmp_path.rglob("*.csv") if p.is_file()] == []
+
+
 def assert_usage_error(capsys, code):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2

@@ -454,7 +454,9 @@ def stack_of_three(cfg, z0):
                          ids=["general", "cheap", "standalone", "general-stack", "cheap-stack"])
 def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
     # ||x_1(w)|| and ||x_1(w) - w|| only for the norm-ratio rule, the consensus
-    # only on a recorded row, in a single run and in each lane of a stack
+    # only on a recorded row, in a single run and in each lane of a stack; the
+    # engine's generated advance forms the pairs (one per lane), the standalone
+    # loop's calls driver.norm
     formed = {"norm": 0, "consensus": 0}
 
     def counting(key, fn):
@@ -463,7 +465,22 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
             return fn(*args)
         return spy
 
+    def counting_pairs(advance):
+        def spy(gamma, lam, reads):
+            pairs = advance(gamma, lam, reads)   # a stack's reads lists its lanes
+            assert bool(pairs) == bool(reads)
+            formed["norm"] += 2 * (len(pairs) if isinstance(gamma, list) else bool(pairs))
+            return pairs
+        return spy
+
+    init = driver._EngineStep.__init__
+
+    def engine_init(self, *args):
+        init(self, *args)
+        self.advance = counting_pairs(self.advance)
+
     monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
+    monkeypatch.setattr(driver._EngineStep, "__init__", engine_init)
     for step in (driver._EngineStep, driver._DavisYinStep):
         monkeypatch.setattr(step, "consensus", counting("consensus", step.consensus))
     s, split, _ = small_lasso_setup(21)
@@ -601,9 +618,9 @@ def test_run_grid_builds_each_group_once(spec, monkeypatch):
     built, mus, resumed = [], [0], []
     plan_cls, mu_fn, iterate = driver.engine.SweepPlan, driver.schememod.mu, driver._iterate
 
-    def plan_spy(s, prob, lanes=False):
+    def plan_spy(s, prob, K=None, lanes=False):
         built.append(lanes)
-        return plan_cls(s, prob, lanes)
+        return plan_cls(s, prob, K, lanes)
 
     def mu_spy(s, beta):
         mus[0] += 1

@@ -324,6 +324,13 @@ CLOSE = [kappa_scheme(kind, n) for kind in (graphmod.INWARD_STAR, graphmod.OUTWA
          for n in (4, 5, 6)]
 
 
+def step_residuals(plan, gamma, z, x1=None):
+    """(outputs, M* x, ||M* x||) of a plan's step at (gamma, z), from a given x_1 or none."""
+    step = _EngineStep(plan, z, x1)
+    fix_res = step.residuals(gamma)
+    return step.st.xs, step.st.mstar_x, fix_res
+
+
 def check_plan_against_oracle(s, same):
     for seed in range(3):
         prob = split_for(s, seed)
@@ -340,7 +347,7 @@ def check_plan_against_oracle(s, same):
         same(first_block(s, prob, gamma, z), expect[0])
         assert not np.shares_memory(first_block(s, prob, gamma, z), z)
         same(np.array(residuals(s, expect)), np.array(oracle_residuals(s, expect)))
-        xs, mstar_x, fix_res = plan.residuals(gamma, z)
+        xs, mstar_x, fix_res = step_residuals(plan, gamma, z)
         same(np.array(xs), expect)
         same(np.array([fix_res, plan.consensus(xs, mstar_x)]),
              np.array(oracle_residuals(s, expect)))
@@ -350,12 +357,12 @@ def check_plan_against_oracle(s, same):
         for kind in kinds:
             general = kind == relocator.GENERAL
             K = relocator.relocation_map(kind, s)
-            step = _EngineStep(SweepPlan(s, prob), K if general else None, z)
+            step = _EngineStep(SweepPlan(s, prob, K if general else None), z)
             step.residuals(gamma)
-            step.advance(gamma, 0.7)
+            step.advance(gamma, 0.7, False)
             step.relocate(1.25)
             w = z - 0.7 * (s.M.T @ expect)
-            same(step.z, oracle_relocate(s, prob, K, general, 1.25, gamma, w))
+            same(step.st.z, oracle_relocate(s, prob, K, general, 1.25, gamma, w))
 
 
 @pytest.mark.parametrize("s", BITWISE + [explicit_scheme()],
@@ -397,11 +404,12 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
         z = rng.standard_normal((len(gammas), s.m, prob.dim))
         for x1 in (None, rng.standard_normal((len(gammas), prob.dim))):
             xs = lanes.sweep(gammas, z, x1)
-            xs_fused, mstar_x, fix_res = lanes.residuals(gammas, z, x1)
+            xs_fused, mstar_x, fix_res = step_residuals(lanes, gammas, z, x1)
             for lane, gamma in enumerate(gammas):
                 x1_lane = None if x1 is None else x1[lane]
                 want = block.sweep(gamma, z[lane], x1_lane)
-                want_fused, want_mstar, want_fix_res = block.residuals(gamma, z[lane], x1_lane)
+                want_fused, want_mstar, want_fix_res = step_residuals(block, gamma, z[lane],
+                                                                      x1_lane)
                 for got, got_fused, block_i, block_fused in zip(xs, xs_fused, want, want_fused):
                     assert np.array_equal(got[lane], block_i)
                     assert np.array_equal(got_fused[lane], block_i)
@@ -418,35 +426,70 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
                             for n in (4, 5, 6)] + ["explicit", "mixed"])
 def test_lane_step_is_the_block_step_per_lane(s):
-    # one _EngineStep on a 4-lane stack relocates each lane bitwise as the block step
-    # relocates its run; a lane at ratio 1 holds w's bits, where the formula
-    # 1 * w + 0 * K x would turn a -0.0 entry of w into 0.0 wherever K x > 0
+    # one _EngineStep on a 4-lane stack forms each lane's norm pair and relocates each
+    # lane bitwise as the block step does for its run; a lane at ratio 1 holds w's bits,
+    # where the formula 1 * w + 0 * K x would turn a -0.0 entry of w into 0.0 wherever
+    # K x > 0
     gammas, lam_theta, ratios = [0.3, 0.55, 0.7, 1.1], [0.7, 0.5, 0.9, 0.6], [1.0, 1.25, 1.0, 0.8]
     prob = split_for(s, 2)
     z = np.random.default_rng(5).standard_normal((len(gammas), s.m, prob.dim))
     kinds = [relocator.GENERAL]
     if s.graph is not None:
         kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+
     for kind in kinds:
         K = relocator.relocation_map(kind, s) if kind == relocator.GENERAL else None
-        stack = _EngineStep(SweepPlan(s, prob, lanes=True), K, z)
+        stack = _EngineStep(SweepPlan(s, prob, K, lanes=True), z)
         stack.residuals(gammas)
-        stack.advance(gammas, np.array(lam_theta)[:, None, None])
-        stack.w = stack.w.copy()   # x_1(w) may be a view of w (A_1 = 0)
-        stack.w[..., 0, 0] = -0.0
+        pairs = stack.advance(gammas, np.array(lam_theta)[:, None, None], range(len(gammas)))
+        stack.st.w = w = stack.st.w.copy()   # x_1(w) may be a view of w (A_1 = 0)
+        w[..., 0, 0] = -0.0
         stack.relocate(np.array(ratios)[:, None, None])
         for lane, (gamma, lt, ratio) in enumerate(zip(gammas, lam_theta, ratios)):
-            block = _EngineStep(SweepPlan(s, prob), K, z[lane])
+            block = _EngineStep(SweepPlan(s, prob, K), z[lane])
             block.residuals(gamma)
-            block.advance(gamma, lt)
-            block.w = block.w.copy()
-            block.w[0, 0] = -0.0
+            assert pairs[lane] == block.advance(gamma, lt, True)
+            block.st.w = block.st.w.copy()
+            block.st.w[0, 0] = -0.0
             block.relocate(ratio)
-            assert stack.z[lane].tobytes() == block.z.tobytes()
+            assert stack.st.z[lane].tobytes() == block.st.z.tobytes()
             if ratio == 1.0:
-                assert stack.z[lane].tobytes() == stack.w[lane].tobytes()
+                assert stack.st.z[lane].tobytes() == w[lane].tobytes()
             if K is None:   # the recycled x_1
-                assert stack.x1[lane].tobytes() == block.x1.tobytes()
+                assert stack.st.aw[lane].tobytes() == block.st.aw.tobytes()
+
+
+@pytest.mark.parametrize("s", BITWISE + [explicit_scheme()],
+                         ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
+                         + ["explicit"])
+def test_public_wrappers_are_the_loops_step(s):
+    # the public one-shot wrappers form the bits of the loop's generated step under every
+    # relocator kind, at r = 1 and r = 1.25: engine.sweep at z, engine.first_block (a cheap
+    # kind) or engine.sweep (general) at w, relocator.relocate's Q(w), and the next sweep
+    # from the recycled x_1
+    gamma, lam = 0.5, 0.7
+    kinds = [relocator.GENERAL]
+    if s.graph is not None:
+        kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+    for prob in (split_for(s, 4), graph_split(s.n, 4)):
+        z = np.random.default_rng(9).standard_normal((s.m, prob.dim))
+        for kind, delta in itertools.product(kinds, (gamma, 0.625)):
+            general = kind == relocator.GENERAL
+            step = _EngineStep(SweepPlan(s, prob, relocator.relocation_map(kind, s)
+                                         if general else None), z)
+            st = step.st
+            step.residuals(gamma)
+            assert np.array(st.xs).tobytes() == sweep(s, prob, gamma, z).tobytes()
+            step.advance(gamma, lam, False)
+            x1 = first_block(s, prob, gamma, st.w)
+            want = sweep(s, prob, gamma, st.w) if general else x1
+            assert np.array(st.aw).tobytes() == want.tobytes()
+            z_next = relocator.relocate(kind, s, prob, delta, gamma, st.w)
+            step.relocate(delta / gamma)
+            assert st.z.tobytes() == z_next.tobytes()
+            step.residuals(delta)
+            want = sweep(s, prob, delta, z_next, None if general else x1)
+            assert np.array(st.xs).tobytes() == want.tobytes()
 
 
 def test_plan_source_is_the_code_that_runs():
@@ -458,10 +501,13 @@ def test_plan_source_is_the_code_that_runs():
         exec(compile(plan.source, "printed", "exec"), namespace)
         fresh = namespace["bind"]([op.resolve for op in prob.resolvents],
                                   [op.apply for op in prob.forwards], s.M, s.M.T, s.R)
-        ran = (plan.sweep, plan.first_block, plan.residuals)
+        ran = (plan.sweep, plan.first_block, plan.relocation, plan.step)
         assert [f.__name__ for f in fresh] == [f.__name__ for f in ran]
         for f, g in zip(fresh, ran):
             assert f.__code__.co_code == g.__code__.co_code
+        # the step functions of one run, nested in the text
+        for f, g in zip(fresh[-1](None), plan.step(None)):
+            assert f.__name__ == g.__name__ and f.__code__.co_code == g.__code__.co_code
     # the folded constants are in the text: d_2 = 2 on the kappa-form sequential tree
     assert "s1 = gamma / 2.0" in SweepPlan(s, prob).source
 

@@ -27,26 +27,24 @@ def test_only_the_norm_ratio_rule_reads_the_norms():
 def test_safeguard_first_unit_emits_target_exactly():
     # t_0 = ||x_1|| / ||x_1 - w_0||, inside the bounds; gamma_1 moves zeta_0 = 0.1 of the way
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO)
-    assert sched._target(3.0, 4.0) == 0.75
     assert sched.next_gamma(3.0, 4.0) == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * 0.75
 
 
 def test_harmonic_rule():
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC)
-    assert sched._target(None, None) == 1.0  # t_0 = 1/(0+1), inside the bounds
-    assert sched.next_gamma() == 1.0   # gamma_0 = t_0: the blend stays there
+    # t_0 = 1/(0+1), inside the bounds, is gamma_0: the blend stays there
+    assert sched.next_gamma() == 1.0
     sched2 = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=HARMONIC)
     sched2.k = 9
-    assert sched2._target(None, None) == pytest.approx(0.1, abs=0.0)  # t_9 = 1/10
+    zeta = sched2.zeta(9)
+    assert sched2.next_gamma() == (1.0 - zeta) * 1.0 + zeta * 0.1  # t_9 = 1/10
 
 
 def test_accel_rule_value():
     # gamma = 1, L = 1: t = (-0.01 + sqrt(4.0001)) / 2
     sched = SafeguardStepsize(1.0, 0.01, 2.0, t_rule=ACCEL, L=1.0)
-    got = sched._target(None, None)
     expect = (-0.01 + np.sqrt(4.0001)) / 2.0
-    assert got == expect
-    assert abs(got - 0.995) <= 1e-3
+    assert abs(expect - 0.995) <= 1e-3
     assert sched.next_gamma() == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * expect
     # L is fixed at construction: a missing or nonpositive one raises there
     for L in (None, 0.0, float("nan")):
@@ -66,7 +64,6 @@ def test_every_rule_emits_a_python_float(rule):
 
 def test_norm_ratio_degenerate_denominator_uses_gamma_max():
     sched = SafeguardStepsize(1.0, 0.1, 2.0, t_rule=NORM_RATIO)
-    assert sched._target(5.0, 0.0) == 2.0
     assert sched.next_gamma(5.0, 0.0) == (1.0 - ZETA_COEFF) * 1.0 + ZETA_COEFF * 2.0
 
 
