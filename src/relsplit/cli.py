@@ -2,6 +2,9 @@
 
 ``config`` reads the run config and the bench spec; this module loads the
 JSON, calls the library, writes the output files and sets the exit code.
+``run`` and ``bench`` check their outputs' places before any work and write
+the files whole: under temporary names, renamed into place after the last,
+so a write that fails leaves the earlier outputs and no temporary file.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
 failed property; an aborted reference run is one ``error:`` line on stderr),
 2 usage or configuration error, reported as one ``error:`` line on stderr.
@@ -21,7 +24,9 @@ import csv
 import errno
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import config as configmod, problems, propsuites
@@ -65,6 +70,24 @@ def _unwritable(path):
     return OSError(code, os.strerror(code), str(path))
 
 
+def _write_whole(folder, writers):
+    """Write the files ``writers`` ({name: write(path)}) into ``folder``, all or none.
+
+    Each is written under a temporary folder in ``folder`` and all are renamed
+    into place after the last is written, so a failed write leaves the
+    folder's earlier files and no temporary one. A failed write's OSError
+    names the file's place in ``folder``.
+    """
+    with tempfile.TemporaryDirectory(dir=folder, prefix=".relsplit-") as tmp:
+        for name, write in writers.items():
+            try:
+                write(Path(tmp) / name)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(Path(folder) / name)) from exc
+        for name in writers:
+            os.replace(Path(tmp) / name, Path(folder) / name)
+
+
 def cmd_validate(args):
     doc = _load_json(args.config)
     try:
@@ -95,7 +118,7 @@ def cmd_run(args):
     if flagged:
         print(REFERENCE_WARNING)
     try:
-        trace.to_csv(out)
+        _write_whole(Path(out).parent, {Path(out).name: trace.to_csv})
     except OSError as exc:
         return _write_error(exc)
     summary = trace.summary()
@@ -135,15 +158,10 @@ def cmd_bench(args):
     for names, cfgs, z0 in groups:
         for cfg in cfgs:
             cfg.reference = (ref.x, ref.phi)
-        for name, trace in zip(names, run_grid(cfgs, z0)):
-            try:
-                trace.to_csv(out_dir / f"{name}.csv")
-            except OSError as exc:
-                return _write_error(exc)
-            results.append((name, trace))
+        results += zip(names, run_grid(cfgs, z0))
 
-    try:
-        with open(out_dir / "summary.csv", "w", newline="") as fh:
+    def write_summary(path):
+        with open(path, "w", newline="") as fh:
             # the writer quotes an abort text, which may hold ", "
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SUMMARY_HEADER)
@@ -154,10 +172,18 @@ def cmd_bench(args):
                                  *("%.17g" % su[key]
                                    for key in ("fix_res", "rel_err_x", "rel_err_f")),
                                  hit, su["sweeps"]])
-                print(f"{name}: iters={su['iterations']} rel_err_f={su['rel_err_f']:.3e} "
-                      f"{'ABORTED ' + su['aborted'] if su['aborted'] else ''}")
+
+    try:
+        _write_whole(out_dir, {**{f"{name}.csv": trace.to_csv for name, trace in results},
+                               "summary.csv": write_summary})
     except OSError as exc:
+        if made:   # nor does a failed write leave an out_dir
+            shutil.rmtree(out_dir, ignore_errors=True)
         return _write_error(exc)
+    for name, trace in results:
+        su = trace.summary()
+        print(f"{name}: iters={su['iterations']} rel_err_f={su['rel_err_f']:.3e} "
+              f"{'ABORTED ' + su['aborted'] if su['aborted'] else ''}")
     print(f"wrote {out_dir}/summary.csv")
     return 0
 

@@ -189,20 +189,11 @@ def _schedule(name, doc):
                                else as_real(f"{name} gamma", gamma)))
 
 
-def _pick_kind(requested, s):
-    """Resolve 'auto' to the scheme's cheap relocator kind (general otherwise)."""
-    if requested != "auto":
-        return requested
-    if s.n == 2 and s.topologies:
-        return relocator.DAVIS_YIN
-    return s.topologies[0] if len(s.topologies) == 1 else relocator.GENERAL
-
-
 def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, record_every):
     """The RunConfig of one run or bench job, the one place a document becomes one."""
     engine.check_binding(s, split)
     return RunConfig(scheme=s, problem=split,
-                     relocator=_pick_kind(doc.get("relocator", relocator.GENERAL), s),
+                     relocator=relocator.pick_kind(doc.get("relocator", relocator.GENERAL), s),
                      schedule=schedule, max_iters=max_iters,
                      fix_res_tol=as_real("fix_res_tol", fix_res_tol),
                      record_every=record_every, objective=objective_fn)

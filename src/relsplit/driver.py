@@ -40,7 +40,8 @@ to neither, so a finished step is freed at once. What the engine's runs of
 one scheme, problem, relocator kind and z0 share is built once, before the
 first iteration (``_shared``): the plan (which checks the operator bindings
 and shapes, with the consensus pairs), a copy of the start point, the
-relocator's matrix K (``relocator.relocation_map``) and mu. So the loop
+general relocator's matrix K (``relocator.relocation_map``, None under a
+cheap kind) and mu. So the loop
 itself only does arithmetic, and a single run calls its control's ``check``
 only when the run stops or records a row, and its ``next_gamma`` (one
 schedule call) only when its stepsize moves.
@@ -122,10 +123,7 @@ class RunConfig:
             raise ParameterError(f"fix_res_tol must be finite and > 0, got {self.fix_res_tol!r}")
         self.max_iters = as_count("max_iters", self.max_iters)
         self.record_every = as_count("record_every", self.record_every)
-        if self.relocator not in relocator.KINDS:
-            raise ParameterError(f"unknown relocator kind {self.relocator!r}")
-        if self.relocator in relocator.CHEAP_KINDS:
-            relocator.require_graph_scheme(self.relocator, self.scheme)
+        relocator.check_kind(self.relocator, self.scheme)
         failed = [] if self.scheme.graph is not None else schememod.validate(self.scheme)
         if failed:
             raise StructuralError(f"scheme fails condition(s) {'; '.join(failed)}")
@@ -351,10 +349,8 @@ class _EngineStep:
         self.residuals, self.advance, self.relocate = plan.step(self.st)
 
     def row(self, *lane):
-        return self.consensus(*lane), self.st.xs[0][lane], self.st.evals
-
-    def consensus(self, *lane):
-        return self._consensus([x[lane] for x in self.st.xs], self.st.mstar_x[lane])
+        st = self.st
+        return self._consensus([x[lane] for x in st.xs], st.mstar_x[lane]), st.xs[0][lane], st.evals
 
     def keep(self, lanes):
         """Keep the stack's lanes at the indices ``lanes`` and drop the state of the others."""
@@ -372,12 +368,12 @@ def _shared(cfg, z0):
 
     ``plan`` is the block ``engine.SweepPlan``, ``z`` a copy of the start
     point (the sweep may hand its blocks, as views, to a resolvent), ``K`` the
-    general relocator's matrix or None for a cheap kind, whose relocation
-    broadcasts x_1(w), and ``mu`` the scheme's ``scheme.mu``.
+    general relocator's matrix or None for a cheap kind, whose column of ones
+    the relocation applies by broadcasting x_1(w), and ``mu`` the scheme's
+    ``scheme.mu``. ``relocation_map`` checks the kind against the scheme.
     """
     s, prob = cfg.scheme, cfg.problem
-    K = relocator.relocation_map(cfg.relocator, s)   # checks a cheap kind's column of ones
-    K = K if cfg.relocator == relocator.GENERAL else None
+    K = relocator.relocation_map(cfg.relocator, s)
     plan = engine.SweepPlan(s, prob, K)
     z = plan.blocks(z0).copy() if z0 is not None else default_z0(s, prob)
     return plan, z, K, schememod.mu(s, prob.beta)
@@ -412,9 +408,6 @@ class _Lanes:
       the lanes that stop in one pass over the stack's fix_res and calls
       only their ``check``, or every lane's at ``record``, the first k at
       which some lane may record a row (``_RunControl.next_row``).
-    * ``iterations``, the count of iterations every lane has finished, is
-      kept once for the stack and written into a lane's trace when it
-      leaves or is handed off.
 
     A lane whose run ends is finished at the step's state and dropped
     (``_EngineStep.keep``), before any further resolvent call for it. When
@@ -422,7 +415,7 @@ class _Lanes:
     ``_iterate`` on a step of the group's block plan, from its exact state.
     """
 
-    k = iterations = row = record = end = 0   # every lane starts at k = 0 = end
+    k = row = record = end = 0   # every lane starts at k = 0 = end
     moves, tol = True, None
 
     def __init__(self, lanes, step, block_plan):
@@ -435,7 +428,6 @@ class _Lanes:
         """Finish the lanes at the indices ``ended``, drop them from the stack and re-index it."""
         lanes = self.lanes
         for i in ended:
-            lanes[i].trace.iterations = self.iterations
             lanes[i].finish(self.step, i)
         if ended:
             keep = [i for i in range(len(lanes)) if i not in ended]
@@ -448,6 +440,7 @@ class _Lanes:
         self.end = min((lane.max_iters for lane in lanes), default=0)
 
     def start(self, k):
+        self.k = k   # where a hand-off resumes each lane
         lanes, lam, every = self.lanes, self.lam, k == self.end
         ended = []
         for i in range(len(lanes)) if every else self.moving:
@@ -460,7 +453,7 @@ class _Lanes:
         return len(self.lanes) >= MIN_LANES
 
     def check(self, k, fix_res, step):
-        self.iterations = self.row = k + 1
+        self.row = k + 1
         lanes = self.lanes
         if k == self.record:
             checked = range(len(lanes))
@@ -499,7 +492,7 @@ class _Lanes:
     def finish(self, step):
         st = step.st
         for i, lane in enumerate(self.lanes):
-            lane.k = lane.trace.iterations = self.iterations
+            lane.k = self.k
             _iterate(_EngineStep(self.block_plan, st.z[i], _lanes_of(st.aw, i),
                                  _lanes_of(st.xs, i), st.evals), lane)
 
@@ -562,11 +555,8 @@ class _DavisYinStep:
         self.fix_res = norm(x - y)
         return self.fix_res
 
-    def consensus(self):
-        return self.fix_res
-
     def row(self):
-        return self.consensus(), self.x, self.evals
+        return self.fix_res, self.x, self.evals
 
     def state(self):
         return self.z, self.x, self.evals

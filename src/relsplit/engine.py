@@ -65,6 +65,7 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .linalg import as_blocks, check_shape
+from .operators import check_gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +92,6 @@ def check_binding(s, prob):
         raise StructuralError(f"scheme has n = {s.n} but {len(prob.resolvents)} resolvents given")
     if len(prob.forwards) != s.p:
         raise StructuralError(f"scheme has p = {s.p} but {len(prob.forwards)} forwards given")
-
-
-def _check_gamma(gamma):
-    if not gamma > 0:
-        raise ParameterError(f"stepsize must be positive, got {gamma}")
 
 
 def _lit(v):
@@ -141,8 +137,9 @@ class _Emitter:
     block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
     as the block layout forms it. ``general`` selects the
     relocation formula: the general relocator's K times the sweep at w, or,
-    for a cheap kind, x_1(w) broadcast over the blocks (K is a column of
-    ones on every supported tree).
+    for a cheap kind, x_1(w) broadcast over the blocks: its column of
+    tree-degree coefficients is ones on every supported tree, so it has no
+    K (``relocator.relocation_map`` returns None).
     """
 
     def __init__(self, s, dim, general, lanes):
@@ -407,7 +404,7 @@ def sweep(s, prob, gamma, z, x1=None):
     ``x1`` must be a d-vector. Each forward operator the scheme uses is
     applied once.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     plan = SweepPlan(s, prob)
     z = plan.blocks(z)
     if x1 is not None:
@@ -417,7 +414,7 @@ def sweep(s, prob, gamma, z, x1=None):
 
 def first_block(s, prob, gamma, z):
     """Only x_1 of the sweep (one resolvent evaluation), never a view of ``z``."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     plan = SweepPlan(s, prob)
     return np.array(plan.first_block(gamma, plan.blocks(z)))
 

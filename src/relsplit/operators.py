@@ -30,7 +30,8 @@ def soft_threshold(v, t):
     return v - np.minimum(np.maximum(v, -t), t)
 
 
-def _check_gamma(gamma):
+def check_gamma(gamma):
+    """ParameterError unless the stepsize gamma is positive."""
     if not gamma > 0:
         raise ParameterError(f"resolvent stepsize must be positive, got {gamma}")
 
@@ -53,7 +54,7 @@ class L1Subdiff(ResolventOp):
             raise ParameterError("l1 weight must be positive")
 
     def resolve(self, gamma, v):
-        _check_gamma(gamma)
+        check_gamma(gamma)
         return soft_threshold(np.asarray(v, dtype=float), gamma * self.weight)
 
 
@@ -68,7 +69,7 @@ class BoxNormalCone(ResolventOp):
             raise ParameterError("box bound must be positive")
 
     def resolve(self, gamma, v):
-        _check_gamma(gamma)
+        check_gamma(gamma)
         # np.clip's result, bitwise (NaN, signed zeros), at half its call overhead
         return np.minimum(np.maximum(np.asarray(v, dtype=float), -self.bound), self.bound)
 
@@ -78,7 +79,7 @@ class NonnegNormalCone(ResolventOp):
     """A = normal cone of the nonnegative orthant; resolvent = positive part."""
 
     def resolve(self, gamma, v):
-        _check_gamma(gamma)
+        check_gamma(gamma)
         return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
@@ -87,14 +88,14 @@ class ZeroOp(ResolventOp):
     """A = 0; resolvent = identity."""
 
     def resolve(self, gamma, v):
-        _check_gamma(gamma)
+        check_gamma(gamma)
         return np.asarray(v, dtype=float)
 
 
 def check_resolvent_identity(op, gamma, delta, v, tol=1e-12):
     """Check J_{dA}((d/g) v + (1 - d/g) J_{gA} v) == J_{gA} v to within tol."""
-    _check_gamma(gamma)
-    _check_gamma(delta)
+    check_gamma(gamma)
+    check_gamma(delta)
     v = np.asarray(v, dtype=float)
     jg = op.resolve(gamma, v)
     r = delta / gamma

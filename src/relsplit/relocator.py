@@ -1,8 +1,8 @@
-"""Fixed-point relocators Q_{delta <- gamma}.
+"""Fixed-point relocators Q_{delta <- gamma}: the one module that says what a kind means.
 
 A relocator maps Fix T_gamma bijectively onto Fix T_delta, is continuous in
 delta, satisfies the semigroup law on fixed points and is globally Lipschitz.
-Every kind is one fixed matrix K, built once per scheme by ``relocation_map``:
+Every kind relocates by one formula,
 
     Q z = r z + (1 - r) K x(z),    r = delta/gamma, x(z) the resolvent outputs at (gamma, z).
 
@@ -14,16 +14,22 @@ Every kind is one fixed matrix K, built once per scheme by ``relocation_map``:
   price of one extra sweep per iteration.
 
 * cheap graph kinds (``inward-star``, ``outward-star``, ``sequential``,
-  ``davis-yin``): K = c[:, None], one column of per-block coefficients fixed
-  by the degrees of the canonical tree, applied to x_1(z) alone. These agree
-  with the general relocator on fixed points, recycle the single resolvent
-  output x_1 (x_1 at gamma of z equals x_1 at delta of Qz, for every z), and
-  therefore add no resolvent evaluations per iteration.
+  ``davis-yin``): K is the paper's column of tree-degree coefficients
+  applied to x_1(z) alone. That column is ones on every canonical tree, so
+  relocation broadcasts x_1 to every block and no matrix is built
+  (``relocation_map`` returns None). These kinds agree with the general
+  relocator on fixed points, recycle the single resolvent output x_1 (x_1 at
+  gamma of z equals x_1 at delta of Qz, for every z), and therefore add no
+  resolvent evaluations per iteration.
+
+``check_kind`` decides which schemes a kind admits and ``pick_kind``
+resolves "auto"; every other module asks them.
 
 Lipschitz constants are r + |1 - r| times a bound on z -> K x(z). For the
-cheap kinds that bound has a closed form in the tree degrees; for the general
-kind it is ||M^dagger|| times a Lipschitz constant of the e map, from the
-recursion C_1 = sqrt(m)||M||,
+cheap kinds that bound has a closed form in the tree degrees, which on the
+canonical trees is sqrt(n) (inward star), sqrt(n - 1) (chain) and 1 (outward
+star, davis-yin); for the general kind it is ||M^dagger|| times a Lipschitz
+constant of the e map, from the recursion C_1 = sqrt(m)||M||,
 C_i = sqrt(m)||M|| + ||N|| sum_{j<i} C_j/d_j
       + gamma*beta*||P||*||R|| sum_j sum_{t<=j} C_t/d_t
 is evaluated with the scheme's matrices (spectral norms of the unlifted
@@ -32,6 +38,8 @@ match the implemented (R x)_j, so the constant stays an upper bound.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,21 +50,52 @@ GENERAL = "general"
 DAVIS_YIN = "davis-yin"
 CHEAP_KINDS = (graphmod.INWARD_STAR, graphmod.OUTWARD_STAR, graphmod.SEQUENTIAL, DAVIS_YIN)
 KINDS = (GENERAL,) + CHEAP_KINDS
+# the bound on z -> K x_1(z) of each cheap kind, by n: its closed form in the tree
+# degrees at a column K of ones
+_CHEAP_AMPLITUDE = {graphmod.INWARD_STAR: math.sqrt, graphmod.OUTWARD_STAR: lambda n: 1.0,
+                    graphmod.SEQUENTIAL: lambda n: math.sqrt(n - 1), DAVIS_YIN: lambda n: 1.0}
+
+
+def check_kind(kind, s):
+    """ParameterError for an unknown kind, StructuralError for a scheme ``kind`` does not admit.
+
+    The general kind admits every scheme; a cheap kind needs a kappa-form
+    scheme built from a graph that is its canonical tree (davis-yin: the
+    two-node chain).
+    """
+    if kind not in KINDS:
+        raise ParameterError(f"unknown relocator kind {kind!r}")
+    if kind == GENERAL:
+        return
+    if not s.kappa_form or s.graph is None:
+        raise StructuralError(f"relocator kind {kind!r} needs a kappa-form scheme built "
+                              f"from a graph")
+    if kind == DAVIS_YIN:
+        if s.n != 2:
+            raise StructuralError("davis-yin relocator needs the two-node chain")
+    elif kind not in s.topologies:
+        raise StructuralError(f"relocator kind {kind!r} does not match the scheme "
+                              f"topology {s.topologies}")
+
+
+def pick_kind(requested, s):
+    """Resolve 'auto' to the scheme's cheap relocator kind (general otherwise)."""
+    if requested != "auto":
+        return requested
+    if s.n == 2 and s.topologies:
+        return DAVIS_YIN
+    return s.topologies[0] if len(s.topologies) == 1 else GENERAL
 
 
 def relocation_map(kind, s):
     """The matrix K of Q_{delta <- gamma} z = r z + (1 - r) K x on scheme ``s``.
 
-    For ``general`` K = M^dagger (D - N_<) and x is the full sweep output at
-    (gamma, z), applied as ``K @ x``; for the cheap kinds K is the column
-    c[:, None] and x is x_1 alone, applied as the broadcast ``K * x1``.
+    ``check_kind`` checks ``kind`` first. For ``general`` K = M^dagger (D - N_<)
+    and x is the full sweep output at (gamma, z), applied as ``K @ x``; a
+    cheap kind's K is a column of ones, so it is None and x_1 is broadcast.
     """
-    if kind == GENERAL:
-        return s.pinv_M @ (np.diag(s.d) - np.tril(s.N, -1))
-    if kind in CHEAP_KINDS:
-        require_graph_scheme(kind, s)
-        return cheap_coefficients(kind, s.graph)[:, None]
-    raise ParameterError(f"unknown relocator kind {kind!r}")
+    check_kind(kind, s)
+    return s.pinv_M @ (np.diag(s.d) - np.tril(s.N, -1)) if kind == GENERAL else None
 
 
 def e_map(s, x):
@@ -77,40 +116,6 @@ def _check_ratio(delta, gamma):
     return delta / gamma
 
 
-def require_graph_scheme(kind, s):
-    if not s.kappa_form or s.graph is None:
-        raise StructuralError(
-            f"relocator kind {kind!r} needs a kappa-form scheme built from a graph"
-        )
-    if kind == DAVIS_YIN:
-        if s.n != 2:
-            raise StructuralError("davis-yin relocator needs the two-node chain")
-    elif kind not in s.topologies:
-        raise StructuralError(
-            f"relocator kind {kind!r} does not match the scheme topology {s.topologies}"
-        )
-
-
-def cheap_coefficients(kind, g):
-    """Per-block multipliers of x_1 in the cheap relocators (length n - 1).
-
-    They are ones on every canonical tree, which ``engine.SweepPlan``'s
-    relocation relies on when it broadcasts x_1 in place of the product K x_1.
-    """
-    kappa, kin, _ = graphmod.degrees(g)
-    w = (kappa - 2 * kin).astype(float)
-    if kind in (graphmod.INWARD_STAR, DAVIS_YIN):
-        c = w[:-1]
-    elif kind == graphmod.OUTWARD_STAR:
-        c = -w[1:]
-    elif kind == graphmod.SEQUENTIAL:
-        c = np.cumsum(w)[:-1]
-    else:
-        raise ParameterError(f"unknown cheap relocator kind {kind!r}")
-    assert np.all(c == 1.0), f"{kind} coefficients {c} are not ones"
-    return c
-
-
 def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     """Apply Q_{delta <- gamma} to z: z itself at delta = gamma, never a view of z.
 
@@ -121,8 +126,7 @@ def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
     (``engine.SweepPlan.relocation``).
     """
     r = _check_ratio(delta, gamma)
-    K = relocation_map(kind, s)
-    plan = engine.SweepPlan(s, prob, K if kind == GENERAL else None)
+    plan = engine.SweepPlan(s, prob, relocation_map(kind, s))
     z = plan.blocks(z)
     if sweep is not None:
         sweep = linalg.check_shape("sweep", sweep, (s.n, plan.dim))
@@ -138,29 +142,15 @@ def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
 def lipschitz_constant(kind, s, delta, gamma, beta):
     """Lipschitz constant of Q_{delta <- gamma}; always >= 1 and = 1 when delta = gamma."""
     r = _check_ratio(delta, gamma)
+    check_kind(kind, s)
     a = abs(1.0 - r)
-    if kind == DAVIS_YIN:
-        return r + a
     if kind == GENERAL:
         return max(1.0, r + a * s.norm_pinv_M * _e_lipschitz(s, gamma, beta))
-    if kind in CHEAP_KINDS:
-        require_graph_scheme(kind, s)
-        c = cheap_coefficients(kind, s.graph)
-        k1 = float(graphmod.degrees(s.graph)[0][0])
-        if kind == graphmod.INWARD_STAR:
-            amp = np.sqrt(k1 ** 2 + np.sum(c ** 2)) / k1
-        elif kind == graphmod.OUTWARD_STAR:
-            amp = np.sqrt(s.n - 1) * np.sqrt(np.sum(c ** 2)) / k1
-        else:  # sequential
-            amp = np.sqrt(np.sum(c ** 2)) / k1
-        return max(1.0, r + a * float(amp))
-    raise ParameterError(f"unknown relocator kind {kind!r}")
+    return max(1.0, r + a * _CHEAP_AMPLITUDE[kind](s.n))
 
 
 def _e_lipschitz(s, gamma, beta):
     """Lipschitz constant of the e map, via the C_i(gamma) recursion."""
-    if not gamma > 0:
-        raise ParameterError("gamma must be positive")
     root_m = np.sqrt(s.m)
     base = root_m * s.norm_M
     c = np.empty(s.n)

@@ -328,6 +328,47 @@ def test_bench_checks_every_output_before_any_work(tmp_path, capsys, monkeypatch
     assert [p for p in tmp_path.rglob("*.csv") if p.is_file()] == []
 
 
+def test_failed_write_keeps_the_earlier_outputs(tmp_path, capsys, monkeypatch):
+    # bench and run write every output under a temporary name and rename them into
+    # place after the last: a write that fails part way (here the third Trace.to_csv
+    # call, and the run's first) leaves an earlier bench's and run's outputs byte for
+    # byte, no temporary file, one error line naming the output and exit 2
+    out, csv_out = tmp_path / "out", tmp_path / "out" / "run.csv"
+    doc = dict(json.loads((DEMO_CONFIGS / "bench_lasso.json").read_text()), out_dir=str(out))
+    assert main(["bench", write_json(tmp_path / "spec.json", dict(doc, budget=50))]) == 0
+    assert main(["run", run_config(tmp_path), "--out", str(csv_out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 8   # six methods, the summary and the run
+    # the failing commands would write other bytes: a longer budget and run
+    spec = write_json(tmp_path / "spec.json", dict(doc, budget=60))
+    cfg = run_config(tmp_path, run={"max_iters": 30, "z0": {"kind": "normal", "seed": 0}})
+    to_csv, calls = driver.Trace.to_csv, []
+
+    def failing(self, path):
+        calls.append(path)
+        if len(calls) == 3:   # a disk that fills up mid-write
+            Path(path).write_text("k,gamma\n0,")
+            raise OSError(28, "No space left on device", str(path))
+        return to_csv(self, path)
+
+    monkeypatch.setattr(driver.Trace, "to_csv", failing)
+    capsys.readouterr()
+    assert main(["bench", spec]) == 2
+    failed = out / Path(calls[2]).name
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {failed}: No space left on device"]
+    calls[:] = [None, None]
+    assert main(["run", cfg, "--out", str(csv_out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {csv_out}: No space left on device"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # an out_dir that the failing bench made is gone again
+    calls.clear()
+    fresh = dict(doc, budget=60, out_dir=str(out / "new"))
+    assert main(["bench", write_json(tmp_path / "new.json", fresh)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def assert_usage_error(capsys, code):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2

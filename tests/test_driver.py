@@ -481,8 +481,8 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
 
     monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
     monkeypatch.setattr(driver._EngineStep, "__init__", engine_init)
-    for step in (driver._EngineStep, driver._DavisYinStep):
-        monkeypatch.setattr(step, "consensus", counting("consensus", step.consensus))
+    for step in (driver._EngineStep, driver._DavisYinStep):   # row forms the consensus
+        monkeypatch.setattr(step, "row", counting("consensus", step.row))
     s, split, _ = small_lasso_setup(21)
     cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, max_iters=40,
                     record_every=7, fix_res_tol=1e-300)

@@ -294,8 +294,13 @@ def oracle_residuals(s, x):
 
 
 def oracle_relocate(s, prob, K, general, ratio, gamma, w):
-    """r w + (1 - r) K x(w): K @ the sweep at w (general) or K times x_1 at w (cheap)."""
-    kx = K @ oracle_sweep(s, prob, gamma, w) if general else K * oracle_sweep(s, prob, gamma, w)[0]
+    """r w + (1 - r) K x(w): K @ the sweep at w (general), x_1 at w on every block (cheap).
+
+    A cheap kind's K is the paper's column of tree-degree coefficients, ones on
+    every canonical tree (``test_relocator.py`` derives it), so ``K`` is unused there.
+    """
+    kx = (K @ oracle_sweep(s, prob, gamma, w) if general
+          else np.ones((s.m, 1)) * oracle_sweep(s, prob, gamma, w)[0])
     return ratio * w + (1.0 - ratio) * kx
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -117,9 +121,8 @@ def test_davis_yin_formula():
 
 
 def test_sequential_three_coefficients_are_unit():
-    # degrees (1,2,1), in-degrees (0,1,1): cumulative sums give 1 for both blocks
-    c = relocator.cheap_coefficients(graphmod.SEQUENTIAL, graphmod.canonical(graphmod.SEQUENTIAL, 3))
-    assert c.tolist() == [1.0, 1.0]
+    # degrees (1,2,1), in-degrees (0,1,1): cumulative sums give 1 for both blocks, so
+    # relocation broadcasts x_1
     s, split, _ = small_elastic_setup(2, kind=graphmod.SEQUENTIAL)
     rng = np.random.default_rng(2)
     z = rng.standard_normal((2, split.dim))
@@ -194,6 +197,51 @@ def test_lipschitz_constants_examples():
         assert lipschitz_constant(kind, s, 0.7, 0.7, split.beta) == 1.0
     assert lipschitz_constant(DAVIS_YIN, s, 0.8, 0.4, split.beta) == 3.0  # delta = 2*gamma
     assert lipschitz_constant(DAVIS_YIN, s, 0.2, 0.4, split.beta) == 1.0  # = r + |1-r|
+
+
+def cheap_amplitude_squared(kind, n):
+    """The paper's amp^2 of a cheap kind on its kappa-form tree, as a Fraction, and its c.
+
+    c is the column of degree coefficients w = kappa - 2 kin: w[:-1] (inward star,
+    davis-yin), -w[1:] (outward star) or cumsum(w)[:-1] (chain); k1 is node 1's degree.
+    """
+    tree = graphmod.SEQUENTIAL if kind == DAVIS_YIN else kind
+    kappa, kin, _ = graphmod.degrees(graphmod.canonical(tree, n))
+    w = [int(v) for v in kappa - 2 * kin]
+    c = {graphmod.INWARD_STAR: w[:-1], DAVIS_YIN: w[:-1],
+         graphmod.OUTWARD_STAR: [-v for v in w[1:]],
+         graphmod.SEQUENTIAL: list(itertools.accumulate(w))[:-1]}[kind]
+    k1, sq = int(kappa[0]), sum(v * v for v in c)
+    amp2 = {graphmod.INWARD_STAR: Fraction(k1 * k1 + sq, k1 * k1),
+            graphmod.OUTWARD_STAR: Fraction((n - 1) * sq, k1 * k1),
+            graphmod.SEQUENTIAL: Fraction(sq, k1 * k1), DAVIS_YIN: Fraction(1)}[kind]
+    return amp2, c
+
+
+def test_cheap_lipschitz_constants_are_the_closed_forms():
+    # every cheap kind on its tree at n = 2..8 (davis-yin at n = 2): the degree
+    # coefficients are ones, amp^2 is exactly n, 1, n - 1 or 1, and the constant is
+    # max(1, r + |1 - r| amp), never below r + |1 - r| (a bound evaluated from c in
+    # floats read 0.9999999999999999 for the outward star's amp at n = 4 and n = 7)
+    want = {graphmod.INWARD_STAR: lambda n: n, graphmod.OUTWARD_STAR: lambda n: 1,
+            graphmod.SEQUENTIAL: lambda n: n - 1, DAVIS_YIN: lambda n: 1}
+    gamma = 0.4
+    ratios = np.geomspace(0.2, 50.0, 97).tolist() + [1.0, 1.562 / gamma, 0.5, 2.0]
+    for kind in relocator.CHEAP_KINDS:
+        for n in (2,) if kind == DAVIS_YIN else range(2, 9):
+            s = kappa_scheme(graphmod.SEQUENTIAL if kind == DAVIS_YIN else kind, n)
+            amp2, c = cheap_amplitude_squared(kind, n)
+            assert c == [1] * (n - 1), (kind, n, c)
+            assert amp2 == want[kind](n), (kind, n, amp2)
+            amp = math.sqrt(amp2)
+            for r in ratios:
+                delta = r * gamma
+                rr = delta / gamma   # the ratio the library forms
+                got = lipschitz_constant(kind, s, delta, gamma, 1.0)
+                assert got >= rr + abs(1.0 - rr), (kind, n, r, got)
+                assert got == max(1.0, rr + abs(1.0 - rr) * amp), (kind, n, r, got)
+    assert lipschitz_constant(graphmod.OUTWARD_STAR, kappa_scheme(graphmod.OUTWARD_STAR, 4),
+                              1.562, 0.4, 1.0) == 6.81
 
 
 def test_general_constant_dominates_empirical_ratio():
