@@ -1,13 +1,18 @@
 """Command-line front end: validate / run / bench / proptest.
 
 ``config`` reads the run config and the bench spec; this module loads the
-JSON, calls the library, writes the output files and sets the exit code.
+JSON, solves the reference of ``run`` and ``bench`` (``_reference``, the one
+place that prints ``REFERENCE_WARNING``), calls the library, writes the
+output files and sets the exit code: the commands raise the library's
+errors and ``main`` alone turns them into exit codes.
 ``run`` and ``bench`` check their outputs' places before any work and write
 the files whole: under temporary names, renamed into place after the last,
 so a write that fails leaves the earlier outputs and no temporary file.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
-failed property; an aborted reference run is one ``error:`` line on stderr),
-2 usage or configuration error, reported as one ``error:`` line on stderr.
+failed property; an aborted reference run, a ``ReferenceRunError``, is one
+``error:`` line on stderr), 2 usage or configuration error (an unreadable
+document, a ``ParameterError`` or ``StructuralError``, an output that cannot
+be written), reported as one ``error:`` line on stderr.
 A bench spec's methods on one graph share its scheme, problem and z0, and
 ``driver.run_grid`` runs each such group from one step plan: three or more,
 under any relocator, as lanes of one stack, a smaller group one method
@@ -44,7 +49,7 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_error(f"cannot read config {path}: {exc}"))
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
 
 
 def _error(msg, code=2):
@@ -88,14 +93,18 @@ def _write_whole(folder, writers):
             os.replace(Path(tmp) / name, Path(folder) / name)
 
 
+def _reference(prob, budget, cfgs):
+    """Solve the reference of ``prob`` within ``budget`` for the run configs ``cfgs``."""
+    ref = problems.reference_solution(prob, budget)
+    if ref.flagged:
+        print(REFERENCE_WARNING)
+    for cfg in cfgs:
+        cfg.reference = (ref.x, ref.phi)
+
+
 def cmd_validate(args):
-    doc = _load_json(args.config)
-    try:
-        schemes = configmod.build_validate(doc)
-    except (ParameterError, StructuralError) as exc:
-        return _error(str(exc))
     ok_all = True
-    for prefix, s in schemes:
+    for prefix, s in configmod.build_validate(_load_json(args.config)):
         for label, ok, detail in condition_report(s):
             print(f"{prefix + ' ' if prefix else ''}({label}) {'PASS' if ok else 'FAIL'}  {detail}")
             ok_all = ok_all and ok
@@ -108,15 +117,10 @@ def cmd_run(args):
     exc = _unwritable(out)   # refused before the solve, not after it
     if exc is not None:
         return _write_error(exc)
-    try:
-        cfg, z0, flagged = configmod.build_run(doc)
-        trace = run(cfg, z0)
-    except (ParameterError, StructuralError) as exc:
-        return _error(str(exc))
-    except ReferenceRunError as exc:
-        return _error(str(exc), code=1)
-    if flagged:
-        print(REFERENCE_WARNING)
+    cfg, z0, prob, budget = configmod.build_run(doc)
+    if budget is not None:
+        _reference(prob, budget, [cfg])
+    trace = run(cfg, z0)
     try:
         _write_whole(Path(out).parent, {Path(out).name: trace.to_csv})
     except OSError as exc:
@@ -133,31 +137,24 @@ def cmd_run(args):
 
 
 def cmd_bench(args):
-    doc = _load_json(args.spec)
-    try:
-        groups, prob, budget, out_dir = configmod.build_bench(doc)
-    except (ParameterError, StructuralError) as exc:
-        return _error(str(exc))
+    groups, prob, budget, out_dir = configmod.build_bench(_load_json(args.spec))
     made = not out_dir.exists()
     outputs = [name for names, _, _ in groups for name in names] + ["summary"]
     try:   # every output is checked before the reference solve and the runs
         out_dir.mkdir(parents=True, exist_ok=True)
         for exc in filter(None, (_unwritable(out_dir / f"{name}.csv") for name in outputs)):
             raise exc
-        ref = problems.reference_solution(prob, budget)
     except OSError as exc:
         return _write_error(exc)
-    except (ParameterError, StructuralError, ReferenceRunError) as exc:
+    try:
+        _reference(prob, budget, [cfg for _, cfgs, _ in groups for cfg in cfgs])
+    except (ParameterError, StructuralError, ReferenceRunError):
         if made:   # a failed reference solve leaves no out_dir
             out_dir.rmdir()
-        return _error(str(exc), code=1 if isinstance(exc, ReferenceRunError) else 2)
-    if ref.flagged:
-        print(REFERENCE_WARNING)
+        raise
 
     results = []
     for names, cfgs, z0 in groups:
-        for cfg in cfgs:
-            cfg.reference = (ref.x, ref.phi)
         results += zip(names, run_grid(cfgs, z0))
 
     def write_summary(path):
@@ -189,12 +186,7 @@ def cmd_bench(args):
 
 
 def cmd_proptest(args):
-    if args.suite not in propsuites.SUITES:
-        return _error(f"unknown suite {args.suite!r}; choose from {propsuites.SUITES}")
-    try:
-        trials, seed = as_count("--trials", args.trials), as_whole("--seed", args.seed)
-    except ParameterError as exc:
-        return _error(str(exc))
+    trials, seed = as_count("--trials", args.trials), as_whole("--seed", args.seed)
     failures = propsuites.run_suite(args.suite, trials=trials, seed=seed)
     if failures:
         print(f"{args.suite}: FAIL")
@@ -233,8 +225,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except (ParameterError, StructuralError) as exc:
+        return _error(str(exc))
+    except ReferenceRunError as exc:
+        return _error(str(exc), code=1)
 
 
 if __name__ == "__main__":

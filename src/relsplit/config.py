@@ -7,14 +7,19 @@ StructuralError. A run config (``relsplit run``) has the sections
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
     scheme      finite matrices "d", "M", "N", "P", "R" (all required), in place of
                 "graph" (cheap relocators need a graph)
-    problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_KEYS of that
-                kind, the arguments of its generator
+    problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_READERS keys
+                of that kind, the arguments of its generator, which gives
+                the default of each one left out ("q" and "d" are required,
+                "seed" is 0)
     relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
     schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
                 "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma"}
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
                 {"kind": "normal", "seed": 0}
+
+This module only reads documents: ``cli`` solves the reference that a run's
+"reference_budget" or a bench's "budget" sets.
 
 A bench spec (``relsplit bench``) has "graph", "scheme" or "graphs" (a
 non-empty list of graph sections: the grid runs once per graph, CSV names
@@ -65,9 +70,13 @@ SCHEME_KEYS = {"graph", "graphs", "scheme"}
 RUN_KEYS = {"graph", "scheme", "problem", "relocator", "schedule", "run"}
 BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "z0", "budget", "fix_res_tol",
                             "record_every", "out_dir", "methods"}
-# Problem keys besides "kind": the generator's arguments per kind.
-PROBLEM_KEYS = {"lasso": {"q", "d", "seed", "spectrum", "lam", "u"},
-                "elastic-net": {"q", "d", "seed", "n_corr", "noise_sd", "lam1", "lam2"}}
+# Problem keys besides "kind", the generator's arguments per kind, and their readers.
+PROBLEM_READERS = {
+    "lasso": {"q": as_count, "d": as_count, "seed": as_whole,
+              "spectrum": lambda _, value: tuple(as_real("spectrum entry", v) for v in value),
+              "lam": as_real, "u": as_real},
+    "elastic-net": {"q": as_count, "d": as_count, "seed": as_whole, "n_corr": as_whole,
+                    "noise_sd": as_real, "lam1": as_real, "lam2": as_real}}
 Z0_KEYS = {"zero": {"kind"}, "normal": {"kind", "seed"}}
 SCHEDULE_KEYS = set(ScheduleSpec.__dataclass_fields__)
 MAX_GRAPH_N = 1000   # largest graph n that validate, with no problem to bound it, builds
@@ -142,27 +151,27 @@ def _schemes(doc, resolvents=None):
 
 @_config_errors
 def build_problem(doc):
-    """(problem, split, objective_fn) from the 'problem' section."""
+    """(problem, split, objective_fn) from the 'problem' section.
+
+    The generator gets the keys the section gives, each through its reader,
+    and seed 0 when it gives none.
+    """
     if isinstance(doc, dict) and "kind" not in doc:
         raise StructuralError(f"problem section is missing key 'kind' "
-                              f"({' or '.join(map(repr, PROBLEM_KEYS))})")
+                              f"({' or '.join(map(repr, PROBLEM_READERS))})")
     kind = doc.get("kind")
-    if kind not in PROBLEM_KEYS:
+    if kind not in PROBLEM_READERS:
         raise ParameterError(f"unknown problem kind {kind!r}")
-    _section("problem", doc, PROBLEM_KEYS[kind] | {"kind"})
+    readers = PROBLEM_READERS[kind]
+    _section("problem", doc, readers.keys() | {"kind"})
+    args = {"seed": 0} | {key: read(key, doc[key]) for key, read in readers.items()
+                          if key in doc or key in ("q", "d")}   # q and d have no default
     if kind == "lasso":
-        prob = problems.gen_lasso(
-            as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
-            spectrum=tuple(as_real("spectrum entry", v) for v in doc.get("spectrum", (0.5, 1.5))),
-            lam=as_real("lam", doc.get("lam", 1e-3)), u=as_real("u", doc.get("u", 50.0)))
+        prob = problems.gen_lasso(**args)
+        split = problems.split_lasso(prob)
     else:
-        prob = problems.gen_elastic_net(
-            as_count("q", doc["q"]), as_count("d", doc["d"]), as_whole("seed", doc.get("seed", 0)),
-            n_corr=as_whole("n_corr", doc.get("n_corr", 0)),
-            noise_sd=as_real("noise_sd", doc.get("noise_sd", 0.01)),
-            lam1=as_real("lam1", doc.get("lam1", 1e-2)),
-            lam2=as_real("lam2", doc.get("lam2", 1e-2)))
-    split = problems.split_lasso(prob) if kind == "lasso" else problems.split_elastic(prob)
+        prob = problems.gen_elastic_net(**args)
+        split = problems.split_elastic(prob)
     # on the sequential tree the first forward runs at the recorded x_1: reuse its residual
     residual = split.forwards[0].residual
     return prob, split, lambda x: problems.objective(prob, x, residual(x))
@@ -201,10 +210,10 @@ def _run_config(doc, s, split, objective_fn, schedule, max_iters, fix_res_tol, r
 
 @_config_errors
 def build_run(doc):
-    """(RunConfig, z0, flagged) from a run config.
+    """(RunConfig, z0, problem, budget) from a run config.
 
-    A reference (run.reference_budget) is solved last; ``flagged`` is True
-    when it did not fully converge (``problems.Reference.flagged``).
+    ``budget`` is run.reference_budget, the iteration budget of the reference
+    solve for ``problem``, or None when it is null or 0 (no reference).
     """
     _section("run config", doc, RUN_KEYS)
     prob, split, objective_fn = build_problem(doc["problem"])
@@ -217,10 +226,8 @@ def build_run(doc):
     z0 = build_z0(run_doc.get("z0"), s, split)
     budget = run_doc.get("reference_budget")
     if budget is None or budget == 0 and not isinstance(budget, bool):   # no reference
-        return cfg, z0, False
-    ref = problems.reference_solution(prob, as_count("reference_budget", budget))
-    cfg.reference = (ref.x, ref.phi)
-    return cfg, z0, ref.flagged
+        return cfg, z0, prob, None
+    return cfg, z0, prob, as_count("reference_budget", budget)
 
 
 def default_methods(beta, n_resolvents):

@@ -154,7 +154,7 @@ class LeastSquaresGrad(CocoerciveOp):
     once, in its own C or F order. Where a matrix starts changes the BLAS's
     speed, not its bits.
 
-    beta =lambda_max(A^T A), taken from the smaller Gram matrix of A
+    beta = lambda_max(A^T A), taken from the smaller Gram matrix of A
     (A A^T when A has fewer rows than columns, which has the same top
     eigenvalue; the Gram form's own A^T A otherwise).
     """

@@ -54,8 +54,48 @@ def test_validate_fail_names_condition(tmp_path, capsys):
     assert "(f) FAIL" in out
 
 
-def test_validate_missing_file():
+def test_validate_missing_file(tmp_path, capsys, monkeypatch):
     assert main(["validate", "/nonexistent/cfg.json"]) == 2
+    # each command, on a missing file and on malformed JSON: one error line, no CSV or out_dir
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"graph": {"kind": "sequential",')
+    for path in ("missing.json", "bad.json"):
+        for command in ("validate", "run", "bench"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert code == 2 and len(err) == 1, (command, path, err)
+            assert err[0].startswith(f"error: cannot read config {path}: ")
+            assert captured.out == ""
+            assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_build_run_solves_no_reference(monkeypatch):
+    # config only reads the document; the CLI solves the reference it asks for
+    def solve(*args):
+        raise AssertionError("config solved a reference")
+
+    monkeypatch.setattr(problems, "reference_solution", solve)
+    doc = json.loads((DEMO_CONFIGS / "lasso_dy.json").read_text())
+    cfg, _, prob, budget = config.build_run(doc)
+    assert budget == 20000 and cfg.reference is None and prob.dim == 100
+    for no_reference in (None, 0):
+        doc["run"]["reference_budget"] = no_reference
+        assert config.build_run(doc)[3] is None
+
+
+def test_problem_generator_gets_only_the_given_keys(monkeypatch):
+    # the generators own their defaults; config adds seed 0 alone
+    calls, gen_lasso, gen_elastic_net = [], problems.gen_lasso, problems.gen_elastic_net
+    for name, gen in (("gen_lasso", gen_lasso), ("gen_elastic_net", gen_elastic_net)):
+        monkeypatch.setattr(problems, name,
+                            lambda gen=gen, **kw: calls.append(kw) or gen(**kw))
+    lasso = config.build_problem({"kind": "lasso", "q": 4, "d": 5, "lam": 1e-2})[0]
+    elastic = config.build_problem({"kind": "elastic-net", "q": 4, "d": 5, "seed": 3})[0]
+    assert calls == [{"seed": 0, "q": 4, "d": 5, "lam": 1e-2}, {"seed": 3, "q": 4, "d": 5}]
+    assert np.array_equal(lasso.A, gen_lasso(4, 5, 0, lam=1e-2).A)
+    assert np.array_equal(elastic.A, gen_elastic_net(4, 5, 3).A)
 
 
 def test_validate_graph_config(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsplit import config, driver
+from relsplit import config, driver, problems
 from relsplit.schedule import ScheduleSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -54,7 +54,10 @@ def calls_per_iteration(run_for):
 
 
 def single_run(name, spec=None):
-    cfg, z0, _ = config.build_run(json.loads((CONFIGS / f"{name}.json").read_text()))
+    cfg, z0, prob, budget = config.build_run(json.loads((CONFIGS / f"{name}.json").read_text()))
+    if budget is not None:   # the recorded rows' relative errors, as ``relsplit run`` has them
+        ref = problems.reference_solution(prob, budget)
+        cfg.reference = (ref.x, ref.phi)
     spec = spec or cfg.schedule
     return lambda iters: driver.run(replace(cfg, schedule=spec, max_iters=iters), z0)
 

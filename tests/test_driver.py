@@ -430,7 +430,7 @@ def test_wide_objective_reuses_the_forward_residual_exactly(max_iters, monkeypat
            "problem": {"kind": "elastic-net", "q": 20, "d": 60, "seed": 11, "n_corr": 4},
            "relocator": "general",
            "run": {"max_iters": max_iters, "fix_res_tol": 1e-12, "record_every": 1}}
-    cfg, z0, _ = config.build_run(doc)
+    cfg, z0, _, _ = config.build_run(doc)
     prob = config.build_problem(doc["problem"])[0]
     trace = run(cfg, z0)
     assert cfg.problem.forwards[0]._gram is None
