@@ -4,15 +4,18 @@
 JSON, solves the reference of ``run`` and ``bench`` (``_reference``, the one
 place that prints ``REFERENCE_WARNING``), calls the library, writes the
 output files and sets the exit code: the commands raise the library's
-errors and ``main`` alone turns them into exit codes.
+errors and an output's OSError, and ``main`` alone turns them into exit codes.
 ``run`` and ``bench`` check their outputs' places before any work and write
 the files whole: under temporary names, renamed into place after the last,
 so a write that fails leaves the earlier outputs and no temporary file.
+A bench that fails or is interrupted after it made its ``out_dir`` removes
+it again.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
 failed property; an aborted reference run, a ``ReferenceRunError``, is one
 ``error:`` line on stderr), 2 usage or configuration error (an unreadable
 document, a ``ParameterError`` or ``StructuralError``, an output that cannot
-be written), reported as one ``error:`` line on stderr.
+be written: an OSError that names a file; one that names none is a bug and
+propagates), reported as one ``error:`` line on stderr.
 A bench spec's methods on one graph share its scheme, problem and z0, and
 ``driver.run_grid`` runs each such group from one step plan: three or more,
 under any relocator, as lanes of one stack, a smaller group one method
@@ -57,12 +60,8 @@ def _error(msg, code=2):
     return code
 
 
-def _write_error(exc):
-    return _error(f"cannot write {exc.filename}: {exc.strerror}")
-
-
-def _unwritable(path):
-    """The OSError that creating the file ``path`` would raise, as its folder shows, or None."""
+def _check_writable(path):
+    """Raise the OSError that creating the file ``path`` would raise, as its folder shows."""
     folder = Path(path).parent
     if not folder.is_dir():
         code = errno.ENOTDIR if folder.exists() else errno.ENOENT
@@ -71,8 +70,8 @@ def _unwritable(path):
     elif Path(path).is_dir():
         code = errno.EISDIR
     else:
-        return None
-    return OSError(code, os.strerror(code), str(path))
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _write_whole(folder, writers):
@@ -114,17 +113,12 @@ def cmd_validate(args):
 def cmd_run(args):
     doc = _load_json(args.config)
     out = args.out or (Path(args.config).stem + ".csv")
-    exc = _unwritable(out)   # refused before the solve, not after it
-    if exc is not None:
-        return _write_error(exc)
+    _check_writable(out)   # refused before the solve, not after it
     cfg, z0, prob, budget = configmod.build_run(doc)
     if budget is not None:
         _reference(prob, budget, [cfg])
     trace = run(cfg, z0)
-    try:
-        _write_whole(Path(out).parent, {Path(out).name: trace.to_csv})
-    except OSError as exc:
-        return _write_error(exc)
+    _write_whole(Path(out).parent, {Path(out).name: trace.to_csv})
     summary = trace.summary()
     print(f"wrote {out}")
     print(f"iterations={summary['iterations']} fix_res={summary['fix_res']:.6e} "
@@ -140,22 +134,7 @@ def cmd_bench(args):
     groups, prob, budget, out_dir = configmod.build_bench(_load_json(args.spec))
     made = not out_dir.exists()
     outputs = [name for names, _, _ in groups for name in names] + ["summary"]
-    try:   # every output is checked before the reference solve and the runs
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for exc in filter(None, (_unwritable(out_dir / f"{name}.csv") for name in outputs)):
-            raise exc
-    except OSError as exc:
-        return _write_error(exc)
-    try:
-        _reference(prob, budget, [cfg for _, cfgs, _ in groups for cfg in cfgs])
-    except (ParameterError, StructuralError, ReferenceRunError):
-        if made:   # a failed reference solve leaves no out_dir
-            out_dir.rmdir()
-        raise
-
     results = []
-    for names, cfgs, z0 in groups:
-        results += zip(names, run_grid(cfgs, z0))
 
     def write_summary(path):
         with open(path, "w", newline="") as fh:
@@ -170,13 +149,19 @@ def cmd_bench(args):
                                    for key in ("fix_res", "rel_err_x", "rel_err_f")),
                                  hit, su["sweeps"]])
 
-    try:
+    try:   # every output is checked before the reference solve and the runs
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in outputs:
+            _check_writable(out_dir / f"{name}.csv")
+        _reference(prob, budget, [cfg for _, cfgs, _ in groups for cfg in cfgs])
+        for names, cfgs, z0 in groups:
+            results += zip(names, run_grid(cfgs, z0))
         _write_whole(out_dir, {**{f"{name}.csv": trace.to_csv for name, trace in results},
                                "summary.csv": write_summary})
-    except OSError as exc:
-        if made:   # nor does a failed write leave an out_dir
+    except BaseException:
+        if made:   # a bench that fails or is interrupted leaves no out_dir it made
             shutil.rmtree(out_dir, ignore_errors=True)
-        return _write_error(exc)
+        raise
     for name, trace in results:
         su = trace.summary()
         print(f"{name}: iters={su['iterations']} rel_err_f={su['rel_err_f']:.3e} "
@@ -229,6 +214,10 @@ def main(argv=None):
         return _error(str(exc))
     except ReferenceRunError as exc:
         return _error(str(exc), code=1)
+    except OSError as exc:   # names the output it could not write; one that names none propagates
+        if exc.filename is None:
+            raise
+        return _error(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ StructuralError. A run config (``relsplit run``) has the sections
                 "seed" is 0)
     relocator   one of relocator.KINDS, or "auto": the scheme's cheap kind, else general
     schedule    the ScheduleSpec fields (SCHEDULE_KEYS): {"variant": "constant",
-                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma"}
+                "gamma": ...} or {"variant": "safeguard", "t_rule": ..., "gamma"};
+                a variant or t_rule name outside the known ones is refused
+                when the document is read, before any solve
     run         {"max_iters": 1000, "fix_res_tol": 1e-10, "record_every": 1, "z0",
                  "reference_budget"}, z0 being {"kind": "zero"} (the default) or
                 {"kind": "normal", "seed": 0}

@@ -18,10 +18,6 @@ from .schedule import ScheduleSpec
 from .scheme import kappa_form_scheme, mu as scheme_mu, validate
 from .relocator import DAVIS_YIN, GENERAL
 
-SUITES = ("resolvent-identity", "relocator-axioms", "lipschitz", "recycling",
-          "scheme-validity", "pinv-closed-forms")
-
-
 def _random_resolvent(rng):
     k = rng.integers(0, 4)
     if k == 0:
@@ -237,7 +233,7 @@ def suite_relocator_axioms(trials=0, seed=0):
     return failures
 
 
-_SUITE_FUNCS = {
+SUITES = {   # name -> suite, in the order proptest lists them
     "resolvent-identity": suite_resolvent_identity,
     "relocator-axioms": suite_relocator_axioms,
     "lipschitz": suite_lipschitz,
@@ -249,6 +245,6 @@ _SUITE_FUNCS = {
 
 def run_suite(name, trials=1000, seed=0):
     """Run one named suite; returns the failure-message list (empty = pass)."""
-    if name not in _SUITE_FUNCS:
-        raise ParameterError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _SUITE_FUNCS[name](trials=trials, seed=seed)
+    if name not in SUITES:
+        raise ParameterError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    return SUITES[name](trials=trials, seed=seed)

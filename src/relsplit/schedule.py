@@ -140,6 +140,13 @@ class ScheduleSpec:
     gamma: float | None = None
     t_rule: str = NORM_RATIO
 
+    def __post_init__(self):
+        """Refuse a misspelled name when the spec is made, before any run builds it."""
+        if self.variant not in ("constant", "safeguard"):
+            raise ParameterError(f"unknown schedule variant {self.variant!r}")
+        if self.t_rule not in T_RULES:
+            raise ParameterError(f"unknown stepsize rule {self.t_rule!r}")
+
     def default_gamma(self, mu_value, beta):
         candidates = [g for g in (1.0 / beta if beta > 0 else None,
                                   1.0 / mu_value if mu_value > 0 else None)
@@ -157,8 +164,6 @@ class ScheduleSpec:
                     f"constant gamma = {gamma} outside (0, {stepsize_sup(mu_value)})"
                 )
             return ConstantStepsize(gamma)
-        if self.variant != "safeguard":
-            raise ParameterError(f"unknown schedule variant {self.variant!r}")
         if not mu_value > 0:
             raise ParameterError("the safeguard needs mu > 0")
         gamma_max = SAFETY * stepsize_sup(mu_value)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import tempfile
@@ -546,6 +547,59 @@ def test_failed_reference_run_exits_1(tmp_path, capsys, monkeypatch):
     cfg = run_config(tmp_path, run={"max_iters": 50, "reference_budget": 10})
     assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == failed
+    assert not (tmp_path / "r.csv").exists()
+
+
+SMALL_BENCH = {"graph": {"kind": "sequential", "n": 2},
+               "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5},
+               "relocator": "davis-yin", "budget": 50}
+
+
+@pytest.mark.parametrize("raised", [KeyboardInterrupt(), MemoryError(),
+                                    OSError(errno.EIO, "Input/output error")],
+                         ids=["interrupt", "memory", "oserror-without-file"])
+def test_failed_bench_removes_only_the_out_dir_it_made(tmp_path, capsys, monkeypatch, raised):
+    # an error raised during the runs propagates out of main, not as an exit code (an
+    # OSError that names no file included), and a bench removes an out_dir it made but
+    # keeps one that was there, with its earlier files
+    def failing(*args):
+        raise raised
+
+    monkeypatch.setattr("relsplit.cli.run_grid", failing)
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "earlier.csv").write_text("keep")
+    for out_dir in (fresh, kept):
+        spec = write_json(tmp_path / "spec.json", dict(SMALL_BENCH, out_dir=str(out_dir)))
+        with pytest.raises(type(raised)):
+            main(["bench", spec])
+        assert capsys.readouterr().err == ""
+    assert not fresh.exists()
+    assert [p.name for p in kept.iterdir()] == ["earlier.csv"]
+    assert (kept / "earlier.csv").read_text() == "keep"
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ({"variant": "nope"}, "error: unknown schedule variant 'nope'"),
+    ({"variant": "safeguard", "t_rule": "bogus"}, "error: unknown stepsize rule 'bogus'"),
+    ({"variant": "constant", "t_rule": "bogus"}, "error: unknown stepsize rule 'bogus'")],
+    ids=["variant", "safeguard-rule", "constant-rule"])
+def test_misspelled_schedule_name_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                           schedule, message):
+    # a misspelled name is a config error, refused when the document is read: bench
+    # and run exit 2 with one error line, no out_dir or CSV, and solve nothing
+    def no_solve(*args):
+        raise AssertionError("reference solved for a misspelled schedule name")
+
+    monkeypatch.setattr(problems, "reference_solution", no_solve)
+    out_dir = tmp_path / "b"
+    spec = dict(SMALL_BENCH, out_dir=str(out_dir), methods=[{"name": "m", "schedule": schedule}])
+    assert main(["bench", write_json(tmp_path / "spec.json", spec)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out_dir.exists()
+    cfg = run_config(tmp_path, schedule=schedule, run={"max_iters": 50, "reference_budget": 10})
+    assert main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not (tmp_path / "r.csv").exists()
 
 
