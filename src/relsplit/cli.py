@@ -9,7 +9,7 @@ errors and an output's OSError, and ``main`` alone turns them into exit codes.
 the files whole: under temporary names, renamed into place after the last,
 so a write that fails leaves the earlier outputs and no temporary file.
 A bench that fails or is interrupted after it made its ``out_dir`` removes
-it again.
+it again, with each parent folder it made for it.
 Exit codes: 0 success, 1 domain failure (violated condition, aborted run,
 failed property; an aborted reference run, a ``ReferenceRunError``, is one
 ``error:`` line on stderr), 2 usage or configuration error (an unreadable
@@ -132,7 +132,11 @@ def cmd_run(args):
 
 def cmd_bench(args):
     groups, prob, budget, out_dir = configmod.build_bench(_load_json(args.spec))
-    made = not out_dir.exists()
+    made = None   # the highest folder that making out_dir creates: out_dir or a parent
+    for folder in (out_dir, *out_dir.parents):
+        if folder.exists():
+            break
+        made = folder
     outputs = [name for names, _, _ in groups for name in names] + ["summary"]
     results = []
 
@@ -159,8 +163,8 @@ def cmd_bench(args):
         _write_whole(out_dir, {**{f"{name}.csv": trace.to_csv for name, trace in results},
                                "summary.csv": write_summary})
     except BaseException:
-        if made:   # a bench that fails or is interrupted leaves no out_dir it made
-            shutil.rmtree(out_dir, ignore_errors=True)
+        if made is not None:   # a bench that fails or is interrupted leaves no folder it made
+            shutil.rmtree(made, ignore_errors=True)
         raise
     for name, trace in results:
         su = trace.summary()

@@ -97,6 +97,7 @@ COLUMNS = ("k", "gamma", "theta", "lam", "fix_res", "consensus", "objective", "r
 _NAN = float("nan")
 _INF = float("inf")
 MARGIN_FLOOR = 1e-3   # epsilon of the margin 2 - gamma_k*mu - 2*lambda_k*theta_k >= epsilon
+_CSV_ROW = "%d," + "%.17g," * (len(COLUMNS) - 2) + "%d\n"   # one trace row: k, the floats, sweeps
 
 
 @dataclass
@@ -154,8 +155,8 @@ class Trace:
         """Write the trace with the fixed header; floats carry 17 significant digits."""
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for k, *floats, sweeps in zip(*(getattr(self, c) for c in COLUMNS)):
-                fh.write("%d,%s,%d\n" % (k, ",".join("%.17g" % v for v in floats), sweeps))
+            for row in zip(*(getattr(self, c) for c in COLUMNS)):
+                fh.write(_CSV_ROW % row)
 
     def summary(self):
         last = {c: getattr(self, c)[-1] if getattr(self, c) else _NAN for c in COLUMNS[4:9]}
@@ -404,10 +405,13 @@ class _Lanes:
       ``end``, the stack's first max_iters. The step forms the norm pairs
       of the moving lanes that read them (``reads_norms``).
     * ``check`` runs every iteration (``row`` is always the next k, so the
-      loop never compares the stack's fix_res list with ``tol``). It finds
-      the lanes that stop in one pass over the stack's fix_res and calls
-      only their ``check``, or every lane's at ``record``, the first k at
-      which some lane may record a row (``_RunControl.next_row``).
+      loop never compares the stack's fix_res list with ``tol``). Its first
+      pass over the stack's fix_res is a plain loop against ``tol``, the
+      lanes' largest tolerance: while every fix_res is in (``tol``, inf), a
+      test that NaN fails, no lane stops. Otherwise it lists the lanes that
+      stop and calls only their ``check``; at ``record``, the first k at
+      which some lane may record a row (``_RunControl.next_row``), it calls
+      every lane's.
 
     A lane whose run ends is finished at the step's state and dropped
     (``_EngineStep.keep``), before any further resolvent call for it. When
@@ -416,7 +420,7 @@ class _Lanes:
     """
 
     k = row = record = end = 0   # every lane starts at k = 0 = end
-    moves, tol = True, None
+    moves, tol = True, 0.0   # tol: the lanes' largest fix_res_tol, set with ``end``
 
     def __init__(self, lanes, step, block_plan):
         self.lanes, self.step, self.block_plan = lanes, step, block_plan
@@ -438,6 +442,7 @@ class _Lanes:
         self.moving = [i for i, lane in enumerate(lanes) if lane.moves]
         self.reads_norms = [i for i in self.moving if lanes[i].reads_norms]
         self.end = min((lane.max_iters for lane in lanes), default=0)
+        self.tol = max((lane.tol for lane in lanes), default=0.0)
 
     def start(self, k):
         self.k = k   # where a hand-off resumes each lane
@@ -459,6 +464,12 @@ class _Lanes:
             checked = range(len(lanes))
             self.record = min(lane.next_row(k) for lane in lanes)
         else:   # the lanes whose run stops at k, as their check decides
+            tol = self.tol
+            for r in fix_res:   # none stops while every fix_res is in (largest tol, inf)
+                if not tol < r < _INF:
+                    break
+            else:
+                return False
             checked = [i for i, (r, lane) in enumerate(zip(fix_res, lanes))
                        if not lane.tol < r < _INF]
             if not checked:

@@ -23,7 +23,14 @@ with the scheme's constants folded into the text once:
   at a node of degree 1 or 2); a row with other coefficients keeps the
   product M z;
 * division by d_i = 1 and multiplication by a unit N_ij/d_i or P_ij are
-  skipped;
+  skipped; a divisor d_i != 1 and a coefficient N_ij/d_i != 1 of an array
+  are named in the text (``(z[0] - z[1]) / D1``, ``C2_1 * x1``) and bound
+  once per plan, in ``bind``, as read-only 0-d float64 arrays
+  (``linalg.constant``), so numpy
+  does not convert a Python float operand on every call; arithmetic on a
+  Python float stepsize (``s1 = gamma / 2.0``, a non-unit P_ij's
+  ``gamma * P_ij / d_i``) keeps its literals and stays in Python floats,
+  where a 0-d array would cost more than it saves;
 * when M is an incidence matrix (one +1 and one -1 per column, as on every
   graph scheme), M* x is the edge differences x_a - x_b, and a consensus
   pair that is an edge reuses its difference.
@@ -64,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .linalg import as_blocks, check_shape
+from .linalg import as_blocks, check_shape, constant
 from .operators import check_gamma
 
 
@@ -135,7 +142,11 @@ class _Emitter:
     row of R is taken lane by lane; ||M* x|| is one ``np.vecdot`` over the
     lanes' flattened blocks, whose float64 loop is the dot product that the
     block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
-    as the block layout forms it. ``general`` selects the
+    as the block layout forms it. A constant array operand, a divisor d_i or
+    a coefficient N_ij/d_i other than 1, is a name in the text (``D{i}``,
+    ``C{i}_{j}``; ``consts`` holds their values) that ``bind`` binds once to
+    a read-only 0-d array; scalar arithmetic on a stepsize keeps Python
+    floats and float literals. ``general`` selects the
     relocation formula: the general relocator's K times the sweep at w, or,
     for a cheap kind, x_1(w) broadcast over the blocks: its column of
     tree-degree coefficients is ones on every supported tree, so it has no
@@ -146,7 +157,13 @@ class _Emitter:
         self.s, self.dim, self.general, self.lanes = s, dim, general, lanes
         self.edges = _edges(s.M)
         self.r_rows = {}   # forward j -> the columns of row j of R, when (R x)_j is not a block
+        self.consts = {}   # name -> value of each array operand bound once in ``bind``
         self.g, self.xs = "gs" if lanes else "gamma", ", ".join(f"x{i}" for i in range(s.n))
+
+    def _const(self, name, v):
+        """``name``, bound in ``bind`` to the read-only 0-d array of the float ``v``."""
+        self.consts[name] = v
+        return name
 
     def _blk(self, v, j):
         return f"{v}[:, {j}]" if self.lanes else f"{v}[{j}]"
@@ -191,16 +208,18 @@ class _Emitter:
         p_terms = [(int(j), float(s.P[i, j])) for j in np.flatnonzero(s.P[i, :i])]
         step, lane_steps = "gamma", "gs"
         if di != 1.0:
-            arg = f"({arg}) / {_lit(di)}"
+            arg = f"({arg}) / {self._const(f'D{i}', di)}"
             step = f"s{i}"
-            if not lanes or any(c == 1.0 for _, c in p_terms):
-                lines.append(f"s{i} = gamma / {_lit(di)}")
+            if not lanes:
+                lines.append(f"s{i} = gamma / {_lit(di)}")   # scalar arithmetic: a Python float
+            elif any(c == 1.0 for _, c in p_terms):
+                lines.append(f"s{i} = gamma / D{i}")   # the forward terms' (L, 1) column
             if lanes:
                 lane_steps = f"ss{i}"
                 lines.append(f"ss{i} = [g / {_lit(di)} for g in gs]")
         for j in np.flatnonzero(s.N[i, :i]):
             c = float(s.N[i, j]) / di
-            t = f"x{j}" if c == 1.0 else f"{_lit(c)} * x{j}"
+            t = f"x{j}" if c == 1.0 else f"{self._const(f'C{i}_{j}', c)} * x{j}"
             if neg:
                 arg, neg = f"{t} - ({arg})", False
             else:
@@ -294,7 +313,8 @@ class _Emitter:
         """Module text whose ``bind(resolve, apply, M, MT, R, K)`` returns the plan's functions.
 
         They are the stateless ``sweep``, ``first_block`` and ``relocation``,
-        and ``step``, which makes the step functions of one state.
+        and ``step``, which makes the step functions of one state. ``bind``
+        first binds the named constants (``consts``), once per plan.
         """
         s, g = self.s, self.g
         step = [line for sig, body in ((f"residuals({g})", self._residuals()),
@@ -312,6 +332,7 @@ class _Emitter:
         lines += [f"    resolve_{i} = resolve[{i}]" for i in range(s.n)]
         lines += [f"    apply_{j} = apply[{j}]" for j in range(s.p)]
         lines += [f"    R{j} = R[{j}, {cols}]" for j, cols in sorted(self.r_rows.items())]
+        lines += [f"    {name} = constant({_lit(v)})" for name, v in self.consts.items()]
         for sig, body in fns:
             lines += [""] + _indent([f"def {sig}:"] + _indent(body))
         return "\n".join(lines + ["", "    return sweep, first_block, relocation, step", ""])
@@ -324,7 +345,7 @@ def _indent(lines):
 @functools.lru_cache(maxsize=256)
 def _compiled(source):
     """The ``bind`` function of a step-plan source, compiled once per distinct text."""
-    namespace = {"np": np, "sqrt": math.sqrt}
+    namespace = {"np": np, "sqrt": math.sqrt, "constant": constant}
     exec(compile(source, "<relsplit step plan>", "exec"), namespace)
     return namespace["bind"]
 

@@ -48,6 +48,18 @@ def aligned(a):
     return out
 
 
+def constant(v):
+    """``v`` as a read-only 0-d float64 array, an operand bound once for many ufunc calls.
+
+    numpy converts a Python float operand of a ufunc call into an array on
+    every call; a 0-d float64 array is used as it is, with the same float
+    operations and bits.
+    """
+    a = np.array(float(v))
+    a.flags.writeable = False
+    return a
+
+
 def as_blocks(z, m=None):
     """Coerce ``z`` to a float block vector of shape (m, d)."""
     z = np.asarray(z, dtype=float)

@@ -4,6 +4,19 @@ Resolvents J_{gA} = (Id + g A)^{-1} are single-valued, total and firmly
 nonexpansive; the concrete kinds here all have closed forms (soft-threshold,
 projections, identity).
 
+The operators whose formulas have a constant operand (the box bounds -u
+and u, the orthant's 0, the scaling c) bind it once, as a read-only 0-d
+float64 array (``linalg.constant``). numpy turns a Python float operand of
+a ufunc call into an array on every call: with numpy 2.4 on Python 3.11 at
+d = 80, ``c * v`` takes 0.37 us with a bound c and 0.53 us with the float
+2.0, and ``np.maximum(v, 0)`` 0.41 against 0.56 us (min of 15 interleaved
+rounds, one core). The float operations and the bits stay those of the
+Python-float formulas, since ``resolve`` and ``apply`` make their input
+float64 first. A stepsize and what is formed from it (``gamma * weight``)
+change every call and stay Python floats: a 0-d array in scalar arithmetic
+costs more than the conversion it saves (``gamma / 2.0`` takes 0.035 us,
+``gamma / D`` with a bound D 0.52 us).
+
 Cocoercivity follows the convention used throughout this library:
 ``T`` is beta-cocoercive when  <Tx - Ty, x - y> >= (1/beta) * ||Tx - Ty||^2,
 so beta is simultaneously a Lipschitz constant of T.  Note this is the
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .linalg import aligned, aligned_empty
+from .linalg import aligned, aligned_empty, constant
 
 
 def soft_threshold(v, t):
@@ -55,7 +68,8 @@ class L1Subdiff(ResolventOp):
 
     def resolve(self, gamma, v):
         check_gamma(gamma)
-        return soft_threshold(np.asarray(v, dtype=float), gamma * self.weight)
+        v, t = np.asarray(v, dtype=float), gamma * self.weight
+        return v - np.minimum(np.maximum(v, -t), t)   # soft_threshold(v, t), without its call
 
 
 @dataclass(frozen=True)
@@ -67,11 +81,16 @@ class BoxNormalCone(ResolventOp):
     def __post_init__(self):
         if not self.bound > 0:
             raise ParameterError("box bound must be positive")
+        object.__setattr__(self, "_lo", constant(-self.bound))
+        object.__setattr__(self, "_hi", constant(self.bound))
 
     def resolve(self, gamma, v):
         check_gamma(gamma)
         # np.clip's result, bitwise (NaN, signed zeros), at half its call overhead
-        return np.minimum(np.maximum(np.asarray(v, dtype=float), -self.bound), self.bound)
+        return np.minimum(np.maximum(np.asarray(v, dtype=float), self._lo), self._hi)
+
+
+_ZERO = constant(0.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +99,7 @@ class NonnegNormalCone(ResolventOp):
 
     def resolve(self, gamma, v):
         check_gamma(gamma)
-        return np.maximum(np.asarray(v, dtype=float), 0.0)
+        return np.maximum(np.asarray(v, dtype=float), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -256,6 +275,7 @@ class ScaledIdentity(CocoerciveOp):
     def __post_init__(self):
         if not self.c > 0:
             raise ParameterError("scaling must be positive")
+        object.__setattr__(self, "_c", constant(self.c))
 
     @property
     def beta(self):
@@ -263,7 +283,7 @@ class ScaledIdentity(CocoerciveOp):
 
     def apply(self, x):
         """c x, of a d-vector or of a stack of them."""
-        return self.c * np.asarray(x, dtype=float)
+        return self._c * np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -560,8 +560,9 @@ SMALL_BENCH = {"graph": {"kind": "sequential", "n": 2},
                          ids=["interrupt", "memory", "oserror-without-file"])
 def test_failed_bench_removes_only_the_out_dir_it_made(tmp_path, capsys, monkeypatch, raised):
     # an error raised during the runs propagates out of main, not as an exit code (an
-    # OSError that names no file included), and a bench removes an out_dir it made but
-    # keeps one that was there, with its earlier files
+    # OSError that names no file included), and a bench removes an out_dir it made, with
+    # every parent folder it made for it, but keeps one that was there, with its earlier
+    # files
     def failing(*args):
         raise raised
 
@@ -569,12 +570,12 @@ def test_failed_bench_removes_only_the_out_dir_it_made(tmp_path, capsys, monkeyp
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     kept.mkdir()
     (kept / "earlier.csv").write_text("keep")
-    for out_dir in (fresh, kept):
+    for out_dir in (fresh, fresh / "out", kept, kept / "new" / "out"):
         spec = write_json(tmp_path / "spec.json", dict(SMALL_BENCH, out_dir=str(out_dir)))
         with pytest.raises(type(raised)):
             main(["bench", spec])
         assert capsys.readouterr().err == ""
-    assert not fresh.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "spec.json"]
     assert [p.name for p in kept.iterdir()] == ["earlier.csv"]
     assert (kept / "earlier.csv").read_text() == "keep"
 

@@ -684,6 +684,26 @@ def test_run_grid_lanes_leave_at_every_stop():
         assert trace.aborted is None if text is None else trace.aborted.startswith(text)
 
 
+def test_run_grid_lanes_keep_their_own_tolerance():
+    # the stack's first stop test reads only its largest fix_res_tol; each lane must still
+    # stop at its own, with the largest neither first nor last, and the stack shrinking
+    # from six lanes until the last two are handed off to the single loop
+    s, split, _ = small_lasso_setup(21)
+    m = mu(s, split.beta)
+    safeguard = ScheduleSpec(variant="safeguard")
+    constant = ScheduleSpec(variant="constant", gamma=0.9 / m)
+    cases = [(safeguard, 3e-3), (constant, 1e-2), (safeguard, 1e-300), (constant, 1e-3),
+             (safeguard, 5e-3), (constant, 5e-3)]
+    cfgs = [RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
+                      fix_res_tol=tol, max_iters=1500, record_every=500) for spec, tol in cases]
+    z0 = default_z0(s, split, seed=2)
+    traces = run_grid(cfgs, z0)
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(cfg, z0))
+        assert trace.converged == (cfg.fix_res_tol > 1e-300)
+    assert [t.iterations for t in traces] == [1231, 112, 1500, 1332, 416, 319]
+
+
 def test_run_grid_refuses_runs_it_cannot_stack():
     # only a group that mixes schemes, problems or relocator kinds; a stack under the
     # general relocator, a group of fewer than MIN_LANES runs and a stack from the

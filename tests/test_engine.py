@@ -12,6 +12,7 @@ from relsplit.driver import RunConfig, _EngineStep, run
 from relsplit.engine import (SplitProblem, SweepPlan, apply_T, first_block, residuals,
                              sweep)
 from relsplit.errors import ParameterError, StructuralError
+from relsplit.linalg import constant
 from relsplit.operators import (L1Subdiff, LeastSquaresGrad, ScaledIdentity,
                                 ZeroForward, ZeroOp)
 from relsplit.propsuites import graph_split, kappa_scheme, small_lasso_setup, converge
@@ -502,7 +503,7 @@ def test_plan_source_is_the_code_that_runs():
     prob = graph_split(3, seed=1)
     for lanes in (False, True):
         plan = SweepPlan(s, prob, lanes=lanes)
-        namespace = {"np": np, "sqrt": math.sqrt}
+        namespace = {"np": np, "sqrt": math.sqrt, "constant": constant}
         exec(compile(plan.source, "printed", "exec"), namespace)
         fresh = namespace["bind"]([op.resolve for op in prob.resolvents],
                                   [op.apply for op in prob.forwards], s.M, s.M.T, s.R)
@@ -515,6 +516,23 @@ def test_plan_source_is_the_code_that_runs():
             assert f.__name__ == g.__name__ and f.__code__.co_code == g.__code__.co_code
     # the folded constants are in the text: d_2 = 2 on the kappa-form sequential tree
     assert "s1 = gamma / 2.0" in SweepPlan(s, prob).source
+
+
+def test_plan_binds_its_constants_once_read_only():
+    # a divisor d_i != 1 and a coefficient N_ij/d_i != 1 are names in the text, which bind
+    # binds to read-only 0-d float64 arrays of their values in both layouts
+    s = mixed_scheme()
+    prob = graph_split(3, seed=1)
+    want = {"D1": float(s.d[1]), "C2_1": float(s.N[2, 1] / s.d[2])}
+    for lanes in (False, True):
+        plan = SweepPlan(s, prob, lanes=lanes)
+        assert "/ D1" in plan.source and "C2_1 * x1" in plan.source
+        cells = dict(zip(plan.sweep.__code__.co_freevars, plan.sweep.__closure__))
+        for name, value in want.items():
+            a = cells[name].cell_contents
+            assert a.shape == () and a.dtype == np.float64 and float(a) == value
+            with pytest.raises(ValueError, match="read-only"):
+                a[()] = 0.0
 
 
 def test_run_leaves_z0_alone_when_x1_is_a_view():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsplit import operators
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.linalg import ALIGN, aligned_empty
 from relsplit.operators import (BLOCK_BYTES, BoxNormalCone, L1Subdiff, LeastSquaresGrad,
@@ -68,6 +69,37 @@ def test_box_clamp_is_np_clip_bitwise():
     want = np.clip(v, -u, u)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # NaN and sign bit too
     assert np.signbit(got[2]) and not np.signbit(got[1])
+
+
+def test_bound_constants_keep_the_bits_of_the_float_formulas():
+    # the operators bind -u, u, 0 and c once as read-only 0-d arrays; their results must
+    # be the bytes of the Python-float formulas (NaN payloads, signed zeros, ties at
+    # +-u and +-t), on a d-vector and on an (L, d) stack, and no caller may write to them
+    u, c, w, gamma = 2.5, 0.7, 0.3, 1.5
+    t = gamma * w
+    vec = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, u, -u, t, -t,
+                    np.nextafter(u, np.inf), np.nextafter(-t, 0.0), 5e-324, -5e-324, 1.0, -7.0])
+    stack = np.stack([vec, vec[::-1], -vec, np.random.default_rng(3).normal(0.0, 3.0, vec.size)])
+    box, nonneg, scaled, l1 = BoxNormalCone(u), NonnegNormalCone(), ScaledIdentity(c), L1Subdiff(w)
+    for v in (vec, stack):
+        pairs = [(box.resolve(gamma, v), np.clip(v, -u, u)),
+                 (nonneg.resolve(gamma, v), np.maximum(v, 0.0)),
+                 (scaled.apply(v), c * v),
+                 (l1.resolve(gamma, v), soft_threshold(v, gamma * w))]
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.shape == v.shape
+            assert got.tobytes() == want.tobytes()
+    bound = [box._lo, box._hi, operators._ZERO, scaled._c]
+    assert [float(a) for a in bound] == [-u, u, 0.0, c]
+    for a in bound:
+        assert a.shape == () and a.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            a[()] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(a, 1.0, out=a)
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+    assert [float(a) for a in bound] == [-u, u, 0.0, c]
 
 
 def test_zero_op_identity():
