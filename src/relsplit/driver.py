@@ -22,7 +22,7 @@ RunConfig of the two-node chain under the davis-yin relocator:
     z_{k+1} = (gamma_{k+1}/gamma_k) w_k + (1 - gamma_{k+1}/gamma_k) x_{k+1}
 
 with x_0 = J_{gamma_0 A_1}(z_0). Given the same RunConfig, it produces the
-iterates of ``run`` at a lower cost per iteration.
+iterates of ``run``, at about the same cost per iteration.
 
 One loop, ``_iterate``, runs every iteration of the library. It pairs a
 step, which holds the resolvent formulas, with a control, which decides:

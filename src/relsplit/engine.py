@@ -24,9 +24,9 @@ with the scheme's constants folded into the text once:
   product M z;
 * division by d_i = 1 and multiplication by a unit N_ij/d_i or P_ij are
   skipped; a divisor d_i != 1 and a coefficient N_ij/d_i != 1 of an array
-  are named in the text (``(z[0] - z[1]) / D1``, ``C2_1 * x1``) and bound
-  once per plan, in ``bind``, as read-only 0-d float64 arrays
-  (``linalg.constant``), so numpy
+  are named in the text (``(z[0] - z[1]) / D1``, ``C2_1 * x1``), as is the
+  lane layout relocation's 1 (``ONE - ratio``), and bound once per plan, in
+  ``bind``, as read-only 0-d float64 arrays (``linalg.constant``), so numpy
   does not convert a Python float operand on every call; arithmetic on a
   Python float stepsize (``s1 = gamma / 2.0``, a non-unit P_ij's
   ``gamma * P_ij / d_i``) keeps its literals and stays in Python floats,
@@ -143,14 +143,15 @@ class _Emitter:
     lanes' flattened blocks, whose float64 loop is the dot product that the
     block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
     as the block layout forms it. A constant array operand, a divisor d_i or
-    a coefficient N_ij/d_i other than 1, is a name in the text (``D{i}``,
-    ``C{i}_{j}``; ``consts`` holds their values) that ``bind`` binds once to
-    a read-only 0-d array; scalar arithmetic on a stepsize keeps Python
-    floats and float literals. ``general`` selects the
-    relocation formula: the general relocator's K times the sweep at w, or,
-    for a cheap kind, x_1(w) broadcast over the blocks: its column of
-    tree-degree coefficients is ones on every supported tree, so it has no
-    K (``relocator.relocation_map`` returns None).
+    a coefficient N_ij/d_i other than 1 or the lane relocation's 1, is a name
+    in the text (``D{i}``, ``C{i}_{j}``, ``ONE``; ``consts`` holds their
+    values) that ``bind`` binds once to a read-only 0-d array; scalar
+    arithmetic on a stepsize keeps Python floats and float literals.
+    ``general`` selects the relocation formula: the general relocator's K
+    times the sweep at w, or, for a cheap kind, x_1(w) broadcast over the
+    blocks: its column of tree-degree coefficients is ones on every
+    supported tree, so it has no K (``relocator.relocation_map`` returns
+    None).
     """
 
     def __init__(self, s, dim, general, lanes):
@@ -298,16 +299,18 @@ class _Emitter:
         """Statements that set z = Q(w) = ratio w + (1 - ratio) K x(w), or z = w at ratio 1.
 
         ``aw`` is x_1(w) for a cheap kind and the sweep at w for ``general``. In
-        the lane layout ``ratio`` is the (L, 1, 1) column of the lanes' ratios;
-        a lane at ratio 1 gets w's bits, not the formula's w + 0 * K x.
+        the lane layout ``ratio`` is the (L, 1, 1) column of the lanes' ratios
+        and 1 the bound constant ``ONE``; a lane at ratio 1 gets w's bits, not
+        the formula's w + 0 * K x. The block layout's ratio is a Python float.
         """
         # K times each run's (n, d) outputs: np.array(aw) is (n, d), or (n, L, d) on a stack
         kx = ("(K @ np.array(aw).swapaxes(0, -2))" if self.general
               else "aw[:, None, :]" if self.lanes else "aw")
-        formula = f"ratio * w + (1.0 - ratio) * {kx}"
+        one = self._const("ONE", 1.0) if self.lanes else "1.0"
+        formula = f"ratio * w + ({one} - ratio) * {kx}"
         if not self.lanes:
             return [f"z = w if ratio == 1.0 else {formula}"]
-        return [f"z = {formula}", "np.copyto(z, w, where=ratio == 1.0)"]
+        return [f"z = {formula}", f"np.copyto(z, w, where=ratio == {one})"]
 
     def source(self):
         """Module text whose ``bind(resolve, apply, M, MT, R, K)`` returns the plan's functions.
@@ -397,13 +400,13 @@ class SweepPlan:
         """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``residuals``.
 
         A pair that is an edge of an incidence matrix M reuses that edge's
-        difference in M* x.
+        difference in M* x. A NaN pair makes the consensus NaN, as in ``residuals``.
         """
         worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
         for i, j, e in self.pairs:
             v = x[i] - x[j] if e is None else mstar_x[e]
             sq = v.dot(v)
-            if sq > worst:
+            if sq > worst or sq != sq:   # NaN fails every comparison but this one
                 worst = sq
         return math.sqrt(worst)
 

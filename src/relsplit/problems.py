@@ -275,7 +275,8 @@ def _bounded_path(G, c, lam, lo, hi):
 def _lift(s, split, gamma, x, later):
     """The point z whose sweep at stepsize gamma returns x from every resolvent.
 
-    ``later`` holds a_i in A_i x for i >= 2. At a solution x,
+    ``later(x, forwards)`` gives a_i in A_i x for i >= 2 from x and the
+    forwards' values B_j x. At a solution x,
     a_1 = -(sum_{i>=2} a_i + sum_j B_j x) lies in A_1 x. Resolvent i returns x
     when its argument is x + (gamma/d_i) a_i, that is when (M z)_i = w_i with
     w_i = d_i x + gamma a_i - (sum_{j<i} N_ij) x + gamma sum_j P_ij B_j x
@@ -283,35 +284,23 @@ def _lift(s, split, gamma, x, later):
     they lie in the range of M and the least-squares z solves M z = w exactly.
     """
     forwards = np.array([op.apply(x) for op in split.forwards])
-    a = np.array([np.zeros_like(x), *later])
+    a = np.array([np.zeros_like(x), *later(x, forwards)])
     a[0] = -(a.sum(axis=0) + forwards.sum(axis=0))
     w = (s.d - s.N.sum(axis=1))[:, None] * x + gamma * (a + s.P @ forwards)
     return np.linalg.lstsq(s.M, w, rcond=None)[0]
 
 
-def _exact_start(problem, s, split, gamma):
+def _exact_start(s, split, gamma, path, later):
     """The reference loop's z0: the lifted exact minimiser, or None where that step fails.
 
-    Both families are one bounded path on G = A^T A (+ lam2 I) and c = A^T b.
-    The LASSO split minimises (1/2)||Ax - b||^2 + lam ||x||_1 over the box;
-    a_2 in N_box(x*) is 0 off the bound and soft_threshold(-B x*, lam) on it.
-    On x >= 0, (lam1/2) 1 lies in (lam1/2) d||x*||_1 for the elastic net's
-    a_2 and a_3.
+    ``path`` holds the arguments (G, c, lam, lo, hi) of ``_bounded_path``, and
+    ``later`` the subgradient rule that ``_lift`` takes. None when the path
+    fails, or the lift raises a LinAlgError or is not finite.
     """
-    A, lasso = problem.A, isinstance(problem, LassoProblem)
     try:
-        if lasso:
-            x = _bounded_path(A.T @ A, A.T @ problem.b, problem.lam, -problem.u, problem.u)
-        else:
-            x = _bounded_path(A.T @ A + problem.lam2 * np.eye(problem.dim), A.T @ problem.b,
-                              problem.lam1, 0.0, np.inf)
+        x = _bounded_path(*path)
         if x is None:
             return None
-        if lasso:
-            bound = soft_threshold(-split.forwards[0].apply(x), problem.lam)
-            later = (np.where(np.abs(x) == problem.u, bound, 0.0),)
-        else:
-            later = (np.full(problem.dim, 0.5 * problem.lam1),) * 2
         z0 = _lift(s, split, gamma, x, later)
     except np.linalg.LinAlgError:
         return None
@@ -334,12 +323,23 @@ def reference_solution(problem, budget):
     the problem's reported objective; for the LASSO it minimizes the
     half-quadratic objective of the split the benchmark methods run. The
     result is flagged when the run did not reach residual 1e-10; an aborted
-    run raises ``ReferenceRunError``.
+    run raises ``ReferenceRunError``. One branch on the family sets the
+    split, the loop and its relocator kind, the homotopy's arguments
+    (G, c, lam, lo, hi) and the rule for the subgradients a_i (i >= 2) that
+    the lift takes; the LASSO's rule reads B x* from the lift's own forward.
     """
     if isinstance(problem, LassoProblem):
         prob, kind, loop = split_lasso(problem), relocator.DAVIS_YIN, driver.run_davis_yin
+        A, lam, u = problem.A, problem.lam, problem.u
+        path = (A.T @ A, A.T @ problem.b, lam, -u, u)
+        # a_2 in N_box(x*) is 0 off the bound and soft_threshold(-B x*, lam) on it
+        later = lambda x, fx: (np.where(np.abs(x) == u, soft_threshold(-fx[0], lam), 0.0),)
     elif isinstance(problem, ElasticNetProblem):
         prob, kind, loop = split_elastic(problem), graphmod.SEQUENTIAL, driver.run
+        A, dim = problem.A, problem.dim
+        path = (A.T @ A + problem.lam2 * np.eye(dim), A.T @ problem.b, problem.lam1, 0.0, np.inf)
+        # on x >= 0, (lam1/2) 1 lies in (lam1/2) d||x*||_1: a_2 and a_3
+        later = lambda x, fx: (np.full(dim, 0.5 * problem.lam1),) * 2
     else:
         raise StructuralError(f"unknown problem type {type(problem).__name__}")
     tree = graphmod.canonical(graphmod.SEQUENTIAL, len(prob.resolvents))
@@ -349,7 +349,7 @@ def reference_solution(problem, budget):
                            schedule=ScheduleSpec(variant="constant", gamma=gamma),
                            max_iters=20 * budget, fix_res_tol=1e-12,
                            record_every=max(1, budget))
-    trace = loop(cfg, _exact_start(problem, s, prob, gamma))
+    trace = loop(cfg, _exact_start(s, prob, gamma, path, later))
     if trace.aborted or not trace.fix_res:
         raise ReferenceRunError(f"reference run failed: {trace.aborted}")
     return Reference(x=np.array(trace.x_final), phi=objective(problem, trace.x_final),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsplit import config, driver, problems
+from relsplit import config, driver, problems, propsuites
 from relsplit import graph as graphmod
 from relsplit.cli import main
 
@@ -282,6 +282,16 @@ def test_proptest(capsys):
 def test_proptest_pinv_and_scheme_suites(capsys):
     assert main(["proptest", "pinv-closed-forms"]) == 0
     assert main(["proptest", "scheme-validity"]) == 0
+
+
+def test_proptest_failing_suite_exits_1(capsys, monkeypatch):
+    # a suite that finds counterexamples: FAIL, one line per counterexample, exit 1
+    monkeypatch.setitem(propsuites.SUITES, "resolvent-identity",
+                        lambda trials, seed: [f"trial {seed} broke", f"of {trials} trials"])
+    assert main(["proptest", "resolvent-identity", "--trials", "7", "--seed", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "resolvent-identity: FAIL", "  counterexample: trial 3 broke",
+        "  counterexample: of 7 trials"]
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-5"], ["--seed", "-1"]])

@@ -357,15 +357,22 @@ def test_run_davis_yin_rejects_other_configs():
 
 @pytest.mark.parametrize("kind", [DAVIS_YIN, GENERAL])
 def test_nonfinite_resolvent_aborts_run(kind):
-    s, split, _ = small_lasso_setup(17)
-    prob = SplitProblem([split.resolvents[0], NanOp()], split.forwards, split.beta, split.dim)
-    cfg = RunConfig(scheme=s, problem=prob, relocator=kind,
-                    schedule=ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
-                    max_iters=200, record_every=50)
-    trace = run(cfg, default_z0(s, prob, seed=1))
-    assert trace.aborted is not None and trace.aborted.startswith("non-finite")
-    assert trace.iterations == 1 and not trace.converged
-    assert trace.k == [0] and np.isnan(trace.fix_res[-1])
+    # the last resolvent breaks on the two-node chain and on the n = 3 chain (under the
+    # sequential relocator where the chain's kind is davis-yin); the aborting row's
+    # consensus is NaN, as fix_res is, not the largest of the finite pairs
+    for (s, split, _), n3_kind in ((small_lasso_setup(17), kind),
+                                   (small_elastic_setup(17), graphmod.SEQUENTIAL
+                                    if kind == DAVIS_YIN else kind)):
+        prob = SplitProblem([*split.resolvents[:-1], NanOp()], split.forwards, split.beta,
+                            split.dim)
+        cfg = RunConfig(scheme=s, problem=prob, relocator=n3_kind,
+                        schedule=ScheduleSpec(variant="constant", gamma=0.5 / split.beta),
+                        max_iters=200, record_every=50)
+        trace = run(cfg, default_z0(s, prob, seed=1))
+        assert trace.aborted is not None and trace.aborted.startswith("non-finite")
+        assert trace.iterations == 1 and not trace.converged
+        assert trace.k == [0] and np.isnan(trace.fix_res[-1])
+        assert np.isnan(trace.consensus[-1])
 
 
 def test_nonfinite_resolvent_aborts_run_davis_yin():
@@ -682,6 +689,41 @@ def test_run_grid_lanes_leave_at_every_stop():
              "constant gamma", None, None]
     for trace, text in zip(traces, texts):
         assert trace.aborted is None if text is None else trace.aborted.startswith(text)
+
+
+class NanOffZero(ResolventOp):
+    """A resolvent that returns NaN for every argument but the zero vector."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def resolve(self, gamma, v):
+        out = self.inner.resolve(gamma, v)
+        return np.full(np.shape(v), np.nan) if np.any(v) else out
+
+
+def test_run_grid_ends_when_every_lane_leaves_on_its_stepsize(monkeypatch):
+    # from z0 = 0 the first resolvent sees 0 in the sweep at k = 0 and w != 0 in advance:
+    # every norm-ratio lane's norm pair is NaN, so all leave on gamma_1 in one next_gamma
+    s, split, _ = small_lasso_setup(21)
+    prob = SplitProblem([NanOffZero(split.resolvents[0]), split.resolvents[1]],
+                        split.forwards, split.beta, split.dim)
+    cfgs = [RunConfig(scheme=s, problem=prob, relocator=DAVIS_YIN, max_iters=50,
+                      schedule=ScheduleSpec(variant="safeguard", t_rule="norm-ratio", gamma=g),
+                      record_every=10) for g in (None, 0.5 / split.beta, 1.5 / split.beta)]
+    ratios = []
+    next_gamma = driver._Lanes.next_gamma
+
+    def spy(self, k, norms):
+        ratios.append(next_gamma(self, k, norms))
+        return ratios[-1]
+
+    monkeypatch.setattr(driver._Lanes, "next_gamma", spy)
+    traces = run_grid(cfgs)
+    assert ratios == [None]
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(cfg))
+        assert trace.aborted.startswith("gamma_1 = nan outside") and trace.iterations == 1
 
 
 def test_run_grid_lanes_keep_their_own_tolerance():

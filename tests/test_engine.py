@@ -1,11 +1,15 @@
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsplit import config, graph as graphmod, relocator
 from relsplit.driver import RunConfig, _EngineStep, run
@@ -17,7 +21,7 @@ from relsplit.operators import (L1Subdiff, LeastSquaresGrad, ScaledIdentity,
                                 ZeroForward, ZeroOp)
 from relsplit.propsuites import graph_split, kappa_scheme, small_lasso_setup, converge
 from relsplit.schedule import ScheduleSpec
-from relsplit.scheme import CoefficientScheme, eta, mu, validate
+from relsplit.scheme import CoefficientScheme, eta, kappa_form_scheme, mu, validate
 
 
 def zero_problem(n, p, dim=2):
@@ -269,9 +273,12 @@ def test_conical_averagedness_sample():
 
 # -- the folded step plan against a plain matrix oracle ------------------------
 
-def oracle_sweep(s, prob, gamma, z, x1=None):
-    """The sweep of the module docstring with whole matrices: M z / d, then the N/P/R terms."""
-    mzd = (s.M @ z) / s.d[:, None]
+def oracle_sweep(s, prob, gamma, z, x1=None, product=np.matmul):
+    """The sweep of the module docstring with whole matrices: M z / d, then the N/P/R terms.
+
+    ``product(M, z)`` forms M z (the matrix product unless given).
+    """
+    mzd = product(s.M, z) / s.d[:, None]
     x = np.zeros((s.n, z.shape[1]))
     x[0] = prob.resolvents[0].resolve(gamma / s.d[0], mzd[0]) if x1 is None else x1
     forward = {}
@@ -294,14 +301,14 @@ def oracle_residuals(s, x):
     return np.linalg.norm(s.M.T @ x), max(pairs, default=0.0)
 
 
-def oracle_relocate(s, prob, K, general, ratio, gamma, w):
+def oracle_relocate(s, prob, K, general, ratio, gamma, w, product=np.matmul):
     """r w + (1 - r) K x(w): K @ the sweep at w (general), x_1 at w on every block (cheap).
 
     A cheap kind's K is the paper's column of tree-degree coefficients, ones on
     every canonical tree (``test_relocator.py`` derives it), so ``K`` is unused there.
     """
-    kx = (K @ oracle_sweep(s, prob, gamma, w) if general
-          else np.ones((s.m, 1)) * oracle_sweep(s, prob, gamma, w)[0])
+    x = oracle_sweep(s, prob, gamma, w, product=product)
+    kx = K @ x if general else np.ones((s.m, 1)) * x[0]
     return ratio * w + (1.0 - ratio) * kx
 
 
@@ -315,6 +322,14 @@ def mixed_scheme():
     base = kappa_scheme(graphmod.SEQUENTIAL, 3)
     M = 0.5 * base.M @ np.array([[1.0, 0.5], [0.0, 1.0]])
     s = CoefficientScheme(base.d, M, base.N, base.P, [[1.0, 0.0, 0.0], [0.25, 0.75, 0.0]])
+    assert validate(s) == []
+    return s
+
+
+def negated_chain():
+    """The kappa-form chain with M negated: its first row is the negated block -z_1."""
+    base = kappa_scheme(graphmod.SEQUENTIAL, 2)
+    s = CoefficientScheme(base.d, -base.M, base.N, base.P, base.R)
     assert validate(s) == []
     return s
 
@@ -379,6 +394,15 @@ def test_folded_plan_is_bitwise_the_matrix_oracle(s):
     check_plan_against_oracle(s, lambda a, b: np.testing.assert_array_equal(a, b))
 
 
+def test_negated_row_is_bitwise_the_matrix_oracle():
+    # a row whose first +-1 entry is -1 is emitted as the negated sum
+    s = negated_chain()
+    prob = split_for(s, 0)
+    assert "x0 = resolve_0(gamma, -(z[0]))" in SweepPlan(s, prob).source
+    assert "zip(gs, -(z[:, 0]))" in SweepPlan(s, prob, lanes=True).source
+    check_plan_against_oracle(s, lambda a, b: np.testing.assert_array_equal(a, b))
+
+
 @pytest.mark.parametrize("s", CLOSE + [mixed_scheme()],
                          ids=[f"{k}-{n}" for k in ("inward-star", "outward-star")
                               for n in (4, 5, 6)] + ["mixed"])
@@ -396,10 +420,11 @@ def lane_problems(s):
     return prob, SplitProblem(prob.resolvents, (wide,) + prob.forwards[1:], prob.beta, 9)
 
 
-@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme()],
+@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme(),
+                                                 negated_chain()],
                          ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
-                            for n in (4, 5, 6)] + ["explicit", "mixed"])
+                            for n in (4, 5, 6)] + ["explicit", "mixed", "negated"])
 def test_lane_layout_is_the_block_layout_per_lane(s):
     # one emitted text, two layouts: lane l of a stack is bitwise the block plan at
     # (gamma_l, z_l), products with M, M* and R rows included (explicit, mixed)
@@ -427,10 +452,11 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
             assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
 
 
-@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme()],
+@pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme(),
+                                                 negated_chain()],
                          ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
-                            for n in (4, 5, 6)] + ["explicit", "mixed"])
+                            for n in (4, 5, 6)] + ["explicit", "mixed", "negated"])
 def test_lane_step_is_the_block_step_per_lane(s):
     # one _EngineStep on a 4-lane stack forms each lane's norm pair and relocates each
     # lane bitwise as the block step does for its run; a lane at ratio 1 holds w's bits,
@@ -533,6 +559,111 @@ def test_plan_binds_its_constants_once_read_only():
             assert a.shape == () and a.dtype == np.float64 and float(a) == value
             with pytest.raises(ValueError, match="read-only"):
                 a[()] = 0.0
+
+
+def test_lane_relocation_binds_its_one():
+    # the lane layout's relocation reads 1 from the bound 0-d array ONE, so numpy converts
+    # no float literal per call; the block layout's ratio is a Python float, compared
+    # with the literal
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    prob = graph_split(3, seed=1)
+    for K in (None, relocator.relocation_map(relocator.GENERAL, s)):
+        lanes = SweepPlan(s, prob, K, lanes=True)
+        text = lanes.source.split("def relocation(")[1].split("def step(")[0]
+        assert "(ONE - ratio)" in text and "where=ratio == ONE" in text
+        assert "1.0" not in text and "1.0" not in lanes.source.split("def relocate(")[1]
+        assert "    ONE = constant(1.0)" in lanes.source
+        one = dict(zip(lanes.relocation.__code__.co_freevars,
+                       lanes.relocation.__closure__))["ONE"].cell_contents
+        assert one.shape == () and one.dtype == np.float64 and float(one) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            one[()] = 0.0
+        assert "ONE" not in SweepPlan(s, prob, K).source
+        assert "if ratio == 1.0 else" in SweepPlan(s, prob, K).source
+
+
+def pruefer_tree(seq, n):
+    """The labelled tree on nodes 1..n of a Pruefer sequence, each arc from lower to higher."""
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    arcs = []
+    for v in seq:
+        leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
+        arcs.append((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    arcs.append(tuple(u for u in range(1, n + 1) if degree[u] == 1))
+    return graphmod.DiGraph(n, tuple(arcs))
+
+
+def in_column_order(M, z):
+    """M z with each row summed over its nonzero columns in column order, as a plan folds it.
+
+    The BLAS product may sum a row of four or more terms in another order: its
+    matrix-vector kernel (d = 1) does.
+    """
+    return np.array([functools.reduce(operator.add, [M[i, j] * z[j] for j in np.flatnonzero(row)])
+                     for i, row in enumerate(M)])
+
+
+trees = st.integers(2, 9).flatmap(
+    lambda n: st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2).map(
+        lambda seq: pruefer_tree(seq, n)))
+
+
+@given(trees, st.integers(1, 6), st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
+    # both layouts on any spanning tree, under the general relocator and every cheap kind
+    # the tree admits: the sweep at z, w, the relocated z and the next sweep (from the
+    # recycled x_1 under a cheap kind) are the oracle's bits, lane by lane
+    s = kappa_form_scheme(graphmod.scheme_from_graph(g))
+    prob = split_for(s, seed, dim)
+    rng = np.random.default_rng(seed)
+    gammas, lams, ratios = [0.3, 0.55, 0.9], [0.7, 0.5, 0.6], [1.25, 0.8, 1.0]
+    z = rng.standard_normal((len(gammas), s.m, prob.dim))
+    kinds = [relocator.GENERAL]
+    for kind in relocator.CHEAP_KINDS:
+        try:
+            relocator.check_kind(kind, s)
+            kinds.append(kind)
+        except StructuralError:
+            pass
+    for kind in kinds:
+        general = kind == relocator.GENERAL
+        K = relocator.relocation_map(kind, s)
+        plans = SweepPlan(s, prob, K), SweepPlan(s, prob, K, lanes=True)
+        stack = _EngineStep(plans[1], z.copy())
+        stack.residuals(gammas)
+        xs = [np.array([x[lane] for x in stack.st.xs]) for lane in range(len(gammas))]
+        stack.advance(gammas, np.array(lams)[:, None, None], ())
+        w = stack.st.w.copy()
+        stack.relocate(np.array(ratios)[:, None, None])
+        z_next = stack.st.z.copy()
+        deltas = [r * g for r, g in zip(ratios, gammas)]
+        stack.residuals(deltas)
+        for lane, (gamma, lam, ratio, delta) in enumerate(zip(gammas, lams, ratios, deltas)):
+            x = oracle_sweep(s, prob, gamma, z[lane], product=in_column_order)
+            block = _EngineStep(plans[0], z[lane].copy())
+            block.residuals(gamma)
+            for got in (xs[lane], np.array(block.st.xs)):
+                np.testing.assert_array_equal(got, x)
+            want_w = z[lane] - lam * (s.M.T @ x)
+            block.advance(gamma, lam, False)
+            np.testing.assert_array_equal(w[lane], want_w)
+            np.testing.assert_array_equal(block.st.w, want_w)
+            want_z = oracle_relocate(s, prob, K, general, ratio, gamma, want_w,
+                                     product=in_column_order)
+            block.relocate(ratio)
+            np.testing.assert_array_equal(z_next[lane], want_z)
+            np.testing.assert_array_equal(block.st.z, want_z)
+            x1 = None if general else oracle_sweep(s, prob, gamma, want_w,
+                                                   product=in_column_order)[0]
+            want_x = oracle_sweep(s, prob, delta, want_z, x1, product=in_column_order)
+            block.residuals(delta)
+            np.testing.assert_array_equal(np.array([x[lane] for x in stack.st.xs]), want_x)
+            np.testing.assert_array_equal(np.array(block.st.xs), want_x)
 
 
 def test_run_leaves_z0_alone_when_x1_is_a_view():
