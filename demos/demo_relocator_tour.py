@@ -37,19 +37,18 @@ mu_value = rs.mu(scheme, split.beta)
 gamma = 0.8 / mu_value
 trace = converge(scheme, split, rs.SEQUENTIAL, gamma, fix_res_tol=1e-10)
 z_star = trace.z_final
-x_sweep = sweep(scheme, split, gamma, z_star)
 print(f"   baseline: {trace.iterations} iterations, fix_res = {trace.fix_res[-1]:.2e}")
 for delta in (0.5 * gamma, 2.0 * gamma):
-    zd = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z_star, sweep=x_sweep)
+    zd = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z_star)
     fr, _ = residuals(scheme, sweep(scheme, split, delta, zd))
     print(f"   fix_res at delta = {delta / gamma:.1f}*gamma after relocation: {fr:.2e}")
 
 print("\n3) semigroup / inverse / cheap-vs-general agreement at the fixed point")
 delta, eps = 0.5 * gamma, 1.5 * gamma
-q_cheap = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z_star, sweep=x_sweep)
-q_gen = rs.relocate(rs.GENERAL, scheme, split, delta, gamma, z_star, sweep=x_sweep)
+q_cheap = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z_star)
+q_gen = rs.relocate(rs.GENERAL, scheme, split, delta, gamma, z_star)
 two_leg = rs.relocate(rs.SEQUENTIAL, scheme, split, eps, delta, q_cheap)
-direct = rs.relocate(rs.SEQUENTIAL, scheme, split, eps, gamma, z_star, sweep=x_sweep)
+direct = rs.relocate(rs.SEQUENTIAL, scheme, split, eps, gamma, z_star)
 back = rs.relocate(rs.SEQUENTIAL, scheme, split, gamma, delta, q_cheap)
 print(f"   semigroup gap   : {np.linalg.norm(two_leg - direct):.2e}")
 print(f"   inverse gap     : {np.linalg.norm(back - z_star):.2e}")
@@ -58,7 +57,7 @@ print(f"   cheap vs general: {np.linalg.norm(q_cheap - q_gen):.2e}")
 print("\n4) recycling holds for arbitrary z, not just fixed points")
 z = rng.normal(0.0, 3.0, size=z_star.shape)
 x1 = first_block(scheme, split, gamma, z)
-zq = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z, x1=x1)
+zq = rs.relocate(rs.SEQUENTIAL, scheme, split, delta, gamma, z)
 x1_after = first_block(scheme, split, delta, zq)
 print(f"   ||x_1(gamma, z) - x_1(delta, Qz)|| = {np.linalg.norm(x1 - x1_after):.2e}")
 

@@ -144,10 +144,14 @@ def _schemes(doc, resolvents=None):
     if len(given) > 1:
         raise ParameterError(f"config takes one of 'graph', 'graphs', 'scheme', not {given}")
     if "graphs" in doc:
-        if not doc["graphs"]:
+        graphs = doc["graphs"]
+        if not isinstance(graphs, list):
+            raise ParameterError(f"graphs must be a list, got {type(graphs).__name__}")
+        if not graphs:
             raise ParameterError("'graphs' needs at least one graph")
-        return [(g.get("kind"), build_scheme({"graph": g}, resolvents))
-                for g in doc["graphs"]]
+        # build_scheme checks each section before its kind is read
+        schemes = [build_scheme({"graph": g}, resolvents) for g in graphs]
+        return [(g["kind"], s) for g, s in zip(graphs, schemes)]
     return [("", build_scheme(doc, resolvents))]
 
 

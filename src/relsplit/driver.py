@@ -570,7 +570,8 @@ class _DavisYinStep:
         return self.fix_res, self.x, self.evals
 
     def state(self):
-        return self.z, self.x, self.evals
+        # copies, as the engine step's: z may be z0 and x_1 a view of it (A_1 = 0)
+        return np.array(self.z), None if self.x is None else np.array(self.x), self.evals
 
     def advance(self, gamma, lam, reads):
         w = self.w = self.z + lam * (self.y - self.x)

@@ -54,12 +54,14 @@ recycled x_1 under a cheap kind, with M* x and ||M* x||), ``advance`` (w,
 then x_1(w), or the sweep at w under the general relocator, and the norm
 pair (||x_1(w)||, ||x_1(w) - w||) only when asked for it) and ``relocate``.
 An iteration of a run calls these three (``advance`` calls ``first_block``
-or ``sweep`` at w). Each distinct source is compiled once per process; the
+or ``sweep`` at w). The recycled sweep lives in ``residuals`` alone: the
+stateless functions evaluate every output they return at their own
+(gamma, z). Each distinct source is compiled once per process; the
 operators' ``resolve`` and ``apply`` methods are bound each time a plan is
 built, so a wrapper installed on them beforehand sees every call. The
 public ``sweep`` and ``first_block`` are validated wrappers over the plan
-that return the plain (n, d) array of resolvent outputs x, which
-``relocator.relocate`` and the public ``residuals`` take.
+that return the plain (n, d) array of resolvent outputs x, which the public
+``residuals`` takes; ``relocator.relocate`` calls the plan's own.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ class _Emitter:
                                        ("relocate(ratio)", ["w, aw = st.w, st.aw"]
                                         + self._relocation() + ["st.z = z"]))
                 for line in [f"def {sig}:", *_indent(body), ""]]
-        fns = [(f"sweep({g}, z, aw=None)", self._sweep(range(s.n), True) + [f"return [{self.xs}]"]),
+        fns = [(f"sweep({g}, z)", self._sweep(range(s.n)) + [f"return [{self.xs}]"]),
                (f"first_block({g}, z)", self._sweep([0]) + ["return x0"]),
                ("relocation(ratio, w, aw)", self._relocation() + ["return z"]),
                ("step(st)", step + ["return residuals, advance, relocate"])]
@@ -361,8 +363,7 @@ class SweepPlan:
     and binds the operators' methods. ``K`` is the general relocator's m x n
     matrix, or None for a cheap kind. The plan exposes, as plain functions:
 
-    * ``sweep(gamma, z, aw=None)``: the n outputs; a given ``aw`` is used as
-      x_1 without evaluation;
+    * ``sweep(gamma, z)``: the n outputs at (gamma, z), n resolvent evaluations;
     * ``first_block(gamma, z)``: x_1 alone;
     * ``relocation(ratio, w, aw)``: Q(w) for the relocator, from ``aw``,
       x_1(w) for a cheap kind or the n outputs at w for ``general``;
@@ -418,22 +419,17 @@ class SweepPlan:
         return z
 
 
-def sweep(s, prob, gamma, z, x1=None):
+def sweep(s, prob, gamma, z):
     """The (n, d) array x of resolvent outputs of the sweep at stepsize gamma from z.
 
-    When ``x1`` is supplied it is used as the first resolvent output without
-    re-evaluation (the recycling hook for the cheap relocators, which
-    guarantee x_1 at the relocated point equals x_1 at the pre-relocation
-    point); the sweep then costs n - 1 resolvent evaluations instead of n.
-    ``x1`` must be a d-vector. Each forward operator the scheme uses is
-    applied once.
+    It costs n resolvent evaluations and applies each forward operator the
+    scheme uses once. A run's step takes x_1 from the last relocation
+    instead (the recycling identity of the cheap relocators); only its
+    ``residuals`` evaluates that recycled sweep.
     """
     check_gamma(gamma)
     plan = SweepPlan(s, prob)
-    z = plan.blocks(z)
-    if x1 is not None:
-        x1 = check_shape("x1", x1, (plan.dim,))
-    return np.array(plan.sweep(gamma, z, x1))
+    return np.array(plan.sweep(gamma, plan.blocks(z)))
 
 
 def first_block(s, prob, gamma, z):

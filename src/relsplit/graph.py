@@ -68,8 +68,6 @@ class DiGraph:
 
 
 def _connected(n, arcs):
-    if n == 1:
-        return True
     adj = {i: set() for i in range(1, n + 1)}
     for i, j in arcs:
         adj[i].add(j)
@@ -147,9 +145,7 @@ def incidence_pinv_closed_form(kind, n):
 
 
 def matching_topologies(g):
-    """Canonical kinds whose arc set equals g's (several match for small n)."""
-    if g.n < 2:
-        return ()
+    """Canonical kinds whose arc set equals g's (several match for small n); g.n >= 2."""
     found = []
     for kind in CANONICAL_KINDS:
         if set(canonical(kind, g.n).arcs) == set(g.arcs):

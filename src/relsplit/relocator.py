@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from . import engine, graph as graphmod, linalg
+from . import engine, graph as graphmod
 from .errors import ParameterError, StructuralError
 
 GENERAL = "general"
@@ -111,31 +111,24 @@ def e_map(s, x):
 
 
 def _check_ratio(delta, gamma):
-    if not gamma > 0 or not delta > 0:
-        raise ParameterError(f"stepsizes must be positive, got gamma={gamma}, delta={delta}")
+    if not 0 < gamma < math.inf or not 0 < delta < math.inf:   # NaN fails both
+        raise ParameterError(f"stepsizes must be finite and positive, got gamma={gamma}, "
+                             f"delta={delta}")
     return delta / gamma
 
 
-def relocate(kind, s, prob, delta, gamma, z, sweep=None, x1=None):
+def relocate(kind, s, prob, delta, gamma, z):
     """Apply Q_{delta <- gamma} to z: z itself at delta = gamma, never a view of z.
 
-    ``sweep`` is the (n, d) array ``engine.sweep`` returns at (gamma, z).
-    For the cheap kinds only ``x1`` (its first row, a d-vector) is needed;
-    for ``general`` the full array is (each computed here when not supplied).
-    The formula is the one a run's step relocates with
-    (``engine.SweepPlan.relocation``).
+    The resolvent outputs the kind reads are evaluated here at (gamma, z):
+    x_1 alone for a cheap kind (one resolvent), the whole sweep for
+    ``general`` (n resolvents). The formula is the one a run's step
+    relocates with (``engine.SweepPlan.relocation``).
     """
     r = _check_ratio(delta, gamma)
     plan = engine.SweepPlan(s, prob, relocation_map(kind, s))
     z = plan.blocks(z)
-    if sweep is not None:
-        sweep = linalg.check_shape("sweep", sweep, (s.n, plan.dim))
-    if x1 is not None:
-        x1 = linalg.check_shape("x1", x1, (plan.dim,))
-    if kind == GENERAL:
-        x = sweep if sweep is not None else plan.sweep(gamma, z)
-    else:
-        x = x1 if x1 is not None else sweep[0] if sweep is not None else plan.first_block(gamma, z)
+    x = plan.sweep(gamma, z) if kind == GENERAL else plan.first_block(gamma, z)
     return np.array(plan.relocation(r, z, x))
 
 
@@ -187,10 +180,13 @@ def lipschitz_series(kind, s, gammas, beta):
 
 
 def check_recycling(kind, s, prob, delta, gamma, z, tol=1e-10):
-    """Check x_1(gamma, z) == x_1(delta, Q_{delta <- gamma} z), valid off fixed points."""
+    """Check x_1(gamma, z) == x_1(delta, Q_{delta <- gamma} z), valid off fixed points.
+
+    ``relocate`` evaluates its own x_1(gamma, z), bitwise the one compared here.
+    """
     if kind not in CHEAP_KINDS:
         raise ParameterError(f"recycling only holds for the cheap kinds, not {kind!r}")
     x1 = engine.first_block(s, prob, gamma, z)
-    zq = relocate(kind, s, prob, delta, gamma, z, x1=x1)
+    zq = relocate(kind, s, prob, delta, gamma, z)
     x1_after = engine.first_block(s, prob, delta, zq)
     return bool(np.linalg.norm(x1_after - x1) <= tol)

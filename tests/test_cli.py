@@ -493,6 +493,14 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
                        ("budget", 2.5), ("record_every", 1.5)):
         cfg = write_json(tmp_path / "s2.json", dict(spec, **{key: value}))
         assert_usage_error(capsys, main(["bench", cfg]))
+    # a graphs entry that is no object, and graphs that is no list, are named as such
+    del spec["graph"]
+    for graphs, message in (([3], "graph must be an object, got int"),
+                            (5, "graphs must be a list, got int"),
+                            ({"kind": "sequential", "n": 2}, "graphs must be a list, got dict")):
+        cfg = write_json(tmp_path / "s3.json", dict(spec, graphs=graphs))
+        assert main(["bench", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "b").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from relsplit import config, driver, operators, problems, schedule
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin, run_grid
-from relsplit.engine import SplitProblem, apply_T, first_block, residuals, sweep
+from relsplit.engine import SplitProblem, SweepPlan, apply_T, first_block, residuals, sweep
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.operators import LeastSquaresGrad, L1Subdiff, ResolventOp, ZeroForward, ZeroOp
 from relsplit.propsuites import (converge, graph_split, kappa_scheme,
@@ -391,7 +391,8 @@ def test_nonfinite_resolvent_aborts_run_davis_yin():
 @pytest.mark.parametrize("kind", [graphmod.SEQUENTIAL, GENERAL])
 def test_run_matches_public_step_functions(kind, iterates):
     # the run's precomputed plan does the same float operations as the public
-    # sweep / first_block / relocate wrappers, so the iterates agree bit for bit
+    # sweep / first_block / relocate wrappers, so the iterates agree bit for bit; a
+    # cheap kind's sweep from the recycled x_1 is the step's residuals at (gamma, z)
     s, split, _ = small_elastic_setup(19)
     spec = ScheduleSpec(variant="safeguard", t_rule="norm-ratio")
     iters = 30
@@ -403,19 +404,20 @@ def test_run_matches_public_step_functions(kind, iterates):
     z, x1, gamma = z0, None, sched.gamma
     for k in range(iters):
         assert np.array_equal(zs[k], z)
-        x = sweep(s, split, gamma, z, x1=x1)
+        if x1 is None:
+            x = sweep(s, split, gamma, z)
+        else:
+            step = driver._EngineStep(SweepPlan(s, split), z, x1)
+            step.residuals(gamma)
+            x = np.array(step.st.xs)
         fix_res, consensus = residuals(s, x)
         assert (trace.fix_res[k], trace.consensus[k]) == (fix_res, consensus)
         lam = (2.0 - gamma * mu_value - driver.MARGIN_FLOOR) / 2.0
         w = z - lam * (s.M.T @ x)
-        if kind == GENERAL:
-            sww = sweep(s, split, gamma, w)
-            x1w = sww[0]
-        else:
-            sww, x1w = None, first_block(s, split, gamma, w)
+        x1w = sweep(s, split, gamma, w)[0] if kind == GENERAL else first_block(s, split, gamma, w)
         gamma_next = sched.next_gamma(float(np.linalg.norm(x1w)),
                                       float(np.linalg.norm(x1w[None, :] - w)))
-        z = relocate(kind, s, split, gamma_next, gamma, w, sweep=sww, x1=x1w)
+        z = relocate(kind, s, split, gamma_next, gamma, w)
         x1 = x1w if kind != GENERAL else None
         gamma = gamma_next
     assert np.array_equal(trace.z_final, z)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsplit import config, graph as graphmod, relocator
-from relsplit.driver import RunConfig, _EngineStep, run
+from relsplit.driver import RunConfig, _EngineStep, run, run_davis_yin
 from relsplit.engine import (SplitProblem, SweepPlan, apply_T, first_block, residuals,
                              sweep)
 from relsplit.errors import ParameterError, StructuralError
@@ -182,9 +182,12 @@ def test_single_forward_term_and_cache_economy():
             assert calls(prob.forwards) == s.p
             assert all(op.calls == 1 for op in prob.forwards)
             assert calls(prob.resolvents) == s.n
-            sweep(s, prob, 0.4, np.zeros((n - 1, prob.dim)), x1=out[0])   # recycled x_1
+            # a step's sweep from a recycled x_1
+            step = _EngineStep(SweepPlan(s, prob), np.zeros((n - 1, prob.dim)), out[0])
+            step.residuals(0.4)
             assert calls(prob.forwards) == 2 * s.p
             assert calls(prob.resolvents) == 2 * s.n - 1
+            assert step.st.evals == s.n - 1
 
 
 def test_min_rule_with_fewer_forwards_than_blocks():
@@ -362,8 +365,8 @@ def check_plan_against_oracle(s, same):
         plan = SweepPlan(s, prob)
         same(np.array(plan.sweep(gamma, z)), expect)
         same(sweep(s, prob, gamma, z), expect)
-        x1 = rng.standard_normal(prob.dim)
-        same(np.array(plan.sweep(gamma, z, x1)), oracle_sweep(s, prob, gamma, z, x1))
+        x1 = rng.standard_normal(prob.dim)   # a step's sweep from a recycled x_1
+        same(np.array(step_residuals(plan, gamma, z, x1)[0]), oracle_sweep(s, prob, gamma, z, x1))
         same(plan.first_block(gamma, z), expect[0])
         same(first_block(s, prob, gamma, z), expect[0])
         assert not np.shares_memory(first_block(s, prob, gamma, z), z)
@@ -434,21 +437,22 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
         block, lanes = SweepPlan(s, prob), SweepPlan(s, prob, lanes=True)
         z = rng.standard_normal((len(gammas), s.m, prob.dim))
         for x1 in (None, rng.standard_normal((len(gammas), prob.dim))):
-            xs = lanes.sweep(gammas, z, x1)
             xs_fused, mstar_x, fix_res = step_residuals(lanes, gammas, z, x1)
             for lane, gamma in enumerate(gammas):
                 x1_lane = None if x1 is None else x1[lane]
-                want = block.sweep(gamma, z[lane], x1_lane)
                 want_fused, want_mstar, want_fix_res = step_residuals(block, gamma, z[lane],
                                                                       x1_lane)
-                for got, got_fused, block_i, block_fused in zip(xs, xs_fused, want, want_fused):
-                    assert np.array_equal(got[lane], block_i)
-                    assert np.array_equal(got_fused[lane], block_i)
-                    assert np.array_equal(block_fused, block_i)
+                for got_fused, block_fused in zip(xs_fused, want_fused):
+                    assert np.array_equal(got_fused[lane], block_fused)
                 assert np.array_equal(mstar_x[lane], want_mstar)
                 assert fix_res[lane] == want_fix_res
-        x0 = lanes.first_block(gammas, z)
+        # the stateless sweep, which evaluates x_1 itself, is the step's sweep from no x_1
+        xs, x0 = lanes.sweep(gammas, z), lanes.first_block(gammas, z)
         for lane, gamma in enumerate(gammas):
+            want_fused = step_residuals(block, gamma, z[lane])[0]
+            for got, block_i, block_fused in zip(xs, block.sweep(gamma, z[lane]), want_fused):
+                assert np.array_equal(got[lane], block_i)
+                assert np.array_equal(block_fused, block_i)
             assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
 
 
@@ -497,8 +501,8 @@ def test_lane_step_is_the_block_step_per_lane(s):
 def test_public_wrappers_are_the_loops_step(s):
     # the public one-shot wrappers form the bits of the loop's generated step under every
     # relocator kind, at r = 1 and r = 1.25: engine.sweep at z, engine.first_block (a cheap
-    # kind) or engine.sweep (general) at w, relocator.relocate's Q(w), and the next sweep
-    # from the recycled x_1
+    # kind) or engine.sweep (general) at w, and relocator.relocate's Q(w); the next sweep,
+    # from the recycled x_1 under a cheap kind, is bitwise the oracle's on these schemes
     gamma, lam = 0.5, 0.7
     kinds = [relocator.GENERAL]
     if s.graph is not None:
@@ -520,7 +524,8 @@ def test_public_wrappers_are_the_loops_step(s):
             step.relocate(delta / gamma)
             assert st.z.tobytes() == z_next.tobytes()
             step.residuals(delta)
-            want = sweep(s, prob, delta, z_next, None if general else x1)
+            want = sweep(s, prob, delta, z_next) if general else oracle_sweep(s, prob, delta,
+                                                                                z_next, x1)
             assert np.array(st.xs).tobytes() == want.tobytes()
 
 
@@ -701,15 +706,26 @@ def test_run_leaves_z0_alone_when_x1_is_a_view():
             x1 = None if general else oracle_sweep(s, prob, g, w)[0]
         assert np.array_equal(trace.z_final, z)
         assert np.array_equal(trace.x_final, x[0])
+    # run_davis_yin hands back copies too; stopping at its first residual, it handed back
+    # z0 itself as z_final and, as A_1 = 0, as x_final
+    for iters, tol in ((1, 1e-300), (40, 1e-300), (5, 1e3)):
+        cfg = RunConfig(s, prob, relocator=relocator.DAVIS_YIN, max_iters=iters,
+                        fix_res_tol=tol, schedule=schedules[0])
+        trace = run_davis_yin(cfg, z0)
+        assert np.array_equal(z0, keep) and trace.iterations == (1 if tol > 1.0 else iters)
+        assert not np.shares_memory(trace.x_final, z0)
+        assert not np.shares_memory(trace.z_final, z0)
 
 
 def test_public_wrappers_check_shapes():
     s = kappa_scheme(graphmod.SEQUENTIAL, 3)
     prob = graph_split(3, seed=2)
     z = np.zeros((2, prob.dim))
-    for bad in (0.0, np.zeros(prob.dim + 1), np.zeros((1, prob.dim))):
-        with pytest.raises(StructuralError, match=r"x1 must have shape \(6,\)"):
-            sweep(s, prob, 0.5, z, x1=bad)
+    for bad, message in ((np.zeros((3, prob.dim)), "expected 2 blocks, got 3"),
+                         (np.zeros((2, prob.dim + 1)), "blocks have dim 7, problem dim 6")):
+        for wrapper in (sweep, first_block):
+            with pytest.raises(StructuralError, match=message):
+                wrapper(s, prob, 0.5, bad)
     x = sweep(s, prob, 0.5, z)
     for bad in (x[:2], np.vstack([x, x[:1]]), x[0], 1.0):
         with pytest.raises(StructuralError, match=r"x must have shape \(3, d\)"):

@@ -1,7 +1,8 @@
 import inspect
 
 import relsplit
-from relsplit import driver, engine, graph, linalg, problems, relocator, schedule, scheme
+from relsplit import (driver, engine, graph, linalg, problems, propsuites, relocator, schedule,
+                      scheme)
 
 REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "problem_to_dict"),
            (problems, "problem_from_dict"), (graph, "laplacian"), (graph, "predecessor_map"),
@@ -38,6 +39,12 @@ def test_test_only_knobs_are_absent():
     # theta = 1 and lambda co-adjusted to the margin: a run sets no relaxation
     assert "relaxation" not in driver.RunConfig.__dataclass_fields__
     for fn, name in ((driver.run_davis_yin, "record_paths"), (graph.scheme_from_graph, "h"),
-                     (problems.objective, "half")):
+                     (problems.objective, "half"), (relocator.relocate, "sweep"),
+                     (relocator.relocate, "x1"), (engine.sweep, "x1")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    # nor does either layout's stateless sweep take x_1: only a step's residuals recycles it
+    s = propsuites.kappa_scheme(graph.SEQUENTIAL, 3)
+    for lanes, g in ((False, "gamma"), (True, "gs")):
+        plan = engine.SweepPlan(s, propsuites.graph_split(3, 0), lanes=lanes)
+        assert f"    def sweep({g}, z):" in plan.source.splitlines()
     assert not hasattr(schedule.ConstantStepsize(0.5), "k")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_davis_yin_formula():
     s, split, _ = small_lasso_setup(1)
     v = np.full((1, split.dim), 2.0)
     a = first_block(s, split, 0.3, v)
-    out = relocate(DAVIS_YIN, s, split, 0.6, 0.3, v, x1=a)
+    out = relocate(DAVIS_YIN, s, split, 0.6, 0.3, v)
     assert np.max(np.abs(out - (2.0 * v + (1.0 - 2.0) * a))) <= 1e-14
 
 
@@ -127,7 +128,7 @@ def test_sequential_three_coefficients_are_unit():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((2, split.dim))
     x1 = first_block(s, split, 0.5, z)
-    out = relocate(graphmod.SEQUENTIAL, s, split, 1.0, 0.5, z, x1=x1)
+    out = relocate(graphmod.SEQUENTIAL, s, split, 1.0, 0.5, z)
     assert np.max(np.abs(out - (2.0 * z - np.outer([1.0, 1.0], x1)))) <= 1e-14
 
 
@@ -145,6 +146,21 @@ def test_cheap_kind_requires_matching_scheme():
         relocate("bogus", s, split, 1.0, 0.5, z)
     with pytest.raises(ParameterError):
         relocate(GENERAL, s, split, -1.0, 0.5, z)
+
+
+def test_stepsizes_must_be_finite_and_positive():
+    # an infinite delta relocated to NaNs, an infinite gamma to a finite point, and the
+    # Lipschitz constant read inf
+    s, split, _ = small_elastic_setup(5)
+    z = np.random.default_rng(5).standard_normal((s.m, split.dim))
+    for delta, gamma in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -1.0),
+                         (0.0, 1.0)):
+        message = re.escape(f"stepsizes must be finite and positive, got gamma={gamma}, "
+                            f"delta={delta}")
+        with pytest.raises(ParameterError, match=message):
+            relocate(graphmod.SEQUENTIAL, s, split, delta, gamma, z)
+        with pytest.raises(ParameterError, match=message):
+            lipschitz_constant(graphmod.SEQUENTIAL, s, delta, gamma, split.beta)
 
 
 def test_relocator_axioms_small_instances():
@@ -169,9 +185,8 @@ def test_general_relocator_axioms_on_explicit_scheme():
     assert abs(mu(s, split.beta) - split.beta) <= 1e-12 * split.beta
     gamma = 0.8 / split.beta
     trace = converge(s, split, GENERAL, gamma, fix_res_tol=1e-10)
-    sw = sweep(s, split, gamma, trace.z_final)
     for delta in (0.5 * gamma, 2.0 * gamma):
-        zd = relocate(GENERAL, s, split, delta, gamma, trace.z_final, sweep=sw)
+        zd = relocate(GENERAL, s, split, delta, gamma, trace.z_final)
         fr, _ = residuals(s, sweep(s, split, delta, zd))
         assert fr <= 1e-8
         back = relocate(GENERAL, s, split, gamma, delta, zd)
@@ -269,7 +284,7 @@ def test_recycling_trivial_and_spec_cases():
     z = rng.standard_normal((1, split.dim))
     # delta == gamma is the same computation bit for bit
     x1 = first_block(s, split, 0.5, z)
-    zq = relocate(DAVIS_YIN, s, split, 0.5, 0.5, z, x1=x1)
+    zq = relocate(DAVIS_YIN, s, split, 0.5, 0.5, z)
     assert np.array_equal(first_block(s, split, 0.5, zq), x1)
     assert check_recycling(DAVIS_YIN, s, split, 0.5 / 3.0, 0.5, z, tol=1e-12)
     se, spe, _ = small_elastic_setup(7, kind=graphmod.SEQUENTIAL)
@@ -300,12 +315,14 @@ def test_relocate_checks_shapes():
     s, split, _ = small_elastic_setup(3)
     rng = np.random.default_rng(1)
     z = rng.standard_normal((s.m, split.dim))
-    x = sweep(s, split, 0.4, z)
-    for bad in (x[:2], np.vstack([x, x[:1]]), x[0]):
-        with pytest.raises(StructuralError, match=rf"sweep must have shape \(3, {split.dim}\)"):
-            relocate(GENERAL, s, split, 0.5, 0.4, z, sweep=bad)
-    for bad in (0.0, x[0][:-1], x[:1]):
-        with pytest.raises(StructuralError, match=rf"x1 must have shape \({split.dim},\)"):
-            relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, x1=bad)
-    expect = relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, x1=x[0])
-    assert np.array_equal(relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z, sweep=x), expect)
+    for bad, message in ((z[:1], "expected 2 blocks, got 1"),
+                         (z[:, :-1], f"blocks have dim {split.dim - 1}, problem dim {split.dim}")):
+        for kind in (GENERAL, graphmod.SEQUENTIAL):
+            with pytest.raises(StructuralError, match=message):
+                relocate(kind, s, split, 0.5, 0.4, bad)
+    # each kind reads its outputs at (gamma, z): the whole sweep (general) or x_1 (cheap)
+    x, r = sweep(s, split, 0.4, z), 0.5 / 0.4
+    K = relocator.relocation_map(GENERAL, s)
+    assert np.array_equal(relocate(GENERAL, s, split, 0.5, 0.4, z), r * z + (1.0 - r) * (K @ x))
+    assert np.array_equal(relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z),
+                          r * z + (1.0 - r) * x[0])
