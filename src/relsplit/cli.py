@@ -176,13 +176,14 @@ def cmd_bench(args):
 
 def cmd_proptest(args):
     trials, seed = as_count("--trials", args.trials), as_whole("--seed", args.seed)
-    failures = propsuites.run_suite(args.suite, trials=trials, seed=seed)
+    failures, draws = propsuites.run_suite(args.suite, trials, seed)
     if failures:
         print(f"{args.suite}: FAIL")
         for msg in failures:
             print("  counterexample:", msg)
         return 1
-    print(f"{args.suite}: PASS ({trials} trials, seed {seed})")
+    ran = [f"{trials} trials" if key == "trials" else f"seed {seed}" for key in draws]
+    print(f"{args.suite}: PASS" + (f" ({', '.join(ran)})" if ran else ""))
     return 0
 
 

@@ -1,8 +1,9 @@
 """The one reader of relsplit's JSON documents: the run config and the bench spec.
 
-Every section is read here and nowhere else. A section is an object; a key
-that no command reads is a ParameterError, a missing required key a
-StructuralError. A run config (``relsplit run``) has the sections
+Every section is read here and nowhere else. A section is an object and
+"graphs", "spectrum" and "methods" are lists, each checked before it is
+read; a key that no command reads is a ParameterError, a missing required
+key a StructuralError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
     scheme      finite matrices "d", "M", "N", "P", "R" (all required), in place of
@@ -75,7 +76,8 @@ BENCH_KEYS = SCHEME_KEYS | {"problem", "relocator", "z0", "budget", "fix_res_tol
 # Problem keys besides "kind", the generator's arguments per kind, and their readers.
 PROBLEM_READERS = {
     "lasso": {"q": as_count, "d": as_count, "seed": as_whole,
-              "spectrum": lambda _, value: tuple(as_real("spectrum entry", v) for v in value),
+              "spectrum": lambda _, value: tuple(as_real("spectrum entry", v)
+                                                 for v in _must_be("spectrum", value, list)),
               "lam": as_real, "u": as_real},
     "elastic-net": {"q": as_count, "d": as_count, "seed": as_whole, "n_corr": as_whole,
                     "noise_sd": as_real, "lam1": as_real, "lam2": as_real}}
@@ -88,7 +90,9 @@ def _config_errors(build):
     """Report a malformed or missing config value as a ParameterError/StructuralError.
 
     The CLI maps those two to exit code 2 with one ``error:`` line; any other
-    exception raised while reading a config would end in a traceback.
+    exception raised while reading a config would end in a traceback. It wraps
+    the entry points ``build_run``, ``build_bench`` and ``build_validate``, so
+    the readers they call need no wrapper of their own.
     """
     @functools.wraps(build)
     def wrapper(*args, **kwargs):
@@ -103,17 +107,22 @@ def _config_errors(build):
     return wrapper
 
 
+def _must_be(name, value, kind):
+    """``value`` if it is a JSON object (``kind`` dict) or list (``kind`` list)."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be {'an object' if kind is dict else 'a list'}, "
+                             f"got {type(value).__name__}")
+    return value
+
+
 def _section(name, doc, allowed):
     """``doc`` if it is an object whose keys all lie in ``allowed``."""
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{name} must be an object, got {type(doc).__name__}")
-    extra = set(doc).difference(allowed)
+    extra = set(_must_be(name, doc, dict)).difference(allowed)
     if extra:
         raise ParameterError(f"unknown {name} keys: {sorted(extra)}")
     return doc
 
 
-@_config_errors
 def build_scheme(doc, resolvents=None):
     """Scheme from the 'graph' or 'scheme' section (graph schemes in kappa form).
 
@@ -144,9 +153,7 @@ def _schemes(doc, resolvents=None):
     if len(given) > 1:
         raise ParameterError(f"config takes one of 'graph', 'graphs', 'scheme', not {given}")
     if "graphs" in doc:
-        graphs = doc["graphs"]
-        if not isinstance(graphs, list):
-            raise ParameterError(f"graphs must be a list, got {type(graphs).__name__}")
+        graphs = _must_be("graphs", doc["graphs"], list)
         if not graphs:
             raise ParameterError("'graphs' needs at least one graph")
         # build_scheme checks each section before its kind is read
@@ -155,17 +162,16 @@ def _schemes(doc, resolvents=None):
     return [("", build_scheme(doc, resolvents))]
 
 
-@_config_errors
 def build_problem(doc):
     """(problem, split, objective_fn) from the 'problem' section.
 
     The generator gets the keys the section gives, each through its reader,
     and seed 0 when it gives none.
     """
-    if isinstance(doc, dict) and "kind" not in doc:
+    if "kind" not in _must_be("problem", doc, dict):
         raise StructuralError(f"problem section is missing key 'kind' "
                               f"({' or '.join(map(repr, PROBLEM_READERS))})")
-    kind = doc.get("kind")
+    kind = doc["kind"]
     if kind not in PROBLEM_READERS:
         raise ParameterError(f"unknown problem kind {kind!r}")
     readers = PROBLEM_READERS[kind]
@@ -183,11 +189,9 @@ def build_problem(doc):
     return prob, split, lambda x: problems.objective(prob, x, residual(x))
 
 
-@_config_errors
 def build_z0(doc, s, split):
     """Initial block vector from a 'z0' section (``driver.default_z0``; seed 0 by default)."""
-    doc = {} if doc is None else doc
-    kind = doc.get("kind", "zero")
+    kind = _must_be("z0", doc, dict).get("kind", "zero")
     if kind not in Z0_KEYS:
         raise ParameterError(f"unknown z0 kind {kind!r}")
     _section("z0", doc, Z0_KEYS[kind])
@@ -229,7 +233,7 @@ def build_run(doc):
     cfg = _run_config(doc, s, split, objective_fn, _schedule("schedule", doc.get("schedule", {})),
                       run_doc.get("max_iters", 1000), run_doc.get("fix_res_tol", 1e-10),
                       run_doc.get("record_every", 1))
-    z0 = build_z0(run_doc.get("z0"), s, split)
+    z0 = build_z0(run_doc.get("z0", {}), s, split)
     budget = run_doc.get("reference_budget")
     if budget is None or budget == 0 and not isinstance(budget, bool):   # no reference
         return cfg, z0, prob, None
@@ -274,10 +278,10 @@ def build_bench(doc):
     if "methods" in doc:
         methods = [(_method_name(i, _section(f"methods[{i}]", m, {"name", "schedule"})["name"]),
                     _schedule(f"methods[{i}] schedule", m["schedule"]))
-                   for i, m in enumerate(doc["methods"])]
+                   for i, m in enumerate(_must_be("methods", doc["methods"], list))]
     groups, names = [], []
     for prefix, s in _schemes(doc, len(split.resolvents)):
-        z0 = build_z0(doc.get("z0"), s, split)
+        z0 = build_z0(doc.get("z0", {}), s, split)
         grid = default_methods(split.beta, s.n) if methods is None else methods
         group = [f"{prefix}-{name}" if prefix else name for name, _ in grid]
         groups.append((group, [_run_config(doc, s, split, objective_fn, sched, *limits)

@@ -44,11 +44,14 @@ in another.
 One emitter writes two layouts of the same text: the block layout, an
 (m, d) block vector with a scalar gamma, which a single run iterates; and
 the lane layout, an (L, m, d) stack of L runs with per-lane stepsizes, which
-``driver.run_grid`` iterates. The plan is the whole step of the relocated
-iteration for the plan's relocator kind. Each layout's text holds the
-stateless ``sweep``, ``first_block`` and ``relocation`` (the relocation
-formula Q(w) = r w + (1 - r) K x(w), z = w at r = 1, which the public
-``relocator.relocate`` also evaluates), and ``step``, which makes a run's
+``driver.run_grid`` iterates. A product with M, M*, K or a row of R is one
+``@`` in both: numpy broadcasts it over the stack's lane axis, and a
+lane's product with M, M* or an R row is the block layout's, bit for bit.
+The plan is the whole step of the relocated iteration for the plan's
+relocator kind. Each layout's text holds the stateless ``sweep``,
+``first_block`` and ``relocation`` (the relocation formula Q(w) = r w +
+(1 - r) K x(w), z = w at r = 1, which the public ``relocator.relocate``
+also evaluates), and ``step``, which makes a run's
 step functions on a state object: ``residuals`` (the sweep at z, from the
 recycled x_1 under a cheap kind, with M* x and ||M* x||), ``advance`` (w,
 then x_1(w), or the sweep at w under the general relocator, and the norm
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, StructuralError, as_count
 from .linalg import as_blocks, check_shape, constant
 from .operators import check_gamma
 
@@ -91,8 +94,7 @@ class SplitProblem:
         object.__setattr__(self, "forwards", tuple(self.forwards))
         if not 0 <= self.beta < math.inf:   # NaN fails both comparisons
             raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
-        if self.dim < 1:
-            raise ParameterError("dim must be positive")
+        object.__setattr__(self, "dim", as_count("dim", self.dim))
 
 
 def check_binding(s, prob):
@@ -140,8 +142,10 @@ class _Emitter:
     ``gamma`` their (L, 1) column where a forward term needs it. The
     arithmetic is the same text. In the lane layout a resolvent is called
     once per lane with that lane's Python float stepsize, so every
-    evaluation is still one ``resolve`` call; a product with M, M*, K or a
-    row of R is taken lane by lane; ||M* x|| is one ``np.vecdot`` over the
+    evaluation is still one ``resolve`` call; a product with M, M* or a row
+    of R is one broadcast ``@`` over the stack, as K's already is, on the
+    lanes' blocks stacked contiguously (``np.stack(..., axis=-2)``), where the
+    block layout takes ``np.array([...])``; ||M* x|| is one ``np.vecdot`` over the
     lanes' flattened blocks, whose float64 loop is the dot product that the
     block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
     as the block layout forms it. A constant array operand, a divisor d_i or
@@ -171,12 +175,6 @@ class _Emitter:
     def _blk(self, v, j):
         return f"{v}[:, {j}]" if self.lanes else f"{v}[{j}]"
 
-    def _per_lane(self, mat, blocks):
-        """Source of the product of ``mat`` with the blocks ``blocks``, a source of (..., k, d)."""
-        if self.lanes:
-            return f"np.array([{mat} @ v for v in {blocks}])"
-        return f"{mat} @ {blocks}"
-
     def _blocks(self, names):
         if self.lanes:
             return f"np.stack([{', '.join(names)}], axis=-2)"
@@ -187,7 +185,7 @@ class _Emitter:
         if cols.size == 1 and self.s.R[j, cols[0]] == 1.0:
             return f"x{cols[0]}"   # (R x)_j = x_h: skip the 1-term product
         self.r_rows[j] = [int(h) for h in cols]
-        return self._per_lane(f"R{j}", self._blocks([f"x{h}" for h in cols]))
+        return f"R{j} @ {self._blocks([f'x{h}' for h in cols])}"
 
     def _row(self, i, applied):
         """Statements that set x{i}; ``applied`` holds the forwards the sweep has applied.
@@ -246,7 +244,7 @@ class _Emitter:
         s = self.s
         lines = []
         if not all(_folds(s.M[i]) for i in rows):
-            lines.append(f"mz = {self._per_lane('M', 'z')}")
+            lines.append("mz = M @ z")
         if self.lanes and any(s.P[i, :i].any() for i in rows):
             lines.append("gamma = np.array(gs)[:, None]")   # the forward terms' (L, 1) column
         applied = set()
@@ -267,7 +265,7 @@ class _Emitter:
         lines.append(f"st.evals += {s.n}" if self.general
                      else f"st.evals += {s.n} if aw is None else {s.n - 1}")
         if self.edges is None:
-            lines.append(f"mx = {self._per_lane('MT', self._blocks(self.xs.split(', ')))}")
+            lines.append(f"mx = MT @ {self._blocks(self.xs.split(', '))}")
         else:
             shape = f"(len(z), {s.m}, {self.dim})" if self.lanes else f"({s.m}, {self.dim})"
             lines.append(f"mx = np.empty({shape})")

@@ -31,8 +31,7 @@ class DiGraph:
     arcs: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("graph needs at least one node")
+        object.__setattr__(self, "n", as_count("graph n", self.n))
         arcs = tuple((as_count("arc endpoint", i), as_count("arc endpoint", j))
                      for i, j in self.arcs)
         object.__setattr__(self, "arcs", arcs)

@@ -60,14 +60,14 @@ def constant(v):
     return a
 
 
-def as_blocks(z, m=None):
-    """Coerce ``z`` to a float block vector of shape (m, d)."""
+def as_blocks(z, m):
+    """Coerce ``z`` to a float block vector of shape (m, d); a flat ``z`` is cut into m blocks."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
-        z = z[None, :] if m in (None, 1) else z.reshape(m, -1)
+        z = z.reshape(m, -1)
     if z.ndim != 2:
         raise StructuralError(f"block vector must be 2-d, got shape {z.shape}")
-    if m is not None and z.shape[0] != m:
+    if z.shape[0] != m:
         raise StructuralError(f"expected {m} blocks, got {z.shape[0]}")
     return z
 

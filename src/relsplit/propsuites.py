@@ -1,10 +1,20 @@
 """Named property-check suites behind the ``proptest`` command.
 
 Each suite returns a list of failure messages (empty = pass); the first
-failing trial is reported with its inputs so it can be replayed.
+failing trial is reported with its inputs so it can be replayed. A suite
+takes only the draws it uses: the random ones a trial count and a seed,
+``relocator-axioms`` a seed, and the deterministic ``scheme-validity`` and
+``pinv-closed-forms`` none. ``run_suite`` passes each its own, and
+``proptest``'s PASS line names them. The tolerances are fixed: 1e-12 for the
+resolvent identity; 1e-10 for the closed-form pseudoinverses, recycling,
+the Lipschitz bounds' slack and the axioms' fixed-point residual; 1e-8 for
+the relocated residual and the inverse and semigroup identities; 1e-7 for
+cheap/general agreement.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -65,11 +75,11 @@ def small_elastic_setup(seed=5, kind=graphmod.SEQUENTIAL):
     return kappa_scheme(kind, 3), split, prob
 
 
-def converge(s, split, kind, gamma, fix_res_tol=1e-10, max_iters=200000):
-    """Run the constant-stepsize iteration to a tight fixed-point residual."""
+def converge(s, split, kind, gamma, fix_res_tol=1e-10):
+    """Run the constant-stepsize iteration to a tight fixed-point residual, in 200000 steps."""
     cfg = RunConfig(scheme=s, problem=split, relocator=kind,
                     schedule=ScheduleSpec(variant="constant", gamma=gamma),
-                    max_iters=max_iters, fix_res_tol=fix_res_tol, record_every=10000)
+                    max_iters=200000, fix_res_tol=fix_res_tol, record_every=10000)
     trace = run(cfg)
     if not trace.converged:
         raise RuntimeError(
@@ -78,7 +88,7 @@ def converge(s, split, kind, gamma, fix_res_tol=1e-10, max_iters=200000):
     return trace
 
 
-def suite_resolvent_identity(trials=1000, seed=0, tol=1e-12):
+def suite_resolvent_identity(trials, seed):
     # gamma, delta in [0.1, 10]: ratios beyond ~100 push plain floating-point
     # cancellation in (d/g) v + (1 - d/g) J v past the 1e-12 absolute tolerance
     rng = np.random.default_rng(seed)
@@ -87,13 +97,13 @@ def suite_resolvent_identity(trials=1000, seed=0, tol=1e-12):
         op = _random_resolvent(rng)
         gamma, delta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
         v = rng.normal(0.0, 5.0, size=rng.integers(1, 9))
-        if not check_resolvent_identity(op, float(gamma), float(delta), v, tol=tol):
+        if not check_resolvent_identity(op, float(gamma), float(delta), v, tol=1e-12):
             failures.append(f"trial {t}: {op!r}, gamma={gamma}, delta={delta}, v={v}")
             break
     return failures
 
 
-def suite_scheme_validity(trials=0, seed=0):
+def suite_scheme_validity():
     failures = []
     for kind in graphmod.CANONICAL_KINDS:
         for n in range(2, 9):
@@ -109,14 +119,14 @@ def suite_scheme_validity(trials=0, seed=0):
     return failures
 
 
-def suite_pinv_closed_forms(trials=0, seed=0, tol=1e-10):
+def suite_pinv_closed_forms():
     failures = []
     for kind in graphmod.CANONICAL_KINDS:
         for n in range(2, 9):
             closed = graphmod.incidence_pinv_closed_form(kind, n)
             numeric = linalg.pseudoinverse(graphmod.incidence(graphmod.canonical(kind, n)))
             err = float(np.max(np.abs(closed - numeric)))
-            if err > tol:
+            if err > 1e-10:
                 failures.append(f"{kind} n={n}: max entry error {err:.3e}")
     return failures
 
@@ -134,7 +144,7 @@ def _cheap_setups(seed):
     return setups
 
 
-def suite_recycling(trials=500, seed=0, tol=1e-10):
+def suite_recycling(trials, seed):
     failures = []
     rng = np.random.default_rng(seed)
     setups = _cheap_setups(seed)
@@ -144,13 +154,13 @@ def suite_recycling(trials=500, seed=0, tol=1e-10):
             z = rng.normal(0.0, 3.0, size=(s.m, split.dim))
             gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
             delta = float(gamma * np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-            if not relocator.check_recycling(kind, s, split, delta, gamma, z, tol=tol):
+            if not relocator.check_recycling(kind, s, split, delta, gamma, z, tol=1e-10):
                 failures.append(f"{kind} n={s.n} trial {t}: gamma={gamma}, delta={delta}")
                 break
     return failures
 
 
-def suite_lipschitz(trials=1000, seed=0, slack=1e-10):
+def suite_lipschitz(trials, seed):
     failures = []
     rng = np.random.default_rng(seed)
     setups = _cheap_setups(seed)
@@ -166,7 +176,7 @@ def suite_lipschitz(trials=1000, seed=0, slack=1e-10):
             qz = relocator.relocate(kind, s, split, delta, gamma, z)
             qw = relocator.relocate(kind, s, split, delta, gamma, w)
             lhs = float(np.linalg.norm(qz - qw))
-            rhs = lip * float(np.linalg.norm(z - w)) + slack
+            rhs = lip * float(np.linalg.norm(z - w)) + 1e-10   # slack for rounding
             if lhs > rhs:
                 failures.append(
                     f"{kind} n={s.n} trial {t}: ||Qz-Qw|| = {lhs:.6e} > "
@@ -175,17 +185,16 @@ def suite_lipschitz(trials=1000, seed=0, slack=1e-10):
     return failures
 
 
-def relocator_axiom_checks(s, split, cheap_kind, gamma, fix_tol=1e-10,
-                           reloc_tol=1e-8, agree_tol=1e-7):
-    """Definition-level relocator checks at an approximate fixed point.
+def relocator_axiom_checks(s, split, cheap_kind, gamma):
+    """Definition-level relocator checks at an approximate fixed point (fix_res <= 1e-10).
 
     Returns failure messages for: relocated fix_res at delta in
     {gamma/2, 2*gamma} within (0, 2/mu); the semigroup and inverse
-    identities; and cheap/general agreement.
+    identities (each to 1e-8); and cheap/general agreement (to 1e-7).
     """
     failures = []
     mu_value = scheme_mu(s, split.beta)
-    trace = converge(s, split, cheap_kind, gamma, fix_res_tol=fix_tol)
+    trace = converge(s, split, cheap_kind, gamma)
     z_star = trace.z_final
     deltas = [d for d in (0.5 * gamma, 2.0 * gamma)
               if mu_value == 0.0 or d < 2.0 / mu_value]
@@ -193,10 +202,10 @@ def relocator_axiom_checks(s, split, cheap_kind, gamma, fix_tol=1e-10,
         for delta in deltas:
             zd = relocator.relocate(kind, s, split, delta, gamma, z_star)
             fr, _ = engine.residuals(s, engine.sweep(s, split, delta, zd))
-            if fr > reloc_tol:
+            if fr > 1e-8:
                 failures.append(f"{kind}: fix_res at delta={delta:.4g} is {fr:.3e}")
             back = relocator.relocate(kind, s, split, gamma, delta, zd)
-            if float(np.linalg.norm(back - z_star)) > reloc_tol:
+            if float(np.linalg.norm(back - z_star)) > 1e-8:
                 failures.append(f"{kind}: inverse identity off by "
                                 f"{np.linalg.norm(back - z_star):.3e} at delta={delta:.4g}")
         if deltas:
@@ -205,18 +214,18 @@ def relocator_axiom_checks(s, split, cheap_kind, gamma, fix_tol=1e-10,
             two_leg = relocator.relocate(kind, s, split, eps, delta, step1)
             direct = relocator.relocate(kind, s, split, eps, gamma, z_star)
             gap = float(np.linalg.norm(two_leg - direct))
-            if gap > reloc_tol:
+            if gap > 1e-8:
                 failures.append(f"{kind}: semigroup identity off by {gap:.3e}")
     for delta in deltas:
         qc = relocator.relocate(cheap_kind, s, split, delta, gamma, z_star)
         qg = relocator.relocate(GENERAL, s, split, delta, gamma, z_star)
         gap = float(np.linalg.norm(qc - qg))
-        if gap > agree_tol:
+        if gap > 1e-7:
             failures.append(f"cheap vs general at delta={delta:.4g}: gap {gap:.3e}")
     return failures
 
 
-def suite_relocator_axioms(trials=0, seed=0):
+def suite_relocator_axioms(seed):
     failures = []
     s, split, _ = small_lasso_setup(seed + 3)
     failures += [f"dy/lasso: {m}" for m in
@@ -238,8 +247,13 @@ SUITES = {   # name -> suite, in the order proptest lists them
 }
 
 
-def run_suite(name, trials=1000, seed=0):
-    """Run one named suite; returns the failure-message list (empty = pass)."""
+def run_suite(name, trials, seed):
+    """Run one named suite on the draws it takes, of ``trials`` and ``seed``.
+
+    Returns the failure-message list (empty = pass) and those draws by name.
+    """
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    return SUITES[name](trials=trials, seed=seed)
+    taken = inspect.signature(SUITES[name]).parameters
+    draws = {key: value for key, value in (("trials", trials), ("seed", seed)) if key in taken}
+    return SUITES[name](**draws), draws

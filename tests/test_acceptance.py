@@ -63,7 +63,7 @@ def desk_lasso_runs(desk_lasso):
 
 def test_criterion_1_resolvent_relocation_identity():
     t0 = time.monotonic()
-    failures = suite_resolvent_identity(trials=1000, seed=0, tol=1e-12)
+    failures = suite_resolvent_identity(trials=1000, seed=0)
     elapsed = time.monotonic() - t0
     assert failures == []
     assert elapsed < 1.0
@@ -87,7 +87,7 @@ def test_criterion_3_mu_consistency():
 
 
 def test_criterion_4_closed_form_pseudoinverses():
-    failures = suite_pinv_closed_forms(tol=1e-10)
+    failures = suite_pinv_closed_forms()
     assert failures == []
     report(4, "closed-form incidence pseudoinverses n=2..8")
 
@@ -95,13 +95,10 @@ def test_criterion_4_closed_form_pseudoinverses():
 def test_criterion_5_relocator_axioms():
     t0 = time.monotonic()
     s, split, _ = small_lasso_setup(3)
-    failures = relocator_axiom_checks(s, split, relocator.DAVIS_YIN,
-                                      0.8 / split.beta, fix_tol=1e-10,
-                                      reloc_tol=1e-8, agree_tol=1e-7)
+    failures = relocator_axiom_checks(s, split, relocator.DAVIS_YIN, 0.8 / split.beta)
     s2, split2, _ = small_elastic_setup(5, kind=graphmod.SEQUENTIAL)
     failures += relocator_axiom_checks(s2, split2, graphmod.SEQUENTIAL,
-                                       0.8 / mu(s2, split2.beta), fix_tol=1e-10,
-                                       reloc_tol=1e-8, agree_tol=1e-7)
+                                       0.8 / mu(s2, split2.beta))
     elapsed = time.monotonic() - t0
     assert failures == []
     assert elapsed < 60.0
@@ -109,7 +106,7 @@ def test_criterion_5_relocator_axioms():
 
 
 def test_criterion_6_recycling_and_eval_counts():
-    failures = suite_recycling(trials=500, seed=1, tol=1e-10)
+    failures = suite_recycling(trials=500, seed=1)
     assert failures == []
     # instrumented counters: n resolvent evaluations per iteration for the
     # cheap kinds (n*(K+1) + 1 in total), 2n for the general relocator

@@ -294,6 +294,19 @@ def test_proptest_failing_suite_exits_1(capsys, monkeypatch):
         "  counterexample: of 7 trials"]
 
 
+def test_proptest_pass_line_names_the_draws_a_suite_takes(capsys):
+    # a suite gets only the draws it uses; the deterministic ones get none
+    for argv, line in ((["recycling", "--trials", "50", "--seed", "2"],
+                        "recycling: PASS (50 trials, seed 2)"),
+                       (["relocator-axioms", "--trials", "50", "--seed", "7"],
+                        "relocator-axioms: PASS (seed 7)"),
+                       (["relocator-axioms", "--seed", "0"], "relocator-axioms: PASS (seed 0)"),
+                       (["scheme-validity", "--trials", "50", "--seed", "2"],
+                        "scheme-validity: PASS")):
+        assert main(["proptest", *argv]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-5"], ["--seed", "-1"]])
 def test_proptest_refuses_counts_that_test_nothing(capsys, argv):
     # zero trials used to PASS and a negative seed to end in numpy's traceback
@@ -473,6 +486,17 @@ def test_run_malformed_value_exits_2(tmp_path, capsys):
         assert main(["run", run_config(tmp_path, problem=problem), "--out", str(out)]) == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
+    # a problem or z0 section that is no object, and a spectrum that is no list, are
+    # named as such by the type given, never by the attribute that type lacks
+    for value, given in ((3, "int"), ([1, 2], "list"), ("lasso", "str"), (None, "NoneType")):
+        cases = [({"problem": value}, f"problem must be an object, got {given}"),
+                 ({"run": {"max_iters": 20, "z0": value}}, f"z0 must be an object, got {given}")]
+        if not isinstance(value, list):
+            cases.append(({"problem": dict(lasso, spectrum=value)},
+                          f"spectrum must be a list, got {given}"))
+        for overrides, message in cases:
+            assert main(["run", run_config(tmp_path, **overrides)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_malformed_value_exits_2(tmp_path, capsys):
@@ -501,6 +525,20 @@ def test_bench_malformed_value_exits_2(tmp_path, capsys):
         cfg = write_json(tmp_path / "s3.json", dict(spec, graphs=graphs))
         assert main(["bench", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # so are a problem or z0 that is no object and methods that is no list
+    spec["graph"] = {"kind": "sequential", "n": 2}
+    for value, given in ((3, "int"), ([1, 2], "list"), ("lasso", "str"), (None, "NoneType")):
+        cases = [("problem", f"problem must be an object, got {given}"),
+                 ("z0", f"z0 must be an object, got {given}")]
+        if not isinstance(value, list):
+            cases.append(("methods", f"methods must be a list, got {given}"))
+        for key, message in cases:
+            cfg = write_json(tmp_path / "s4.json", dict(spec, **{key: value}))
+            assert main(["bench", cfg]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["bench", write_json(tmp_path / "s4.json",
+                                     dict(spec, methods={"name": "const"}))]) == 2
+    assert capsys.readouterr().err == "error: methods must be a list, got dict\n"
     assert not (tmp_path / "b").exists()
 
 

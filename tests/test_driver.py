@@ -230,6 +230,21 @@ def test_initial_gamma_out_of_range_raises():
         run(cfg, default_z0(s, split))
 
 
+def test_default_stepsize_is_refused_at_beta_and_mu_zero():
+    # with no forward term beta = mu = 0, so there is no 1/beta or 1/mu to default to:
+    # run refuses, and run_grid returns the refusal as that run's abort, beside a run
+    # whose gamma is given
+    prob = SplitProblem([ZeroOp(), ZeroOp()], [ZeroForward()], beta=0.0, dim=3)
+    message = "cannot pick a default stepsize with beta = mu = 0"
+    cfg = chain_config(prob, None, max_iters=10)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run(cfg)
+    given = dataclasses.replace(cfg, schedule=ScheduleSpec(variant="constant", gamma=0.5))
+    refused, given = run_grid([cfg, given])
+    assert refused.aborted == message and refused.iterations == 0
+    assert given.aborted is None and given.converged
+
+
 def test_run_config_validation():
     s, split, _ = small_lasso_setup(12)
     with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -240,6 +241,15 @@ def test_sweep_errors():
         sweep(s, prob, 1.0, np.zeros((2, 2)))
 
 
+def test_split_problem_dim_is_a_count():
+    # a whole float is that dim; a fraction, a bool or a dim below 1 is refused at
+    # construction, not by the first run's reshape
+    assert type(zero_problem(2, 1, dim=2.0).dim) is int
+    for dim in (2.5, True, 0, -3, "2"):
+        with pytest.raises(ParameterError, match=f"dim must be a whole number >= 1, got {dim!r}"):
+            zero_problem(2, 1, dim=dim)
+
+
 def test_first_block_matches_sweep():
     s = kappa_scheme(graphmod.OUTWARD_STAR, 4)
     prob = graph_split(4, seed=5)
@@ -454,6 +464,35 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
                 assert np.array_equal(got[lane], block_i)
                 assert np.array_equal(block_fused, block_i)
             assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
+
+
+def half_scheme():
+    """The two-node chain with M = (0.5, -0.5): no row folds and M is no incidence matrix."""
+    s = CoefficientScheme([0.5, 0.5], [[0.5], [-0.5]], [[0.0, 0.0], [1.0, 0.0]],
+                          [[0.0], [1.0]], [[1.0, 0.0]])
+    assert validate(s) == []
+    return s
+
+
+@pytest.mark.parametrize("s", [mixed_scheme(), half_scheme()], ids=["mixed", "half"])
+def test_lane_products_are_the_block_products_broadcast(s):
+    # the lane layout writes the block layout's products with M, M* and R rows, one `@`
+    # broadcast over the stack on contiguously stacked blocks; its only loops over the
+    # lanes are the resolvent calls, their stepsizes and the norm pairs
+    prob = split_for(s, 2)
+    for K in (None, relocator.relocation_map(relocator.GENERAL, s)):
+        block, lanes = (SweepPlan(s, prob, K, lanes=lanes).source.splitlines()
+                        for lanes in (False, True))
+        products = [[line.replace("np.stack([", "np.array([").replace("], axis=-2)", "])")
+                     for line in src if " @ " in line and "K @" not in line]
+                    for src in (block, lanes)]
+        assert products[0] == products[1]
+        assert any("M @ z" in line for line in products[1])
+        assert any("MT @ " in line for line in products[1])
+        loops = [line.strip() for line in lanes if " for " in line or "for i in" in line]
+        assert loops and all(re.search(r"resolve_\d+\(s, a\) for s, a in zip\(", line)
+                             or re.fullmatch(r"ss\d+ = \[g / \S+ for g in gs\]", line)
+                             or line == "for i in reads:" for line in loops), loops
 
 
 @pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme(),

@@ -48,3 +48,19 @@ def test_test_only_knobs_are_absent():
         plan = engine.SweepPlan(s, propsuites.graph_split(3, 0), lanes=lanes)
         assert f"    def sweep({g}, z):" in plan.source.splitlines()
     assert not hasattr(schedule.ConstantStepsize(0.5), "k")
+    # the suites take only the draws they use, with their tolerances fixed, and no helper
+    # has a parameter or default that no caller varies
+    takes = {propsuites.suite_resolvent_identity: ["trials", "seed"],
+             propsuites.suite_recycling: ["trials", "seed"],
+             propsuites.suite_lipschitz: ["trials", "seed"],
+             propsuites.suite_scheme_validity: [], propsuites.suite_pinv_closed_forms: [],
+             propsuites.suite_relocator_axioms: ["seed"],
+             propsuites.relocator_axiom_checks: ["s", "split", "cheap_kind", "gamma"]}
+    for fn, params in takes.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert "max_iters" not in inspect.signature(propsuites.converge).parameters
+    for fn in (propsuites.run_suite, linalg.as_blocks):
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(fn).parameters.values()), fn.__name__
+    # the lane layout writes the block layout's products, broadcast over the stack
+    assert not hasattr(engine._Emitter, "_per_lane")

@@ -22,6 +22,12 @@ def test_digraph_validation():
     for endpoint in (2.7, True, "2"):   # arc endpoints are whole numbers: no arc (1, 2)
         with pytest.raises(ParameterError, match="arc endpoint"):
             DiGraph(2, ((1, endpoint),))
+    # so is n: a whole float is that count, anything else is refused before the arcs are read
+    assert DiGraph(3.0, ((1, 2), (2, 3))).n == 3
+    assert type(DiGraph(3.0, ((1, 2), (2, 3))).n) is int
+    for n in (True, 2.5, 0, -1, "3"):
+        with pytest.raises(ParameterError, match=f"graph n must be a whole number >= 1, got {n!r}"):
+            DiGraph(n, ((1, 2),))
 
 
 def test_digraph_disconnected():

@@ -218,6 +218,20 @@ def test_exact_elastic_reference_certifies_in_one_iteration(reference_loops):
         assert not ref.flagged and elastic_kkt(prob, ref.x) <= 1e-12
 
 
+def test_exact_reference_at_a_zero_minimiser(reference_loops):
+    # lam above every correlation: the homotopy's path is empty and x* = 0, lifted and
+    # certified in one iteration; phi is the objective at 0, ||b||^2 for the LASSO's
+    # unhalved report and ||b||^2 / 2 for the elastic net
+    lasso, elastic = gen_lasso(20, 30, 2, lam=1e3), gen_elastic_net(25, 20, 5, lam1=1e3)
+    for prob, phi in ((lasso, float(lasso.b @ lasso.b)),
+                      (elastic, 0.5 * float(elastic.b @ elastic.b))):
+        ref = reference_solution(prob, budget=1000)
+        z0, trace = reference_loops[-1]
+        assert z0 is not None and trace.iterations == 1
+        assert np.all(ref.x == 0.0) and not ref.flagged
+        assert ref.phi == phi
+
+
 def test_exact_lasso_reference_is_no_worse_than_the_zero_start_run(monkeypatch):
     def half_objective(prob, x):
         r = prob.A @ x - prob.b

@@ -68,6 +68,13 @@ def test_mu_zero_when_p_star_equals_r():
     assert mu(s, 5.0) == 0.0
 
 
+def test_mu_zero_at_beta_zero():
+    # no cocoercive term to bound: mu is 0 whatever the scheme
+    for s in (CoefficientScheme(**chain_matrices()),
+              graphmod.scheme_from_graph(graphmod.canonical(graphmod.INWARD_STAR, 4))):
+        assert mu(s, 0.0) == 0.0
+
+
 def test_mu_sequential_three_nodes():
     s = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 3))
     # independent oracle: assemble (P* - R)(M*)^dagger and take its top singular value
