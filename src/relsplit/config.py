@@ -7,7 +7,8 @@ key a StructuralError. A run config (``relsplit run``) has the sections
 
     graph       {"kind": "sequential"|"inward-star"|"outward-star", "n": 3}
     scheme      finite matrices "d", "M", "N", "P", "R" (all required), in place of
-                "graph" (cheap relocators need a graph)
+                "graph"; a cheap relocator admits them when they are its
+                canonical tree's kappa form, as a graph section builds them
     problem     "kind" ("lasso" or "elastic-net") and the PROBLEM_READERS keys
                 of that kind, the arguments of its generator, which gives
                 the default of each one left out ("q" and "d" are required,
@@ -48,12 +49,13 @@ fix_res_tol) are JSON numbers (true and "0.01" are errors; gamma may be
 null); lam, lam1, lam2 and the two spectrum entries are also finite and
 positive. Graph-built schemes are run in their kappa form so the configured
 gamma matches the graph-form stepsize conventions (gamma < 2/beta for the
-chain); an explicit scheme must pass the six conditions (``RunConfig``). The
-LASSO is split as B = A^T(A. - b) and its reference solve minimises the same
-half-quadratic objective. The relaxation is not configured: ``driver`` runs
-theta = 1 with lambda_k co-adjusted to the margin floor ``MARGIN_FLOOR``.
-Nor are the safeguard's bounds: ``ScheduleSpec`` runs gamma_max = 2/mu times
-``SAFETY`` (0.99) and gamma_min = 0.1 * gamma_max.
+chain); a scheme whose matrices are not a canonical tree's kappa form must
+pass the six conditions (``RunConfig``). The LASSO is split as
+B = A^T(A. - b) and its reference solve minimises the same half-quadratic
+objective. The relaxation is not configured: ``driver`` runs theta = 1 with
+lambda_k co-adjusted to the margin floor ``MARGIN_FLOOR``. Nor are the
+safeguard's bounds: ``ScheduleSpec`` runs gamma_max = 2/mu times ``SAFETY``
+(0.99) and gamma_min = 0.1 * gamma_max.
 """
 
 from __future__ import annotations

@@ -104,9 +104,10 @@ _CSV_ROW = "%d," + "%.17g," * (len(COLUMNS) - 2) + "%d\n"   # one trace row: k, 
 class RunConfig:
     """Bound inputs of one run of either loop: scheme, problem, relocator, schedules, limits.
 
-    An explicit scheme (one not built from a graph, which satisfies the six
-    conditions by construction) must pass ``scheme.validate``; a violation is
-    a StructuralError that names the failed conditions.
+    A scheme that is no canonical kappa-form tree (``relocator.tree_kinds``;
+    those satisfy the six conditions by construction) must pass
+    ``scheme.validate``; a violation is a StructuralError that names the
+    failed conditions.
     """
 
     scheme: object
@@ -125,7 +126,7 @@ class RunConfig:
         self.max_iters = as_count("max_iters", self.max_iters)
         self.record_every = as_count("record_every", self.record_every)
         relocator.check_kind(self.relocator, self.scheme)
-        failed = [] if self.scheme.graph is not None else schememod.validate(self.scheme)
+        failed = [] if relocator.tree_kinds(self.scheme) else schememod.validate(self.scheme)
         if failed:
             raise StructuralError(f"scheme fails condition(s) {'; '.join(failed)}")
 

@@ -143,15 +143,6 @@ def incidence_pinv_closed_form(kind, n):
     return out
 
 
-def matching_topologies(g):
-    """Canonical kinds whose arc set equals g's (several match for small n); g.n >= 2."""
-    found = []
-    for kind in CANONICAL_KINDS:
-        if set(canonical(kind, g.n).arcs) == set(g.arcs):
-            found.append(kind)
-    return tuple(found)
-
-
 def default_predecessors(g):
     """Predecessor choice used when none is supplied: smallest in-neighbor, else node 1.
 
@@ -190,7 +181,7 @@ def scheme_from_graph(g):
     R = np.zeros((n - 1, n))
     for i in range(1, n):
         R[i - 1, h[i + 1] - 1] = 1.0
-    return CoefficientScheme(d, M, N, P, R, graph=g, topologies=matching_topologies(g))
+    return CoefficientScheme(d, M, N, P, R)
 
 
 def graph_from_config(doc):

@@ -64,6 +64,8 @@ def as_blocks(z, m):
     """Coerce ``z`` to a float block vector of shape (m, d); a flat ``z`` is cut into m blocks."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
+        if z.size % m:
+            raise StructuralError(f"flat vector of size {z.size} does not cut into {m} blocks")
         z = z.reshape(m, -1)
     if z.ndim != 2:
         raise StructuralError(f"block vector must be 2-d, got shape {z.shape}")

@@ -22,8 +22,11 @@ Every kind relocates by one formula,
   gamma of z equals x_1 at delta of Qz, for every z), and therefore add no
   resolvent evaluations per iteration.
 
-``check_kind`` decides which schemes a kind admits and ``pick_kind``
-resolves "auto"; every other module asks them.
+A cheap kind admits exactly the kappa-form matrices (D, M, N, P, R) of its
+canonical tree (davis-yin: of the two-node chain), however the scheme was
+built: the identities above rest on the matrices alone. ``tree_kinds``
+derives those kinds from a scheme, ``check_kind`` decides which schemes a
+kind admits and ``pick_kind`` resolves "auto"; every other module asks them.
 
 Lipschitz constants are r + |1 - r| times a bound on z -> K x(z). For the
 cheap kinds that bound has a closed form in the tree degrees, which on the
@@ -39,12 +42,14 @@ match the implemented (R x)_j, so the constant stays an upper bound.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import engine, graph as graphmod
 from .errors import ParameterError, StructuralError
+from .scheme import kappa_form_scheme
 
 GENERAL = "general"
 DAVIS_YIN = "davis-yin"
@@ -56,35 +61,51 @@ _CHEAP_AMPLITUDE = {graphmod.INWARD_STAR: math.sqrt, graphmod.OUTWARD_STAR: lamb
                     graphmod.SEQUENTIAL: lambda n: math.sqrt(n - 1), DAVIS_YIN: lambda n: 1.0}
 
 
+def _matrices(s):
+    """The shapes and values of (D, M, N, P, R), as one comparable key (+ 0.0 turns -0.0 to 0.0)."""
+    return tuple((a.shape, (a + 0.0).tobytes()) for a in (s.d, s.M, s.N, s.P, s.R))
+
+
+@functools.lru_cache(maxsize=32)
+def _tree(kind, n):
+    """``_matrices`` of the kappa-form scheme of the canonical ``kind`` tree on n nodes."""
+    return _matrices(kappa_form_scheme(graphmod.scheme_from_graph(graphmod.canonical(kind, n))))
+
+
+def tree_kinds(s):
+    """The canonical kinds whose kappa-form tree on s.n nodes equals ``s``, matrix for matrix.
+
+    At n = 2 the three trees are one chain, so a match is all three; at n >= 3
+    at most one kind matches.
+    """
+    key = _matrices(s)
+    kinds = graphmod.CANONICAL_KINDS if s.n >= 2 else ()   # canonical trees need n >= 2
+    return tuple(kind for kind in kinds if _tree(kind, s.n) == key)
+
+
 def check_kind(kind, s):
     """ParameterError for an unknown kind, StructuralError for a scheme ``kind`` does not admit.
 
-    The general kind admits every scheme; a cheap kind needs a kappa-form
-    scheme built from a graph that is its canonical tree (davis-yin: the
-    two-node chain).
+    The general kind admits every scheme; a cheap kind admits the kappa-form
+    matrices of its canonical tree (davis-yin: the two-node chain) and no others.
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown relocator kind {kind!r}")
     if kind == GENERAL:
         return
-    if not s.kappa_form or s.graph is None:
-        raise StructuralError(f"relocator kind {kind!r} needs a kappa-form scheme built "
-                              f"from a graph")
-    if kind == DAVIS_YIN:
-        if s.n != 2:
-            raise StructuralError("davis-yin relocator needs the two-node chain")
-    elif kind not in s.topologies:
-        raise StructuralError(f"relocator kind {kind!r} does not match the scheme "
-                              f"topology {s.topologies}")
+    trees = tree_kinds(s)
+    if kind not in trees and not (kind == DAVIS_YIN and s.n == 2 and trees):
+        tree = "the two-node chain" if kind == DAVIS_YIN else f"the {kind} tree on {s.n} nodes"
+        raise StructuralError(f"relocator kind {kind!r} admits only the kappa-form matrices "
+                              f"of {tree}")
 
 
 def pick_kind(requested, s):
     """Resolve 'auto' to the scheme's cheap relocator kind (general otherwise)."""
     if requested != "auto":
         return requested
-    if s.n == 2 and s.topologies:
-        return DAVIS_YIN
-    return s.topologies[0] if len(s.topologies) == 1 else GENERAL
+    trees = tree_kinds(s)
+    return GENERAL if not trees else DAVIS_YIN if s.n == 2 else trees[0]
 
 
 def relocation_map(kind, s):
@@ -136,6 +157,11 @@ def lipschitz_constant(kind, s, delta, gamma, beta):
     """Lipschitz constant of Q_{delta <- gamma}; always >= 1 and = 1 when delta = gamma."""
     r = _check_ratio(delta, gamma)
     check_kind(kind, s)
+    return _lipschitz(kind, s, r, gamma, beta)
+
+
+def _lipschitz(kind, s, r, gamma, beta):
+    """``lipschitz_constant`` at the ratio r = delta/gamma, of a kind already checked."""
     a = abs(1.0 - r)
     if kind == GENERAL:
         return max(1.0, r + a * s.norm_pinv_M * _e_lipschitz(s, gamma, beta))
@@ -173,10 +199,9 @@ def lipschitz_series(kind, s, gammas, beta):
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size < 2:
         raise ParameterError("the series needs at least two stepsizes")
-    total = 0.0
-    for gamma, nxt in zip(gammas[:-1], gammas[1:]):
-        total += lipschitz_constant(kind, s, nxt, gamma, beta) - 1.0
-    return float(total)
+    check_kind(kind, s)
+    return float(sum(_lipschitz(kind, s, _check_ratio(nxt, gamma), gamma, beta) - 1.0
+                     for gamma, nxt in zip(gammas[:-1], gammas[1:])))
 
 
 def check_recycling(kind, s, prob, delta, gamma, z, tol=1e-10):

@@ -61,7 +61,15 @@ class ConstantStepsize:
 
 
 class SafeguardStepsize:
-    """Safeguarded schedule; emissions stay in [gamma_min, gamma_max] exactly.
+    """Safeguarded schedule: gamma_{k+1} = (1 - zeta_k) gamma_k + zeta_k tau_k.
+
+    tau_k is the rule's target clamped to [gamma_min, gamma_max], so an
+    emission stays in that interval up to the rounding of the mix (a few ulps
+    beyond either end; ``ScheduleSpec`` puts gamma_max 1 % below the bound
+    2/mu that a run checks). A NaN target passes the clamp: the norm-ratio
+    rule reads one from nan or inf/inf norms (``next_gamma(nan, 1.0)``,
+    ``next_gamma(inf, inf)``), the emission is nan, and a run's control
+    aborts with ``gamma_{k+1} = nan outside (0, 2/mu)``.
 
     ``L`` is the Lipschitz modulus the accel rule needs (> 0); other rules ignore it.
     """

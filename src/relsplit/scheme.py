@@ -40,9 +40,6 @@ class CoefficientScheme:
     N: np.ndarray
     P: np.ndarray
     R: np.ndarray
-    graph: object | None = None          # DiGraph provenance when built from a graph
-    topologies: tuple = ()               # canonical kinds whose arc set matches
-    kappa_form: bool = False             # True for the doubled, user-facing variant
 
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float).reshape(-1))
@@ -170,10 +167,8 @@ def kappa_form_scheme(s):
     Running the sweep on the doubled scheme at stepsize gamma reproduces the
     kappa-weighted graph iteration exactly, so the user-facing gamma matches
     the graph-form resolvent formulas. The doubled scheme satisfies the same
-    six conditions whenever the original does.
+    six conditions whenever the original does. Every call doubles: a scheme
+    carries no record of having been doubled before.
     """
-    if s.kappa_form:
-        return s
-    return CoefficientScheme(2.0 * s.d, s.M, 2.0 * s.N, s.P, s.R,
-                             graph=s.graph, topologies=s.topologies, kappa_form=True)
+    return CoefficientScheme(2.0 * s.d, s.M, 2.0 * s.N, s.P, s.R)
 

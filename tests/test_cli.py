@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from relsplit import config, driver, problems, propsuites
 from relsplit import graph as graphmod
 from relsplit.cli import main
+from relsplit.scheme import kappa_form_scheme
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -867,6 +868,42 @@ def test_empty_graphs_list_exits_2(tmp_path, capsys):
         assert code == 2 and len(err) == 1 and "graphs" in err[0], err
         assert captured.out == ""
     assert not (tmp_path / "b").exists()
+
+
+def test_empty_methods_list_and_one_node_graph_exit_2(tmp_path, capsys):
+    spec = {"graph": {"kind": "sequential", "n": 2},
+            "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5}, "budget": 50,
+            "out_dir": str(tmp_path / "b"), "methods": []}
+    assert main(["bench", write_json(tmp_path / "s.json", spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: benchmark needs at least one method\n"
+    assert captured.out == "" and not (tmp_path / "b").exists()
+    doc = {"graph": {"kind": "sequential", "n": 1}}
+    assert main(["validate", write_json(tmp_path / "v.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: canonical trees need n >= 2\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, n", [("sequential", 2), ("inward-star", 3),
+                                     ("outward-star", 3), ("sequential", 3)])
+def test_explicit_kappa_tree_runs_as_its_graph(tmp_path, kind, n):
+    # a scheme section holding a canonical tree's kappa-form matrices is that tree: under
+    # "auto" it runs the tree's cheap relocator and writes the graph config's bytes
+    if n == 2:
+        problem = {"kind": "lasso", "q": 20, "d": 30, "seed": 2}
+    else:
+        problem = {"kind": "elastic-net", "q": 20, "d": 30, "seed": 11}
+    s = kappa_form_scheme(graphmod.scheme_from_graph(graphmod.canonical(kind, n)))
+    matrices = {name: getattr(s, name).tolist() for name in ("d", "M", "N", "P", "R")}
+    written = []
+    for section in ({"graph": {"kind": kind, "n": n}}, {"scheme": matrices}):
+        doc = dict(section, problem=problem, relocator="auto",
+                   schedule={"variant": "safeguard", "t_rule": "norm-ratio"},
+                   run={"max_iters": 300})
+        out = tmp_path / f"{len(written)}.csv"
+        assert main(["run", write_json(tmp_path / "r.json", doc), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
 
 
 def test_schedule_section_rejects_unknown_keys(tmp_path, capsys):

@@ -265,6 +265,21 @@ def test_run_config_validation():
             RunConfig(scheme=CoefficientScheme(**broken), problem=split)
 
 
+def test_run_config_validates_a_replaced_graph_scheme():
+    # a graph-built scheme with N scaled by 1.5 is no canonical kappa tree: davis-yin
+    # refuses it, and the general kind validates it, which names (d) and (e). Run
+    # unchecked under davis-yin, it stops converged after 89 iterations at fix_res
+    # 6.9e-11, at an x whose relative error to the minimiser is 56
+    s, split, _ = small_lasso_setup(12)
+    broken = dataclasses.replace(s, N=1.5 * s.N)
+    with pytest.raises(StructuralError, match="kappa-form matrices of the two-node chain"):
+        RunConfig(scheme=broken, problem=split, relocator=DAVIS_YIN)
+    with pytest.raises(StructuralError, match=r"\(d\) .*; \(e\) "):
+        RunConfig(scheme=broken, problem=split, relocator=GENERAL)
+    # the same matrices rebuilt are the tree again
+    assert RunConfig(scheme=dataclasses.replace(s), problem=split, relocator=DAVIS_YIN)
+
+
 BAD_LIMITS = [dict(max_iters=0), dict(max_iters=2.5), dict(max_iters="5"), dict(max_iters=True),
               dict(record_every=0), dict(record_every=1.5), dict(fix_res_tol=0.0),
               dict(fix_res_tol=-1.0), dict(fix_res_tol=float("nan")),

@@ -339,6 +339,14 @@ def mixed_scheme():
     return s
 
 
+def half_scheme():
+    """The two-node chain with M = (0.5, -0.5): no row folds and M is no incidence matrix."""
+    s = CoefficientScheme([0.5, 0.5], [[0.5], [-0.5]], [[0.0, 0.0], [1.0, 0.0]],
+                          [[0.0], [1.0]], [[1.0, 0.0]])
+    assert validate(s) == []
+    return s
+
+
 def negated_chain():
     """The kappa-form chain with M negated: its first row is the negated block -z_1."""
     base = kappa_scheme(graphmod.SEQUENTIAL, 2)
@@ -385,9 +393,7 @@ def check_plan_against_oracle(s, same):
         same(np.array(xs), expect)
         same(np.array([fix_res, plan.consensus(xs, mstar_x)]),
              np.array(oracle_residuals(s, expect)))
-        kinds = [relocator.GENERAL]
-        if s.graph is not None:
-            kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+        kinds = [relocator.GENERAL] + list(relocator.tree_kinds(s))
         for kind in kinds:
             general = kind == relocator.GENERAL
             K = relocator.relocation_map(kind, s)
@@ -434,13 +440,14 @@ def lane_problems(s):
 
 
 @pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme(),
-                                                 negated_chain()],
+                                                 half_scheme(), negated_chain()],
                          ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
-                            for n in (4, 5, 6)] + ["explicit", "mixed", "negated"])
+                            for n in (4, 5, 6)] + ["explicit", "mixed", "half", "negated"])
 def test_lane_layout_is_the_block_layout_per_lane(s):
     # one emitted text, two layouts: lane l of a stack is bitwise the block plan at
-    # (gamma_l, z_l), products with M, M* and R rows included (explicit, mixed)
+    # (gamma_l, z_l), products with M, M* and R rows included (mixed, half; the
+    # explicit scheme's rows all fold, so its plan emits no product)
     rng = np.random.default_rng(7)
     gammas = [0.3, 0.55, 0.7, 1.1]
     for prob in lane_problems(s):
@@ -466,14 +473,6 @@ def test_lane_layout_is_the_block_layout_per_lane(s):
             assert np.array_equal(x0[lane], block.first_block(gamma, z[lane]))
 
 
-def half_scheme():
-    """The two-node chain with M = (0.5, -0.5): no row folds and M is no incidence matrix."""
-    s = CoefficientScheme([0.5, 0.5], [[0.5], [-0.5]], [[0.0, 0.0], [1.0, 0.0]],
-                          [[0.0], [1.0]], [[1.0, 0.0]])
-    assert validate(s) == []
-    return s
-
-
 @pytest.mark.parametrize("s", [mixed_scheme(), half_scheme()], ids=["mixed", "half"])
 def test_lane_products_are_the_block_products_broadcast(s):
     # the lane layout writes the block layout's products with M, M* and R rows, one `@`
@@ -496,10 +495,10 @@ def test_lane_products_are_the_block_products_broadcast(s):
 
 
 @pytest.mark.parametrize("s", BITWISE + CLOSE + [explicit_scheme(), mixed_scheme(),
-                                                 negated_chain()],
+                                                 half_scheme(), negated_chain()],
                          ids=[f"{k}-{n}" for k in graphmod.CANONICAL_KINDS for n in (2, 3)]
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
-                            for n in (4, 5, 6)] + ["explicit", "mixed", "negated"])
+                            for n in (4, 5, 6)] + ["explicit", "mixed", "half", "negated"])
 def test_lane_step_is_the_block_step_per_lane(s):
     # one _EngineStep on a 4-lane stack forms each lane's norm pair and relocates each
     # lane bitwise as the block step does for its run; a lane at ratio 1 holds w's bits,
@@ -508,9 +507,7 @@ def test_lane_step_is_the_block_step_per_lane(s):
     gammas, lam_theta, ratios = [0.3, 0.55, 0.7, 1.1], [0.7, 0.5, 0.9, 0.6], [1.0, 1.25, 1.0, 0.8]
     prob = split_for(s, 2)
     z = np.random.default_rng(5).standard_normal((len(gammas), s.m, prob.dim))
-    kinds = [relocator.GENERAL]
-    if s.graph is not None:
-        kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+    kinds = [relocator.GENERAL] + list(relocator.tree_kinds(s))
 
     for kind in kinds:
         K = relocator.relocation_map(kind, s) if kind == relocator.GENERAL else None
@@ -543,9 +540,7 @@ def test_public_wrappers_are_the_loops_step(s):
     # kind) or engine.sweep (general) at w, and relocator.relocate's Q(w); the next sweep,
     # from the recycled x_1 under a cheap kind, is bitwise the oracle's on these schemes
     gamma, lam = 0.5, 0.7
-    kinds = [relocator.GENERAL]
-    if s.graph is not None:
-        kinds += [k for k in relocator.CHEAP_KINDS if k in s.topologies]
+    kinds = [relocator.GENERAL] + list(relocator.tree_kinds(s))
     for prob in (split_for(s, 4), graph_split(s.n, 4)):
         z = np.random.default_rng(9).standard_normal((s.m, prob.dim))
         for kind, delta in itertools.product(kinds, (gamma, 0.625)):

@@ -11,7 +11,7 @@ REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "probl
            (relocator, "Relocation"), (linalg, "project_zero_sum"), (linalg, "project_range"),
            (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals"),
            (schedule, "Observables"), (driver, "check_limits"), (schedule, "RelaxationPlan"),
-           (scheme, "feasibility_margin")]
+           (scheme, "feasibility_margin"), (graph, "matching_topologies")]
 
 
 def test_exported_names_exist():
@@ -22,6 +22,8 @@ def test_removed_names_are_absent():
     for module, name in REMOVED:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name not in relsplit.__all__ and not hasattr(relsplit, name)
+    # a scheme is its five matrices; the relocator kinds it admits are derived from them
+    assert list(scheme.CoefficientScheme.__dataclass_fields__) == ["d", "M", "N", "P", "R"]
     # the safeguard's bounds are SAFETY * 2/mu and a tenth of that, not fields
     assert list(schedule.ScheduleSpec.__dataclass_fields__) == ["variant", "gamma", "t_rule"]
     assert "accel_gap" not in inspect.signature(schedule.SafeguardStepsize).parameters

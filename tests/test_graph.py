@@ -6,7 +6,7 @@ from relsplit.errors import ParameterError, StructuralError
 from relsplit.graph import (CANONICAL_KINDS, INWARD_STAR, OUTWARD_STAR, SEQUENTIAL,
                             DiGraph, canonical, default_predecessors, degrees,
                             graph_from_config, incidence, incidence_pinv_closed_form,
-                            matching_topologies, scheme_from_graph)
+                            scheme_from_graph)
 from relsplit.scheme import kappa_form_scheme, validate
 
 
@@ -132,12 +132,6 @@ def test_scheme_from_graph_rejects_non_tree():
     g = DiGraph(3, ((1, 2), (2, 3), (1, 3)))
     with pytest.raises(ParameterError):
         scheme_from_graph(g)
-
-
-def test_matching_topologies():
-    assert set(matching_topologies(DiGraph(2, ((1, 2),)))) == set(CANONICAL_KINDS)
-    assert matching_topologies(canonical(SEQUENTIAL, 3)) == (SEQUENTIAL,)
-    assert matching_topologies(canonical(INWARD_STAR, 3)) == (INWARD_STAR,)
 
 
 def test_graph_from_config():

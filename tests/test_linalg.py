@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from relsplit import linalg
+from relsplit import engine, linalg
+from relsplit.errors import StructuralError
+from relsplit.propsuites import graph_split, kappa_scheme
 
 
 def test_pseudoinverse_identity():
@@ -87,3 +90,15 @@ def test_projection_agrees_with_pinv_route():
         y = rng.standard_normal((5, 3))
         assert np.max(np.abs(closed(y) - pinv_route(y))) <= 1e-10
         assert np.max(np.abs(closed(y) - e_route(y))) <= 1e-10
+
+
+def test_as_blocks_cuts_a_flat_vector_or_names_the_block_count():
+    assert linalg.as_blocks(np.arange(6.0), 2).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    message = "flat vector of size 7 does not cut into 2 blocks"
+    with pytest.raises(StructuralError, match=message):
+        linalg.as_blocks(np.zeros(7), 2)
+    with pytest.raises(StructuralError, match="block vector must be 2-d"):
+        linalg.as_blocks(np.zeros((2, 3, 1)), 2)
+    # the public wrappers take a flat z through it
+    with pytest.raises(StructuralError, match=message):
+        engine.sweep(kappa_scheme("sequential", 3), graph_split(3, 0), 0.5, np.zeros(7))

@@ -9,13 +9,13 @@ import pytest
 from relsplit import graph as graphmod, relocator
 from relsplit.engine import SplitProblem, first_block, sweep
 from relsplit.errors import ParameterError, StructuralError
-from relsplit.operators import L1Subdiff, ZeroForward, ZeroOp
+from relsplit.operators import L1Subdiff, ZeroForward
 from relsplit.propsuites import (kappa_scheme, relocator_axiom_checks,
                                  small_elastic_setup, small_lasso_setup,
                                  suite_lipschitz, suite_recycling)
 from relsplit.relocator import (DAVIS_YIN, GENERAL, check_recycling, e_map,
                                 lipschitz_constant, relocate)
-from relsplit.scheme import kappa_form_scheme, mu
+from relsplit.scheme import CoefficientScheme, kappa_form_scheme, mu
 
 
 def test_e_map_zero_input():
@@ -299,16 +299,69 @@ def test_recycling_suite_random():
 
 
 def test_general_relocator_needs_no_graph():
-    # explicit (non-graph) scheme: general works, cheap kinds refuse
-    from relsplit.scheme import CoefficientScheme
+    # the kinds a scheme admits follow from its matrices, not from how it was built: the
+    # explicit kappa chain relocates bitwise as the graph-built chain under every kind,
+    # and the chain with M = (0.5, -0.5), which is no canonical tree, relocates under
+    # the general kind only
     s = CoefficientScheme([1.0, 1.0], [[1.0], [-1.0]], [[0.0, 0.0], [2.0, 0.0]],
                           [[0.0], [1.0]], [[1.0, 0.0]])
-    prob = SplitProblem([ZeroOp(), L1Subdiff(1.0)], [ZeroForward()], beta=0.0, dim=2)
-    z = np.ones((1, 2))
-    out = relocate(GENERAL, s, prob, 0.2, 0.4, z)
-    assert out.shape == (1, 2)
-    with pytest.raises(StructuralError):
-        relocate(DAVIS_YIN, s, prob, 0.2, 0.4, z)
+    prob = SplitProblem([L1Subdiff(0.5), L1Subdiff(1.0)], [ZeroForward()], beta=0.0, dim=2)
+    z = np.random.default_rng(3).standard_normal((1, 2))
+    chain = kappa_scheme(graphmod.SEQUENTIAL, 2)
+    assert relocator.tree_kinds(s) == graphmod.CANONICAL_KINDS
+    for kind in relocator.KINDS:
+        out = relocate(kind, s, prob, 0.2, 0.4, z)
+        assert out.tobytes() == relocate(kind, chain, prob, 0.2, 0.4, z).tobytes(), kind
+    half = CoefficientScheme([0.5, 0.5], [[0.5], [-0.5]], [[0.0, 0.0], [1.0, 0.0]],
+                             [[0.0], [1.0]], [[1.0, 0.0]])
+    assert relocate(GENERAL, half, prob, 0.2, 0.4, z).shape == (1, 2)
+    assert relocator.tree_kinds(half) == () and relocator.pick_kind("auto", half) == GENERAL
+    for kind in relocator.CHEAP_KINDS:
+        with pytest.raises(StructuralError, match="admits only the kappa-form matrices of the "):
+            relocate(kind, half, prob, 0.2, 0.4, z)
+
+
+def test_tree_kinds_of_graph_schemes():
+    # a graph scheme's kappa form admits the canonical kinds whose arc set is its own
+    # (all three at n = 2) and "auto" picks davis-yin at n = 2, the tree's kind above;
+    # its base form, which halves D and N, is no kappa tree and admits none
+    assert relocator.tree_kinds(kappa_form_scheme(graphmod.scheme_from_graph(
+        graphmod.DiGraph(2, ((1, 2),))))) == graphmod.CANONICAL_KINDS
+    for kind in graphmod.CANONICAL_KINDS:
+        for n in range(2, 9):
+            raw = graphmod.scheme_from_graph(graphmod.canonical(kind, n))
+            s = kappa_form_scheme(raw)
+            want = graphmod.CANONICAL_KINDS if n == 2 else (kind,)
+            assert relocator.tree_kinds(s) == want, (kind, n)
+            assert relocator.pick_kind("auto", s) == (DAVIS_YIN if n == 2 else kind)
+            assert relocator.tree_kinds(raw) == () and relocator.pick_kind("auto", raw) == GENERAL
+    # the chain's arcs in another order permute M's columns: that scheme is no tree, and
+    # "auto" runs it under the general kind, which admits every scheme
+    swapped = kappa_form_scheme(graphmod.scheme_from_graph(graphmod.DiGraph(3, ((2, 3), (1, 2)))))
+    assert relocator.tree_kinds(swapped) == () and relocator.pick_kind("auto", swapped) == GENERAL
+    # the same matrices rebuilt, or with a -0.0 for a 0.0, are the tree; an R row off it
+    # and a doubled kappa form are no tree
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    signed = s.N.copy()
+    signed[0, 1] = -0.0
+    for N in (s.N.tolist(), signed):
+        assert relocator.tree_kinds(CoefficientScheme(s.d, s.M, N, s.P, s.R.tolist())) == (
+            graphmod.SEQUENTIAL,)
+    assert relocator.tree_kinds(CoefficientScheme(s.d, s.M, s.N, s.P,
+                                                  [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])) == ()
+    assert relocator.tree_kinds(kappa_form_scheme(s)) == ()
+
+
+def test_base_form_chain_refuses_every_cheap_kind():
+    # the chain's base form (D and N halved) is valid, but broadcasting x_1 does not
+    # relocate its fixed points, so no cheap kind admits it, and no flag can say it is
+    # in kappa form
+    raw = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 3))
+    for kind in relocator.CHEAP_KINDS:
+        with pytest.raises(StructuralError, match="admits only the kappa-form matrices of the "):
+            relocator.check_kind(kind, raw)
+    with pytest.raises(TypeError):
+        CoefficientScheme(raw.d, raw.M, raw.N, raw.P, raw.R, kappa_form=True)
 
 
 def test_relocate_checks_shapes():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ def test_emissions_stay_in_bounds_exactly():
     for _ in range(2000):
         g = sched.next_gamma(float(rng.uniform(0, 100)), float(rng.uniform(0, 1)))
         assert 0.2 <= g <= 1.4
+
+
+def test_nan_target_passes_the_clamp():
+    # the norm-ratio target of nan or inf/inf norms is nan, which no clamp bound stops;
+    # a run's control refuses the nan emission as outside (0, 2/mu)
+    for norms in ((float("nan"), 1.0), (float("inf"), float("inf"))):
+        assert math.isnan(SafeguardStepsize(1.0, 0.1, 1.5).next_gamma(*norms))
 
 
 def test_positive_variation_examples():

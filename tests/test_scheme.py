@@ -116,8 +116,10 @@ def test_kappa_form_scheme_doubles_d_and_n():
     k = kappa_form_scheme(s)
     assert np.array_equal(k.d, 2.0 * s.d) and np.array_equal(k.N, 2.0 * s.N)
     assert np.array_equal(k.M, s.M) and np.array_equal(k.P, s.P) and np.array_equal(k.R, s.R)
-    assert k.kappa_form and kappa_form_scheme(k) is k
     assert validate(k) == []
+    # a scheme is its five matrices: no flag records that k was doubled, so it doubles again
+    kk = kappa_form_scheme(k)
+    assert np.array_equal(kk.d, 4.0 * s.d) and np.array_equal(kk.N, 4.0 * s.N)
 
 
 def test_serialization_roundtrip():
@@ -126,4 +128,3 @@ def test_serialization_roundtrip():
     back = config.build_scheme({"scheme": doc})
     for name in ("d", "M", "N", "P", "R"):
         assert np.array_equal(getattr(back, name), getattr(s, name))
-    assert not back.kappa_form
