@@ -10,8 +10,11 @@ For the cheap relocator kinds, relocation needs only x_1 at (gamma_k, w_k),
 and the recycling identity x_1(gamma_{k+1}, z_{k+1}) = x_1(gamma_k, w_k)
 lets the next sweep start from block 2; the loop then costs n resolvent
 evaluations per iteration (n*(K+1) + 1 in total through iteration K), the
-same as the non-relocated method. The general relocator needs a full second
-sweep at w_k (2n per iteration).
+same as the non-relocated method. The + 1 is x_1(z0), which either loop's
+step forms when it is made, at the run's first stepsize (``_EngineStep``,
+``_DavisYinStep``), so every sweep of the loop starts from a recycled x_1
+and a run the margin ends at k = 0 counts 1. The general relocator needs a
+full second sweep at w_k (2n per iteration).
 
 ``run_davis_yin`` is the three-operator scheme written out directly, for a
 RunConfig of the two-node chain under the davis-yin relocator:
@@ -342,10 +345,14 @@ class _EngineStep:
     run's, and one resolvent count serves every lane. The methods that read
     one run's values take ``*lane``: a lane index on a stack, nothing for one
     run (``a[()]`` is all of ``a``). ``x1``, ``xs`` and ``evals`` resume a
-    lane handed off from a stack.
+    lane handed off from a stack. Without ``x1``, a cheap kind's step forms
+    x_1(z0) at ``gamma``, the run's first stepsize (a stack's list of them),
+    and counts its evaluation, as ``_DavisYinStep`` does.
     """
 
-    def __init__(self, plan, z, x1=None, xs=None, evals=0):
+    def __init__(self, plan, z, x1=None, xs=None, evals=0, *, gamma=None):
+        if x1 is None and not plan.general:
+            x1, evals = plan.first_block(gamma, z), evals + 1
         self.st = _State(z, x1, xs, evals)
         self._consensus = plan.consensus
         self.residuals, self.advance, self.relocate = plan.step(self.st)
@@ -384,7 +391,8 @@ def _shared(cfg, z0):
 def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
     plan, z, _, mu_value = _shared(cfg, z0)
-    return _iterate(_EngineStep(plan, z), _RunControl(cfg, mu_value))
+    control = _RunControl(cfg, mu_value)
+    return _iterate(_EngineStep(plan, z, gamma=control.gamma), control)
 
 
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
@@ -541,10 +549,11 @@ def run_grid(cfgs, z0=None):
             traces.append(Trace(aborted=str(exc)))
     if len(lanes) < MIN_LANES:
         for control in lanes:
-            _iterate(_EngineStep(plan, z.copy()), control)
+            _iterate(_EngineStep(plan, z.copy(), gamma=control.gamma), control)
     else:
         step = _EngineStep(engine.SweepPlan(s, prob, K, lanes=True),
-                           np.repeat(z[None], len(lanes), axis=0))
+                           np.repeat(z[None], len(lanes), axis=0),
+                           gamma=[control.gamma for control in lanes])
         _iterate(step, _Lanes(lanes, step, plan))
     return traces
 

@@ -52,12 +52,15 @@ relocator kind. Each layout's text holds the stateless ``sweep``,
 ``first_block`` and ``relocation`` (the relocation formula Q(w) = r w +
 (1 - r) K x(w), z = w at r = 1, which the public ``relocator.relocate``
 also evaluates), and ``step``, which makes a run's
-step functions on a state object: ``residuals`` (the sweep at z, from the
-recycled x_1 under a cheap kind, with M* x and ||M* x||), ``advance`` (w,
-then x_1(w), or the sweep at w under the general relocator, and the norm
-pair (||x_1(w)||, ||x_1(w) - w||) only when asked for it) and ``relocate``.
-An iteration of a run calls these three (``advance`` calls ``first_block``
-or ``sweep`` at w). The recycled sweep lives in ``residuals`` alone: the
+step functions on a state object: ``residuals`` (the sweep at z, with M* x
+and ||M* x||), ``advance`` (w, then x_1(w), or the sweep at w under the
+general relocator, and the norm pair (||x_1(w)||, ||x_1(w) - w||) only when
+asked for it) and ``relocate``. An iteration of a run calls these three
+(``advance`` calls ``first_block`` or ``sweep`` at w). Under a cheap kind,
+``residuals`` has one straight-line form: it takes x_1 from the state,
+x_1(z0), which a run's step forms when it is made, then x_1(w) of the last
+``advance`` (the recycling identity), and evaluates rows 2..n, n - 1
+resolvents. That recycled sweep lives in ``residuals`` alone: the
 stateless functions evaluate every output they return at their own
 (gamma, z). Each distinct source is compiled once per process; the
 operators' ``resolve`` and ``apply`` methods are bound each time a plan is
@@ -239,31 +242,27 @@ class _Emitter:
             call = f"resolve_{i}({step}, {arg})"
         return lines + [f"x{i} = {call}"]
 
-    def _sweep(self, rows, recycled=False):
-        """Statements that set x{i} for ``rows``; with ``recycled``, x0 is ``aw`` unless None."""
+    def _sweep(self, rows):
+        """Statements that set x{i} for ``rows``."""
         s = self.s
-        lines = []
-        if not all(_folds(s.M[i]) for i in rows):
-            lines.append("mz = M @ z")
+        lines = [] if all(_folds(s.M[i]) for i in rows) else ["mz = M @ z"]
         if self.lanes and any(s.P[i, :i].any() for i in rows):
             lines.append("gamma = np.array(gs)[:, None]")   # the forward terms' (L, 1) column
         applied = set()
-        first = self._row(rows[0], applied)
-        lines += ["if aw is None:", *_indent(first), "else:", "    x0 = aw"] if recycled else first
-        for i in rows[1:]:
+        for i in rows:
             lines += self._row(i, applied)
         return lines
 
     def _residuals(self):
         """Statements of the step's ``residuals``: the sweep at z, M* x, and ||M* x|| returned.
 
-        A cheap kind's sweep takes x_1 from ``aw``, x_1(w) of the last
-        ``advance``, once there is one (the recycling identity).
+        A cheap kind's sweep takes x_1 from ``aw`` (the recycling identity):
+        x_1(z0), formed when the run's step is made, then x_1(w) of the last
+        ``advance``. So it evaluates rows 2..n only.
         """
-        s = self.s
-        lines = ["z, aw = st.z, st.aw"] + self._sweep(range(s.n), not self.general)
-        lines.append(f"st.evals += {s.n}" if self.general
-                     else f"st.evals += {s.n} if aw is None else {s.n - 1}")
+        s, first = self.s, 0 if self.general else 1
+        lines = ["z = st.z"] if self.general else ["z, x0 = st.z, st.aw"]
+        lines += self._sweep(range(first, s.n)) + [f"st.evals += {s.n - first}"]
         if self.edges is None:
             lines.append(f"mx = MT @ {self._blocks(self.xs.split(', '))}")
         else:
@@ -368,11 +367,12 @@ class SweepPlan:
     * ``step(st)``: the step functions of one run (or one stack) on the state
       ``st``, an object with the attributes ``z``, ``aw``, ``xs``,
       ``mstar_x``, ``w`` and ``evals``: ``residuals(gamma)`` evaluates the
-      sweep at z (from ``aw``, the recycled x_1(w), under a cheap kind once
-      ``advance`` has made one), sets the outputs ``xs`` and M* x and returns
-      ||M* x||; ``advance(gamma, lam, reads)`` sets w = z - lam M* x and
-      ``aw``, x_1(w) (the sweep at w under ``general``), and returns the norm
-      pair (||x_1(w)||, ||x_1(w) - w||) when ``reads``, () otherwise;
+      sweep at z (under a cheap kind, rows 2..n from ``aw``, x_1 at z: x_1(z0)
+      before the first ``advance``, which the state must hold, then x_1(w)),
+      sets the outputs ``xs`` and M* x and returns ||M* x||;
+      ``advance(gamma, lam, reads)`` sets w = z - lam M* x and ``aw``,
+      x_1(w) (the sweep at w under ``general``), and returns the norm pair
+      (||x_1(w)||, ||x_1(w) - w||) when ``reads``, () otherwise;
       ``relocate(ratio)`` sets z to ``relocation(ratio, w, aw)``. Each adds
       its resolvent evaluations to ``evals``.
 
@@ -380,13 +380,14 @@ class SweepPlan:
     stepsizes, z an (L, m, d) stack, each output an (L, d) array, ||M* x||
     a list of L floats and ``ratio`` an (L, 1, 1) column; ``reads`` lists the
     lanes whose norm pairs ``advance`` returns, as a dict by lane.
-    ``consensus`` takes one lane's blocks.
+    ``consensus`` takes one lane's blocks. ``general`` is True for the
+    general relocator's plan and False for a cheap kind's.
     """
 
     def __init__(self, s, prob, K=None, lanes=False):
         check_binding(s, prob)
-        self.m, self.dim = s.m, prob.dim
-        emitter = _Emitter(s, prob.dim, K is not None, lanes)
+        self.m, self.dim, self.general = s.m, prob.dim, K is not None
+        emitter = _Emitter(s, prob.dim, self.general, lanes)
         edge_of = {frozenset(ab): e for e, ab in enumerate(emitter.edges or ())}
         self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
                       for i in range(s.n) for j in range(i + 1, s.n)]

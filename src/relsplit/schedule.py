@@ -63,11 +63,12 @@ class ConstantStepsize:
 class SafeguardStepsize:
     """Safeguarded schedule: gamma_{k+1} = (1 - zeta_k) gamma_k + zeta_k tau_k.
 
-    tau_k is the rule's target clamped to [gamma_min, gamma_max], so an
-    emission stays in that interval up to the rounding of the mix (a few ulps
-    beyond either end; ``ScheduleSpec`` puts gamma_max 1 % below the bound
-    2/mu that a run checks). A NaN target passes the clamp: the norm-ratio
-    rule reads one from nan or inf/inf norms (``next_gamma(nan, 1.0)``,
+    tau_k is the rule's target clamped to [gamma_min, gamma_max], and the
+    emission is clamped to that interval too, since the mix of two of its
+    points may round past an end; so an emission stays in it exactly
+    (``ScheduleSpec`` puts gamma_max 1 % below the bound 2/mu that a run
+    checks). A NaN target passes both clamps: the norm-ratio rule reads one
+    from nan or inf/inf norms (``next_gamma(nan, 1.0)``,
     ``next_gamma(inf, inf)``), the emission is nan, and a run's control
     aborts with ``gamma_{k+1} = nan outside (0, 2/mu)``.
 
@@ -104,8 +105,8 @@ class SafeguardStepsize:
     def next_gamma(self, x_next_norm=None, x_next_minus_w_norm=None):
         """gamma_{k+1} from ||x_{k+1}|| and ||x_{k+1} - w_k|| (read by the norm-ratio rule).
 
-        The target t_k, its clamp and zeta_k are formed here, in the one call
-        a run makes per iteration.
+        The target t_k, its clamp, zeta_k and the emission's clamp are formed
+        here, in the one call a run makes per iteration.
         """
         k, rule = self.k, self.t_rule
         if rule == NORM_RATIO:
@@ -119,10 +120,13 @@ class SafeguardStepsize:
             g, L, q = self.gamma, self.L, ACCEL_GAP
             t = (-2.0 * g * g * q / (2.0 * L)
                  + math.sqrt(g ** 4 * q ** 2 / L ** 2 + 4.0 * g * g)) / 2.0
-        # min(max(t, gamma_min), gamma_max), a NaN t included
-        tau = self.gamma_min if t < self.gamma_min else self.gamma_max if t > self.gamma_max else t
+        # min(max(v, lo), hi), a NaN v included, of t and of the mix, which may round past
+        # an end; written out, as a helper would add two Python calls to every iteration
+        lo, hi = self.gamma_min, self.gamma_max
+        tau = lo if t < lo else hi if t > hi else t
         zeta = ZETA_COEFF / (k + 1) ** ZETA_POWER   # zeta(k)
-        self.gamma = gamma = (1.0 - zeta) * self.gamma + zeta * tau
+        gamma = (1.0 - zeta) * self.gamma + zeta * tau
+        self.gamma = gamma = lo if gamma < lo else hi if gamma > hi else gamma
         self.k = k + 1
         return gamma
 

@@ -135,8 +135,9 @@ def test_run_stops_on_tolerance(tmp_path):
     assert float(rows[-1].split(",")[4]) <= 1e-8
 
 
-def test_run_abort_exit_code(tmp_path):
-    # gamma*mu = 1.9995 leaves no positive lambda above the margin floor 1e-3
+def test_run_abort_exit_code(tmp_path, capsys):
+    # gamma*mu = 1.9995 leaves no positive lambda above the margin floor 1e-3, so the run
+    # aborts at k = 0 having formed x_1(z0) alone: n*0 + 1 = 1 resolvent evaluation
     problem = {"kind": "lasso", "q": 10, "d": 15, "seed": 3, "lam": 0.01, "u": 5.0}
     beta = config.build_problem(problem)[1].beta
     cfg = run_config(tmp_path, problem=problem,
@@ -144,6 +145,9 @@ def test_run_abort_exit_code(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["run", cfg, "--out", str(out)]) == 1
     assert out.exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("iterations=0 ") and lines[1].endswith(" sweeps=1")
+    assert lines[2].startswith("ABORTED: no positive relaxation keeps the margin at k=0 ")
 
 
 def test_run_bad_config(tmp_path):

@@ -209,15 +209,33 @@ def test_safeguard_run_lipschitz_series_is_small():
 
 def test_margin_violation_aborts_with_partial_trace():
     # gamma*mu in [2 - MARGIN_FLOOR, 2) leaves no positive lambda: a constant stepsize
-    # there aborts at k = 0 (a safeguard stays at gamma*mu <= 2 * SAFETY, below the band)
+    # there aborts at k = 0 (a safeguard stays at gamma*mu <= 2 * SAFETY, below the band).
+    # Either loop's step forms x_1(z0) when it is made, so a cheap run costs n*K + 1
+    # evaluations through K iterations, K = 0 included, and a general run 2n*K; in a
+    # single run and in each lane of a stack, where two lanes end at k = 0, one at k = 5,
+    # and the last two are handed off there
     s, split, _ = small_lasso_setup(10)
-    spec = ScheduleSpec(variant="constant", gamma=1.9995 / mu(s, split.beta))
-    cfg = RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, schedule=spec,
-                    max_iters=100, fix_res_tol=1e-12)
-    trace = run(cfg, default_z0(s, split, seed=3))
-    assert trace.aborted.startswith("no positive relaxation keeps the margin at k=0 ")
-    assert trace.aborted.endswith("gamma*mu too close to 2)")
-    assert trace.iterations == 0 == len(trace.k) and not trace.converged
+    m = mu(s, split.beta)
+    z0 = default_z0(s, split, seed=3)
+    for kind, loops, closed_form in ((DAVIS_YIN, (run, run_davis_yin), lambda k: 2 * k + 1),
+                                     (GENERAL, (run,), lambda k: 4 * k)):
+        def cfg(gamma, max_iters=100):
+            return RunConfig(scheme=s, problem=split, relocator=kind, max_iters=max_iters,
+                             schedule=ScheduleSpec(variant="constant", gamma=gamma / m),
+                             fix_res_tol=1e-12)
+
+        for loop in loops:
+            trace = loop(cfg(1.9995), z0)
+            assert trace.aborted.startswith("no positive relaxation keeps the margin at k=0 ")
+            assert trace.aborted.endswith("gamma*mu too close to 2)")
+            assert trace.iterations == 0 == len(trace.k) and not trace.converged
+            assert trace.resolvent_evals == closed_form(0)
+        cfgs = [cfg(1.9995), cfg(0.5, 9), cfg(1.9995), cfg(0.9, 5), cfg(1.2, 12)]
+        traces = run_grid(cfgs, z0)
+        assert [t.iterations for t in traces] == [0, 9, 0, 5, 12]
+        for c, trace in zip(cfgs, traces):
+            assert trace.resolvent_evals == closed_form(trace.iterations)
+            assert_same_trace(trace, run(c, z0))
 
 
 def test_initial_gamma_out_of_range_raises():
@@ -514,8 +532,8 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
 
     init = driver._EngineStep.__init__
 
-    def engine_init(self, *args):
-        init(self, *args)
+    def engine_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         self.advance = counting_pairs(self.advance)
 
     monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
@@ -556,6 +574,24 @@ def run_or_abort(cfg, z0):
         return run(cfg, z0)
     except ParameterError as exc:
         return driver.Trace(aborted=str(exc))
+
+
+def test_lanes_with_a_non_unit_forward_coefficient_are_their_runs():
+    # a non-unit P_ij scales the lanes' (L, 1) stepsize column: on the n = 3 chain with
+    # P[:, 0] = (0, 0.5, 0.5), each lane of a stack is bitwise its block run
+    base = graphmod.scheme_from_graph(graphmod.canonical(graphmod.SEQUENTIAL, 3))
+    s = CoefficientScheme(base.d, base.M, base.N, [[0.0], [0.5], [0.5]], [[1.0, 0.0, 0.0]])
+    prob = graph_split(3, seed=4)
+    prob = SplitProblem(prob.resolvents, prob.forwards[:1], prob.forwards[0].beta, prob.dim)
+    m = mu(s, prob.beta)
+    cfgs = [RunConfig(scheme=s, problem=prob, schedule=spec, max_iters=40)
+            for spec in (ScheduleSpec(variant="constant", gamma=0.5 / m),
+                         ScheduleSpec(variant="constant", gamma=1.1 / m),
+                         ScheduleSpec(variant="safeguard", t_rule="norm-ratio"),
+                         ScheduleSpec(variant="safeguard", t_rule="harmonic"))]
+    z0 = default_z0(s, prob, seed=1)
+    for c, trace in zip(cfgs, run_grid(cfgs, z0)):
+        assert_same_trace(trace, run(c, z0))
 
 
 def bench_groups(doc):

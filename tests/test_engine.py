@@ -368,7 +368,7 @@ CLOSE = [kappa_scheme(kind, n) for kind in (graphmod.INWARD_STAR, graphmod.OUTWA
 
 def step_residuals(plan, gamma, z, x1=None):
     """(outputs, M* x, ||M* x||) of a plan's step at (gamma, z), from a given x_1 or none."""
-    step = _EngineStep(plan, z, x1)
+    step = _EngineStep(plan, z, x1, gamma=gamma)
     fix_res = step.residuals(gamma)
     return step.st.xs, step.st.mstar_x, fix_res
 
@@ -397,7 +397,7 @@ def check_plan_against_oracle(s, same):
         for kind in kinds:
             general = kind == relocator.GENERAL
             K = relocator.relocation_map(kind, s)
-            step = _EngineStep(SweepPlan(s, prob, K if general else None), z)
+            step = _EngineStep(SweepPlan(s, prob, K if general else None), z, gamma=gamma)
             step.residuals(gamma)
             step.advance(gamma, 0.7, False)
             step.relocate(1.25)
@@ -511,14 +511,14 @@ def test_lane_step_is_the_block_step_per_lane(s):
 
     for kind in kinds:
         K = relocator.relocation_map(kind, s) if kind == relocator.GENERAL else None
-        stack = _EngineStep(SweepPlan(s, prob, K, lanes=True), z)
+        stack = _EngineStep(SweepPlan(s, prob, K, lanes=True), z, gamma=gammas)
         stack.residuals(gammas)
         pairs = stack.advance(gammas, np.array(lam_theta)[:, None, None], range(len(gammas)))
         stack.st.w = w = stack.st.w.copy()   # x_1(w) may be a view of w (A_1 = 0)
         w[..., 0, 0] = -0.0
         stack.relocate(np.array(ratios)[:, None, None])
         for lane, (gamma, lt, ratio) in enumerate(zip(gammas, lam_theta, ratios)):
-            block = _EngineStep(SweepPlan(s, prob, K), z[lane])
+            block = _EngineStep(SweepPlan(s, prob, K), z[lane], gamma=gamma)
             block.residuals(gamma)
             assert pairs[lane] == block.advance(gamma, lt, True)
             block.st.w = block.st.w.copy()
@@ -546,7 +546,7 @@ def test_public_wrappers_are_the_loops_step(s):
         for kind, delta in itertools.product(kinds, (gamma, 0.625)):
             general = kind == relocator.GENERAL
             step = _EngineStep(SweepPlan(s, prob, relocator.relocation_map(kind, s)
-                                         if general else None), z)
+                                         if general else None), z, gamma=gamma)
             st = step.st
             step.residuals(gamma)
             assert np.array(st.xs).tobytes() == sweep(s, prob, gamma, z).tobytes()
@@ -581,6 +581,20 @@ def test_plan_source_is_the_code_that_runs():
             assert f.__name__ == g.__name__ and f.__code__.co_code == g.__code__.co_code
     # the folded constants are in the text: d_2 = 2 on the kappa-form sequential tree
     assert "s1 = gamma / 2.0" in SweepPlan(s, prob).source
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["block", "lane"])
+def test_cheap_residuals_takes_x1_without_a_branch(lanes):
+    # a run's step forms x_1(z0) when it is made, so a cheap kind's residuals has one
+    # straight-line form: x_1 from aw, then rows 2..n, n - 1 resolvent evaluations
+    for kind, n in itertools.product(graphmod.CANONICAL_KINDS, range(2, 7)):
+        s = kappa_scheme(kind, n)
+        assert kind in relocator.tree_kinds(s)
+        source = SweepPlan(s, graph_split(n, seed=n), lanes=lanes).source
+        assert "aw is None" not in source
+        body = source.split("def residuals(")[1].split("def advance(")[0]
+        assert "z, x0 = st.z, st.aw" in body and "resolve_0" not in body
+        assert re.findall(r"st\.evals \+= .*", body) == [f"st.evals += {n - 1}"]
 
 
 def test_plan_binds_its_constants_once_read_only():
@@ -673,7 +687,7 @@ def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
         general = kind == relocator.GENERAL
         K = relocator.relocation_map(kind, s)
         plans = SweepPlan(s, prob, K), SweepPlan(s, prob, K, lanes=True)
-        stack = _EngineStep(plans[1], z.copy())
+        stack = _EngineStep(plans[1], z.copy(), gamma=gammas)
         stack.residuals(gammas)
         xs = [np.array([x[lane] for x in stack.st.xs]) for lane in range(len(gammas))]
         stack.advance(gammas, np.array(lams)[:, None, None], ())
@@ -684,7 +698,7 @@ def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
         stack.residuals(deltas)
         for lane, (gamma, lam, ratio, delta) in enumerate(zip(gammas, lams, ratios, deltas)):
             x = oracle_sweep(s, prob, gamma, z[lane], product=in_column_order)
-            block = _EngineStep(plans[0], z[lane].copy())
+            block = _EngineStep(plans[0], z[lane].copy(), gamma=gamma)
             block.residuals(gamma)
             for got in (xs[lane], np.array(block.st.xs)):
                 np.testing.assert_array_equal(got, x)

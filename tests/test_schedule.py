@@ -75,6 +75,14 @@ def test_emissions_stay_in_bounds_exactly():
     for _ in range(2000):
         g = sched.next_gamma(float(rng.uniform(0, 100)), float(rng.uniform(0, 1)))
         assert 0.2 <= g <= 1.4
+    # from a bound with a target beyond it, the mix (1 - zeta) g + zeta g may round past
+    # that bound; the emission's clamp keeps it
+    for _ in range(1000):
+        lo, hi = sorted(float(v) for v in rng.uniform(0.01, 10.0, 2))
+        for start, target in ((hi, 2.0 * hi), (lo, 0.5 * lo)):
+            sched = SafeguardStepsize(start, lo, hi, t_rule=NORM_RATIO)
+            for _ in range(3):
+                assert lo <= sched.next_gamma(target, 1.0) <= hi
 
 
 def test_nan_target_passes_the_clamp():
