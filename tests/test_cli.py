@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from relsplit import config, driver, problems, propsuites
 from relsplit import graph as graphmod
-from relsplit.cli import main
+from relsplit.cli import SUMMARY_HEADER, main
+from relsplit.errors import ParameterError
 from relsplit.scheme import kappa_form_scheme
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -278,6 +279,47 @@ def test_bench_records_per_method_aborts(tmp_path):
     assert by_name["fpr-norm-ratio"]["aborted"] == ""
 
 
+def test_bench_writes_the_csv_bytes_of_single_runs(tmp_path, monkeypatch):
+    # the five default methods per tree to 1e-6 on a small elastic net: the inward star
+    # refuses two constant stepsizes (abort texts that hold ", "), and the outward star's
+    # stack hands its last lanes off to the single loop; each method's CSV is the bytes
+    # driver.run's trace writes, and summary.csv parses into the header's fields
+    resumed, iterate = [], driver._iterate
+
+    def spy(step, control):
+        if isinstance(control, driver._RunControl):
+            resumed.append(control.k)
+        return iterate(step, control)
+
+    doc = json.loads((DEMO_CONFIGS / "bench_elastic_topologies.json").read_text())
+    del doc["methods"]
+    doc["problem"].update(q=30, d=20)
+    doc.update(graphs=doc["graphs"][:2], budget=3300, fix_res_tol=1e-6,
+               out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(driver, "_iterate", spy)
+    assert main(["bench", write_json(tmp_path / "spec.json", doc)]) == 0
+    assert any(resumed)   # a lane resumed from the stack in the single loop
+    groups, prob, budget, out_dir = config.build_bench(doc)
+    ref = problems.reference_solution(prob, budget)
+    aborted = []
+    for names, cfgs, z0 in groups:
+        for name, cfg in zip(names, cfgs):
+            cfg.reference = (ref.x, ref.phi)
+            try:
+                trace = driver.run(cfg, z0)
+            except ParameterError as exc:   # refused at build, as bench records it
+                trace = driver.Trace(aborted=str(exc))
+                aborted.append(name)
+            trace.to_csv(tmp_path / "one.csv")
+            assert (out_dir / f"{name}.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert aborted == ["inward-star-const-1L", "inward-star-const-1.99L"]
+    with open(out_dir / "summary.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == SUMMARY_HEADER and len(rows) == 10
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows if ", " in row[2]] == aborted
+
+
 def test_proptest(capsys):
     assert main(["proptest", "resolvent-identity", "--trials", "200", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -350,14 +392,20 @@ def test_run_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     assert plain.read_text() == "keep"
 
 
-def test_bench_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("keep")
+def test_bench_out_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # an out_dir that is a regular file, or lies under one (a relative path, named as
+    # given): one error line, the file untouched and no CSV
+    monkeypatch.chdir(tmp_path)
+    Path("plain").write_text("keep")
     spec = {"graph": {"kind": "sequential", "n": 2},
             "problem": {"kind": "lasso", "q": 8, "d": 10, "seed": 5, "lam": 0.02, "u": 5.0},
-            "relocator": "davis-yin", "budget": 50, "out_dir": str(taken)}
-    assert_usage_error(capsys, main(["bench", write_json(tmp_path / "spec.json", spec)]))
-    assert taken.read_text() == "keep"
+            "relocator": "davis-yin", "budget": 50}
+    for out_dir, why in (("plain", "File exists"), ("plain/bench-out", "Not a directory")):
+        code = main(["bench", write_json(tmp_path / "spec.json", dict(spec, out_dir=out_dir))])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out_dir}: {why}"]
+        assert Path("plain").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "spec.json"]
 
 
 @pytest.mark.parametrize("taken", ["const-1L.csv", "summary.csv"])
@@ -789,7 +837,8 @@ def test_retired_keys_exit_2(tmp_path, capsys):
                      ["bench", write_json(tmp_path / "s.json", spec)]):
             code = main(argv)
             err = capsys.readouterr().err.strip().splitlines()
-            assert code == 2 and len(err) == 1 and repr(key) in err[0], (key, err)
+            assert code == 2 and len(err) == 1, (key, err)
+            assert err[0].startswith("error: ") and repr(key) in err[0], (key, err)
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "b").exists()
     code = main(["validate", write_json(tmp_path / "v.json", {"scheme": DY_SCHEME, "tol": 1e-10})])
     err = capsys.readouterr().err.strip().splitlines()
@@ -841,7 +890,8 @@ def test_graph_n_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypa
 
 
 def test_validate_refuses_a_scheme_that_does_not_match_its_problem(tmp_path, capsys):
-    # the error run and bench give: a LASSO binds 2 resolvents and an elastic net 3
+    # the error run and bench give, for a run config, a bench spec of one graph or of
+    # several, and an explicit scheme: a LASSO binds 2 resolvents and an elastic net 3
     lasso = {"kind": "lasso", "q": 8, "d": 10, "seed": 5}
     elastic = {"kind": "elastic-net", "q": 10, "d": 8, "seed": 2}
     bench = {"graphs": [{"kind": "sequential", "n": 3}, {"kind": "inward-star", "n": 4}],
@@ -849,12 +899,15 @@ def test_validate_refuses_a_scheme_that_does_not_match_its_problem(tmp_path, cap
     for doc, message in (({"graph": {"kind": "sequential", "n": 5}, "problem": lasso},
                           "scheme has n = 5 but 2 resolvents given"),
                          (bench, "scheme has n = 4 but 3 resolvents given"),
+                         ({"graph": {"kind": "inward-star", "n": 4}, "problem": elastic,
+                           "out_dir": str(tmp_path / "b")},
+                          "scheme has n = 4 but 3 resolvents given"),
                          ({"scheme": DY_SCHEME, "problem": elastic},
                           "scheme has n = 2 but 3 resolvents given")):
         assert main(["validate", write_json(tmp_path / "v.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
-    assert not (tmp_path / "b").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["v.json"]   # no out_dir or CSV
     # the same documents with a matching problem or graph validate
     for doc in ({"graph": {"kind": "sequential", "n": 2}, "problem": lasso},
                 dict(bench, graphs=bench["graphs"][:1]), {"scheme": DY_SCHEME, "problem": lasso}):
@@ -892,7 +945,8 @@ def test_empty_methods_list_and_one_node_graph_exit_2(tmp_path, capsys):
                                      ("outward-star", 3), ("sequential", 3)])
 def test_explicit_kappa_tree_runs_as_its_graph(tmp_path, kind, n):
     # a scheme section holding a canonical tree's kappa-form matrices is that tree: under
-    # "auto" it runs the tree's cheap relocator and writes the graph config's bytes
+    # "auto" both documents run the tree's cheap relocator, and the scheme section writes
+    # the graph config's bytes
     if n == 2:
         problem = {"kind": "lasso", "q": 20, "d": 30, "seed": 2}
     else:
@@ -904,6 +958,7 @@ def test_explicit_kappa_tree_runs_as_its_graph(tmp_path, kind, n):
         doc = dict(section, problem=problem, relocator="auto",
                    schedule={"variant": "safeguard", "t_rule": "norm-ratio"},
                    run={"max_iters": 300})
+        assert config.build_run(doc)[0].relocator == ("davis-yin" if n == 2 else kind)
         out = tmp_path / f"{len(written)}.csv"
         assert main(["run", write_json(tmp_path / "r.json", doc), "--out", str(out)]) == 0
         written.append(out.read_bytes())

@@ -493,6 +493,7 @@ def test_wide_objective_reuses_the_forward_residual_exactly(max_iters, monkeypat
     assert cfg.problem.forwards[0]._gram is None
     assert len(trace.objective) == trace.iterations == max_iters
     assert trace.objective[-1] == problems.objective(prob, trace.x_final)
+    assert trace.aborted is None and np.isfinite(trace.objective).all()
     assert hits == [True] * max_iters
 
 
@@ -645,13 +646,34 @@ def general_to_tolerance_spec():
     return dict(elastic_grid_spec(), relocator="general")
 
 
+def lasso_general_spec():
+    # the lasso-grid workload's six methods stacked under the general relocator
+    return dict(lasso_grid_spec(), relocator="general")
+
+
+def half_scheme_spec():
+    # the six default methods on the explicit scheme with M = (0.5, -0.5) (no row folds,
+    # d_i = 0.5), under the general relocator a scheme section gets by default: two
+    # constant stepsizes above 2/mu are refused and the other four are stacked
+    scheme = {"d": [0.5, 0.5], "M": [[0.5], [-0.5]], "N": [[0.0, 0.0], [1.0, 0.0]],
+              "P": [[0.0], [1.0]], "R": [[1.0, 0.0]]}
+    return {"scheme": scheme, "problem": {"kind": "lasso", "q": 20, "d": 30, "seed": 2},
+            "budget": 300}
+
+
+def two_method_general_spec():
+    # the two methods per tree under the general relocator, one after another
+    return dict(two_method_spec(), relocator="general", budget=600)
+
+
 STACKED = (lasso_grid_spec, elastic_grid_spec, out_of_range_spec, general_spec,
-           general_to_tolerance_spec)
+           general_to_tolerance_spec, lasso_general_spec, half_scheme_spec)
 
 
-@pytest.mark.parametrize("spec", [*STACKED, two_method_spec],
+@pytest.mark.parametrize("spec", [*STACKED, two_method_spec, two_method_general_spec],
                          ids=["lasso-grid", "elastic-to-1e-6", "gamma-out-of-range", "general",
-                              "general-to-1e-6", "two-methods"])
+                              "general-to-1e-6", "lasso-general", "half-scheme", "two-methods",
+                              "two-methods-general"])
 def test_run_grid_is_run_per_lane(spec, monkeypatch):
     resumed = []   # the iteration at which each single run starts, or a lane resumes
     calls = [0]    # run_grid's own calls of run: none, a group is built once
@@ -676,9 +698,14 @@ def test_run_grid_is_run_per_lane(spec, monkeypatch):
         assert len(traces) == len(cfgs)
         for trace, expected in zip(traces, want):
             assert_same_trace(trace, expected)
+            assert trace.aborted is not None or np.isfinite(trace.objective).all()
             if trace.converged:
                 converged_at.add(trace.iterations)
     assert calls[0] == 0
+    if spec is half_scheme_spec:
+        [(cfgs, _)] = groups
+        assert cfgs[0].relocator == GENERAL
+        assert [trace.aborted is None for trace in wants[0]] == [True, False, False] + [True] * 3
     if spec in (elastic_grid_spec, general_to_tolerance_spec):
         assert len(converged_at) >= 4 and any(k > 0 for k in resumed)
     elif spec not in STACKED:

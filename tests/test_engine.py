@@ -4,7 +4,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsplit import config, graph as graphmod, relocator
-from relsplit.driver import RunConfig, _EngineStep, run, run_davis_yin
+from relsplit.driver import (RunConfig, Trace, _EngineStep, default_z0, run, run_davis_yin,
+                             run_grid)
 from relsplit.engine import (SplitProblem, SweepPlan, apply_T, first_block, residuals,
                              sweep)
 from relsplit.errors import ParameterError, StructuralError
@@ -445,9 +446,16 @@ def lane_problems(s):
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
                             for n in (4, 5, 6)] + ["explicit", "mixed", "half", "negated"])
 def test_lane_layout_is_the_block_layout_per_lane(s):
-    # one emitted text, two layouts: lane l of a stack is bitwise the block plan at
-    # (gamma_l, z_l), products with M, M* and R rows included (mixed, half; the
-    # explicit scheme's rows all fold, so its plan emits no product)
+    # products with M, M* and R rows included (mixed, half; the explicit scheme's rows
+    # all fold, so its plan emits no product)
+    check_lanes_against_blocks(s)
+
+
+def check_lanes_against_blocks(s):
+    """One emitted text, two layouts: lane l of a stack is bitwise the block plan.
+
+    The block plan runs at lane l's (gamma_l, z_l), from its x_1 when one is given.
+    """
     rng = np.random.default_rng(7)
     gammas = [0.3, 0.55, 0.7, 1.1]
     for prob in lane_problems(s):
@@ -717,6 +725,56 @@ def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
             block.residuals(delta)
             np.testing.assert_array_equal(np.array([x[lane] for x in stack.st.xs]), want_x)
             np.testing.assert_array_equal(np.array(block.st.xs), want_x)
+
+
+def random_scheme(n, seed):
+    """A valid scheme on n nodes with generic entries: M is no incidence matrix, d_i != 1.
+
+    M has columns orthogonal to 1 (rank n - 1 for a generic draw): (a). N is
+    strictly lower with N_ij >= max(0, -(M M*)_ij), so S = N + N* + M M* has no
+    negative entry off its diagonal, and d = S 1 / 2 makes 2D - S a graph
+    Laplacian: (d), and (e) since M* 1 = 0. P is strictly lower with unit column
+    sums and R lower triangular with unit row sums: (b), (c) and (f).
+    """
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n - 1))
+    M -= M.mean(axis=0)
+    MMt = M @ M.T
+    N = np.tril(np.maximum(0.0, -MMt) + rng.uniform(0.1, 1.0, (n, n)), -1)
+    d = 0.5 * (N + N.T + MMt).sum(axis=1)
+    P = np.tril(rng.uniform(0.1, 1.0, (n, n - 1)), -1)
+    R = np.tril(rng.uniform(0.1, 1.0, (n - 1, n)))
+    return CoefficientScheme(d, M, N, P / P.sum(axis=0), R / R.sum(axis=1, keepdims=True))
+
+
+schemes = st.builds(random_scheme, st.integers(2, 5), st.integers(0, 2 ** 16))
+
+
+@given(schemes)
+@settings(max_examples=50, deadline=None)
+def test_random_valid_schemes_run_as_the_oracle(s):
+    # the emitter's general branches, beyond the hand-made schemes: M rows of several
+    # terms (no incidence matrix), multi-term R rows, non-unit P entries and d_i != 1;
+    # the plan is the matrix oracle within rounding, its lane layout the block layout
+    # bitwise, and a stack of three safeguard runs under the general relocator the
+    # single runs bitwise
+    assert validate(s) == [] and relocator.tree_kinds(s) == ()
+    check_plan_against_oracle(s, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12,
+                                                                           atol=1e-12))
+    check_lanes_against_blocks(s)
+    prob = split_for(s, 1)
+    m = mu(s, prob.beta)
+    cfgs = [RunConfig(s, prob, schedule=ScheduleSpec(variant="safeguard", t_rule=rule, gamma=g),
+                      max_iters=30, record_every=7, fix_res_tol=1e-300)
+            for rule, g in (("norm-ratio", None), ("harmonic", None), ("norm-ratio", 0.5 / m))]
+    z0 = default_z0(s, prob, seed=2)
+    for cfg, trace in zip(cfgs, run_grid(cfgs, z0)):
+        want = run(cfg, z0)
+        assert trace.iterations == want.iterations == 30 and trace.aborted is None
+        for f in fields(Trace):
+            a, b = getattr(trace, f.name), getattr(want, f.name)
+            assert (np.array_equal(a, b, equal_nan=True) if isinstance(a, (list, np.ndarray))
+                    else a == b), f.name
 
 
 def test_run_leaves_z0_alone_when_x1_is_a_view():
