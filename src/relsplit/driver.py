@@ -11,10 +11,10 @@ and the recycling identity x_1(gamma_{k+1}, z_{k+1}) = x_1(gamma_k, w_k)
 lets the next sweep start from block 2; the loop then costs n resolvent
 evaluations per iteration (n*(K+1) + 1 in total through iteration K), the
 same as the non-relocated method. The + 1 is x_1(z0), which either loop's
-step forms when it is made, at the run's first stepsize (``_EngineStep``,
-``_DavisYinStep``), so every sweep of the loop starts from a recycled x_1
-and a run the margin ends at k = 0 counts 1. The general relocator needs a
-full second sweep at w_k (2n per iteration).
+step forms when it is made, at the run's first stepsize
+(``engine.SweepPlan.start``, ``_DavisYinStep``), so every sweep of the loop
+starts from a recycled x_1 and a run the margin ends at k = 0 counts 1. The
+general relocator needs a full second sweep at w_k (2n per iteration).
 
 ``run_davis_yin`` is the three-operator scheme written out directly, for a
 RunConfig of the two-node chain under the davis-yin relocator:
@@ -37,22 +37,23 @@ one ``_RunControl``. The engine's step is generated whole: the step plan
 (``engine.SweepPlan``) emits, for the run's relocator kind, the sweep and
 its residuals, the advance to w with x_1(w) (or the sweep at w) and the
 norm pair, and the relocation z_{k+1} = r w_k + (1 - r) K x with
-r = gamma_{k+1}/gamma_k, as straight-line code; ``_EngineStep`` holds those
-functions and the state (``_State``) they read and set, which refers back
-to neither, so a finished step is freed at once. What the engine's runs of
-one scheme, problem, relocator kind and z0 share is built once, before the
-first iteration (``_shared``): the plan (which checks the operator bindings
-and shapes, with the consensus pairs), a copy of the start point, the
-general relocator's matrix K (``relocator.relocation_map``, None under a
-cheap kind) and mu. So the loop
-itself only does arithmetic, and a single run calls its control's ``check``
-only when the run stops or records a row, and its ``next_gamma`` (one
-schedule call) only when its stepsize moves.
+r = gamma_{k+1}/gamma_k, as straight-line code, and makes the step that
+holds them with their state (``engine.Step``). The engine owns that state:
+the driver makes a step only by ``SweepPlan.start``, hands a lane off only
+by ``Step.lane``, and otherwise calls the step's methods. What the engine's
+runs of one scheme, problem, relocator kind and z0 share is built once,
+before the first iteration (``_shared``): the plan (which checks the
+operator bindings and shapes, with the consensus pairs), a copy of the
+start point, the general relocator's matrix K (``relocator.relocation_map``,
+None under a cheap kind) and mu. So the loop itself only does arithmetic,
+and a single run calls its control's ``check`` only when the run stops or
+records a row, and its ``next_gamma`` (one schedule call) only when its
+stepsize moves.
 
 ``run_grid`` runs a bench grid's methods on one graph (one scheme, problem,
 relocator kind and z0, different schedules) from one such build. A group of
 ``MIN_LANES`` or more, under any relocator kind, runs as lanes of one
-(L, m, d) stack: the same ``_EngineStep`` runs on the lane layout of the
+(L, m, d) stack: the same ``engine.Step`` runs on the lane layout of the
 same generated step plan, and ``_Lanes``, the stack's control, applies each
 lane's own ``_RunControl``. So each lane's schedule, stop test, trace and
 evaluation count are those of its own ``run``, and its trace is bitwise
@@ -63,9 +64,9 @@ stepsize moves calls its control's ``start`` and ``next_gamma``, one pass
 over the stack's fix_res finds the lanes that stop, and a lane's ``check``
 runs only when it stops or may record a row. A lane leaves the
 stack when its run ends; when fewer than ``MIN_LANES`` lanes start an
-iteration, each continues in ``_iterate`` on a block-plan ``_EngineStep``
-from its exact state. A smaller group runs its methods one after another
-on the block plan.
+iteration, each continues in ``_iterate`` on a block-plan step
+(``Step.lane``) from its exact state. A smaller group runs its methods one
+after another on the block plan.
 
 An iteration computes only what the run reads, so a constant-stepsize run
 costs what the non-relocated method costs: fix_res every iteration, the
@@ -294,7 +295,7 @@ def _iterate(step, control):
     the relocated w (to w itself at ratio 1). The control reads the step's
     ``row()`` (consensus, x, evals) only on a recorded row and ``state()``
     (z, x, evals) at the end. On a stack of runs the step is an
-    ``_EngineStep`` on a lane plan, whose gamma, lam and ratio are the
+    ``engine.Step`` on a lane plan, whose gamma, lam and ratio are the
     lanes' columns, and the control is ``_Lanes``, whose ``row`` is always
     the next k and which passes each lane's index to those reads.
     """
@@ -317,61 +318,6 @@ def _iterate(step, control):
     return control.finish(step)
 
 
-def _lanes_of(v, index):
-    """``v[index]`` of an (L, ...) stack array, or of each array of a list of them, or None."""
-    if v is None:
-        return None
-    return [a[index] for a in v] if isinstance(v, list) else v[index]
-
-
-class _State:
-    """What the generated step functions read and set (``engine.SweepPlan.step``)."""
-
-    def __init__(self, z, aw, xs, evals):
-        self.z, self.aw, self.xs, self.evals, self.mstar_x, self.w = z, aw, xs, evals, None, None
-
-
-class _EngineStep:
-    """The coefficient-scheme engine's step: the plan's step functions and the state they set.
-
-    ``residuals``, ``advance`` and ``relocate`` are generated
-    (``engine.SweepPlan.step``); they read and set the state ``st``: ``z``,
-    ``aw`` (x_1(w), or the sweep at w under the general relocator), ``xs``
-    (the outputs at z), ``mstar_x``, ``w`` and ``evals``. ``st`` holds no
-    reference back, so a finished step is freed at once. On a block plan
-    ``z`` is one run's (m, d) block vector; on a lane plan it is the
-    (L, m, d) stack of a ``run_grid`` group, whose lanes make the float
-    operations of their own runs, so each lane's iterates are bitwise its
-    run's, and one resolvent count serves every lane. The methods that read
-    one run's values take ``*lane``: a lane index on a stack, nothing for one
-    run (``a[()]`` is all of ``a``). ``x1``, ``xs`` and ``evals`` resume a
-    lane handed off from a stack. Without ``x1``, a cheap kind's step forms
-    x_1(z0) at ``gamma``, the run's first stepsize (a stack's list of them),
-    and counts its evaluation, as ``_DavisYinStep`` does.
-    """
-
-    def __init__(self, plan, z, x1=None, xs=None, evals=0, *, gamma=None):
-        if x1 is None and not plan.general:
-            x1, evals = plan.first_block(gamma, z), evals + 1
-        self.st = _State(z, x1, xs, evals)
-        self._consensus = plan.consensus
-        self.residuals, self.advance, self.relocate = plan.step(self.st)
-
-    def row(self, *lane):
-        st = self.st
-        return self._consensus([x[lane] for x in st.xs], st.mstar_x[lane]), st.xs[0][lane], st.evals
-
-    def keep(self, lanes):
-        """Keep the stack's lanes at the indices ``lanes`` and drop the state of the others."""
-        st = self.st
-        st.z, st.aw, st.xs, st.mstar_x, st.w = (
-            _lanes_of(v, lanes) for v in (st.z, st.aw, st.xs, st.mstar_x, st.w))
-
-    def state(self, *lane):
-        st = self.st
-        return np.array(st.z[lane]), None if st.xs is None else np.array(st.xs[0][lane]), st.evals
-
-
 def _shared(cfg, z0):
     """What every run of cfg's scheme, problem, relocator kind and z0 shares: (plan, z, K, mu).
 
@@ -392,7 +338,7 @@ def run(cfg, z0=None):
     """Relocated fixed-point iteration on a coefficient scheme; returns the Trace."""
     plan, z, _, mu_value = _shared(cfg, z0)
     control = _RunControl(cfg, mu_value)
-    return _iterate(_EngineStep(plan, z, gamma=control.gamma), control)
+    return _iterate(plan.start(z, control.gamma), control)
 
 
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
@@ -402,7 +348,7 @@ class _Lanes:
     """The control of a stack of runs, which one ``_iterate`` call drives on a lane-plan step.
 
     Each lane is one run's ``_RunControl``, called with the stack's
-    ``_EngineStep`` and the lane's index, so each lane's schedule, stop test,
+    ``engine.Step`` and the lane's index, so each lane's schedule, stop test,
     trace and evaluation count are those of its own ``run``. Per-lane Python
     runs only where lanes differ:
 
@@ -423,9 +369,10 @@ class _Lanes:
       every lane's.
 
     A lane whose run ends is finished at the step's state and dropped
-    (``_EngineStep.keep``), before any further resolvent call for it. When
-    fewer than MIN_LANES lanes start an iteration, ``finish`` hands each to
-    ``_iterate`` on a step of the group's block plan, from its exact state.
+    (``Step.keep``), before any further resolvent call for it. When fewer
+    than MIN_LANES lanes start an iteration, ``finish`` hands each to
+    ``_iterate`` on ``Step.lane``, a step of the group's block plan from its
+    exact state.
     """
 
     k = row = record = end = 0   # every lane starts at k = 0 = end
@@ -510,11 +457,9 @@ class _Lanes:
         return self.ratio
 
     def finish(self, step):
-        st = step.st
         for i, lane in enumerate(self.lanes):
             lane.k = self.k
-            _iterate(_EngineStep(self.block_plan, st.z[i], _lanes_of(st.aw, i),
-                                 _lanes_of(st.xs, i), st.evals), lane)
+            _iterate(step.lane(i, self.block_plan), lane)
 
 
 def run_grid(cfgs, z0=None):
@@ -549,11 +494,10 @@ def run_grid(cfgs, z0=None):
             traces.append(Trace(aborted=str(exc)))
     if len(lanes) < MIN_LANES:
         for control in lanes:
-            _iterate(_EngineStep(plan, z.copy(), gamma=control.gamma), control)
+            _iterate(plan.start(z.copy(), control.gamma), control)
     else:
-        step = _EngineStep(engine.SweepPlan(s, prob, K, lanes=True),
-                           np.repeat(z[None], len(lanes), axis=0),
-                           gamma=[control.gamma for control in lanes])
+        step = engine.SweepPlan(s, prob, K, lanes=True).start(
+            np.repeat(z[None], len(lanes), axis=0), [control.gamma for control in lanes])
         _iterate(step, _Lanes(lanes, step, plan))
     return traces
 

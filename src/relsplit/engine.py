@@ -51,23 +51,26 @@ The plan is the whole step of the relocated iteration for the plan's
 relocator kind. Each layout's text holds the stateless ``sweep``,
 ``first_block`` and ``relocation`` (the relocation formula Q(w) = r w +
 (1 - r) K x(w), z = w at r = 1, which the public ``relocator.relocate``
-also evaluates), and ``step``, which makes a run's
-step functions on a state object: ``residuals`` (the sweep at z, with M* x
-and ||M* x||), ``advance`` (w, then x_1(w), or the sweep at w under the
-general relocator, and the norm pair (||x_1(w)||, ||x_1(w) - w||) only when
-asked for it) and ``relocate``. An iteration of a run calls these three
-(``advance`` calls ``first_block`` or ``sweep`` at w). Under a cheap kind,
-``residuals`` has one straight-line form: it takes x_1 from the state,
-x_1(z0), which a run's step forms when it is made, then x_1(w) of the last
-``advance`` (the recycling identity), and evaluates rows 2..n, n - 1
-resolvents. That recycled sweep lives in ``residuals`` alone: the
-stateless functions evaluate every output they return at their own
-(gamma, z). Each distinct source is compiled once per process; the
-operators' ``resolve`` and ``apply`` methods are bound each time a plan is
-built, so a wrapper installed on them beforehand sees every call. The
-public ``sweep`` and ``first_block`` are validated wrappers over the plan
-that return the plain (n, d) array of resolvent outputs x, which the public
-``residuals`` takes; ``relocator.relocate`` calls the plan's own.
+also evaluates), and the step functions of one state: ``residuals`` (the
+sweep at z, with M* x and ||M* x||), ``advance`` (w, then x_1(w), or the
+sweep at w under the general relocator, and the norm pair (||x_1(w)||,
+||x_1(w) - w||) only when asked for it) and ``relocate``. An iteration of a
+run calls these three (``advance`` calls ``first_block`` or ``sweep`` at
+w). ``Step`` holds them with the state they read and set (``_State``), and
+the engine alone makes one: ``SweepPlan.start(z, gamma)`` a fresh step and
+``Step.lane(i, block_plan)`` lane i of a stack, handed to a block-plan step
+from its exact state. Under a cheap kind, ``residuals`` has one
+straight-line form: it takes x_1 from the state, x_1(z0), which ``start``
+forms, then x_1(w) of the last ``advance`` (the recycling identity), and
+evaluates rows 2..n, n - 1 resolvents. That recycled sweep lives in
+``residuals`` alone: the stateless functions evaluate every output they
+return at their own (gamma, z). A source is compiled once while it stays
+among the last 256 compiled (``_compiled``), and again after it has been
+evicted; the operators' ``resolve`` and ``apply`` methods are bound each
+time a plan is built, so a wrapper installed on them beforehand sees every
+call. The public ``sweep`` and ``first_block`` are validated wrappers over
+the plan that return the plain (n, d) array of resolvent outputs x, which
+the public ``residuals`` takes; ``relocator.relocate`` calls the plan's own.
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ class _Emitter:
         """Statements of the step's ``residuals``: the sweep at z, M* x, and ||M* x|| returned.
 
         A cheap kind's sweep takes x_1 from ``aw`` (the recycling identity):
-        x_1(z0), formed when the run's step is made, then x_1(w) of the last
+        x_1(z0), formed by ``SweepPlan.start``, then x_1(w) of the last
         ``advance``. So it evaluates rows 2..n only.
         """
         s, first = self.s, 0 if self.general else 1
@@ -363,20 +366,11 @@ class SweepPlan:
     * ``sweep(gamma, z)``: the n outputs at (gamma, z), n resolvent evaluations;
     * ``first_block(gamma, z)``: x_1 alone;
     * ``relocation(ratio, w, aw)``: Q(w) for the relocator, from ``aw``,
-      x_1(w) for a cheap kind or the n outputs at w for ``general``;
-    * ``step(st)``: the step functions of one run (or one stack) on the state
-      ``st``, an object with the attributes ``z``, ``aw``, ``xs``,
-      ``mstar_x``, ``w`` and ``evals``: ``residuals(gamma)`` evaluates the
-      sweep at z (under a cheap kind, rows 2..n from ``aw``, x_1 at z: x_1(z0)
-      before the first ``advance``, which the state must hold, then x_1(w)),
-      sets the outputs ``xs`` and M* x and returns ||M* x||;
-      ``advance(gamma, lam, reads)`` sets w = z - lam M* x and ``aw``,
-      x_1(w) (the sweep at w under ``general``), and returns the norm pair
-      (||x_1(w)||, ||x_1(w) - w||) when ``reads``, () otherwise;
-      ``relocate(ratio)`` sets z to ``relocation(ratio, w, aw)``. Each adds
-      its resolvent evaluations to ``evals``.
+      x_1(w) for a cheap kind or the n outputs at w for ``general``.
 
-    In the lane layout gamma is the list of the lanes' Python float
+    ``start(z, gamma)`` makes a fresh ``Step`` of one run (or one stack) from
+    z, whose state the step functions read and set; the private ``_step``
+    makes those functions of one state. In the lane layout gamma is the list of the lanes' Python float
     stepsizes, z an (L, m, d) stack, each output an (L, d) array, ||M* x||
     a list of L floats and ``ratio`` an (L, 1, 1) column; ``reads`` lists the
     lanes whose norm pairs ``advance`` returns, as a dict by lane.
@@ -392,9 +386,18 @@ class SweepPlan:
         self.pairs = [(i, j, edge_of.get(frozenset((i, j))))   # (i, j, its edge or None)
                       for i in range(s.n) for j in range(i + 1, s.n)]
         self.source = emitter.source()
-        self.sweep, self.first_block, self.relocation, self.step = _compiled(self.source)(
+        self.sweep, self.first_block, self.relocation, self._step = _compiled(self.source)(
             tuple(op.resolve for op in prob.resolvents), tuple(op.apply for op in prob.forwards),
             s.M, s.M.T, s.R, K)
+
+    def start(self, z, gamma):
+        """A fresh ``Step`` from z at the run's first stepsize gamma (a stack's list of them).
+
+        Under a cheap kind it forms x_1(z0) at gamma and counts its evaluation,
+        so every ``residuals`` recycles x_1; a general step starts with none.
+        """
+        aw = None if self.general else self.first_block(gamma, z)
+        return Step(self, _State(z, aw, None, 0 if self.general else 1))
 
     def consensus(self, x, mstar_x):
         """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``residuals``.
@@ -416,6 +419,68 @@ class SweepPlan:
         if z.shape[1] != self.dim:
             raise StructuralError(f"blocks have dim {z.shape[1]}, problem dim {self.dim}")
         return z
+
+
+def _lanes_of(v, index):
+    """``v[index]`` of an (L, ...) stack array, or of each array of a list of them, or None."""
+    if v is None:
+        return None
+    return [a[index] for a in v] if isinstance(v, list) else v[index]
+
+
+class _State:
+    """What the generated step functions read and set; it refers back to nothing."""
+
+    def __init__(self, z, aw, xs, evals):
+        self.z, self.aw, self.xs, self.evals, self.mstar_x, self.w = z, aw, xs, evals, None, None
+
+
+class Step:
+    """One run's (or one stack's) step: a plan's step functions and the state they set.
+
+    ``residuals(gamma)`` evaluates the sweep at z (under a cheap kind, rows
+    2..n from ``aw``: x_1(z0) before the first ``advance``, then x_1(w)),
+    sets the outputs ``xs`` and M* x and returns ||M* x||;
+    ``advance(gamma, lam, reads)`` sets w = z - lam M* x and ``aw``, x_1(w)
+    (the sweep at w under the general relocator), and returns the norm pair
+    (||x_1(w)||, ||x_1(w) - w||) when ``reads``, () otherwise;
+    ``relocate(ratio)`` sets z to ``relocation(ratio, w, aw)``. Each adds its
+    resolvent evaluations to the state's ``evals``. They are generated per
+    plan and close over the state ``st`` (``_State``: ``z``, ``aw``, ``xs``,
+    ``mstar_x``, ``w``, ``evals``), not over the step, so a finished step is
+    freed at once, with no reference cycle to wait for the collector. On a
+    block plan ``z`` is one run's (m, d) block vector; on a lane plan it is
+    the (L, m, d) stack of a ``driver.run_grid`` group, whose lanes make the
+    float operations of their own runs, so each lane's iterates are bitwise
+    its run's, and one evaluation count serves every lane. The readers of one
+    run's values take ``*lane``: a lane index on a stack, nothing for one run
+    (``a[()]`` is all of ``a``). ``SweepPlan.start`` makes a fresh step.
+    """
+
+    def __init__(self, plan, st):
+        self.st, self._consensus = st, plan.consensus
+        self.residuals, self.advance, self.relocate = plan._step(st)
+
+    def row(self, *lane):
+        """(consensus, x_1, evals) of the last ``residuals``."""
+        st = self.st
+        return self._consensus([x[lane] for x in st.xs], st.mstar_x[lane]), st.xs[0][lane], st.evals
+
+    def state(self, *lane):
+        """Copies of (z, x_1 or None before the first ``residuals``) and evals."""
+        st = self.st
+        return np.array(st.z[lane]), None if st.xs is None else np.array(st.xs[0][lane]), st.evals
+
+    def keep(self, lanes):
+        """Keep the stack's lanes at the indices ``lanes`` and drop the state of the others."""
+        st = self.st
+        st.z, st.aw, st.xs, st.mstar_x, st.w = (
+            _lanes_of(v, lanes) for v in (st.z, st.aw, st.xs, st.mstar_x, st.w))
+
+    def lane(self, i, block_plan):
+        """Lane i of the stack as a step of ``block_plan``, from its exact state."""
+        st = self.st
+        return Step(block_plan, _State(*(_lanes_of(v, i) for v in (st.z, st.aw, st.xs)), st.evals))
 
 
 def sweep(s, prob, gamma, z):

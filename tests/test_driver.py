@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relsplit import config, driver, operators, problems, schedule
+from relsplit import config, driver, engine, operators, problems, schedule
 from relsplit import graph as graphmod
 from relsplit.driver import RunConfig, default_z0, run, run_davis_yin, run_grid
 from relsplit.engine import SplitProblem, SweepPlan, apply_T, first_block, residuals, sweep
@@ -455,7 +456,7 @@ def test_run_matches_public_step_functions(kind, iterates):
         if x1 is None:
             x = sweep(s, split, gamma, z)
         else:
-            step = driver._EngineStep(SweepPlan(s, split), z, x1)
+            step = engine.Step(SweepPlan(s, split), engine._State(z, x1, None, 0))
             step.residuals(gamma)
             x = np.array(step.st.xs)
         fix_res, consensus = residuals(s, x)
@@ -531,15 +532,15 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
             return pairs
         return spy
 
-    init = driver._EngineStep.__init__
+    init = engine.Step.__init__
 
     def engine_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self.advance = counting_pairs(self.advance)
 
     monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
-    monkeypatch.setattr(driver._EngineStep, "__init__", engine_init)
-    for step in (driver._EngineStep, driver._DavisYinStep):   # row forms the consensus
+    monkeypatch.setattr(engine.Step, "__init__", engine_init)
+    for step in (engine.Step, driver._DavisYinStep):   # row forms the consensus
         monkeypatch.setattr(step, "row", counting("consensus", step.row))
     s, split, _ = small_lasso_setup(21)
     cfg = RunConfig(scheme=s, problem=split, relocator=kind, schedule=spec, max_iters=40,
@@ -553,6 +554,37 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
     norms = 2 * 40 if spec.variant == "safeguard" and spec.t_rule == "norm-ratio" else 0
     fix_res = 40 if loop is run_davis_yin else 0   # the standalone loop's ||x_k - y_k||
     assert formed["norm"] == (norms + fix_res) * len(traces)
+
+
+def test_finished_runs_leave_no_cyclic_garbage():
+    # a step's generated functions close over its state, not over the step, so no
+    # reference cycle keeps a finished run's problem (its matrix A) alive until the
+    # collector's next pass: with the collector off, each loop leaves nothing to collect
+    _, split, lasso = small_lasso_setup(21)
+    es, esplit, elastic = small_elastic_setup(5)
+    grid = [RunConfig(scheme=es, problem=esplit, max_iters=iters, fix_res_tol=1e-300,
+                      schedule=ScheduleSpec(variant="safeguard", t_rule=rule))
+            for iters, rule in ((10, "harmonic"), (12, "norm-ratio"), (30, "accel"),
+                                (30, "norm-ratio"))]
+    cfg = chain_config(split, 0.5 / split.beta, max_iters=40, fix_res_tol=1e-300)
+    loops = {"run": lambda: run(grid[1]),
+             "stack with a hand-off": lambda: run_grid(grid),   # 2 lanes left at k = 12
+             "serial group": lambda: run_grid(grid[:2]),
+             "run_davis_yin": lambda: run_davis_yin(cfg),
+             "reference_solution": lambda: (problems.reference_solution(elastic, 50),
+                                            problems.reference_solution(lasso, 50))}
+    for loop in loops.values():   # compile the plan sources and fill numpy's caches
+        loop()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, loop in loops.items():
+            loop()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(loops, 0)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"

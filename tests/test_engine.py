@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsplit import config, graph as graphmod, relocator
-from relsplit.driver import (RunConfig, Trace, _EngineStep, default_z0, run, run_davis_yin,
-                             run_grid)
-from relsplit.engine import (SplitProblem, SweepPlan, apply_T, first_block, residuals,
-                             sweep)
+from relsplit.driver import RunConfig, Trace, default_z0, run, run_davis_yin, run_grid
+from relsplit.engine import (SplitProblem, Step, SweepPlan, _State, apply_T, first_block,
+                             residuals, sweep)
 from relsplit.errors import ParameterError, StructuralError
 from relsplit.linalg import constant
 from relsplit.operators import (L1Subdiff, LeastSquaresGrad, ScaledIdentity,
@@ -184,8 +183,8 @@ def test_single_forward_term_and_cache_economy():
             assert calls(prob.forwards) == s.p
             assert all(op.calls == 1 for op in prob.forwards)
             assert calls(prob.resolvents) == s.n
-            # a step's sweep from a recycled x_1
-            step = _EngineStep(SweepPlan(s, prob), np.zeros((n - 1, prob.dim)), out[0])
+            # a step's sweep from a recycled x_1, given as its state
+            step = Step(SweepPlan(s, prob), _State(np.zeros((n - 1, prob.dim)), out[0], None, 0))
             step.residuals(0.4)
             assert calls(prob.forwards) == 2 * s.p
             assert calls(prob.resolvents) == 2 * s.n - 1
@@ -368,8 +367,11 @@ CLOSE = [kappa_scheme(kind, n) for kind in (graphmod.INWARD_STAR, graphmod.OUTWA
 
 
 def step_residuals(plan, gamma, z, x1=None):
-    """(outputs, M* x, ||M* x||) of a plan's step at (gamma, z), from a given x_1 or none."""
-    step = _EngineStep(plan, z, x1, gamma=gamma)
+    """(outputs, M* x, ||M* x||) of a plan's step at (gamma, z), from a given x_1 or x_1(z).
+
+    A given x_1 goes into the step's state as it is, with no evaluation counted.
+    """
+    step = plan.start(z, gamma) if x1 is None else Step(plan, _State(z, x1, None, 0))
     fix_res = step.residuals(gamma)
     return step.st.xs, step.st.mstar_x, fix_res
 
@@ -398,7 +400,7 @@ def check_plan_against_oracle(s, same):
         for kind in kinds:
             general = kind == relocator.GENERAL
             K = relocator.relocation_map(kind, s)
-            step = _EngineStep(SweepPlan(s, prob, K if general else None), z, gamma=gamma)
+            step = SweepPlan(s, prob, K if general else None).start(z, gamma)
             step.residuals(gamma)
             step.advance(gamma, 0.7, False)
             step.relocate(1.25)
@@ -508,7 +510,7 @@ def test_lane_products_are_the_block_products_broadcast(s):
                          + [f"{k}-{n}" for k in ("inward-star", "outward-star")
                             for n in (4, 5, 6)] + ["explicit", "mixed", "half", "negated"])
 def test_lane_step_is_the_block_step_per_lane(s):
-    # one _EngineStep on a 4-lane stack forms each lane's norm pair and relocates each
+    # one Step on a 4-lane stack forms each lane's norm pair and relocates each
     # lane bitwise as the block step does for its run; a lane at ratio 1 holds w's bits,
     # where the formula 1 * w + 0 * K x would turn a -0.0 entry of w into 0.0 wherever
     # K x > 0
@@ -519,14 +521,14 @@ def test_lane_step_is_the_block_step_per_lane(s):
 
     for kind in kinds:
         K = relocator.relocation_map(kind, s) if kind == relocator.GENERAL else None
-        stack = _EngineStep(SweepPlan(s, prob, K, lanes=True), z, gamma=gammas)
+        stack = SweepPlan(s, prob, K, lanes=True).start(z, gammas)
         stack.residuals(gammas)
         pairs = stack.advance(gammas, np.array(lam_theta)[:, None, None], range(len(gammas)))
         stack.st.w = w = stack.st.w.copy()   # x_1(w) may be a view of w (A_1 = 0)
         w[..., 0, 0] = -0.0
         stack.relocate(np.array(ratios)[:, None, None])
         for lane, (gamma, lt, ratio) in enumerate(zip(gammas, lam_theta, ratios)):
-            block = _EngineStep(SweepPlan(s, prob, K), z[lane], gamma=gamma)
+            block = SweepPlan(s, prob, K).start(z[lane], gamma)
             block.residuals(gamma)
             assert pairs[lane] == block.advance(gamma, lt, True)
             block.st.w = block.st.w.copy()
@@ -553,8 +555,8 @@ def test_public_wrappers_are_the_loops_step(s):
         z = np.random.default_rng(9).standard_normal((s.m, prob.dim))
         for kind, delta in itertools.product(kinds, (gamma, 0.625)):
             general = kind == relocator.GENERAL
-            step = _EngineStep(SweepPlan(s, prob, relocator.relocation_map(kind, s)
-                                         if general else None), z, gamma=gamma)
+            step = SweepPlan(s, prob, relocator.relocation_map(kind, s)
+                             if general else None).start(z, gamma)
             st = step.st
             step.residuals(gamma)
             assert np.array(st.xs).tobytes() == sweep(s, prob, gamma, z).tobytes()
@@ -580,12 +582,12 @@ def test_plan_source_is_the_code_that_runs():
         exec(compile(plan.source, "printed", "exec"), namespace)
         fresh = namespace["bind"]([op.resolve for op in prob.resolvents],
                                   [op.apply for op in prob.forwards], s.M, s.M.T, s.R)
-        ran = (plan.sweep, plan.first_block, plan.relocation, plan.step)
+        ran = (plan.sweep, plan.first_block, plan.relocation, plan._step)
         assert [f.__name__ for f in fresh] == [f.__name__ for f in ran]
         for f, g in zip(fresh, ran):
             assert f.__code__.co_code == g.__code__.co_code
         # the step functions of one run, nested in the text
-        for f, g in zip(fresh[-1](None), plan.step(None)):
+        for f, g in zip(fresh[-1](None), plan._step(None)):
             assert f.__name__ == g.__name__ and f.__code__.co_code == g.__code__.co_code
     # the folded constants are in the text: d_2 = 2 on the kappa-form sequential tree
     assert "s1 = gamma / 2.0" in SweepPlan(s, prob).source
@@ -603,6 +605,77 @@ def test_cheap_residuals_takes_x1_without_a_branch(lanes):
         body = source.split("def residuals(")[1].split("def advance(")[0]
         assert "z, x0 = st.z, st.aw" in body and "resolve_0" not in body
         assert re.findall(r"st\.evals \+= .*", body) == [f"st.evals += {n - 1}"]
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["block", "lane"])
+def test_start_forms_x1_of_z0_under_a_cheap_kind(lanes):
+    # SweepPlan.start is the one way to make a fresh step: under a cheap kind it forms
+    # x_1(z0) at the first stepsize and counts that evaluation, one resolve call per
+    # lane; a general step starts with no x_1 and no evaluation
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    gamma = [0.3, 0.55, 0.7] if lanes else 0.4
+    for K in (None, relocator.relocation_map(relocator.GENERAL, s)):
+        prob = counted(split_for(s, 3))
+        plan = SweepPlan(s, prob, K, lanes=lanes)
+        shape = (3, s.m, prob.dim) if lanes else (s.m, prob.dim)
+        z = np.random.default_rng(4).standard_normal(shape)
+        want = plan.first_block(gamma, z)
+        before = calls(prob.resolvents)
+        st = plan.start(z, gamma).st
+        assert st.z is z and st.xs is st.mstar_x is st.w is None
+        if K is None:
+            assert st.aw.tobytes() == want.tobytes() and st.evals == 1
+            assert calls(prob.resolvents) - before == (3 if lanes else 1)
+        else:
+            assert st.aw is None and st.evals == 0 and calls(prob.resolvents) == before
+
+
+def iterate(step, gamma, lam, ratio, iters):
+    """``iters`` iterations of a step at the stepsizes gamma * ratio^k; returns the next gamma.
+
+    On a stack, gamma is the lanes' list and lam and ratio are their (L, 1, 1) columns.
+    """
+    for _ in range(iters):
+        step.residuals(gamma)
+        step.advance(gamma, lam, ())
+        step.relocate(ratio)
+        gamma = ([g * r for g, r in zip(gamma, ratio.ravel().tolist())]
+                 if isinstance(gamma, list) else gamma * ratio)
+    return gamma
+
+
+def state_bytes(step):
+    """The bytes of a block step's z, aw and xs (None when unset), and its evals."""
+    st = step.st
+    return [None if v is None else np.array(v).tobytes() for v in (st.z, st.aw, st.xs)] + [
+        st.evals]
+
+
+@pytest.mark.parametrize("s", [kappa_scheme(graphmod.SEQUENTIAL, 3), mixed_scheme()],
+                         ids=["sequential-3", "mixed"])
+def test_lane_hand_off_continues_as_its_run(s):
+    # Step.lane is the one hand-off from a stack: lane i of a stack that has run k
+    # iterations continues on the block plan bitwise as lane i's own run, from k = 0 too,
+    # where no residuals has set the outputs and a general step holds no x_1 either
+    prob = split_for(s, 5)
+    gammas, lams, ratios = [0.3, 0.55, 0.7], [0.7, 0.5, 0.9], [1.0, 1.25, 0.8]
+    columns = [np.array(v)[:, None, None] for v in (lams, ratios)]
+    z = np.random.default_rng(6).standard_normal((len(gammas), s.m, prob.dim))
+    for kind, k in itertools.product([relocator.GENERAL] + list(relocator.tree_kinds(s)), (0, 2)):
+        K = relocator.relocation_map(kind, s)
+        block = SweepPlan(s, prob, K)
+        stack = SweepPlan(s, prob, K, lanes=True).start(z.copy(), gammas)
+        iterate(stack, gammas, *columns, k)
+        assert (stack.st.xs is None) == (k == 0)
+        for i, (gamma, lam, ratio) in enumerate(zip(gammas, lams, ratios)):
+            own = block.start(z[i].copy(), gamma)
+            g = iterate(own, gamma, lam, ratio, k)
+            handed = stack.lane(i, block)
+            assert state_bytes(handed) == state_bytes(own)
+            for step in (own, handed):
+                iterate(step, g, lam, ratio, 2)
+            assert state_bytes(handed) == state_bytes(own)
+            assert handed.row()[0] == own.row()[0]
 
 
 def test_plan_binds_its_constants_once_read_only():
@@ -695,7 +768,7 @@ def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
         general = kind == relocator.GENERAL
         K = relocator.relocation_map(kind, s)
         plans = SweepPlan(s, prob, K), SweepPlan(s, prob, K, lanes=True)
-        stack = _EngineStep(plans[1], z.copy(), gamma=gammas)
+        stack = plans[1].start(z.copy(), gammas)
         stack.residuals(gammas)
         xs = [np.array([x[lane] for x in stack.st.xs]) for lane in range(len(gammas))]
         stack.advance(gammas, np.array(lams)[:, None, None], ())
@@ -706,7 +779,7 @@ def test_plan_on_random_trees_is_bitwise_the_oracle(g, dim, seed):
         stack.residuals(deltas)
         for lane, (gamma, lam, ratio, delta) in enumerate(zip(gammas, lams, ratios, deltas)):
             x = oracle_sweep(s, prob, gamma, z[lane], product=in_column_order)
-            block = _EngineStep(plans[0], z[lane].copy(), gamma=gamma)
+            block = plans[0].start(z[lane].copy(), gamma)
             block.residuals(gamma)
             for got in (xs[lane], np.array(block.st.xs)):
                 np.testing.assert_array_equal(got, x)

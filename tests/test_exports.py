@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import relsplit
 from relsplit import (driver, engine, graph, linalg, problems, propsuites, relocator, schedule,
@@ -11,7 +13,8 @@ REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "probl
            (relocator, "Relocation"), (linalg, "project_zero_sum"), (linalg, "project_range"),
            (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals"),
            (schedule, "Observables"), (driver, "check_limits"), (schedule, "RelaxationPlan"),
-           (scheme, "feasibility_margin"), (graph, "matching_topologies")]
+           (scheme, "feasibility_margin"), (graph, "matching_topologies"), (driver, "_State"),
+           (driver, "_EngineStep"), (driver, "_lanes_of")]
 
 
 def test_exported_names_exist():
@@ -66,3 +69,18 @@ def test_test_only_knobs_are_absent():
                    for p in inspect.signature(fn).parameters.values()), fn.__name__
     # the lane layout writes the block layout's products, broadcast over the stack
     assert not hasattr(engine._Emitter, "_per_lane")
+
+
+def test_the_engine_owns_its_step():
+    # a step is made by SweepPlan.start or Step.lane alone, so a plan has no public step
+    # factory, and the engine's tests reach no private name of the driver
+    plan = engine.SweepPlan(propsuites.kappa_scheme(graph.SEQUENTIAL, 3),
+                            propsuites.graph_split(3, 0))
+    assert not hasattr(plan, "step")
+    tree = ast.parse((Path(__file__).parent / "test_engine.py").read_text())
+    private = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "relsplit.driver" for a in node.names if a.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "driver"
+                and node.attr.startswith("_")]
+    assert private == []
