@@ -10,7 +10,6 @@ chain (Davis-Yin) case and all experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +55,6 @@ class DiGraph:
     @property
     def is_tree(self):
         return self.n_arcs == self.n - 1
-
-    @cached_property
-    def in_neighbors(self):
-        """For each node i (1-based), the sorted list of j with j -> i."""
-        nbrs = {i: [] for i in range(1, self.n + 1)}
-        for i, j in self.arcs:
-            nbrs[j].append(i)
-        return {i: sorted(v) for i, v in nbrs.items()}
 
 
 def _connected(n, arcs):
@@ -144,15 +135,16 @@ def incidence_pinv_closed_form(kind, n):
 
 
 def default_predecessors(g):
-    """Predecessor choice used when none is supplied: smallest in-neighbor, else node 1.
+    """Predecessor h(i) of each node i >= 2: its smallest in-neighbor, else node 1.
 
-    Only h(i) < i matters for the scheme conditions (R lower triangular with
-    unit row sums); the fallback keeps inward stars usable for n >= 3.
+    One pass over the arcs in descending order, so the smallest in-neighbor
+    of a node is written last. Only h(i) < i matters for the scheme
+    conditions (R lower triangular with unit row sums); the fallback keeps
+    inward stars usable for n >= 3.
     """
-    h = {}
-    for i in range(2, g.n + 1):
-        nbrs = g.in_neighbors[i]
-        h[i] = nbrs[0] if nbrs else 1
+    h = dict.fromkeys(range(2, g.n + 1), 1)
+    for i, j in sorted(g.arcs, reverse=True):
+        h[j] = i
     return h
 
 

@@ -61,14 +61,14 @@ def kappa_scheme(kind, n):
     return kappa_form_scheme(graphmod.scheme_from_graph(graphmod.canonical(kind, n)))
 
 
-def small_lasso_setup(seed=3):
+def small_lasso_setup(seed):
     """Chain scheme plus a small constrained-LASSO split (Davis-Yin shape)."""
     prob = problems.gen_lasso(20, 30, seed, spectrum=(0.5, 1.5), lam=1e-2, u=50.0)
     split = problems.split_lasso(prob)
     return kappa_scheme(graphmod.SEQUENTIAL, 2), split, prob
 
 
-def small_elastic_setup(seed=5, kind=graphmod.SEQUENTIAL):
+def small_elastic_setup(seed, kind=graphmod.SEQUENTIAL):
     """Canonical n=3 scheme plus a small nonnegative elastic-net split."""
     prob = problems.gen_elastic_net(25, 20, seed, n_corr=2, noise_sd=0.01)
     split = problems.split_elastic(prob)

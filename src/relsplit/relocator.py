@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from . import engine, graph as graphmod
+from . import engine, graph as graphmod, linalg
 from .errors import ParameterError, StructuralError
 from .scheme import kappa_form_scheme
 
@@ -111,12 +111,15 @@ def pick_kind(requested, s):
 def relocation_map(kind, s):
     """The matrix K of Q_{delta <- gamma} z = r z + (1 - r) K x on scheme ``s``.
 
-    ``check_kind`` checks ``kind`` first. For ``general`` K = M^dagger (D - N_<)
-    and x is the full sweep output at (gamma, z), applied as ``K @ x``; a
-    cheap kind's K is a column of ones, so it is None and x_1 is broadcast.
+    ``check_kind`` checks ``kind`` first. For ``general`` K = M^dagger (D - N_<),
+    formed from the scheme's matrices as they are at this call, and x is the
+    full sweep output at (gamma, z), applied as ``K @ x``; a cheap kind's K is
+    a column of ones, so it is None and x_1 is broadcast.
     """
     check_kind(kind, s)
-    return s.pinv_M @ (np.diag(s.d) - np.tril(s.N, -1)) if kind == GENERAL else None
+    if kind != GENERAL:
+        return None
+    return linalg.pseudoinverse(s.M) @ (np.diag(s.d) - np.tril(s.N, -1))
 
 
 def e_map(s, x):
@@ -155,23 +158,35 @@ def relocate(kind, s, prob, delta, gamma, z):
 
 def lipschitz_constant(kind, s, delta, gamma, beta):
     """Lipschitz constant of Q_{delta <- gamma}; always >= 1 and = 1 when delta = gamma."""
-    r = _check_ratio(delta, gamma)
+    return _lipschitz(kind, s, _check_ratio(delta, gamma), gamma, beta, _norms(kind, s))
+
+
+def _norms(kind, s):
+    """Check ``kind``; the spectral norms of (M^dagger, M, N, P, R) that its bound reads.
+
+    Only the general kind's bound reads norms; a cheap kind's are ().
+    """
     check_kind(kind, s)
-    return _lipschitz(kind, s, r, gamma, beta)
+    mats = (linalg.pseudoinverse(s.M), s.M, s.N, s.P, s.R) if kind == GENERAL else ()
+    return tuple(linalg.spectral_norm(a) for a in mats)
 
 
-def _lipschitz(kind, s, r, gamma, beta):
-    """``lipschitz_constant`` at the ratio r = delta/gamma, of a kind already checked."""
+def _lipschitz(kind, s, r, gamma, beta, norms):
+    """``lipschitz_constant`` at the ratio r = delta/gamma, with ``_norms(kind, s)``."""
     a = abs(1.0 - r)
     if kind == GENERAL:
-        return max(1.0, r + a * s.norm_pinv_M * _e_lipschitz(s, gamma, beta))
+        return max(1.0, r + a * norms[0] * _e_lipschitz(s, gamma, beta, *norms[1:]))
     return max(1.0, r + a * _CHEAP_AMPLITUDE[kind](s.n))
 
 
-def _e_lipschitz(s, gamma, beta):
-    """Lipschitz constant of the e map, via the C_i(gamma) recursion."""
+def _e_lipschitz(s, gamma, beta, norm_M, norm_N, norm_P, norm_R):
+    """Lipschitz constant of the e map, via the C_i(gamma) recursion.
+
+    The spectral norms of M, N, P and R are the caller's, so a series over
+    many stepsizes computes them once.
+    """
     root_m = np.sqrt(s.m)
-    base = root_m * s.norm_M
+    base = root_m * norm_M
     c = np.empty(s.n)
     c[0] = base
     ratios = np.empty(s.n)
@@ -181,11 +196,11 @@ def _e_lipschitz(s, gamma, beta):
         s_f = 0.0
         for j in range(min(i, s.p)):
             s_f += ratios[: j + 1].sum()
-        c[i] = base + s.norm_N * s_n + gamma * beta * s.norm_P * s.norm_R * s_f
+        c[i] = base + norm_N * s_n + gamma * beta * norm_P * norm_R * s_f
         ratios[i] = c[i] / s.d[i]
     total = c[0] ** 2
     for i in range(1, s.n):
-        total += (c[i] + s.norm_N * ratios[:i].sum()) ** 2
+        total += (c[i] + norm_N * ratios[:i].sum()) ** 2
     return float(np.sqrt(total))
 
 
@@ -199,8 +214,8 @@ def lipschitz_series(kind, s, gammas, beta):
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size < 2:
         raise ParameterError("the series needs at least two stepsizes")
-    check_kind(kind, s)
-    return float(sum(_lipschitz(kind, s, _check_ratio(nxt, gamma), gamma, beta) - 1.0
+    norms = _norms(kind, s)
+    return float(sum(_lipschitz(kind, s, _check_ratio(nxt, gamma), gamma, beta, norms) - 1.0
                      for gamma, nxt in zip(gammas[:-1], gammas[1:])))
 
 

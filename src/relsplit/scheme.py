@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,30 +67,6 @@ class CoefficientScheme:
     def m(self):
         return self.M.shape[1]
 
-    @cached_property
-    def pinv_M(self):
-        return linalg.pseudoinverse(self.M)
-
-    @cached_property
-    def norm_M(self):
-        return linalg.spectral_norm(self.M)
-
-    @cached_property
-    def norm_N(self):
-        return linalg.spectral_norm(self.N)
-
-    @cached_property
-    def norm_P(self):
-        return linalg.spectral_norm(self.P)
-
-    @cached_property
-    def norm_R(self):
-        return linalg.spectral_norm(self.R)
-
-    @cached_property
-    def norm_pinv_M(self):
-        return linalg.spectral_norm(self.pinv_M)
-
 
 def condition_report(s):
     """Evaluate the six structural conditions (to VALIDATION_TOL); [(label, ok, detail)]."""
@@ -102,7 +77,8 @@ def condition_report(s):
     rank = int(np.sum(sv > cutoff))
     ones_resid = float(np.linalg.norm(s.M.T @ np.ones(s.n)))
     # an overflowed ||M* 1|| would pass against an overflowed ||M||
-    ok_a = rank == s.n - 1 and math.isfinite(ones_resid) and ones_resid <= tol * max(1.0, s.norm_M)
+    ok_a = (rank == s.n - 1 and math.isfinite(ones_resid)
+            and ones_resid <= tol * max(1.0, linalg.spectral_norm(s.M)))
     report.append(("a", ok_a, f"rank(M) = {rank} (need {s.n - 1}), ||M* 1|| = {ones_resid:.3e}"))
 
     resid_b = float(np.max(np.abs(s.P.T @ np.ones(s.n) - 1.0))) if s.p else 0.0

@@ -68,7 +68,7 @@ def lasso_stack():
     return lambda iters: driver.run_grid([replace(cfg, max_iters=iters) for cfg in cfgs], z0)
 
 
-# (Python, C) calls per iteration with the step generated whole (engine.SweepPlan.step),
+# (Python, C) calls per iteration with the step generated whole (engine.SweepPlan._step),
 # L1Subdiff.resolve forming the soft-threshold itself and a stack's stop test one plain
 # loop over fix_res. Before those two, the Python counts were 14.0 (lasso_dy), 12.0 (its
 # constant run), 17.36 and 15.36 (elastic_sequential, as given and constant) and 57.7

@@ -14,7 +14,10 @@ REMOVED = [(problems, "metrics"), (problems, "box_violation"), (problems, "probl
            (scheme.CoefficientScheme, "ker_mstar_is_ones"), (driver.Trace, "forward_evals"),
            (schedule, "Observables"), (driver, "check_limits"), (schedule, "RelaxationPlan"),
            (scheme, "feasibility_margin"), (graph, "matching_topologies"), (driver, "_State"),
-           (driver, "_EngineStep"), (driver, "_lanes_of")]
+           (driver, "_EngineStep"), (driver, "_lanes_of"), (scheme.CoefficientScheme, "pinv_M"),
+           (scheme.CoefficientScheme, "norm_M"), (scheme.CoefficientScheme, "norm_N"),
+           (scheme.CoefficientScheme, "norm_P"), (scheme.CoefficientScheme, "norm_R"),
+           (scheme.CoefficientScheme, "norm_pinv_M"), (graph.DiGraph, "in_neighbors")]
 
 
 def test_exported_names_exist():
@@ -27,6 +30,9 @@ def test_removed_names_are_absent():
         assert name not in relsplit.__all__ and not hasattr(relsplit, name)
     # a scheme is its five matrices; the relocator kinds it admits are derived from them
     assert list(scheme.CoefficientScheme.__dataclass_fields__) == ["d", "M", "N", "P", "R"]
+    # and no value derived from a scheme's matrices or a graph's arcs is cached on it
+    assert [p.name for p in Path(relsplit.__file__).parent.glob("*.py")
+            if "cached_property" in p.read_text()] == []
     # the safeguard's bounds are SAFETY * 2/mu and a tenth of that, not fields
     assert list(schedule.ScheduleSpec.__dataclass_fields__) == ["variant", "gamma", "t_rule"]
     assert "accel_gap" not in inspect.signature(schedule.SafeguardStepsize).parameters
@@ -64,6 +70,8 @@ def test_test_only_knobs_are_absent():
     for fn, params in takes.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
     assert "max_iters" not in inspect.signature(propsuites.converge).parameters
+    for fn in (propsuites.small_lasso_setup, propsuites.small_elastic_setup):
+        assert inspect.signature(fn).parameters["seed"].default is inspect.Parameter.empty
     for fn in (propsuites.run_suite, linalg.as_blocks):
         assert all(p.default is inspect.Parameter.empty
                    for p in inspect.signature(fn).parameters.values()), fn.__name__

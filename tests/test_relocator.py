@@ -379,3 +379,23 @@ def test_relocate_checks_shapes():
     assert np.array_equal(relocate(GENERAL, s, split, 0.5, 0.4, z), r * z + (1.0 - r) * (K @ x))
     assert np.array_equal(relocate(graphmod.SEQUENTIAL, s, split, 0.5, 0.4, z),
                           r * z + (1.0 - r) * x[0])
+
+
+def test_derived_values_follow_the_matrices():
+    # a scheme holds its matrices only: K and the general bound are formed from them at
+    # each call, so an in-place edit of a matrix is never answered from an earlier value
+    s = kappa_scheme(graphmod.SEQUENTIAL, 3)
+    K = relocator.relocation_map(GENERAL, s)
+    before = lipschitz_constant(GENERAL, s, 0.45, 0.3, 1.7)
+    s.M[:] = s.M[:, ::-1]
+    want = np.linalg.pinv(s.M, rcond=1e-12) @ (np.diag(s.d) - np.tril(s.N, -1))
+    assert np.array_equal(relocator.relocation_map(GENERAL, s), want)
+    assert not np.allclose(want, K)
+    # a column swap keeps every spectral norm; doubling N changes ||N||
+    s.N[:] *= 2.0
+    edited = CoefficientScheme(s.d, s.M.copy(), s.N.copy(), s.P, s.R)
+    after = lipschitz_constant(GENERAL, s, 0.45, 0.3, 1.7)
+    assert after == lipschitz_constant(GENERAL, edited, 0.45, 0.3, 1.7) and after != before
+    gammas = [0.3, 0.45, 0.2]
+    assert (relocator.lipschitz_series(GENERAL, s, gammas, 1.7)
+            == relocator.lipschitz_series(GENERAL, edited, gammas, 1.7))
