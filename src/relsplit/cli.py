@@ -22,7 +22,9 @@ under any relocator, as lanes of one stack, a smaller group one method
 after another; either way each method's trace is that of its own ``run``.
 A stack pays each iteration's numpy calls once for all its lanes and
 per-lane Python only where they differ: a constant-stepsize method makes
-no schedule call after its first iteration.
+no schedule call after its first iteration, and the lanes that record a
+trace row at an iteration get their rows in one pass, with one objective
+call on the stack of their iterates.
 """
 
 from __future__ import annotations

@@ -61,8 +61,13 @@ that run's. Each resolvent is still called once per lane per evaluation;
 the other numpy calls of an iteration serve all lanes. The stack pays
 per-lane Python only where lanes differ: after k = 0 only a lane whose
 stepsize moves calls its control's ``start`` and ``next_gamma``, one pass
-over the stack's fix_res finds the lanes that stop, and a lane's ``check``
-runs only when it stops or may record a row. A lane leaves the
+over the stack's fix_res finds the lanes that stop, and a lane's stop test
+(``_RunControl.stops``) runs only when it stops or may record a row. The
+lanes that record a row at k get their rows in one pass: one consensus
+evaluation over the lanes (``Step.rows``), one objective call per distinct
+objective on the stack of their shadow iterates and one distance to x* per
+distinct reference, each lane appending its own numbers
+(``_RunControl.append``, which a single run's ``check`` also calls). A lane leaves the
 stack when its run ends; when fewer than ``MIN_LANES`` lanes start an
 iteration, each continues in ``_iterate`` on a block-plan step
 (``Step.lane``) from its exact state. A smaller group runs its methods one
@@ -121,7 +126,9 @@ class RunConfig:
     max_iters: int = 1000
     fix_res_tol: float = 1e-10
     record_every: int = 1
-    objective: object | None = None          # callable x -> float, for the trace
+    # callable x -> float, for the trace; on an (r, d) stack of iterates (run_grid's
+    # lanes that record a row) it returns r values, one per row, else a StructuralError
+    objective: object | None = None
     reference: tuple | None = None           # (x_star, phi_star) for relative errors
 
     def __post_init__(self):
@@ -184,9 +191,10 @@ class _RunControl:
     the index and stepsize of the run's next iteration, so a run resumes in
     ``_iterate`` where it stands; ``row`` is the next k at which ``check``
     must run whatever fix_res is, the next recorded row. Each method that
-    ends the run sets the trace's converged flag or abort text. A step
-    method that serves several runs takes the run's ``lane`` index, which
-    the methods pass on.
+    ends the run sets the trace's converged flag or abort text. A stack of
+    runs calls each lane's ``stops`` and ``append`` where a single run calls
+    ``check``, and passes the lane's index to ``finish``, which reads the
+    lane's state from the stack's step.
     """
 
     def __init__(self, cfg, mu_value):
@@ -224,40 +232,53 @@ class _RunControl:
         self.trace.iterations = k   # the loop checks only some iterations
         return False
 
-    def check(self, k, fix_res, step, *lane):
-        """True when fix_res ends the run: at the tolerance, or non-finite (an abort).
+    def stops(self, k, fix_res):
+        """True when fix_res ends the run at k: at the tolerance, or non-finite (an abort).
 
-        Records row k, from ``step.row(*lane)``, when the run stops there, when
-        k is a multiple of ``record_every`` and at k = ``last``, and sets
-        ``row``. With a reference (x*, phi*), the row's relative errors are
-        rel_err_x = ||x - x*|| / max(||x*||, 1e-30) and
-        rel_err_f = |phi - phi*| / max(|phi*|, 1e-30).
+        Sets the trace's iterations and its converged flag or abort text, and
+        ``row``, the first k' > k at which the run records a row when it does
+        not stop there.
         """
         trace = self.trace
         trace.iterations = k + 1
-        stop = True
-        if fix_res <= self.tol:
-            trace.converged = True
-        elif not fix_res < _INF:
-            trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
-        else:
-            stop = False
-        if stop or k % self.record_every == 0 or k == self.last:
-            consensus, xbar, evals = step.row(*lane)
-            phi = float(self.objective(xbar)) if self.objective is not None else _NAN
-            errs = ((norm(xbar - self.x_star) / self.x_den, abs(phi - self.phi_star) / self.f_den)
-                    if self.reference else (_NAN, _NAN))
-            for append, v in zip(self.appends, (k, self.gamma, 1.0, self.lam, fix_res,
-                                                consensus, phi, *errs, evals)):
-                append(v)
-        self.row = self.next_row(k)
-        return stop
-
-    def next_row(self, k):
-        """The first k' > k at which ``check`` records a row when the run does not stop there."""
         every = self.record_every
         after = k - k % every + every
-        return self.last if k < self.last < after else after
+        self.row = self.last if k < self.last < after else after
+        if fix_res <= self.tol:
+            trace.converged = True
+            return True
+        if not fix_res < _INF:
+            trace.aborted = f"non-finite fix_res = {fix_res} at k={k}"
+            return True
+        return False
+
+    def check(self, k, fix_res, step):
+        """True when fix_res ends the run (``stops``); records row k from ``step.row()``.
+
+        A row is recorded when the run stops at k, when k is a multiple of
+        ``record_every`` and at k = ``last``. A stack of runs tests its lanes
+        with ``stops`` and forms their rows at once (``_Lanes``).
+        """
+        stop = self.stops(k, fix_res)
+        if stop or k % self.record_every == 0 or k == self.last:
+            consensus, x, evals = step.row()
+            self.append(k, fix_res, consensus,
+                        float(self.objective(x)) if self.objective is not None else _NAN,
+                        norm(x - self.x_star) if self.reference else _NAN, evals)
+        return stop
+
+    def append(self, k, fix_res, consensus, phi, dist, evals):
+        """Append row k to the trace: ``phi`` is the objective, ``dist`` ||x - x*||.
+
+        With a reference (x*, phi*), the row's relative errors are
+        rel_err_x = dist / max(||x*||, 1e-30) and
+        rel_err_f = |phi - phi*| / max(|phi*|, 1e-30); without one they are NaN.
+        """
+        errs = ((dist / self.x_den, abs(phi - self.phi_star) / self.f_den)
+                if self.reference else (_NAN, _NAN))
+        for append, v in zip(self.appends, (k, self.gamma, 1.0, self.lam, fix_res,
+                                            consensus, phi, *errs, evals)):
+            append(v)
 
     def next_gamma(self, k, norms):
         """gamma_{k+1}/gamma_k, or None when gamma_{k+1} leaves (0, 2/mu), which aborts the run.
@@ -297,7 +318,8 @@ def _iterate(step, control):
     (z, x, evals) at the end. On a stack of runs the step is an
     ``engine.Step`` on a lane plan, whose gamma, lam and ratio are the
     lanes' columns, and the control is ``_Lanes``, whose ``row`` is always
-    the next k and which passes each lane's index to those reads.
+    the next k, which reads the rows of the lanes that record one at once
+    (``rows(lanes)``) and passes each lane's index to ``state``.
     """
     start, check, next_gamma = control.start, control.check, control.next_gamma
     residuals, advance, relocate = step.residuals, step.advance, step.relocate
@@ -344,6 +366,22 @@ def run(cfg, z0=None):
 MIN_LANES = 3   # below this, per-lane Python work costs more than the shared numpy calls save
 
 
+def _shared_by(controls):
+    """(objectives, references): each distinct objective and reference x* of ``controls``.
+
+    Each is a list of (the callable or x*, the positions in ``controls`` of
+    the runs that share it), in order of first use; objects are told apart
+    by identity.
+    """
+    objectives, references = {}, {}
+    for p, control in enumerate(controls):
+        if control.objective is not None:
+            objectives.setdefault(id(control.objective), (control.objective, []))[1].append(p)
+        if control.reference:
+            references.setdefault(id(control.x_star), (control.x_star, []))[1].append(p)
+    return list(objectives.values()), list(references.values())
+
+
 class _Lanes:
     """The control of a stack of runs, which one ``_iterate`` call drives on a lane-plan step.
 
@@ -356,17 +394,19 @@ class _Lanes:
       lambda_k) and ``ratio`` (their column of gamma_{k+1}/gamma_k) are kept
       as state. Each iteration, only a lane whose stepsize moves
       (``_RunControl.moves``) calls its ``start`` and ``next_gamma`` and
-      updates its entries in place. Every lane starts at k = 0 and at
-      ``end``, the stack's first max_iters. The step forms the norm pairs
-      of the moving lanes that read them (``reads_norms``).
+      updates its entries in place, through the columns' flat views
+      ``lams`` and ``ratios``. Every lane starts at k = 0 and at ``end``,
+      the stack's first max_iters. The step forms the norm pairs of the
+      moving lanes that read them (``reads_norms``).
     * ``check`` runs every iteration (``row`` is always the next k, so the
       loop never compares the stack's fix_res list with ``tol``). Its first
       pass over the stack's fix_res is a plain loop against ``tol``, the
       lanes' largest tolerance: while every fix_res is in (``tol``, inf), a
       test that NaN fails, no lane stops. Otherwise it lists the lanes that
-      stop and calls only their ``check``; at ``record``, the first k at
-      which some lane may record a row (``_RunControl.next_row``), it calls
-      every lane's.
+      stop and calls only their ``stops``; at ``record``, the first k at
+      which some lane may record a row (the least of the lanes' ``row``),
+      it calls every lane's. The lanes that stop or record at k get their
+      rows from ``_record`` in one pass.
 
     A lane whose run ends is finished at the step's state and dropped
     (``Step.keep``), before any further resolvent call for it. When fewer
@@ -381,8 +421,16 @@ class _Lanes:
     def __init__(self, lanes, step, block_plan):
         self.lanes, self.step, self.block_plan = lanes, step, block_plan
         self.gamma = [lane.gamma for lane in lanes]
-        self.lam = np.zeros((len(lanes), 1, 1))   # set by every lane's start(0)
-        self.ratio = np.ones_like(self.lam)
+        self._columns(np.zeros((len(lanes), 1, 1)), np.ones((len(lanes), 1, 1)))
+
+    def _columns(self, lam, ratio):
+        """Keep the (L, 1, 1) columns ``lam`` and ``ratio`` and their flat views.
+
+        A lane's entry is written through the flat view (``lams[i] = v``), a
+        scalar store, where ``lam[i] = v`` assigns to a (1, 1) slice.
+        """
+        self.lam, self.ratio = lam, ratio
+        self.lams, self.ratios = lam.reshape(-1), ratio.reshape(-1)
 
     def _drop(self, ended):
         """Finish the lanes at the indices ``ended``, drop them from the stack and re-index it."""
@@ -394,19 +442,20 @@ class _Lanes:
             self.lanes = lanes = [lanes[i] for i in keep]
             self.step.keep(keep)
             self.gamma = [self.gamma[i] for i in keep]
-            self.lam, self.ratio = self.lam[keep], self.ratio[keep]
+            self._columns(self.lam[keep], self.ratio[keep])
         self.moving = [i for i, lane in enumerate(lanes) if lane.moves]
         self.reads_norms = [i for i in self.moving if lanes[i].reads_norms]
         self.end = min((lane.max_iters for lane in lanes), default=0)
         self.tol = max((lane.tol for lane in lanes), default=0.0)
+        self.shared = _shared_by(lanes)
 
     def start(self, k):
         self.k = k   # where a hand-off resumes each lane
-        lanes, lam, every = self.lanes, self.lam, k == self.end
+        lanes, lams, every = self.lanes, self.lams, k == self.end
         ended = []
         for i in range(len(lanes)) if every else self.moving:
             if lanes[i].start(k):
-                lam[i] = lanes[i].lam
+                lams[i] = lanes[i].lam
             else:
                 ended.append(i)
         if ended or every:
@@ -415,11 +464,10 @@ class _Lanes:
 
     def check(self, k, fix_res, step):
         self.row = k + 1
-        lanes = self.lanes
-        if k == self.record:
+        lanes, at_record = self.lanes, k == self.record
+        if at_record:
             checked = range(len(lanes))
-            self.record = min(lane.next_row(k) for lane in lanes)
-        else:   # the lanes whose run stops at k, as their check decides
+        else:   # the lanes whose run stops at k, as their stop test decides
             tol = self.tol
             for r in fix_res:   # none stops while every fix_res is in (largest tol, inf)
                 if not tol < r < _INF:
@@ -430,17 +478,57 @@ class _Lanes:
                        if not lane.tol < r < _INF]
             if not checked:
                 return False
-        ended = [i for i in checked if lanes[i].check(k, fix_res[i], step, i)]
+        ended, rows = [], []
+        for i in checked:
+            lane = lanes[i]
+            if lane.stops(k, fix_res[i]):
+                ended.append(i)
+                rows.append(i)
+            elif k % lane.record_every == 0 or k == lane.last:
+                rows.append(i)
+        if rows:
+            self._record(k, rows, fix_res, step)
         if ended:
             self._drop(ended)
+        if at_record:
+            self.record = min((lane.row for lane in self.lanes), default=k)
         return not self.lanes
+
+    def _record(self, k, rows, fix_res, step):
+        """Append row k to the traces of the lanes at the sorted indices ``rows``.
+
+        The rows are formed at once: their consensus and x_1 by ``Step.rows``,
+        their objective by one call of each distinct callable on the stack of
+        its lanes' x_1 (``RunConfig.objective``'s stack contract: one value
+        per row) and ||x - x*|| by one ``np.vecdot`` per distinct reference.
+        Each lane then appends its own numbers (``_RunControl.append``), so a
+        lane's row is bitwise the row its own ``run`` records.
+        """
+        lanes = self.lanes
+        consensus, x, evals = step.rows(rows)
+        objectives, references = (self.shared if len(rows) == len(lanes)
+                                  else _shared_by([lanes[i] for i in rows]))
+        phi, dist = [_NAN] * len(rows), [_NAN] * len(rows)
+        for fn, at in objectives:
+            values = np.asarray(fn(x if len(at) == len(rows) else x[at]), dtype=float)
+            if values.shape != (len(at),):
+                raise StructuralError(f"objective of a ({len(at)}, {x.shape[1]}) stack must "
+                                      f"return one value per row, got shape {values.shape}")
+            for p, v in zip(at, values.tolist()):
+                phi[p] = v
+        for x_star, at in references:
+            diff = (x if len(at) == len(rows) else x[at]) - x_star
+            for p, v in zip(at, np.sqrt(np.vecdot(diff, diff)).tolist()):
+                dist[p] = v
+        for p, i in enumerate(rows):
+            lanes[i].append(k, fix_res[i], consensus[p], phi[p], dist[p], evals)
 
     def next_gamma(self, k, norms):
         """The lanes' column of gamma_{k+1}/gamma_k, or None.
 
         ``norms`` holds the norm pair of each lane in ``reads_norms``, by lane.
         """
-        lanes, gamma, ratio = self.lanes, self.gamma, self.ratio
+        lanes, gamma, ratios = self.lanes, self.gamma, self.ratios
         ended = []
         for i in self.moving:
             lane = lanes[i]
@@ -449,7 +537,7 @@ class _Lanes:
                 ended.append(i)
             else:
                 gamma[i] = lane.gamma
-                ratio[i] = r
+                ratios[i] = r
         if ended:
             self._drop(ended)
             if not self.lanes:

@@ -24,13 +24,14 @@ with the scheme's constants folded into the text once:
   product M z;
 * division by d_i = 1 and multiplication by a unit N_ij/d_i or P_ij are
   skipped; a divisor d_i != 1 and a coefficient N_ij/d_i != 1 of an array
-  are named in the text (``(z[0] - z[1]) / D1``, ``C2_1 * x1``), as is the
-  lane layout relocation's 1 (``ONE - ratio``), and bound once per plan, in
-  ``bind``, as read-only 0-d float64 arrays (``linalg.constant``), so numpy
-  does not convert a Python float operand on every call; arithmetic on a
-  Python float stepsize (``s1 = gamma / 2.0``, a non-unit P_ij's
-  ``gamma * P_ij / d_i``) keeps its literals and stays in Python floats,
-  where a 0-d array would cost more than it saves;
+  are named in the text (``(z[0] - z[1]) / D1``, ``C2_1 * x1``), as are the
+  lane layout relocation's 1 (``ONE - ratio``) and a non-unit P_ij's
+  operands of the lanes' (L, 1) stepsize column (``(gamma * P2_1 / D2)``),
+  and bound once per plan, in ``bind``, as read-only 0-d float64 arrays
+  (``linalg.constant``), so numpy does not convert a Python float operand
+  on every call; arithmetic on a Python float stepsize (``s1 = gamma /
+  2.0``, the block layout's ``(gamma * 0.5 / 2.0)``) keeps its literals and
+  stays in Python floats, where a 0-d array would cost more than it saves;
 * when M is an incidence matrix (one +1 and one -1 per column, as on every
   graph scheme), M* x is the edge differences x_a - x_b, and a consensus
   pair that is an edge reuses its difference.
@@ -155,8 +156,9 @@ class _Emitter:
     lanes' flattened blocks, whose float64 loop is the dot product that the
     block layout's ``flat.dot(flat)`` calls, and a lane's norm pair is formed
     as the block layout forms it. A constant array operand, a divisor d_i or
-    a coefficient N_ij/d_i other than 1 or the lane relocation's 1, is a name
-    in the text (``D{i}``, ``C{i}_{j}``, ``ONE``; ``consts`` holds their
+    a coefficient N_ij/d_i other than 1, the lane relocation's 1 or a lane
+    forward coefficient's P_ij other than 1 (with its d_i), is a name in the
+    text (``D{i}``, ``C{i}_{j}``, ``ONE``, ``P{i}_{j}``; ``consts`` holds their
     values) that ``bind`` binds once to a read-only 0-d array; scalar
     arithmetic on a stepsize keeps Python floats and float literals.
     ``general`` selects the relocation formula: the general relocator's K
@@ -235,7 +237,12 @@ class _Emitter:
             if j not in applied:
                 lines.append(f"f{j} = apply_{j}({self._forward_arg(j)})")
                 applied.add(j)
-            coef = step if c == 1.0 else f"(gamma * {_lit(c)} / {_lit(di)})"
+            if c == 1.0:
+                coef = step
+            elif lanes:   # the (L, 1) gamma column times bound operands
+                coef = f"(gamma * {self._const(f'P{i}_{j}', c)} / {self._const(f'D{i}', di)})"
+            else:
+                coef = f"(gamma * {_lit(c)} / {_lit(di)})"
             arg = f"{arg} {'+' if neg else '-'} {coef} * f{j}"
         if neg:
             arg = f"-({arg})"
@@ -374,8 +381,10 @@ class SweepPlan:
     stepsizes, z an (L, m, d) stack, each output an (L, d) array, ||M* x||
     a list of L floats and ``ratio`` an (L, 1, 1) column; ``reads`` lists the
     lanes whose norm pairs ``advance`` returns, as a dict by lane.
-    ``consensus`` takes one lane's blocks. ``general`` is True for the
-    general relocator's plan and False for a cheap kind's.
+    ``pairs`` lists the node pairs (i, j), i < j, whose distances the
+    consensus of a ``Step``'s rows reads, each with its edge in M* x or None.
+    ``general`` is True for the general relocator's plan and False for a
+    cheap kind's.
     """
 
     def __init__(self, s, prob, K=None, lanes=False):
@@ -398,20 +407,6 @@ class SweepPlan:
         """
         aw = None if self.general else self.first_block(gamma, z)
         return Step(self, _State(z, aw, None, 0 if self.general else 1))
-
-    def consensus(self, x, mstar_x):
-        """max_{i<j} ||x_i - x_j|| of the n outputs x, given their M* x from ``residuals``.
-
-        A pair that is an edge of an incidence matrix M reuses that edge's
-        difference in M* x. A NaN pair makes the consensus NaN, as in ``residuals``.
-        """
-        worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
-        for i, j, e in self.pairs:
-            v = x[i] - x[j] if e is None else mstar_x[e]
-            sq = v.dot(v)
-            if sq > worst or sq != sq:   # NaN fails every comparison but this one
-                worst = sq
-        return math.sqrt(worst)
 
     def blocks(self, z):
         """``z`` as an (m, dim) float block vector, or a StructuralError."""
@@ -454,17 +449,47 @@ class Step:
     float operations of their own runs, so each lane's iterates are bitwise
     its run's, and one evaluation count serves every lane. The readers of one
     run's values take ``*lane``: a lane index on a stack, nothing for one run
-    (``a[()]`` is all of ``a``). ``SweepPlan.start`` makes a fresh step.
+    (``a[()]`` is all of ``a``); ``rows(lanes)`` reads the trace rows of
+    several lanes of a stack at once. ``SweepPlan.start`` makes a fresh step.
     """
 
     def __init__(self, plan, st):
-        self.st, self._consensus = st, plan.consensus
+        self.st, self._pairs = st, plan.pairs
         self.residuals, self.advance, self.relocate = plan._step(st)
 
     def row(self, *lane):
-        """(consensus, x_1, evals) of the last ``residuals``."""
+        """(consensus, x_1, evals) of the last ``residuals``.
+
+        The consensus is max_{i<j} ||x_i - x_j||; a pair that is an edge of an
+        incidence matrix M reuses that edge's difference in M* x, and a NaN
+        pair makes it NaN, as in ``residuals``.
+        """
         st = self.st
-        return self._consensus([x[lane] for x in st.xs], st.mstar_x[lane]), st.xs[0][lane], st.evals
+        xs, mstar_x = st.xs, st.mstar_x[lane]
+        worst = 0.0   # largest squared distance; sqrt is monotone, so one sqrt suffices
+        for i, j, e in self._pairs:
+            v = xs[i][lane] - xs[j][lane] if e is None else mstar_x[e]
+            sq = v.dot(v)
+            if sq > worst or sq != sq:   # NaN fails every comparison but this one
+                worst = sq
+        return math.sqrt(worst), xs[0][lane], st.evals
+
+    def rows(self, lanes):
+        """``row`` of each of the stack's lanes at the sorted indices ``lanes``, formed at once.
+
+        Returns the list of their consensus values, the (len(lanes), d) stack
+        of their x_1 and evals. Each value is bitwise that lane's ``row``: one
+        ``np.vecdot`` per pair serves every lane, and ``np.maximum`` makes a
+        lane's value NaN from its first NaN pair on, as ``row`` does.
+        """
+        st = self.st
+        at = slice(None) if len(lanes) == len(st.z) else lanes
+        xs, mstar_x = [x[at] for x in st.xs], st.mstar_x[at]
+        worst = np.zeros(len(mstar_x))
+        for i, j, e in self._pairs:
+            v = xs[i] - xs[j] if e is None else mstar_x[:, e]
+            np.maximum(worst, np.vecdot(v, v), out=worst)
+        return np.sqrt(worst).tolist(), xs[0], st.evals
 
     def state(self, *lane):
         """Copies of (z, x_1 or None before the first ``residuals``) and evals."""

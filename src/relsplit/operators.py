@@ -251,13 +251,16 @@ class LeastSquaresGrad(CocoerciveOp):
         return out
 
     def residual(self, x):
-        """A x - b at a d-vector x.
+        """A x - b at a d-vector x, or of each row of an (r, d) stack of them.
 
-        When x is bitwise the factored ``apply``'s last input, this is that
-        apply's residual (shared, so read-only); otherwise it is computed as
-        ``A @ x - b``.
+        When a d-vector x is bitwise the factored ``apply``'s last input, this
+        is that apply's residual (shared, so read-only); otherwise it is
+        computed as ``A @ x - b``. A stack's rows are one batch of
+        matrix-vector products, each row bitwise its own ``A @ x - b``.
         """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == self.dim:
+            return np.matmul(self.A, x[..., None])[..., 0] - self.b
         if x.shape != (self.dim,):
             raise StructuralError(f"expected vector of dim {self.dim}, got shape {x.shape}")
         memo = self._memo

@@ -151,16 +151,26 @@ def gen_elastic_net(q, d, seed, n_corr=0, noise_sd=0.01, lam1=1e-2, lam2=1e-2):
 def objective(problem, x, residual=None):
     """The reported objective phi(x); the LASSO's is ||Ax - b||^2 + lam ||x||_1 (unhalved).
 
-    ``residual`` is A x - b when the caller already has it.
+    ``x`` is a d-vector, whose phi is a float, or an (r, d) stack of them,
+    whose phi is an array of r values, each bitwise the row's own: the rows'
+    products with A are a batch of matrix-vector products (never
+    ``x @ A.T``, which sums in another order), their dot products one
+    ``np.vecdot`` and their l1 norms one sum over the last axis.
+    ``residual`` is A x - b (row by row on a stack) when the caller already has it.
     """
+    lasso = isinstance(problem, LassoProblem)
+    if not lasso and not isinstance(problem, ElasticNetProblem):
+        raise StructuralError(f"unknown problem type {type(problem).__name__}")
     x = np.asarray(x, dtype=float)
-    r = problem.A @ x - problem.b if residual is None else residual
-    if isinstance(problem, LassoProblem):
-        return float(r @ r) + problem.lam * float(np.abs(x).sum())
-    if isinstance(problem, ElasticNetProblem):
-        return (0.5 * float(r @ r) + problem.lam1 * float(np.abs(x).sum())
-                + 0.5 * problem.lam2 * float(x @ x))
-    raise StructuralError(f"unknown problem type {type(problem).__name__}")
+    if residual is None:
+        ax = problem.A @ x if x.ndim == 1 else np.matmul(problem.A, x[..., None])[..., 0]
+        residual = ax - problem.b
+    rr, l1 = np.vecdot(residual, residual), np.abs(x).sum(axis=-1)
+    if lasso:
+        phi = rr + problem.lam * l1
+    else:
+        phi = 0.5 * rr + problem.lam1 * l1 + 0.5 * problem.lam2 * np.vecdot(x, x)
+    return float(phi) if x.ndim == 1 else phi
 
 
 def split_lasso(problem):

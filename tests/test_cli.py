@@ -16,6 +16,7 @@ from relsplit import config, driver, problems, propsuites
 from relsplit import graph as graphmod
 from relsplit.cli import SUMMARY_HEADER, main
 from relsplit.errors import ParameterError
+from relsplit.relocator import GENERAL
 from relsplit.scheme import kappa_form_scheme
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -339,6 +340,84 @@ def test_proptest_failing_suite_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         "resolvent-identity: FAIL", "  counterexample: trial 3 broke",
         "  counterexample: of 7 trials"]
+
+
+class NotAResolvent:
+    """An operator whose ``resolve`` scales its input by gamma: no resolvent, so the
+    resolvent identity fails at the first draw."""
+
+    def resolve(self, gamma, v):
+        return gamma * np.asarray(v, dtype=float)
+
+    def __repr__(self):
+        return "NotAResolvent()"
+
+
+def test_proptest_reports_the_draw_that_broke_a_suite(capsys, monkeypatch):
+    # the suite itself finds the counterexample and stops there: exit 1 with one line
+    # that names the trial of the given seed and its inputs, which replay it
+    monkeypatch.setattr(propsuites, "_random_resolvent", lambda rng: NotAResolvent())
+    assert main(["proptest", "resolvent-identity", "--trials", "7", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "resolvent-identity: FAIL" and len(lines) == 2
+    assert lines[1].startswith("  counterexample: trial 0: NotAResolvent(), gamma=")
+    assert ", delta=" in lines[1] and ", v=[" in lines[1]
+
+
+# each suite's own failure report, reached by breaking what it checks: (suite, what to
+# patch, its stand-in, the start of the first counterexample)
+BROKEN_SUITES = [
+    ("recycling", (propsuites.relocator, "check_recycling"), lambda *a, **k: False,
+     "davis-yin n=2 trial 0: gamma="),
+    ("lipschitz", (propsuites.relocator, "lipschitz_constant"), lambda *a: 0.0,
+     "davis-yin n=2 trial 0: ||Qz-Qw|| = "),
+    ("scheme-validity", (propsuites, "validate"), lambda s: ["(a) broken"],
+     "inward-star n=2 [base]: ['(a) broken']"),
+    ("pinv-closed-forms", (propsuites.graphmod, "incidence_pinv_closed_form"),
+     lambda kind, n: np.zeros((n - 1, n)), "inward-star n=2: max entry error "),
+]
+
+
+@pytest.mark.parametrize("suite,target,stand_in,first", BROKEN_SUITES,
+                         ids=[case[0] for case in BROKEN_SUITES])
+def test_proptest_suites_report_their_failures(capsys, monkeypatch, suite, target, stand_in,
+                                               first):
+    monkeypatch.setattr(*target, stand_in)
+    assert main(["proptest", suite, "--trials", "20", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{suite}: FAIL" and len(lines) > 1
+    assert lines[1].startswith(f"  counterexample: {first}")
+    assert all(line.startswith("  counterexample: ") for line in lines[1:])
+
+
+def test_proptest_relocator_axioms_report_their_failures(capsys, monkeypatch):
+    # a relocation that moves a fixed point breaks the residual, inverse, semigroup and
+    # agreement checks of both setups
+    relocate = propsuites.relocator.relocate
+
+    def moved(kind, s, prob, delta, gamma, z):
+        return relocate(kind, s, prob, delta, gamma, z) + (1.0 if kind == GENERAL else 0.0)
+
+    monkeypatch.setattr(propsuites.relocator, "relocate", moved)
+    assert main(["proptest", "relocator-axioms", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "relocator-axioms: FAIL"
+    assert all(line.startswith("  counterexample: ") for line in lines[1:])
+    texts = [line.removeprefix("  counterexample: ") for line in lines[1:]]
+    for setup in ("dy/lasso", "seq3/elastic"):
+        for start in ("general: fix_res at delta=", "general: inverse identity off by ",
+                      "general: semigroup identity off by ", "cheap vs general at delta="):
+            assert any(t.startswith(f"{setup}: {start}") for t in texts), (setup, start)
+
+
+def test_converge_names_the_residual_it_missed(monkeypatch):
+    # the baseline run of the axiom checks raises with its last fix_res and abort text
+    s, split, _ = propsuites.small_lasso_setup(1)
+    monkeypatch.setattr(propsuites, "run",
+                        lambda cfg: driver.Trace(fix_res=[2.5e-3], aborted="stopped"))
+    with pytest.raises(RuntimeError, match=r"^baseline run did not reach fix_res <= 1e-10 "
+                                           r"\(last 2\.500e-03, aborted=stopped\)$"):
+        propsuites.converge(s, split, "davis-yin", 0.5 / split.beta)
 
 
 def test_proptest_pass_line_names_the_draws_a_suite_takes(capsys):

@@ -69,19 +69,22 @@ def lasso_stack():
 
 
 # (Python, C) calls per iteration with the step generated whole (engine.SweepPlan._step),
-# L1Subdiff.resolve forming the soft-threshold itself and a stack's stop test one plain
-# loop over fix_res. Before those two, the Python counts were 14.0 (lasso_dy), 12.0 (its
-# constant run), 17.36 and 15.36 (elastic_sequential, as given and constant) and 57.7
-# (the 6-lane stack); through a method layer over the generated sweep, the norm-ratio
-# runs made 20.9 / 18.1 (lasso_dy) and 24.32 / 18.8 (elastic_sequential), their
-# constant-stepsize runs 15.9 / 10.1 and 19.32 / 10.8, and the stack 67.7 / 45.4.
+# L1Subdiff.resolve forming the soft-threshold itself, a stack's stop test one plain
+# loop over fix_res and a stack's trace rows formed in one pass (driver._Lanes._record).
+# Before the rows' pass, which also took the consensus out of a list comprehension, the
+# counts were 13.0 / 15.1 (lasso_dy), 11.0 / 9.1 (its constant run), 15.36 / 15.8 and
+# 13.36 / 9.8 (elastic_sequential, as given and constant) and 50.8 / 41.4 (the 6-lane
+# stack). Before the stop test and the soft-threshold, the Python counts were 14.0,
+# 12.0, 17.36, 15.36 and 57.7; through a method layer over the generated sweep, the
+# norm-ratio runs made 20.9 / 18.1 (lasso_dy) and 24.32 / 18.8 (elastic_sequential),
+# their constant-stepsize runs 15.9 / 10.1 and 19.32 / 10.8, and the stack 67.7 / 45.4.
 BUDGETS = {
-    "lasso_dy": (lambda: single_run("lasso_dy"), (13.0, 15.1)),
-    "lasso_dy-constant": (lambda: single_run("lasso_dy", ScheduleSpec()), (11.0, 9.1)),
-    "elastic_sequential": (lambda: single_run("elastic_sequential"), (15.36, 15.8)),
+    "lasso_dy": (lambda: single_run("lasso_dy"), (12.9, 15.1)),
+    "lasso_dy-constant": (lambda: single_run("lasso_dy", ScheduleSpec()), (10.9, 9.1)),
+    "elastic_sequential": (lambda: single_run("elastic_sequential"), (15.32, 15.8)),
     "elastic_sequential-constant": (lambda: single_run("elastic_sequential", ScheduleSpec()),
-                                    (13.36, 9.8)),
-    "bench_lasso-stack": (lasso_stack, (50.8, 41.4)),
+                                    (13.32, 9.8)),
+    "bench_lasso-stack": (lasso_stack, (46.6, 39.7)),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -538,8 +539,15 @@ def test_iteration_forms_only_what_the_run_reads(monkeypatch, spec, kind, loop):
         init(self, *args, **kwargs)
         self.advance = counting_pairs(self.advance)
 
+    rows = engine.Step.rows
+
+    def counting_rows(self, lanes):   # a stack forms its recording lanes' rows in one call
+        formed["consensus"] += len(lanes)
+        return rows(self, lanes)
+
     monkeypatch.setattr(driver, "norm", counting("norm", driver.norm))
     monkeypatch.setattr(engine.Step, "__init__", engine_init)
+    monkeypatch.setattr(engine.Step, "rows", counting_rows)
     for step in (engine.Step, driver._DavisYinStep):   # row forms the consensus
         monkeypatch.setattr(step, "row", counting("consensus", step.row))
     s, split, _ = small_lasso_setup(21)
@@ -871,6 +879,33 @@ def test_run_grid_lanes_keep_their_own_tolerance():
         assert_same_trace(trace, run(cfg, z0))
         assert trace.converged == (cfg.fix_res_tol > 1e-300)
     assert [t.iterations for t in traces] == [1231, 112, 1500, 1332, 416, 319]
+
+
+def test_stack_objective_returns_one_value_per_row():
+    # a stack calls each distinct objective once, on its recording lanes' x_1 stacked,
+    # so an objective must return one value per row; a scalar is refused by name
+    s, split, prob = small_lasso_setup(21)
+    calls = []
+
+    def phi(x):
+        calls.append(np.shape(x))
+        return problems.objective(prob, x)
+
+    m = mu(s, split.beta)
+    cfgs = [RunConfig(scheme=s, problem=split, relocator=DAVIS_YIN, max_iters=12,
+                      record_every=5, objective=phi, fix_res_tol=1e-300,
+                      schedule=ScheduleSpec(variant="constant", gamma=g / m))
+            for g in (0.5, 1.0, 1.5)]
+    z0 = default_z0(s, split, seed=2)
+    traces = run_grid(cfgs, z0)
+    assert calls == [(3, prob.dim)] * 4   # k = 0, 5, 10 and the last, 11
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(cfg, z0))
+    flat = lambda x: 0.0   # noqa: E731
+    scalar = [dataclasses.replace(cfg, objective=flat) for cfg in cfgs]
+    message = f"objective of a (3, {prob.dim}) stack must return one value per row, got shape ()"
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        run_grid(scalar, z0)
 
 
 def test_run_grid_refuses_runs_it_cannot_stack():

@@ -392,10 +392,10 @@ def check_plan_against_oracle(s, same):
         same(first_block(s, prob, gamma, z), expect[0])
         assert not np.shares_memory(first_block(s, prob, gamma, z), z)
         same(np.array(residuals(s, expect)), np.array(oracle_residuals(s, expect)))
-        xs, mstar_x, fix_res = step_residuals(plan, gamma, z)
-        same(np.array(xs), expect)
-        same(np.array([fix_res, plan.consensus(xs, mstar_x)]),
-             np.array(oracle_residuals(s, expect)))
+        step = plan.start(z, gamma)
+        fix_res = step.residuals(gamma)
+        same(np.array(step.st.xs), expect)
+        same(np.array([fix_res, step.row()[0]]), np.array(oracle_residuals(s, expect)))
         kinds = [relocator.GENERAL] + list(relocator.tree_kinds(s))
         for kind in kinds:
             general = kind == relocator.GENERAL
@@ -678,6 +678,33 @@ def test_lane_hand_off_continues_as_its_run(s):
             assert handed.row()[0] == own.row()[0]
 
 
+@pytest.mark.parametrize("s", [kappa_scheme(graphmod.SEQUENTIAL, 3),
+                               kappa_scheme(graphmod.INWARD_STAR, 4), mixed_scheme(),
+                               half_scheme()],
+                         ids=["sequential-3", "inward-star-4", "mixed", "half"])
+def test_stack_rows_are_each_lanes_row(s):
+    # one np.vecdot per node pair over the lanes forms each lane's consensus bitwise as
+    # its own row does, for every lane or some, and NaN pairs (an output's or an edge
+    # difference's) make exactly the lanes NaN that row makes NaN
+    gammas = [0.3, 0.55, 0.7, 1.1, 0.9]
+    prob = split_for(s, 3)
+    z = np.random.default_rng(8).standard_normal((len(gammas), s.m, prob.dim))
+    stack = SweepPlan(s, prob, lanes=True).start(z, gammas)
+    stack.residuals(gammas)
+    st = stack.st
+    for x in st.xs:
+        x[2, 0] = np.nan   # lane 2: every output
+    st.xs[-1][4, 1] = np.nan   # lane 4: the last output only
+    st.mstar_x[3, :, 0] = np.nan   # lane 3: every edge difference
+    for lanes in ([0, 1, 2, 3, 4], [1, 3], [2], [0, 4]):
+        consensus, x, evals = stack.rows(lanes)
+        assert evals == st.evals and np.array_equal(x, st.xs[0][lanes], equal_nan=True)
+        for got, i in zip(consensus, lanes):
+            want = stack.row(i)[0]
+            assert got == want or math.isnan(got) and math.isnan(want), (i, got, want)
+    assert math.isnan(stack.rows([2])[0][0]) and not math.isnan(stack.rows([1])[0][0])
+
+
 def test_plan_binds_its_constants_once_read_only():
     # a divisor d_i != 1 and a coefficient N_ij/d_i != 1 are names in the text, which bind
     # binds to read-only 0-d float64 arrays of their values in both layouts
@@ -836,6 +863,17 @@ def test_random_valid_schemes_run_as_the_oracle(s):
                                                                            atol=1e-12))
     check_lanes_against_blocks(s)
     prob = split_for(s, 1)
+    # a non-unit P_ij scales the lanes' (L, 1) stepsize column by bound names, where the
+    # block layout's Python float stepsize keeps the literals
+    lane_text, block_text = (SweepPlan(s, prob, lanes=lanes).source for lanes in (True, False))
+    terms = [(i, j, float(s.P[i, j])) for i in range(s.n) for j in np.flatnonzero(s.P[i, :i])
+             if s.P[i, j] != 1.0]
+    assert bool(terms) == (s.n > 2) and not re.search(r"gamma \* [-\d]", lane_text)
+    for i, j, c in terms:
+        assert f"(gamma * P{i}_{j} / D{i})" in lane_text
+        assert f"    P{i}_{j} = constant({c!r})" in lane_text
+        assert f"    D{i} = constant({float(s.d[i])!r})" in lane_text
+        assert f"(gamma * {c!r} / {float(s.d[i])!r})" in block_text
     m = mu(s, prob.beta)
     cfgs = [RunConfig(s, prob, schedule=ScheduleSpec(variant="safeguard", t_rule=rule, gamma=g),
                       max_iters=30, record_every=7, fix_res_tol=1e-300)

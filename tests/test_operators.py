@@ -316,11 +316,14 @@ def test_stacked_apply_keeps_no_residual():
     assert op._memo is memo
 
 
-def test_residual_takes_only_a_d_vector():
+def test_residual_takes_a_d_vector_or_a_stack_of_them():
+    # an (r, d) stack is taken row by row (test_problems pins its bits); other shapes are refused
     a, b, x = _ls_data(10, 40)
     for op in (LeastSquaresGrad(a, b), LeastSquaresGrad(a.T, x)):
         dim = op.dim
-        for bad in (np.ones(dim - 1), np.ones((2, dim)), np.float64(1.0)):
+        assert op.residual(np.ones((2, dim))).shape == (2, op.b.size)
+        for bad in (np.ones(dim - 1), np.ones((2, dim - 1)), np.ones((2, 2, dim)),
+                    np.float64(1.0)):
             message = f"expected vector of dim {dim}, got shape {bad.shape}"
             with pytest.raises(StructuralError, match=re.escape(message)):
                 op.residual(bad)

@@ -5,7 +5,7 @@ from relsplit import driver, problems
 from relsplit.driver import RunConfig, run
 from relsplit.errors import ParameterError
 from relsplit.linalg import spectral_norm
-from relsplit.operators import lambda_max, soft_threshold
+from relsplit.operators import BLOCK_BYTES, LeastSquaresGrad, lambda_max, soft_threshold
 from relsplit.problems import (ElasticNetProblem, LassoProblem, gen_elastic_net, gen_lasso,
                                objective, reference_solution, split_elastic, split_lasso)
 from relsplit.propsuites import small_lasso_setup
@@ -51,6 +51,35 @@ def test_objective_examples():
     assert objective(prob2, np.array([0.5])) == pytest.approx(0.75, abs=1e-15)
     en = ElasticNetProblem(np.array([[2.0]]), np.array([4.0]), lam1=0.1, lam2=0.1)
     assert objective(en, np.zeros(1)) == 8.0  # 0.5*||b||^2
+
+
+H = BLOCK_BYTES // (8 * 1000) // 8 * 8   # rows per block of a d = 1000 factored form
+
+
+@pytest.mark.parametrize("make", [lambda: gen_lasso(20, 30, 3), lambda: gen_elastic_net(25, 20, 4),
+                                  lambda: gen_lasso(2 * H + 3, 1000, 5),
+                                  lambda: gen_elastic_net(2 * H + 3, 1000, 6)],
+                         ids=["lasso-gram", "elastic-gram", "lasso-factored", "elastic-factored"])
+def test_stack_values_are_each_rows_own(make):
+    # a stack's objective and residual rows are bitwise the d-vector values, in the Gram
+    # form and in a factored form of two row blocks (whose apply memo serves a d-vector),
+    # with a NaN row among them
+    prob = make()
+    fwd = LeastSquaresGrad(prob.A, prob.b)
+    assert (fwd._gram is None) == (prob.dim == 1000)
+    assert fwd._gram is not None or len(fwd._blocks) == 2
+    X = np.random.default_rng(1).standard_normal((4, prob.dim))
+    X[2, 7] = np.nan
+    R, phi, phi_r = fwd.residual(X), objective(prob, X), objective(prob, X, fwd.residual(X))
+    assert R.shape == (4, prob.A.shape[0]) and phi.shape == phi_r.shape == (4,)
+    for i, x in enumerate(X):
+        fresh = LeastSquaresGrad(prob.A, prob.b).residual(x)   # A @ x - b
+        fwd.apply(x)   # the factored form keeps this x's residual
+        for got, want in ((R[i], fresh), (R[i], fwd.residual(x)), (phi[i], objective(prob, x)),
+                          (phi_r[i], objective(prob, x, fresh))):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(want).any() or np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.isnan(phi[i]) == (i == 2)
 
 
 def test_split_lasso_delegates():
